@@ -1,0 +1,131 @@
+"""Golden-output gate: tiny seeded runs must reproduce recorded outputs.
+
+Each case runs one megt command in process and compares the SHA-256 of
+every output file with the digest recorded when the case was added.  A
+change that alters any trajectory, grid or network file fails here; such
+a change must be declared in CHANGES.md together with the new digests.
+``manifest.json`` is not compared: it records absolute input paths.
+"""
+from __future__ import annotations
+
+import pytest
+
+from megt.cli import main
+from megt.manifest import sha256_file
+
+EVOLVE_CONFIG = """
+node_count = 40
+layers = 3
+topology = er
+edge_probability = 0.1
+homophily_sigma = 1.0
+game = sd
+max_rounds = 200
+steady_window = 40
+replicas = 2
+seed = 11
+"""
+
+GENERATE_CONFIG = """
+node_count = 30
+layers = 2
+topology = ws
+ring_degree = 4
+rewire_probability = 0.2
+homophily_sigma = 1.5
+seed = 5
+"""
+
+SWEEP_CONFIG = """
+network_file = {network}
+t_min = 0.5
+t_max = 1.5
+t_steps = 2
+s_min = -0.5
+s_max = 0.5
+s_steps = 2
+replicas = 2
+max_rounds = 150
+steady_window = 30
+seed = 13
+"""
+
+NASH_CONFIG = """
+node_count = 30
+layers = 2
+topology = sf
+homophily_sigma = 1.0
+game = sd
+max_rounds = 200
+steady_window = 40
+seed = 17
+"""
+
+GOLDEN = {
+    "evolve": {
+        "metrics_rep00.csv":
+            "fd6d953f88926a466010d01cde8528bff775ea8c82e9bcbe3f151698f578690b",
+        "metrics_rep01.csv":
+            "5b010aa84ddc7fc165fa8bc7558183954de1ae3752d84cb33904bd6447598fd6",
+        "rho.csv":
+            "6bd88e4d6cda4b974d063914afb357ff31d05c9ca7bc804fba9a8e7c56777469",
+        "rho_rep00.csv":
+            "d74526037ecf6879e5f95e9474cfe112e65e9f0320027478e01915b9e6fd987e",
+        "rho_rep01.csv":
+            "9bedf69856b0c00b80cfe4202237b39f99c3679dbce3c781200f7e4d3bef4735",
+        "state_rep00.txt":
+            "f371437bb1a1584c24bc5bb9c413e99bc1202fb53f846d556b1cf509fcc92e52",
+        "state_rep01.txt":
+            "2dd05981ea6b6c3e3abbf596b7b2ee02762bddf7a4b14cd93dbf61ca09778f0e",
+    },
+    "generate": {
+        "net.mplex":
+            "1dd22648e3fe5cf217e3b61eec559620fc2b72f9bffd5d4ba73b8ae19d45b219",
+    },
+    "sweep": {
+        "grid.csv":
+            "21e34aa429d4df2257b5e1cbc38006bef1747dc1f3857ab411b94d0be923a20e",
+    },
+    "nash": {
+        "alpha.csv":
+            "661035fa724700cf551ae325544bd7f323d171d127d2813283ca8862fddb4923",
+        "rho.csv":
+            "ae99716fe9b81793f1640ea4d0ba15044f312c0e937affd8ee7096aa61915a06",
+    },
+}
+
+
+def _run(tmp_path, command, config_text):
+    outdir = tmp_path / command
+    config = tmp_path / f"{command}.cfg"
+    config.write_text(config_text)
+    assert main([command, "--config", str(config),
+                 "--outdir", str(outdir)]) == 0
+    return outdir
+
+
+def _digests(outdir):
+    return {path.name: sha256_file(path)
+            for path in sorted(outdir.iterdir())
+            if path.name != "manifest.json"}
+
+
+@pytest.fixture(autouse=True)
+def clean_env(monkeypatch):
+    monkeypatch.delenv("MEGT_SEED", raising=False)
+
+
+@pytest.mark.parametrize("command, config_text", [
+    ("evolve", EVOLVE_CONFIG),
+    ("generate", GENERATE_CONFIG),
+    ("nash", NASH_CONFIG),
+])
+def test_golden_outputs(tmp_path, command, config_text):
+    assert _digests(_run(tmp_path, command, config_text)) == GOLDEN[command]
+
+
+def test_golden_sweep_on_network_file(tmp_path):
+    network = _run(tmp_path, "generate", GENERATE_CONFIG) / "net.mplex"
+    assert sha256_file(network) == GOLDEN["generate"]["net.mplex"]
+    outdir = _run(tmp_path, "sweep", SWEEP_CONFIG.format(network=network))
+    assert _digests(outdir) == GOLDEN["sweep"]
