@@ -15,6 +15,7 @@ Every command is deterministic given (config, seed) and writes a
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -142,6 +143,19 @@ def _simulation_config(cfg: dict, seed: int) -> SimulationConfig:
         raise ConfigError(str(exc)) from None
 
 
+@contextlib.contextmanager
+def _dynamics_errors(cfg: dict):
+    """Report a ValueError from the dynamics, such as a communicability
+    that overflows float64, as a data error when the network came from
+    ``network_file`` and as a config error otherwise."""
+    try:
+        yield
+    except ValueError as exc:
+        if cfg["network_file"]:
+            raise DataError(f"{cfg['network_file']}: {exc}") from None
+        raise ConfigError(str(exc)) from None
+
+
 def _incentive_config(cfg: dict) -> IncentiveConfig:
     mechanism = cfg["mechanism"]
     try:
@@ -207,7 +221,8 @@ def cmd_evolve(args) -> int:
     cfg = load_config(args.config)
     seed = _resolve_seed(cfg, args)
     sim = _simulation_config(cfg, seed)
-    results = run_replicas_parallel(sim, jobs=args.jobs)
+    with _dynamics_errors(cfg):
+        results = run_replicas_parallel(sim, jobs=args.jobs)
     outdir = _outdir(args)
     produced = []
     if sim.replicas == 1:
@@ -248,7 +263,8 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"config key {name!r} must be >= 1")
     t_values = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_steps"])
     s_values = np.linspace(cfg["s_min"], cfg["s_max"], cfg["s_steps"])
-    grid = sweep_ts_parallel(sim, t_values, s_values, jobs=args.jobs)
+    with _dynamics_errors(cfg):
+        grid = sweep_ts_parallel(sim, t_values, s_values, jobs=args.jobs)
     outdir = _outdir(args)
     target = outdir / "grid.csv"
     write_grid_csv(grid, target)
@@ -269,13 +285,14 @@ def cmd_nash(args) -> int:
     # the tracker needs the realised network before the run starts, so
     # mirror run()'s replica-0 network derivation and pass it prebuilt
     from .evolve import _replica_network
-    network = _replica_network(sim, 0, 0)
-    sim = dataclasses.replace(
-        sim, spec=None, network=network,
-        interlayer_strength=sim.resolve_interlayer_strength())
-    tracker = EquilibriumTracker(network, sim.game,
-                                 projection=cfg["projection"])
-    result = run(sim, on_round=tracker.observer())
+    with _dynamics_errors(cfg):
+        network = _replica_network(sim, 0, 0)
+        sim = dataclasses.replace(
+            sim, spec=None, network=network,
+            interlayer_strength=sim.resolve_interlayer_strength())
+        tracker = EquilibriumTracker(network, sim.game,
+                                     projection=cfg["projection"])
+        result = run(sim, on_round=tracker.observer())
     outdir = _outdir(args)
     target = outdir / "alpha.csv"
     write_alpha_csv(tracker.history, target)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,8 +94,10 @@ class SimulationConfig:
     every replica realises its own network from a spawned seed, so
     replica averages also average over topology and homophily draws;
     with a prebuilt network all replicas share it and only the dynamics
-    seed varies.  ``interlayer_strength`` of None defers to the spec's
-    value (or 0.5 for a prebuilt network).
+    seed varies.  A prebuilt network is treated as immutable: runs that
+    share the object reuse one communicability table.
+    ``interlayer_strength`` of None defers to the spec's value (or 0.5
+    for a prebuilt network).
     """
 
     game: PayoffMatrix
@@ -228,17 +231,23 @@ class RoundEngine:
     plain Python lists; one Monte Carlo round then runs in pure Python
     with three bulk RNG draws, which on a single core beats any
     per-step numpy dispatch by a wide margin.
+
+    ``comm`` is the network's communicability, or a ScalingTable already
+    built from it.  ``edgeless`` is true when no slot has a neighbour on
+    its layer, so imitation can never change a strategy.
     """
 
     def __init__(self, network: MultiplexNetwork, game: PayoffMatrix,
-                 comm: Communicability, config: SimulationConfig):
+                 comm: Communicability | ScalingTable,
+                 config: SimulationConfig):
         self.network = network
         self.game = game
         self.config = config
         self.node_count = network.node_count
         self.layer_count = network.layer_count
         self.slot_count = self.node_count * self.layer_count
-        self.table = ScalingTable(network, comm)
+        self.table = (comm if isinstance(comm, ScalingTable)
+                      else ScalingTable(network, comm))
         self.span = config.scaling_bounds.span
         kappa = config.selection_intensity
         inv = 1.0 / (np.maximum(network.delta, DISTANCE_FLOOR) * kappa)
@@ -248,6 +257,7 @@ class RoundEngine:
             nbrs[alpha][i] for alpha in range(self.layer_count)
             for i in range(self.node_count)]
         self._has_isolated = any(not lst for lst in self._nbr_flat)
+        self.edgeless = not any(self._nbr_flat)
         self._layer_degrees = network.layer_degrees()
 
     def round(self, state: SimulationState) -> float:
@@ -332,6 +342,32 @@ def _replica_network(config: SimulationConfig, cell_index: int,
     return build_multiplex(spec)
 
 
+# the scaling table of the last prebuilt network: (network, omega, table)
+_table_memo: tuple[MultiplexNetwork, float, ScalingTable] | None = None
+
+
+def _scaling_table(config: SimulationConfig,
+                   network: MultiplexNetwork) -> ScalingTable:
+    """The run's ScalingTable, reused while the prebuilt network is.
+
+    The table depends only on the network and the coupling strength, so
+    replicas and sweep cells that share a prebuilt network share one
+    table.  The one-slot memo holds the network object itself and
+    matches it with ``is``; a prebuilt network must therefore not be
+    mutated between runs.  Spec-built networks are fresh for every
+    replica and are never memoised.
+    """
+    global _table_memo
+    omega = config.resolve_interlayer_strength()
+    memo = _table_memo
+    if memo is not None and memo[0] is network and memo[1] == omega:
+        return memo[2]
+    table = ScalingTable(network, communicability(network, omega))
+    if config.network is network:
+        _table_memo = (network, omega, table)
+    return table
+
+
 def run(config: SimulationConfig, *, cell_index: int = 0,
         replica_index: int = 0, on_round=None) -> RunResult:
     """Execute one simulation to steady state.
@@ -342,7 +378,8 @@ def run(config: SimulationConfig, *, cell_index: int = 0,
     0 or 1 cannot change under imitation, so waiting out the window
     would be pure waste), or after ``max_rounds`` rounds, whichever
     comes first.  ``steady_rho`` is the mean over the final window (the
-    exact density, for absorbing exits).
+    exact density, for absorbing exits).  A multiplex without edges is
+    absorbing from the start: the run returns ``rho[0]`` after no rounds.
 
     ``on_round(round_index, state)``, if given, is called on the initial
     state and after every round; the equilibrium tracker hooks in here.
@@ -350,8 +387,8 @@ def run(config: SimulationConfig, *, cell_index: int = 0,
     trajectory bit for bit.
     """
     network = _replica_network(config, cell_index, replica_index)
-    comm = communicability(network, config.resolve_interlayer_strength())
-    engine = RoundEngine(network, config.game, comm, config)
+    engine = RoundEngine(network, config.game,
+                         _scaling_table(config, network), config)
     rng = _dynamics_rng(config, cell_index, replica_index)
     state = init_state(network, config.initial_coop_fraction, rng)
     nm = engine.slot_count
@@ -360,7 +397,7 @@ def run(config: SimulationConfig, *, cell_index: int = 0,
     if on_round is not None:
         on_round(0, state)
     window = config.steady_window
-    converged = rho[0] in (0.0, 1.0)
+    converged = rho[0] in (0.0, 1.0) or engine.edgeless
     while not converged and state.round_index < config.max_rounds:
         value = engine.round(state)
         rho.append(value)
@@ -492,6 +529,12 @@ def read_state_text(path) -> SimulationState:
                            rng=None)
 
 
+def _worker_count(jobs: int, tasks: int) -> int:
+    """Pool size for ``jobs`` requested over ``tasks`` independent tasks:
+    never more than the tasks or the machine's CPUs, and at least 1."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
 def _replica_task(payload):
     config, cell_index, replica_index = payload
     return replica_index, run(config, cell_index=cell_index,
@@ -506,12 +549,13 @@ def run_replicas_parallel(config: SimulationConfig, *, cell_index: int = 0,
     are reassembled in replica order, so any job count gives identical
     output.
     """
-    if jobs <= 1 or config.replicas == 1:
+    workers = _worker_count(jobs, config.replicas)
+    if workers == 1:
         return run_replicas(config, cell_index=cell_index)
     import concurrent.futures
     payloads = [(config, cell_index, r) for r in range(config.replicas)]
     out: list[RunResult | None] = [None] * config.replicas
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         for replica_index, result in pool.map(_replica_task, payloads):
             out[replica_index] = result
     return out
@@ -531,7 +575,8 @@ def sweep_ts_parallel(config: SimulationConfig, t_values, s_values,
     """sweep_ts with an optional process pool over grid cells; cell
     seeds are position-derived so the grid is identical for any job
     count or completion order."""
-    if jobs <= 1:
+    workers = _worker_count(jobs, len(t_values) * len(s_values))
+    if workers == 1:
         return sweep_ts(config, t_values, s_values)
     import concurrent.futures
     t_values = [float(t) for t in t_values]
@@ -541,7 +586,7 @@ def sweep_ts_parallel(config: SimulationConfig, t_values, s_values,
                 for js, s in enumerate(s_values)]
     mean = np.zeros((len(t_values), len(s_values)))
     std = np.zeros_like(mean)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         for cell, mu, sd in pool.map(_cell_task, payloads):
             it, js = divmod(cell, len(s_values))
             mean[it, js] = mu

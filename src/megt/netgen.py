@@ -14,6 +14,7 @@ equilibrium analysis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -432,7 +433,8 @@ def load_multiplex(path) -> MultiplexNetwork:
     Homophily is reconstructed from the delta lines; centralities and
     the coupling matrices are recomputed from the adjacency (both are
     deterministic), while link weights are taken verbatim from the file.
-    Raises ValueError naming the first offending line on malformed input.
+    Raises ValueError naming the first offending line on malformed input,
+    including a NaN, infinite or negative distance or link weight.
     """
     with open(path, encoding="ascii") as fh:
         raw = fh.read().splitlines()
@@ -467,6 +469,9 @@ def load_multiplex(path) -> MultiplexNetwork:
             if not (0 <= i < n and 0 <= j < n and i != j):
                 raise ValueError(
                     f"{path}: line {lineno}: node index out of range")
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{path}: line {lineno}: non-finite distance")
             if value < 0:
                 raise ValueError(
                     f"{path}: line {lineno}: negative distance")
@@ -485,6 +490,12 @@ def load_multiplex(path) -> MultiplexNetwork:
             if not (0 <= i < n and 0 <= j < n and i != j):
                 raise ValueError(
                     f"{path}: line {lineno}: node index out of range")
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{path}: line {lineno}: non-finite edge weight")
+            if value < 0:
+                raise ValueError(
+                    f"{path}: line {lineno}: negative edge weight")
             if adjacency[alpha][i, j]:
                 raise ValueError(
                     f"{path}: line {lineno}: duplicate edge")

@@ -223,6 +223,42 @@ def test_evolve_corrupt_network_file_is_a_data_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_evolve_nan_weight_in_network_file_is_a_data_error(tmp_path, capsys):
+    bad = tmp_path / "net.mplex"
+    bad.write_text("multiplex v1 2 1\n0 0 1 nan\ndelta 0 1 0.5\n")
+    cfg = write_config(tmp_path, f"network_file = {bad}\n")
+    assert run_cli("evolve", "--config", cfg,
+                   "--outdir", str(tmp_path / "out")) == 3
+    assert "line 2: non-finite edge weight" in capsys.readouterr().err
+
+
+def test_overflowing_communicability_is_a_config_error(tmp_path, capsys):
+    # a coupling of 1000 puts the largest supra-matrix eigenvalue past
+    # float64's exp range
+    cfg = tmp_path / "strong.cfg"
+    cfg.write_text(BASE_CONFIG.replace("seed = 7",
+                                       "seed = 7\ninterlayer_strength = 1000"))
+    for command in ("evolve", "sweep", "nash"):
+        assert run_cli(command, "--config", str(cfg),
+                       "--outdir", str(tmp_path / command)) == 2
+        assert "overflows" in capsys.readouterr().err
+
+
+def test_overflowing_communicability_of_a_network_file_is_a_data_error(
+        tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    netdir = tmp_path / "net"
+    assert run_cli("generate", "--config", cfg, "--outdir", str(netdir)) == 0
+    net_path = netdir / "net.mplex"
+    cfg2 = write_config(tmp_path, f"network_file = {net_path}\n"
+                                  "interlayer_strength = 1000\n",
+                        name="fixed.cfg")
+    assert run_cli("evolve", "--config", cfg2,
+                   "--outdir", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert "overflows" in err and str(net_path) in err
+
+
 # ---------------------------------------------------------------------------
 # sweep / nash
 # ---------------------------------------------------------------------------

@@ -121,6 +121,30 @@ def test_exp_rejects_nonsquare():
         matrix_exp(np.zeros((2, 3)))
 
 
+def test_exp_rejects_nonsymmetric():
+    with pytest.raises(ValueError, match="symmetric"):
+        matrix_exp(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_exp_rejects_nonfinite_input(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        matrix_exp(np.array([[0.0, bad], [bad, 0.0]]))
+
+
+def test_exp_rejects_an_overflowing_result():
+    # e**800 is beyond float64; the error must name the eigenvalue
+    with pytest.raises(ValueError, match="800"):
+        matrix_exp(np.diag([800.0, 0.0]))
+
+
+def test_exp_of_symmetric_input_is_exactly_symmetric():
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(30, 30))
+    result = matrix_exp(m + m.T)
+    assert np.array_equal(result, result.T)
+
+
 # ---------------------------------------------------------------------------
 # communicability of a multiplex
 # ---------------------------------------------------------------------------

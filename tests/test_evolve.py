@@ -1,8 +1,15 @@
+import ast
+import copy
+import dataclasses
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import megt.comm
+import megt.evolve
 from megt.comm import ScalingBounds, communicability
 from megt.evolve import (DISTANCE_FLOOR, RoundEngine, SimulationConfig,
                          accumulate_payoffs, density, fermi_probability,
@@ -10,9 +17,12 @@ from megt.evolve import (DISTANCE_FLOOR, RoundEngine, SimulationConfig,
                          run_replicas_parallel, sweep_ts, sweep_ts_parallel,
                          write_grid_csv, write_state_text,
                          write_trajectory_csv)
+from megt.evolve import _worker_count
 from megt.games import PayoffMatrix, from_ts, pd_from_bc, representative
 from megt.netgen import (LayerTopology, MultiplexSpec, build_multiplex,
                          multiplex_from_arrays)
+
+from conftest import megt_env
 
 
 def line_graph(n, layers=1, weights=None):
@@ -256,6 +266,32 @@ def test_absorbing_start_exits_immediately():
     assert result.trajectory.converged
 
 
+EDGELESS_RUN = """
+from megt.evolve import SimulationConfig, run
+from megt.games import representative
+from megt.netgen import LayerTopology, MultiplexSpec
+spec = MultiplexSpec(node_count=10, layer_count=2,
+                     topologies=(LayerTopology.er(0.0),) * 2,
+                     homophily_sigma=1.0, rng_seed=3)
+t = run(SimulationConfig(game=representative("sd"), spec=spec,
+                         max_rounds=50, steady_window=10)).trajectory
+print(repr((t.rho, t.steady_rho, t.converged)))
+"""
+
+
+def test_edgeless_multiplex_is_absorbing():
+    # no slot has a neighbour to imitate; run in a child with a timeout so
+    # that a hang fails the test instead of stalling the suite
+    proc = subprocess.run([sys.executable, "-c", EDGELESS_RUN],
+                          capture_output=True, text=True, env=megt_env(),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rho, steady, converged = ast.literal_eval(proc.stdout.strip())
+    assert len(rho) == 1
+    assert steady == rho[0]
+    assert converged is True
+
+
 def test_on_round_hook_sees_every_round():
     seen = []
     config = SimulationConfig(game=representative("hg"),
@@ -378,6 +414,53 @@ def test_grid_cells_are_position_seeded():
     full = sweep_ts(grid_config(), [0.6, 1.4], [-0.4, 0.4])
     single = sweep_ts(grid_config(), [0.6], [-0.4])
     assert single.rho_mean[0, 0] == full.rho_mean[0, 0]
+
+
+def test_sweep_on_a_prebuilt_network_computes_communicability_once(
+        monkeypatch):
+    calls = []
+
+    def counting_exp(matrix):
+        calls.append(matrix.shape)
+        return original_exp(matrix)
+
+    original_exp = megt.comm.matrix_exp
+    monkeypatch.setattr(megt.comm, "matrix_exp", counting_exp)
+    net = build_multiplex(small_spec(seed=9, n=20))
+    config = dataclasses.replace(grid_config(), spec=None, network=net)
+    t_values = [0.0, 0.5, 1.0, 1.5, 2.0]
+    s_values = [-1.0, -0.5, 0.0, 0.5, 1.0]
+    grid = sweep_ts(config, t_values, s_values)
+    assert len(calls) == 1
+
+    # the same grid with every cell on its own copy, which the memo
+    # cannot recognise
+    mean = np.zeros((5, 5))
+    std = np.zeros((5, 5))
+    for it, t in enumerate(t_values):
+        for js, s in enumerate(s_values):
+            cell_config = dataclasses.replace(
+                config, game=from_ts(t, s), network=copy.deepcopy(net))
+            steadies = [r.trajectory.steady_rho for r in
+                        run_replicas(cell_config, cell_index=it * 5 + js)]
+            mean[it, js] = np.mean(steadies)
+            std[it, js] = np.std(steadies)
+    assert len(calls) == 1 + 25
+    assert np.array_equal(grid.rho_mean, mean)
+    assert np.array_equal(grid.rho_std, std)
+
+
+@pytest.mark.parametrize("jobs, tasks, cpus, expected", [
+    (1000, 25, 4, 4),
+    (3, 25, 4, 3),
+    (8, 2, 4, 2),
+    (0, 5, 4, 1),
+    (-2, 5, 4, 1),
+    (8, 5, None, 1),
+])
+def test_worker_count_is_clamped(monkeypatch, jobs, tasks, cpus, expected):
+    monkeypatch.setattr(megt.evolve.os, "cpu_count", lambda: cpus)
+    assert _worker_count(jobs, tasks) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -316,3 +316,17 @@ def test_load_rejects_malformed_files(tmp_path):
     path.write_text("multiplex v1 2 1\n5 0 1 1.0\ndelta 0 1 0.0\n")
     with pytest.raises(ValueError, match="layer index"):
         load_multiplex(path)
+
+
+@pytest.mark.parametrize("edge, delta, message", [
+    ("1.0", "nan", "line 3: non-finite distance"),
+    ("1.0", "inf", "line 3: non-finite distance"),
+    ("nan", "0.5", "line 2: non-finite edge weight"),
+    ("inf", "0.5", "line 2: non-finite edge weight"),
+    ("-1.0", "0.5", "line 2: negative edge weight"),
+])
+def test_load_rejects_bad_numbers(tmp_path, edge, delta, message):
+    path = tmp_path / "bad.mplex"
+    path.write_text(f"multiplex v1 2 1\n0 0 1 {edge}\ndelta 0 1 {delta}\n")
+    with pytest.raises(ValueError, match=message):
+        load_multiplex(path)
