@@ -61,6 +61,19 @@ steady_window = 40
 seed = 17
 """
 
+SYNTH_CONFIG = """
+users = 30
+days = 2
+honest_fraction = 0.5
+selfish_fraction = 0.3
+seed = 7
+"""
+
+SCORE_CONFIG = """
+budget = 50.0
+seed = 7
+"""
+
 GOLDEN = {
     "evolve": {
         "metrics_rep00.csv":
@@ -92,15 +105,25 @@ GOLDEN = {
         "rho.csv":
             "ae99716fe9b81793f1640ea4d0ba15044f312c0e937affd8ee7096aa61915a06",
     },
+    "synth": {
+        "reports.csv":
+            "cf7547df86ab94abc881928eae159a6449658677fd60abdb39c12ad542673020",
+    },
+    "score": {
+        "decisions.csv":
+            "29a684d82a85ef00ce8418768eee2041d120b16a46676e251f7a404363ca0aab",
+        "ledger.csv":
+            "3976dbc6eeda4e9e0987c44bf5b5ded0f0bb11b0289c97d47c0b4e73abc3bcca",
+    },
 }
 
 
-def _run(tmp_path, command, config_text):
+def _run(tmp_path, command, config_text, *extra):
     outdir = tmp_path / command
     config = tmp_path / f"{command}.cfg"
     config.write_text(config_text)
     assert main([command, "--config", str(config),
-                 "--outdir", str(outdir)]) == 0
+                 "--outdir", str(outdir), *extra]) == 0
     return outdir
 
 
@@ -119,6 +142,7 @@ def clean_env(monkeypatch):
     ("evolve", EVOLVE_CONFIG),
     ("generate", GENERATE_CONFIG),
     ("nash", NASH_CONFIG),
+    ("synth", SYNTH_CONFIG),
 ])
 def test_golden_outputs(tmp_path, command, config_text):
     assert _digests(_run(tmp_path, command, config_text)) == GOLDEN[command]
@@ -129,3 +153,10 @@ def test_golden_sweep_on_network_file(tmp_path):
     assert sha256_file(network) == GOLDEN["generate"]["net.mplex"]
     outdir = _run(tmp_path, "sweep", SWEEP_CONFIG.format(network=network))
     assert _digests(outdir) == GOLDEN["sweep"]
+
+
+def test_golden_score_on_synth_corpus(tmp_path):
+    reports = _run(tmp_path, "synth", SYNTH_CONFIG) / "reports.csv"
+    assert sha256_file(reports) == GOLDEN["synth"]["reports.csv"]
+    outdir = _run(tmp_path, "score", SCORE_CONFIG, "--reports", str(reports))
+    assert _digests(outdir) == GOLDEN["score"]
