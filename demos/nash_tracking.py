@@ -10,7 +10,7 @@ import argparse
 import dataclasses
 
 from megt.equilibrium import EquilibriumTracker, nash_report
-from megt.evolve import SimulationConfig, _replica_network, run
+from megt.evolve import SimulationConfig, replica_network, run
 from megt.games import from_ts
 from megt.netgen import LayerTopology, MultiplexSpec
 
@@ -38,7 +38,7 @@ def main() -> None:
         rng_seed=args.seed,
     )
 
-    network = _replica_network(config, 0, 0)
+    network = replica_network(config)
     config = dataclasses.replace(config, spec=None, network=network)
     tracker = EquilibriumTracker(network, game, args.projection)
 

@@ -13,8 +13,8 @@ from .comm import (Communicability, ScalingBounds, ScalingTable, build_supra,
                    communicability, matrix_exp, scaling_factor)
 from .evolve import (RunResult, SimulationConfig, SimulationState, Trajectory,
                      accumulate_payoffs, density, fermi_probability,
-                     init_state, mc_round, RoundEngine, run, run_replicas,
-                     sweep_ts)
+                     init_state, replica_network, RoundEngine, run,
+                     run_replicas, sweep_ts)
 from .equilibrium import (EquilibriumTracker, LocalBestResponse, NashReport,
                           best_response, is_nash_pair, local_frequency,
                           nash_report, project_strategies)

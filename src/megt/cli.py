@@ -24,17 +24,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .comm import ScalingBounds, communicability
+from .comm import ScalingBounds
 from .config import ConfigError, format_defaults, load_config, resolve
 from .crowdsense import (IncentiveConfig, MECHANISMS, SynthSpec,
                          read_reports_csv, score_corpus, synth_corpus,
                          write_decisions_csv, write_ledger_csv,
                          write_reports_csv)
-from .equilibrium import EquilibriumTracker, write_alpha_csv
-from .evolve import (SimulationConfig, Trajectory, run,
-                     run_replicas_parallel, sweep_ts_parallel,
-                     write_grid_csv, write_state_text,
-                     write_trajectory_csv)
+from .equilibrium import (PROJECTION_RULES, EquilibriumTracker,
+                          write_alpha_csv)
+from .evolve import (SimulationConfig, Trajectory, replica_network, run,
+                     run_replicas, sweep_ts, write_grid_csv,
+                     write_state_text, write_trajectory_csv)
 from .games import from_ts, pd_from_bc, representative
 from .manifest import RunManifest, load_manifest, sha256_file, write_manifest
 from .metrics import behaviour_stats, write_metrics_csv
@@ -222,7 +222,7 @@ def cmd_evolve(args) -> int:
     seed = _resolve_seed(cfg, args)
     sim = _simulation_config(cfg, seed)
     with _dynamics_errors(cfg):
-        results = run_replicas_parallel(sim, jobs=args.jobs)
+        results = run_replicas(sim, jobs=args.jobs)
     outdir = _outdir(args)
     produced = []
     if sim.replicas == 1:
@@ -264,7 +264,7 @@ def cmd_sweep(args) -> int:
     t_values = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_steps"])
     s_values = np.linspace(cfg["s_min"], cfg["s_max"], cfg["s_steps"])
     with _dynamics_errors(cfg):
-        grid = sweep_ts_parallel(sim, t_values, s_values, jobs=args.jobs)
+        grid = sweep_ts(sim, t_values, s_values, jobs=args.jobs)
     outdir = _outdir(args)
     target = outdir / "grid.csv"
     write_grid_csv(grid, target)
@@ -278,15 +278,13 @@ def cmd_nash(args) -> int:
     cfg = load_config(args.config)
     seed = _resolve_seed(cfg, args)
     sim = _simulation_config(cfg, seed)
-    if cfg["projection"] not in ("majority_tie_c", "majority_tie_d",
-                                 "per_layer"):
+    if cfg["projection"] not in PROJECTION_RULES:
         raise ConfigError(
             f"config key 'projection': unknown rule {cfg['projection']!r}")
     # the tracker needs the realised network before the run starts, so
-    # mirror run()'s replica-0 network derivation and pass it prebuilt
-    from .evolve import _replica_network
+    # build replica 0's network here and pass it to run() prebuilt
     with _dynamics_errors(cfg):
-        network = _replica_network(sim, 0, 0)
+        network = replica_network(sim)
         sim = dataclasses.replace(
             sim, spec=None, network=network,
             interlayer_strength=sim.resolve_interlayer_strength())

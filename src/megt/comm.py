@@ -194,8 +194,8 @@ class ScalingTable:
     The communicability entries and the per-(node, layer) denominators
     are static for a given network; only the strategy comparison changes
     between calls.  The table stores plain Python lists so the
-    simulation's inner loop can evaluate the factor without numpy
-    overhead.  ``factor`` matches ``scaling_factor`` exactly.
+    simulation's inner loop (``RoundEngine.round``) can evaluate the
+    factor without numpy overhead; ``scaling_factor`` is its reference.
     """
 
     def __init__(self, network: MultiplexNetwork, comm: Communicability):
@@ -212,19 +212,6 @@ class ScalingTable:
             self.cross_index.append(idx)
             self.cross_value.append(vals)
             self.denominator.append(sum(vals))
-
-    def factor(self, flat_index: int, strategy: int,
-               flat_strategies: list[int],
-               bounds: ScalingBounds = ScalingBounds()) -> float:
-        den = self.denominator[flat_index]
-        if den <= 0.0:
-            return 1.0
-        num = 0.0
-        for k, g in zip(self.cross_index[flat_index],
-                        self.cross_value[flat_index]):
-            if flat_strategies[k] == strategy:
-                num += g
-        return 1.0 - bounds.span * (num / den)
 
 
 def dump_communicability_csv(comm: Communicability, path) -> None:

@@ -17,13 +17,14 @@ reached, or a round budget is exhausted.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comm import Communicability, ScalingBounds, ScalingTable, communicability
+from .comm import ScalingBounds, ScalingTable, communicability
 from .games import COOPERATE, PayoffMatrix, from_ts
 from .netgen import MultiplexNetwork, MultiplexSpec, build_multiplex
 
@@ -39,12 +40,10 @@ __all__ = [
     "accumulate_payoffs",
     "fermi_probability",
     "RoundEngine",
-    "mc_round",
+    "replica_network",
     "run",
     "run_replicas",
-    "run_replicas_parallel",
     "sweep_ts",
-    "sweep_ts_parallel",
     "density",
     "write_trajectory_csv",
     "write_grid_csv",
@@ -232,22 +231,20 @@ class RoundEngine:
     with three bulk RNG draws, which on a single core beats any
     per-step numpy dispatch by a wide margin.
 
-    ``comm`` is the network's communicability, or a ScalingTable already
-    built from it.  ``edgeless`` is true when no slot has a neighbour on
-    its layer, so imitation can never change a strategy.
+    ``table`` is the ScalingTable of the network's communicability.
+    ``edgeless`` is true when no slot has a neighbour on its layer, so
+    imitation can never change a strategy.
     """
 
     def __init__(self, network: MultiplexNetwork, game: PayoffMatrix,
-                 comm: Communicability | ScalingTable,
-                 config: SimulationConfig):
+                 table: ScalingTable, config: SimulationConfig):
         self.network = network
         self.game = game
         self.config = config
         self.node_count = network.node_count
         self.layer_count = network.layer_count
         self.slot_count = self.node_count * self.layer_count
-        self.table = (comm if isinstance(comm, ScalingTable)
-                      else ScalingTable(network, comm))
+        self.table = table
         self.span = config.scaling_bounds.span
         kappa = config.selection_intensity
         inv = 1.0 / (np.maximum(network.delta, DISTANCE_FLOOR) * kappa)
@@ -262,7 +259,12 @@ class RoundEngine:
 
     def round(self, state: SimulationState) -> float:
         """Advance one full Monte Carlo round in place; returns the
-        cooperator density after the round."""
+        cooperator density after the round.
+
+        The loop inlines ``comm.scaling_factor``, read from the table,
+        and ``fermi_probability``; a round built from those two is the
+        test oracle this one must match bit for bit.
+        """
         n, nm = self.node_count, self.slot_count
         payoffs = accumulate_payoffs(state, self.network, self.game,
                                      self.config.payoff_weights)
@@ -320,19 +322,19 @@ class RoundEngine:
         return coop_total / nm
 
 
-def mc_round(state: SimulationState, engine: RoundEngine) -> float:
-    """One asynchronous Monte Carlo round (see RoundEngine.round)."""
-    return engine.round(state)
-
-
 def _dynamics_rng(config: SimulationConfig, cell_index: int,
                   replica_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(
         config.rng_seed, spawn_key=(cell_index, replica_index, 1)))
 
 
-def _replica_network(config: SimulationConfig, cell_index: int,
-                     replica_index: int) -> MultiplexNetwork:
+def replica_network(config: SimulationConfig, cell_index: int = 0,
+                    replica_index: int = 0) -> MultiplexNetwork:
+    """The network that ``run`` uses for (cell_index, replica_index).
+
+    A prebuilt network is shared by every run; a spec is realised from a
+    seed spawned from the pair, so each replica gets its own network.
+    """
     if config.network is not None:
         return config.network
     seed_seq = np.random.SeedSequence(
@@ -386,7 +388,7 @@ def run(config: SimulationConfig, *, cell_index: int = 0,
     The same (config, cell_index, replica_index) triple reproduces the
     trajectory bit for bit.
     """
-    network = _replica_network(config, cell_index, replica_index)
+    network = replica_network(config, cell_index, replica_index)
     engine = RoundEngine(network, config.game,
                          _scaling_table(config, network), config)
     rng = _dynamics_rng(config, cell_index, replica_index)
@@ -423,16 +425,40 @@ def run(config: SimulationConfig, *, cell_index: int = 0,
     return RunResult(trajectory=trajectory, state=state, network=network)
 
 
+def _worker_count(jobs: int, tasks: int) -> int:
+    """Pool size for ``jobs`` requested over ``tasks`` independent tasks:
+    never more than the tasks or the machine's CPUs, and at least 1."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
+def _map(function, items: list, jobs: int) -> list:
+    """``[function(item) for item in items]``, computed in a process pool
+    when ``_worker_count`` allows more than one worker.  Results keep
+    the order of ``items``, so the job count never changes them."""
+    workers = _worker_count(jobs, len(items))
+    if workers == 1:
+        return [function(item) for item in items]
+    import concurrent.futures  # only a parallel run pays for the import
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(function, items))
+
+
+def _replica(config: SimulationConfig, cell_index: int,
+             replica_index: int) -> RunResult:
+    return run(config, cell_index=cell_index, replica_index=replica_index)
+
+
 def run_replicas(config: SimulationConfig, *, cell_index: int = 0,
-                 on_round=None) -> list[RunResult]:
+                 jobs: int = 1) -> list[RunResult]:
     """All replicas of a config, in replica order.
 
-    Each replica's seeds derive from (cell_index, replica_index) alone,
-    so results are independent of execution order.
+    ``jobs`` asks for that many worker processes, capped at the replica
+    count and the CPUs.  Each replica's seeds derive from (cell_index,
+    replica_index) alone, so results are independent of execution order
+    and of the job count.
     """
-    return [run(config, cell_index=cell_index, replica_index=r,
-                on_round=on_round)
-            for r in range(config.replicas)]
+    return _map(functools.partial(_replica, config, cell_index),
+                list(range(config.replicas)), jobs)
 
 
 def density(state: SimulationState) -> float:
@@ -457,28 +483,37 @@ class GridResult:
                 yield t, s, self.rho_mean[it, js], self.rho_std[it, js]
 
 
-def sweep_ts(config: SimulationConfig, t_values, s_values) -> GridResult:
+def _cell(config: SimulationConfig,
+          cell: tuple[int, float, float]) -> tuple[float, float]:
+    """Mean and population std of the steady densities of one grid cell's
+    replicas."""
+    cell_index, temptation, sucker = cell
+    cell_config = dataclasses.replace(config, game=from_ts(temptation, sucker))
+    steadies = [r.trajectory.steady_rho
+                for r in run_replicas(cell_config, cell_index=cell_index)]
+    return float(np.mean(steadies)), float(np.std(steadies))
+
+
+def sweep_ts(config: SimulationConfig, t_values, s_values, *,
+             jobs: int = 1) -> GridResult:
     """Replica-averaged steady density across a grid of T-S games.
 
-    The cell at (t_index, s_index) uses cell seeds spawned from its
-    row-major index, so any execution order (or a resumed sweep) yields
-    identical numbers.  Standard deviation is the population std over
-    replicas.
+    ``jobs`` asks for that many worker processes over cells, capped at
+    the cell count and the CPUs.  The cell at (t_index, s_index) uses
+    cell seeds spawned from its row-major index, so any execution order,
+    job count or resumed sweep yields identical numbers.  Standard
+    deviation is the population std over replicas.
     """
     t_values = [float(t) for t in t_values]
     s_values = [float(s) for s in s_values]
-    mean = np.zeros((len(t_values), len(s_values)))
-    std = np.zeros_like(mean)
-    for it, t in enumerate(t_values):
-        for js, s in enumerate(s_values):
-            cell = it * len(s_values) + js
-            cell_config = dataclasses.replace(config, game=from_ts(t, s))
-            results = run_replicas(cell_config, cell_index=cell)
-            steadies = [r.trajectory.steady_rho for r in results]
-            mean[it, js] = np.mean(steadies)
-            std[it, js] = np.std(steadies)
+    cells = [(it * len(s_values) + js, t, s)
+             for it, t in enumerate(t_values)
+             for js, s in enumerate(s_values)]
+    stats = np.array(_map(functools.partial(_cell, config), cells, jobs),
+                     dtype=float).reshape(len(t_values), len(s_values), 2)
     return GridResult(t_values=t_values, s_values=s_values,
-                      rho_mean=mean, rho_std=std, replicas=config.replicas)
+                      rho_mean=stats[..., 0], rho_std=stats[..., 1],
+                      replicas=config.replicas)
 
 
 def write_state_text(state: SimulationState, path) -> None:
@@ -527,72 +562,6 @@ def read_state_text(path) -> SimulationState:
     return SimulationState(strategies=strategies, payoffs=np.zeros((m, n)),
                            round_index=round_index, coop_count=coop,
                            rng=None)
-
-
-def _worker_count(jobs: int, tasks: int) -> int:
-    """Pool size for ``jobs`` requested over ``tasks`` independent tasks:
-    never more than the tasks or the machine's CPUs, and at least 1."""
-    return max(1, min(jobs, tasks, os.cpu_count() or 1))
-
-
-def _replica_task(payload):
-    config, cell_index, replica_index = payload
-    return replica_index, run(config, cell_index=cell_index,
-                              replica_index=replica_index)
-
-
-def run_replicas_parallel(config: SimulationConfig, *, cell_index: int = 0,
-                          jobs: int = 1) -> list[RunResult]:
-    """run_replicas with an optional process pool.
-
-    Replica seeds depend only on (cell_index, replica_index) and results
-    are reassembled in replica order, so any job count gives identical
-    output.
-    """
-    workers = _worker_count(jobs, config.replicas)
-    if workers == 1:
-        return run_replicas(config, cell_index=cell_index)
-    import concurrent.futures
-    payloads = [(config, cell_index, r) for r in range(config.replicas)]
-    out: list[RunResult | None] = [None] * config.replicas
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        for replica_index, result in pool.map(_replica_task, payloads):
-            out[replica_index] = result
-    return out
-
-
-def _cell_task(payload):
-    config, cell_index, temptation, sucker = payload
-    cell_config = dataclasses.replace(config,
-                                      game=from_ts(temptation, sucker))
-    results = run_replicas(cell_config, cell_index=cell_index)
-    steadies = [r.trajectory.steady_rho for r in results]
-    return cell_index, float(np.mean(steadies)), float(np.std(steadies))
-
-
-def sweep_ts_parallel(config: SimulationConfig, t_values, s_values,
-                      jobs: int = 1) -> GridResult:
-    """sweep_ts with an optional process pool over grid cells; cell
-    seeds are position-derived so the grid is identical for any job
-    count or completion order."""
-    workers = _worker_count(jobs, len(t_values) * len(s_values))
-    if workers == 1:
-        return sweep_ts(config, t_values, s_values)
-    import concurrent.futures
-    t_values = [float(t) for t in t_values]
-    s_values = [float(s) for s in s_values]
-    payloads = [(config, it * len(s_values) + js, t, s)
-                for it, t in enumerate(t_values)
-                for js, s in enumerate(s_values)]
-    mean = np.zeros((len(t_values), len(s_values)))
-    std = np.zeros_like(mean)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        for cell, mu, sd in pool.map(_cell_task, payloads):
-            it, js = divmod(cell, len(s_values))
-            mean[it, js] = mu
-            std[it, js] = sd
-    return GridResult(t_values=t_values, s_values=s_values,
-                      rho_mean=mean, rho_std=std, replicas=config.replicas)
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:

@@ -76,23 +76,35 @@ class BehaviourStats:
 
 
 def behaviour_stats(state, network: MultiplexNetwork) -> BehaviourStats:
-    """Honesty/QoI/reputation bundle for a finished simulation state."""
-    honesty = social_honesty(state.coop_count, network.layer_degrees(),
-                             state.round_index)
+    """Honesty/QoI/reputation bundle for a finished simulation state.
+
+    A run that made no rounds (it started absorbing), or in which no node
+    has any interaction, measured nothing: every node's honesty and
+    reputation, and the quality, are missing (NaN).
+    """
+    if state.round_index == 0:
+        honesty = np.full(network.node_count, np.nan)
+    else:
+        honesty = social_honesty(state.coop_count, network.layer_degrees(),
+                                 state.round_index)
+    if np.isnan(honesty).all():
+        return BehaviourStats(honesty=honesty, quality=float("nan"),
+                              reputation=honesty.copy())
     quality = qoi(honesty)
     return BehaviourStats(honesty=honesty, quality=quality,
                           reputation=behavioural_reputation(honesty, quality))
 
 
+def _field(value: float) -> str:
+    return "" if np.isnan(value) else repr(float(value))
+
+
 def write_metrics_csv(stats: BehaviourStats, path) -> None:
-    """``node,gamma,reputation`` rows (missing values as empty fields),
-    then a final ``qoi=<value>`` summary line."""
+    """``node,gamma,reputation`` rows, then a final ``qoi=<value>`` summary
+    line; missing values are written as empty fields."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write("node,gamma,reputation\n")
         for node in range(len(stats.honesty)):
-            g = stats.honesty[node]
-            r = stats.reputation[node]
-            g_txt = "" if np.isnan(g) else repr(float(g))
-            r_txt = "" if np.isnan(r) else repr(float(r))
-            fh.write(f"{node},{g_txt},{r_txt}\n")
-        fh.write(f"qoi={stats.quality!r}\n")
+            fh.write(f"{node},{_field(stats.honesty[node])},"
+                     f"{_field(stats.reputation[node])}\n")
+        fh.write(f"qoi={_field(stats.quality)}\n")

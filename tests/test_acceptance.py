@@ -32,7 +32,7 @@ from megt.crowdsense import (
 from megt.equilibrium import EquilibriumTracker, nash_report
 from megt.evolve import (
     SimulationConfig,
-    _replica_network,
+    replica_network,
     fermi_probability,
     run,
     run_replicas,
@@ -267,7 +267,7 @@ def test_criterion_07_nash_suite():
                          homophily_sigma=1.0, rng_seed=seed)
     config = SimulationConfig(game=from_ts(1.4, -0.4), spec=spec,
                               max_rounds=3000, rng_seed=seed)
-    network = _replica_network(config, 0, 0)
+    network = replica_network(config)
     config = dataclasses.replace(config, spec=None, network=network)
     tracker = EquilibriumTracker(network, config.game)
     result = run(config, on_round=tracker.observer())

@@ -200,6 +200,20 @@ def test_evolve_jobs_flag_does_not_change_results(tmp_path):
             (tmp_path / "par" / filename).read_bytes()
 
 
+@pytest.mark.parametrize("extra", [
+    "initial_coop_fraction = 0.0\n",  # absorbing from the first state
+    "edge_probability = 0.0\n",  # no slot has a neighbour
+])
+def test_evolve_without_rounds_writes_missing_metrics(tmp_path, extra):
+    cfg = write_config(tmp_path, extra)
+    outdir = tmp_path / "out"
+    assert run_cli("evolve", "--config", cfg, "--outdir", str(outdir)) == 0
+    assert (outdir / "rho.csv").read_text().count("\n") == 2
+    lines = (outdir / "metrics.csv").read_text().splitlines()
+    assert lines == (["node,gamma,reputation"]
+                     + [f"{node},," for node in range(20)] + ["qoi="])
+
+
 def test_evolve_from_network_file(tmp_path):
     cfg = write_config(tmp_path)
     netdir = tmp_path / "net"
@@ -273,6 +287,16 @@ def test_sweep_grid_rows(tmp_path):
     assert len(lines) == 1 + 9
     first = lines[1].split(",")
     assert (float(first[0]), float(first[1])) == (0.0, -1.0)
+
+
+def test_sweep_jobs_flag_does_not_change_results(tmp_path):
+    cfg = write_config(tmp_path, "t_steps = 2\ns_steps = 2\nreplicas = 2\n"
+                                 "max_rounds = 30\nsteady_window = 15\n")
+    for name, jobs in (("seq", "1"), ("par", "2")):
+        assert run_cli("sweep", "--config", cfg,
+                       "--outdir", str(tmp_path / name), "--jobs", jobs) == 0
+    assert (tmp_path / "seq" / "grid.csv").read_bytes() == \
+        (tmp_path / "par" / "grid.csv").read_bytes()
 
 
 def test_nash_outputs(tmp_path):

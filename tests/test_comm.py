@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from megt.comm import (Communicability, ScalingBounds, ScalingTable,
-                       build_supra, communicability,
-                       dump_communicability_csv, matrix_exp, scaling_factor)
+from megt.comm import (Communicability, ScalingBounds, build_supra,
+                       communicability, dump_communicability_csv, matrix_exp,
+                       scaling_factor)
 from megt.netgen import (LayerTopology, MultiplexSpec, build_multiplex,
                          multiplex_from_arrays)
 
@@ -262,18 +262,3 @@ def test_bounds_validation():
     with pytest.raises(ValueError):
         ScalingBounds(minimum=0.5, maximum=1.2)
 
-
-def test_table_matches_direct_evaluation():
-    for seed in range(5):
-        net = random_multiplex(seed=seed, n=6)
-        comm = communicability(net, 0.5)
-        table = ScalingTable(net, comm)
-        rng = np.random.default_rng(seed + 100)
-        strategies = rng.integers(0, 2, size=(2, 6)).astype(np.int8)
-        flat = [int(s) for s in strategies.reshape(-1)]
-        for layer in range(2):
-            for node in range(6):
-                direct = scaling_factor(node, layer, comm, strategies, net)
-                fast = table.factor(layer * 6 + node,
-                                    int(strategies[layer, node]), flat)
-                assert fast == pytest.approx(direct, abs=1e-15)

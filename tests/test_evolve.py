@@ -10,15 +10,16 @@ import pytest
 
 import megt.comm
 import megt.evolve
-from megt.comm import ScalingBounds, communicability
+from megt.comm import (ScalingBounds, ScalingTable, communicability,
+                       scaling_factor)
 from megt.evolve import (DISTANCE_FLOOR, RoundEngine, SimulationConfig,
                          accumulate_payoffs, density, fermi_probability,
                          init_state, read_state_text, run, run_replicas,
-                         run_replicas_parallel, sweep_ts, sweep_ts_parallel,
-                         write_grid_csv, write_state_text,
+                         sweep_ts, write_grid_csv, write_state_text,
                          write_trajectory_csv)
 from megt.evolve import _worker_count
-from megt.games import PayoffMatrix, from_ts, pd_from_bc, representative
+from megt.games import (COOPERATE, PayoffMatrix, from_ts, pd_from_bc,
+                        representative)
 from megt.netgen import (LayerTopology, MultiplexSpec, build_multiplex,
                          multiplex_from_arrays)
 
@@ -174,7 +175,7 @@ def test_payoffs_written_back_into_state():
 
 def engine_for(net, game, config):
     comm = communicability(net, config.resolve_interlayer_strength())
-    return RoundEngine(net, game, comm, config)
+    return RoundEngine(net, game, ScalingTable(net, comm), config)
 
 
 def test_uniform_strategy_state_is_absorbing():
@@ -217,6 +218,79 @@ def test_isolated_node_never_changes_strategy():
     for _ in range(20):
         engine.round(state)
     assert np.array_equal(state.strategies[:, 4], before)
+
+
+def reference_round(state, net, comm, config):
+    """One Monte Carlo round written plainly from the oracles
+    ``scaling_factor`` and ``fermi_probability``, drawing from the RNG in
+    the same order as ``RoundEngine.round``."""
+    n = net.node_count
+    nm = n * net.layer_count
+    payoffs = accumulate_payoffs(state, net, config.game,
+                                 config.payoff_weights)
+    neighbours = net.neighbour_lists()
+    rng = state.rng
+    picks = rng.integers(0, nm, nm)
+    u_neighbour = rng.random(nm)
+    u_adopt = rng.random(nm)
+    strategies = state.strategies
+    for t in range(nm):
+        alpha, i = divmod(int(picks[t]), n)
+        while not neighbours[alpha][i]:
+            alpha, i = divmod(int(rng.integers(nm)), n)
+        options = neighbours[alpha][i]
+        j = options[int(u_neighbour[t] * len(options))]
+        if strategies[alpha, i] == strategies[alpha, j]:
+            continue
+        scaling = scaling_factor(i, alpha, comm, strategies, net,
+                                 config.scaling_bounds)
+        prob = fermi_probability(payoffs[alpha, i], payoffs[alpha, j],
+                                 net.delta[i, j],
+                                 config.selection_intensity, scaling)
+        if u_adopt[t] < prob:
+            strategies[alpha, i] = strategies[alpha, j]
+    state.coop_count += (
+        (strategies == COOPERATE) * net.layer_degrees()).sum(axis=0)
+    state.round_index += 1
+    return density(state)
+
+
+# (seed, edge probability, game, scaling bounds, selection intensity,
+# payoff weights); p = 0.04 leaves isolated slots
+REFERENCE_CASES = [
+    (0, 0.15, "sd", ScalingBounds(), 0.1, "weighted"),
+    (1, 0.15, "pd", ScalingBounds(0.2, 0.9), 0.1, "weighted"),
+    (2, 0.04, "sd", ScalingBounds(0.3, 0.8), 0.5, "weighted"),
+    (3, 0.04, "sh", ScalingBounds(), 0.1, "binary"),
+    (4, 0.3, "sd", ScalingBounds(0.6, 0.6), 1.0, "weighted"),
+    (5, 0.1, "sd", ScalingBounds(0.1, 1.0), 0.05, "binary"),
+]
+
+
+@pytest.mark.parametrize("seed, p, game, bounds, kappa, weights",
+                         REFERENCE_CASES,
+                         ids=[f"seed{case[0]}" for case in REFERENCE_CASES])
+def test_round_engine_matches_reference_round(seed, p, game, bounds, kappa,
+                                              weights):
+    spec = MultiplexSpec(node_count=25, layer_count=3,
+                         topologies=(LayerTopology.er(p),) * 3,
+                         homophily_sigma=1.0, rng_seed=seed)
+    net = build_multiplex(spec)
+    if p < 0.05:
+        assert any(not nbrs for layer in net.neighbour_lists()
+                   for nbrs in layer)
+    config = SimulationConfig(game=representative(game), network=net,
+                              scaling_bounds=bounds,
+                              selection_intensity=kappa,
+                              payoff_weights=weights)
+    comm = communicability(net, config.resolve_interlayer_strength())
+    engine = RoundEngine(net, config.game, ScalingTable(net, comm), config)
+    fast = init_state(net, 0.5, np.random.default_rng(seed))
+    slow = init_state(net, 0.5, np.random.default_rng(seed))
+    for _ in range(30):
+        assert engine.round(fast) == reference_round(slow, net, comm, config)
+        assert np.array_equal(fast.strategies, slow.strategies)
+    assert np.array_equal(fast.coop_count, slow.coop_count)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +392,7 @@ def test_parallel_replicas_match_sequential():
                               max_rounds=80, steady_window=20,
                               replicas=4, rng_seed=9)
     sequential = run_replicas(config)
-    parallel = run_replicas_parallel(config, jobs=2)
+    parallel = run_replicas(config, jobs=2)
     for a, b in zip(sequential, parallel):
         assert a.trajectory.rho == b.trajectory.rho
 
@@ -403,8 +477,7 @@ def test_sweep_is_deterministic():
 
 def test_parallel_sweep_matches_sequential():
     sequential = sweep_ts(grid_config(), [0.6, 1.4], [-0.4, 0.4])
-    parallel = sweep_ts_parallel(grid_config(), [0.6, 1.4], [-0.4, 0.4],
-                                 jobs=2)
+    parallel = sweep_ts(grid_config(), [0.6, 1.4], [-0.4, 0.4], jobs=2)
     assert np.array_equal(sequential.rho_mean, parallel.rho_mean)
     assert np.array_equal(sequential.rho_std, parallel.rho_std)
 
