@@ -304,6 +304,8 @@ def cmd_nash(args) -> int:
 
 
 def cmd_score(args) -> int:
+    import time  # the phase clock, off the import path
+
     cfg = load_config(args.config)
     seed = _resolve_seed(cfg, args)
     if args.mechanism != "all":
@@ -312,10 +314,12 @@ def cmd_score(args) -> int:
     reports_path = Path(args.reports)
     if not reports_path.is_file():
         raise DataError(f"reports file not found: {reports_path}")
+    start = time.perf_counter()
     try:
         kept, rejections = read_reports_csv(reports_path)
     except ValueError as exc:
         raise DataError(str(exc)) from None
+    ingest_s = time.perf_counter() - start
     malformed = [r for r in rejections if r.reason == "malformed"]
     if malformed:
         first = malformed[0]
@@ -342,6 +346,11 @@ def cmd_score(args) -> int:
     manifest.extra["rejections"] = {
         reason: sum(1 for r in rejections if r.reason == reason)
         for reason in ("zero_rating", "duplicate", "malformed")}
+    manifest.extra["positive_users"] = {
+        mech: sum(1 for profile in result.profiles[mech].values()
+                  if profile.rs_norm >= incentive_cfg.positive_rs_threshold)
+        for mech in mechanisms}
+    manifest.extra["phase_s"] = {"ingest": ingest_s, **result.phase_s}
     return _finish(manifest, outdir, [ledger_path, decisions_path])
 
 

@@ -23,7 +23,7 @@ import csv
 import datetime as dt
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,6 +113,10 @@ class UserProfile:
     gamma_emp: float
     rs_raw: float
     rs_norm: float
+    # the corpus columns the profile was scored from, reused by
+    # decision_rows
+    _columns: _Columns | None = field(default=None, compare=False,
+                                      repr=False)
 
 
 @dataclass(frozen=True)
@@ -156,18 +160,24 @@ class IncentiveConfig:
 # ingestion
 # ---------------------------------------------------------------------------
 
-def _parse_row(fields) -> ReportRecord:
+def _parse_row(fields, dates: dict, times: dict) -> ReportRecord:
+    """One raw row as a record; ``dates`` and ``times`` memoise the
+    parses of one ingest (a corpus repeats few distinct stamps)."""
     if len(fields) != len(REPORT_COLUMNS):
         raise ValueError(
             f"expected {len(REPORT_COLUMNS)} fields, got {len(fields)}")
-    object_id, date_txt, time_txt, street, kind, uuid, rating_txt = (
-        f.strip() for f in fields)
+    object_id, date_txt, time_txt, street, kind, uuid, rating_txt = [
+        f.strip() for f in fields]
     if not object_id or not street or not uuid:
         raise ValueError("empty identifier field")
     if kind not in INCIDENT_TYPES:
         raise ValueError(f"unknown incident_type {kind!r}")
-    date = dt.date.fromisoformat(date_txt)
-    time = dt.time.fromisoformat(time_txt)
+    date = dates.get(date_txt)
+    if date is None:
+        date = dates[date_txt] = dt.date.fromisoformat(date_txt)
+    time = times.get(time_txt)
+    if time is None:
+        time = times[time_txt] = dt.time.fromisoformat(time_txt)
     rating = float(rating_txt)
     if not 0.0 <= rating <= 5.0:
         raise ValueError(f"report_rating {rating} outside [0, 5]")
@@ -187,11 +197,13 @@ def parse_reports(rows, first_row_number: int = 1
     """
     kept: list[ReportRecord] = []
     rejections: list[Rejection] = []
-    seen: set[tuple[str, WindowIndex, str]] = set()
+    seen: set[tuple[str, dt.date, int, str]] = set()
+    dates: dict[str, dt.date] = {}
+    times: dict[str, dt.time] = {}
     for offset, fields in enumerate(rows):
         row_number = first_row_number + offset
         try:
-            record = _parse_row(fields)
+            record = _parse_row(fields, dates, times)
         except (ValueError, TypeError) as exc:
             rejections.append(Rejection(row_number, "malformed", str(exc)))
             continue
@@ -199,7 +211,9 @@ def parse_reports(rows, first_row_number: int = 1
             rejections.append(
                 Rejection(row_number, "zero_rating", record.object_id))
             continue
-        key = (record.uuid, assign_window(record), record.incident_type)
+        # (user, window, incident_type), the window as its date and segment
+        key = (record.uuid, record.generation_date,
+               record.day_time.hour // 3, record.incident_type)
         if key in seen:
             rejections.append(
                 Rejection(row_number, "duplicate", record.object_id))
@@ -300,6 +314,103 @@ def logistic(x: float) -> float:
 # corpus statistics and cooperativeness mechanisms
 # ---------------------------------------------------------------------------
 
+def _running_sum(values) -> float:
+    """Left-to-right float sum.  Builtin ``sum`` compensates on Python
+    3.12+, ``np.sum`` is pairwise; scores keep one summation order on
+    every Python and numpy."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """Sorted distinct integer codes (by sorting: numpy 2's hashed
+    ``np.unique`` is an order of magnitude slower on these arrays)."""
+    codes = np.sort(codes)
+    first = np.ones(len(codes), dtype=bool)
+    first[1:] = codes[1:] != codes[:-1]
+    return codes[first]
+
+
+def _factorise(values) -> tuple[list, np.ndarray]:
+    """``(distinct, codes)``: the sorted distinct values and each value's
+    index into them."""
+    distinct = sorted(set(values))
+    index = {value: code for code, value in enumerate(distinct)}
+    return distinct, np.fromiter(map(index.__getitem__, values), np.intp,
+                                 len(values))
+
+
+class _Columns:
+    """Kept records as integer columns, factorised once per corpus.
+
+    Users, streets and kinds are coded in sorted order and windows
+    chronologically (window id = (date ordinal - first ordinal) * 8 +
+    segment), so code order is output order and ``np.bincount`` over
+    codes adds floats in the same order as a loop over sorted keys.
+    The parts every mechanism shares (per-user window tuples, per-record
+    quality) are memoised per instance.
+    """
+
+    def __init__(self, records: list[ReportRecord]):
+        self.records = records
+        self.users, self.user = _factorise([r.uuid for r in records])
+        self.streets, self.street = _factorise([r.street for r in records])
+        self.kinds, self.kind = _factorise([r.incident_type
+                                            for r in records])
+        self.ratings = np.array([r.report_rating for r in records],
+                                dtype=float)
+        values, self.rating = np.unique(self.ratings, return_inverse=True)
+        self.rating_values = values.tolist()
+        dates, date = _factorise([r.generation_date for r in records])
+        first = dates[0].toordinal() if dates else 0
+        self.day_span = dates[-1].toordinal() - first + 1 if dates else 0
+        day = np.array([d.toordinal() - first for d in dates],
+                       dtype=np.intp)[date]
+        hour = np.fromiter((r.day_time.hour for r in records), np.intp,
+                           len(records))
+        ids, self.window = np.unique(day * SEGMENTS_PER_DAY + hour // 3,
+                                     return_inverse=True)
+        days, segments = np.divmod(ids, SEGMENTS_PER_DAY)
+        self.windows = [WindowIndex(dt.date.fromordinal(first + d), segment)
+                        for d, segment in zip(days.tolist(),
+                                              segments.tolist())]
+        self._memo: dict = {}
+
+    def quality(self, epsilon: float) -> np.ndarray:
+        """Per-record ``qoc(truthfulness(rating))``, evaluated once per
+        distinct rating."""
+        key = ("quality", epsilon)
+        if key not in self._memo:
+            per_value = [qoc(truthfulness(v, epsilon))
+                         for v in self.rating_values]
+            self._memo[key] = np.array(per_value, dtype=float)[self.rating]
+        return self._memo[key]
+
+    def user_windows(self, above: float | None = None):
+        """Distinct (user, window) pairs of all records, or of those rated
+        strictly above ``above``, sorted by user then window.
+
+        Returns ``(pair_user, pair_window, per_user)`` with ``per_user``
+        one tuple of WindowIndex per user, in user-code order.
+        """
+        key = ("windows", above)
+        if key not in self._memo:
+            codes = self.user * len(self.windows) + self.window
+            if above is not None:
+                codes = codes[self.ratings > above]
+            pair_user, pair_window = np.divmod(_distinct(codes),
+                                               len(self.windows))
+            objects = [self.windows[w] for w in pair_window.tolist()]
+            bounds = np.searchsorted(
+                pair_user, np.arange(len(self.users) + 1)).tolist()
+            per_user = [tuple(objects[a:b])
+                        for a, b in zip(bounds, bounds[1:])]
+            self._memo[key] = (pair_user, pair_window, per_user)
+        return self._memo[key]
+
+
 @dataclass(frozen=True)
 class CorpusStats:
     """Window-level aggregates of a filtered corpus.
@@ -316,31 +427,46 @@ class CorpusStats:
     total_window_count: int
     coop_density: dict[WindowIndex, float]
     window_weight: dict[WindowIndex, float]
+    # the columns these aggregates came from, reused by build_profiles
+    _columns: _Columns | None = field(default=None, compare=False,
+                                      repr=False)
+
+
+def _columns_for(kept: list, columns: _Columns | None) -> _Columns:
+    """``columns`` if they were built from ``kept``, else new ones (list
+    equality tests identity first, so the check is cheap)."""
+    if columns is None or columns.records != kept:
+        columns = _Columns(kept)
+    return columns
 
 
 def compute_corpus_stats(kept, epsilon: float = 0.01) -> CorpusStats:
     kept = list(kept)
+    columns = _Columns(kept)
     if not kept:
         return CorpusStats(mean_rating=0.0, window_reports={},
                            total_window_count=0, coop_density={},
-                           window_weight={})
-    mean_rating = sum(r.report_rating for r in kept) / len(kept)
-    window_reports = windows_of(kept)
-    dates = [r.generation_date for r in kept]
-    span_days = (max(dates) - min(dates)).days + 1
-    total_window_count = span_days * SEGMENTS_PER_DAY
-    coop_density = {
-        w: sum(coop_flag(r, mean_rating) for r in rows) / len(rows)
-        for w, rows in window_reports.items()}
-    raw_weight = {w: 1.0 / max(d, epsilon)
-                  for w, d in coop_density.items()}
-    weight_mean = sum(raw_weight.values()) / len(raw_weight)
-    window_weight = {w: v / weight_mean for w, v in raw_weight.items()}
-    return CorpusStats(mean_rating=mean_rating,
-                       window_reports=window_reports,
-                       total_window_count=total_window_count,
-                       coop_density=coop_density,
-                       window_weight=window_weight)
+                           window_weight={}, _columns=columns)
+    mean_rating = _running_sum(columns.ratings.tolist()) / len(kept)
+    window_count = len(columns.windows)
+    reports = np.bincount(columns.window, minlength=window_count)
+    coop = np.bincount(columns.window[columns.ratings > mean_rating],
+                       minlength=window_count)
+    density = coop / reports
+    raw_weight = 1.0 / np.maximum(density, epsilon)
+    weight_mean = _running_sum(raw_weight.tolist()) / window_count
+    order = np.argsort(columns.window, kind="stable").tolist()
+    grouped = [kept[i] for i in order]
+    bounds = [0] + np.cumsum(reports).tolist()
+    return CorpusStats(
+        mean_rating=mean_rating,
+        window_reports={w: grouped[a:b] for w, a, b in
+                        zip(columns.windows, bounds, bounds[1:])},
+        total_window_count=columns.day_span * SEGMENTS_PER_DAY,
+        coop_density=dict(zip(columns.windows, density.tolist())),
+        window_weight=dict(zip(columns.windows,
+                               (raw_weight / weight_mean).tolist())),
+        _columns=columns)
 
 
 def empirical_gamma(coop_windows, mechanism: str,
@@ -362,7 +488,8 @@ def empirical_gamma(coop_windows, mechanism: str,
     if mechanism == "C":
         # sorted so the float sum has one canonical order (set iteration
         # order varies across processes and would leak into output bytes)
-        return (sum(stats.window_weight[w] for w in sorted(set(coop_windows)))
+        return (_running_sum(stats.window_weight[w]
+                             for w in sorted(set(coop_windows)))
                 / stats.total_window_count)
     raise ValueError(f"mechanism must be one of {MECHANISMS}, "
                      f"got {mechanism!r}")
@@ -377,9 +504,27 @@ def composite_rs(reports, gamma: float,
     ``rs_norm`` its logistic squash into (0, 1).  A user with no kept
     reports is a neutral newcomer: (0, 0.5).
     """
-    raw = sum(qoc_extended(qoc(truthfulness(r, epsilon)), gamma)
-              for r in reports)
+    raw = _running_sum(qoc_extended(qoc(truthfulness(r, epsilon)), gamma)
+                       for r in reports)
     return raw, logistic(raw)
+
+
+def _empirical_gammas(columns: _Columns, mechanism: str,
+                      stats: CorpusStats) -> np.ndarray:
+    """``empirical_gamma`` of every user, in user-code order."""
+    if mechanism not in ("B", "C") or stats.total_window_count < 1:
+        # mechanism A, or the errors empirical_gamma raises
+        return np.full(len(columns.users),
+                       empirical_gamma((), mechanism, stats))
+    pair_user, pair_window, _ = columns.user_windows(stats.mean_rating)
+    if mechanism == "B":
+        counts = np.bincount(pair_user, minlength=len(columns.users))
+        return counts / stats.total_window_count
+    weight = np.array([stats.window_weight[w] for w in columns.windows])
+    # pairs are sorted by window within a user: the canonical order
+    sums = np.bincount(pair_user, weights=weight[pair_window],
+                       minlength=len(columns.users))
+    return sums / stats.total_window_count
 
 
 def build_profiles(kept, config: IncentiveConfig, mechanism: str,
@@ -396,25 +541,32 @@ def build_profiles(kept, config: IncentiveConfig, mechanism: str,
     kept = list(kept)
     if stats is None:
         stats = compute_corpus_stats(kept, config.epsilon)
-    by_user: dict[str, list[ReportRecord]] = {}
-    for record in kept:
-        by_user.setdefault(record.uuid, []).append(record)
-    profiles: dict[str, UserProfile] = {}
-    for user_id in sorted(by_user):
-        reports = by_user[user_id]
-        active = sorted({assign_window(r) for r in reports})
-        coop = sorted({assign_window(r) for r in reports
-                       if coop_flag(r, stats.mean_rating)})
-        if gamma_override is not None and user_id in gamma_override:
-            gamma = gamma_override[user_id]
-        else:
-            gamma = empirical_gamma(coop, mechanism, stats)
-        raw, norm = composite_rs(reports, gamma, config.epsilon)
-        profiles[user_id] = UserProfile(
-            user_id=user_id, report_count=len(reports),
-            active_windows=tuple(active), coop_windows=tuple(coop),
-            gamma_emp=gamma, rs_raw=raw, rs_norm=norm)
-    return profiles
+    columns = _columns_for(kept, stats._columns)
+    users = columns.users
+    override = gamma_override or {}
+    # empirical_gamma raises (unknown mechanism, no windows) only for a
+    # user who falls back on it
+    if all(user in override for user in users):
+        gammas = [override[user] for user in users]
+    else:
+        gammas = [override[user] if user in override else value
+                  for user, value in zip(
+                      users,
+                      _empirical_gammas(columns, mechanism, stats).tolist())]
+    weighted = (np.array(gammas, dtype=float)[columns.user]
+                * columns.quality(config.epsilon))
+    # records are in input order within each user, as composite_rs sums
+    raws = np.bincount(columns.user, weights=weighted,
+                       minlength=len(users)).tolist()
+    counts = np.bincount(columns.user, minlength=len(users)).tolist()
+    active = columns.user_windows()[2]
+    coop = columns.user_windows(stats.mean_rating)[2]
+    return {user: UserProfile(user_id=user, report_count=count,
+                              active_windows=act, coop_windows=cop,
+                              gamma_emp=gamma, rs_raw=raw,
+                              rs_norm=logistic(raw), _columns=columns)
+            for user, count, act, cop, gamma, raw in zip(
+                users, counts, active, coop, gammas, raws)}
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +592,10 @@ def confidence(group_reports, window_reports, profiles,
     contributors = {kind: {r.uuid for r in group_reports
                            if r.incident_type == kind}
                     for kind in types}
-    rs_agg = {kind: sum(profiles[u].rs_norm
-                        for u in sorted(contributors[kind]))
+    rs_agg = {kind: _running_sum(profiles[u].rs_norm
+                                 for u in sorted(contributors[kind]))
               for kind in types}
-    rs_total = sum(rs_agg.values())
+    rs_total = _running_sum(rs_agg.values())
     nu = config.preference_factor
     out = {}
     for kind in types:
@@ -471,22 +623,61 @@ def decision_rows(kept, profiles, config: IncentiveConfig):
 
     Trust (the positive-reputation user set) is assessed over the whole
     window; support and competition among event types are within the
-    street group.  Rows come out sorted by date, segment, street.
+    street group.  Rows come out sorted by date, segment, street.  Each
+    row equals ``decide_publish(confidence(...))`` on its group.
     """
-    by_window = windows_of(kept)
-    rows = []
-    for window, window_records in by_window.items():
-        streets: dict[str, list[ReportRecord]] = {}
-        for record in window_records:
-            streets.setdefault(record.street, []).append(record)
-        for street in sorted(streets):
-            conf = confidence(streets[street], window_records, profiles,
-                              config)
-            decision, kind, value = decide_publish(
-                conf, config.publish_threshold)
-            rows.append((window.date.isoformat(), window.segment, street,
-                         kind, value, decision))
-    return rows
+    kept = list(kept)
+    if not kept:
+        return []
+    columns = _columns_for(kept, getattr(next(iter(profiles.values()), None),
+                                         "_columns", None))
+    user_count = len(columns.users)
+    rs_norm = np.array([profiles[user].rs_norm for user in columns.users],
+                       dtype=float)
+    # distinct positive users per window
+    pair_user, pair_window, _ = columns.user_windows()
+    positive = np.bincount(
+        pair_window[rs_norm[pair_user] >= config.positive_rs_threshold],
+        minlength=len(columns.windows))
+    # (window, street) groups, their (group, kind) cells, and each
+    # cell's distinct contributors in sorted-uuid order
+    groups, group = np.unique(
+        columns.window * len(columns.streets) + columns.street,
+        return_inverse=True)
+    cells, cell = np.unique(group * len(columns.kinds) + columns.kind,
+                            return_inverse=True)
+    cell_group, cell_kind = np.divmod(cells, len(columns.kinds))
+    contributors = _distinct(cell * user_count + columns.user)
+    contributor_cell, contributor = np.divmod(contributors, user_count)
+    supporters = np.bincount(contributor_cell, minlength=len(cells))
+    rs_agg = np.bincount(contributor_cell, weights=rs_norm[contributor],
+                         minlength=len(cells))
+    # kinds are sorted within a group: the order confidence() sums in
+    rs_total = np.bincount(cell_group, weights=rs_agg,
+                           minlength=len(groups))[cell_group]
+    group_window, group_street = np.divmod(groups, len(columns.streets))
+    trusted = positive[group_window][cell_group]
+    quantity = np.divide(supporters, trusted, out=np.zeros(len(cells)),
+                         where=trusted > 0)
+    quality = np.divide(rs_agg, rs_total, out=np.zeros(len(cells)),
+                        where=rs_total > 0)
+    nu = config.preference_factor
+    conf = np.where(trusted > 0, nu * quantity + (1.0 - nu) * quality, 0.0)
+    # the most confident kind of each group, ties to the first kind
+    starts = np.searchsorted(cell_group, np.arange(len(groups)))
+    best_value = np.maximum.reduceat(conf, starts)
+    best = np.minimum.reduceat(
+        np.where(conf == best_value[cell_group], np.arange(len(cells)),
+                 len(cells)), starts)
+    threshold = config.publish_threshold
+    windows = columns.windows
+    return [(windows[w].date.isoformat(), windows[w].segment,
+             columns.streets[s], columns.kinds[k], value,
+             "publish" if value >= threshold else "drop")
+            for w, s, k, value in zip(group_window.tolist(),
+                                      group_street.tolist(),
+                                      cell_kind[best].tolist(),
+                                      conf[best].tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +704,7 @@ def incentives(profiles: dict[str, UserProfile], budget: float,
     if not positive:
         return out
     pot = budget * len(positive) / total_users
-    rs_sum = sum(profiles[u].rs_norm for u in positive)
+    rs_sum = _running_sum(profiles[u].rs_norm for u in positive)
     for u in positive:
         out[u] = profiles[u].rs_norm / rs_sum * pot
     return out
@@ -525,7 +716,12 @@ def incentives(profiles: dict[str, UserProfile], budget: float,
 
 @dataclass
 class ScoreResult:
-    """Everything cmd-level consumers need from one scoring pass."""
+    """Everything cmd-level consumers need from one scoring pass.
+
+    ``phase_s`` holds the wall seconds of the ``stats``, ``profiles``,
+    ``incentives`` and ``decisions`` stages (observability only: it
+    never reaches an output file).
+    """
 
     users: list[str]
     total_users: int
@@ -534,6 +730,7 @@ class ScoreResult:
     payouts: dict[str, dict[str, float]]
     decisions: list[tuple]
     rejections: list[Rejection]
+    phase_s: dict[str, float] = field(default_factory=dict, compare=False)
 
 
 def score_corpus(kept, config: IncentiveConfig,
@@ -548,25 +745,40 @@ def score_corpus(kept, config: IncentiveConfig,
     devices.  Decisions use the profiles of ``config.mechanism`` (when
     scored) so the published log matches the selected ledger.
     """
+    import time  # the phase clock, off the import path
+
     kept = list(kept)
-    stats = compute_corpus_stats(kept, config.epsilon)
-    profiles = {mech: build_profiles(kept, config, mech, stats,
-                                     gamma_override)
-                for mech in mechanisms}
     users = sorted({r.uuid for r in kept})
     if total_users is None:
         total_users = len(users)
+    phase_s: dict[str, float] = {}
+    mark = time.perf_counter()
+
+    def lap(phase: str) -> None:
+        nonlocal mark
+        now = time.perf_counter()
+        phase_s[phase] = now - mark
+        mark = now
+
+    stats = compute_corpus_stats(kept, config.epsilon)
+    lap("stats")
+    profiles = {mech: build_profiles(kept, config, mech, stats,
+                                     gamma_override)
+                for mech in mechanisms}
+    lap("profiles")
     payouts = {mech: incentives(profiles[mech], config.budget, total_users,
                                 config.positive_rs_threshold)
                for mech in mechanisms}
+    lap("incentives")
     decision_mech = (config.mechanism if config.mechanism in profiles
                      else next(iter(mechanisms)))
     decisions = (decision_rows(kept, profiles[decision_mech], config)
                  if kept else [])
+    lap("decisions")
     return ScoreResult(users=users, total_users=total_users, stats=stats,
                        profiles=profiles, payouts=payouts,
                        decisions=decisions,
-                       rejections=list(rejections or []))
+                       rejections=list(rejections or []), phase_s=phase_s)
 
 
 def write_ledger_csv(result: ScoreResult, path,

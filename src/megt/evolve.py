@@ -431,16 +431,37 @@ def _worker_count(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 
+# the function a pool worker maps, installed once per worker process
+_worker_function = None
+
+
+def _install_worker_function(function) -> None:
+    global _worker_function
+    _worker_function = function
+
+
+def _call_worker_function(item):
+    return _worker_function(item)
+
+
 def _map(function, items: list, jobs: int) -> list:
     """``[function(item) for item in items]``, computed in a process pool
     when ``_worker_count`` allows more than one worker.  Results keep
-    the order of ``items``, so the job count never changes them."""
+    the order of ``items``, so the job count never changes them.
+
+    ``function`` (a partial carrying the config, and with it any
+    prebuilt network) is sent to each worker once, not with every item,
+    so a worker's tasks share one network object and ``_scaling_table``
+    computes its communicability once per worker.
+    """
     workers = _worker_count(jobs, len(items))
     if workers == 1:
         return [function(item) for item in items]
     import concurrent.futures  # only a parallel run pays for the import
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(function, items))
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_install_worker_function,
+            initargs=(function,)) as pool:
+        return list(pool.map(_call_worker_function, items))
 
 
 def _replica(config: SimulationConfig, cell_index: int,

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import megt
+import megt.comm
 from megt.cli import main
+from megt.evolve import _worker_count
 from megt.manifest import load_manifest, sha256_file
 
 from conftest import megt_env
@@ -299,6 +303,37 @@ def test_sweep_jobs_flag_does_not_change_results(tmp_path):
         (tmp_path / "par" / "grid.csv").read_bytes()
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the counting wrapper")
+def test_sweep_jobs_on_a_network_file_exponentiates_once_per_worker(
+        tmp_path, monkeypatch):
+    cfg = write_config(tmp_path)
+    assert run_cli("generate", "--config", cfg,
+                   "--outdir", str(tmp_path / "net")) == 0
+    fixed = write_config(
+        tmp_path, f"network_file = {tmp_path / 'net' / 'net.mplex'}\n"
+                  "t_steps = 3\ns_steps = 3\nmax_rounds = 30\n"
+                  "steady_window = 15\n", name="fixed.cfg")
+    log = tmp_path / "calls.log"
+    original_exp = megt.comm.matrix_exp
+
+    def logging_exp(matrix):
+        # appended, so forked pool workers record their calls too
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return original_exp(matrix)
+
+    monkeypatch.setattr(megt.comm, "matrix_exp", logging_exp)
+    for name, jobs in (("seq", "1"), ("par", "2")):
+        log.write_text("")
+        assert run_cli("sweep", "--config", fixed,
+                       "--outdir", str(tmp_path / name), "--jobs", jobs) == 0
+        calls = log.read_text().split()
+        assert 1 <= len(calls) <= _worker_count(int(jobs), 9), (name, calls)
+    assert (tmp_path / "seq" / "grid.csv").read_bytes() == \
+        (tmp_path / "par" / "grid.csv").read_bytes()
+
+
 def test_nash_outputs(tmp_path):
     cfg = write_config(tmp_path)
     outdir = tmp_path / "out"
@@ -357,6 +392,27 @@ def test_score_outputs_all_mechanisms(tmp_path):
     manifest = load_manifest(outdir / "manifest.json")
     assert manifest.extra["mechanisms"] == ["A", "B", "C"]
     assert str(reports) in manifest.inputs
+
+
+def test_score_manifest_reports_positive_users_and_phases(tmp_path):
+    reports = synth_corpus_file(tmp_path)
+    cfg = write_config(tmp_path)
+    outdir = tmp_path / "out"
+    assert run_cli("score", "--reports", str(reports), "--config", cfg,
+                   "--outdir", str(outdir)) == 0
+    extra = load_manifest(outdir / "manifest.json").extra
+    rows = [line.split(",") for line in
+            (outdir / "ledger.csv").read_text().splitlines()[1:]]
+    # a positive user (rs_norm >= 0.5) is exactly one with a payout
+    assert extra["positive_users"] == {
+        mech: sum(1 for row in rows if float(row[4 + k]) > 0.0)
+        for k, mech in enumerate(("A", "B", "C"))}
+    assert extra["positive_users"]["C"] == sum(1 for row in rows
+                                               if float(row[2]) >= 0.5)
+    assert 0 < extra["positive_users"]["A"] <= 30
+    assert set(extra["phase_s"]) == {"ingest", "stats", "profiles",
+                                     "incentives", "decisions"}
+    assert all(0.0 <= value < 60.0 for value in extra["phase_s"].values())
 
 
 def test_score_single_mechanism_flag(tmp_path):

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from megt import crowdsense
 from megt.crowdsense import (INCIDENT_TYPES, MECHANISMS, REPORT_COLUMNS,
                              CorpusStats, IncentiveConfig, ReportRecord,
-                             SynthSpec, WindowIndex, assign_window,
-                             build_profiles, composite_rs,
+                             SynthSpec, UserProfile, WindowIndex,
+                             assign_window, build_profiles, composite_rs,
                              compute_corpus_stats, confidence, coop_flag,
                              decide_publish, decision_rows, empirical_gamma,
                              incentives, logistic, neighbours, parse_reports,
@@ -105,6 +108,26 @@ def test_malformed_rows_are_logged_not_fatal():
     assert [r.object_id for r in kept] == ["r1", "r6"]
     assert [r.reason for r in rejections] == ["malformed"] * 4
     assert [r.row_number for r in rejections] == [2, 3, 4, 5]
+
+
+def test_repeated_stamps_parse_alike():
+    # an ingest parses each distinct date and time text once; a bad one
+    # is rejected every time it appears
+    rows = [raw_row(object_id="r1", user="a"),
+            raw_row(object_id="r2", user="b", time="09:00:00"),
+            ["r3", "2019-10-7", "09:00", "s", "jam", "c", "4"],
+            ["r4", "2019-10-7", "09:00", "s", "jam", "d", "4"],
+            raw_row(object_id="r5", user="a", time="12:30")]
+    kept, rejections = parse_reports(rows)
+    assert [(r.generation_date, r.day_time) for r in kept] == [
+        (DAY, dt.time(9)), (DAY, dt.time(9)), (DAY, dt.time(12, 30))]
+    assert [(r.row_number, r.reason) for r in rejections] == [
+        (3, "malformed"), (4, "malformed")]
+    assert rejections[0].detail == rejections[1].detail
+    # same user, kind and window as r1, at another time: a duplicate
+    assert parse_reports(rows + [raw_row(object_id="r6", user="a",
+                                         time="10:30")])[1][-1].reason \
+        == "duplicate"
 
 
 def test_empty_input():
@@ -552,6 +575,260 @@ def test_decisions_csv_layout(tmp_path):
     cells = lines[1].split(",")
     assert cells[0] == "2019-10-07"
     assert cells[3] in INCIDENT_TYPES
+
+
+# ---------------------------------------------------------------------------
+# exact reference scorer
+# ---------------------------------------------------------------------------
+
+def reference_stats(kept, epsilon):
+    """CorpusStats from per-record functions and left-to-right sums."""
+    if not kept:
+        return CorpusStats(mean_rating=0.0, window_reports={},
+                           total_window_count=0, coop_density={},
+                           window_weight={})
+    acc = 0.0
+    for record in kept:
+        acc += record.report_rating
+    mean_rating = acc / len(kept)
+    grouped = {}
+    for record in kept:
+        grouped.setdefault(assign_window(record), []).append(record)
+    window_reports = dict(sorted(grouped.items()))
+    dates = [record.generation_date for record in kept]
+    span_days = (max(dates) - min(dates)).days + 1
+    coop_density = {}
+    for window, rows in window_reports.items():
+        coop = 0
+        for record in rows:
+            coop += coop_flag(record, mean_rating)
+        coop_density[window] = coop / len(rows)
+    raw_weight = {w: 1.0 / max(d, epsilon) for w, d in coop_density.items()}
+    acc = 0.0
+    for value in raw_weight.values():
+        acc += value
+    weight_mean = acc / len(raw_weight)
+    return CorpusStats(
+        mean_rating=mean_rating, window_reports=window_reports,
+        total_window_count=span_days * 8, coop_density=coop_density,
+        window_weight={w: v / weight_mean for w, v in raw_weight.items()})
+
+
+def reference_profiles(kept, config, mechanism, stats, gamma_override):
+    by_user = {}
+    for record in kept:
+        by_user.setdefault(record.uuid, []).append(record)
+    profiles = {}
+    for user in sorted(by_user):
+        reports = by_user[user]
+        active = sorted({assign_window(r) for r in reports})
+        coop = sorted({assign_window(r) for r in reports
+                       if coop_flag(r, stats.mean_rating)})
+        if gamma_override is not None and user in gamma_override:
+            gamma = gamma_override[user]
+        elif mechanism == "A":
+            gamma = 1.0
+        elif mechanism == "B":
+            gamma = len(coop) / stats.total_window_count
+        else:
+            acc = 0.0
+            for window in coop:
+                acc += stats.window_weight[window]
+            gamma = acc / stats.total_window_count
+        raw = 0.0
+        for record in reports:
+            raw += qoc_extended(qoc(truthfulness(record, config.epsilon)),
+                                gamma)
+        profiles[user] = UserProfile(
+            user_id=user, report_count=len(reports),
+            active_windows=tuple(active), coop_windows=tuple(coop),
+            gamma_emp=gamma, rs_raw=raw, rs_norm=logistic(raw))
+    return profiles
+
+
+def reference_payouts(profiles, budget, total_users, threshold):
+    positive = [u for u in sorted(profiles)
+                if profiles[u].rs_norm >= threshold]
+    out = {u: 0.0 for u in sorted(profiles)}
+    if positive:
+        pot = budget * len(positive) / total_users
+        acc = 0.0
+        for user in positive:
+            acc += profiles[user].rs_norm
+        for user in positive:
+            out[user] = profiles[user].rs_norm / acc * pot
+    return out
+
+
+def reference_decisions(kept, profiles, config):
+    grouped = {}
+    for record in kept:
+        grouped.setdefault(assign_window(record), []).append(record)
+    rows = []
+    for window, window_records in sorted(grouped.items()):
+        positive = {r.uuid for r in window_records
+                    if profiles[r.uuid].rs_norm
+                    >= config.positive_rs_threshold}
+        for street in sorted({r.street for r in window_records}):
+            group = [r for r in window_records if r.street == street]
+            kinds = sorted({r.incident_type for r in group})
+            conf = {}
+            if not positive:
+                conf = {kind: 0.0 for kind in kinds}
+            else:
+                users = {kind: sorted({r.uuid for r in group
+                                       if r.incident_type == kind})
+                         for kind in kinds}
+                rs_agg = {}
+                for kind in kinds:
+                    acc = 0.0
+                    for user in users[kind]:
+                        acc += profiles[user].rs_norm
+                    rs_agg[kind] = acc
+                total = 0.0
+                for kind in kinds:
+                    total += rs_agg[kind]
+                nu = config.preference_factor
+                for kind in kinds:
+                    quantity = len(users[kind]) / len(positive)
+                    quality = rs_agg[kind] / total if total > 0 else 0.0
+                    conf[kind] = nu * quantity + (1.0 - nu) * quality
+            decision, kind, value = decide_publish(conf,
+                                                   config.publish_threshold)
+            rows.append((window.date.isoformat(), window.segment, street,
+                         kind, value, decision))
+    return rows
+
+
+def assert_matches_reference(kept, config, total_users=None,
+                             gamma_override=None):
+    result = score_corpus(kept, config, total_users=total_users,
+                          gamma_override=gamma_override)
+    stats = reference_stats(kept, config.epsilon)
+    assert result.stats == stats
+    users = sorted({r.uuid for r in kept})
+    assert result.users == users
+    total = len(users) if total_users is None else total_users
+    for mech in MECHANISMS:
+        profiles = reference_profiles(kept, config, mech, stats,
+                                      gamma_override)
+        assert result.profiles[mech] == profiles, mech
+        assert result.payouts[mech] == reference_payouts(
+            profiles, config.budget, total, config.positive_rs_threshold)
+        if mech == config.mechanism:
+            assert result.decisions == reference_decisions(kept, profiles,
+                                                           config)
+    return result
+
+
+def test_empty_corpus_matches_reference():
+    result = assert_matches_reference([], IncentiveConfig(), total_users=1)
+    assert result.decisions == [] and result.profiles["C"] == {}
+    assert decision_rows([], {}, IncentiveConfig()) == []
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_synthetic_corpora_match_reference(seed, mechanism):
+    rows = synth_corpus(SynthSpec(user_count=80, day_count=4,
+                                  rng_seed=seed))
+    kept, _ = parse_reports(rows)
+    assert_matches_reference(kept, IncentiveConfig(mechanism=mechanism))
+
+
+def test_single_window_matches_reference():
+    kept = [report(user=f"u{k}", rating=float(1 + k % 5), hour=9 + k % 3,
+                   street=("Alder Way", "Birch Street")[k % 2],
+                   kind=INCIDENT_TYPES[k % 4], object_id=f"r{k}")
+            for k in range(12)]
+    result = assert_matches_reference(kept, IncentiveConfig())
+    assert len(result.stats.window_reports) == 1
+
+
+def test_corpus_without_cooperation_matches_reference():
+    # every rating equals the mean, so no report is cooperative
+    kept = [report(user=f"u{k % 3}", rating=4.0, hour=k, object_id=f"r{k}")
+            for k in range(10)]
+    result = assert_matches_reference(kept, IncentiveConfig(mechanism="B"))
+    assert set(result.stats.coop_density.values()) == {0.0}
+    assert all(p.gamma_emp == 0.0 for p in result.profiles["C"].values())
+
+
+def test_partial_gamma_override_matches_reference():
+    kept, _ = parse_reports(synth_corpus(SynthSpec(user_count=20,
+                                                   day_count=2, rng_seed=5)))
+    override = {"u0000": 0.25, "u0003": 2, "nobody": 7.0}
+    result = assert_matches_reference(kept, IncentiveConfig(),
+                                      gamma_override=override)
+    assert result.profiles["B"]["u0003"].gamma_emp == 2
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0])
+def test_extreme_publish_thresholds_match_reference(threshold):
+    kept, _ = parse_reports(synth_corpus(SynthSpec(user_count=20,
+                                                   day_count=2, rng_seed=6)))
+    result = assert_matches_reference(
+        kept, IncentiveConfig(publish_threshold=threshold))
+    for row in result.decisions:
+        assert (row[5] == "publish") == (row[4] >= threshold)
+    if threshold == 0.0:
+        assert {row[5] for row in result.decisions} == {"publish"}
+
+
+def test_equal_confidence_kinds_break_to_the_first_kind():
+    # two users file different kinds with equal reputations on one street
+    kept = [report(user="a", rating=5.0, kind="weather_hazard"),
+            report(user="b", rating=5.0, kind="jam")]
+    result = assert_matches_reference(kept, IncentiveConfig())
+    assert [row[3] for row in result.decisions] == ["jam"]
+
+
+small_records = st.builds(
+    report,
+    user=st.sampled_from(["a", "b", "c", "d", "e"]),
+    rating=st.one_of(st.sampled_from([0.5, 1.0, 2.5, 3.0, 4.0, 5.0]),
+                     st.floats(0.01, 5.0)),
+    hour=st.integers(0, 23),
+    day=st.sampled_from([DAY, DAY + dt.timedelta(days=1),
+                         DAY + dt.timedelta(days=3)]),
+    street=st.sampled_from(["Alder Way", "Birch Street", "Cedar Avenue"]),
+    kind=st.sampled_from(INCIDENT_TYPES))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kept=st.lists(small_records, min_size=1, max_size=25),
+       mechanism=st.sampled_from(MECHANISMS),
+       preference=st.sampled_from([0.0, 0.5, 1.0, 0.3]),
+       publish=st.sampled_from([0.0, 0.5, 1.0, 0.7]),
+       positive=st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+def test_random_corpora_match_reference(kept, mechanism, preference,
+                                        publish, positive):
+    config = IncentiveConfig(mechanism=mechanism,
+                             preference_factor=preference,
+                             publish_threshold=publish,
+                             positive_rs_threshold=positive)
+    assert_matches_reference(kept, config)
+
+
+def test_score_corpus_runs_each_stage_through_module_globals(monkeypatch):
+    calls = {}
+
+    def counted(name):
+        original = getattr(crowdsense, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(crowdsense, name, wrapper)
+
+    expected = score_corpus(small_corpus(), IncentiveConfig())
+    for name in ("compute_corpus_stats", "build_profiles", "decision_rows",
+                 "incentives"):
+        counted(name)
+    result = score_corpus(small_corpus(), IncentiveConfig())
+    assert calls == {"compute_corpus_stats": 1, "build_profiles": 3,
+                     "decision_rows": 1, "incentives": 3}
+    assert result == expected
 
 
 # ---------------------------------------------------------------------------
