@@ -25,7 +25,8 @@ net = build_multiplex(
 for omega in (0.0, 0.25, 0.5, 1.0):
     supra = build_supra(net, omega)
     comm = communicability(net, omega)
-    cross = comm.block(0, 1)
+    n = net.node_count
+    cross = comm.matrix[:n, n:]  # layer 0 to layer 1
     print(
         f"omega={omega:4.2f}: supra 1-norm={np.abs(supra).sum(axis=0).max():6.3f}  "
         f"mean cross-layer G entry={cross.mean():8.5f}"

@@ -21,8 +21,6 @@ from .equilibrium import (EquilibriumTracker, LocalBestResponse, NashReport,
 from .metrics import (BehaviourStats, behaviour_stats, behavioural_reputation,
                       qoi, social_honesty)
 from .crowdsense import (IncentiveConfig, ReportRecord, SynthSpec, UserProfile,
-                         WindowIndex, assign_window, composite_rs, confidence,
-                         coop_flag, decide_publish, empirical_gamma,
-                         incentives, neighbours, parse_reports, qoc,
-                         qoc_extended, read_reports_csv, score_corpus,
-                         synth_corpus, truthfulness)
+                         WindowIndex, incentives, parse_reports, qoc,
+                         read_reports_csv, score_corpus, synth_corpus,
+                         truthfulness)

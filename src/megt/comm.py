@@ -34,7 +34,6 @@ __all__ = [
     "ScalingBounds",
     "scaling_factor",
     "ScalingTable",
-    "dump_communicability_csv",
 ]
 
 
@@ -95,7 +94,7 @@ def matrix_exp(matrix: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Communicability:
-    """exp of the supra-matrix, with block accessors.
+    """exp of the supra-matrix.
 
     ``matrix`` is (N*M) x (N*M) in layer-major order.
     """
@@ -103,17 +102,6 @@ class Communicability:
     matrix: np.ndarray
     node_count: int
     layer_count: int
-
-    def block(self, layer_a: int, layer_b: int) -> np.ndarray:
-        """The N x N sub-matrix coupling layer_a to layer_b (a view)."""
-        n = self.node_count
-        return self.matrix[layer_a * n:(layer_a + 1) * n,
-                           layer_b * n:(layer_b + 1) * n]
-
-    def entry(self, layer_a: int, node_i: int,
-              layer_b: int, node_j: int) -> float:
-        n = self.node_count
-        return float(self.matrix[layer_a * n + node_i, layer_b * n + node_j])
 
 
 def communicability(network: MultiplexNetwork,
@@ -209,11 +197,11 @@ class ScalingTable:
             idx = _cross_neighbourhood(network, node, layer)
             row = comm.matrix[flat]
             vals = [float(row[k]) for k in idx]
+            # left to right, as scaling_factor and the engine add (builtin
+            # sum compensates on Python 3.12+)
+            denominator = 0.0
+            for value in vals:
+                denominator += value
             self.cross_index.append(idx)
             self.cross_value.append(vals)
-            self.denominator.append(sum(vals))
-
-
-def dump_communicability_csv(comm: Communicability, path) -> None:
-    """Write the full communicability matrix as CSV (17-digit floats)."""
-    np.savetxt(path, comm.matrix, fmt="%.17g", delimiter=",")
+            self.denominator.append(denominator)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -39,21 +38,12 @@ __all__ = [
     "parse_reports",
     "read_reports_csv",
     "write_reports_csv",
-    "assign_window",
-    "windows_of",
-    "neighbours",
     "truthfulness",
     "qoc",
-    "qoc_extended",
-    "coop_flag",
     "logistic",
     "CorpusStats",
     "compute_corpus_stats",
-    "empirical_gamma",
-    "composite_rs",
     "build_profiles",
-    "confidence",
-    "decide_publish",
     "decision_rows",
     "incentives",
     "ScoreResult",
@@ -247,41 +237,14 @@ def write_reports_csv(rows, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# windows
-# ---------------------------------------------------------------------------
-
-def assign_window(record: ReportRecord) -> WindowIndex:
-    """The record's spatio-temporal window (3-hour day segment)."""
-    return WindowIndex(date=record.generation_date,
-                       segment=record.day_time.hour // 3)
-
-
-def windows_of(reports) -> dict[WindowIndex, list[ReportRecord]]:
-    """Group kept reports by window, keys sorted chronologically."""
-    grouped: dict[WindowIndex, list[ReportRecord]] = {}
-    for record in reports:
-        grouped.setdefault(assign_window(record), []).append(record)
-    return dict(sorted(grouped.items()))
-
-
-def neighbours(window_reports) -> list[tuple[str, str]]:
-    """All unordered pairs of distinct users reporting in one window."""
-    users = sorted({r.uuid for r in window_reports})
-    return list(itertools.combinations(users, 2))
-
-
-# ---------------------------------------------------------------------------
 # report quality
 # ---------------------------------------------------------------------------
 
-def truthfulness(record_or_rating, epsilon: float = 0.01) -> float:
+def truthfulness(rating: float, epsilon: float = 0.01) -> float:
     """Rating mapped to (0, 1): ``clamp(rating / 5, eps, 1 - eps)``.
 
     The clamp keeps the subsequent logit finite at the rating extremes.
     """
-    rating = (record_or_rating.report_rating
-              if isinstance(record_or_rating, ReportRecord)
-              else float(record_or_rating))
     return min(max(rating / 5.0, epsilon), 1.0 - epsilon)
 
 
@@ -290,17 +253,6 @@ def qoc(tau: float) -> float:
     if not 0.0 < tau < 1.0:
         raise ValueError(f"truthfulness must lie in (0, 1), got {tau}")
     return math.log(tau / (1.0 - tau))
-
-
-def qoc_extended(quality: float, gamma: float) -> float:
-    """Cooperativeness-weighted contribution quality, ``gamma * Q``."""
-    return gamma * quality
-
-
-def coop_flag(record: ReportRecord, mean_rating: float) -> bool:
-    """A report is cooperative iff its rating strictly exceeds the
-    corpus mean rating."""
-    return record.report_rating > mean_rating
 
 
 def logistic(x: float) -> float:
@@ -469,9 +421,9 @@ def compute_corpus_stats(kept, epsilon: float = 0.01) -> CorpusStats:
         _columns=columns)
 
 
-def empirical_gamma(coop_windows, mechanism: str,
-                    stats: CorpusStats) -> float:
-    """Report-derived cooperativeness of one user.
+def _empirical_gammas(columns: _Columns, mechanism: str,
+                      stats: CorpusStats) -> np.ndarray:
+    """Report-derived cooperativeness of every user, in user-code order.
 
     * A: neutral, always 1.
     * B: persistence — fraction of all campaign windows in which the
@@ -480,42 +432,12 @@ def empirical_gamma(coop_windows, mechanism: str,
       cooperative-density weight, rewarding scarce cooperation.
     """
     if mechanism == "A":
-        return 1.0
+        return np.ones(len(columns.users))
     if stats.total_window_count < 1:
         raise ValueError("empty corpus: no windows to normalise against")
-    if mechanism == "B":
-        return len(set(coop_windows)) / stats.total_window_count
-    if mechanism == "C":
-        # sorted so the float sum has one canonical order (set iteration
-        # order varies across processes and would leak into output bytes)
-        return (_running_sum(stats.window_weight[w]
-                             for w in sorted(set(coop_windows)))
-                / stats.total_window_count)
-    raise ValueError(f"mechanism must be one of {MECHANISMS}, "
-                     f"got {mechanism!r}")
-
-
-def composite_rs(reports, gamma: float,
-                 epsilon: float = 0.01) -> tuple[float, float]:
-    """Aggregate a user's weighted contribution qualities.
-
-    Returns ``(rs_raw, rs_norm)`` with ``rs_raw`` the sum of
-    ``gamma * qoc(truthfulness)`` over the user's kept reports and
-    ``rs_norm`` its logistic squash into (0, 1).  A user with no kept
-    reports is a neutral newcomer: (0, 0.5).
-    """
-    raw = _running_sum(qoc_extended(qoc(truthfulness(r, epsilon)), gamma)
-                       for r in reports)
-    return raw, logistic(raw)
-
-
-def _empirical_gammas(columns: _Columns, mechanism: str,
-                      stats: CorpusStats) -> np.ndarray:
-    """``empirical_gamma`` of every user, in user-code order."""
-    if mechanism not in ("B", "C") or stats.total_window_count < 1:
-        # mechanism A, or the errors empirical_gamma raises
-        return np.full(len(columns.users),
-                       empirical_gamma((), mechanism, stats))
+    if mechanism not in ("B", "C"):
+        raise ValueError(f"mechanism must be one of {MECHANISMS}, "
+                         f"got {mechanism!r}")
     pair_user, pair_window, _ = columns.user_windows(stats.mean_rating)
     if mechanism == "B":
         counts = np.bincount(pair_user, minlength=len(columns.users))
@@ -533,6 +455,10 @@ def build_profiles(kept, config: IncentiveConfig, mechanism: str,
                    ) -> dict[str, UserProfile]:
     """Score every contributing user under one mechanism.
 
+    A user's ``rs_raw`` is the sum of ``gamma * qoc(truthfulness)`` over
+    their kept reports, in input order, and ``rs_norm`` its logistic
+    squash into (0, 1).
+
     ``gamma_override`` substitutes externally derived cooperativeness
     values (e.g. simulation-based honesty) for the report-derived ones,
     keyed by user id; users absent from the map fall back to the
@@ -544,7 +470,7 @@ def build_profiles(kept, config: IncentiveConfig, mechanism: str,
     columns = _columns_for(kept, stats._columns)
     users = columns.users
     override = gamma_override or {}
-    # empirical_gamma raises (unknown mechanism, no windows) only for a
+    # _empirical_gammas raises (unknown mechanism, no windows) only for a
     # user who falls back on it
     if all(user in override for user in users):
         gammas = [override[user] for user in users]
@@ -555,7 +481,7 @@ def build_profiles(kept, config: IncentiveConfig, mechanism: str,
                       _empirical_gammas(columns, mechanism, stats).tolist())]
     weighted = (np.array(gammas, dtype=float)[columns.user]
                 * columns.quality(config.epsilon))
-    # records are in input order within each user, as composite_rs sums
+    # records are in input order within each user
     raws = np.bincount(columns.user, weights=weighted,
                        minlength=len(users)).tolist()
     counts = np.bincount(columns.user, minlength=len(users)).tolist()
@@ -573,58 +499,19 @@ def build_profiles(kept, config: IncentiveConfig, mechanism: str,
 # decision support
 # ---------------------------------------------------------------------------
 
-def confidence(group_reports, window_reports, profiles,
-               config: IncentiveConfig) -> dict[str, float]:
-    """Per-event-type publish confidence for one report group.
-
-    Quantity share: distinct contributors to the type over the window's
-    positive-reputation user count.  Quality share: their summed
-    reputations over the total across the group's event types.  The
-    preference factor blends the two.  With no positive-reputation user
-    in the window every confidence is 0 (nothing is publishable).
-    """
-    group_reports = list(group_reports)
-    positive = {r.uuid for r in window_reports
-                if profiles[r.uuid].rs_norm >= config.positive_rs_threshold}
-    types = sorted({r.incident_type for r in group_reports})
-    if not positive:
-        return {kind: 0.0 for kind in types}
-    contributors = {kind: {r.uuid for r in group_reports
-                           if r.incident_type == kind}
-                    for kind in types}
-    rs_agg = {kind: _running_sum(profiles[u].rs_norm
-                                 for u in sorted(contributors[kind]))
-              for kind in types}
-    rs_total = _running_sum(rs_agg.values())
-    nu = config.preference_factor
-    out = {}
-    for kind in types:
-        quantity = len(contributors[kind]) / len(positive)
-        quality = rs_agg[kind] / rs_total if rs_total > 0 else 0.0
-        out[kind] = nu * quantity + (1.0 - nu) * quality
-    return out
-
-
-def decide_publish(confidences: dict[str, float],
-                   threshold: float) -> tuple[str, str, float]:
-    """Pick the most confident event type; publish iff it clears the
-    threshold.  Ties break to the lexicographically first type.
-    Returns (decision, event_type, confidence)."""
-    if not confidences:
-        raise ValueError("no event types to decide over")
-    best = min(confidences, key=lambda kind: (-confidences[kind], kind))
-    value = confidences[best]
-    decision = "publish" if value >= threshold else "drop"
-    return decision, best, value
-
-
 def decision_rows(kept, profiles, config: IncentiveConfig):
     """DSS log: one decision per (window, street) report group.
 
     Trust (the positive-reputation user set) is assessed over the whole
     window; support and competition among event types are within the
-    street group.  Rows come out sorted by date, segment, street.  Each
-    row equals ``decide_publish(confidence(...))`` on its group.
+    street group.  An event type's confidence blends, by the preference
+    factor, its quantity share (distinct contributors over the window's
+    positive-reputation user count) and its quality share (their summed
+    reputations over the total across the group's event types); with no
+    positive-reputation user in the window it is 0.  Each row holds the
+    most confident type, ties to the lexicographically first, published
+    iff its confidence reaches ``publish_threshold``.  Rows come out
+    sorted by date, segment, street.
     """
     kept = list(kept)
     if not kept:
@@ -652,7 +539,7 @@ def decision_rows(kept, profiles, config: IncentiveConfig):
     supporters = np.bincount(contributor_cell, minlength=len(cells))
     rs_agg = np.bincount(contributor_cell, weights=rs_norm[contributor],
                          minlength=len(cells))
-    # kinds are sorted within a group: the order confidence() sums in
+    # kinds are sorted within a group: the canonical order
     rs_total = np.bincount(cell_group, weights=rs_agg,
                            minlength=len(groups))[cell_group]
     group_window, group_street = np.divmod(groups, len(columns.streets))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from megt.comm import (Communicability, ScalingBounds, build_supra,
-                       communicability, dump_communicability_csv, matrix_exp,
+from megt.comm import (Communicability, ScalingBounds, ScalingTable,
+                       build_supra, communicability, matrix_exp,
                        scaling_factor)
 from megt.netgen import (LayerTopology, MultiplexSpec, build_multiplex,
                          multiplex_from_arrays)
@@ -159,30 +159,12 @@ def test_communicability_symmetry_and_positivity():
     assert np.diag(g).min() >= 1.0
 
 
-def test_communicability_block_and_entry_accessors():
-    net = random_multiplex(seed=8)
-    comm = communicability(net, 0.5)
-    block = comm.block(0, 1)
-    assert block.shape == (5, 5)
-    assert comm.entry(0, 2, 1, 3) == block[2, 3]
-    assert comm.entry(0, 2, 1, 3) == comm.matrix[2, 5 + 3]
-
-
 def test_coupling_strength_raises_cross_layer_entries():
     net = random_multiplex(seed=2)
-    weak = communicability(net, 0.2).block(0, 1)
-    strong = communicability(net, 0.8).block(0, 1)
+    weak = communicability(net, 0.2).matrix[:5, 5:]
+    strong = communicability(net, 0.8).matrix[:5, 5:]
     assert np.all(strong >= weak - 1e-12)
     assert strong.mean() > weak.mean()
-
-
-def test_dump_round_trips_through_csv(tmp_path):
-    net = random_multiplex(seed=5)
-    comm = communicability(net, 0.5)
-    path = tmp_path / "comm.csv"
-    dump_communicability_csv(comm, path)
-    back = np.loadtxt(path, delimiter=",")
-    np.testing.assert_allclose(back, comm.matrix, rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -262,3 +244,18 @@ def test_bounds_validation():
     with pytest.raises(ValueError):
         ScalingBounds(minimum=0.5, maximum=1.2)
 
+
+def test_table_denominators_add_left_to_right():
+    # builtin sum compensates on Python 3.12+; scaling_factor and the
+    # engine's numerator add left to right, so the table must too
+    spec = MultiplexSpec(node_count=12, layer_count=3,
+                         topologies=(LayerTopology.er(0.4),) * 3,
+                         homophily_sigma=1.0, rng_seed=21)
+    net = build_multiplex(spec)
+    table = ScalingTable(net, communicability(net, 0.7))
+    assert len(table.denominator) == 36
+    for values, denominator in zip(table.cross_value, table.denominator):
+        total = 0.0
+        for value in values:
+            total += value
+        assert denominator == total

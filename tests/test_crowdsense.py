@@ -7,16 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from megt import crowdsense
-from megt.crowdsense import (INCIDENT_TYPES, MECHANISMS, REPORT_COLUMNS,
-                             CorpusStats, IncentiveConfig, ReportRecord,
-                             SynthSpec, UserProfile, WindowIndex,
-                             assign_window, build_profiles, composite_rs,
-                             compute_corpus_stats, confidence, coop_flag,
-                             decide_publish, decision_rows, empirical_gamma,
-                             incentives, logistic, neighbours, parse_reports,
-                             qoc, qoc_extended, read_reports_csv,
-                             score_corpus, synth_corpus, truthfulness,
-                             windows_of, write_decisions_csv,
+from megt.crowdsense import (INCIDENT_TYPES, MECHANISMS, CorpusStats,
+                             IncentiveConfig, ReportRecord, SynthSpec,
+                             UserProfile, WindowIndex, build_profiles,
+                             compute_corpus_stats, decision_rows,
+                             incentives, logistic, parse_reports, qoc,
+                             read_reports_csv, score_corpus, synth_corpus,
+                             truthfulness, write_decisions_csv,
                              write_ledger_csv, write_reports_csv)
 
 DAY = dt.date(2019, 10, 7)
@@ -40,33 +37,26 @@ def raw_row(user="u1", rating="4.0", date="2019-10-07", time="09:00",
 # windows
 # ---------------------------------------------------------------------------
 
+def window_segments(*times):
+    records = [report(user=f"u{k}", hour=hour, minute=minute)
+               for k, (hour, minute) in enumerate(times)]
+    return [window.segment
+            for window in compute_corpus_stats(records).window_reports]
+
+
 def test_window_segments_partition_the_day():
-    assert assign_window(report(hour=0, minute=0)).segment == 0
-    assert assign_window(report(hour=4, minute=30)).segment == 1
-    assert assign_window(report(hour=23, minute=59)).segment == 7
-    covered = {assign_window(report(hour=h)).segment for h in range(24)}
-    assert covered == set(range(8))
+    assert window_segments((0, 0), (4, 30), (23, 59)) == [0, 1, 7]
+    assert window_segments(*((h, 0) for h in range(24))) == list(range(8))
 
 
 def test_windows_group_and_sort():
     records = [report(user="a", hour=22), report(user="b", hour=1),
                report(user="c", hour=2)]
-    grouped = windows_of(records)
+    grouped = compute_corpus_stats(records).window_reports
     keys = list(grouped)
     assert keys == sorted(keys)
     assert keys[0] == WindowIndex(DAY, 0)
-    assert len(grouped[keys[0]]) == 2
-
-
-def test_neighbour_pair_counts():
-    assert neighbours([report(user="a")]) == []
-    three = [report(user=u, hour=h) for u, h in
-             (("a", 9), ("b", 10), ("c", 11))]
-    assert len(neighbours(three)) == 3
-    ten = [report(user=f"u{k}") for k in range(10)]
-    assert len(neighbours(ten)) == 45
-    # duplicate contributions by one user do not add pairs
-    assert neighbours([report(user="a"), report(user="a", hour=10)]) == []
+    assert [r.uuid for r in grouped[keys[0]]] == ["b", "c"]
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +160,6 @@ def test_truthfulness_is_a_clamped_rescale():
     assert truthfulness(2.5) == 0.5
     assert truthfulness(5.0) == 0.99
     assert truthfulness(0.01) == 0.01
-    assert truthfulness(report(rating=2.5)) == 0.5
     assert truthfulness(5.0, epsilon=0.001) == 0.999
 
 
@@ -196,17 +185,29 @@ def test_qoc_domain():
 
 
 def test_extended_qoc_scales_linearly():
-    assert qoc_extended(4.0, 1.0) == 4.0
-    assert qoc_extended(4.0, 0.0) == 0.0
-    assert qoc_extended(4.0, 0.5) == 2.0
+    # a one-report user's rs_raw is gamma * Q, gamma set by the override
+    records = [report(user="a", rating=4.0)]
+    quality = qoc(truthfulness(4.0))
+    for gamma in (1.0, 0.0, 0.5, 2.0, -1.5):
+        profile = build_profiles(records, IncentiveConfig(), "A",
+                                 gamma_override={"a": gamma})["a"]
+        assert profile.rs_raw == gamma * quality
 
 
 def test_coop_flag_is_strict():
-    assert not coop_flag(report(rating=3.0), 3.0)
-    assert coop_flag(report(rating=3.1), 3.0)
+    # mean rating 3.0: the report rated exactly 3.0 does not cooperate
+    records = [report(user="hi", rating=4.0, hour=0),
+               report(user="lo", rating=2.0, hour=3),
+               report(user="eq", rating=3.0, hour=6)]
+    stats = compute_corpus_stats(records)
+    assert stats.mean_rating == 3.0
+    assert list(stats.coop_density.values()) == [1.0, 0.0, 0.0]
+    profiles = build_profiles(records, IncentiveConfig(), "B", stats)
+    assert profiles["hi"].coop_windows == (WindowIndex(DAY, 0),)
+    assert profiles["eq"].coop_windows == ()
     records = [report(user=f"u{k}", rating=4.0, hour=k) for k in range(5)]
     stats = compute_corpus_stats(records)
-    assert not any(coop_flag(r, stats.mean_rating) for r in records)
+    assert set(stats.coop_density.values()) == {0.0}
 
 
 def test_logistic_behaviour():
@@ -228,28 +229,41 @@ def stub_stats(total_windows, weights=None):
 
 
 def test_mechanism_a_is_neutral():
-    assert empirical_gamma([WindowIndex(DAY, 0)], "A", stub_stats(10)) == 1.0
-    assert empirical_gamma([], "A", stub_stats(0)) == 1.0
+    records = [report(user="a", rating=5.0), report(user="b", rating=1.0)]
+    for stats in (None, stub_stats(0)):
+        profiles = build_profiles(records, IncentiveConfig(), "A", stats)
+        assert [p.gamma_emp for p in profiles.values()] == [1.0, 1.0]
 
 
 def test_mechanism_b_counts_window_persistence():
-    windows = [WindowIndex(DAY, k) for k in range(3)]
-    assert empirical_gamma(windows, "B", stub_stats(10)) == pytest.approx(0.3)
-    # duplicated windows count once
-    assert empirical_gamma(windows + windows, "B",
-                           stub_stats(10)) == pytest.approx(0.3)
+    # cooperative (above 3.0) in three windows; the second kind in
+    # window 0 does not count it twice
+    records = [report(rating=5.0, hour=3 * k) for k in range(3)]
+    records.append(report(rating=5.0, hour=1, kind="accident"))
+    profiles = build_profiles(records, IncentiveConfig(), "B",
+                              stub_stats(10))
+    assert profiles["u1"].gamma_emp == pytest.approx(0.3)
 
 
 def test_mechanism_c_uses_window_weights():
     windows = [WindowIndex(DAY, 0), WindowIndex(DAY, 1)]
     weights = {windows[0]: 0.5, windows[1]: 1.5}
-    value = empirical_gamma(windows, "C", stub_stats(8, weights))
-    assert value == pytest.approx(2.0 / 8)
+    records = [report(rating=5.0, hour=0), report(rating=5.0, hour=3)]
+    profiles = build_profiles(records, IncentiveConfig(), "C",
+                              stub_stats(8, weights))
+    assert profiles["u1"].gamma_emp == pytest.approx(2.0 / 8)
 
 
 def test_unknown_mechanism_rejected():
-    with pytest.raises(ValueError):
-        empirical_gamma([], "D", stub_stats(8))
+    records = [report(user="a"), report(user="b", hour=13)]
+    with pytest.raises(ValueError, match="mechanism must be one of"):
+        build_profiles(records, IncentiveConfig(), "D")
+    with pytest.raises(ValueError, match="empty corpus"):
+        build_profiles(records, IncentiveConfig(), "B", stub_stats(0))
+    # only a user who falls back on the empirical value raises
+    profiles = build_profiles(records, IncentiveConfig(), "D",
+                              gamma_override={"a": 1.0, "b": 0.5})
+    assert profiles["b"].gamma_emp == 0.5
 
 
 def test_uniform_density_makes_b_and_c_agree():
@@ -306,31 +320,38 @@ def test_window_weights_average_to_one():
 # composite reputation
 # ---------------------------------------------------------------------------
 
-def test_newcomer_is_neutral():
-    assert composite_rs([], 1.0) == (0.0, 0.5)
+def reputation(ratings, gamma=None):
+    """``(rs_raw, rs_norm)`` of one user filing ``ratings`` in
+    successive windows, scored under mechanism A (gamma 1) unless
+    ``gamma`` overrides it."""
+    records = [report(user="a", rating=r, hour=k)
+               for k, r in enumerate(ratings)]
+    override = None if gamma is None else {"a": gamma}
+    profile = build_profiles(records, IncentiveConfig(), "A",
+                             gamma_override=override)["a"]
+    return profile.rs_raw, profile.rs_norm
 
 
 def test_opposite_contributions_cancel():
-    high = report(rating=5 * logistic(1.0))
-    low = report(rating=5 * logistic(-1.0), hour=13)
-    raw, norm = composite_rs([high, low], 1.0)
+    raw, norm = reputation([5 * logistic(1.0), 5 * logistic(-1.0)])
     assert raw == pytest.approx(0.0, abs=1e-12)
     assert norm == pytest.approx(0.5, abs=1e-12)
 
 
 def test_rs_norm_tracks_rs_raw_sign():
-    good, good_norm = composite_rs([report(rating=5.0)], 1.0)
-    bad, bad_norm = composite_rs([report(rating=1.0)], 1.0)
+    good, good_norm = reputation([5.0])
+    bad, bad_norm = reputation([1.0])
     assert good > 0 and good_norm > 0.5
     assert bad < 0 and bad_norm < 0.5
-    assert composite_rs([report(rating=1.0)], 0.0) == (0.0, 0.5)
+    assert reputation([1.0], gamma=0.0) == (0.0, 0.5)
 
 
 def test_rs_norm_is_monotone_in_raw():
-    profiles = [composite_rs([report(rating=r)], 1.0)
-                for r in (1.0, 2.0, 3.0, 4.0, 5.0)]
-    raws = [p[0] for p in profiles]
-    norms = [p[1] for p in profiles]
+    profiles = build_profiles(
+        [report(user=f"u{r}", rating=float(r), hour=r) for r in range(1, 6)],
+        IncentiveConfig(), "A")
+    raws = [p.rs_raw for p in profiles.values()]
+    norms = [p.rs_norm for p in profiles.values()]
     assert raws == sorted(raws)
     assert norms == sorted(norms)
     assert all(0.0 < v < 1.0 for v in norms)
@@ -371,72 +392,89 @@ def stub_profile(user, rs_norm):
                        rs_norm=rs_norm)
 
 
+def decide(records, rs_norm, **config):
+    """decision_rows over stub profiles with the given reputations."""
+    profiles = {u: stub_profile(u, value) for u, value in rs_norm.items()}
+    return decision_rows(records, profiles, IncentiveConfig(**config))
+
+
 def test_unanimous_single_type_confidence_is_one():
     reports = [report(user=f"u{k}", kind="jam") for k in range(10)]
-    profiles = {r.uuid: stub_profile(r.uuid, 0.9) for r in reports}
-    conf = confidence(reports, reports, profiles,
-                      IncentiveConfig(preference_factor=0.5))
-    assert conf == {"jam": pytest.approx(1.0)}
+    rows = decide(reports, {r.uuid: 0.9 for r in reports},
+                  preference_factor=0.5)
+    assert [row[3:5] for row in rows] == [("jam", pytest.approx(1.0))]
 
 
 def test_pure_quantity_share():
+    # five of the window's ten positive users file an accident on one
+    # street; the other five a jam on another
     group = [report(user=f"u{k}", kind="accident") for k in range(5)]
-    window = group + [report(user=f"u{k}", kind="jam") for k in range(5, 10)]
-    profiles = {r.uuid: stub_profile(r.uuid, 0.9) for r in window}
-    conf = confidence(group, window, profiles,
-                      IncentiveConfig(preference_factor=1.0))
-    assert conf["accident"] == pytest.approx(0.5)
+    window = group + [report(user=f"u{k}", kind="jam",
+                             street="Birch Street") for k in range(5, 10)]
+    rows = decide(window, {r.uuid: 0.9 for r in window},
+                  preference_factor=1.0)
+    assert rows[0][2:5] == ("Alder Way", "accident", pytest.approx(0.5))
 
 
 def test_pure_quality_share_splits_equal_types():
     window = [report(user="a", kind="jam"),
               report(user="b", kind="accident")]
-    profiles = {"a": stub_profile("a", 0.8), "b": stub_profile("b", 0.8)}
-    conf = confidence(window, window, profiles,
-                      IncentiveConfig(preference_factor=0.0))
-    assert conf["jam"] == pytest.approx(0.5)
-    assert conf["accident"] == pytest.approx(0.5)
+    rows = decide(window, {"a": 0.8, "b": 0.8}, preference_factor=0.0)
+    assert rows[0][3:5] == ("accident", pytest.approx(0.5))
 
 
 def test_no_positive_users_blocks_publishing():
     reports = [report(user="a"), report(user="b", hour=10)]
-    profiles = {u: stub_profile(u, 0.2) for u in ("a", "b")}
-    conf = confidence(reports, reports, profiles, IncentiveConfig())
-    assert conf == {"jam": 0.0}
+    rows = decide(reports, {"a": 0.2, "b": 0.2}, publish_threshold=0.0)
+    assert [row[3:] for row in rows] == [("jam", 0.0, "publish")]
+    rows = decide(reports, {"a": 0.2, "b": 0.2})
+    assert [row[3:] for row in rows] == [("jam", 0.0, "drop")]
 
 
 def test_threshold_user_counts_as_positive():
     reports = [report(user="a", kind="jam")]
-    profiles = {"a": stub_profile("a", 0.5)}
-    conf = confidence(reports, reports, profiles, IncentiveConfig())
-    assert conf["jam"] == pytest.approx(1.0)
+    rows = decide(reports, {"a": 0.5})
+    assert rows[0][4] == pytest.approx(1.0)
 
 
 def test_decide_publish_picks_argmax_over_threshold():
-    assert decide_publish({"jam": 0.7, "accident": 0.2}, 0.5) == \
-        ("publish", "jam", 0.7)
-    assert decide_publish({"jam": 0.4, "accident": 0.2}, 0.5)[0] == "drop"
-    assert decide_publish({"jam": 0.5}, 0.5)[0] == "publish"
+    # seven jam reporters against three accident reporters: pure quantity
+    # gives jam 0.7
+    reports = ([report(user=f"j{k}", kind="jam") for k in range(7)]
+               + [report(user=f"a{k}", kind="accident") for k in range(3)])
+    rs_norm = {r.uuid: 0.9 for r in reports}
+    rows = decide(reports, rs_norm, preference_factor=1.0)
+    assert rows[0][3:] == ("jam", pytest.approx(0.7), "publish")
+    rows = decide(reports, rs_norm, preference_factor=1.0,
+                  publish_threshold=0.8)
+    assert rows[0][5] == "drop"
+    # a confidence equal to the threshold publishes
+    rows = decide(reports[:1], {"j0": 0.9}, publish_threshold=1.0)
+    assert rows[0][4:] == (1.0, "publish")
 
 
 def test_ties_break_lexicographically():
-    decision, kind, _ = decide_publish({"jam": 0.6, "accident": 0.6}, 0.5)
-    assert (decision, kind) == ("publish", "accident")
+    reports = [report(user="a", kind="jam"),
+               report(user="b", kind="accident")]
+    rows = decide(reports, {"a": 0.7, "b": 0.7})
+    assert rows[0][3:] == ("accident", pytest.approx(0.5), "publish")
 
 
 def test_argmax_invariant_under_positive_rescaling():
+    # the chosen kind depends on relative reputations only
     rng = np.random.default_rng(9)
     for _ in range(20):
-        conf = {kind: float(rng.random()) for kind in INCIDENT_TYPES}
+        reports = [report(user=f"u{k}", kind=INCIDENT_TYPES[k % 4],
+                          street=("Alder Way", "Birch Street")[k % 2],
+                          hour=int(rng.integers(6)))
+                   for k in range(int(rng.integers(4, 16)))]
+        rs_norm = {r.uuid: float(rng.uniform(0.1, 1.0)) for r in reports}
         scale = float(rng.uniform(0.1, 10.0))
-        rescaled = {kind: value * scale for kind, value in conf.items()}
-        assert decide_publish(conf, 0.0)[1] == decide_publish(rescaled,
-                                                              0.0)[1]
-
-
-def test_decide_publish_requires_candidates():
-    with pytest.raises(ValueError):
-        decide_publish({}, 0.5)
+        rescaled = {user: value * scale for user, value in rs_norm.items()}
+        kinds = [row[3] for row in decide(reports, rs_norm,
+                                          positive_rs_threshold=0.0)]
+        assert kinds == [row[3] for row in decide(
+            reports, rescaled, positive_rs_threshold=0.0)]
 
 
 def test_decision_rows_are_per_window_and_street():
@@ -581,8 +619,12 @@ def test_decisions_csv_layout(tmp_path):
 # exact reference scorer
 # ---------------------------------------------------------------------------
 
+def ref_window(record):
+    return WindowIndex(record.generation_date, record.day_time.hour // 3)
+
+
 def reference_stats(kept, epsilon):
-    """CorpusStats from per-record functions and left-to-right sums."""
+    """CorpusStats from per-record loops and left-to-right sums."""
     if not kept:
         return CorpusStats(mean_rating=0.0, window_reports={},
                            total_window_count=0, coop_density={},
@@ -593,7 +635,7 @@ def reference_stats(kept, epsilon):
     mean_rating = acc / len(kept)
     grouped = {}
     for record in kept:
-        grouped.setdefault(assign_window(record), []).append(record)
+        grouped.setdefault(ref_window(record), []).append(record)
     window_reports = dict(sorted(grouped.items()))
     dates = [record.generation_date for record in kept]
     span_days = (max(dates) - min(dates)).days + 1
@@ -601,7 +643,7 @@ def reference_stats(kept, epsilon):
     for window, rows in window_reports.items():
         coop = 0
         for record in rows:
-            coop += coop_flag(record, mean_rating)
+            coop += record.report_rating > mean_rating
         coop_density[window] = coop / len(rows)
     raw_weight = {w: 1.0 / max(d, epsilon) for w, d in coop_density.items()}
     acc = 0.0
@@ -621,9 +663,9 @@ def reference_profiles(kept, config, mechanism, stats, gamma_override):
     profiles = {}
     for user in sorted(by_user):
         reports = by_user[user]
-        active = sorted({assign_window(r) for r in reports})
-        coop = sorted({assign_window(r) for r in reports
-                       if coop_flag(r, stats.mean_rating)})
+        active = sorted({ref_window(r) for r in reports})
+        coop = sorted({ref_window(r) for r in reports
+                       if r.report_rating > stats.mean_rating})
         if gamma_override is not None and user in gamma_override:
             gamma = gamma_override[user]
         elif mechanism == "A":
@@ -637,8 +679,8 @@ def reference_profiles(kept, config, mechanism, stats, gamma_override):
             gamma = acc / stats.total_window_count
         raw = 0.0
         for record in reports:
-            raw += qoc_extended(qoc(truthfulness(record, config.epsilon)),
-                                gamma)
+            raw += gamma * qoc(truthfulness(record.report_rating,
+                                            config.epsilon))
         profiles[user] = UserProfile(
             user_id=user, report_count=len(reports),
             active_windows=tuple(active), coop_windows=tuple(coop),
@@ -663,7 +705,7 @@ def reference_payouts(profiles, budget, total_users, threshold):
 def reference_decisions(kept, profiles, config):
     grouped = {}
     for record in kept:
-        grouped.setdefault(assign_window(record), []).append(record)
+        grouped.setdefault(ref_window(record), []).append(record)
     rows = []
     for window, window_records in sorted(grouped.items()):
         positive = {r.uuid for r in window_records
@@ -693,8 +735,10 @@ def reference_decisions(kept, profiles, config):
                     quantity = len(users[kind]) / len(positive)
                     quality = rs_agg[kind] / total if total > 0 else 0.0
                     conf[kind] = nu * quantity + (1.0 - nu) * quality
-            decision, kind, value = decide_publish(conf,
-                                                   config.publish_threshold)
+            kind = min(conf, key=lambda k: (-conf[k], k))
+            value = conf[kind]
+            decision = ("publish" if value >= config.publish_threshold
+                        else "drop")
             rows.append((window.date.isoformat(), window.segment, street,
                          kind, value, decision))
     return rows

@@ -5,7 +5,7 @@ from megt.equilibrium import (EquilibriumTracker, best_response, is_nash_pair,
                               local_frequency, nash_report,
                               project_strategies, write_alpha_csv)
 from megt.evolve import SimulationConfig, run
-from megt.games import PayoffMatrix, representative
+from megt.games import PayoffMatrix, from_ts, representative
 from megt.netgen import (LayerTopology, MultiplexSpec, build_multiplex,
                          multiplex_from_arrays)
 
@@ -200,6 +200,41 @@ def test_alpha_invariant_under_positive_payoff_scaling():
         scaled = nash_report(strategies, net, PD.scaled(3.7))
         assert scaled.alpha == base.alpha
         assert scaled.weak_fraction == base.weak_fraction
+
+
+@pytest.mark.parametrize("layer_count", [2, 3])
+def test_tracker_counts_match_per_node_nash_pairs(layer_count):
+    # EquilibriumTracker vectorises is_nash_pair/best_response.  from_ts
+    # (1, 0) leaves every node indifferent, so every Nash pair is weak;
+    # under from_ts(1.5, 0) only nodes without a cooperating neighbour are
+    games = [representative(kind) for kind in ("pd", "sd", "sh", "hg")]
+    games += [from_ts(1.0, 0.0), from_ts(1.5, 0.0)]
+    rng = np.random.default_rng(layer_count)
+    for seed in range(3):
+        spec = MultiplexSpec(node_count=30, layer_count=layer_count,
+                             topologies=(LayerTopology.er(0.15),)
+                             * layer_count,
+                             homophily_sigma=1.0, rng_seed=seed)
+        net = build_multiplex(spec)
+        edges = [(i, j) for i, j in zip(*np.nonzero(net.aggregated))
+                 if i < j]
+        for _ in range(2):
+            strategies = rng.integers(
+                0, 2, size=(layer_count, 30)).astype(np.int8)
+            for projection in ("majority_tie_c", "majority_tie_d"):
+                projected = project_strategies(strategies, projection)
+                for game in games:
+                    pairs = weak = 0
+                    for i, j in edges:
+                        ok, is_weak = is_nash_pair(i, j, projected, net,
+                                                   game)
+                        pairs += ok
+                        weak += is_weak
+                    report = EquilibriumTracker(
+                        net, game, projection).evaluate(strategies)
+                    assert report.pair_count == pairs
+                    assert report.weak_count == weak
+                    assert report.edge_count == len(edges)
 
 
 def test_edgeless_network_is_an_error():
