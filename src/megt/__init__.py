@@ -9,12 +9,12 @@ from .netgen import (LayerTopology, MultiplexNetwork, MultiplexSpec,
                      build_multiplex, eigenvector_centrality, generate_er,
                      generate_sf, generate_ws, load_multiplex,
                      multiplex_from_arrays, sample_homophily, save_multiplex)
-from .comm import (Communicability, ScalingBounds, ScalingTable, build_supra,
+from .comm import (Communicability, ScalingBounds, build_supra,
                    communicability, matrix_exp, scaling_factor)
-from .evolve import (RunResult, SimulationConfig, SimulationState, Trajectory,
-                     accumulate_payoffs, density, fermi_probability,
-                     init_state, replica_network, RoundEngine, run,
-                     run_replicas, sweep_ts)
+from .evolve import (RunResult, ScalingTable, SimulationConfig,
+                     SimulationState, Trajectory, accumulate_payoffs, density,
+                     fermi_probability, init_state, replica_network,
+                     RoundEngine, run, run_replicas, sweep_ts)
 from .equilibrium import (EquilibriumTracker, LocalBestResponse, NashReport,
                           best_response, is_nash_pair, local_frequency,
                           nash_report, project_strategies)

@@ -14,8 +14,9 @@ eigendecomposition.
 Row/column order is layer-major: flat index = alpha * N + i.
 
 Communicability depends only on the network and the coupling strength,
-never on strategies.  A simulation turns it into a ScalingTable once;
-runs that share a prebuilt network also share that table.
+never on strategies: it is per-network data, which ``evolve.ScalingTable``
+holds once per network while each run owns only its strategies.
+``scaling_factor`` is the reference the table and the round must match.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "communicability",
     "ScalingBounds",
     "scaling_factor",
-    "ScalingTable",
 ]
 
 
@@ -174,34 +174,3 @@ def scaling_factor(node: int, layer: int, comm: Communicability,
     if denominator <= 0.0:
         return 1.0
     return 1.0 - bounds.span * (numerator / denominator)
-
-
-class ScalingTable:
-    """Precomputed cross-layer lookups for the scaling factor.
-
-    The communicability entries and the per-(node, layer) denominators
-    are static for a given network; only the strategy comparison changes
-    between calls.  The table stores plain Python lists so the
-    simulation's inner loop (``RoundEngine.round``) can evaluate the
-    factor without numpy overhead; ``scaling_factor`` is its reference.
-    """
-
-    def __init__(self, network: MultiplexNetwork, comm: Communicability):
-        nm = network.node_count * network.layer_count
-        n = network.node_count
-        self.cross_index: list[list[int]] = []
-        self.cross_value: list[list[float]] = []
-        self.denominator: list[float] = []
-        for flat in range(nm):
-            layer, node = divmod(flat, n)
-            idx = _cross_neighbourhood(network, node, layer)
-            row = comm.matrix[flat]
-            vals = [float(row[k]) for k in idx]
-            # left to right, as scaling_factor and the engine add (builtin
-            # sum compensates on Python 3.12+)
-            denominator = 0.0
-            for value in vals:
-                denominator += value
-            self.cross_index.append(idx)
-            self.cross_value.append(vals)
-            self.denominator.append(denominator)

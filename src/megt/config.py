@@ -10,6 +10,7 @@ name the key, so typos fail loudly.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,6 +113,13 @@ def defaults() -> dict[str, object]:
     return {key.name: key.default for key in _KEYS}
 
 
+def _finite(name: str, value: object) -> object:
+    """``value`` itself, unless it is a NaN or infinite float."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config key {name!r} must be finite, got {value}")
+    return value
+
+
 def parse_value(name: str, text: str) -> object:
     if name not in SCHEMA:
         raise ConfigError(f"unknown config key {name!r}")
@@ -121,7 +129,7 @@ def parse_value(name: str, text: str) -> object:
         if kind == "int":
             return int(text)
         if kind == "float":
-            return float(text)
+            return _finite(name, float(text))
         if kind == "date":
             return dt.date.fromisoformat(text)
         return text
@@ -172,8 +180,8 @@ def resolve(values: dict[str, object]) -> dict[str, object]:
     for name, value in values.items():
         if name not in SCHEMA:
             raise ConfigError(f"unknown config key {name!r}")
-        out[name] = (parse_value(name, value)
-                     if isinstance(value, str) else value)
+        out[name] = (parse_value(name, value) if isinstance(value, str)
+                     else _finite(name, value))
     return out
 
 

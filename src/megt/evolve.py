@@ -19,12 +19,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comm import ScalingBounds, ScalingTable, communicability
+from .comm import Communicability, ScalingBounds, communicability
 from .games import COOPERATE, PayoffMatrix, from_ts
 from .netgen import MultiplexNetwork, MultiplexSpec, build_multiplex
 
@@ -39,6 +40,7 @@ __all__ = [
     "init_state",
     "accumulate_payoffs",
     "fermi_probability",
+    "ScalingTable",
     "RoundEngine",
     "replica_network",
     "run",
@@ -222,18 +224,51 @@ def accumulate_payoffs(state: SimulationState, network: MultiplexNetwork,
     return out
 
 
+class ScalingTable:
+    """The static data a round reads, built once per network.
+
+    Per flat slot ``alpha * N + i`` (the supra-matrix's layer-major
+    order): ``neighbours`` on layer alpha; ``distance``, the floored
+    social distance ``max(delta_ij, DISTANCE_FLOOR)`` to each of them in
+    neighbour order; ``cross_index`` and ``cross_value``, the slot's
+    cross-layer neighbourhood in ``comm._cross_neighbourhood``'s order
+    and its communicability entries; ``denominator``, their sum.
+    ``degrees`` is the (M, N) degree table; ``has_isolated`` and
+    ``edgeless`` say whether some or all slots lack a neighbour.  None of
+    it depends on strategies, the game or the selection intensity.
+    """
+
+    def __init__(self, network: MultiplexNetwork, comm: Communicability):
+        n, m = network.node_count, network.layer_count
+        layers = network.neighbour_lists()
+        self.neighbours = [nbrs for layer in layers for nbrs in layer]
+        floored = np.maximum(network.delta, DISTANCE_FLOOR)
+        self.distance = [floored[i, nbrs].tolist()
+                         for layer in layers for i, nbrs in enumerate(layer)]
+        # node i's counterpart on layer beta, then its neighbours there
+        blocks = [[[beta * n + i] + [beta * n + j for j in nbrs]
+                   for i, nbrs in enumerate(layer)]
+                  for beta, layer in enumerate(layers)]
+        self.cross_index = [[k for beta in range(m) if beta != alpha
+                             for k in blocks[beta][i]]
+                            for alpha in range(m) for i in range(n)]
+        self.cross_value = [row[idx].tolist() for row, idx
+                            in zip(comm.matrix, self.cross_index)]
+        # left to right like scaling_factor; builtin sum compensates on 3.12+
+        self.denominator = [functools.reduce(operator.add, values, 0.0)
+                            for values in self.cross_value]
+        self.degrees = network.layer_degrees()
+        self.has_isolated = not all(self.neighbours)
+        self.edgeless = not any(self.neighbours)
+
+
 class RoundEngine:
-    """Everything static for a run, laid out for the inner loop.
+    """One run's Monte Carlo rounds over a shared ScalingTable.
 
-    Neighbour lists, floored inverse Fermi denominators, cross-layer
-    communicability slices and per-slot degrees are all precomputed as
-    plain Python lists; one Monte Carlo round then runs in pure Python
-    with three bulk RNG draws, which on a single core beats any
-    per-step numpy dispatch by a wide margin.
-
-    ``table`` is the ScalingTable of the network's communicability.
-    ``edgeless`` is true when no slot has a neighbour on its layer, so
-    imitation can never change a strategy.
+    The engine adds the per-run inputs (game, selection intensity,
+    scaling bounds, payoff mode) and holds no per-slot data.  A round
+    runs in pure Python over the table's lists with three bulk RNG
+    draws, which on one core beats per-step numpy dispatch by far.
     """
 
     def __init__(self, network: MultiplexNetwork, game: PayoffMatrix,
@@ -241,29 +276,18 @@ class RoundEngine:
         self.network = network
         self.game = game
         self.config = config
+        self.table = table
         self.node_count = network.node_count
         self.layer_count = network.layer_count
         self.slot_count = self.node_count * self.layer_count
-        self.table = table
-        self.span = config.scaling_bounds.span
-        kappa = config.selection_intensity
-        inv = 1.0 / (np.maximum(network.delta, DISTANCE_FLOOR) * kappa)
-        self._inv_scale: list[list[float]] = inv.tolist()
-        nbrs = network.neighbour_lists()
-        self._nbr_flat: list[list[int]] = [
-            nbrs[alpha][i] for alpha in range(self.layer_count)
-            for i in range(self.node_count)]
-        self._has_isolated = any(not lst for lst in self._nbr_flat)
-        self.edgeless = not any(self._nbr_flat)
-        self._layer_degrees = network.layer_degrees()
 
     def round(self, state: SimulationState) -> float:
         """Advance one full Monte Carlo round in place; returns the
         cooperator density after the round.
 
         The loop inlines ``comm.scaling_factor``, read from the table,
-        and ``fermi_probability``; a round built from those two is the
-        test oracle this one must match bit for bit.
+        and ``fermi_probability``, with their float operations; a round
+        built from those two is the oracle this one must match bit for bit.
         """
         n, nm = self.node_count, self.slot_count
         payoffs = accumulate_payoffs(state, self.network, self.game,
@@ -275,49 +299,45 @@ class RoundEngine:
         u_adopt = rng.random(nm).tolist()
         strategies: list[int] = state.strategies.reshape(-1).tolist()
         coop_total = sum(strategies)
-        nbr_flat = self._nbr_flat
-        inv_scale = self._inv_scale
-        cross_index = self.table.cross_index
-        cross_value = self.table.cross_value
-        denominator = self.table.denominator
-        span = self.span
+        table = self.table
+        neighbours, dist = table.neighbours, table.distance
+        cross_index, cross_value = table.cross_index, table.cross_value
+        denominator, has_isolated = table.denominator, table.has_isolated
+        kappa = self.config.selection_intensity
+        span = self.config.scaling_bounds.span
         exp = math.exp
         for t in range(nm):
             flat = picks[t]
-            if self._has_isolated:
-                while not nbr_flat[flat]:
+            if has_isolated:
+                while not neighbours[flat]:
                     flat = int(rng.integers(nm))
-            neighbours = nbr_flat[flat]
+            options = neighbours[flat]
+            pick = int(u_neighbour[t] * len(options))
             alpha, i = divmod(flat, n)
-            j = neighbours[int(u_neighbour[t] * len(neighbours))]
+            j = options[pick]
             own = strategies[flat]
             other = strategies[alpha * n + j]
             if own == other:
                 continue  # adoption would be a no-op
-            x = (pay[alpha][i] - pay[alpha][j]) * inv_scale[i][j]
+            x = (pay[alpha][i] - pay[alpha][j]) / (dist[flat][pick] * kappa)
             if x > _EXP_CLAMP:
                 continue  # saturated at probability 0
             den = denominator[flat]
+            scaling = 1.0
             if den > 0.0:
                 num = 0.0
                 for k, g in zip(cross_index[flat], cross_value[flat]):
                     if strategies[k] == own:
                         num += g
                 scaling = 1.0 - span * (num / den)
-            else:
-                scaling = 1.0
-            if x < -_EXP_CLAMP:
-                prob = scaling
-            else:
-                prob = scaling / (1.0 + exp(x))
+            prob = scaling if x < -_EXP_CLAMP else scaling / (1.0 + exp(x))
             if u_adopt[t] < prob:
                 strategies[flat] = other
                 coop_total += other - own
         state.strategies = np.asarray(strategies, dtype=np.int8).reshape(
             self.layer_count, n)
         state.coop_count += (
-            (state.strategies == COOPERATE) * self._layer_degrees
-        ).sum(axis=0)
+            (state.strategies == COOPERATE) * table.degrees).sum(axis=0)
         state.round_index += 1
         return coop_total / nm
 
@@ -352,12 +372,13 @@ def _scaling_table(config: SimulationConfig,
                    network: MultiplexNetwork) -> ScalingTable:
     """The run's ScalingTable, reused while the prebuilt network is.
 
-    The table depends only on the network and the coupling strength, so
-    replicas and sweep cells that share a prebuilt network share one
-    table.  The one-slot memo holds the network object itself and
-    matches it with ``is``; a prebuilt network must therefore not be
-    mutated between runs.  Spec-built networks are fresh for every
-    replica and are never memoised.
+    The table is per-network data: it depends only on the network and
+    the coupling strength, so replicas and sweep cells that share a
+    prebuilt network share one table and add only their per-run state.
+    The one-slot memo holds the network object itself and matches it
+    with ``is``; a prebuilt network must therefore not be mutated
+    between runs.  Spec-built networks are fresh for every replica and
+    are never memoised.
     """
     global _table_memo
     omega = config.resolve_interlayer_strength()
@@ -399,7 +420,7 @@ def run(config: SimulationConfig, *, cell_index: int = 0,
     if on_round is not None:
         on_round(0, state)
     window = config.steady_window
-    converged = rho[0] in (0.0, 1.0) or engine.edgeless
+    converged = rho[0] in (0.0, 1.0) or engine.table.edgeless
     while not converged and state.round_index < config.max_rounds:
         value = engine.round(state)
         rho.append(value)

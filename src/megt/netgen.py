@@ -434,7 +434,7 @@ def load_multiplex(path) -> MultiplexNetwork:
     the coupling matrices are recomputed from the adjacency (both are
     deterministic), while link weights are taken verbatim from the file.
     Raises ValueError naming the first offending line on malformed input,
-    including a NaN, infinite or negative distance or link weight.
+    such as a repeated edge or distance, or a NaN, infinite or negative value.
     """
     with open(path, encoding="ascii") as fh:
         raw = fh.read().splitlines()
@@ -475,6 +475,8 @@ def load_multiplex(path) -> MultiplexNetwork:
             if value < 0:
                 raise ValueError(
                     f"{path}: line {lineno}: negative distance")
+            if seen_delta[i, j]:
+                raise ValueError(f"{path}: line {lineno}: duplicate delta")
             delta[i, j] = delta[j, i] = value
             seen_delta[i, j] = seen_delta[j, i] = True
         else:

@@ -98,6 +98,24 @@ def test_bad_config_value_names_the_key(tmp_path, capsys):
     assert "node_count" in err and "many" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key, command", [
+    ("selection_intensity", ["evolve"]),
+    ("steady_tolerance", ["evolve"]),
+    ("budget", ["score", "--reports", "absent.csv"]),
+], ids=["selection_intensity", "steady_tolerance", "budget"])
+def test_non_finite_config_float_names_the_key(tmp_path, capsys, key,
+                                               command, value):
+    # nan passes every <= check: it froze the dynamics, never converged,
+    # or wrote nan incentives
+    cfg = write_config(tmp_path, f"{key} = {value}\n")
+    assert run_cli(*command, "--config", cfg,
+                   "--outdir", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert key in err and "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert run_cli("generate", "--config", str(tmp_path / "absent.cfg"),
                    "--outdir", str(tmp_path / "out")) == 2

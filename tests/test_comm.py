@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from megt.comm import (Communicability, ScalingBounds, ScalingTable,
+from megt.comm import (Communicability, ScalingBounds, _cross_neighbourhood,
                        build_supra, communicability, matrix_exp,
                        scaling_factor)
+from megt.evolve import DISTANCE_FLOOR, ScalingTable
 from megt.netgen import (LayerTopology, MultiplexSpec, build_multiplex,
                          multiplex_from_arrays)
 
@@ -259,3 +260,25 @@ def test_table_denominators_add_left_to_right():
         for value in values:
             total += value
         assert denominator == total
+
+
+def test_table_matches_the_oracle_neighbourhoods():
+    # the table derives its cross-layer lists from the neighbour lists;
+    # _cross_neighbourhood scans the adjacency rows, and must agree
+    spec = MultiplexSpec(node_count=15, layer_count=3,
+                         topologies=(LayerTopology.er(0.1),) * 3,
+                         homophily_sigma=1.0, rng_seed=4)
+    net = build_multiplex(spec)
+    comm = communicability(net, 0.4)
+    table = ScalingTable(net, comm)
+    for flat in range(45):
+        layer, node = divmod(flat, 15)
+        idx = _cross_neighbourhood(net, node, layer)
+        assert table.cross_index[flat] == idx
+        assert table.cross_value[flat] == [comm.matrix[flat, k] for k in idx]
+        nbrs = np.flatnonzero(net.adjacency[layer][node]).tolist()
+        assert table.neighbours[flat] == nbrs
+        assert table.distance[flat] == [max(net.delta[node, j], DISTANCE_FLOOR)
+                                        for j in nbrs]
+    assert table.has_isolated and not table.edgeless
+    assert np.array_equal(table.degrees, net.layer_degrees())

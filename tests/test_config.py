@@ -79,6 +79,11 @@ def test_resolve_validates_and_parses_strings():
     assert values["start_date"] == dt.date(2021, 5, 6)
     with pytest.raises(ConfigError, match="bogus"):
         resolve({"bogus": 1})
+    # a manifest's JSON can carry NaN and Infinity as numbers
+    with pytest.raises(ConfigError, match="'budget' must be finite"):
+        resolve({"budget": float("nan")})
+    with pytest.raises(ConfigError, match="'t_max' must be finite"):
+        resolve({"t_max": "-inf"})
 
 
 def test_format_defaults_is_one_line_per_key():

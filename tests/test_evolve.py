@@ -10,18 +10,17 @@ import pytest
 
 import megt.comm
 import megt.evolve
-from megt.comm import (ScalingBounds, ScalingTable, communicability,
-                       scaling_factor)
-from megt.evolve import (DISTANCE_FLOOR, RoundEngine, SimulationConfig,
-                         accumulate_payoffs, density, fermi_probability,
-                         init_state, read_state_text, run, run_replicas,
-                         sweep_ts, write_grid_csv, write_state_text,
-                         write_trajectory_csv)
+from megt.comm import ScalingBounds, communicability, scaling_factor
+from megt.evolve import (DISTANCE_FLOOR, RoundEngine, ScalingTable,
+                         SimulationConfig, accumulate_payoffs, density,
+                         fermi_probability, init_state, read_state_text, run,
+                         run_replicas, sweep_ts, write_grid_csv,
+                         write_state_text, write_trajectory_csv)
 from megt.evolve import _worker_count
 from megt.games import (COOPERATE, PayoffMatrix, from_ts, pd_from_bc,
                         representative)
-from megt.netgen import (LayerTopology, MultiplexSpec, build_multiplex,
-                         multiplex_from_arrays)
+from megt.netgen import (LayerTopology, MultiplexNetwork, MultiplexSpec,
+                         build_multiplex, multiplex_from_arrays)
 
 from conftest import megt_env
 
@@ -492,19 +491,42 @@ def test_grid_cells_are_position_seeded():
 def test_sweep_on_a_prebuilt_network_computes_communicability_once(
         monkeypatch):
     calls = []
+    list_calls = []
+    engines = []
 
     def counting_exp(matrix):
         calls.append(matrix.shape)
         return original_exp(matrix)
 
+    def counting_lists(network):
+        list_calls.append(network)
+        return original_lists(network)
+
+    def recording_init(engine, *args):
+        original_init(engine, *args)
+        engines.append(engine)
+
     original_exp = megt.comm.matrix_exp
+    original_lists = MultiplexNetwork.neighbour_lists
+    original_init = RoundEngine.__init__
     monkeypatch.setattr(megt.comm, "matrix_exp", counting_exp)
+    monkeypatch.setattr(MultiplexNetwork, "neighbour_lists", counting_lists)
+    monkeypatch.setattr(RoundEngine, "__init__", recording_init)
     net = build_multiplex(small_spec(seed=9, n=20))
     config = dataclasses.replace(grid_config(), spec=None, network=net)
     t_values = [0.0, 0.5, 1.0, 1.5, 2.0]
     s_values = [-1.0, -0.5, 0.0, 0.5, 1.0]
     grid = sweep_ts(config, t_values, s_values)
     assert len(calls) == 1
+    assert len(list_calls) == 1
+    # the per-network tables live in the shared ScalingTable: no engine
+    # holds an N-long list of N-long lists
+    assert len(engines) == 25 * config.replicas
+    for engine in engines:
+        for value in vars(engine).values():
+            assert not (isinstance(value, list) and len(value) == 20
+                        and all(isinstance(row, list) and len(row) == 20
+                                for row in value))
 
     # the same grid with every cell on its own copy, which the memo
     # cannot recognise
@@ -519,6 +541,7 @@ def test_sweep_on_a_prebuilt_network_computes_communicability_once(
             mean[it, js] = np.mean(steadies)
             std[it, js] = np.std(steadies)
     assert len(calls) == 1 + 25
+    assert len(list_calls) == 1 + 25
     assert np.array_equal(grid.rho_mean, mean)
     assert np.array_equal(grid.rho_std, std)
 

@@ -143,7 +143,7 @@ def clean_env(monkeypatch):
     ("generate", GENERATE_CONFIG),
     ("nash", NASH_CONFIG),
     ("synth", SYNTH_CONFIG),
-])
+], ids=["evolve", "generate", "nash", "synth"])
 def test_golden_outputs(tmp_path, command, config_text):
     assert _digests(_run(tmp_path, command, config_text)) == GOLDEN[command]
 

@@ -317,6 +317,12 @@ def test_load_rejects_malformed_files(tmp_path):
     with pytest.raises(ValueError, match="layer index"):
         load_multiplex(path)
 
+    # a distance given twice, in either order, is a repeat like an edge
+    path.write_text("multiplex v1 2 1\n0 0 1 1.0\ndelta 0 1 0.5\n"
+                    "delta 1 0 0.25\n")
+    with pytest.raises(ValueError, match="line 4: duplicate delta"):
+        load_multiplex(path)
+
 
 @pytest.mark.parametrize("edge, delta, message", [
     ("1.0", "nan", "line 3: non-finite distance"),
