@@ -26,8 +26,8 @@ for reason, count in sorted(reasons.items()):
     print(f"  rejected[{reason}] = {count}")
 
 config = IncentiveConfig(budget=100.0, mechanism="C")
-result = score_corpus(kept, config, rejections=rejected,
-                      mechanisms=("A", "B", "C"), total_users=spec.user_count)
+result = score_corpus(kept, config, mechanisms=("A", "B", "C"),
+                      total_users=spec.user_count)
 
 print(f"\nusers scored: {len(result.users)} of {result.total_users}")
 print(f"corpus mean rating: {result.stats.mean_rating:.3f}")

@@ -20,7 +20,7 @@ from .equilibrium import (EquilibriumTracker, LocalBestResponse, NashReport,
                           nash_report, project_strategies)
 from .metrics import (BehaviourStats, behaviour_stats, behavioural_reputation,
                       qoi, social_honesty)
-from .crowdsense import (IncentiveConfig, ReportRecord, SynthSpec, UserProfile,
-                         WindowIndex, incentives, parse_reports, qoc,
-                         read_reports_csv, score_corpus, synth_corpus,
-                         truthfulness)
+from .crowdsense import (IncentiveConfig, ReportRecord, ReportTable,
+                         SynthSpec, UserProfile, WindowIndex, incentives,
+                         parse_reports, qoc, read_reports_csv, score_corpus,
+                         synth_corpus, truthfulness)

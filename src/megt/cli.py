@@ -95,7 +95,6 @@ def _network_spec(cfg: dict, seed: int) -> MultiplexSpec:
                              layer_count=cfg["layers"],
                              topologies=_topologies(cfg),
                              homophily_sigma=cfg["homophily_sigma"],
-                             interlayer_strength=cfg["interlayer_strength"],
                              rng_seed=seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -285,9 +284,7 @@ def cmd_nash(args) -> int:
     # build replica 0's network here and pass it to run() prebuilt
     with _dynamics_errors(cfg):
         network = replica_network(sim)
-        sim = dataclasses.replace(
-            sim, spec=None, network=network,
-            interlayer_strength=sim.resolve_interlayer_strength())
+        sim = dataclasses.replace(sim, spec=None, network=network)
         tracker = EquilibriumTracker(network, sim.game,
                                      projection=cfg["projection"])
         result = run(sim, on_round=tracker.observer())
@@ -329,8 +326,7 @@ def cmd_score(args) -> int:
         raise DataError(f"{reports_path}: no usable reports after filtering")
     mechanisms = (MECHANISMS if cfg["mechanism"] == "all"
                   else (cfg["mechanism"],))
-    result = score_corpus(kept, incentive_cfg, rejections=rejections,
-                          mechanisms=mechanisms)
+    result = score_corpus(kept, incentive_cfg, mechanisms=mechanisms)
     outdir = _outdir(args)
     ledger_path = outdir / "ledger.csv"
     decisions_path = outdir / "decisions.csv"

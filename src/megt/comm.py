@@ -115,7 +115,9 @@ def communicability(network: MultiplexNetwork,
 
 @dataclass(frozen=True)
 class ScalingBounds:
-    """Range of the imitation scaling factor; defaults (0.5, 1.0)."""
+    """Bounds whose difference ``span`` sets how far cross-layer
+    agreement can damp imitation: the scaling factor lies in
+    [1 - span, 1].  Defaults (0.5, 1.0)."""
 
     minimum: float = 0.5
     maximum: float = 1.0
@@ -156,7 +158,7 @@ def scaling_factor(node: int, layer: int, comm: Communicability,
     entries whose strategy on beta equals the node's strategy on
     ``layer`` (numerator), once unrestricted (denominator).  The factor
     is ``1 - bounds.span * numerator / denominator``: full cross-layer
-    agreement pins it at ``bounds.minimum``, no agreement leaves
+    agreement pins it at ``1 - bounds.span``, no agreement leaves
     imitation unscaled at 1.  A zero denominator (single layer, or zero
     coupling) is neutral and returns 1.
     """

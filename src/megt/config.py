@@ -63,9 +63,9 @@ _KEYS = [
     ConfigKey("selection_intensity", "float", 0.1,
               "Fermi selection intensity"),
     ConfigKey("scaling_min", "float", 0.5,
-              "lower bound of the imitation scaling factor"),
+              "with scaling_max, sets the imitation scaling factor's span"),
     ConfigKey("scaling_max", "float", 1.0,
-              "upper bound of the imitation scaling factor"),
+              "scaling_min + span; the factor lies in [1 - span, 1]"),
     ConfigKey("initial_coop_fraction", "float", 0.5,
               "probability each (node, layer) starts cooperating"),
     ConfigKey("payoff_weights", "str", "weighted",

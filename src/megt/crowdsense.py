@@ -23,6 +23,7 @@ import csv
 import datetime as dt
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,7 @@ __all__ = [
     "REPORT_COLUMNS",
     "MECHANISMS",
     "ReportRecord",
+    "ReportTable",
     "WindowIndex",
     "Rejection",
     "UserProfile",
@@ -61,9 +63,8 @@ MECHANISMS = ("A", "B", "C")
 SEGMENTS_PER_DAY = 8
 
 
-@dataclass(frozen=True)
-class ReportRecord:
-    """One validated report row."""
+class ReportRecord(NamedTuple):
+    """One validated report row: a row of a ReportTable."""
 
     object_id: str
     generation_date: dt.date
@@ -103,10 +104,6 @@ class UserProfile:
     gamma_emp: float
     rs_raw: float
     rs_norm: float
-    # the corpus columns the profile was scored from, reused by
-    # decision_rows
-    _columns: _Columns | None = field(default=None, compare=False,
-                                      repr=False)
 
 
 @dataclass(frozen=True)
@@ -127,16 +124,15 @@ class IncentiveConfig:
     epsilon: float = 0.01
 
     def __post_init__(self):
-        if self.budget < 0:
-            raise ValueError(f"budget must be >= 0, got {self.budget}")
-        if not 0.0 <= self.preference_factor <= 1.0:
+        # written so that NaN fails every check
+        if not 0.0 <= self.budget < math.inf:
             raise ValueError(
-                f"preference_factor must lie in [0, 1], "
-                f"got {self.preference_factor}")
-        if not 0.0 <= self.publish_threshold <= 1.0:
-            raise ValueError(
-                f"publish_threshold must lie in [0, 1], "
-                f"got {self.publish_threshold}")
+                f"budget must be finite and >= 0, got {self.budget}")
+        for name in ("preference_factor", "publish_threshold",
+                     "positive_rs_threshold"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
         if self.mechanism not in MECHANISMS:
             raise ValueError(
                 f"mechanism must be one of {MECHANISMS}, "
@@ -150,9 +146,10 @@ class IncentiveConfig:
 # ingestion
 # ---------------------------------------------------------------------------
 
-def _parse_row(fields, dates: dict, times: dict) -> ReportRecord:
-    """One raw row as a record; ``dates`` and ``times`` memoise the
-    parses of one ingest (a corpus repeats few distinct stamps)."""
+def _parse_row(fields, dates: dict, times: dict) -> tuple:
+    """One raw row as a tuple in ReportRecord field order; ``dates`` and
+    ``times`` memoise the parses of one ingest (a corpus repeats few
+    distinct stamps)."""
     if len(fields) != len(REPORT_COLUMNS):
         raise ValueError(
             f"expected {len(REPORT_COLUMNS)} fields, got {len(fields)}")
@@ -171,21 +168,20 @@ def _parse_row(fields, dates: dict, times: dict) -> ReportRecord:
     rating = float(rating_txt)
     if not 0.0 <= rating <= 5.0:
         raise ValueError(f"report_rating {rating} outside [0, 5]")
-    return ReportRecord(object_id=object_id, generation_date=date,
-                        day_time=time, street=street, incident_type=kind,
-                        uuid=uuid, report_rating=rating)
+    return object_id, date, time, street, kind, uuid, rating
 
 
 def parse_reports(rows, first_row_number: int = 1
-                  ) -> tuple[list[ReportRecord], list[Rejection]]:
-    """Validate and filter raw rows into kept records plus a rejection log.
+                  ) -> tuple[ReportTable, list[Rejection]]:
+    """Validate and filter raw rows into a table of the kept reports plus
+    a rejection log.
 
     Three filters apply in order: rows that do not parse are rejected as
     ``malformed`` (logged, never fatal); rows with rating exactly 0 are
     ``zero_rating`` spam; within a (user, window, incident_type) group
     only the first report survives, later ones are ``duplicate``.
     """
-    kept: list[ReportRecord] = []
+    kept: list[tuple] = []
     rejections: list[Rejection] = []
     seen: set[tuple[str, dt.date, int, str]] = set()
     dates: dict[str, dt.date] = {}
@@ -193,27 +189,25 @@ def parse_reports(rows, first_row_number: int = 1
     for offset, fields in enumerate(rows):
         row_number = first_row_number + offset
         try:
-            record = _parse_row(fields, dates, times)
+            row = _parse_row(fields, dates, times)
         except (ValueError, TypeError) as exc:
             rejections.append(Rejection(row_number, "malformed", str(exc)))
             continue
-        if record.report_rating == 0.0:
-            rejections.append(
-                Rejection(row_number, "zero_rating", record.object_id))
+        object_id, date, time, _, kind, uuid, rating = row
+        if rating == 0.0:
+            rejections.append(Rejection(row_number, "zero_rating", object_id))
             continue
         # (user, window, incident_type), the window as its date and segment
-        key = (record.uuid, record.generation_date,
-               record.day_time.hour // 3, record.incident_type)
+        key = (uuid, date, time.hour // 3, kind)
         if key in seen:
-            rejections.append(
-                Rejection(row_number, "duplicate", record.object_id))
+            rejections.append(Rejection(row_number, "duplicate", object_id))
             continue
         seen.add(key)
-        kept.append(record)
-    return kept, rejections
+        kept.append(row)
+    return ReportTable(kept), rejections
 
 
-def read_reports_csv(path) -> tuple[list[ReportRecord], list[Rejection]]:
+def read_reports_csv(path) -> tuple[ReportTable, list[Rejection]]:
     """Read a Waze-schema CSV (header required, exact column order)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -294,34 +288,40 @@ def _factorise(values) -> tuple[list, np.ndarray]:
                                  len(values))
 
 
-class _Columns:
-    """Kept records as integer columns, factorised once per corpus.
+class ReportTable:
+    """A corpus of kept reports as columns, factorised once: the input of
+    every scoring stage.
 
-    Users, streets and kinds are coded in sorted order and windows
-    chronologically (window id = (date ordinal - first ordinal) * 8 +
-    segment), so code order is output order and ``np.bincount`` over
-    codes adds floats in the same order as a loop over sorted keys.
-    The parts every mechanism shares (per-user window tuples, per-record
-    quality) are memoised per instance.
+    ``ReportTable(rows)`` takes rows in ReportRecord field order (ingest
+    passes its parsed tuples); iterating yields them back as
+    ReportRecords, in input order.  Users, streets and kinds are coded
+    in sorted order and windows chronologically (window id = (date
+    ordinal - first ordinal) * 8 + segment), so code order is output
+    order and ``np.bincount`` over codes adds floats in the same order
+    as a loop over sorted keys.  The parts every mechanism shares
+    (per-user window tuples, per-report quality) are memoised per
+    instance.
     """
 
-    def __init__(self, records: list[ReportRecord]):
-        self.records = records
-        self.users, self.user = _factorise([r.uuid for r in records])
-        self.streets, self.street = _factorise([r.street for r in records])
-        self.kinds, self.kind = _factorise([r.incident_type
-                                            for r in records])
-        self.ratings = np.array([r.report_rating for r in records],
-                                dtype=float)
+    def __init__(self, rows=()):
+        # one tuple per ReportRecord field
+        self._by_field = (tuple(zip(*rows))
+                          or ((),) * len(ReportRecord._fields))
+        (_, generation_dates, day_times, streets, kinds, uuids,
+         ratings) = self._by_field
+        self.users, self.user = _factorise(uuids)
+        self.streets, self.street = _factorise(streets)
+        self.kinds, self.kind = _factorise(kinds)
+        self.ratings = np.array(ratings, dtype=float)
         values, self.rating = np.unique(self.ratings, return_inverse=True)
         self.rating_values = values.tolist()
-        dates, date = _factorise([r.generation_date for r in records])
+        dates, date = _factorise(generation_dates)
         first = dates[0].toordinal() if dates else 0
         self.day_span = dates[-1].toordinal() - first + 1 if dates else 0
         day = np.array([d.toordinal() - first for d in dates],
                        dtype=np.intp)[date]
-        hour = np.fromiter((r.day_time.hour for r in records), np.intp,
-                           len(records))
+        hour = np.fromiter((t.hour for t in day_times), np.intp,
+                           len(day_times))
         ids, self.window = np.unique(day * SEGMENTS_PER_DAY + hour // 3,
                                      return_inverse=True)
         days, segments = np.divmod(ids, SEGMENTS_PER_DAY)
@@ -330,8 +330,14 @@ class _Columns:
                                               segments.tolist())]
         self._memo: dict = {}
 
+    def __len__(self) -> int:
+        return len(self.ratings)
+
+    def __iter__(self):
+        return map(ReportRecord._make, zip(*self._by_field))
+
     def quality(self, epsilon: float) -> np.ndarray:
-        """Per-record ``qoc(truthfulness(rating))``, evaluated once per
+        """Per-report ``qoc(truthfulness(rating))``, evaluated once per
         distinct rating."""
         key = ("quality", epsilon)
         if key not in self._memo:
@@ -341,7 +347,7 @@ class _Columns:
         return self._memo[key]
 
     def user_windows(self, above: float | None = None):
-        """Distinct (user, window) pairs of all records, or of those rated
+        """Distinct (user, window) pairs of all reports, or of those rated
         strictly above ``above``, sorted by user then window.
 
         Returns ``(pair_user, pair_window, per_user)`` with ``per_user``
@@ -375,53 +381,33 @@ class CorpusStats:
     """
 
     mean_rating: float
-    window_reports: dict[WindowIndex, list[ReportRecord]]
     total_window_count: int
     coop_density: dict[WindowIndex, float]
     window_weight: dict[WindowIndex, float]
-    # the columns these aggregates came from, reused by build_profiles
-    _columns: _Columns | None = field(default=None, compare=False,
-                                      repr=False)
 
 
-def _columns_for(kept: list, columns: _Columns | None) -> _Columns:
-    """``columns`` if they were built from ``kept``, else new ones (list
-    equality tests identity first, so the check is cheap)."""
-    if columns is None or columns.records != kept:
-        columns = _Columns(kept)
-    return columns
-
-
-def compute_corpus_stats(kept, epsilon: float = 0.01) -> CorpusStats:
-    kept = list(kept)
-    columns = _Columns(kept)
-    if not kept:
-        return CorpusStats(mean_rating=0.0, window_reports={},
-                           total_window_count=0, coop_density={},
-                           window_weight={}, _columns=columns)
-    mean_rating = _running_sum(columns.ratings.tolist()) / len(kept)
-    window_count = len(columns.windows)
-    reports = np.bincount(columns.window, minlength=window_count)
-    coop = np.bincount(columns.window[columns.ratings > mean_rating],
+def compute_corpus_stats(table: ReportTable,
+                         epsilon: float = 0.01) -> CorpusStats:
+    if not table:
+        return CorpusStats(mean_rating=0.0, total_window_count=0,
+                           coop_density={}, window_weight={})
+    mean_rating = _running_sum(table.ratings.tolist()) / len(table)
+    window_count = len(table.windows)
+    reports = np.bincount(table.window, minlength=window_count)
+    coop = np.bincount(table.window[table.ratings > mean_rating],
                        minlength=window_count)
     density = coop / reports
     raw_weight = 1.0 / np.maximum(density, epsilon)
     weight_mean = _running_sum(raw_weight.tolist()) / window_count
-    order = np.argsort(columns.window, kind="stable").tolist()
-    grouped = [kept[i] for i in order]
-    bounds = [0] + np.cumsum(reports).tolist()
     return CorpusStats(
         mean_rating=mean_rating,
-        window_reports={w: grouped[a:b] for w, a, b in
-                        zip(columns.windows, bounds, bounds[1:])},
-        total_window_count=columns.day_span * SEGMENTS_PER_DAY,
-        coop_density=dict(zip(columns.windows, density.tolist())),
-        window_weight=dict(zip(columns.windows,
-                               (raw_weight / weight_mean).tolist())),
-        _columns=columns)
+        total_window_count=table.day_span * SEGMENTS_PER_DAY,
+        coop_density=dict(zip(table.windows, density.tolist())),
+        window_weight=dict(zip(table.windows,
+                               (raw_weight / weight_mean).tolist())))
 
 
-def _empirical_gammas(columns: _Columns, mechanism: str,
+def _empirical_gammas(table: ReportTable, mechanism: str,
                       stats: CorpusStats) -> np.ndarray:
     """Report-derived cooperativeness of every user, in user-code order.
 
@@ -432,24 +418,24 @@ def _empirical_gammas(columns: _Columns, mechanism: str,
       cooperative-density weight, rewarding scarce cooperation.
     """
     if mechanism == "A":
-        return np.ones(len(columns.users))
+        return np.ones(len(table.users))
     if stats.total_window_count < 1:
         raise ValueError("empty corpus: no windows to normalise against")
     if mechanism not in ("B", "C"):
         raise ValueError(f"mechanism must be one of {MECHANISMS}, "
                          f"got {mechanism!r}")
-    pair_user, pair_window, _ = columns.user_windows(stats.mean_rating)
+    pair_user, pair_window, _ = table.user_windows(stats.mean_rating)
     if mechanism == "B":
-        counts = np.bincount(pair_user, minlength=len(columns.users))
+        counts = np.bincount(pair_user, minlength=len(table.users))
         return counts / stats.total_window_count
-    weight = np.array([stats.window_weight[w] for w in columns.windows])
+    weight = np.array([stats.window_weight[w] for w in table.windows])
     # pairs are sorted by window within a user: the canonical order
     sums = np.bincount(pair_user, weights=weight[pair_window],
-                       minlength=len(columns.users))
+                       minlength=len(table.users))
     return sums / stats.total_window_count
 
 
-def build_profiles(kept, config: IncentiveConfig, mechanism: str,
+def build_profiles(table: ReportTable, config: IncentiveConfig, mechanism: str,
                    stats: CorpusStats | None = None,
                    gamma_override: dict[str, float] | None = None
                    ) -> dict[str, UserProfile]:
@@ -464,11 +450,9 @@ def build_profiles(kept, config: IncentiveConfig, mechanism: str,
     keyed by user id; users absent from the map fall back to the
     mechanism's empirical value.
     """
-    kept = list(kept)
     if stats is None:
-        stats = compute_corpus_stats(kept, config.epsilon)
-    columns = _columns_for(kept, stats._columns)
-    users = columns.users
+        stats = compute_corpus_stats(table, config.epsilon)
+    users = table.users
     override = gamma_override or {}
     # _empirical_gammas raises (unknown mechanism, no windows) only for a
     # user who falls back on it
@@ -478,19 +462,19 @@ def build_profiles(kept, config: IncentiveConfig, mechanism: str,
         gammas = [override[user] if user in override else value
                   for user, value in zip(
                       users,
-                      _empirical_gammas(columns, mechanism, stats).tolist())]
-    weighted = (np.array(gammas, dtype=float)[columns.user]
-                * columns.quality(config.epsilon))
-    # records are in input order within each user
-    raws = np.bincount(columns.user, weights=weighted,
+                      _empirical_gammas(table, mechanism, stats).tolist())]
+    weighted = (np.array(gammas, dtype=float)[table.user]
+                * table.quality(config.epsilon))
+    # reports are in input order within each user
+    raws = np.bincount(table.user, weights=weighted,
                        minlength=len(users)).tolist()
-    counts = np.bincount(columns.user, minlength=len(users)).tolist()
-    active = columns.user_windows()[2]
-    coop = columns.user_windows(stats.mean_rating)[2]
+    counts = np.bincount(table.user, minlength=len(users)).tolist()
+    active = table.user_windows()[2]
+    coop = table.user_windows(stats.mean_rating)[2]
     return {user: UserProfile(user_id=user, report_count=count,
                               active_windows=act, coop_windows=cop,
                               gamma_emp=gamma, rs_raw=raw,
-                              rs_norm=logistic(raw), _columns=columns)
+                              rs_norm=logistic(raw))
             for user, count, act, cop, gamma, raw in zip(
                 users, counts, active, coop, gammas, raws)}
 
@@ -499,7 +483,7 @@ def build_profiles(kept, config: IncentiveConfig, mechanism: str,
 # decision support
 # ---------------------------------------------------------------------------
 
-def decision_rows(kept, profiles, config: IncentiveConfig):
+def decision_rows(table: ReportTable, profiles, config: IncentiveConfig):
     """DSS log: one decision per (window, street) report group.
 
     Trust (the positive-reputation user set) is assessed over the whole
@@ -513,28 +497,25 @@ def decision_rows(kept, profiles, config: IncentiveConfig):
     iff its confidence reaches ``publish_threshold``.  Rows come out
     sorted by date, segment, street.
     """
-    kept = list(kept)
-    if not kept:
+    if not table:
         return []
-    columns = _columns_for(kept, getattr(next(iter(profiles.values()), None),
-                                         "_columns", None))
-    user_count = len(columns.users)
-    rs_norm = np.array([profiles[user].rs_norm for user in columns.users],
+    user_count = len(table.users)
+    rs_norm = np.array([profiles[user].rs_norm for user in table.users],
                        dtype=float)
     # distinct positive users per window
-    pair_user, pair_window, _ = columns.user_windows()
+    pair_user, pair_window, _ = table.user_windows()
     positive = np.bincount(
         pair_window[rs_norm[pair_user] >= config.positive_rs_threshold],
-        minlength=len(columns.windows))
+        minlength=len(table.windows))
     # (window, street) groups, their (group, kind) cells, and each
     # cell's distinct contributors in sorted-uuid order
     groups, group = np.unique(
-        columns.window * len(columns.streets) + columns.street,
+        table.window * len(table.streets) + table.street,
         return_inverse=True)
-    cells, cell = np.unique(group * len(columns.kinds) + columns.kind,
+    cells, cell = np.unique(group * len(table.kinds) + table.kind,
                             return_inverse=True)
-    cell_group, cell_kind = np.divmod(cells, len(columns.kinds))
-    contributors = _distinct(cell * user_count + columns.user)
+    cell_group, cell_kind = np.divmod(cells, len(table.kinds))
+    contributors = _distinct(cell * user_count + table.user)
     contributor_cell, contributor = np.divmod(contributors, user_count)
     supporters = np.bincount(contributor_cell, minlength=len(cells))
     rs_agg = np.bincount(contributor_cell, weights=rs_norm[contributor],
@@ -542,7 +523,7 @@ def decision_rows(kept, profiles, config: IncentiveConfig):
     # kinds are sorted within a group: the canonical order
     rs_total = np.bincount(cell_group, weights=rs_agg,
                            minlength=len(groups))[cell_group]
-    group_window, group_street = np.divmod(groups, len(columns.streets))
+    group_window, group_street = np.divmod(groups, len(table.streets))
     trusted = positive[group_window][cell_group]
     quantity = np.divide(supporters, trusted, out=np.zeros(len(cells)),
                          where=trusted > 0)
@@ -557,9 +538,9 @@ def decision_rows(kept, profiles, config: IncentiveConfig):
         np.where(conf == best_value[cell_group], np.arange(len(cells)),
                  len(cells)), starts)
     threshold = config.publish_threshold
-    windows = columns.windows
+    windows = table.windows
     return [(windows[w].date.isoformat(), windows[w].segment,
-             columns.streets[s], columns.kinds[k], value,
+             table.streets[s], table.kinds[k], value,
              "publish" if value >= threshold else "drop")
             for w, s, k, value in zip(group_window.tolist(),
                                       group_street.tolist(),
@@ -616,12 +597,10 @@ class ScoreResult:
     profiles: dict[str, dict[str, UserProfile]]
     payouts: dict[str, dict[str, float]]
     decisions: list[tuple]
-    rejections: list[Rejection]
     phase_s: dict[str, float] = field(default_factory=dict, compare=False)
 
 
-def score_corpus(kept, config: IncentiveConfig,
-                 rejections: list[Rejection] | None = None,
+def score_corpus(table: ReportTable, config: IncentiveConfig,
                  mechanisms=MECHANISMS,
                  total_users: int | None = None,
                  gamma_override: dict[str, float] | None = None
@@ -634,10 +613,8 @@ def score_corpus(kept, config: IncentiveConfig,
     """
     import time  # the phase clock, off the import path
 
-    kept = list(kept)
-    users = sorted({r.uuid for r in kept})
     if total_users is None:
-        total_users = len(users)
+        total_users = len(table.users)
     phase_s: dict[str, float] = {}
     mark = time.perf_counter()
 
@@ -647,9 +624,9 @@ def score_corpus(kept, config: IncentiveConfig,
         phase_s[phase] = now - mark
         mark = now
 
-    stats = compute_corpus_stats(kept, config.epsilon)
+    stats = compute_corpus_stats(table, config.epsilon)
     lap("stats")
-    profiles = {mech: build_profiles(kept, config, mech, stats,
+    profiles = {mech: build_profiles(table, config, mech, stats,
                                      gamma_override)
                 for mech in mechanisms}
     lap("profiles")
@@ -659,13 +636,11 @@ def score_corpus(kept, config: IncentiveConfig,
     lap("incentives")
     decision_mech = (config.mechanism if config.mechanism in profiles
                      else next(iter(mechanisms)))
-    decisions = (decision_rows(kept, profiles[decision_mech], config)
-                 if kept else [])
+    decisions = decision_rows(table, profiles[decision_mech], config)
     lap("decisions")
-    return ScoreResult(users=users, total_users=total_users, stats=stats,
-                       profiles=profiles, payouts=payouts,
-                       decisions=decisions,
-                       rejections=list(rejections or []), phase_s=phase_s)
+    return ScoreResult(users=table.users, total_users=total_users,
+                       stats=stats, profiles=profiles, payouts=payouts,
+                       decisions=decisions, phase_s=phase_s)
 
 
 def write_ledger_csv(result: ScoreResult, path,

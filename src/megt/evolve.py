@@ -31,7 +31,6 @@ from .netgen import MultiplexNetwork, MultiplexSpec, build_multiplex
 
 __all__ = [
     "DISTANCE_FLOOR",
-    "DEFAULT_INTERLAYER_STRENGTH",
     "SimulationConfig",
     "SimulationState",
     "Trajectory",
@@ -57,8 +56,6 @@ __all__ = [
 # denominator, so indistinguishable pairs give near-deterministic
 # imitation instead of a division blow-up
 DISTANCE_FLOOR = 1e-6
-
-DEFAULT_INTERLAYER_STRENGTH = 0.5
 
 # math.exp overflows just above 709; beyond this the probability has
 # saturated to 0 or to the scaling factor anyway
@@ -97,8 +94,6 @@ class SimulationConfig:
     with a prebuilt network all replicas share it and only the dynamics
     seed varies.  A prebuilt network is treated as immutable: runs that
     share the object reuse one communicability table.
-    ``interlayer_strength`` of None defers to the spec's value (or 0.5
-    for a prebuilt network).
     """
 
     game: PayoffMatrix
@@ -106,7 +101,7 @@ class SimulationConfig:
     network: MultiplexNetwork | None = None
     selection_intensity: float = 0.1
     scaling_bounds: ScalingBounds = field(default_factory=ScalingBounds)
-    interlayer_strength: float | None = None
+    interlayer_strength: float = 0.5
     initial_coop_fraction: float = 0.5
     payoff_weights: str = "weighted"
     max_rounds: int = 5000
@@ -118,14 +113,19 @@ class SimulationConfig:
     def __post_init__(self):
         if (self.spec is None) == (self.network is None):
             raise ValueError("exactly one of spec/network must be provided")
+        # written so that NaN fails every check
         if not 0.0 <= self.initial_coop_fraction <= 1.0:
             raise ValueError(
                 f"initial_coop_fraction must lie in [0, 1], "
                 f"got {self.initial_coop_fraction}")
-        if self.selection_intensity <= 0:
+        if not 0.0 < self.selection_intensity < math.inf:
             raise ValueError(
-                f"selection_intensity must be > 0, "
+                f"selection_intensity must be finite and > 0, "
                 f"got {self.selection_intensity}")
+        if not 0.0 <= self.interlayer_strength < math.inf:
+            raise ValueError(
+                f"interlayer_strength must be finite and >= 0, "
+                f"got {self.interlayer_strength}")
         if self.payoff_weights not in ("weighted", "binary"):
             raise ValueError(
                 f"payoff_weights must be 'weighted' or 'binary', "
@@ -139,18 +139,12 @@ class SimulationConfig:
             raise ValueError(
                 f"max_rounds ({self.max_rounds}) must be >= steady_window "
                 f"({self.steady_window})")
-        if self.steady_tolerance <= 0:
+        if not 0.0 < self.steady_tolerance < math.inf:
             raise ValueError(
-                f"steady_tolerance must be > 0, got {self.steady_tolerance}")
+                f"steady_tolerance must be finite and > 0, "
+                f"got {self.steady_tolerance}")
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
-
-    def resolve_interlayer_strength(self) -> float:
-        if self.interlayer_strength is not None:
-            return self.interlayer_strength
-        if self.spec is not None:
-            return self.spec.interlayer_strength
-        return DEFAULT_INTERLAYER_STRENGTH
 
 
 @dataclass
@@ -381,7 +375,7 @@ def _scaling_table(config: SimulationConfig,
     are never memoised.
     """
     global _table_memo
-    omega = config.resolve_interlayer_strength()
+    omega = config.interlayer_strength
     memo = _table_memo
     if memo is not None and memo[0] is network and memo[1] == omega:
         return memo[2]

@@ -277,7 +277,6 @@ class MultiplexSpec:
     layer_count: int
     topologies: tuple[LayerTopology, ...]
     homophily_sigma: float = 1.0
-    interlayer_strength: float = 0.5
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -290,13 +289,9 @@ class MultiplexSpec:
             raise ValueError(
                 f"expected {self.layer_count} topologies, "
                 f"got {len(self.topologies)}")
-        if self.homophily_sigma < 0:
-            raise ValueError(
-                f"homophily_sigma must be >= 0, got {self.homophily_sigma}")
-        if self.interlayer_strength < 0:
-            raise ValueError(
-                f"interlayer_strength must be >= 0, "
-                f"got {self.interlayer_strength}")
+        if not 0.0 <= self.homophily_sigma < math.inf:  # NaN fails too
+            raise ValueError(f"homophily_sigma must be finite and >= 0, "
+                             f"got {self.homophily_sigma}")
 
 
 @dataclass

@@ -57,11 +57,11 @@ def steady_rhos(game, topologies, layers, sigma, seed, replicas=10,
         layer_count=layers,
         topologies=topologies,
         homophily_sigma=sigma,
-        interlayer_strength=omega,
         rng_seed=seed,
     )
-    config = SimulationConfig(game=game, spec=spec, max_rounds=max_rounds,
-                              replicas=replicas, rng_seed=seed)
+    config = SimulationConfig(game=game, spec=spec, interlayer_strength=omega,
+                              max_rounds=max_rounds, replicas=replicas,
+                              rng_seed=seed)
     return np.array([r.trajectory.steady_rho for r in run_replicas(config)])
 
 
@@ -377,9 +377,9 @@ def test_criterion_10_mechanism_differentiation():
         ",".join(row) + "\n" for row in synth_corpus(SynthSpec(rng_seed=0)))
     assert bundled.read_text() == regenerated, "bundled corpus drifted"
 
-    kept, rejected = read_reports_csv(bundled)
+    kept, _ = read_reports_csv(bundled)
     contributing = {record.uuid for record in kept}
-    result = score_corpus(kept, IncentiveConfig(), rejections=rejected,
+    result = score_corpus(kept, IncentiveConfig(),
                           mechanisms=("A", "B", "C"), total_users=300)
 
     counts = {

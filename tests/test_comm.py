@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from megt.comm import (Communicability, ScalingBounds, _cross_neighbourhood,
                        build_supra, communicability, matrix_exp,
@@ -235,6 +237,32 @@ def test_custom_bounds_change_the_span():
     bounds = ScalingBounds(minimum=0.8, maximum=0.9)
     value = scaling_factor(0, 0, comm, strategies, net, bounds)
     assert value == pytest.approx(1.0 - bounds.span)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(2, 6),
+       layers=st.integers(1, 3), edge_probability=st.floats(0.0, 1.0),
+       omega=st.floats(0.05, 2.0), minimum=st.floats(0.01, 1.0),
+       width=st.floats(0.0, 1.0), coop_fraction=st.floats(0.0, 1.0))
+def test_factor_lies_between_one_minus_span_and_one(
+        seed, n, layers, edge_probability, omega, minimum, width,
+        coop_fraction):
+    # the factor is 1 - span * ratio with ratio in [0, 1]: it never
+    # reaches below 1 - span, and scaling_max < 1 does not cap it
+    bounds = ScalingBounds(minimum,
+                           min(minimum + width * (1.0 - minimum), 1.0))
+    spec = MultiplexSpec(node_count=n, layer_count=layers,
+                         topologies=(LayerTopology.er(edge_probability),)
+                         * layers, homophily_sigma=1.0, rng_seed=seed)
+    net = build_multiplex(spec)
+    comm = communicability(net, omega)
+    rng = np.random.default_rng(seed)
+    strategies = (rng.random((layers, n)) < coop_fraction).astype(np.int8)
+    for layer in range(layers):
+        for node in range(n):
+            value = scaling_factor(node, layer, comm, strategies, net,
+                                   bounds)
+            assert 1.0 - bounds.span <= value <= 1.0
 
 
 def test_bounds_validation():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from megt import crowdsense
 from megt.crowdsense import (INCIDENT_TYPES, MECHANISMS, CorpusStats,
-                             IncentiveConfig, ReportRecord, SynthSpec,
+                             IncentiveConfig, ReportRecord, ReportTable,
+                             SynthSpec,
                              UserProfile, WindowIndex, build_profiles,
                              compute_corpus_stats, decision_rows,
                              incentives, logistic, parse_reports, qoc,
@@ -40,8 +41,8 @@ def raw_row(user="u1", rating="4.0", date="2019-10-07", time="09:00",
 def window_segments(*times):
     records = [report(user=f"u{k}", hour=hour, minute=minute)
                for k, (hour, minute) in enumerate(times)]
-    return [window.segment
-            for window in compute_corpus_stats(records).window_reports]
+    stats = compute_corpus_stats(ReportTable(records))
+    return [window.segment for window in stats.coop_density]
 
 
 def test_window_segments_partition_the_day():
@@ -52,11 +53,12 @@ def test_window_segments_partition_the_day():
 def test_windows_group_and_sort():
     records = [report(user="a", hour=22), report(user="b", hour=1),
                report(user="c", hour=2)]
-    grouped = compute_corpus_stats(records).window_reports
-    keys = list(grouped)
-    assert keys == sorted(keys)
-    assert keys[0] == WindowIndex(DAY, 0)
-    assert [r.uuid for r in grouped[keys[0]]] == ["b", "c"]
+    table = ReportTable(records)
+    keys = list(compute_corpus_stats(table).coop_density)
+    assert keys == [WindowIndex(DAY, 0), WindowIndex(DAY, 7)]
+    profiles = build_profiles(table, IncentiveConfig(), "A")
+    assert [u for u, p in profiles.items()
+            if p.active_windows == (keys[0],)] == ["b", "c"]
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +67,7 @@ def test_windows_group_and_sort():
 
 def test_zero_rating_rows_are_spam():
     kept, rejections = parse_reports([raw_row(rating="0.0")])
-    assert kept == []
+    assert list(kept) == []
     assert rejections[0].reason == "zero_rating"
     assert rejections[0].row_number == 1
 
@@ -122,7 +124,7 @@ def test_repeated_stamps_parse_alike():
 
 def test_empty_input():
     kept, rejections = parse_reports([])
-    assert kept == [] and rejections == []
+    assert list(kept) == [] and rejections == []
 
 
 def test_csv_round_trip(tmp_path):
@@ -189,7 +191,7 @@ def test_extended_qoc_scales_linearly():
     records = [report(user="a", rating=4.0)]
     quality = qoc(truthfulness(4.0))
     for gamma in (1.0, 0.0, 0.5, 2.0, -1.5):
-        profile = build_profiles(records, IncentiveConfig(), "A",
+        profile = build_profiles(ReportTable(records), IncentiveConfig(), "A",
                                  gamma_override={"a": gamma})["a"]
         assert profile.rs_raw == gamma * quality
 
@@ -199,14 +201,15 @@ def test_coop_flag_is_strict():
     records = [report(user="hi", rating=4.0, hour=0),
                report(user="lo", rating=2.0, hour=3),
                report(user="eq", rating=3.0, hour=6)]
-    stats = compute_corpus_stats(records)
+    stats = compute_corpus_stats(ReportTable(records))
     assert stats.mean_rating == 3.0
     assert list(stats.coop_density.values()) == [1.0, 0.0, 0.0]
-    profiles = build_profiles(records, IncentiveConfig(), "B", stats)
+    profiles = build_profiles(ReportTable(records), IncentiveConfig(), "B",
+                              stats)
     assert profiles["hi"].coop_windows == (WindowIndex(DAY, 0),)
     assert profiles["eq"].coop_windows == ()
     records = [report(user=f"u{k}", rating=4.0, hour=k) for k in range(5)]
-    stats = compute_corpus_stats(records)
+    stats = compute_corpus_stats(ReportTable(records))
     assert set(stats.coop_density.values()) == {0.0}
 
 
@@ -223,15 +226,15 @@ def test_logistic_behaviour():
 # ---------------------------------------------------------------------------
 
 def stub_stats(total_windows, weights=None):
-    return CorpusStats(mean_rating=3.0, window_reports={},
-                       total_window_count=total_windows, coop_density={},
-                       window_weight=weights or {})
+    return CorpusStats(mean_rating=3.0, total_window_count=total_windows,
+                       coop_density={}, window_weight=weights or {})
 
 
 def test_mechanism_a_is_neutral():
     records = [report(user="a", rating=5.0), report(user="b", rating=1.0)]
     for stats in (None, stub_stats(0)):
-        profiles = build_profiles(records, IncentiveConfig(), "A", stats)
+        profiles = build_profiles(ReportTable(records), IncentiveConfig(),
+                                  "A", stats)
         assert [p.gamma_emp for p in profiles.values()] == [1.0, 1.0]
 
 
@@ -240,7 +243,7 @@ def test_mechanism_b_counts_window_persistence():
     # window 0 does not count it twice
     records = [report(rating=5.0, hour=3 * k) for k in range(3)]
     records.append(report(rating=5.0, hour=1, kind="accident"))
-    profiles = build_profiles(records, IncentiveConfig(), "B",
+    profiles = build_profiles(ReportTable(records), IncentiveConfig(), "B",
                               stub_stats(10))
     assert profiles["u1"].gamma_emp == pytest.approx(0.3)
 
@@ -249,7 +252,7 @@ def test_mechanism_c_uses_window_weights():
     windows = [WindowIndex(DAY, 0), WindowIndex(DAY, 1)]
     weights = {windows[0]: 0.5, windows[1]: 1.5}
     records = [report(rating=5.0, hour=0), report(rating=5.0, hour=3)]
-    profiles = build_profiles(records, IncentiveConfig(), "C",
+    profiles = build_profiles(ReportTable(records), IncentiveConfig(), "C",
                               stub_stats(8, weights))
     assert profiles["u1"].gamma_emp == pytest.approx(2.0 / 8)
 
@@ -257,11 +260,12 @@ def test_mechanism_c_uses_window_weights():
 def test_unknown_mechanism_rejected():
     records = [report(user="a"), report(user="b", hour=13)]
     with pytest.raises(ValueError, match="mechanism must be one of"):
-        build_profiles(records, IncentiveConfig(), "D")
+        build_profiles(ReportTable(records), IncentiveConfig(), "D")
     with pytest.raises(ValueError, match="empty corpus"):
-        build_profiles(records, IncentiveConfig(), "B", stub_stats(0))
+        build_profiles(ReportTable(records), IncentiveConfig(), "B",
+                       stub_stats(0))
     # only a user who falls back on the empirical value raises
-    profiles = build_profiles(records, IncentiveConfig(), "D",
+    profiles = build_profiles(ReportTable(records), IncentiveConfig(), "D",
                               gamma_override={"a": 1.0, "b": 0.5})
     assert profiles["b"].gamma_emp == 0.5
 
@@ -273,8 +277,8 @@ def test_uniform_density_makes_b_and_c_agree():
         records.append(report(user="good", rating=5.0, hour=3 * segment))
         records.append(report(user="poor", rating=1.0, hour=3 * segment))
     config = IncentiveConfig()
-    b = build_profiles(records, config, "B")
-    c = build_profiles(records, config, "C")
+    b = build_profiles(ReportTable(records), config, "B")
+    c = build_profiles(ReportTable(records), config, "C")
     for user in ("good", "poor"):
         assert c[user].gamma_emp == pytest.approx(b[user].gamma_emp)
     assert b["good"].gamma_emp == pytest.approx(2.0 / 8)
@@ -288,8 +292,8 @@ def test_scarce_cooperation_is_upweighted_by_c():
     records.append(report(user="x", rating=5.0, hour=3))
     records += [report(user=f"n{k}", rating=1.0, hour=3) for k in range(4)]
     config = IncentiveConfig()
-    b = build_profiles(records, config, "B")
-    c = build_profiles(records, config, "C")
+    b = build_profiles(ReportTable(records), config, "B")
+    c = build_profiles(ReportTable(records), config, "C")
     # densities 1.0 vs 0.2 -> weights 1/3 vs 5/3 after mean rescale
     assert c["x"].gamma_emp == pytest.approx(b["x"].gamma_emp * 5 / 3)
     assert c["a"].gamma_emp == pytest.approx(b["a"].gamma_emp / 3)
@@ -300,9 +304,9 @@ def test_scarce_cooperation_is_upweighted_by_c():
 def test_stats_window_count_spans_silent_days():
     records = [report(day=DAY), report(day=DAY + dt.timedelta(days=6),
                                        hour=20)]
-    stats = compute_corpus_stats(records)
+    stats = compute_corpus_stats(ReportTable(records))
     assert stats.total_window_count == 7 * 8
-    assert len(stats.window_reports) == 2
+    assert len(stats.coop_density) == 2
 
 
 def test_window_weights_average_to_one():
@@ -311,7 +315,7 @@ def test_window_weights_average_to_one():
                       hour=int(rng.integers(24)),
                       day=DAY + dt.timedelta(days=int(rng.integers(3))))
                for k in range(60)]
-    stats = compute_corpus_stats(records)
+    stats = compute_corpus_stats(ReportTable(records))
     weights = list(stats.window_weight.values())
     assert np.mean(weights) == pytest.approx(1.0, abs=1e-12)
 
@@ -327,7 +331,7 @@ def reputation(ratings, gamma=None):
     records = [report(user="a", rating=r, hour=k)
                for k, r in enumerate(ratings)]
     override = None if gamma is None else {"a": gamma}
-    profile = build_profiles(records, IncentiveConfig(), "A",
+    profile = build_profiles(ReportTable(records), IncentiveConfig(), "A",
                              gamma_override=override)["a"]
     return profile.rs_raw, profile.rs_norm
 
@@ -348,7 +352,8 @@ def test_rs_norm_tracks_rs_raw_sign():
 
 def test_rs_norm_is_monotone_in_raw():
     profiles = build_profiles(
-        [report(user=f"u{r}", rating=float(r), hour=r) for r in range(1, 6)],
+        ReportTable([report(user=f"u{r}", rating=float(r), hour=r)
+                     for r in range(1, 6)]),
         IncentiveConfig(), "A")
     raws = [p.rs_raw for p in profiles.values()]
     norms = [p.rs_norm for p in profiles.values()]
@@ -362,7 +367,7 @@ def test_profiles_report_windows_and_counts():
                report(user="a", rating=5.0, hour=4),
                report(user="a", rating=1.0, hour=9),
                report(user="b", rating=1.0, hour=0)]
-    profiles = build_profiles(records, IncentiveConfig(), "B")
+    profiles = build_profiles(ReportTable(records), IncentiveConfig(), "B")
     a = profiles["a"]
     assert a.report_count == 3
     assert len(a.active_windows) == 3
@@ -373,7 +378,7 @@ def test_profiles_report_windows_and_counts():
 def test_gamma_override_hook():
     records = [report(user="a", rating=5.0), report(user="b", rating=5.0,
                                                     hour=13)]
-    profiles = build_profiles(records, IncentiveConfig(), "A",
+    profiles = build_profiles(ReportTable(records), IncentiveConfig(), "A",
                               gamma_override={"a": 0.0})
     assert profiles["a"].gamma_emp == 0.0
     assert profiles["a"].rs_raw == 0.0
@@ -395,7 +400,8 @@ def stub_profile(user, rs_norm):
 def decide(records, rs_norm, **config):
     """decision_rows over stub profiles with the given reputations."""
     profiles = {u: stub_profile(u, value) for u, value in rs_norm.items()}
-    return decision_rows(records, profiles, IncentiveConfig(**config))
+    return decision_rows(ReportTable(records), profiles,
+                         IncentiveConfig(**config))
 
 
 def test_unanimous_single_type_confidence_is_one():
@@ -483,7 +489,7 @@ def test_decision_rows_are_per_window_and_street():
                report(user="c", street="Birch Street", hour=9, rating=5.0),
                report(user="d", street="Alder Way", hour=14, rating=5.0)]
     profiles = {u: stub_profile(u, 0.9) for u in "abcd"}
-    rows = decision_rows(records, profiles, IncentiveConfig())
+    rows = decision_rows(ReportTable(records), profiles, IncentiveConfig())
     assert [(row[1], row[2]) for row in rows] == [
         (3, "Alder Way"), (3, "Birch Street"), (4, "Alder Way")]
     assert all(row[5] in ("publish", "drop") for row in rows)
@@ -544,6 +550,21 @@ def test_incentive_config_validation():
         IncentiveConfig(mechanism="Z")
     with pytest.raises(ValueError):
         IncentiveConfig(epsilon=0.0)
+    with pytest.raises(ValueError, match="positive_rs_threshold"):
+        IncentiveConfig(positive_rs_threshold=1.5)
+    with pytest.raises(ValueError, match="positive_rs_threshold"):
+        IncentiveConfig(positive_rs_threshold=-0.1)
+    assert IncentiveConfig(positive_rs_threshold=1.0).positive_rs_threshold \
+        == 1.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["budget", "preference_factor",
+                                  "publish_threshold",
+                                  "positive_rs_threshold", "epsilon"])
+def test_incentive_config_rejects_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=name):
+        IncentiveConfig(**{name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +579,7 @@ def small_corpus():
         records.append(report(user=f"good{k}", rating=5.0, hour=3 * k + 1,
                               street="Alder Way", kind="accident"))
     records.append(report(user="bad", rating=1.0, hour=2))
-    return records
+    return ReportTable(records)
 
 
 def test_score_corpus_covers_all_mechanisms():
@@ -626,9 +647,8 @@ def ref_window(record):
 def reference_stats(kept, epsilon):
     """CorpusStats from per-record loops and left-to-right sums."""
     if not kept:
-        return CorpusStats(mean_rating=0.0, window_reports={},
-                           total_window_count=0, coop_density={},
-                           window_weight={})
+        return CorpusStats(mean_rating=0.0, total_window_count=0,
+                           coop_density={}, window_weight={})
     acc = 0.0
     for record in kept:
         acc += record.report_rating
@@ -636,11 +656,10 @@ def reference_stats(kept, epsilon):
     grouped = {}
     for record in kept:
         grouped.setdefault(ref_window(record), []).append(record)
-    window_reports = dict(sorted(grouped.items()))
     dates = [record.generation_date for record in kept]
     span_days = (max(dates) - min(dates)).days + 1
     coop_density = {}
-    for window, rows in window_reports.items():
+    for window, rows in sorted(grouped.items()):
         coop = 0
         for record in rows:
             coop += record.report_rating > mean_rating
@@ -651,8 +670,8 @@ def reference_stats(kept, epsilon):
         acc += value
     weight_mean = acc / len(raw_weight)
     return CorpusStats(
-        mean_rating=mean_rating, window_reports=window_reports,
-        total_window_count=span_days * 8, coop_density=coop_density,
+        mean_rating=mean_rating, total_window_count=span_days * 8,
+        coop_density=coop_density,
         window_weight={w: v / weight_mean for w, v in raw_weight.items()})
 
 
@@ -766,9 +785,10 @@ def assert_matches_reference(kept, config, total_users=None,
 
 
 def test_empty_corpus_matches_reference():
-    result = assert_matches_reference([], IncentiveConfig(), total_users=1)
+    result = assert_matches_reference(ReportTable(), IncentiveConfig(),
+                                      total_users=1)
     assert result.decisions == [] and result.profiles["C"] == {}
-    assert decision_rows([], {}, IncentiveConfig()) == []
+    assert decision_rows(ReportTable(), {}, IncentiveConfig()) == []
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -780,20 +800,46 @@ def test_synthetic_corpora_match_reference(seed, mechanism):
     assert_matches_reference(kept, IncentiveConfig(mechanism=mechanism))
 
 
+def test_table_rebuilt_from_its_rows_scores_alike():
+    table, _ = parse_reports(synth_corpus(SynthSpec(user_count=40,
+                                                    day_count=3, rng_seed=8)))
+    rebuilt = ReportTable(list(table))
+    config = IncentiveConfig()
+    assert score_corpus(rebuilt, config) == score_corpus(table, config)
+
+
+def test_table_iterates_in_input_order():
+    records = [report(user=u, rating=r, hour=h, object_id=f"r{k}")
+               for k, (u, r, h) in enumerate([("b", 4.0, 22), ("a", 1.0, 1),
+                                              ("b", 5.0, 2), ("c", 3.0, 9)])]
+    table = ReportTable(records)
+    assert len(table) == 4
+    assert list(table) == records
+    assert all(type(row) is ReportRecord for row in table)
+
+
+def test_empty_table_has_no_rows():
+    table = ReportTable()
+    assert len(table) == 0 and not table
+    assert list(table) == [] and table.users == []
+    assert list(ReportTable([])) == []
+
+
 def test_single_window_matches_reference():
     kept = [report(user=f"u{k}", rating=float(1 + k % 5), hour=9 + k % 3,
                    street=("Alder Way", "Birch Street")[k % 2],
                    kind=INCIDENT_TYPES[k % 4], object_id=f"r{k}")
             for k in range(12)]
-    result = assert_matches_reference(kept, IncentiveConfig())
-    assert len(result.stats.window_reports) == 1
+    result = assert_matches_reference(ReportTable(kept), IncentiveConfig())
+    assert len(result.stats.coop_density) == 1
 
 
 def test_corpus_without_cooperation_matches_reference():
     # every rating equals the mean, so no report is cooperative
     kept = [report(user=f"u{k % 3}", rating=4.0, hour=k, object_id=f"r{k}")
             for k in range(10)]
-    result = assert_matches_reference(kept, IncentiveConfig(mechanism="B"))
+    result = assert_matches_reference(ReportTable(kept),
+                                      IncentiveConfig(mechanism="B"))
     assert set(result.stats.coop_density.values()) == {0.0}
     assert all(p.gamma_emp == 0.0 for p in result.profiles["C"].values())
 
@@ -823,7 +869,7 @@ def test_equal_confidence_kinds_break_to_the_first_kind():
     # two users file different kinds with equal reputations on one street
     kept = [report(user="a", rating=5.0, kind="weather_hazard"),
             report(user="b", rating=5.0, kind="jam")]
-    result = assert_matches_reference(kept, IncentiveConfig())
+    result = assert_matches_reference(ReportTable(kept), IncentiveConfig())
     assert [row[3] for row in result.decisions] == ["jam"]
 
 
@@ -851,7 +897,7 @@ def test_random_corpora_match_reference(kept, mechanism, preference,
                              preference_factor=preference,
                              publish_threshold=publish,
                              positive_rs_threshold=positive)
-    assert_matches_reference(kept, config)
+    assert_matches_reference(ReportTable(kept), config)
 
 
 def test_score_corpus_runs_each_stage_through_module_globals(monkeypatch):

@@ -173,7 +173,7 @@ def test_payoffs_written_back_into_state():
 # ---------------------------------------------------------------------------
 
 def engine_for(net, game, config):
-    comm = communicability(net, config.resolve_interlayer_strength())
+    comm = communicability(net, config.interlayer_strength)
     return RoundEngine(net, game, ScalingTable(net, comm), config)
 
 
@@ -282,7 +282,7 @@ def test_round_engine_matches_reference_round(seed, p, game, bounds, kappa,
                               scaling_bounds=bounds,
                               selection_intensity=kappa,
                               payoff_weights=weights)
-    comm = communicability(net, config.resolve_interlayer_strength())
+    comm = communicability(net, config.interlayer_strength)
     engine = RoundEngine(net, config.game, ScalingTable(net, comm), config)
     fast = init_state(net, 0.5, np.random.default_rng(seed))
     slow = init_state(net, 0.5, np.random.default_rng(seed))
@@ -425,13 +425,27 @@ def test_config_validation():
         SimulationConfig(game=game, spec=small_spec(), selection_intensity=0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["selection_intensity",
+                                  "interlayer_strength",
+                                  "initial_coop_fraction",
+                                  "steady_tolerance"])
+def test_config_rejects_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=name):
+        SimulationConfig(game=representative("pd"), spec=small_spec(),
+                         **{name: value})
+
+
 def test_interlayer_strength_resolution():
     game = representative("pd")
-    spec_config = SimulationConfig(game=game, spec=small_spec())
-    assert spec_config.resolve_interlayer_strength() == 0.5
+    assert SimulationConfig(game=game,
+                            spec=small_spec()).interlayer_strength == 0.5
     override = SimulationConfig(game=game, spec=small_spec(),
                                 interlayer_strength=0.2)
-    assert override.resolve_interlayer_strength() == 0.2
+    assert override.interlayer_strength == 0.2
+    with pytest.raises(ValueError, match="interlayer_strength"):
+        SimulationConfig(game=game, spec=small_spec(),
+                         interlayer_strength=-0.1)
 
 
 def test_scaling_bounds_feed_through():

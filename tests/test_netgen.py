@@ -199,8 +199,7 @@ def two_layer_spec(seed=0, sigma=1.0):
     return MultiplexSpec(node_count=40, layer_count=2,
                          topologies=(LayerTopology.sf(2),
                                      LayerTopology.er(0.1)),
-                         homophily_sigma=sigma, interlayer_strength=0.5,
-                         rng_seed=seed)
+                         homophily_sigma=sigma, rng_seed=seed)
 
 
 def test_build_multiplex_fields_are_consistent():
@@ -254,6 +253,14 @@ def test_spec_validation():
         MultiplexSpec(node_count=10, layer_count=1,
                       topologies=(LayerTopology.er(0.1),),
                       homophily_sigma=-2.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_spec_rejects_non_finite_sigma(value):
+    with pytest.raises(ValueError, match="homophily_sigma"):
+        MultiplexSpec(node_count=10, layer_count=1,
+                      topologies=(LayerTopology.er(0.1),),
+                      homophily_sigma=value)
 
 
 def test_multiplex_from_arrays_accepts_explicit_weights():
