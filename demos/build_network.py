@@ -12,7 +12,15 @@ from pathlib import Path
 
 import numpy as np
 
-from megt.netgen import LayerTopology, MultiplexSpec, build_multiplex, load_multiplex, save_multiplex
+from megt.netgen import (
+    LayerTopology,
+    MultiplexSpec,
+    build_multiplex,
+    eigenvector_centrality,
+    homophily_from_delta,
+    load_multiplex,
+    save_multiplex,
+)
 
 
 def main() -> None:
@@ -40,21 +48,21 @@ def main() -> None:
     for alpha in range(net.layer_count):
         k = degrees[alpha]
         edges = int(net.adjacency[alpha].sum()) // 2
+        c = eigenvector_centrality(net.adjacency[alpha])
         print(
             f"  layer {alpha}: {edges} edges, <k>={k.mean():.2f}, "
-            f"max k={int(k.max())}, centrality spread="
-            f"{net.centrality[alpha].max() / net.centrality[alpha].min():.1f}x"
+            f"max k={int(k.max())}, centrality spread={c.max() / c.min():.1f}x"
         )
 
     # Homophily is shared across layers: one distance per node pair.
     tri = np.triu_indices(net.node_count, k=1)
-    h = net.homophily[tri]
+    h = homophily_from_delta(net.delta)[tri]
     print(f"homophily h: min={h.min():.3f} median={np.median(h):.3f} max={h.max():.3f}")
 
     w = net.weights[0][net.adjacency[0] > 0]
     print(f"layer-0 link weights: min={w.min():.3f} mean={w.mean():.3f} max={w.max():.3f}")
 
-    union = int(net.aggregated.sum()) // 2
+    union = int(np.any(net.adjacency, axis=0).sum()) // 2
     print(f"aggregated union graph: {union} edges")
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -62,10 +70,11 @@ def main() -> None:
         save_multiplex(net, path)
         again = load_multiplex(path)
         drift = max(
-            abs(net.z_layers[a] - again.z_layers[a]).max()
+            abs(net.weights[a] - again.weights[a]).max()
             for a in range(net.layer_count)
         )
-        print(f"save/load round trip: max |z - z'| = {drift:.2e}")
+        print(f"save/load round trip: max |w - w'| = {drift:.2e}, "
+              f"max |delta - delta'| = {abs(net.delta - again.delta).max():.2e}")
 
 
 if __name__ == "__main__":

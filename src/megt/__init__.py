@@ -15,9 +15,8 @@ from .evolve import (RunResult, ScalingTable, SimulationConfig,
                      SimulationState, Trajectory, accumulate_payoffs, density,
                      fermi_probability, init_state, replica_network,
                      RoundEngine, run, run_replicas, sweep_ts)
-from .equilibrium import (EquilibriumTracker, LocalBestResponse, NashReport,
-                          best_response, is_nash_pair, local_frequency,
-                          nash_report, project_strategies)
+from .equilibrium import (EquilibriumTracker, NashReport, nash_report,
+                          project_strategies)
 from .metrics import (BehaviourStats, behaviour_stats, behavioural_reputation,
                       qoi, social_honesty)
 from .crowdsense import (IncentiveConfig, ReportRecord, ReportTable,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netgen import MultiplexNetwork
+from .netgen import MultiplexNetwork, homophily_from_delta
 
 __all__ = [
     "build_supra",
@@ -41,9 +41,10 @@ def build_supra(network: MultiplexNetwork,
                 interlayer_strength: float) -> np.ndarray:
     """Assemble the supra-matrix from a multiplex.
 
-    Diagonal blocks are the homophily-masked adjacencies ``z_layers``;
-    every off-diagonal block is ``interlayer_strength`` times the
-    identity.  The result is symmetric and nonnegative.
+    Diagonal block alpha is the homophily-masked adjacency
+    ``homophily_from_delta(delta) * adjacency[alpha]``; every
+    off-diagonal block is ``interlayer_strength`` times the identity.
+    The result is symmetric and nonnegative.
     """
     if interlayer_strength < 0:
         raise ValueError(
@@ -51,9 +52,10 @@ def build_supra(network: MultiplexNetwork,
     n, m = network.node_count, network.layer_count
     supra = np.zeros((n * m, n * m))
     eye = np.eye(n) * interlayer_strength
+    homophily = homophily_from_delta(network.delta)
     for alpha in range(m):
         a0 = alpha * n
-        supra[a0:a0 + n, a0:a0 + n] = network.z_layers[alpha]
+        supra[a0:a0 + n, a0:a0 + n] = homophily * network.adjacency[alpha]
         for beta in range(alpha + 1, m):
             b0 = beta * n
             supra[a0:a0 + n, b0:b0 + n] = eye

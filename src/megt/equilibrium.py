@@ -1,9 +1,10 @@
 """Nash-pair analysis of strategy profiles on the aggregated network.
 
 A node's neighbourhood cooperation is summarised by its homophily-
-weighted local cooperator frequency on the aggregated (union) graph;
-the sign of the resulting payoff advantage of cooperating decides its
-best response.  An edge is a Nash pair when both endpoints currently
+weighted local cooperator frequency on the aggregated (union) graph,
+``sum_j h_ij [s_j cooperates] / k_i`` (0 for an isolated node); the
+sign of the resulting payoff advantage of cooperating decides its best
+response.  An edge is a Nash pair when both endpoints currently
 play a best response; the Nash-pair density alpha is the fraction of
 aggregated edges that are Nash pairs.  Tracking alpha round by round
 exposes metastable plateaus before the terminal regime of a run.
@@ -16,16 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import COOPERATE, DEFECT, PayoffMatrix
-from .netgen import MultiplexNetwork
+from .netgen import MultiplexNetwork, homophily_from_delta
 
 __all__ = [
     "PROJECTION_RULES",
-    "LocalBestResponse",
     "NashReport",
     "project_strategies",
-    "local_frequency",
-    "best_response",
-    "is_nash_pair",
     "nash_report",
     "EquilibriumTracker",
     "write_alpha_csv",
@@ -52,38 +49,6 @@ def project_strategies(strategies: np.ndarray,
     return np.where(2 * coop_votes > m, COOPERATE, DEFECT).astype(np.int8)
 
 
-def _coupling_and_degree(network: MultiplexNetwork):
-    coupling = network.homophily * network.aggregated
-    degree = network.aggregated.sum(axis=1).astype(float)
-    return coupling, degree
-
-
-def local_frequency(node: int, strategies_1d: np.ndarray,
-                    network: MultiplexNetwork) -> float:
-    """Homophily-weighted cooperator frequency around one node,
-    ``sum_j h_ij [s_j cooperates] / k_i`` over aggregated neighbours
-    (0 for an isolated node)."""
-    coupling, degree = _coupling_and_degree(network)
-    if degree[node] == 0:
-        return 0.0
-    coop = (np.asarray(strategies_1d) == COOPERATE).astype(float)
-    return float(coupling[node] @ coop / degree[node])
-
-
-@dataclass(frozen=True)
-class LocalBestResponse:
-    """Local cooperator frequency, the payoff advantage of cooperating,
-    and the set of optimal strategies (both, when the advantage is 0)."""
-
-    coop_frequency: float
-    advantage: float
-    best: frozenset
-
-    @property
-    def indifferent(self) -> bool:
-        return len(self.best) == 2
-
-
 def _advantage(game: PayoffMatrix, frequency) -> float:
     """Expected payoff gain of cooperating against a neighbourhood with
     the given weighted cooperator frequency; linear in the frequency."""
@@ -91,41 +56,6 @@ def _advantage(game: PayoffMatrix, frequency) -> float:
     slope = (game.reward - game.temptation
              + game.punishment - game.sucker)
     return base + slope * frequency
-
-
-def best_response(node: int, strategies_1d: np.ndarray,
-                  network: MultiplexNetwork,
-                  game: PayoffMatrix) -> LocalBestResponse:
-    """Best response of a node to its current aggregated neighbourhood."""
-    freq = local_frequency(node, strategies_1d, network)
-    adv = _advantage(game, freq)
-    if adv > 0:
-        best = frozenset({COOPERATE})
-    elif adv < 0:
-        best = frozenset({DEFECT})
-    else:
-        best = frozenset({COOPERATE, DEFECT})
-    return LocalBestResponse(coop_frequency=freq, advantage=adv, best=best)
-
-
-def is_nash_pair(node_i: int, node_j: int, strategies_1d: np.ndarray,
-                 network: MultiplexNetwork,
-                 game: PayoffMatrix) -> tuple[bool, bool]:
-    """(is the edge a Nash pair, is it weak).
-
-    A Nash pair has both endpoints playing a best response against their
-    neighbourhoods; it is weak when at least one endpoint is exactly
-    indifferent (zero advantage).
-    """
-    if not network.aggregated[node_i, node_j]:
-        raise ValueError(f"({node_i}, {node_j}) is not an aggregated edge")
-    lhs = best_response(node_i, strategies_1d, network, game)
-    rhs = best_response(node_j, strategies_1d, network, game)
-    strategies_1d = np.asarray(strategies_1d)
-    ok = (strategies_1d[node_i] in lhs.best
-          and strategies_1d[node_j] in rhs.best)
-    weak = ok and (lhs.indifferent or rhs.indifferent)
-    return ok, weak
 
 
 @dataclass(frozen=True)
@@ -140,8 +70,9 @@ class NashReport:
 class EquilibriumTracker:
     """Vectorised Nash-pair evaluation, reusable across rounds.
 
-    The aggregated coupling, degrees and edge list are fixed per
-    network; each evaluation is a couple of matrix-vector products.
+    The union graph of the layers, its homophily coupling, the degrees
+    and the edge list are built once per tracker; each evaluation is a
+    matrix-vector product.
     """
 
     def __init__(self, network: MultiplexNetwork, game: PayoffMatrix,
@@ -151,9 +82,10 @@ class EquilibriumTracker:
         self.network = network
         self.game = game
         self.projection = projection
-        self.coupling, self.degree = _coupling_and_degree(network)
-        self.edge_i, self.edge_j = np.nonzero(
-            np.triu(network.aggregated, k=1))
+        union = np.any(network.adjacency, axis=0)
+        self.coupling = homophily_from_delta(network.delta) * union
+        self.degree = union.sum(axis=1).astype(float)
+        self.edge_i, self.edge_j = np.nonzero(np.triu(union, k=1))
         if self.edge_i.size == 0:
             raise ValueError("aggregated network has no edges")
         self.history: list[tuple[int, float, float]] = []

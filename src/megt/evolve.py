@@ -72,9 +72,9 @@ def fermi_probability(payoff_self: float, payoff_other: float,
     exactly ``scaling / 2``; a socially closer pair (smaller distance)
     sharpens the comparison in both directions.
     """
-    if selection_intensity <= 0:
-        raise ValueError(
-            f"selection_intensity must be > 0, got {selection_intensity}")
+    if not 0.0 < selection_intensity < math.inf:  # NaN fails too
+        raise ValueError(f"selection_intensity must be finite and > 0, "
+                         f"got {selection_intensity}")
     x = (payoff_self - payoff_other) / (
         max(distance, DISTANCE_FLOOR) * selection_intensity)
     if x > _EXP_CLAMP:
@@ -149,12 +149,11 @@ class SimulationConfig:
 
 @dataclass
 class SimulationState:
-    """Mutable per-run state: (M, N) strategy and payoff tables, the
+    """Mutable per-run state: the (M, N) strategy table, the
     completed-round counter, the cumulative cooperative-interaction
     counter per node, and the dynamics RNG."""
 
     strategies: np.ndarray
-    payoffs: np.ndarray
     round_index: int
     coop_count: np.ndarray
     rng: np.random.Generator
@@ -184,11 +183,10 @@ class RunResult:
 def init_state(network: MultiplexNetwork, initial_coop_fraction: float,
                rng: np.random.Generator) -> SimulationState:
     """Fresh state: each (node, layer) cooperates independently with the
-    given probability; payoffs and counters start at zero."""
+    given probability; counters start at zero."""
     m, n = network.layer_count, network.node_count
     strategies = (rng.random((m, n)) < initial_coop_fraction).astype(np.int8)
     return SimulationState(strategies=strategies,
-                           payoffs=np.zeros((m, n)),
                            round_index=0,
                            coop_count=np.zeros(n, dtype=np.int64),
                            rng=rng)
@@ -201,7 +199,7 @@ def accumulate_payoffs(state: SimulationState, network: MultiplexNetwork,
 
     Each edge contributes ``w_ij * payoff(s_i, s_j)``; the ``binary``
     mode replaces the link weights by the bare adjacency.  Isolated
-    slots get 0.  The result is also written into ``state.payoffs``.
+    slots get 0.
     """
     m, n = state.strategies.shape
     out = np.zeros((m, n))
@@ -214,7 +212,6 @@ def accumulate_payoffs(state: SimulationState, network: MultiplexNetwork,
         coop_mass = coupling @ is_coop.astype(float)
         total_mass = coupling.sum(axis=1)
         out[alpha] = vs_coop * coop_mass + vs_defect * (total_mass - coop_mass)
-    state.payoffs = out
     return out
 
 
@@ -572,7 +569,7 @@ def write_state_text(state: SimulationState, path) -> None:
 
 
 def read_state_text(path) -> SimulationState:
-    """Parse a snapshot back (payoffs zeroed, RNG unset)."""
+    """Parse a snapshot back (RNG unset)."""
     with open(path, encoding="ascii") as fh:
         lines = fh.read().splitlines()
     header = lines[0].split()
@@ -595,9 +592,8 @@ def read_state_text(path) -> SimulationState:
             coop = np.array([int(v) for v in parts[1:]], dtype=np.int64)
         else:
             raise ValueError(f"{path}: unexpected line {line!r}")
-    return SimulationState(strategies=strategies, payoffs=np.zeros((m, n)),
-                           round_index=round_index, coop_count=coop,
-                           rng=None)
+    return SimulationState(strategies=strategies, round_index=round_index,
+                           coop_count=coop, rng=None)
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:

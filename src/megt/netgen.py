@@ -1,15 +1,15 @@
 """Construction of homophily-weighted multiplex networks.
 
 A multiplex here is M undirected, unweighted layers over the same N
-nodes, plus a single pairwise homophily structure shared by all layers:
+nodes, plus a single pairwise distance structure shared by all layers:
 ``delta[i, j]`` is a nonnegative social distance drawn once per
-unordered pair, and ``homophily[i, j] = 1 / (1 + delta[i, j])``.
+unordered pair, with homophily ``h[i, j] = 1 / (1 + delta[i, j])``.
 
-Each layer also carries link weights
-``weights[i, j] = homophily[i, j] * (c_i + c_j) / 2`` where ``c`` is the
-layer's eigenvector centrality, and a homophily-masked adjacency
-``z = homophily * adjacency`` used by the inter-layer coupling and the
-equilibrium analysis.
+A network stores exactly three array families: each layer's
+``adjacency``, the shared ``delta``, and each layer's link weights
+``weights[i, j] = h[i, j] * (c_i + c_j) / 2`` where ``c`` is the layer's
+eigenvector centrality.  Homophily, centrality and the union graph are
+computed where they are used.
 """
 
 from __future__ import annotations
@@ -154,13 +154,13 @@ def generate_sf(node_count: int, attachment_count: int,
 # homophily
 # ---------------------------------------------------------------------------
 
-def sample_homophily(node_count: int, sigma: float, seed=None):
-    """Draw the pairwise social-distance matrix and its homophily weights.
+def sample_homophily(node_count: int, sigma: float, seed=None) -> np.ndarray:
+    """Draw the pairwise social-distance matrix ``delta``.
 
     Each unordered pair receives an independent ``|Normal(0, sigma)|``
-    distance; the diagonal is zero.  Returns ``(delta, homophily)`` with
-    ``homophily = 1 / (1 + delta)``, so sigma = 0 gives homophily 1
-    everywhere and larger sigma pushes weights toward 0.
+    distance; the diagonal is zero.  sigma = 0 gives homophily 1
+    everywhere (see ``homophily_from_delta``) and larger sigma pushes
+    it toward 0.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
@@ -172,7 +172,7 @@ def sample_homophily(node_count: int, sigma: float, seed=None):
         else np.zeros(iu.size)
     delta[iu, ju] = draws
     delta[ju, iu] = draws
-    return delta, homophily_from_delta(delta)
+    return delta
 
 
 def homophily_from_delta(delta: np.ndarray) -> np.ndarray:
@@ -296,23 +296,17 @@ class MultiplexSpec:
 
 @dataclass
 class MultiplexNetwork:
-    """A realised multiplex: layer adjacencies plus shared homophily.
+    """A realised multiplex: layer adjacencies, shared social distances
+    and per-layer link weights.
 
-    ``adjacency[alpha]`` is the 0/1 matrix of layer alpha; ``delta`` and
-    ``homophily`` are the shared pairwise distance/weight matrices;
-    ``centrality[alpha]`` the per-layer eigenvector centralities;
-    ``weights[alpha]`` the per-layer link weights;
-    ``z_layers[alpha] = homophily * adjacency[alpha]``; ``aggregated``
-    the 0/1 union of all layers.
+    ``adjacency[alpha]`` is the 0/1 matrix of layer alpha, ``delta`` the
+    shared pairwise distance matrix and ``weights[alpha]`` the link
+    weights of layer alpha.
     """
 
     adjacency: list[np.ndarray]
     delta: np.ndarray
-    homophily: np.ndarray
-    centrality: list[np.ndarray] = field(repr=False, default_factory=list)
-    weights: list[np.ndarray] = field(repr=False, default_factory=list)
-    z_layers: list[np.ndarray] = field(repr=False, default_factory=list)
-    aggregated: np.ndarray = field(repr=False, default=None)
+    weights: list[np.ndarray] = field(repr=False)
 
     @property
     def node_count(self) -> int:
@@ -332,21 +326,11 @@ class MultiplexNetwork:
                 for a in self.adjacency]
 
 
-def _derive_fields(adjacency: list[np.ndarray], delta: np.ndarray,
-                   weights: list[np.ndarray] | None = None) -> MultiplexNetwork:
+def _default_weights(adjacency: list[np.ndarray],
+                     delta: np.ndarray) -> list[np.ndarray]:
     homophily = homophily_from_delta(delta)
-    centrality = [eigenvector_centrality(a) for a in adjacency]
-    if weights is None:
-        weights = [link_weights(a, homophily, c)
-                   for a, c in zip(adjacency, centrality)]
-    z_layers = [homophily * a for a in adjacency]
-    aggregated = (np.sum([a.astype(int) for a in adjacency], axis=0) > 0)
-    aggregated = aggregated.astype(np.int8)
-    np.fill_diagonal(aggregated, 0)
-    return MultiplexNetwork(adjacency=adjacency, delta=delta,
-                            homophily=homophily, centrality=centrality,
-                            weights=weights, z_layers=z_layers,
-                            aggregated=aggregated)
+    return [link_weights(a, homophily, eigenvector_centrality(a))
+            for a in adjacency]
 
 
 def build_multiplex(spec: MultiplexSpec) -> MultiplexNetwork:
@@ -358,14 +342,15 @@ def build_multiplex(spec: MultiplexSpec) -> MultiplexNetwork:
     """
     homophily_rng = np.random.default_rng(
         np.random.SeedSequence(spec.rng_seed, spawn_key=(0,)))
-    delta, _ = sample_homophily(spec.node_count, spec.homophily_sigma,
-                                homophily_rng)
+    delta = sample_homophily(spec.node_count, spec.homophily_sigma,
+                             homophily_rng)
     adjacency = []
     for alpha, topo in enumerate(spec.topologies):
         layer_rng = np.random.default_rng(
             np.random.SeedSequence(spec.rng_seed, spawn_key=(1 + alpha,)))
         adjacency.append(topo.realise(spec.node_count, layer_rng))
-    return _derive_fields(adjacency, delta)
+    return MultiplexNetwork(adjacency, delta,
+                            _default_weights(adjacency, delta))
 
 
 def multiplex_from_arrays(adjacency: list[np.ndarray], delta: np.ndarray,
@@ -374,7 +359,11 @@ def multiplex_from_arrays(adjacency: list[np.ndarray], delta: np.ndarray,
     """Assemble a multiplex from explicit adjacency and distance matrices.
 
     Handy for tests and small worked examples; ``weights`` may be given
-    explicitly to override the centrality-based defaults.
+    explicitly to override the centrality-based defaults.  The rules are
+    those of ``load_multiplex``: symmetric 0/1 layers with a zero
+    diagonal, and N x N distance and weight matrices that are symmetric,
+    finite and nonnegative, one weight matrix per layer that is zero off
+    the layer's edges.  A violation raises ValueError naming it.
     """
     n = delta.shape[0]
     for a in adjacency:
@@ -384,10 +373,31 @@ def multiplex_from_arrays(adjacency: list[np.ndarray], delta: np.ndarray,
             raise ValueError("adjacency must be symmetric")
         if np.any(np.diag(a) != 0):
             raise ValueError("adjacency must have a zero diagonal")
-    if not np.array_equal(delta, delta.T):
-        raise ValueError("delta must be symmetric")
     adjacency = [a.astype(np.int8) for a in adjacency]
-    return _derive_fields(adjacency, delta.astype(float), weights)
+    delta = _checked_matrix("delta", delta, n)
+    if weights is None:
+        return MultiplexNetwork(adjacency, delta,
+                                _default_weights(adjacency, delta))
+    if len(weights) != len(adjacency):
+        raise ValueError(f"expected {len(adjacency)} weight matrices, "
+                         f"got {len(weights)}")
+    weights = [_checked_matrix("weights", w, n) for w in weights]
+    if any(np.any(w[a == 0]) for a, w in zip(adjacency, weights)):
+        raise ValueError("weights must be zero off the layer's edges")
+    return MultiplexNetwork(adjacency, delta, weights)
+
+
+def _checked_matrix(name: str, matrix, n: int) -> np.ndarray:
+    matrix = np.array(matrix, dtype=float)
+    if matrix.shape != (n, n):
+        raise ValueError(f"{name} must be {n}x{n}, got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"{name} has non-finite entries")
+    if np.any(matrix < 0):
+        raise ValueError(f"{name} has negative entries")
+    if not np.array_equal(matrix, matrix.T):
+        raise ValueError(f"{name} must be symmetric")
+    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +435,10 @@ def save_multiplex(network: MultiplexNetwork, path) -> None:
 def load_multiplex(path) -> MultiplexNetwork:
     """Read the edge-list format back into a MultiplexNetwork.
 
-    Homophily is reconstructed from the delta lines; centralities and
-    the coupling matrices are recomputed from the adjacency (both are
-    deterministic), while link weights are taken verbatim from the file.
-    Raises ValueError naming the first offending line on malformed input,
-    such as a repeated edge or distance, or a NaN, infinite or negative value.
+    Adjacency, distances and link weights are taken verbatim from the
+    file; nothing is recomputed.  Raises ValueError naming the first
+    offending line on malformed input, such as a repeated edge or
+    distance, or a NaN, infinite or negative value.
     """
     with open(path, encoding="ascii") as fh:
         raw = fh.read().splitlines()
@@ -503,4 +512,4 @@ def load_multiplex(path) -> MultiplexNetwork:
         missing = np.argwhere(np.triu(~seen_delta, k=1))
         i, j = missing[0]
         raise ValueError(f"{path}: missing delta entry for pair ({i}, {j})")
-    return _derive_fields(adjacency, delta, weights)
+    return MultiplexNetwork(adjacency, delta, weights)

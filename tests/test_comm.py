@@ -11,7 +11,7 @@ from megt.comm import (Communicability, ScalingBounds, _cross_neighbourhood,
                        scaling_factor)
 from megt.evolve import DISTANCE_FLOOR, ScalingTable
 from megt.netgen import (LayerTopology, MultiplexSpec, build_multiplex,
-                         multiplex_from_arrays)
+                         homophily_from_delta, multiplex_from_arrays)
 
 COSH_1 = 1.5430806348152437
 SINH_1 = 1.1752011936438014
@@ -51,11 +51,14 @@ def test_supra_pure_interlayer_coupling():
 
 
 def test_supra_zero_coupling_is_block_diagonal():
-    net = pair_layers(3, [[(0, 1)], [(1, 2)]])
+    layers = pair_layers(3, [[(0, 1)], [(1, 2)]]).adjacency
+    delta = np.array([[0.0, 1.0, 0.3], [1.0, 0.0, 3.0], [0.3, 3.0, 0.0]])
+    net = multiplex_from_arrays(layers, delta)
     supra = build_supra(net, 0.0)
     assert supra[:3, 3:].sum() == 0.0
-    assert np.array_equal(supra[:3, :3], net.z_layers[0])
-    assert np.array_equal(supra[3:, 3:], net.z_layers[1])
+    homophily = homophily_from_delta(delta)
+    assert np.array_equal(supra[:3, :3], homophily * layers[0])
+    assert np.array_equal(supra[3:, 3:], homophily * layers[1])
 
 
 def test_supra_row_sums_one_unit_edge_per_layer():

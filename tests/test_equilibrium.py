@@ -1,16 +1,93 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from megt.equilibrium import (EquilibriumTracker, best_response, is_nash_pair,
-                              local_frequency, nash_report,
+from megt.equilibrium import (EquilibriumTracker, nash_report,
                               project_strategies, write_alpha_csv)
 from megt.evolve import SimulationConfig, run
-from megt.games import PayoffMatrix, from_ts, representative
+from megt.games import COOPERATE, DEFECT, PayoffMatrix, from_ts, representative
 from megt.netgen import (LayerTopology, MultiplexSpec, build_multiplex,
                          multiplex_from_arrays)
 
 PD = PayoffMatrix(reward=1.0, sucker=-0.5, temptation=1.5, punishment=0.0)
 HG = PayoffMatrix(reward=1.0, sucker=0.5, temptation=0.5, punishment=0.0)
+# from_ts(1, 0) leaves every node indifferent, so every Nash pair is
+# weak; under from_ts(1.5, 0) only nodes without a cooperating neighbour are
+GAMES = [representative(kind) for kind in ("pd", "sd", "sh", "hg")]
+GAMES += [from_ts(1.0, 0.0), from_ts(1.5, 0.0)]
+
+
+# ---------------------------------------------------------------------------
+# per-edge oracle, written from the definitions; EquilibriumTracker is
+# the vectorised form of nash_counts
+# ---------------------------------------------------------------------------
+
+def union_neighbours(node, network):
+    return [j for j in range(network.node_count)
+            if any(a[node, j] for a in network.adjacency)]
+
+
+def union_edges(network):
+    return [(i, j) for i in range(network.node_count)
+            for j in union_neighbours(i, network) if i < j]
+
+
+def local_frequency(node, strategies_1d, network):
+    """``sum_j h_ij [s_j cooperates] / k_i`` over the node's neighbours
+    on the union of the layers, with ``h_ij = 1 / (1 + delta_ij)``; 0 for
+    an isolated node."""
+    neighbours = union_neighbours(node, network)
+    if not neighbours:
+        return 0.0
+    mass = sum(1.0 / (1.0 + network.delta[node, j]) for j in neighbours
+               if strategies_1d[j] == COOPERATE)
+    return mass / len(neighbours)
+
+
+class Response(NamedTuple):
+    coop_frequency: float
+    advantage: float
+    best: frozenset
+
+    @property
+    def indifferent(self):
+        return len(self.best) == 2
+
+
+def best_response(node, strategies_1d, network, game):
+    """Payoff gain of cooperating over defecting against the node's
+    cooperator frequency f, and the strategies that do best."""
+    f = local_frequency(node, strategies_1d, network)
+    advantage = (f * (game.reward - game.temptation)
+                 + (1 - f) * (game.sucker - game.punishment))
+    if advantage > 0:
+        best = frozenset({COOPERATE})
+    elif advantage < 0:
+        best = frozenset({DEFECT})
+    else:
+        best = frozenset({COOPERATE, DEFECT})
+    return Response(f, advantage, best)
+
+
+def is_nash_pair(i, j, strategies_1d, network, game):
+    """(both endpoints play a best response, and one is indifferent)."""
+    if j not in union_neighbours(i, network):
+        raise ValueError(f"({i}, {j}) is not a union edge")
+    lhs = best_response(i, strategies_1d, network, game)
+    rhs = best_response(j, strategies_1d, network, game)
+    ok = strategies_1d[i] in lhs.best and strategies_1d[j] in rhs.best
+    return ok, ok and (lhs.indifferent or rhs.indifferent)
+
+
+def nash_counts(projected, network, game):
+    """(Nash pairs, weak Nash pairs, union edges) of a projected profile."""
+    edges = union_edges(network)
+    flags = [is_nash_pair(i, j, projected, network, game) for i, j in edges]
+    return (sum(ok for ok, _ in flags), sum(weak for _, weak in flags),
+            len(edges))
 
 
 def graph(n, edges, delta=None):
@@ -204,11 +281,6 @@ def test_alpha_invariant_under_positive_payoff_scaling():
 
 @pytest.mark.parametrize("layer_count", [2, 3])
 def test_tracker_counts_match_per_node_nash_pairs(layer_count):
-    # EquilibriumTracker vectorises is_nash_pair/best_response.  from_ts
-    # (1, 0) leaves every node indifferent, so every Nash pair is weak;
-    # under from_ts(1.5, 0) only nodes without a cooperating neighbour are
-    games = [representative(kind) for kind in ("pd", "sd", "sh", "hg")]
-    games += [from_ts(1.0, 0.0), from_ts(1.5, 0.0)]
     rng = np.random.default_rng(layer_count)
     for seed in range(3):
         spec = MultiplexSpec(node_count=30, layer_count=layer_count,
@@ -216,14 +288,13 @@ def test_tracker_counts_match_per_node_nash_pairs(layer_count):
                              * layer_count,
                              homophily_sigma=1.0, rng_seed=seed)
         net = build_multiplex(spec)
-        edges = [(i, j) for i, j in zip(*np.nonzero(net.aggregated))
-                 if i < j]
+        edges = union_edges(net)
         for _ in range(2):
             strategies = rng.integers(
                 0, 2, size=(layer_count, 30)).astype(np.int8)
             for projection in ("majority_tie_c", "majority_tie_d"):
                 projected = project_strategies(strategies, projection)
-                for game in games:
+                for game in GAMES:
                     pairs = weak = 0
                     for i, j in edges:
                         ok, is_weak = is_nash_pair(i, j, projected, net,
@@ -235,6 +306,46 @@ def test_tracker_counts_match_per_node_nash_pairs(layer_count):
                     assert report.pair_count == pairs
                     assert report.weak_count == weak
                     assert report.edge_count == len(edges)
+
+
+@st.composite
+def small_multiplexes(draw):
+    """2-3 layers on 3-7 nodes that are not all the same, so some union
+    edges lie on one layer only; isolated nodes are allowed.  Distances
+    give the dyadic homophilies 1, 1/2, 1/4 and 1/8, so every frequency
+    is exact in any summation order and ties compare exactly."""
+    n = draw(st.integers(3, 7))
+    m = draw(st.integers(2, 3))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    present = [draw(st.lists(st.booleans(), min_size=len(pairs),
+                             max_size=len(pairs))) for _ in range(m)]
+    assume(any(map(any, present)))
+    assume(any(layer != present[0] for layer in present))
+    distances = draw(st.lists(st.sampled_from([0.0, 1.0, 3.0, 7.0]),
+                              min_size=len(pairs), max_size=len(pairs)))
+    adjacency = [np.zeros((n, n), dtype=np.int8) for _ in range(m)]
+    delta = np.zeros((n, n))
+    for k, (i, j) in enumerate(pairs):
+        delta[i, j] = delta[j, i] = distances[k]
+        for layer, adj in zip(present, adjacency):
+            adj[i, j] = adj[j, i] = layer[k]
+    strategies = draw(st.lists(st.integers(0, 1), min_size=m * n,
+                               max_size=m * n))
+    return (multiplex_from_arrays(adjacency, delta),
+            np.array(strategies, dtype=np.int8).reshape(m, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_multiplexes())
+def test_tracker_matches_oracle_on_small_multiplexes(case):
+    net, strategies = case
+    for projection in ("majority_tie_c", "majority_tie_d"):
+        projected = project_strategies(strategies, projection)
+        for game in GAMES:
+            report = EquilibriumTracker(net, game,
+                                        projection).evaluate(strategies)
+            assert (report.pair_count, report.weak_count,
+                    report.edge_count) == nash_counts(projected, net, game)
 
 
 def test_edgeless_network_is_an_error():

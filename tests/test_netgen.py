@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from megt.netgen import (LayerTopology, MultiplexSpec, build_multiplex,
-                         eigenvector_centrality, generate_er, generate_sf,
-                         generate_ws, homophily_from_delta, link_weights,
-                         load_multiplex, multiplex_from_arrays,
+from megt.netgen import (LayerTopology, MultiplexNetwork, MultiplexSpec,
+                         build_multiplex, eigenvector_centrality, generate_er,
+                         generate_sf, generate_ws, homophily_from_delta,
+                         link_weights, load_multiplex, multiplex_from_arrays,
                          sample_homophily, save_multiplex)
 
 
@@ -113,7 +115,8 @@ def test_sf_rejects_bad_parameters():
 # ---------------------------------------------------------------------------
 
 def test_sigma_zero_means_full_homophily():
-    delta, hom = sample_homophily(6, 0.0, seed=0)
+    delta = sample_homophily(6, 0.0, seed=0)
+    hom = homophily_from_delta(delta)
     assert np.all(delta == 0.0)
     assert np.all(hom == 1.0)
 
@@ -128,7 +131,8 @@ def test_homophily_from_delta_formula():
 
 
 def test_homophily_matrices_are_symmetric_with_unit_diagonal():
-    delta, hom = sample_homophily(30, 2.0, seed=3)
+    delta = sample_homophily(30, 2.0, seed=3)
+    hom = homophily_from_delta(delta)
     assert np.array_equal(delta, delta.T)
     assert np.all(np.diag(delta) == 0.0)
     assert np.all(np.diag(hom) == 1.0)
@@ -137,8 +141,9 @@ def test_homophily_matrices_are_symmetric_with_unit_diagonal():
 
 def test_wider_sigma_lowers_mean_homophily():
     for seed in range(10):
-        _, tight = sample_homophily(100, 1.0, seed=seed)
-        _, wide = sample_homophily(100, 8.0, seed=seed + 1000)
+        tight = homophily_from_delta(sample_homophily(100, 1.0, seed=seed))
+        wide = homophily_from_delta(
+            sample_homophily(100, 8.0, seed=seed + 1000))
         iu = np.triu_indices(100, 1)
         assert tight[iu].mean() > wide[iu].mean()
 
@@ -204,25 +209,28 @@ def two_layer_spec(seed=0, sigma=1.0):
 
 def test_build_multiplex_fields_are_consistent():
     net = build_multiplex(two_layer_spec())
+    # a network is its defining arrays; everything else is derived
+    assert [f.name for f in dataclasses.fields(MultiplexNetwork)] == \
+        ["adjacency", "delta", "weights"]
     assert net.node_count == 40
     assert net.layer_count == 2
     for alpha in range(2):
         assert_simple_graph(net.adjacency[alpha])
-        # coupling blocks are exactly homophily on the edges, 0 elsewhere
-        expected = net.homophily * net.adjacency[alpha]
-        assert np.array_equal(net.z_layers[alpha], expected)
+        assert np.array_equal(net.weights[alpha], net.weights[alpha].T)
         assert net.weights[alpha][net.adjacency[alpha] == 0].sum() == 0.0
-    union = ((net.adjacency[0] + net.adjacency[1]) > 0).astype(int)
-    assert np.array_equal(net.aggregated, union)
 
 
 def test_build_multiplex_weight_formula():
     net = build_multiplex(two_layer_spec(seed=5))
-    alpha = 0
-    c = net.centrality[alpha]
-    i, j = map(int, np.argwhere(np.triu(net.adjacency[alpha], 1))[0])
-    expected = net.homophily[i, j] * (c[i] + c[j]) / 2
-    assert net.weights[alpha][i, j] == pytest.approx(expected, rel=1e-12)
+    homophily = homophily_from_delta(net.delta)
+    for alpha in range(2):
+        c = eigenvector_centrality(net.adjacency[alpha])
+        assert np.array_equal(
+            net.weights[alpha],
+            link_weights(net.adjacency[alpha], homophily, c))
+        i, j = map(int, np.argwhere(np.triu(net.adjacency[alpha], 1))[0])
+        expected = homophily[i, j] * (c[i] + c[j]) / 2
+        assert net.weights[alpha][i, j] == pytest.approx(expected, rel=1e-12)
 
 
 def test_build_multiplex_full_graph_sigma_zero_unit_weights():
@@ -274,6 +282,39 @@ def test_multiplex_from_arrays_accepts_explicit_weights():
                               delta)
 
 
+def _clique_weights(n=4, value=1.0):
+    w = np.full((n, n), value)
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def _asymmetric_weights():
+    w = _clique_weights()
+    w[0, 1] = 2.0
+    return w
+
+
+@pytest.mark.parametrize("delta, weights, message", [
+    (None, [_clique_weights(value=np.nan)] * 2, "weights has non-finite"),
+    (None, [_clique_weights(value=np.inf)] * 2, "weights has non-finite"),
+    (None, [_clique_weights(value=-1.0)] * 2, "weights has negative"),
+    (None, [_clique_weights(n=3)] * 2, "weights must be 4x4"),
+    (None, [_asymmetric_weights()] * 2, "weights must be symmetric"),
+    (None, [_clique_weights()], "expected 2 weight matrices"),
+    (None, [np.ones((4, 4))] * 2, "zero off the layer's edges"),
+    (-_clique_weights(), [_clique_weights()] * 2, "delta has negative"),
+    (_clique_weights(value=np.nan), [_clique_weights()] * 2,
+     "delta has non-finite"),
+    (-_clique_weights(), None, "delta has negative"),
+])
+def test_multiplex_from_arrays_rejects_bad_numbers(delta, weights, message):
+    adj = _clique_weights().astype(np.int8)
+    if delta is None:
+        delta = np.zeros((4, 4))
+    with pytest.raises(ValueError, match=message):
+        multiplex_from_arrays([adj, adj], delta, weights=weights)
+
+
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
@@ -289,12 +330,7 @@ def test_save_load_round_trip(tmp_path):
         assert np.array_equal(loaded.adjacency[alpha], net.adjacency[alpha])
         np.testing.assert_allclose(loaded.weights[alpha],
                                    net.weights[alpha], rtol=1e-14, atol=0)
-        # centrality is recomputed from identical adjacency
-        np.testing.assert_array_equal(loaded.centrality[alpha],
-                                      net.centrality[alpha])
     np.testing.assert_allclose(loaded.delta, net.delta, rtol=1e-14, atol=0)
-    np.testing.assert_allclose(loaded.homophily, net.homophily,
-                               rtol=1e-14, atol=0)
 
 
 def test_save_is_deterministic(tmp_path):
