@@ -187,6 +187,14 @@ def _finish(manifest: RunManifest, outdir: Path, produced: list[Path]) -> int:
     return 0
 
 
+def _record_round_kernel(manifest: RunManifest) -> None:
+    """Record which imitation loop this process's engines use: ``"c"``,
+    or ``"python: <reason>"`` when the compiled kernel is unavailable.
+    Pool workers load the same cached kernel on their own."""
+    from .kernel import load  # ctypes stays off the import path
+    manifest.extra["round_kernel"] = load()[1]
+
+
 def _mean_trajectory(trajectories: list[Trajectory]) -> Trajectory:
     """Round-wise mean density; shorter runs hold their final value."""
     length = max(len(t.rho) for t in trajectories)
@@ -250,6 +258,9 @@ def cmd_evolve(args) -> int:
                                       for r in results)
     manifest.extra["steady_rho"] = [r.trajectory.steady_rho
                                     for r in results]
+    manifest.extra["stop_reason"] = [r.trajectory.stop_reason
+                                     for r in results]
+    _record_round_kernel(manifest)
     return _finish(manifest, outdir, produced)
 
 
@@ -270,6 +281,7 @@ def cmd_sweep(args) -> int:
     manifest = RunManifest(command="sweep", version=__version__,
                            seed=seed, config=cfg)
     _record_network_input(manifest, cfg)
+    _record_round_kernel(manifest)
     return _finish(manifest, outdir, [target])
 
 
@@ -297,6 +309,8 @@ def cmd_nash(args) -> int:
                            seed=seed, config=cfg)
     _record_network_input(manifest, cfg)
     manifest.extra["converged"] = result.trajectory.converged
+    manifest.extra["stop_reason"] = result.trajectory.stop_reason
+    _record_round_kernel(manifest)
     return _finish(manifest, outdir, [target, rho_path])
 
 

@@ -7,17 +7,22 @@ on that layer, and adopting the neighbour's strategy with a homophily-
 and coupling-scaled Fermi probability, and (c) crediting each
 still-cooperating (node, layer) slot with its degree for the
 behavioural-honesty bookkeeping.  Payoffs are frozen at the start of the
-round; strategies update immediately within the round.
+round; strategies update immediately within the round.  The imitation
+steps run in a small C function (``round.c``, built on first use by
+``megt.kernel``) when a C compiler is available, and otherwise in a
+Python loop that gives the same bits.
 
 A run iterates rounds until the sliding-window mean of the cooperator
 density stops moving, an absorbing state (density exactly 0 or 1) is
-reached, or a round budget is exhausted.
+reached, or a round budget is exhausted; ``Trajectory.stop_reason``
+says which.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import operator
 import os
@@ -162,11 +167,20 @@ class SimulationState:
 @dataclass
 class Trajectory:
     """Cooperator density per round; ``rho[0]`` is the initial state and
-    ``rho[k]`` the density after round k."""
+    ``rho[k]`` the density after round k.
+
+    ``stop_reason`` says why the run ended: ``steady`` (the windowed
+    density stopped moving), ``absorbing`` (density exactly 0 or 1),
+    ``budget`` (``max_rounds`` ran out) or ``edgeless`` (no slot has a
+    neighbour, so no round ran).  ``converged`` is false only for
+    ``budget``.  A trajectory no single run produced, such as a replica
+    mean, has no stop reason.
+    """
 
     rho: list[float]
     steady_rho: float
     converged: bool
+    stop_reason: str | None = None
 
     @property
     def rounds(self) -> int:
@@ -193,26 +207,30 @@ def init_state(network: MultiplexNetwork, initial_coop_fraction: float,
 
 
 def accumulate_payoffs(state: SimulationState, network: MultiplexNetwork,
-                       game: PayoffMatrix, payoff_weights: str = "weighted"
-                       ) -> np.ndarray:
+                       game: PayoffMatrix, payoff_weights: str = "weighted",
+                       table: ScalingTable | None = None) -> np.ndarray:
     """Per-(layer, node) payoff sums against all layer neighbours.
 
     Each edge contributes ``w_ij * payoff(s_i, s_j)``; the ``binary``
     mode replaces the link weights by the bare adjacency.  Isolated
-    slots get 0.
+    slots get 0.  Passing the network's ``table`` reuses its coupling
+    row sums instead of recomputing them; the result is the same bits.
     """
-    m, n = state.strategies.shape
-    out = np.zeros((m, n))
-    for alpha in range(m):
-        coupling = (network.weights[alpha] if payoff_weights == "weighted"
-                    else network.adjacency[alpha].astype(float))
-        is_coop = (state.strategies[alpha] == COOPERATE)
-        vs_coop = np.where(is_coop, game.reward, game.temptation)
-        vs_defect = np.where(is_coop, game.sucker, game.punishment)
-        coop_mass = coupling @ is_coop.astype(float)
-        total_mass = coupling.sum(axis=1)
-        out[alpha] = vs_coop * coop_mass + vs_defect * (total_mass - coop_mass)
-    return out
+    weighted = payoff_weights == "weighted"
+    if table is not None:
+        row_sums = table.weight_sums if weighted else table.degrees
+    elif weighted:
+        row_sums = np.stack([w.sum(axis=1) for w in network.weights])
+    else:
+        row_sums = network.layer_degrees()
+    couplings = network.weights if weighted else network.adjacency
+    is_coop = state.strategies == COOPERATE
+    coop = is_coop.astype(float)
+    # one matrix-vector product per layer; the binary sums are exact
+    coop_mass = np.stack([w @ x for w, x in zip(couplings, coop)])
+    vs_coop = np.where(is_coop, game.reward, game.temptation)
+    vs_defect = np.where(is_coop, game.sucker, game.punishment)
+    return vs_coop * coop_mass + vs_defect * (row_sums - coop_mass)
 
 
 class ScalingTable:
@@ -224,9 +242,14 @@ class ScalingTable:
     neighbour order; ``cross_index`` and ``cross_value``, the slot's
     cross-layer neighbourhood in ``comm._cross_neighbourhood``'s order
     and its communicability entries; ``denominator``, their sum.
-    ``degrees`` is the (M, N) degree table; ``has_isolated`` and
-    ``edgeless`` say whether some or all slots lack a neighbour.  None of
-    it depends on strategies, the game or the selection intensity.
+    ``degrees`` is the (M, N) degree table and ``weight_sums`` the (M, N)
+    row sums of the link weights; ``isolated`` marks the slots without a
+    neighbour, and ``has_isolated`` and ``edgeless`` say whether some or
+    all slots lack one.  None of it depends on strategies, the game or
+    the selection intensity.
+
+    The compiled round reads the same data flattened, ``kernel_arrays``,
+    through the addresses in ``kernel_pointers``.
     """
 
     def __init__(self, network: MultiplexNetwork, comm: Communicability):
@@ -249,8 +272,38 @@ class ScalingTable:
         self.denominator = [functools.reduce(operator.add, values, 0.0)
                             for values in self.cross_value]
         self.degrees = network.layer_degrees()
-        self.has_isolated = not all(self.neighbours)
-        self.edgeless = not any(self.neighbours)
+        self.weight_sums = np.stack([w.sum(axis=1) for w in network.weights])
+        degree = self.degrees.reshape(-1)
+        self.isolated = degree == 0
+        self.has_isolated = bool(self.isolated.any())
+        self.edgeless = bool(self.isolated.all())
+        # the same lists as CSR arrays (row offsets, then entries), in the
+        # argument order of round.c; neighbours are flat slots there
+        layer_base = np.repeat(np.arange(m, dtype=np.int64) * n, n)
+        self.kernel_arrays = (
+            _row_offsets(degree),
+            (_flatten(self.neighbours, np.int64)
+             + np.repeat(layer_base, degree)),
+            _flatten(self.distance, float),
+            _row_offsets([len(idx) for idx in self.cross_index]),
+            _flatten(self.cross_index, np.int64),
+            _flatten(self.cross_value, float),
+            np.array(self.denominator, dtype=float))
+        self.kernel_pointers = tuple(array.ctypes.data
+                                     for array in self.kernel_arrays)
+
+
+def _row_offsets(lengths) -> np.ndarray:
+    """CSR row pointers: 0 followed by the running sum of ``lengths``."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def _flatten(rows: list[list], dtype) -> np.ndarray:
+    """The rows of a list of lists, concatenated into one array."""
+    return np.fromiter(itertools.chain.from_iterable(rows), dtype=dtype,
+                       count=sum(map(len, rows)))
 
 
 class RoundEngine:
@@ -258,12 +311,16 @@ class RoundEngine:
 
     The engine adds the per-run inputs (game, selection intensity,
     scaling bounds, payoff mode) and holds no per-slot data.  A round
-    runs in pure Python over the table's lists with three bulk RNG
-    draws, which on one core beats per-step numpy dispatch by far.
+    makes three bulk RNG draws in numpy and runs its N*M imitation steps
+    in one call of the compiled kernel from ``megt.kernel``, or, when
+    that cannot be built, in ``_python_steps``, which gives the same
+    bits.  ``round_kernel`` records which: ``"c"`` or
+    ``"python: <reason>"``.
     """
 
     def __init__(self, network: MultiplexNetwork, game: PayoffMatrix,
                  table: ScalingTable, config: SimulationConfig):
+        from . import kernel  # ctypes stays off the import path
         self.network = network
         self.game = game
         self.config = config
@@ -271,43 +328,82 @@ class RoundEngine:
         self.node_count = network.node_count
         self.layer_count = network.layer_count
         self.slot_count = self.node_count * self.layer_count
+        self._kernel, self.round_kernel = kernel.load()
 
     def round(self, state: SimulationState) -> float:
-        """Advance one full Monte Carlo round in place; returns the
-        cooperator density after the round.
+        """Advance one full Monte Carlo round; returns the cooperator
+        density after the round.  ``state.strategies`` is replaced by a
+        new array, so a caller may keep the old one.
+        """
+        nm, table = self.slot_count, self.table
+        payoffs = accumulate_payoffs(state, self.network, self.game,
+                                     self.config.payoff_weights, table)
+        rng = state.rng
+        picks = rng.integers(0, nm, size=nm)
+        u_neighbour = rng.random(nm)
+        u_adopt = rng.random(nm)
+        if table.has_isolated:
+            # a pick on an isolated slot is redrawn until it has a
+            # neighbour; the steps draw nothing else, so redrawing before
+            # them keeps the RNG stream of redrawing at the step
+            isolated = table.isolated
+            for t in np.flatnonzero(isolated[picks]).tolist():
+                flat = int(picks[t])
+                while isolated[flat]:
+                    flat = int(rng.integers(nm))
+                picks[t] = flat
+        strategies = np.array(state.strategies, dtype=np.int8).reshape(nm)
+        coop_total = int(strategies.sum())
+        if self._kernel is None:
+            coop_total += self._python_steps(payoffs, picks, u_neighbour,
+                                             u_adopt, strategies)
+        else:
+            payoffs = np.ascontiguousarray(payoffs, dtype=float).reshape(nm)
+            coop_total += self._kernel(
+                nm, picks.ctypes.data, u_neighbour.ctypes.data,
+                u_adopt.ctypes.data, payoffs.ctypes.data,
+                strategies.ctypes.data, *table.kernel_pointers,
+                self.config.selection_intensity,
+                self.config.scaling_bounds.span, _EXP_CLAMP)
+        state.strategies = strategies.reshape(self.layer_count,
+                                              self.node_count)
+        state.coop_count += (
+            (state.strategies == COOPERATE) * table.degrees).sum(axis=0)
+        state.round_index += 1
+        return coop_total / nm
+
+    def _python_steps(self, payoffs: np.ndarray, picks: np.ndarray,
+                      u_neighbour: np.ndarray, u_adopt: np.ndarray,
+                      strategies: np.ndarray) -> int:
+        """The round's imitation steps in Python: the fallback for the
+        compiled kernel and the oracle it is tested against.  Updates
+        the flat ``strategies`` in place and returns the change in the
+        cooperator count.
 
         The loop inlines ``comm.scaling_factor``, read from the table,
         and ``fermi_probability``, with their float operations; a round
-        built from those two is the oracle this one must match bit for bit.
+        built from those two is the oracle this one must match bit for
+        bit.
         """
-        n, nm = self.node_count, self.slot_count
-        payoffs = accumulate_payoffs(state, self.network, self.game,
-                                     self.config.payoff_weights)
+        n = self.node_count
         pay: list[list[float]] = payoffs.tolist()
-        rng = state.rng
-        picks = rng.integers(0, nm, size=nm).tolist()
-        u_neighbour = rng.random(nm).tolist()
-        u_adopt = rng.random(nm).tolist()
-        strategies: list[int] = state.strategies.reshape(-1).tolist()
-        coop_total = sum(strategies)
+        u_neighbour, u_adopt = u_neighbour.tolist(), u_adopt.tolist()
+        current: list[int] = strategies.tolist()
         table = self.table
         neighbours, dist = table.neighbours, table.distance
         cross_index, cross_value = table.cross_index, table.cross_value
-        denominator, has_isolated = table.denominator, table.has_isolated
+        denominator = table.denominator
         kappa = self.config.selection_intensity
         span = self.config.scaling_bounds.span
         exp = math.exp
-        for t in range(nm):
-            flat = picks[t]
-            if has_isolated:
-                while not neighbours[flat]:
-                    flat = int(rng.integers(nm))
+        change = 0
+        for t, flat in enumerate(picks.tolist()):
             options = neighbours[flat]
             pick = int(u_neighbour[t] * len(options))
             alpha, i = divmod(flat, n)
             j = options[pick]
-            own = strategies[flat]
-            other = strategies[alpha * n + j]
+            own = current[flat]
+            other = current[alpha * n + j]
             if own == other:
                 continue  # adoption would be a no-op
             x = (pay[alpha][i] - pay[alpha][j]) / (dist[flat][pick] * kappa)
@@ -318,19 +414,15 @@ class RoundEngine:
             if den > 0.0:
                 num = 0.0
                 for k, g in zip(cross_index[flat], cross_value[flat]):
-                    if strategies[k] == own:
+                    if current[k] == own:
                         num += g
                 scaling = 1.0 - span * (num / den)
             prob = scaling if x < -_EXP_CLAMP else scaling / (1.0 + exp(x))
             if u_adopt[t] < prob:
-                strategies[flat] = other
-                coop_total += other - own
-        state.strategies = np.asarray(strategies, dtype=np.int8).reshape(
-            self.layer_count, n)
-        state.coop_count += (
-            (state.strategies == COOPERATE) * table.degrees).sum(axis=0)
-        state.round_index += 1
-        return coop_total / nm
+                current[flat] = other
+                change += other - own
+        strategies[:] = current
+        return change
 
 
 def _dynamics_rng(config: SimulationConfig, cell_index: int,
@@ -411,15 +503,19 @@ def run(config: SimulationConfig, *, cell_index: int = 0,
     if on_round is not None:
         on_round(0, state)
     window = config.steady_window
-    converged = rho[0] in (0.0, 1.0) or engine.table.edgeless
-    while not converged and state.round_index < config.max_rounds:
+    stop_reason = None
+    if engine.table.edgeless:
+        stop_reason = "edgeless"
+    elif rho[0] in (0.0, 1.0):
+        stop_reason = "absorbing"
+    while stop_reason is None and state.round_index < config.max_rounds:
         value = engine.round(state)
         rho.append(value)
         cumulative.append(cumulative[-1] + value)
         if on_round is not None:
             on_round(state.round_index, state)
         if value == 0.0 or value == 1.0:
-            converged = True
+            stop_reason = "absorbing"
             break
         rounds = len(rho) - 1
         if rounds >= 2 * window:
@@ -427,13 +523,17 @@ def run(config: SimulationConfig, *, cell_index: int = 0,
             previous = (cumulative[-1 - window]
                         - cumulative[-1 - 2 * window]) / window
             if abs(recent - previous) < config.steady_tolerance:
-                converged = True
+                stop_reason = "steady"
+    if stop_reason is None:
+        stop_reason = "budget"
     if rho[-1] in (0.0, 1.0):
         steady = rho[-1]
     else:
         tail = min(window, len(rho))
         steady = (cumulative[-1] - cumulative[-1 - tail]) / tail
-    trajectory = Trajectory(rho=rho, steady_rho=steady, converged=converged)
+    trajectory = Trajectory(rho=rho, steady_rho=steady,
+                            converged=stop_reason != "budget",
+                            stop_reason=stop_reason)
     return RunResult(trajectory=trajectory, state=state, network=network)
 
 

@@ -162,8 +162,8 @@ def sample_homophily(node_count: int, sigma: float, seed=None) -> np.ndarray:
     everywhere (see ``homophily_from_delta``) and larger sigma pushes
     it toward 0.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not 0.0 <= sigma < math.inf:  # NaN fails too
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     rng = _as_generator(seed)
     n = node_count
     delta = np.zeros((n, n), dtype=float)
@@ -177,8 +177,8 @@ def sample_homophily(node_count: int, sigma: float, seed=None) -> np.ndarray:
 
 def homophily_from_delta(delta: np.ndarray) -> np.ndarray:
     """Map social distances to connection weights, 1 / (1 + delta)."""
-    if np.any(delta < 0):
-        raise ValueError("social distances must be nonnegative")
+    if not np.all(delta >= 0):  # NaN fails too
+        raise ValueError("social distances must be nonnegative numbers")
     return 1.0 / (1.0 + delta)
 
 

@@ -196,6 +196,8 @@ def test_evolve_single_replica_outputs(tmp_path):
     assert rho_lines[0] == "round,rho"
     manifest = load_manifest(outdir / "manifest.json")
     assert len(manifest.extra["steady_rho"]) == 1
+    assert len(manifest.extra["stop_reason"]) == 1
+    assert "round_kernel" in manifest.extra
     assert set(manifest.outputs) == {"rho.csv", "state.txt", "metrics.csv"}
 
 
@@ -362,6 +364,9 @@ def test_nash_outputs(tmp_path):
     rho_lines = (outdir / "rho.csv").read_text().splitlines()
     # one alpha row per trajectory row (round 0 onward)
     assert len(alpha_lines) == len(rho_lines)
+    extra = load_manifest(outdir / "manifest.json").extra
+    assert extra["stop_reason"] in ("steady", "absorbing", "budget")
+    assert "round_kernel" in extra
 
 
 def test_nash_rejects_unknown_projection(tmp_path, capsys):

@@ -2,14 +2,18 @@ import ast
 import copy
 import dataclasses
 import math
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import megt.comm
 import megt.evolve
+import megt.kernel
 from megt.comm import ScalingBounds, communicability, scaling_factor
 from megt.evolve import (DISTANCE_FLOOR, RoundEngine, ScalingTable,
                          SimulationConfig, accumulate_payoffs, density,
@@ -22,7 +26,7 @@ from megt.games import (COOPERATE, PayoffMatrix, from_ts, pd_from_bc,
 from megt.netgen import (LayerTopology, MultiplexNetwork, MultiplexSpec,
                          build_multiplex, multiplex_from_arrays)
 
-from conftest import megt_env
+from conftest import force_python_round, megt_env
 
 
 def line_graph(n, layers=1, weights=None):
@@ -260,11 +264,23 @@ REFERENCE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("seed, p, game, bounds, kappa, weights",
-                         REFERENCE_CASES,
-                         ids=[f"seed{case[0]}" for case in REFERENCE_CASES])
+def compiled_kernel_expected() -> bool:
+    """Whether the default engine must run the compiled kernel here."""
+    return shutil.which("cc") is not None
+
+
+# each case on the default loop (the compiled kernel where cc exists),
+# then on the Python loop
+@pytest.mark.parametrize(
+    "seed, p, game, bounds, kappa, weights, python",
+    [case + (False,) for case in REFERENCE_CASES]
+    + [case + (True,) for case in REFERENCE_CASES],
+    ids=[f"seed{case[0]}" for case in REFERENCE_CASES]
+    + [f"seed{case[0]}-python" for case in REFERENCE_CASES])
 def test_round_engine_matches_reference_round(seed, p, game, bounds, kappa,
-                                              weights):
+                                              weights, python, monkeypatch):
+    if python:
+        force_python_round(monkeypatch)
     spec = MultiplexSpec(node_count=25, layer_count=3,
                          topologies=(LayerTopology.er(p),) * 3,
                          homophily_sigma=1.0, rng_seed=seed)
@@ -278,12 +294,84 @@ def test_round_engine_matches_reference_round(seed, p, game, bounds, kappa,
                               payoff_weights=weights)
     comm = communicability(net, config.interlayer_strength)
     engine = RoundEngine(net, config.game, ScalingTable(net, comm), config)
+    if python:
+        assert engine.round_kernel.startswith("python: ")
+    elif compiled_kernel_expected():
+        assert engine.round_kernel == "c"
     fast = init_state(net, 0.5, np.random.default_rng(seed))
     slow = init_state(net, 0.5, np.random.default_rng(seed))
     for _ in range(30):
         assert engine.round(fast) == reference_round(slow, net, comm, config)
         assert np.array_equal(fast.strategies, slow.strategies)
     assert np.array_equal(fast.coop_count, slow.coop_count)
+
+
+def random_multiplex(draw_seed, n, layers, edge_probability, sigma,
+                     edgeless_layer):
+    """A small multiplex with sparse random layers (so some slots are
+    isolated), layer 0 optionally edgeless, and at least one edge."""
+    rng = np.random.default_rng(draw_seed)
+    adjacency = []
+    for alpha in range(layers):
+        upper = np.triu(rng.random((n, n)) < edge_probability, 1)
+        if alpha == 0 and edgeless_layer:
+            upper[:] = False
+        adjacency.append((upper | upper.T).astype(np.int8))
+    if not any(a.any() for a in adjacency):
+        adjacency[-1][0, 1] = adjacency[-1][1, 0] = 1
+    delta = np.triu(np.abs(rng.normal(0.0, sigma, (n, n))), 1)
+    return multiplex_from_arrays(adjacency, delta + delta.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(draw_seed=st.integers(0, 2**16), n=st.integers(2, 30),
+       layers=st.integers(1, 4), edge_probability=st.floats(0.0, 0.4),
+       sigma=st.floats(0.0, 2.0), edgeless_layer=st.booleans(),
+       temptation=st.floats(0.0, 2.0), sucker=st.floats(-1.0, 1.0),
+       kappa=st.floats(1e-4, 2.0), minimum=st.floats(0.01, 1.0),
+       width=st.floats(0.0, 1.0), omega=st.floats(0.0, 2.0),
+       weights=st.sampled_from(["weighted", "binary"]),
+       dynamics_seed=st.integers(0, 2**16))
+def test_compiled_round_matches_python_round(
+        draw_seed, n, layers, edge_probability, sigma, edgeless_layer,
+        temptation, sucker, kappa, minimum, width, omega, weights,
+        dynamics_seed):
+    if megt.kernel.load()[0] is None:
+        pytest.skip(megt.kernel.load()[1])
+    net = random_multiplex(draw_seed, n, layers, edge_probability, sigma,
+                           edgeless_layer)
+    bounds = ScalingBounds(minimum, minimum + (1.0 - minimum) * width)
+    config = SimulationConfig(game=from_ts(temptation, sucker), network=net,
+                              selection_intensity=kappa,
+                              scaling_bounds=bounds,
+                              interlayer_strength=omega,
+                              payoff_weights=weights)
+    table = ScalingTable(net, communicability(net, omega))
+    compiled = RoundEngine(net, config.game, table, config)
+    with pytest.MonkeyPatch.context() as patch:
+        force_python_round(patch)
+        python = RoundEngine(net, config.game, table, config)
+    assert compiled.round_kernel == "c"
+    fast = init_state(net, 0.5, np.random.default_rng(dynamics_seed))
+    slow = init_state(net, 0.5, np.random.default_rng(dynamics_seed))
+    for _ in range(5):
+        assert compiled.round(fast) == python.round(slow)
+    assert np.array_equal(fast.strategies, slow.strategies)
+    assert np.array_equal(fast.coop_count, slow.coop_count)
+    assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
+
+
+def test_round_replaces_the_strategy_array():
+    # on_round callers may keep the previous array
+    net = build_multiplex(small_spec(seed=2))
+    config = SimulationConfig(game=representative("sd"), network=net)
+    engine = engine_for(net, config.game, config)
+    state = init_state(net, 0.5, np.random.default_rng(1))
+    before = state.strategies
+    kept = before.copy()
+    engine.round(state)
+    assert state.strategies is not before
+    assert np.array_equal(before, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +419,24 @@ def test_absorbing_start_exits_immediately():
     assert result.trajectory.rho == [0.0]
     assert result.trajectory.steady_rho == 0.0
     assert result.trajectory.converged
+    assert result.trajectory.stop_reason == "absorbing"
+
+
+@pytest.mark.parametrize("reason, window, tolerance, rounds", [
+    ("steady", 5, 1.0, 10),
+    ("budget", 10, 1e-3, 10),
+])
+def test_stop_reason_names_the_exit(reason, window, tolerance, rounds):
+    # a tolerance of 1 stops at the first window comparison; with
+    # max_rounds = steady_window there is never one
+    config = SimulationConfig(game=representative("sd"),
+                              spec=small_spec(seed=3), max_rounds=10,
+                              steady_window=window,
+                              steady_tolerance=tolerance, rng_seed=6)
+    trajectory = run(config).trajectory
+    assert trajectory.stop_reason == reason
+    assert trajectory.rounds == rounds
+    assert trajectory.converged == (reason != "budget")
 
 
 EDGELESS_RUN = """
@@ -342,7 +448,7 @@ spec = MultiplexSpec(node_count=10, layer_count=2,
                      homophily_sigma=1.0, rng_seed=3)
 t = run(SimulationConfig(game=representative("sd"), spec=spec,
                          max_rounds=50, steady_window=10)).trajectory
-print(repr((t.rho, t.steady_rho, t.converged)))
+print(repr((t.rho, t.steady_rho, t.converged, t.stop_reason)))
 """
 
 
@@ -353,10 +459,11 @@ def test_edgeless_multiplex_is_absorbing():
                           capture_output=True, text=True, env=megt_env(),
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    rho, steady, converged = ast.literal_eval(proc.stdout.strip())
+    rho, steady, converged, reason = ast.literal_eval(proc.stdout.strip())
     assert len(rho) == 1
     assert steady == rho[0]
     assert converged is True
+    assert reason == "edgeless"
 
 
 def test_on_round_hook_sees_every_round():

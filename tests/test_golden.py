@@ -5,13 +5,17 @@ every output file with the digest recorded when the case was added.  A
 change that alters any trajectory, grid or network file fails here; such
 a change must be declared in CHANGES.md together with the new digests.
 ``manifest.json`` is not compared: it records absolute input paths.
+
+The simulation cases run once on the default imitation loop (the
+compiled kernel where a C compiler exists) and once more with no
+compiler on PATH, where the Python loop must give the same digests.
 """
 from __future__ import annotations
 
 import pytest
 
 from megt.cli import main
-from megt.manifest import sha256_file
+from megt.manifest import load_manifest, sha256_file
 
 EVOLVE_CONFIG = """
 node_count = 40
@@ -160,3 +164,17 @@ def test_golden_score_on_synth_corpus(tmp_path):
     assert sha256_file(reports) == GOLDEN["synth"]["reports.csv"]
     outdir = _run(tmp_path, "score", SCORE_CONFIG, "--reports", str(reports))
     assert _digests(outdir) == GOLDEN["score"]
+
+
+@pytest.mark.parametrize("command", ["evolve", "nash", "sweep"])
+def test_golden_simulations_without_a_compiler(tmp_path, command,
+                                               without_cc):
+    if command == "sweep":
+        network = _run(tmp_path, "generate", GENERATE_CONFIG) / "net.mplex"
+        outdir = _run(tmp_path, "sweep", SWEEP_CONFIG.format(network=network))
+    else:
+        config = EVOLVE_CONFIG if command == "evolve" else NASH_CONFIG
+        outdir = _run(tmp_path, command, config)
+    assert _digests(outdir) == GOLDEN[command]
+    extra = load_manifest(outdir / "manifest.json").extra
+    assert extra["round_kernel"].startswith("python: ")

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -128,6 +129,17 @@ def test_homophily_from_delta_formula():
     assert hom[0, 0] == 1.0
     with pytest.raises(ValueError):
         homophily_from_delta(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+def test_sample_homophily_rejects_bad_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        sample_homophily(5, sigma, seed=0)
+
+
+def test_homophily_from_delta_rejects_nan_distances():
+    with pytest.raises(ValueError, match="nonnegative"):
+        homophily_from_delta(np.array([[0.0, math.nan], [math.nan, 0.0]]))
 
 
 def test_homophily_matrices_are_symmetric_with_unit_diagonal():
