@@ -260,6 +260,8 @@ def cmd_evolve(args) -> int:
                                     for r in results]
     manifest.extra["stop_reason"] = [r.trajectory.stop_reason
                                      for r in results]
+    manifest.extra["adoptions"] = [r.adoptions for r in results]
+    manifest.extra["phase_s"] = [r.phase_s for r in results]
     _record_round_kernel(manifest)
     return _finish(manifest, outdir, produced)
 
@@ -310,6 +312,8 @@ def cmd_nash(args) -> int:
     _record_network_input(manifest, cfg)
     manifest.extra["converged"] = result.trajectory.converged
     manifest.extra["stop_reason"] = result.trajectory.stop_reason
+    manifest.extra["adoptions"] = result.adoptions
+    manifest.extra["phase_s"] = result.phase_s
     _record_round_kernel(manifest)
     return _finish(manifest, outdir, [target, rho_path])
 

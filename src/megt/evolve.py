@@ -7,15 +7,19 @@ on that layer, and adopting the neighbour's strategy with a homophily-
 and coupling-scaled Fermi probability, and (c) crediting each
 still-cooperating (node, layer) slot with its degree for the
 behavioural-honesty bookkeeping.  Payoffs are frozen at the start of the
-round; strategies update immediately within the round.  The imitation
-steps run in a small C function (``round.c``, built on first use by
-``megt.kernel``) when a C compiler is available, and otherwise in a
-Python loop that gives the same bits.
+round; strategies update immediately within the round.
 
 A run iterates rounds until the sliding-window mean of the cooperator
 density stops moving, an absorbing state (density exactly 0 or 1) is
 reached, or a round budget is exhausted; ``Trajectory.stop_reason``
 says which.
+
+Where a C compiler is available, ``round.c`` (built on first use by
+``megt.kernel``) runs a whole run in one call: payoffs, the draws, which
+it takes from numpy's bit generator in numpy's order, the steps and the
+stop rule.  A run with an ``on_round`` hook makes one call per round.
+Without the kernel, numpy draws, ``np.bincount`` payoffs and a Python
+loop give the same bits.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import itertools
 import math
 import operator
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +59,6 @@ __all__ = [
     "write_trajectory_csv",
     "write_grid_csv",
     "write_state_text",
-    "read_state_text",
 ]
 
 # social distances below this floor behave like the floor in the Fermi
@@ -189,9 +193,20 @@ class Trajectory:
 
 @dataclass
 class RunResult:
+    """One run's trajectory, final state and network.
+
+    ``adoptions`` counts the imitation steps that changed a strategy.
+    ``phase_s`` splits the run's wall time, in seconds: ``network``
+    (realising or reusing it), ``communicability`` (with the scaling
+    table), ``setup`` (engine and initial state) and ``rounds`` (with
+    any ``on_round`` hook).
+    """
+
     trajectory: Trajectory
     state: SimulationState
     network: MultiplexNetwork
+    adoptions: int = 0
+    phase_s: dict[str, float] = field(default_factory=dict)
 
 
 def init_state(network: MultiplexNetwork, initial_coop_fraction: float,
@@ -213,24 +228,43 @@ def accumulate_payoffs(state: SimulationState, network: MultiplexNetwork,
 
     Each edge contributes ``w_ij * payoff(s_i, s_j)``; the ``binary``
     mode replaces the link weights by the bare adjacency.  Isolated
-    slots get 0.  Passing the network's ``table`` reuses its coupling
-    row sums instead of recomputing them; the result is the same bits.
+    slots get 0.  A slot's cooperating mass ``sum_j w_ij s_j`` is added
+    left to right over its edges in ascending j, the order of
+    ``round.c``; passing the network's ``table`` reuses its edge arrays
+    and row sums instead of rebuilding them, with the same bits.
     """
     weighted = payoff_weights == "weighted"
-    if table is not None:
-        row_sums = table.weight_sums if weighted else table.degrees
-    elif weighted:
-        row_sums = np.stack([w.sum(axis=1) for w in network.weights])
+    if table is None:
+        owner, other, weight = _payoff_edges(network)
+        row_sums = (np.stack([w.sum(axis=1) for w in network.weights])
+                    if weighted else network.layer_degrees())
     else:
-        row_sums = network.layer_degrees()
-    couplings = network.weights if weighted else network.adjacency
+        owner, other, weight = (table.edge_owner, table.edge_slot,
+                                table.edge_weight)
+        row_sums = table.weight_sums if weighted else table.degrees
     is_coop = state.strategies == COOPERATE
-    coop = is_coop.astype(float)
-    # one matrix-vector product per layer; the binary sums are exact
-    coop_mass = np.stack([w @ x for w, x in zip(couplings, coop)])
+    coop = is_coop.astype(float).reshape(-1)[other]
+    # bincount adds each bin's terms in input order; binary sums are exact
+    coop_mass = np.bincount(owner, weights=weight * coop if weighted else coop,
+                            minlength=is_coop.size).reshape(is_coop.shape)
     vs_coop = np.where(is_coop, game.reward, game.temptation)
     vs_defect = np.where(is_coop, game.sucker, game.punishment)
     return vs_coop * coop_mass + vs_defect * (row_sums - coop_mass)
+
+
+def _payoff_edges(network: MultiplexNetwork):
+    """Every layer's edges in row-major order, as flat slots: the owner
+    ``alpha * N + i``, the neighbour ``alpha * N + j`` and ``w_ij``."""
+    n = network.node_count
+    owners, others, weights = [], [], []
+    for alpha, (a, w) in enumerate(zip(network.adjacency, network.weights)):
+        i, j = np.nonzero(a)
+        owners.append(i + alpha * n)
+        others.append(j + alpha * n)
+        weights.append(w[i, j])
+    return (np.concatenate(owners, dtype=np.int64),
+            np.concatenate(others, dtype=np.int64),
+            np.concatenate(weights, dtype=float))
 
 
 class ScalingTable:
@@ -243,13 +277,15 @@ class ScalingTable:
     cross-layer neighbourhood in ``comm._cross_neighbourhood``'s order
     and its communicability entries; ``denominator``, their sum.
     ``degrees`` is the (M, N) degree table and ``weight_sums`` the (M, N)
-    row sums of the link weights; ``isolated`` marks the slots without a
-    neighbour, and ``has_isolated`` and ``edgeless`` say whether some or
-    all slots lack one.  None of it depends on strategies, the game or
-    the selection intensity.
+    row sums of the link weights; ``has_isolated`` and ``edgeless`` say
+    whether some or all slots lack a neighbour.  None of it depends on
+    strategies, the game or the selection intensity.
 
-    The compiled round reads the same data flattened, ``kernel_arrays``,
-    through the addresses in ``kernel_pointers``.
+    The edges, slot by slot and in ascending neighbour order within a
+    slot, are ``edge_owner``, ``edge_slot`` (the neighbour's flat slot)
+    and ``edge_weight`` (``w_ij``).  The compiled round reads the same
+    data flattened: ``kernel_arrays`` maps each table field of
+    ``round.c``'s engine struct to its array.
     """
 
     def __init__(self, network: MultiplexNetwork, comm: Communicability):
@@ -274,23 +310,18 @@ class ScalingTable:
         self.degrees = network.layer_degrees()
         self.weight_sums = np.stack([w.sum(axis=1) for w in network.weights])
         degree = self.degrees.reshape(-1)
-        self.isolated = degree == 0
-        self.has_isolated = bool(self.isolated.any())
-        self.edgeless = bool(self.isolated.all())
-        # the same lists as CSR arrays (row offsets, then entries), in the
-        # argument order of round.c; neighbours are flat slots there
-        layer_base = np.repeat(np.arange(m, dtype=np.int64) * n, n)
-        self.kernel_arrays = (
-            _row_offsets(degree),
-            (_flatten(self.neighbours, np.int64)
-             + np.repeat(layer_base, degree)),
-            _flatten(self.distance, float),
-            _row_offsets([len(idx) for idx in self.cross_index]),
-            _flatten(self.cross_index, np.int64),
-            _flatten(self.cross_value, float),
-            np.array(self.denominator, dtype=float))
-        self.kernel_pointers = tuple(array.ctypes.data
-                                     for array in self.kernel_arrays)
+        self.has_isolated = bool((degree == 0).any())
+        self.edgeless = not degree.any()
+        self.edge_owner, self.edge_slot, self.edge_weight = _payoff_edges(
+            network)
+        self.kernel_arrays = {
+            "neighbour_ptr": _row_offsets(degree),
+            "neighbour_slot": self.edge_slot,
+            "distance": _flatten(self.distance, float),
+            "cross_ptr": _row_offsets([len(idx) for idx in self.cross_index]),
+            "cross_slot": _flatten(self.cross_index, np.int64),
+            "cross_value": _flatten(self.cross_value, float),
+            "denominator": np.array(self.denominator, dtype=float)}
 
 
 def _row_offsets(lengths) -> np.ndarray:
@@ -310,12 +341,23 @@ class RoundEngine:
     """One run's Monte Carlo rounds over a shared ScalingTable.
 
     The engine adds the per-run inputs (game, selection intensity,
-    scaling bounds, payoff mode) and holds no per-slot data.  A round
-    makes three bulk RNG draws in numpy and runs its N*M imitation steps
-    in one call of the compiled kernel from ``megt.kernel``, or, when
-    that cannot be built, in ``_python_steps``, which gives the same
-    bits.  ``round_kernel`` records which: ``"c"`` or
-    ``"python: <reason>"``.
+    scaling bounds, payoff mode and stop rule) to the table.  ``run``
+    makes a whole run and ``round`` one round.  ``round_kernel`` records
+    how:
+
+    - ``"c"``: the compiled kernel from ``megt.kernel`` makes a run
+      without a hook in one call, and a round in one call.  It reads its
+      inputs and writes its results through one ``kernel.Engine`` struct,
+      built here, that points at buffers this engine owns, and takes its
+      draws from the state's bit generator.
+    - ``"python: <reason>"``: a round draws with numpy, sums payoffs with
+      ``accumulate_payoffs`` and steps in ``_python_steps``, and the stop
+      rule is a Python loop.  This is the fallback and the oracle the
+      kernel is tested against; both give the same bits.
+
+    ``adoptions`` counts the steps, over all calls, that changed a
+    strategy.  The kernel's buffers are the engine's, so one engine must
+    not be used from two threads at once.
     """
 
     def __init__(self, network: MultiplexNetwork, game: PayoffMatrix,
@@ -328,64 +370,164 @@ class RoundEngine:
         self.node_count = network.node_count
         self.layer_count = network.layer_count
         self.slot_count = self.node_count * self.layer_count
+        self.adoptions = 0
         self._kernel, self.round_kernel = kernel.load()
+        if self._kernel is not None:
+            self._bind(kernel)
+
+    def _bind(self, kernel) -> None:
+        """Allocate the compiled kernel's buffers and point its struct at
+        them; the buffers live as long as the engine."""
+        n, nm = self.node_count, self.slot_count
+        table, config, game = self.table, self.config, self.game
+        weighted = config.payoff_weights == "weighted"
+        row_sum = table.weight_sums if weighted else table.degrees
+        # a run fills at most max_rounds + 1 densities and one more sum
+        history = config.max_rounds + 2
+        self._buffers = dict(
+            table.kernel_arrays,
+            edge_weight=(table.edge_weight if weighted
+                         else np.ones(table.edge_weight.size)),
+            row_sum=np.array(row_sum, dtype=float).reshape(nm),
+            strategies=np.zeros(nm, dtype=np.int8),
+            coop_count=np.zeros(n, dtype=np.int64),
+            payoff=np.zeros(nm), picks=np.zeros(nm, dtype=np.int64),
+            u_neighbour=np.zeros(nm), u_adopt=np.zeros(nm),
+            rho=np.zeros(history), cumulative=np.zeros(history))
+        self._engine = kernel.Engine(
+            node_count=n, slot_count=nm, reward=game.reward,
+            sucker=game.sucker, temptation=game.temptation,
+            punishment=game.punishment,
+            kappa=config.selection_intensity,
+            span=config.scaling_bounds.span, clamp=_EXP_CLAMP,
+            max_rounds=config.max_rounds, window=config.steady_window,
+            tolerance=config.steady_tolerance,
+            **{name: array.ctypes.data
+               for name, array in self._buffers.items()})
+        self._stop_reasons = kernel.STOP_REASONS
 
     def round(self, state: SimulationState) -> float:
         """Advance one full Monte Carlo round; returns the cooperator
         density after the round.  ``state.strategies`` is replaced by a
         new array, so a caller may keep the old one.
         """
-        nm, table = self.slot_count, self.table
+        if self.table.edgeless:
+            raise ValueError("no slot has a neighbour, so no round can run")
+        if self._kernel is None:
+            value = self._python_round(state)
+        else:
+            self._call(self._kernel.megt_round, state)
+            value = self._engine.coop_total / self.slot_count
+        state.round_index += 1
+        return value
+
+    def run(self, state: SimulationState, on_round=None
+            ) -> tuple[list[float], list[float], str]:
+        """Rounds from ``state`` until ``evolve.run``'s stop rule fires,
+        at most ``max_rounds`` of them.
+
+        Returns the densities (``rho[0]`` is the given state's), their
+        running sums ``[0, rho[0], rho[0] + rho[1], ...]`` and the stop
+        reason.  ``on_round(round_index, state)``, if given, is called on
+        the given state and after every round.
+        """
+        nm = self.slot_count
+        rho = [float((state.strategies == COOPERATE).sum() / nm)]
+        cumulative = [0.0, rho[0]]
+        if on_round is not None:
+            on_round(state.round_index, state)
+        if self.table.edgeless:
+            return rho, cumulative, "edgeless"
+        if rho[0] in (0.0, 1.0):
+            return rho, cumulative, "absorbing"
+        if on_round is None and self._kernel is not None:
+            return self._compiled_run(state, rho[0])
+        return rho, cumulative, self._python_run(state, rho, cumulative,
+                                                 on_round)
+
+    def _compiled_run(self, state: SimulationState, rho0: float
+                      ) -> tuple[list[float], list[float], str]:
+        buffers = self._buffers
+        buffers["rho"][0] = rho0
+        buffers["cumulative"][:2] = (0.0, rho0)
+        rounds = self._call(self._kernel.megt_run, state)
+        state.round_index += rounds
+        return (buffers["rho"][:rounds + 1].tolist(),
+                buffers["cumulative"][:rounds + 2].tolist(),
+                self._stop_reasons[self._engine.stop])
+
+    def _python_run(self, state: SimulationState, rho: list[float],
+                    cumulative: list[float], on_round) -> str:
+        """The stop rule in Python, round by round, extending ``rho`` and
+        ``cumulative`` in place; returns the stop reason."""
+        config = self.config
+        window = config.steady_window
+        while len(rho) - 1 < config.max_rounds:
+            value = self.round(state)
+            rho.append(value)
+            cumulative.append(cumulative[-1] + value)
+            if on_round is not None:
+                on_round(state.round_index, state)
+            if value == 0.0 or value == 1.0:
+                return "absorbing"
+            rounds = len(rho) - 1
+            if rounds >= 2 * window:
+                recent = (cumulative[-1] - cumulative[-1 - window]) / window
+                previous = (cumulative[-1 - window]
+                            - cumulative[-1 - 2 * window]) / window
+                if abs(recent - previous) < config.steady_tolerance:
+                    return "steady"
+        return "budget"
+
+    def _call(self, function, state: SimulationState):
+        """``function`` of the kernel on ``state``: the strategies and
+        counters go into the engine's buffers and come back out, and
+        the state's bit generator is locked while C draws from it."""
+        buffers, rng = self._buffers, state.rng
+        np.copyto(buffers["strategies"], state.strategies.reshape(-1))
+        np.copyto(buffers["coop_count"], state.coop_count)
+        with rng.bit_generator.lock:
+            result = function(self._engine,
+                              rng.bit_generator.ctypes.bit_generator)
+        state.strategies = buffers["strategies"].reshape(
+            self.layer_count, self.node_count).copy()
+        state.coop_count[...] = buffers["coop_count"]
+        self.adoptions += self._engine.adoptions
+        return result
+
+    def _python_round(self, state: SimulationState) -> float:
+        nm = self.slot_count
         payoffs = accumulate_payoffs(state, self.network, self.game,
-                                     self.config.payoff_weights, table)
+                                     self.config.payoff_weights, self.table)
         rng = state.rng
         picks = rng.integers(0, nm, size=nm)
         u_neighbour = rng.random(nm)
         u_adopt = rng.random(nm)
-        if table.has_isolated:
-            # a pick on an isolated slot is redrawn until it has a
-            # neighbour; the steps draw nothing else, so redrawing before
-            # them keeps the RNG stream of redrawing at the step
-            isolated = table.isolated
-            for t in np.flatnonzero(isolated[picks]).tolist():
-                flat = int(picks[t])
-                while isolated[flat]:
-                    flat = int(rng.integers(nm))
-                picks[t] = flat
         strategies = np.array(state.strategies, dtype=np.int8).reshape(nm)
-        coop_total = int(strategies.sum())
-        if self._kernel is None:
-            coop_total += self._python_steps(payoffs, picks, u_neighbour,
-                                             u_adopt, strategies)
-        else:
-            payoffs = np.ascontiguousarray(payoffs, dtype=float).reshape(nm)
-            coop_total += self._kernel(
-                nm, picks.ctypes.data, u_neighbour.ctypes.data,
-                u_adopt.ctypes.data, payoffs.ctypes.data,
-                strategies.ctypes.data, *table.kernel_pointers,
-                self.config.selection_intensity,
-                self.config.scaling_bounds.span, _EXP_CLAMP)
+        coop_total = int(strategies.sum()) + self._python_steps(
+            payoffs, picks, u_neighbour, u_adopt, strategies, rng)
         state.strategies = strategies.reshape(self.layer_count,
                                               self.node_count)
         state.coop_count += (
-            (state.strategies == COOPERATE) * table.degrees).sum(axis=0)
-        state.round_index += 1
+            (state.strategies == COOPERATE) * self.table.degrees).sum(axis=0)
         return coop_total / nm
 
     def _python_steps(self, payoffs: np.ndarray, picks: np.ndarray,
                       u_neighbour: np.ndarray, u_adopt: np.ndarray,
-                      strategies: np.ndarray) -> int:
+                      strategies: np.ndarray,
+                      rng: np.random.Generator) -> int:
         """The round's imitation steps in Python: the fallback for the
         compiled kernel and the oracle it is tested against.  Updates
-        the flat ``strategies`` in place and returns the change in the
-        cooperator count.
+        the flat ``strategies`` in place, adds to ``adoptions`` and
+        returns the change in the cooperator count.  A pick on an
+        isolated slot is redrawn from ``rng`` until it has a neighbour.
 
         The loop inlines ``comm.scaling_factor``, read from the table,
         and ``fermi_probability``, with their float operations; a round
         built from those two is the oracle this one must match bit for
         bit.
         """
-        n = self.node_count
+        n, nm = self.node_count, self.slot_count
         pay: list[list[float]] = payoffs.tolist()
         u_neighbour, u_adopt = u_neighbour.tolist(), u_adopt.tolist()
         current: list[int] = strategies.tolist()
@@ -396,8 +538,10 @@ class RoundEngine:
         kappa = self.config.selection_intensity
         span = self.config.scaling_bounds.span
         exp = math.exp
-        change = 0
+        change = adoptions = 0
         for t, flat in enumerate(picks.tolist()):
+            while not neighbours[flat]:
+                flat = int(rng.integers(nm))
             options = neighbours[flat]
             pick = int(u_neighbour[t] * len(options))
             alpha, i = divmod(flat, n)
@@ -421,7 +565,9 @@ class RoundEngine:
             if u_adopt[t] < prob:
                 current[flat] = other
                 change += other - own
+                adoptions += 1
         strategies[:] = current
+        self.adoptions += adoptions
         return change
 
 
@@ -489,52 +635,33 @@ def run(config: SimulationConfig, *, cell_index: int = 0,
 
     ``on_round(round_index, state)``, if given, is called on the initial
     state and after every round; the equilibrium tracker hooks in here.
+    Without it, the compiled kernel makes the whole run in one call.
     The same (config, cell_index, replica_index) triple reproduces the
     trajectory bit for bit.
     """
+    clock = time.perf_counter
+    start = clock()
     network = replica_network(config, cell_index, replica_index)
-    engine = RoundEngine(network, config.game,
-                         _scaling_table(config, network), config)
+    built = clock()
+    table = _scaling_table(config, network)
+    tabled = clock()
+    engine = RoundEngine(network, config.game, table, config)
     rng = _dynamics_rng(config, cell_index, replica_index)
     state = init_state(network, config.initial_coop_fraction, rng)
-    nm = engine.slot_count
-    rho = [float((state.strategies == COOPERATE).sum() / nm)]
-    cumulative = [0.0, rho[0]]
-    if on_round is not None:
-        on_round(0, state)
-    window = config.steady_window
-    stop_reason = None
-    if engine.table.edgeless:
-        stop_reason = "edgeless"
-    elif rho[0] in (0.0, 1.0):
-        stop_reason = "absorbing"
-    while stop_reason is None and state.round_index < config.max_rounds:
-        value = engine.round(state)
-        rho.append(value)
-        cumulative.append(cumulative[-1] + value)
-        if on_round is not None:
-            on_round(state.round_index, state)
-        if value == 0.0 or value == 1.0:
-            stop_reason = "absorbing"
-            break
-        rounds = len(rho) - 1
-        if rounds >= 2 * window:
-            recent = (cumulative[-1] - cumulative[-1 - window]) / window
-            previous = (cumulative[-1 - window]
-                        - cumulative[-1 - 2 * window]) / window
-            if abs(recent - previous) < config.steady_tolerance:
-                stop_reason = "steady"
-    if stop_reason is None:
-        stop_reason = "budget"
+    ready = clock()
+    rho, cumulative, stop_reason = engine.run(state, on_round)
     if rho[-1] in (0.0, 1.0):
         steady = rho[-1]
     else:
-        tail = min(window, len(rho))
+        tail = min(config.steady_window, len(rho))
         steady = (cumulative[-1] - cumulative[-1 - tail]) / tail
     trajectory = Trajectory(rho=rho, steady_rho=steady,
                             converged=stop_reason != "budget",
                             stop_reason=stop_reason)
-    return RunResult(trajectory=trajectory, state=state, network=network)
+    phase_s = {"network": built - start, "communicability": tabled - built,
+               "setup": ready - tabled, "rounds": clock() - ready}
+    return RunResult(trajectory=trajectory, state=state, network=network,
+                     adoptions=engine.adoptions, phase_s=phase_s)
 
 
 def _worker_count(jobs: int, tasks: int) -> int:
@@ -666,34 +793,6 @@ def write_state_text(state: SimulationState, path) -> None:
             fh.write(f"layer {alpha} {symbols}\n")
         fh.write("coop " + " ".join(str(int(v)) for v in state.coop_count)
                  + "\n")
-
-
-def read_state_text(path) -> SimulationState:
-    """Parse a snapshot back (RNG unset)."""
-    with open(path, encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    header = lines[0].split()
-    if len(header) != 5 or header[0] != "state" or header[1] != "v1":
-        raise ValueError(f"{path}: bad state header {lines[0]!r}")
-    n, m, round_index = int(header[2]), int(header[3]), int(header[4])
-    strategies = np.zeros((m, n), dtype=np.int8)
-    coop = np.zeros(n, dtype=np.int64)
-    for line in lines[1:]:
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "layer":
-            alpha, symbols = int(parts[1]), parts[2]
-            if len(symbols) != n:
-                raise ValueError(f"{path}: layer {alpha} has "
-                                 f"{len(symbols)} strategies, expected {n}")
-            strategies[alpha] = [1 if ch == "C" else 0 for ch in symbols]
-        elif parts[0] == "coop":
-            coop = np.array([int(v) for v in parts[1:]], dtype=np.int64)
-        else:
-            raise ValueError(f"{path}: unexpected line {line!r}")
-    return SimulationState(strategies=strategies, round_index=round_index,
-                           coop_count=coop, rng=None)
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:

@@ -1,4 +1,4 @@
-"""The compiled imitation loop of a Monte Carlo round, built on first use.
+"""The compiled Monte Carlo rounds, built and checked on first use.
 
 ``round.c`` ships beside this module.  ``load`` compiles it once per
 user with the system C compiler into ``$XDG_CACHE_HOME/megt`` (or
@@ -9,9 +9,15 @@ cache each see either no library or a whole one.  Importing this module
 compiles nothing; ``megt.evolve`` imports it only when an engine is
 built.
 
-When the compiler is missing, the build fails or the cache cannot be
-written, ``load`` says why and ``RoundEngine`` runs its Python loop,
-which gives the same bits.
+The kernel takes its random numbers from numpy's bit generator through
+numpy's ``bitgen_t`` interface and reproduces how ``Generator.integers``
+and ``Generator.random`` turn them into draws.  That is numpy's
+implementation, not its contract, so ``load`` first checks a few hundred
+draws, and the bit generator's state after them, against numpy.
+
+When the compiler is missing, the build fails, the cache cannot be
+written or the draws differ from numpy's, ``load`` says why and
+``RoundEngine`` runs its Python fallback, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -24,19 +30,44 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-__all__ = ["load"]
+import numpy as np
+
+__all__ = ["load", "Engine", "STOP_REASONS"]
 
 SOURCE = Path(__file__).with_name("round.c")
 
 # no fused multiply-add: the loop must round like the Python one
 CC_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-_ARGTYPES = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
-             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-             ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
-             ctypes.c_double)
+_I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+
+
+class Engine(ctypes.Structure):
+    """``struct megt_engine`` of ``round.c``, field for field; the
+    pointers are addresses of arrays the engine keeps alive."""
+
+    _fields_ = [(name, kind) for names, kind in (
+        ("node_count slot_count", _I64),
+        ("neighbour_ptr neighbour_slot distance edge_weight row_sum "
+         "cross_ptr cross_slot cross_value denominator", _PTR),
+        ("reward sucker temptation punishment kappa span clamp", _F64),
+        ("max_rounds window", _I64),
+        ("tolerance", _F64),
+        ("strategies coop_count payoff picks u_neighbour u_adopt rho "
+         "cumulative", _PTR),
+        ("coop_total adoptions stop", _I64),
+    ) for name in names.split()]
+
+
+# Engine.stop codes, in round.c's order
+STOP_REASONS = ("budget", "steady", "absorbing")
+
+# bounds for the draw check: the smallest, an odd one, the slot counts
+# of N=200 at M=2 and one past M=7, a large one, and one at which
+# Lemire's method rejects about half of its draws
+_CHECK_BOUNDS = (2, 3, 400, 1401, 2**20 + 7, 2**31 + 1)
+_CHECK_COUNT = 64
+_CHECK_REDRAWS = 8
 
 
 def _cache_dir() -> Path:
@@ -71,23 +102,67 @@ def _build() -> Path:
     return target
 
 
+def _numpy_draws(rng: np.random.Generator, bound: int) -> list[np.ndarray]:
+    """A round's draws as ``RoundEngine`` makes them in Python: bulk
+    picks, neighbour and adoption uniforms, then scalar redraws."""
+    return [rng.integers(0, bound, size=_CHECK_COUNT),
+            rng.random(_CHECK_COUNT), rng.random(_CHECK_COUNT),
+            np.array([rng.integers(bound) for _ in range(_CHECK_REDRAWS)])]
+
+
+def _kernel_draws(library, rng: np.random.Generator,
+                  bound: int) -> list[np.ndarray]:
+    """The same draws made by ``megt_draws`` in ``round.c``."""
+    out = [np.empty(_CHECK_COUNT, np.int64), np.empty(_CHECK_COUNT),
+           np.empty(_CHECK_COUNT), np.empty(_CHECK_REDRAWS, np.int64)]
+    with rng.bit_generator.lock:
+        library.megt_draws(rng.bit_generator.ctypes.bit_generator, bound,
+                           _CHECK_COUNT, out[0].ctypes.data,
+                           out[1].ctypes.data, out[2].ctypes.data,
+                           _CHECK_REDRAWS, out[3].ctypes.data)
+    return out
+
+
+def _draws_match(library) -> bool:
+    """Whether the kernel's draws, and the bit generator state they
+    leave, equal numpy's at every checked bound."""
+    for seed, bound in enumerate(_CHECK_BOUNDS):
+        ours = np.random.default_rng(seed)
+        theirs = np.random.default_rng(seed)
+        if not all(np.array_equal(a, b) for a, b in
+                   zip(_kernel_draws(library, ours, bound),
+                       _numpy_draws(theirs, bound))):
+            return False
+        if ours.bit_generator.state != theirs.bit_generator.state:
+            return False
+    return True
+
+
 @functools.cache
 def load():
-    """``(function, "c")`` for the compiled round, or
-    ``(None, "python: <reason>")`` when it cannot be built or loaded.
+    """``(library, "c")`` for the compiled rounds, or
+    ``(None, "python: <reason>")`` when they cannot be built or loaded
+    or their draws differ from numpy's.
 
-    The outcome is decided once per process.  The function takes the
-    arguments of ``megt_round`` in ``round.c``: the slot count, twelve
-    array addresses and three doubles.
+    The outcome is decided once per process.  ``library.megt_round`` and
+    ``library.megt_run`` take a pointer to an ``Engine`` and the address
+    of numpy's ``bitgen_t`` (``bit_generator.ctypes.bit_generator``).
     """
     try:
-        function = ctypes.CDLL(str(_build())).megt_round
+        library = ctypes.CDLL(str(_build()))
+        library.megt_draws.argtypes = (_PTR, _I64, _I64, _PTR, _PTR, _PTR,
+                                       _I64, _PTR)
+        library.megt_draws.restype = None
+        for name, restype in (("megt_round", None), ("megt_run", _I64)):
+            function = getattr(library, name)
+            function.argtypes = (ctypes.POINTER(Engine), _PTR)
+            function.restype = restype
     except FileNotFoundError as exc:
         if exc.filename == "cc":
             return None, "python: no C compiler (cc) on PATH"
         return None, f"python: {exc}"
     except (OSError, AttributeError, RuntimeError) as exc:
         return None, f"python: {exc}"
-    function.argtypes = _ARGTYPES
-    function.restype = ctypes.c_int64
-    return function, "c"
+    if not _draws_match(library):
+        return None, "python: rng mismatch"
+    return library, "c"

@@ -15,6 +15,9 @@ from megt.manifest import load_manifest, sha256_file
 
 from conftest import megt_env
 
+# RunResult.phase_s keys, copied into the evolve and nash manifests
+PHASES = {"network", "communicability", "setup", "rounds"}
+
 BASE_CONFIG = """
 node_count = 20
 layers = 2
@@ -212,6 +215,15 @@ def test_evolve_replica_file_census(tmp_path):
                      f"metrics_rep{r:02d}.csv"}
     assert set(manifest.outputs) == expected
     assert len(manifest.extra["steady_rho"]) == 3
+    # per replica: the adoptions counted and where the wall time went,
+    # kept out of the checksummed outputs
+    assert [type(count) for count in manifest.extra["adoptions"]] == [int] * 3
+    assert all(count >= 0 for count in manifest.extra["adoptions"])
+    assert len(manifest.extra["phase_s"]) == 3
+    for phases in manifest.extra["phase_s"]:
+        assert set(phases) == PHASES
+        assert all(0.0 <= value < 60.0 for value in phases.values())
+    assert "manifest.json" not in manifest.outputs
 
 
 def test_evolve_jobs_flag_does_not_change_results(tmp_path):
@@ -367,6 +379,12 @@ def test_nash_outputs(tmp_path):
     extra = load_manifest(outdir / "manifest.json").extra
     assert extra["stop_reason"] in ("steady", "absorbing", "budget")
     assert "round_kernel" in extra
+    # a density that moved took adoptions
+    densities = {line.split(",")[1] for line in rho_lines[1:]}
+    assert type(extra["adoptions"]) is int
+    assert extra["adoptions"] > 0 if len(densities) > 1 else \
+        extra["adoptions"] >= 0
+    assert set(extra["phase_s"]) == PHASES
 
 
 def test_nash_rejects_unknown_projection(tmp_path, capsys):

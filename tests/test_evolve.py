@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import megt.comm
@@ -17,7 +17,7 @@ import megt.kernel
 from megt.comm import ScalingBounds, communicability, scaling_factor
 from megt.evolve import (DISTANCE_FLOOR, RoundEngine, ScalingTable,
                          SimulationConfig, accumulate_payoffs, density,
-                         fermi_probability, init_state, read_state_text, run,
+                         fermi_probability, init_state, run,
                          run_replicas, sweep_ts, write_grid_csv,
                          write_state_text, write_trajectory_csv)
 from megt.evolve import _worker_count
@@ -164,6 +164,37 @@ def test_weighted_mode_scales_with_link_weight():
     assert accumulate_payoffs(state, net, game)[0, 0] == pytest.approx(0.25)
     assert accumulate_payoffs(state, net, game,
                               payoff_weights="binary")[0, 0] == 1.0
+
+
+# a game whose payoff is the cooperating mass sum_j w_ij s_j itself
+MASS = PayoffMatrix(reward=1.0, sucker=0.0, temptation=1.0, punishment=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(draw_seed=st.integers(0, 2**16), n=st.integers(2, 30),
+       layers=st.integers(1, 4), edge_probability=st.floats(0.0, 0.6),
+       sigma=st.floats(0.0, 2.0), edgeless_layer=st.booleans(),
+       initial=st.floats(0.0, 1.0), dynamics_seed=st.integers(0, 2**16))
+def test_payoffs_sum_edges_in_one_order(draw_seed, n, layers,
+                                        edge_probability, sigma,
+                                        edgeless_layer, initial,
+                                        dynamics_seed):
+    net = random_multiplex(draw_seed, n, layers, edge_probability, sigma,
+                           edgeless_layer)
+    table = ScalingTable(net, communicability(net, 0.5))
+    state = init_state(net, initial, np.random.default_rng(dynamics_seed))
+    game = from_ts(1.5, -0.5)
+    for mode in ("weighted", "binary"):
+        assert np.array_equal(accumulate_payoffs(state, net, game, mode),
+                              accumulate_payoffs(state, net, game, mode,
+                                                 table))
+    coop = (state.strategies == COOPERATE).astype(float)
+    binary = np.stack([a @ x for a, x in zip(net.adjacency, coop)])
+    assert np.array_equal(accumulate_payoffs(state, net, MASS, "binary"),
+                          binary)
+    weighted = np.stack([w @ x for w, x in zip(net.weights, coop)])
+    np.testing.assert_allclose(accumulate_payoffs(state, net, MASS),
+                               weighted, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +390,111 @@ def test_compiled_round_matches_python_round(
     assert np.array_equal(fast.strategies, slow.strategies)
     assert np.array_equal(fast.coop_count, slow.coop_count)
     assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
+
+
+def run_both_ways(config):
+    """``run(config)`` on the compiled kernel, then on the Python
+    fallback; skips where the kernel cannot load."""
+    if megt.kernel.load()[0] is None:
+        pytest.skip(megt.kernel.load()[1])
+    compiled = run(config)
+    with pytest.MonkeyPatch.context() as patch:
+        force_python_round(patch)
+        python = run(config)
+    return compiled, python
+
+
+def assert_same_run(a, b):
+    assert a.trajectory == b.trajectory
+    assert np.array_equal(a.state.strategies, b.state.strategies)
+    assert np.array_equal(a.state.coop_count, b.state.coop_count)
+    assert a.state.round_index == b.state.round_index == a.trajectory.rounds
+    assert a.state.rng.bit_generator.state == b.state.rng.bit_generator.state
+    assert a.adoptions == b.adoptions
+
+
+@settings(max_examples=60, deadline=None)
+@given(draw_seed=st.integers(0, 2**16), n=st.integers(2, 30),
+       layers=st.integers(1, 4), edge_probability=st.floats(0.0, 0.4),
+       sigma=st.floats(0.0, 2.0), edgeless_layer=st.booleans(),
+       temptation=st.floats(0.0, 2.0), sucker=st.floats(-1.0, 1.0),
+       kappa=st.floats(1e-4, 2.0), omega=st.floats(0.0, 2.0),
+       weights=st.sampled_from(["weighted", "binary"]),
+       initial=st.floats(0.0, 1.0), window=st.integers(1, 6),
+       extra_rounds=st.integers(0, 40),
+       tolerance=st.floats(1e-4, 0.2), dynamics_seed=st.integers(0, 2**16))
+def test_compiled_run_matches_python_run(
+        draw_seed, n, layers, edge_probability, sigma, edgeless_layer,
+        temptation, sucker, kappa, omega, weights, initial, window,
+        extra_rounds, tolerance, dynamics_seed):
+    net = random_multiplex(draw_seed, n, layers, edge_probability, sigma,
+                           edgeless_layer)
+    config = SimulationConfig(game=from_ts(temptation, sucker), network=net,
+                              selection_intensity=kappa,
+                              interlayer_strength=omega,
+                              payoff_weights=weights,
+                              initial_coop_fraction=initial,
+                              max_rounds=window + extra_rounds,
+                              steady_window=window,
+                              steady_tolerance=tolerance,
+                              rng_seed=dynamics_seed)
+    compiled, python = run_both_ways(config)
+    assert_same_run(compiled, python)
+    event(compiled.trajectory.stop_reason)
+
+
+@pytest.mark.parametrize("reason, game, seed, initial, window, rounds", [
+    ("steady", "hg", 0, 0.5, 5, 60),
+    ("absorbing", "hg", 2, 0.3, 5, 60),
+    ("budget", "sd", 3, 0.5, 30, 30),
+])
+def test_every_stop_of_the_compiled_run_matches_python(
+        reason, game, seed, initial, window, rounds):
+    # the property above draws these too, but not surely each time
+    config = SimulationConfig(game=representative(game),
+                              spec=small_spec(seed, 12),
+                              initial_coop_fraction=initial,
+                              max_rounds=rounds, steady_window=window,
+                              rng_seed=seed)
+    compiled, python = run_both_ways(config)
+    assert compiled.trajectory.stop_reason == reason
+    assert 0 < compiled.trajectory.rounds <= rounds
+    assert_same_run(compiled, python)
+
+
+def test_round_runs_past_max_rounds():
+    # round() has no budget: it must never write past the run's buffers
+    if megt.kernel.load()[0] is None:
+        pytest.skip(megt.kernel.load()[1])
+    net = build_multiplex(small_spec(seed=2))
+    config = SimulationConfig(game=representative("sd"), network=net,
+                              max_rounds=2, steady_window=1)
+    compiled = engine_for(net, config.game, config)
+    with pytest.MonkeyPatch.context() as patch:
+        force_python_round(patch)
+        python = engine_for(net, config.game, config)
+    assert compiled.round_kernel == "c"
+    fast = init_state(net, 0.5, np.random.default_rng(4))
+    slow = init_state(net, 0.5, np.random.default_rng(4))
+    for _ in range(5 * config.max_rounds + 3):
+        assert compiled.round(fast) == python.round(slow)
+    assert fast.round_index == slow.round_index == 13
+    assert np.array_equal(fast.strategies, slow.strategies)
+    assert np.array_equal(fast.coop_count, slow.coop_count)
+    assert compiled.adoptions == python.adoptions
+    # and a whole run after them, on the same engines
+    assert compiled.run(fast) == python.run(slow)
+    assert np.array_equal(fast.strategies, slow.strategies)
+    assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
+
+
+def test_round_refuses_an_edgeless_multiplex():
+    net = multiplex_from_arrays([np.zeros((4, 4), dtype=np.int8)] * 2,
+                                np.zeros((4, 4)))
+    config = SimulationConfig(game=representative("sd"), network=net)
+    state = init_state(net, 0.5, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="no slot has a neighbour"):
+        engine_for(net, config.game, config).round(state)
 
 
 def test_round_replaces_the_strategy_array():
@@ -710,14 +846,15 @@ def test_state_text_round_trip(tmp_path):
     result = run(config)
     path = tmp_path / "state.txt"
     write_state_text(result.state, path)
-    back = read_state_text(path)
-    assert np.array_equal(back.strategies, result.state.strategies)
-    assert np.array_equal(back.coop_count, result.state.coop_count)
-    assert back.round_index == result.state.round_index
-
-
-def test_state_text_rejects_garbage(tmp_path):
-    path = tmp_path / "state.txt"
-    path.write_text("nonsense\n")
-    with pytest.raises(ValueError):
-        read_state_text(path)
+    header, *layers, coop = path.read_text(encoding="ascii").splitlines()
+    m, n = result.state.strategies.shape
+    assert header.split() == ["state", "v1", str(n), str(m),
+                              str(result.state.round_index)]
+    strategies = np.array([[1 if ch == "C" else 0 for ch in line.split()[2]]
+                           for line in layers], dtype=np.int8)
+    assert [line.split()[:2] for line in layers] == [
+        ["layer", str(alpha)] for alpha in range(m)]
+    assert np.array_equal(strategies, result.state.strategies)
+    assert coop.split()[0] == "coop"
+    assert np.array_equal(np.array(coop.split()[1:], dtype=np.int64),
+                          result.state.coop_count)

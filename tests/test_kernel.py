@@ -1,7 +1,8 @@
-"""Building, caching and loading the compiled round kernel.
+"""Building, caching, checking and loading the compiled round kernel.
 
-The tests that compare the compiled round with the Python one live in
-``test_evolve.py`` and ``test_golden.py``; these check the build itself.
+The tests that compare the compiled rounds and runs with the Python ones
+live in ``test_evolve.py`` and ``test_golden.py``; these check the build
+and the loader's draw check.
 """
 from __future__ import annotations
 
@@ -9,10 +10,14 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import megt.kernel
 from megt.cli import main
+from megt.evolve import SimulationConfig, run
+from megt.games import representative
+from megt.netgen import LayerTopology, MultiplexSpec
 from megt.manifest import load_manifest
 
 from conftest import megt_env
@@ -90,3 +95,52 @@ def test_manifest_records_the_compiled_round(tmp_path):
     extra = load_manifest(tmp_path / "out" / "manifest.json").extra
     assert extra["round_kernel"] == "c"
     assert extra["stop_reason"][0] in ("steady", "absorbing", "budget")
+
+
+@requires_cc
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    proc = subprocess.run(
+        ["cc", *megt.kernel.CC_FLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "round.so"), str(megt.kernel.SOURCE), "-lm"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_kernel_draws_equal_numpy_draws():
+    library, path = megt.kernel.load()
+    if library is None:
+        pytest.skip(path)
+    for bound in (2, 400, 2**31 + 1):
+        ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+        for a, b in zip(megt.kernel._kernel_draws(library, ours, bound),
+                        megt.kernel._numpy_draws(theirs, bound)):
+            assert np.array_equal(a, b)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@requires_cc
+def test_rng_mismatch_falls_back_to_python(monkeypatch):
+    # a numpy whose bounded draws consumed one more double than round.c
+    # assumes: the loader must notice and refuse the kernel
+    numpy_draws = megt.kernel._numpy_draws
+
+    def shifted(rng, bound):
+        rng.random()
+        return numpy_draws(rng, bound)
+
+    config = SimulationConfig(
+        game=representative("sd"), max_rounds=60, steady_window=10,
+        spec=MultiplexSpec(node_count=15, layer_count=2,
+                           topologies=(LayerTopology.er(0.2),) * 2,
+                           homophily_sigma=1.0, rng_seed=4), rng_seed=4)
+    megt.kernel.load.cache_clear()
+    compiled = run(config)
+    monkeypatch.setattr(megt.kernel, "_numpy_draws", shifted)
+    megt.kernel.load.cache_clear()
+    try:
+        assert megt.kernel.load() == (None, "python: rng mismatch")
+        fallback = run(config)
+    finally:
+        megt.kernel.load.cache_clear()
+    assert fallback.trajectory == compiled.trajectory
+    assert np.array_equal(fallback.state.strategies, compiled.state.strategies)
