@@ -10,7 +10,8 @@ from .netgen import (LayerTopology, MultiplexNetwork, MultiplexSpec,
                      generate_sf, generate_ws, load_multiplex,
                      multiplex_from_arrays, sample_homophily, save_multiplex)
 from .comm import (Communicability, ScalingBounds, build_supra,
-                   communicability, matrix_exp, scaling_factor)
+                   communicability, communicability_entries, matrix_exp,
+                   scaling_factor)
 from .evolve import (RunResult, ScalingTable, SimulationConfig,
                      SimulationState, Trajectory, accumulate_payoffs, density,
                      fermi_probability, init_state, replica_network,

@@ -215,7 +215,10 @@ def cmd_generate(args) -> int:
     cfg = load_config(args.config)
     seed = _resolve_seed(cfg, args)
     spec = _network_spec(cfg, seed)
-    network = build_multiplex(spec)
+    try:
+        network = build_multiplex(spec)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     outdir = _outdir(args)
     target = outdir / "net.mplex"
     save_multiplex(network, target)
@@ -262,6 +265,7 @@ def cmd_evolve(args) -> int:
                                      for r in results]
     manifest.extra["adoptions"] = [r.adoptions for r in results]
     manifest.extra["phase_s"] = [r.phase_s for r in results]
+    manifest.extra["communicability"] = [r.communicability for r in results]
     _record_round_kernel(manifest)
     return _finish(manifest, outdir, produced)
 
@@ -283,6 +287,9 @@ def cmd_sweep(args) -> int:
     manifest = RunManifest(command="sweep", version=__version__,
                            seed=seed, config=cfg)
     _record_network_input(manifest, cfg)
+    manifest.extra["adoptions"] = grid.adoptions
+    manifest.extra["phase_s"] = grid.phase_s
+    manifest.extra["communicability"] = grid.communicability
     _record_round_kernel(manifest)
     return _finish(manifest, outdir, [target])
 
@@ -314,6 +321,7 @@ def cmd_nash(args) -> int:
     manifest.extra["stop_reason"] = result.trajectory.stop_reason
     manifest.extra["adoptions"] = result.adoptions
     manifest.extra["phase_s"] = result.phase_s
+    manifest.extra["communicability"] = result.communicability
     _record_round_kernel(manifest)
     return _finish(manifest, outdir, [target, rho_path])
 

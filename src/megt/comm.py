@@ -7,9 +7,22 @@ is coupled to its own counterpart on every other layer).  The matrix
 exponential of the supra-matrix is the communicability: entry
 ((alpha, i), (beta, j)) sums all walks from node i on layer alpha to
 node j on layer beta, with 1/k! weighting for length-k walks (Estrada &
-Hatano 2008; Estrada & Gomez-Gardenes 2014 for multiplexes).  The
-supra-matrix is symmetric, so the exponential comes from one symmetric
-eigendecomposition.
+Hatano 2008; Estrada & Gomez-Gardenes 2014 for multiplexes).
+
+A run reads only a few entries of the exponential per slot, and
+``communicability_entries`` computes just those, by one of two paths:
+
+- ``"series"``, on sparse layers: the truncated Taylor series of the
+  sparse supra-matrix, summed over panels of identity columns by
+  ``round.c`` (or by the same operations in numpy without a compiler).
+  No (N*M)^2 array is built.
+- ``"eigh"``, on dense layers, where the series would cost more than a
+  dense eigendecomposition, and wherever the exponential may overflow:
+  the entries are gathered from ``matrix_exp``, the exponential from one
+  symmetric eigendecomposition of the dense ``build_supra``.
+
+``matrix_exp`` and ``communicability`` are also the oracle that the
+series is tested against.
 
 Row/column order is layer-major: flat index = alpha * N + i.
 
@@ -21,6 +34,8 @@ holds once per network while each run owns only its strategies.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +45,23 @@ from .netgen import MultiplexNetwork, homophily_from_delta
 __all__ = [
     "build_supra",
     "matrix_exp",
+    "communicability_entries",
     "Communicability",
     "communicability",
     "ScalingBounds",
     "scaling_factor",
 ]
+
+# the series runs while the bound on A's spectrum stays below the
+# eigenvalue at which matrix_exp reports an overflow
+_SERIES_MAX_BOUND = 700.0
+
+# power steps behind the Collatz-Wielandt bound
+_BOUND_STEPS = 12
+
+# columns per panel of the numpy series; the fastest of 16 to 256 at
+# N*M = 1400 and 2000 (round.c uses 8)
+_NUMPY_PANEL = 32
 
 
 def build_supra(network: MultiplexNetwork,
@@ -44,23 +71,17 @@ def build_supra(network: MultiplexNetwork,
     Diagonal block alpha is the homophily-masked adjacency
     ``homophily_from_delta(delta) * adjacency[alpha]``; every
     off-diagonal block is ``interlayer_strength`` times the identity.
-    The result is symmetric and nonnegative.
+    The result is symmetric and nonnegative: the dense form of
+    ``_supra_csr``.
     """
-    if interlayer_strength < 0:
-        raise ValueError(
-            f"interlayer_strength must be >= 0, got {interlayer_strength}")
-    n, m = network.node_count, network.layer_count
-    supra = np.zeros((n * m, n * m))
-    eye = np.eye(n) * interlayer_strength
-    homophily = homophily_from_delta(network.delta)
-    for alpha in range(m):
-        a0 = alpha * n
-        supra[a0:a0 + n, a0:a0 + n] = homophily * network.adjacency[alpha]
-        for beta in range(alpha + 1, m):
-            b0 = beta * n
-            supra[a0:a0 + n, b0:b0 + n] = eye
-            supra[b0:b0 + n, a0:a0 + n] = eye
-    return supra
+    return _dense(*_supra_csr(network, interlayer_strength))
+
+
+def _dense(ptr: np.ndarray, col: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """The square CSR matrix ``(ptr, col, val)`` as a dense array."""
+    dense = np.zeros((ptr.size - 1, ptr.size - 1))
+    dense[np.repeat(np.arange(ptr.size - 1), np.diff(ptr)), col] = val
+    return dense
 
 
 def matrix_exp(matrix: np.ndarray) -> np.ndarray:
@@ -70,7 +91,9 @@ def matrix_exp(matrix: np.ndarray) -> np.ndarray:
     ``V = U diag(exp(lambda / 2))``; the product is symmetric by
     construction.  One ``eigh`` plus one product costs about a quarter of
     a dense Taylor series with scaling and squaring, and agrees with it to
-    rounding error.
+    rounding error.  ``communicability_entries`` takes this path on dense
+    layers and where the exponential may overflow; elsewhere it is the
+    oracle of the sparse series.
 
     Raises ValueError for a non-square, non-symmetric or non-finite input,
     and when the result is not finite: an eigenvalue above about 709
@@ -94,11 +117,203 @@ def matrix_exp(matrix: np.ndarray) -> np.ndarray:
     return result
 
 
+def _supra_csr(network: MultiplexNetwork, interlayer_strength: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The supra-matrix as CSR ``(ptr, col, val)``, built from the
+    layers' edges, with columns ascending within a row.  Zero couplings
+    are left out."""
+    if interlayer_strength < 0:
+        raise ValueError(
+            f"interlayer_strength must be >= 0, got {interlayer_strength}")
+    n, m = network.node_count, network.layer_count
+    rows, cols, vals = [], [], []
+    for alpha, layer in enumerate(network.adjacency):
+        i, j = np.nonzero(layer)
+        rows.append(alpha * n + i)
+        cols.append(alpha * n + j)
+        vals.append(homophily_from_delta(network.delta[i, j]) * layer[i, j])
+    if interlayer_strength > 0:
+        node = np.arange(n)
+        for alpha, beta in itertools.permutations(range(m), 2):
+            rows.append(alpha * n + node)
+            cols.append(beta * n + node)
+            vals.append(np.full(n, float(interlayer_strength)))
+    row = np.concatenate(rows, dtype=np.int64)
+    col = np.concatenate(cols, dtype=np.int64)
+    order = np.argsort(row * (n * m) + col, kind="stable")
+    ptr = np.zeros(n * m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n * m), out=ptr[1:])
+    return ptr, col[order], np.concatenate(vals, dtype=float)[order]
+
+
+def _spectral_bound(ptr: np.ndarray, col: np.ndarray,
+                    val: np.ndarray) -> float:
+    """An upper bound on the largest eigenvalue of the nonnegative CSR
+    matrix: the least Collatz-Wielandt bound ``max_i (A x)_i / x_i``
+    over ``_BOUND_STEPS`` power steps ``x <- (A + I) x`` from ``x = 1``,
+    each of which keeps x positive.  Entries near float64's range may
+    overflow a step; the bound is then inf or that of an earlier step."""
+    row = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+    x = np.ones(ptr.size - 1)
+    bound = math.inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(_BOUND_STEPS):
+            y = np.bincount(row, weights=val * x[col], minlength=x.size)
+            # a NaN step (x overflowed) leaves the bound as it was
+            bound = min(bound, float((y / x).max(initial=0.0)))
+            x += y
+            x /= x.max()
+    return bound
+
+
+def _series_terms(bound: float) -> int:
+    """The least K for which the Taylor tail ``sum_{k>K} bound^k / k!``
+    is at most 2^-53; it bounds the tail of every entry of exp(A) when
+    ``bound`` bounds A's spectrum.  The loop takes about e * bound
+    steps, so callers keep ``bound`` at most ``_SERIES_MAX_BOUND``."""
+    if bound <= 0.0:
+        return 0
+    log_bound, limit = math.log(bound), -53 * math.log(2.0)
+    terms = 0
+    while True:
+        # the tail after K terms is at most t_{K+1} / (1 - bound / (K+2))
+        if terms + 2 > bound and (
+                (terms + 1) * log_bound - math.lgamma(terms + 2)
+                - math.log1p(-bound / (terms + 2)) <= limit):
+            return terms
+        terms += 1
+
+
+def _series_choice(ptr: np.ndarray, col: np.ndarray,
+                   val: np.ndarray) -> int | None:
+    """K when the series of the CSR supra-matrix costs less than a dense
+    eigendecomposition, ``K * nnz(A) <= (N*M)^2``, and its spectral
+    bound is at most ``_SERIES_MAX_BOUND``; None when eigh should run."""
+    nm = ptr.size - 1
+    # K > bound - 2 and bound >= sum(A) / (N*M), the Rayleigh quotient of
+    # the ones vector, so dense layers go to eigh without the power steps
+    with np.errstate(over="ignore"):
+        quotient = val.sum() / max(nm, 1)
+    if (quotient - 3) * col.size > nm * nm:
+        return None
+    bound = _spectral_bound(ptr, col, val)
+    # checked first: K takes about e * bound steps to find
+    if not bound <= _SERIES_MAX_BOUND:
+        return None
+    terms = _series_terms(bound)
+    return terms if terms * col.size <= nm * nm else None
+
+
+def _series_numpy(ptr, col, val, terms, cross_ptr, cross_slot
+                  ) -> np.ndarray:
+    """``round.c``'s ``megt_comm_entries`` in numpy, with the same
+    operations in the same order, so the same bits.
+
+    Each row's products are added left to right by taking the q-th
+    stored entry of every row that has one, for q = 0, 1, ...  Panels
+    store their rows by descending degree, so the rows with a q-th entry
+    are a leading slice; the storage order and the panel width change
+    no bit."""
+    nm = ptr.size - 1
+    degree = np.diff(ptr)
+    order = np.argsort(-degree, kind="stable")
+    rank = np.empty(nm, dtype=np.int64)
+    rank[order] = np.arange(nm)
+    steps = []
+    for q in range(int(degree.max(initial=0))):
+        rows = order[:np.count_nonzero(degree > q)]
+        steps.append((rows.size, rank[col[ptr[rows] + q]],
+                      val[ptr[rows] + q, None]))
+    owner = np.repeat(np.arange(nm), np.diff(cross_ptr))
+    out = np.empty(cross_slot.size)
+    total, term, acc, products = (np.empty((nm, _NUMPY_PANEL))
+                                  for _ in range(4))
+    for first in range(0, nm, _NUMPY_PANEL):
+        width = min(_NUMPY_PANEL, nm - first)
+        t, a, b = total[:, :width], term[:, :width], acc[:, :width]
+        t.fill(0.0)
+        t[rank[first:first + width], np.arange(width)] = 1.0
+        a[...] = t
+        for k in range(1, terms + 1):
+            b.fill(0.0)
+            for count, cols, vals in steps:
+                p = products[:count, :width]
+                np.take(a, cols, axis=0, out=p, mode="clip")
+                p *= vals
+                b[:count] += p
+            np.divide(b, k, out=a)
+            t += a
+        part = slice(cross_ptr[first], cross_ptr[first + width])
+        out[part] = t[rank[cross_slot[part]], owner[part] - first]
+    return out
+
+
+def _series_c(library, ptr, col, val, terms, cross_ptr, cross_slot,
+              vector: bool = True) -> np.ndarray:
+    """The entries from ``round.c``'s ``megt_comm_entries``; ``vector``
+    lets it use AVX2 where the CPU has it, which changes no bit."""
+    out = np.empty(cross_slot.size)
+    status = library.megt_comm_entries(
+        ptr.size - 1, ptr.ctypes.data, col.ctypes.data, val.ctypes.data,
+        terms, cross_ptr.ctypes.data, cross_slot.ctypes.data,
+        out.ctypes.data, int(vector))
+    if status != 0:
+        raise MemoryError("cannot allocate the communicability panels")
+    return out
+
+
+def communicability_entries(network: MultiplexNetwork,
+                            interlayer_strength: float,
+                            cross_ptr: np.ndarray, cross_slot: np.ndarray
+                            ) -> tuple[np.ndarray, dict]:
+    """The communicability entries ``exp(A)[r, cross_slot[q]]`` for every
+    flat row r and ``q`` in ``cross_ptr[r] .. cross_ptr[r+1] - 1``, and
+    how they were computed: ``{"method": "series", "terms": K}`` or
+    ``{"method": "eigh", "terms": None}``.
+
+    The series needs a Collatz-Wielandt bound on A's largest eigenvalue
+    of at most 700; K is then the number of Taylor terms after which the
+    tail is at most 2^-53.  The method is ``"series"``, the truncated
+    Taylor series of the sparse supra-matrix over panels of identity
+    columns (``round.c``, or the same operations in numpy without a
+    compiler), while it costs less than a dense eigendecomposition,
+    ``K * nnz(A) <= (N*M)^2``.  Otherwise it is ``"eigh"``: the dense
+    ``matrix_exp`` of ``build_supra``, which raises ValueError when the
+    exponential overflows.  The choice depends only on the network, so
+    outputs do not depend on whether a compiler is present.
+    """
+    ptr, col, val = _supra_csr(network, interlayer_strength)
+    nm = ptr.size - 1
+    cross_ptr = np.ascontiguousarray(cross_ptr, dtype=np.int64)
+    cross_slot = np.ascontiguousarray(cross_slot, dtype=np.int64)
+    # the compiled series reads through these indices unchecked
+    if (cross_ptr.shape != (nm + 1,) or cross_ptr[0] != 0
+            or cross_ptr[-1] != cross_slot.size
+            or np.any(np.diff(cross_ptr) < 0)
+            or np.any((cross_slot < 0) | (cross_slot >= nm))):
+        raise ValueError(f"expected a CSR of flat slots below {nm}")
+    terms = _series_choice(ptr, col, val)
+    if terms is None:
+        matrix = matrix_exp(_dense(ptr, col, val))
+        owner = np.repeat(np.arange(nm), np.diff(cross_ptr))
+        return matrix[owner, cross_slot], {"method": "eigh", "terms": None}
+    from . import kernel  # ctypes stays off the import path
+    library = kernel.compiled()[0]
+    if library is None:
+        values = _series_numpy(ptr, col, val, terms, cross_ptr, cross_slot)
+    else:
+        values = _series_c(library, ptr, col, val, terms, cross_ptr,
+                           cross_slot)
+    return values, {"method": "series", "terms": terms}
+
+
 @dataclass(frozen=True)
 class Communicability:
-    """exp of the supra-matrix.
+    """exp of the supra-matrix, dense, from ``matrix_exp``.
 
-    ``matrix`` is (N*M) x (N*M) in layer-major order.
+    ``matrix`` is (N*M) x (N*M) in layer-major order.  Runs never build
+    it: they read their entries from ``communicability_entries``.  It is
+    the input of the reference ``scaling_factor`` and the tests' oracle.
     """
 
     matrix: np.ndarray

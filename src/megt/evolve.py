@@ -24,6 +24,7 @@ loop give the same bits.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comm import Communicability, ScalingBounds, communicability
+from .comm import ScalingBounds, communicability_entries
 from .games import COOPERATE, PayoffMatrix, from_ts
 from .netgen import MultiplexNetwork, MultiplexSpec, build_multiplex
 
@@ -199,7 +200,9 @@ class RunResult:
     ``phase_s`` splits the run's wall time, in seconds: ``network``
     (realising or reusing it), ``communicability`` (with the scaling
     table), ``setup`` (engine and initial state) and ``rounds`` (with
-    any ``on_round`` hook).
+    any ``on_round`` hook).  ``communicability`` says how the table's
+    entries were computed: ``{"method": "series", "terms": K}`` or
+    ``{"method": "eigh", "terms": None}``.
     """
 
     trajectory: Trajectory
@@ -207,6 +210,7 @@ class RunResult:
     network: MultiplexNetwork
     adoptions: int = 0
     phase_s: dict[str, float] = field(default_factory=dict)
+    communicability: dict = field(default_factory=dict)
 
 
 def init_state(network: MultiplexNetwork, initial_coop_fraction: float,
@@ -275,7 +279,9 @@ class ScalingTable:
     social distance ``max(delta_ij, DISTANCE_FLOOR)`` to each of them in
     neighbour order; ``cross_index`` and ``cross_value``, the slot's
     cross-layer neighbourhood in ``comm._cross_neighbourhood``'s order
-    and its communicability entries; ``denominator``, their sum.
+    and its communicability entries, the only ones computed (see
+    ``comm.communicability_entries``); ``denominator``, their sum.
+    ``communicability`` records how the entries were computed.
     ``degrees`` is the (M, N) degree table and ``weight_sums`` the (M, N)
     row sums of the link weights; ``has_isolated`` and ``edgeless`` say
     whether some or all slots lack a neighbour.  None of it depends on
@@ -288,7 +294,8 @@ class ScalingTable:
     ``round.c``'s engine struct to its array.
     """
 
-    def __init__(self, network: MultiplexNetwork, comm: Communicability):
+    def __init__(self, network: MultiplexNetwork,
+                 interlayer_strength: float):
         n, m = network.node_count, network.layer_count
         layers = network.neighbour_lists()
         self.neighbours = [nbrs for layer in layers for nbrs in layer]
@@ -302,8 +309,12 @@ class ScalingTable:
         self.cross_index = [[k for beta in range(m) if beta != alpha
                              for k in blocks[beta][i]]
                             for alpha in range(m) for i in range(n)]
-        self.cross_value = [row[idx].tolist() for row, idx
-                            in zip(comm.matrix, self.cross_index)]
+        cross_ptr = _row_offsets([len(idx) for idx in self.cross_index])
+        cross_slot = _flatten(self.cross_index, np.int64)
+        cross_value, self.communicability = communicability_entries(
+            network, interlayer_strength, cross_ptr, cross_slot)
+        self.cross_value = [cross_value[lo:hi].tolist() for lo, hi
+                            in itertools.pairwise(cross_ptr.tolist())]
         # left to right like scaling_factor; builtin sum compensates on 3.12+
         self.denominator = [functools.reduce(operator.add, values, 0.0)
                             for values in self.cross_value]
@@ -318,9 +329,9 @@ class ScalingTable:
             "neighbour_ptr": _row_offsets(degree),
             "neighbour_slot": self.edge_slot,
             "distance": _flatten(self.distance, float),
-            "cross_ptr": _row_offsets([len(idx) for idx in self.cross_index]),
-            "cross_slot": _flatten(self.cross_index, np.int64),
-            "cross_value": _flatten(self.cross_value, float),
+            "cross_ptr": cross_ptr,
+            "cross_slot": cross_slot,
+            "cross_value": cross_value,
             "denominator": np.array(self.denominator, dtype=float)}
 
 
@@ -614,7 +625,7 @@ def _scaling_table(config: SimulationConfig,
     memo = _table_memo
     if memo is not None and memo[0] is network and memo[1] == omega:
         return memo[2]
-    table = ScalingTable(network, communicability(network, omega))
+    table = ScalingTable(network, omega)
     if config.network is network:
         _table_memo = (network, omega, table)
     return table
@@ -661,7 +672,8 @@ def run(config: SimulationConfig, *, cell_index: int = 0,
     phase_s = {"network": built - start, "communicability": tabled - built,
                "setup": ready - tabled, "rounds": clock() - ready}
     return RunResult(trajectory=trajectory, state=state, network=network,
-                     adoptions=engine.adoptions, phase_s=phase_s)
+                     adoptions=engine.adoptions, phase_s=phase_s,
+                     communicability=table.communicability)
 
 
 def _worker_count(jobs: int, tasks: int) -> int:
@@ -729,13 +741,22 @@ def density(state: SimulationState) -> float:
 @dataclass
 class GridResult:
     """Replica-averaged steady densities over a T-S grid (row-major:
-    temptation outer, sucker inner)."""
+    temptation outer, sucker inner).
+
+    Over all the grid's runs, ``adoptions`` is the total adoption count
+    and ``phase_s`` the total time of each ``RunResult.phase_s`` phase;
+    ``communicability`` lists each distinct method and term count with
+    the number of runs that used it.
+    """
 
     t_values: list[float]
     s_values: list[float]
     rho_mean: np.ndarray
     rho_std: np.ndarray
     replicas: int
+    adoptions: int = 0
+    phase_s: dict[str, float] = field(default_factory=dict)
+    communicability: list[dict] = field(default_factory=list)
 
     def rows(self):
         for it, t in enumerate(self.t_values):
@@ -743,15 +764,27 @@ class GridResult:
                 yield t, s, self.rho_mean[it, js], self.rho_std[it, js]
 
 
-def _cell(config: SimulationConfig,
-          cell: tuple[int, float, float]) -> tuple[float, float]:
+def _total_phases(phases) -> dict[str, float]:
+    """Each phase's seconds summed over the given ``phase_s`` dicts."""
+    total: dict[str, float] = {}
+    for phase_s in phases:
+        for name, seconds in phase_s.items():
+            total[name] = total.get(name, 0.0) + seconds
+    return total
+
+
+def _cell(config: SimulationConfig, cell: tuple[int, float, float]):
     """Mean and population std of the steady densities of one grid cell's
-    replicas."""
+    replicas, their total adoptions and phase times, and how each
+    replica's communicability was computed."""
     cell_index, temptation, sucker = cell
     cell_config = dataclasses.replace(config, game=from_ts(temptation, sucker))
-    steadies = [r.trajectory.steady_rho
-                for r in run_replicas(cell_config, cell_index=cell_index)]
-    return float(np.mean(steadies)), float(np.std(steadies))
+    results = run_replicas(cell_config, cell_index=cell_index)
+    steadies = [r.trajectory.steady_rho for r in results]
+    return (float(np.mean(steadies)), float(np.std(steadies)),
+            sum(r.adoptions for r in results),
+            _total_phases(r.phase_s for r in results),
+            [r.communicability for r in results])
 
 
 def sweep_ts(config: SimulationConfig, t_values, s_values, *,
@@ -769,11 +802,20 @@ def sweep_ts(config: SimulationConfig, t_values, s_values, *,
     cells = [(it * len(s_values) + js, t, s)
              for it, t in enumerate(t_values)
              for js, s in enumerate(s_values)]
-    stats = np.array(_map(functools.partial(_cell, config), cells, jobs),
-                     dtype=float).reshape(len(t_values), len(s_values), 2)
+    means, stds, adoptions, phases, infos = zip(
+        *_map(functools.partial(_cell, config), cells, jobs))
+    shape = (len(t_values), len(s_values))
+    methods = collections.Counter((info["method"], info["terms"])
+                                  for cell in infos for info in cell)
     return GridResult(t_values=t_values, s_values=s_values,
-                      rho_mean=stats[..., 0], rho_std=stats[..., 1],
-                      replicas=config.replicas)
+                      rho_mean=np.array(means).reshape(shape),
+                      rho_std=np.array(stds).reshape(shape),
+                      replicas=config.replicas, adoptions=sum(adoptions),
+                      phase_s=_total_phases(phases),
+                      communicability=[
+                          {"method": method, "terms": terms, "runs": runs}
+                          for (method, terms), runs
+                          in sorted(methods.items())])
 
 
 def write_state_text(state: SimulationState, path) -> None:

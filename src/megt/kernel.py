@@ -1,13 +1,14 @@
-"""The compiled Monte Carlo rounds, built and checked on first use.
+"""The compiled Monte Carlo rounds and communicability series, built and
+checked on first use.
 
-``round.c`` ships beside this module.  ``load`` compiles it once per
+``round.c`` ships beside this module.  ``compiled`` compiles it once per
 user with the system C compiler into ``$XDG_CACHE_HOME/megt`` (or
 ``~/.cache/megt``), under a name keyed by a hash of the source and the
 flags, and loads it with ctypes.  The compiler writes to a temporary
 name that is then renamed into place, so processes racing on a cold
 cache each see either no library or a whole one.  Importing this module
-compiles nothing; ``megt.evolve`` imports it only when an engine is
-built.
+compiles nothing; ``megt.evolve`` and ``megt.comm`` import it only when
+an engine is built or a series is summed.
 
 The kernel takes its random numbers from numpy's bit generator through
 numpy's ``bitgen_t`` interface and reproduces how ``Generator.integers``
@@ -15,9 +16,12 @@ and ``Generator.random`` turn them into draws.  That is numpy's
 implementation, not its contract, so ``load`` first checks a few hundred
 draws, and the bit generator's state after them, against numpy.
 
-When the compiler is missing, the build fails, the cache cannot be
-written or the draws differ from numpy's, ``load`` says why and
-``RoundEngine`` runs its Python fallback, which gives the same bits.
+When the compiler is missing, the build fails or the cache cannot be
+written, ``compiled`` and ``load`` say why; ``RoundEngine`` then runs
+its Python fallback and ``comm.communicability_entries`` its numpy
+series, which give the same bits.  When only the draws differ from
+numpy's, ``load`` refuses the library for the rounds, and the series,
+which draws nothing, still runs in C.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["load", "Engine", "STOP_REASONS"]
+__all__ = ["compiled", "load", "Engine", "STOP_REASONS"]
 
 SOURCE = Path(__file__).with_name("round.c")
 
@@ -139,14 +143,14 @@ def _draws_match(library) -> bool:
 
 
 @functools.cache
-def load():
-    """``(library, "c")`` for the compiled rounds, or
-    ``(None, "python: <reason>")`` when they cannot be built or loaded
-    or their draws differ from numpy's.
+def compiled():
+    """``(library, "c")`` for the built and loaded ``round.c``, or
+    ``(None, "python: <reason>")`` when it cannot be built or loaded.
 
-    The outcome is decided once per process.  ``library.megt_round`` and
-    ``library.megt_run`` take a pointer to an ``Engine`` and the address
-    of numpy's ``bitgen_t`` (``bit_generator.ctypes.bit_generator``).
+    The outcome is decided once per process.  The library's draws are
+    not checked here: ``comm._series_c`` calls its
+    ``megt_comm_entries``, which draws no random numbers, and ``load``
+    checks the draws before the rounds use it.
     """
     try:
         library = ctypes.CDLL(str(_build()))
@@ -157,12 +161,29 @@ def load():
             function = getattr(library, name)
             function.argtypes = (ctypes.POINTER(Engine), _PTR)
             function.restype = restype
+        library.megt_comm_entries.argtypes = (_I64, _PTR, _PTR, _PTR, _I64,
+                                              _PTR, _PTR, _PTR, _I64)
+        library.megt_comm_entries.restype = _I64
     except FileNotFoundError as exc:
         if exc.filename == "cc":
             return None, "python: no C compiler (cc) on PATH"
         return None, f"python: {exc}"
     except (OSError, AttributeError, RuntimeError) as exc:
         return None, f"python: {exc}"
-    if not _draws_match(library):
-        return None, "python: rng mismatch"
     return library, "c"
+
+
+@functools.cache
+def load():
+    """``(library, "c")`` for the compiled rounds, or
+    ``(None, "python: <reason>")`` when ``compiled`` fails or the
+    library's draws differ from numpy's.
+
+    The outcome is decided once per process.  ``library.megt_round`` and
+    ``library.megt_run`` take a pointer to an ``Engine`` and the address
+    of numpy's ``bitgen_t`` (``bit_generator.ctypes.bit_generator``).
+    """
+    library, path = compiled()
+    if library is not None and not _draws_match(library):
+        return None, "python: rng mismatch"
+    return library, path

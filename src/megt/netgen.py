@@ -123,6 +123,11 @@ def generate_sf(node_count: int, attachment_count: int,
     if m0 < m:
         raise ValueError(
             f"seed_clique_size must be >= attachment_count, got m0={m0}, m={m}")
+    if m0 > n and seed_clique_size is None:
+        raise ValueError(
+            f"node_count must exceed attachment_count, whose default seed "
+            f"clique has attachment_count + 1 nodes; got node_count={n}, "
+            f"attachment_count={m}")
     if m0 > n:
         raise ValueError(
             f"seed_clique_size must be <= node_count, got m0={m0}, n={n}")

@@ -1,4 +1,6 @@
-/* Monte Carlo rounds of megt.evolve, whole runs at a time.
+/* Monte Carlo rounds of megt.evolve, whole runs at a time, and the
+ * communicability entries their scaling tables read (megt_comm_entries,
+ * at the end of this file).
  *
  * megt_run loops rounds until the stop rule fires; megt_round makes one
  * round.  A round does, with the same numbers in the same order and the
@@ -31,6 +33,7 @@
  */
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 typedef struct bitgen {
     void *state;
@@ -216,4 +219,125 @@ int64_t megt_run(struct megt_engine *e, bitgen_t *bitgen)
         }
     }
     return rounds;
+}
+
+/* Communicability entries: out[q] = exp(A)[r, cross_slot[q]] for every
+ * row r and q in cross_ptr[r] .. cross_ptr[r + 1] - 1, where A is the
+ * nonnegative symmetric supra-matrix in CSR (a_ptr, a_col, a_val).
+ *
+ * exp(A) e_r is the truncated Taylor series sum_{k=0..terms} A^k e_r / k!,
+ * summed for COMM_PANEL columns r at a time: term_k = (A term_{k-1}) / k,
+ * with each row's products added left to right in CSR order, and then
+ * sum += term_k.  Every column's arithmetic is independent of the
+ * others, so neither the panel width nor the vector width changes a
+ * bit; megt.comm's numpy loop makes the same operations in the same
+ * order.  Entry (r, c) is read from column r, which equals row r
+ * because A is symmetric.  A panel is stored row-major, COMM_PANEL
+ * doubles per row. */
+#define COMM_PANEL 8
+
+struct csr {
+    int64_t rows;
+    const int64_t *ptr, *col;
+    const double *val;
+};
+
+/* next = (A term) / k and sum += next, for one panel. */
+static void panel_term(const struct csr *a, double k, const double *term,
+                       double *next, double *sum)
+{
+    for (int64_t i = 0; i < a->rows; i++) {
+        double acc[COMM_PANEL] = {0.0};
+        for (int64_t p = a->ptr[i]; p < a->ptr[i + 1]; p++) {
+            const double v = a->val[p];
+            const double *src = term + a->col[p] * COMM_PANEL;
+            for (int c = 0; c < COMM_PANEL; c++)
+                acc[c] += v * src[c];
+        }
+        double *dst = next + i * COMM_PANEL, *total = sum + i * COMM_PANEL;
+        for (int c = 0; c < COMM_PANEL; c++) {
+            dst[c] = acc[c] / k;
+            total[c] += dst[c];
+        }
+    }
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+/* panel_term in two 4-wide AVX2 vectors, about twice as fast; the
+ * same elementwise operations, so the same bits. */
+typedef double quad __attribute__((vector_size(32)));
+
+__attribute__((target("avx2")))
+static void panel_term_avx2(const struct csr *a, double k,
+                            const double *term, double *next, double *sum)
+{
+    for (int64_t i = 0; i < a->rows; i++) {
+        quad lo = {0.0}, hi = {0.0}, x, y;
+        for (int64_t p = a->ptr[i]; p < a->ptr[i + 1]; p++) {
+            const double v = a->val[p];
+            const double *src = term + a->col[p] * COMM_PANEL;
+            __builtin_memcpy(&x, src, sizeof x);
+            __builtin_memcpy(&y, src + 4, sizeof y);
+            lo += v * x;
+            hi += v * y;
+        }
+        double *dst = next + i * COMM_PANEL, *total = sum + i * COMM_PANEL;
+        lo /= k;
+        hi /= k;
+        __builtin_memcpy(dst, &lo, sizeof lo);
+        __builtin_memcpy(dst + 4, &hi, sizeof hi);
+        __builtin_memcpy(&x, total, sizeof x);
+        __builtin_memcpy(&y, total + 4, sizeof y);
+        x += lo;
+        y += hi;
+        __builtin_memcpy(total, &x, sizeof x);
+        __builtin_memcpy(total + 4, &y, sizeof y);
+    }
+}
+#endif
+
+/* With vector nonzero, panels are summed with AVX2 where the CPU has
+ * it.  Returns 0, or -1 when the three slot_count x COMM_PANEL work
+ * arrays cannot be allocated. */
+int64_t megt_comm_entries(int64_t slot_count, const int64_t *a_ptr,
+                          const int64_t *a_col, const double *a_val,
+                          int64_t terms, const int64_t *cross_ptr,
+                          const int64_t *cross_slot, double *out,
+                          int64_t vector)
+{
+    const struct csr a = {slot_count, a_ptr, a_col, a_val};
+    void (*step)(const struct csr *, double, const double *, double *,
+                 double *) = panel_term;
+#if defined(__x86_64__) && defined(__GNUC__)
+    if (vector && __builtin_cpu_supports("avx2"))
+        step = panel_term_avx2;
+#else
+    (void)vector;
+#endif
+    const int64_t size = slot_count * COMM_PANEL;
+    double *scratch = malloc(3 * (size_t)size * sizeof(double));
+    if (scratch == NULL)
+        return -1;
+    double *sum = scratch, *term = scratch + size, *next = scratch + 2 * size;
+    for (int64_t first = 0; first < slot_count; first += COMM_PANEL) {
+        for (int64_t x = 0; x < size; x++)
+            sum[x] = 0.0;
+        for (int c = 0; c < COMM_PANEL && first + c < slot_count; c++)
+            sum[(first + c) * COMM_PANEL + c] = 1.0;
+        for (int64_t x = 0; x < size; x++)
+            term[x] = sum[x];
+        for (int64_t k = 1; k <= terms; k++) {
+            step(&a, (double)k, term, next, sum);
+            double *swap = term;
+            term = next;
+            next = swap;
+        }
+        for (int c = 0; c < COMM_PANEL && first + c < slot_count; c++) {
+            int64_t r = first + c;
+            for (int64_t q = cross_ptr[r]; q < cross_ptr[r + 1]; q++)
+                out[q] = sum[cross_slot[q] * COMM_PANEL + c];
+        }
+    }
+    free(scratch);
+    return 0;
 }

@@ -1,5 +1,6 @@
-"""Shared helpers for the tests that run megt in a child process, and for
-the tests that run both imitation loops.
+"""Shared helpers for the tests that run megt in a child process, for
+the tests that run both imitation loops, and for the property tests that
+draw small random multiplexes.
 
 A child ``python -m megt.cli`` must run the same ``megt`` that this pytest
 process imported, whatever its working directory and whether ``PYTHONPATH``
@@ -10,10 +11,12 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import megt
 import megt.kernel
+from megt.netgen import multiplex_from_arrays
 
 #: Directory that holds the ``megt`` package imported by the suite
 #: (``src`` in a checkout, or wherever an installed megt lives).
@@ -34,11 +37,35 @@ def megt_env() -> dict[str, str]:
     return env
 
 
+def random_multiplex(draw_seed, n, layers, edge_probability, sigma,
+                     edgeless_layer):
+    """A small multiplex with sparse random layers (so some slots are
+    isolated), layer 0 optionally edgeless, and at least one edge."""
+    rng = np.random.default_rng(draw_seed)
+    adjacency = []
+    for alpha in range(layers):
+        upper = np.triu(rng.random((n, n)) < edge_probability, 1)
+        if alpha == 0 and edgeless_layer:
+            upper[:] = False
+        adjacency.append((upper | upper.T).astype(np.int8))
+    if not any(a.any() for a in adjacency):
+        adjacency[-1][0, 1] = adjacency[-1][1, 0] = 1
+    delta = np.triu(np.abs(rng.normal(0.0, sigma, (n, n))), 1)
+    return multiplex_from_arrays(adjacency, delta + delta.T)
+
+
 def force_python_round(monkeypatch) -> None:
     """Make every RoundEngine built from here on run its Python loop, as
     it does when the compiled kernel cannot be built."""
     monkeypatch.setattr(megt.kernel, "load",
                         lambda: (None, "python: forced by the test"))
+
+
+def reset_kernel() -> None:
+    """Forget the kernel loader's per-process outcome, so that the next
+    ``megt.kernel.compiled`` and ``load`` build and check afresh."""
+    megt.kernel.load.cache_clear()
+    megt.kernel.compiled.cache_clear()
 
 
 @pytest.fixture
@@ -50,6 +77,6 @@ def without_cc(tmp_path, monkeypatch):
     empty.mkdir()
     monkeypatch.setenv("PATH", str(empty))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    megt.kernel.load.cache_clear()
+    reset_kernel()
     yield
-    megt.kernel.load.cache_clear()
+    reset_kernel()

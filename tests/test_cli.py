@@ -9,6 +9,7 @@ import pytest
 
 import megt
 import megt.comm
+import megt.evolve
 from megt.cli import main
 from megt.evolve import _worker_count
 from megt.manifest import load_manifest, sha256_file
@@ -130,6 +131,18 @@ def test_topology_layer_mismatch(tmp_path, capsys):
     assert run_cli("generate", "--config", cfg,
                    "--outdir", str(tmp_path / "out")) == 2
     assert "topology" in capsys.readouterr().err
+
+
+def test_scale_free_layer_with_too_few_nodes_names_node_count(tmp_path,
+                                                             capsys):
+    # the default seed clique has attachment_count + 1 = 3 nodes
+    cfg = write_config(tmp_path, "topology = sf\nnode_count = 2\n")
+    for command in ("generate", "evolve"):
+        assert run_cli(command, "--config", cfg,
+                       "--outdir", str(tmp_path / command)) == 2
+        err = capsys.readouterr().err
+        assert "node_count=2" in err and "attachment_count=2" in err
+        assert "seed_clique_size" not in err
 
 
 def test_invalid_env_seed(tmp_path, capsys, monkeypatch):
@@ -294,6 +307,22 @@ def test_overflowing_communicability_is_a_config_error(tmp_path, capsys):
         assert "overflows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("strength", ["1e12", "1.7e308"])
+def test_huge_coupling_is_an_overflow_without_a_term_count(
+        tmp_path, capsys, monkeypatch, strength):
+    # the term count takes about e * bound steps: a coupling this strong
+    # must go straight to eigh and its overflow error
+    def refuse(bound):
+        raise AssertionError(f"counted Taylor terms for a bound of {bound}")
+
+    monkeypatch.setattr(megt.comm, "_series_terms", refuse)
+    cfg = write_config(tmp_path, f"interlayer_strength = {strength}\n")
+    for command in ("evolve", "sweep", "nash"):
+        assert run_cli(command, "--config", cfg,
+                       "--outdir", str(tmp_path / command)) == 2
+        assert "overflows" in capsys.readouterr().err
+
+
 def test_overflowing_communicability_of_a_network_file_is_a_data_error(
         tmp_path, capsys):
     cfg = write_config(tmp_path)
@@ -335,6 +364,24 @@ def test_sweep_jobs_flag_does_not_change_results(tmp_path):
         (tmp_path / "par" / "grid.csv").read_bytes()
 
 
+def test_sweep_manifest_totals_do_not_depend_on_jobs(tmp_path):
+    cfg = write_config(tmp_path, "t_steps = 2\ns_steps = 2\nreplicas = 2\n"
+                                 "max_rounds = 30\nsteady_window = 15\n")
+    extras = []
+    for name, jobs in (("seq", "1"), ("par", "2")):
+        assert run_cli("sweep", "--config", cfg,
+                       "--outdir", str(tmp_path / name), "--jobs", jobs) == 0
+        extras.append(load_manifest(tmp_path / name / "manifest.json").extra)
+    sequential, parallel = extras
+    assert sequential["adoptions"] == parallel["adoptions"] > 0
+    assert sequential["communicability"] == parallel["communicability"]
+    assert sum(record["runs"] for record in
+               sequential["communicability"]) == 8
+    for extra in extras:
+        assert set(extra["phase_s"]) == PHASES
+        assert all(seconds >= 0.0 for seconds in extra["phase_s"].values())
+
+
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="workers must inherit the counting wrapper")
 def test_sweep_jobs_on_a_network_file_exponentiates_once_per_worker(
@@ -347,15 +394,16 @@ def test_sweep_jobs_on_a_network_file_exponentiates_once_per_worker(
                   "t_steps = 3\ns_steps = 3\nmax_rounds = 30\n"
                   "steady_window = 15\n", name="fixed.cfg")
     log = tmp_path / "calls.log"
-    original_exp = megt.comm.matrix_exp
+    original_entries = megt.evolve.communicability_entries
 
-    def logging_exp(matrix):
+    def logging_entries(*args):
         # appended, so forked pool workers record their calls too
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return original_exp(matrix)
+        return original_entries(*args)
 
-    monkeypatch.setattr(megt.comm, "matrix_exp", logging_exp)
+    monkeypatch.setattr(megt.evolve, "communicability_entries",
+                        logging_entries)
     for name, jobs in (("seq", "1"), ("par", "2")):
         log.write_text("")
         assert run_cli("sweep", "--config", fixed,
@@ -385,6 +433,33 @@ def test_nash_outputs(tmp_path):
     assert extra["adoptions"] > 0 if len(densities) > 1 else \
         extra["adoptions"] >= 0
     assert set(extra["phase_s"]) == PHASES
+
+
+# two ring layers of 100 nodes: sparse enough for the series
+SERIES_CONFIG = ("node_count = 100\ntopology = ws\nring_degree = 4\n"
+                 "rewire_probability = 0.1\n")
+
+
+@pytest.mark.parametrize("extra, method", [("", "eigh"),
+                                           (SERIES_CONFIG, "series")],
+                         ids=["eigh", "series"])
+def test_manifests_record_the_communicability_method(tmp_path, capsys,
+                                                     extra, method):
+    cfg = write_config(tmp_path, extra + "t_steps = 2\ns_steps = 1\n")
+    for command in ("evolve", "sweep", "nash"):
+        outdir = tmp_path / command
+        assert run_cli(command, "--config", cfg, "--outdir", str(outdir)) == 0
+        records = load_manifest(outdir / "manifest.json").extra[
+            "communicability"]
+        if command == "nash":
+            records = [records]
+        # sweep cells realise networks of their own, with their own K
+        assert {record["method"] for record in records} == {method}
+        assert all(record["terms"] is None if method == "eigh"
+                   else record["terms"] > 0 for record in records)
+        assert run_cli("replay", str(outdir / "manifest.json"),
+                       "--outdir", str(tmp_path / f"{command}-replay")) == 0
+        assert "replay ok" in capsys.readouterr().out
 
 
 def test_nash_rejects_unknown_projection(tmp_path, capsys):

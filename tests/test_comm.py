@@ -6,12 +6,19 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import megt.comm
+import megt.kernel
 from megt.comm import (Communicability, ScalingBounds, _cross_neighbourhood,
-                       build_supra, communicability, matrix_exp,
+                       _series_c, _series_choice, _series_numpy,
+                       _series_terms,
+                       _spectral_bound, _supra_csr, build_supra,
+                       communicability, communicability_entries, matrix_exp,
                        scaling_factor)
 from megt.evolve import DISTANCE_FLOOR, ScalingTable
 from megt.netgen import (LayerTopology, MultiplexSpec, build_multiplex,
                          homophily_from_delta, multiplex_from_arrays)
+
+import conftest
 
 COSH_1 = 1.5430806348152437
 SINH_1 = 1.1752011936438014
@@ -284,7 +291,7 @@ def test_table_denominators_add_left_to_right():
                          topologies=(LayerTopology.er(0.4),) * 3,
                          homophily_sigma=1.0, rng_seed=21)
     net = build_multiplex(spec)
-    table = ScalingTable(net, communicability(net, 0.7))
+    table = ScalingTable(net, 0.7)
     assert len(table.denominator) == 36
     for values, denominator in zip(table.cross_value, table.denominator):
         total = 0.0
@@ -301,7 +308,9 @@ def test_table_matches_the_oracle_neighbourhoods():
                          homophily_sigma=1.0, rng_seed=4)
     net = build_multiplex(spec)
     comm = communicability(net, 0.4)
-    table = ScalingTable(net, comm)
+    table = ScalingTable(net, 0.4)
+    # a network this small takes the eigh path, whose entries it gathers
+    assert table.communicability["method"] == "eigh"
     for flat in range(45):
         layer, node = divmod(flat, 15)
         idx = _cross_neighbourhood(net, node, layer)
@@ -313,3 +322,134 @@ def test_table_matches_the_oracle_neighbourhoods():
                                         for j in nbrs]
     assert table.has_isolated and not table.edgeless
     assert np.array_equal(table.degrees, net.layer_degrees())
+
+
+# ---------------------------------------------------------------------------
+# communicability entries: the sparse series and its eigh oracle
+# ---------------------------------------------------------------------------
+
+def cross_csr(net):
+    """The table's cross-layer neighbourhoods as CSR, from the oracle
+    ``_cross_neighbourhood``."""
+    n, m = net.node_count, net.layer_count
+    rows = [_cross_neighbourhood(net, flat % n, flat // n)
+            for flat in range(n * m)]
+    ptr = np.zeros(n * m + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=ptr[1:])
+    slots = np.array([k for row in rows for k in row], dtype=np.int64)
+    return ptr, slots
+
+
+def nash_layers_network(edge_probability=4 / 199, layers=7, seed=3):
+    """The benchmark's ``nash_layers`` shape: N=200 ER layers."""
+    return build_multiplex(MultiplexSpec(
+        node_count=200, layer_count=layers,
+        topologies=(LayerTopology.er(edge_probability),) * layers,
+        homophily_sigma=1.0, rng_seed=seed))
+
+
+def test_sparse_supra_matrix_stores_its_nonzeros_in_column_order():
+    net = pair_layers(4, [[(0, 1), (1, 3)], [(0, 2)], []])
+    for omega, nonzeros in ((0.0, 6), (0.5, 6 + 24)):
+        ptr, col, val = _supra_csr(net, omega)
+        assert ptr[-1] == col.size == nonzeros and np.all(val > 0)
+        assert all(np.all(np.diff(col[lo:hi]) > 0)
+                   for lo, hi in zip(ptr[:-1], ptr[1:]))
+
+
+def test_spectral_bound_and_term_count():
+    net = nash_layers_network(layers=2)
+    ptr, col, val = _supra_csr(net, 0.5)
+    largest = np.linalg.eigvalsh(build_supra(net, 0.5))[-1]
+    bound = _spectral_bound(ptr, col, val)
+    assert largest <= bound <= 1.05 * largest
+    terms = _series_terms(bound)
+
+    def tail(after):
+        return math.fsum(math.exp(k * math.log(bound) - math.lgamma(k + 1))
+                         for k in range(after + 1, after + 100))
+
+    # K is enough; the bound on the tail costs at most one extra term
+    assert tail(terms) <= 2.0 ** -53 < tail(terms - 2)
+    assert _series_terms(0.0) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(draw_seed=st.integers(0, 2**16), n=st.integers(2, 40),
+       layers=st.integers(1, 4), edge_probability=st.floats(0.0, 0.4),
+       sigma=st.sampled_from([0.0, 0.3, 1.0, 3.0]),
+       edgeless_layer=st.booleans(),
+       omega=st.sampled_from([0.0, 0.05, 0.5, 2.0]))
+def test_series_entries_match_eigh_and_c_matches_numpy(
+        draw_seed, n, layers, edge_probability, sigma, edgeless_layer,
+        omega):
+    net = conftest.random_multiplex(draw_seed, n, layers, edge_probability,
+                                    sigma, edgeless_layer)
+    cross_ptr, cross_slot = cross_csr(net)
+    ptr, col, val = _supra_csr(net, omega)
+    terms = _series_terms(_spectral_bound(ptr, col, val))
+    series = _series_numpy(ptr, col, val, terms, cross_ptr, cross_slot)
+    owner = np.repeat(np.arange(n * layers), np.diff(cross_ptr))
+    oracle = matrix_exp(build_supra(net, omega))[owner, cross_slot]
+    # at omega = 0 both give exact zeros across layers
+    assert np.all(np.abs(series - oracle) <= 1e-12 * np.abs(oracle))
+    library = megt.kernel.load()[0]
+    if library is not None:
+        for vector in (True, False):
+            assert np.array_equal(
+                _series_c(library, ptr, col, val, terms, cross_ptr,
+                          cross_slot, vector), series)
+
+
+def test_series_choice_is_the_cost_rule():
+    # the shortcut that skips the power steps on dense layers must not
+    # change which path runs; the grid straddles the crossover
+    chosen = set()
+    for n, layers in ((200, 2), (100, 3), (40, 4)):
+        for p in (0.0, 0.01, 0.02, 0.04, 0.06, 0.08, 0.1, 0.15, 0.3, 1.0):
+            for omega in (0.0, 0.5, 5.0, 300.0):
+                net = conftest.random_multiplex(int(1000 * p) + n, n, layers,
+                                                p, 1.0, False)
+                ptr, col, val = _supra_csr(net, omega)
+                bound = _spectral_bound(ptr, col, val)
+                terms = _series_terms(bound) if bound <= 700 else None
+                if terms is not None and terms * col.size > (n * layers) ** 2:
+                    terms = None
+                assert _series_choice(ptr, col, val) == terms
+                chosen.add(terms is None)
+    assert chosen == {True, False}
+
+
+def test_entries_reject_indices_outside_the_supra_matrix():
+    net = pair_layers(3, [[(0, 1)], [(1, 2)]])
+    good = np.array([0, 1, 1, 1, 1, 1, 1], dtype=np.int64)
+    assert communicability_entries(net, 0.5, good, [3])[0].shape == (1,)
+    for ptr, slots in ((good, [6]), (good, [-1]), (good[:-1], [3]),
+                       (good, [3, 4]), (good[::-1], [3])):
+        with pytest.raises(ValueError, match="CSR"):
+            communicability_entries(net, 0.5, ptr, slots)
+
+
+def test_dense_layers_take_eigh():
+    net = nash_layers_network(edge_probability=0.5, layers=2)
+    _, info = communicability_entries(net, 0.5, np.zeros(401, np.int64),
+                                      np.zeros(0, np.int64))
+    assert info["method"] == "eigh"
+
+
+def test_sparse_layers_take_the_series_without_dense_matrices(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the series path built a dense matrix")
+
+    net = nash_layers_network()
+    cross_ptr, cross_slot = cross_csr(net)
+    monkeypatch.setattr(megt.comm, "build_supra", refuse)
+    monkeypatch.setattr(megt.comm, "matrix_exp", refuse)
+    values, info = communicability_entries(net, 0.5, cross_ptr, cross_slot)
+    monkeypatch.undo()
+    assert info["method"] == "series"
+    assert info["terms"] == _series_terms(
+        _spectral_bound(*_supra_csr(net, 0.5)))
+    owner = np.repeat(np.arange(1400), np.diff(cross_ptr))
+    oracle = matrix_exp(build_supra(net, 0.5))[owner, cross_slot]
+    assert np.all(np.abs(values - oracle) <= 1e-12 * oracle)

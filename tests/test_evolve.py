@@ -11,10 +11,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-import megt.comm
 import megt.evolve
 import megt.kernel
-from megt.comm import ScalingBounds, communicability, scaling_factor
+from megt.comm import Communicability, ScalingBounds, scaling_factor
 from megt.evolve import (DISTANCE_FLOOR, RoundEngine, ScalingTable,
                          SimulationConfig, accumulate_payoffs, density,
                          fermi_probability, init_state, run,
@@ -26,7 +25,7 @@ from megt.games import (COOPERATE, PayoffMatrix, from_ts, pd_from_bc,
 from megt.netgen import (LayerTopology, MultiplexNetwork, MultiplexSpec,
                          build_multiplex, multiplex_from_arrays)
 
-from conftest import force_python_round, megt_env
+from conftest import force_python_round, megt_env, random_multiplex
 
 
 def line_graph(n, layers=1, weights=None):
@@ -181,7 +180,7 @@ def test_payoffs_sum_edges_in_one_order(draw_seed, n, layers,
                                         dynamics_seed):
     net = random_multiplex(draw_seed, n, layers, edge_probability, sigma,
                            edgeless_layer)
-    table = ScalingTable(net, communicability(net, 0.5))
+    table = ScalingTable(net, 0.5)
     state = init_state(net, initial, np.random.default_rng(dynamics_seed))
     game = from_ts(1.5, -0.5)
     for mode in ("weighted", "binary"):
@@ -197,13 +196,61 @@ def test_payoffs_sum_edges_in_one_order(draw_seed, n, layers,
                                weighted, rtol=1e-12, atol=0.0)
 
 
+game_entry = st.integers(-5, 5).map(float)
+integer_game = st.builds(PayoffMatrix, game_entry, game_entry, game_entry,
+                         game_entry)
+
+
+@settings(max_examples=40, deadline=None)
+@given(draw_seed=st.integers(0, 2**16), n=st.integers(2, 30),
+       layers=st.integers(1, 4), edge_probability=st.floats(0.0, 0.4),
+       sigma=st.floats(0.0, 2.0), edgeless_layer=st.booleans(),
+       initial=st.floats(0.0, 1.0), dynamics_seed=st.integers(0, 2**16),
+       first=integer_game, second=integer_game,
+       a=st.integers(-3, 3), b=st.integers(-3, 3))
+def test_payoffs_are_linear_in_the_game(draw_seed, n, layers,
+                                        edge_probability, sigma,
+                                        edgeless_layer, initial,
+                                        dynamics_seed, first, second, a, b):
+    # payoff(a G + b H) = a payoff(G) + b payoff(H): exact in binary mode,
+    # where every product and sum is a small integer, and within rounding
+    # of the link weights in weighted mode
+    net = random_multiplex(draw_seed, n, layers, edge_probability, sigma,
+                           edgeless_layer)
+    state = init_state(net, initial, np.random.default_rng(dynamics_seed))
+    mixed = PayoffMatrix(*(a * x + b * y for x, y in zip(
+        dataclasses.astuple(first), dataclasses.astuple(second))))
+    for mode in ("binary", "weighted"):
+        left = accumulate_payoffs(state, net, mixed, mode)
+        parts = [c * accumulate_payoffs(state, net, game, mode)
+                 for c, game in ((a, first), (b, second))]
+        if mode == "binary":
+            assert np.array_equal(left, parts[0] + parts[1])
+        else:
+            scale = np.abs(parts[0]) + np.abs(parts[1])
+            assert np.all(np.abs(left - (parts[0] + parts[1]))
+                          <= 1e-12 * scale)
+
+
 # ---------------------------------------------------------------------------
 # round engine
 # ---------------------------------------------------------------------------
 
 def engine_for(net, game, config):
-    comm = communicability(net, config.interlayer_strength)
-    return RoundEngine(net, game, ScalingTable(net, comm), config)
+    return RoundEngine(net, game,
+                       ScalingTable(net, config.interlayer_strength), config)
+
+
+def table_communicability(table, net):
+    """A Communicability holding the table's entries, and zeros elsewhere:
+    the oracles then read the very values the engine reads."""
+    nm = net.node_count * net.layer_count
+    arrays = table.kernel_arrays
+    matrix = np.zeros((nm, nm))
+    owner = np.repeat(np.arange(nm), np.diff(arrays["cross_ptr"]))
+    matrix[owner, arrays["cross_slot"]] = arrays["cross_value"]
+    return Communicability(matrix=matrix, node_count=net.node_count,
+                           layer_count=net.layer_count)
 
 
 def test_uniform_strategy_state_is_absorbing():
@@ -323,8 +370,9 @@ def test_round_engine_matches_reference_round(seed, p, game, bounds, kappa,
                               scaling_bounds=bounds,
                               selection_intensity=kappa,
                               payoff_weights=weights)
-    comm = communicability(net, config.interlayer_strength)
-    engine = RoundEngine(net, config.game, ScalingTable(net, comm), config)
+    table = ScalingTable(net, config.interlayer_strength)
+    comm = table_communicability(table, net)
+    engine = RoundEngine(net, config.game, table, config)
     if python:
         assert engine.round_kernel.startswith("python: ")
     elif compiled_kernel_expected():
@@ -335,23 +383,6 @@ def test_round_engine_matches_reference_round(seed, p, game, bounds, kappa,
         assert engine.round(fast) == reference_round(slow, net, comm, config)
         assert np.array_equal(fast.strategies, slow.strategies)
     assert np.array_equal(fast.coop_count, slow.coop_count)
-
-
-def random_multiplex(draw_seed, n, layers, edge_probability, sigma,
-                     edgeless_layer):
-    """A small multiplex with sparse random layers (so some slots are
-    isolated), layer 0 optionally edgeless, and at least one edge."""
-    rng = np.random.default_rng(draw_seed)
-    adjacency = []
-    for alpha in range(layers):
-        upper = np.triu(rng.random((n, n)) < edge_probability, 1)
-        if alpha == 0 and edgeless_layer:
-            upper[:] = False
-        adjacency.append((upper | upper.T).astype(np.int8))
-    if not any(a.any() for a in adjacency):
-        adjacency[-1][0, 1] = adjacency[-1][1, 0] = 1
-    delta = np.triu(np.abs(rng.normal(0.0, sigma, (n, n))), 1)
-    return multiplex_from_arrays(adjacency, delta + delta.T)
 
 
 @settings(max_examples=60, deadline=None)
@@ -377,7 +408,7 @@ def test_compiled_round_matches_python_round(
                               scaling_bounds=bounds,
                               interlayer_strength=omega,
                               payoff_weights=weights)
-    table = ScalingTable(net, communicability(net, omega))
+    table = ScalingTable(net, omega)
     compiled = RoundEngine(net, config.game, table, config)
     with pytest.MonkeyPatch.context() as patch:
         force_python_round(patch)
@@ -745,9 +776,9 @@ def test_sweep_on_a_prebuilt_network_computes_communicability_once(
     list_calls = []
     engines = []
 
-    def counting_exp(matrix):
-        calls.append(matrix.shape)
-        return original_exp(matrix)
+    def counting_entries(network, *args):
+        calls.append(network)
+        return original_entries(network, *args)
 
     def counting_lists(network):
         list_calls.append(network)
@@ -757,10 +788,11 @@ def test_sweep_on_a_prebuilt_network_computes_communicability_once(
         original_init(engine, *args)
         engines.append(engine)
 
-    original_exp = megt.comm.matrix_exp
+    original_entries = megt.evolve.communicability_entries
     original_lists = MultiplexNetwork.neighbour_lists
     original_init = RoundEngine.__init__
-    monkeypatch.setattr(megt.comm, "matrix_exp", counting_exp)
+    monkeypatch.setattr(megt.evolve, "communicability_entries",
+                        counting_entries)
     monkeypatch.setattr(MultiplexNetwork, "neighbour_lists", counting_lists)
     monkeypatch.setattr(RoundEngine, "__init__", recording_init)
     net = build_multiplex(small_spec(seed=9, n=20))

@@ -9,6 +9,9 @@ a change must be declared in CHANGES.md together with the new digests.
 The simulation cases run once on the default imitation loop (the
 compiled kernel where a C compiler exists) and once more with no
 compiler on PATH, where the Python loop must give the same digests.
+The small networks of most cases take the eigh path to their
+communicability; ``nash_series`` takes the sparse series, which numpy
+must also reproduce bit for bit without a compiler.
 """
 from __future__ import annotations
 
@@ -65,6 +68,21 @@ steady_window = 40
 seed = 17
 """
 
+# two rings of 100 nodes: sparse enough that the communicability
+# entries come from the series, not from eigh
+NASH_SERIES_CONFIG = """
+node_count = 100
+layers = 2
+topology = ws
+ring_degree = 4
+rewire_probability = 0.1
+homophily_sigma = 1.0
+game = sd
+max_rounds = 150
+steady_window = 30
+seed = 19
+"""
+
 SYNTH_CONFIG = """
 users = 30
 days = 2
@@ -108,6 +126,12 @@ GOLDEN = {
             "661035fa724700cf551ae325544bd7f323d171d127d2813283ca8862fddb4923",
         "rho.csv":
             "ae99716fe9b81793f1640ea4d0ba15044f312c0e937affd8ee7096aa61915a06",
+    },
+    "nash_series": {
+        "alpha.csv":
+            "d576941024f71cdb353fce261765a8d4468190a6bdc1f8dbc3312bd2d38fc24c",
+        "rho.csv":
+            "b5307ab45693cabe7a8e5d9b2dc94aae5b6ff5470a6df5d49b49349489658b24",
     },
     "synth": {
         "reports.csv":
@@ -178,3 +202,14 @@ def test_golden_simulations_without_a_compiler(tmp_path, command,
     assert _digests(outdir) == GOLDEN[command]
     extra = load_manifest(outdir / "manifest.json").extra
     assert extra["round_kernel"].startswith("python: ")
+
+
+@pytest.mark.parametrize("compiler", [True, False],
+                         ids=["default", "without-cc"])
+def test_golden_nash_on_the_series_path(tmp_path, request, compiler):
+    if not compiler:
+        request.getfixturevalue("without_cc")
+    outdir = _run(tmp_path, "nash", NASH_SERIES_CONFIG)
+    assert _digests(outdir) == GOLDEN["nash_series"]
+    extra = load_manifest(outdir / "manifest.json").extra
+    assert extra["communicability"]["method"] == "series"

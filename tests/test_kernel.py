@@ -13,14 +13,16 @@ import sys
 import numpy as np
 import pytest
 
+import megt.comm
 import megt.kernel
 from megt.cli import main
+from megt.comm import communicability_entries
 from megt.evolve import SimulationConfig, run
 from megt.games import representative
-from megt.netgen import LayerTopology, MultiplexSpec
+from megt.netgen import LayerTopology, MultiplexSpec, build_multiplex
 from megt.manifest import load_manifest
 
-from conftest import megt_env
+from conftest import megt_env, reset_kernel
 
 requires_cc = pytest.mark.skipif(shutil.which("cc") is None,
                                  reason="no C compiler (cc) on PATH")
@@ -76,11 +78,11 @@ def test_unwritable_cache_falls_back(tmp_path, monkeypatch):
     blocker = tmp_path / "not-a-directory"
     blocker.write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-    megt.kernel.load.cache_clear()
+    reset_kernel()
     try:
         function, path = megt.kernel.load()
     finally:
-        megt.kernel.load.cache_clear()
+        reset_kernel()
     assert function is None
     assert path.startswith("python: ")
 
@@ -133,14 +135,43 @@ def test_rng_mismatch_falls_back_to_python(monkeypatch):
         spec=MultiplexSpec(node_count=15, layer_count=2,
                            topologies=(LayerTopology.er(0.2),) * 2,
                            homophily_sigma=1.0, rng_seed=4), rng_seed=4)
-    megt.kernel.load.cache_clear()
+    reset_kernel()
     compiled = run(config)
     monkeypatch.setattr(megt.kernel, "_numpy_draws", shifted)
-    megt.kernel.load.cache_clear()
+    reset_kernel()
     try:
         assert megt.kernel.load() == (None, "python: rng mismatch")
         fallback = run(config)
     finally:
-        megt.kernel.load.cache_clear()
+        reset_kernel()
     assert fallback.trajectory == compiled.trajectory
     assert np.array_equal(fallback.state.strategies, compiled.state.strategies)
+
+
+@requires_cc
+def test_rng_mismatch_keeps_the_compiled_series(monkeypatch):
+    # the series draws no random numbers, so a failed draw check must not
+    # send it to the numpy loop
+    def refuse(*args):
+        raise AssertionError("the series fell back to numpy")
+
+    numpy_draws = megt.kernel._numpy_draws
+
+    def shifted(rng, bound):
+        rng.random()
+        return numpy_draws(rng, bound)
+
+    net = build_multiplex(MultiplexSpec(
+        node_count=200, layer_count=2,
+        topologies=(LayerTopology.ws(4, 0.1),) * 2, homophily_sigma=1.0,
+        rng_seed=2))
+    ptr = np.arange(401, dtype=np.int64)
+    monkeypatch.setattr(megt.kernel, "_numpy_draws", shifted)
+    monkeypatch.setattr(megt.comm, "_series_numpy", refuse)
+    reset_kernel()
+    try:
+        assert megt.kernel.load()[0] is None
+        _, info = communicability_entries(net, 0.5, ptr, ptr[:-1] % 200)
+    finally:
+        reset_kernel()
+    assert info["method"] == "series"
