@@ -28,7 +28,10 @@ Row/column order is layer-major: flat index = alpha * N + i.
 
 Communicability depends only on the network and the coupling strength,
 never on strategies: it is per-network data, which ``evolve.ScalingTable``
-holds once per network while each run owns only its strategies.
+holds once per network while each run owns only its strategies.  The
+table keeps each slot's cross-layer slots, their entries and the
+entries' sum as flat CSR arrays (``cross_ptr``, ``cross_slot``,
+``cross_value``, ``denominator``) that the compiled round reads in place.
 ``scaling_factor`` is the reference the table and the round must match.
 """
 

@@ -19,7 +19,7 @@ Where a C compiler is available, ``round.c`` (built on first use by
 it takes from numpy's bit generator in numpy's order, the steps and the
 stop rule.  A run with an ``on_round`` hook makes one call per round.
 Without the kernel, numpy draws, ``np.bincount`` payoffs and a Python
-loop give the same bits.
+loop give the same bits; both read one ``ScalingTable`` of CSR arrays.
 """
 
 from __future__ import annotations
@@ -27,9 +27,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import functools
-import itertools
 import math
-import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -70,6 +68,10 @@ DISTANCE_FLOOR = 1e-6
 # math.exp overflows just above 709; beyond this the probability has
 # saturated to 0 or to the scaling factor anyway
 _EXP_CLAMP = 700.0
+
+# the ScalingTable arrays that are table fields of round.c's engine struct
+_TABLE_ARRAYS = ("neighbour_ptr", "neighbour_slot", "distance", "cross_ptr",
+                 "cross_slot", "cross_value", "denominator")
 
 
 def fermi_probability(payoff_self: float, payoff_other: float,
@@ -243,7 +245,7 @@ def accumulate_payoffs(state: SimulationState, network: MultiplexNetwork,
         row_sums = (np.stack([w.sum(axis=1) for w in network.weights])
                     if weighted else network.layer_degrees())
     else:
-        owner, other, weight = (table.edge_owner, table.edge_slot,
+        owner, other, weight = (table.edge_owner, table.neighbour_slot,
                                 table.edge_weight)
         row_sums = table.weight_sums if weighted else table.degrees
     is_coop = state.strategies == COOPERATE
@@ -274,65 +276,66 @@ def _payoff_edges(network: MultiplexNetwork):
 class ScalingTable:
     """The static data a round reads, built once per network.
 
-    Per flat slot ``alpha * N + i`` (the supra-matrix's layer-major
-    order): ``neighbours`` on layer alpha; ``distance``, the floored
-    social distance ``max(delta_ij, DISTANCE_FLOOR)`` to each of them in
-    neighbour order; ``cross_index`` and ``cross_value``, the slot's
-    cross-layer neighbourhood in ``comm._cross_neighbourhood``'s order
-    and its communicability entries, the only ones computed (see
-    ``comm.communicability_entries``); ``denominator``, their sum.
+    Per-slot data are flat arrays over the slots ``alpha * N + i`` (the
+    supra-matrix's layer-major order), in CSR form where a slot has many
+    entries, and named as the table fields of ``round.c``'s engine
+    struct, which reads them in place.  Slot s's neighbours on its layer
+    are ``neighbour_slot[neighbour_ptr[s]:neighbour_ptr[s + 1]]``, in
+    ascending order; beside each, ``distance`` holds the floored social
+    distance ``max(delta_ij, DISTANCE_FLOOR)``, ``edge_owner`` s and
+    ``edge_weight`` ``w_ij``.  Its cross-layer neighbourhood, in
+    ``comm._cross_neighbourhood``'s order, is ``cross_slot`` over
+    ``cross_ptr``; beside it, ``cross_value`` holds the communicability
+    entries, the only ones computed (see ``comm.communicability_entries``),
+    and ``denominator[s]`` is their left-to-right sum.
     ``communicability`` records how the entries were computed.
     ``degrees`` is the (M, N) degree table and ``weight_sums`` the (M, N)
     row sums of the link weights; ``has_isolated`` and ``edgeless`` say
     whether some or all slots lack a neighbour.  None of it depends on
     strategies, the game or the selection intensity.
-
-    The edges, slot by slot and in ascending neighbour order within a
-    slot, are ``edge_owner``, ``edge_slot`` (the neighbour's flat slot)
-    and ``edge_weight`` (``w_ij``).  The compiled round reads the same
-    data flattened: ``kernel_arrays`` maps each table field of
-    ``round.c``'s engine struct to its array.
     """
 
     def __init__(self, network: MultiplexNetwork,
                  interlayer_strength: float):
         n, m = network.node_count, network.layer_count
-        layers = network.neighbour_lists()
-        self.neighbours = [nbrs for layer in layers for nbrs in layer]
-        floored = np.maximum(network.delta, DISTANCE_FLOOR)
-        self.distance = [floored[i, nbrs].tolist()
-                         for layer in layers for i, nbrs in enumerate(layer)]
-        # node i's counterpart on layer beta, then its neighbours there
-        blocks = [[[beta * n + i] + [beta * n + j for j in nbrs]
-                   for i, nbrs in enumerate(layer)]
-                  for beta, layer in enumerate(layers)]
-        self.cross_index = [[k for beta in range(m) if beta != alpha
-                             for k in blocks[beta][i]]
-                            for alpha in range(m) for i in range(n)]
-        cross_ptr = _row_offsets([len(idx) for idx in self.cross_index])
-        cross_slot = _flatten(self.cross_index, np.int64)
-        cross_value, self.communicability = communicability_entries(
-            network, interlayer_strength, cross_ptr, cross_slot)
-        self.cross_value = [cross_value[lo:hi].tolist() for lo, hi
-                            in itertools.pairwise(cross_ptr.tolist())]
-        # left to right like scaling_factor; builtin sum compensates on 3.12+
-        self.denominator = [functools.reduce(operator.add, values, 0.0)
-                            for values in self.cross_value]
+        nm = n * m
+        self.edge_owner, self.neighbour_slot, self.edge_weight = (
+            _payoff_edges(network))
         self.degrees = network.layer_degrees()
         self.weight_sums = np.stack([w.sum(axis=1) for w in network.weights])
         degree = self.degrees.reshape(-1)
         self.has_isolated = bool((degree == 0).any())
         self.edgeless = not degree.any()
-        self.edge_owner, self.edge_slot, self.edge_weight = _payoff_edges(
-            network)
-        self.kernel_arrays = {
-            "neighbour_ptr": _row_offsets(degree),
-            "neighbour_slot": self.edge_slot,
-            "distance": _flatten(self.distance, float),
-            "cross_ptr": cross_ptr,
-            "cross_slot": cross_slot,
-            "cross_value": cross_value,
-            "denominator": np.array(self.denominator, dtype=float)}
+        self.neighbour_ptr = _row_offsets(degree)
+        self.distance = np.maximum(
+            network.delta[self.edge_owner % n, self.neighbour_slot % n],
+            DISTANCE_FLOOR)
+        # slot s's block is s, then its neighbours; slot (alpha, i)'s
+        # cross-layer slots are node i's blocks on the other layers
+        block = np.insert(self.neighbour_slot, self.neighbour_ptr[:-1],
+                          np.arange(nm))
+        block_slot = np.repeat(np.arange(nm), degree + 1)
+        # node by node, and layer by layer within a node
+        order = np.argsort(block_slot % n * m + block_slot // n,
+                           kind="stable")
+        block, layer = block[order], block_slot[order] // n
+        self.cross_slot = np.concatenate([block[layer != alpha]
+                                          for alpha in range(m)])
+        self.cross_ptr = _row_offsets(
+            (self.degrees.sum(axis=0) + m - 1 - self.degrees).reshape(-1))
+        self.cross_value, self.communicability = communicability_entries(
+            network, interlayer_strength, self.cross_ptr, self.cross_slot)
+        owner = np.repeat(np.arange(nm), np.diff(self.cross_ptr))
+        # bincount adds each bin left to right from 0.0, like
+        # scaling_factor; with no entries at all (M = 1) it returns int64
+        self.denominator = np.bincount(owner, weights=self.cross_value,
+                                       minlength=nm).astype(float)
+
+    @property
+    def cross_index(self) -> list[np.ndarray]:
+        """Each slot's ``cross_slot`` entries, as views split on read; its
+        only reader is the benchmark's table counter (megtbench)."""
+        return np.split(self.cross_slot, self.cross_ptr[1:-1])
 
 
 def _row_offsets(lengths) -> np.ndarray:
@@ -340,12 +343,6 @@ def _row_offsets(lengths) -> np.ndarray:
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     return offsets
-
-
-def _flatten(rows: list[list], dtype) -> np.ndarray:
-    """The rows of a list of lists, concatenated into one array."""
-    return np.fromiter(itertools.chain.from_iterable(rows), dtype=dtype,
-                       count=sum(map(len, rows)))
 
 
 class RoundEngine:
@@ -359,12 +356,13 @@ class RoundEngine:
     - ``"c"``: the compiled kernel from ``megt.kernel`` makes a run
       without a hook in one call, and a round in one call.  It reads its
       inputs and writes its results through one ``kernel.Engine`` struct,
-      built here, that points at buffers this engine owns, and takes its
-      draws from the state's bit generator.
+      built here, that points at the table's arrays and at buffers this
+      engine owns, and takes its draws from the state's bit generator.
     - ``"python: <reason>"``: a round draws with numpy, sums payoffs with
-      ``accumulate_payoffs`` and steps in ``_python_steps``, and the stop
-      rule is a Python loop.  This is the fallback and the oracle the
-      kernel is tested against; both give the same bits.
+      ``accumulate_payoffs`` and steps in ``_python_steps`` over the
+      table arrays' lists, taken once per engine; the stop rule is a
+      Python loop.  This is the fallback and the kernel's oracle; both
+      give the same bits.
 
     ``adoptions`` counts the steps, over all calls, that changed a
     strategy.  The kernel's buffers are the engine's, so one engine must
@@ -385,6 +383,9 @@ class RoundEngine:
         self._kernel, self.round_kernel = kernel.load()
         if self._kernel is not None:
             self._bind(kernel)
+        else:
+            self._table_lists = [getattr(table, name).tolist()
+                                 for name in _TABLE_ARRAYS]
 
     def _bind(self, kernel) -> None:
         """Allocate the compiled kernel's buffers and point its struct at
@@ -396,7 +397,6 @@ class RoundEngine:
         # a run fills at most max_rounds + 1 densities and one more sum
         history = config.max_rounds + 2
         self._buffers = dict(
-            table.kernel_arrays,
             edge_weight=(table.edge_weight if weighted
                          else np.ones(table.edge_weight.size)),
             row_sum=np.array(row_sum, dtype=float).reshape(nm),
@@ -413,6 +413,8 @@ class RoundEngine:
             span=config.scaling_bounds.span, clamp=_EXP_CLAMP,
             max_rounds=config.max_rounds, window=config.steady_window,
             tolerance=config.steady_tolerance,
+            **{name: getattr(table, name).ctypes.data
+               for name in _TABLE_ARRAYS},
             **{name: array.ctypes.data
                for name, array in self._buffers.items()})
         self._stop_reasons = kernel.STOP_REASONS
@@ -538,39 +540,37 @@ class RoundEngine:
         built from those two is the oracle this one must match bit for
         bit.
         """
-        n, nm = self.node_count, self.slot_count
-        pay: list[list[float]] = payoffs.tolist()
+        nm = self.slot_count
+        pay: list[float] = payoffs.reshape(nm).tolist()
         u_neighbour, u_adopt = u_neighbour.tolist(), u_adopt.tolist()
         current: list[int] = strategies.tolist()
-        table = self.table
-        neighbours, dist = table.neighbours, table.distance
-        cross_index, cross_value = table.cross_index, table.cross_value
-        denominator = table.denominator
+        (neighbour_ptr, neighbour_slot, distance, cross_ptr, cross_slot,
+         cross_value, denominator) = self._table_lists
         kappa = self.config.selection_intensity
         span = self.config.scaling_bounds.span
         exp = math.exp
         change = adoptions = 0
         for t, flat in enumerate(picks.tolist()):
-            while not neighbours[flat]:
+            while neighbour_ptr[flat] == neighbour_ptr[flat + 1]:
                 flat = int(rng.integers(nm))
-            options = neighbours[flat]
-            pick = int(u_neighbour[t] * len(options))
-            alpha, i = divmod(flat, n)
-            j = options[pick]
+            first = neighbour_ptr[flat]
+            edge = first + int(u_neighbour[t] * (neighbour_ptr[flat + 1]
+                                                 - first))
+            neighbour = neighbour_slot[edge]
             own = current[flat]
-            other = current[alpha * n + j]
+            other = current[neighbour]
             if own == other:
                 continue  # adoption would be a no-op
-            x = (pay[alpha][i] - pay[alpha][j]) / (dist[flat][pick] * kappa)
+            x = (pay[flat] - pay[neighbour]) / (distance[edge] * kappa)
             if x > _EXP_CLAMP:
                 continue  # saturated at probability 0
             den = denominator[flat]
             scaling = 1.0
             if den > 0.0:
                 num = 0.0
-                for k, g in zip(cross_index[flat], cross_value[flat]):
-                    if current[k] == own:
-                        num += g
+                for q in range(cross_ptr[flat], cross_ptr[flat + 1]):
+                    if current[cross_slot[q]] == own:
+                        num += cross_value[q]
                 scaling = 1.0 - span * (num / den)
             prob = scaling if x < -_EXP_CLAMP else scaling / (1.0 + exp(x))
             if u_adopt[t] < prob:

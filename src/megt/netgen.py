@@ -325,11 +325,6 @@ class MultiplexNetwork:
         """(M, N) integer degree table."""
         return np.stack([a.sum(axis=1) for a in self.adjacency]).astype(int)
 
-    def neighbour_lists(self) -> list[list[list[int]]]:
-        """Per-layer adjacency lists (plain Python, for tight loops)."""
-        return [[np.flatnonzero(a[i]).tolist() for i in range(a.shape[0])]
-                for a in self.adjacency]
-
 
 def _default_weights(adjacency: list[np.ndarray],
                      delta: np.ndarray) -> list[np.ndarray]:

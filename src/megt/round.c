@@ -46,7 +46,9 @@ typedef struct bitgen {
 enum { STOP_BUDGET, STOP_STEADY, STOP_ABSORBING };
 
 struct megt_engine {
-    /* the network's static tables (evolve.ScalingTable) */
+    /* the network's static tables, CSR arrays over the flat slots: each
+       pointer is evolve.ScalingTable's array of the same name, except
+       edge_weight and row_sum, which the engine picks by payoff mode */
     int64_t node_count, slot_count;
     const int64_t *neighbour_ptr, *neighbour_slot;
     const double *distance, *edge_weight, *row_sum;

@@ -293,15 +293,16 @@ def test_table_denominators_add_left_to_right():
     net = build_multiplex(spec)
     table = ScalingTable(net, 0.7)
     assert len(table.denominator) == 36
-    for values, denominator in zip(table.cross_value, table.denominator):
+    for flat, denominator in enumerate(table.denominator):
         total = 0.0
-        for value in values:
+        for value in table.cross_value[table.cross_ptr[flat]:
+                                       table.cross_ptr[flat + 1]]:
             total += value
         assert denominator == total
 
 
 def test_table_matches_the_oracle_neighbourhoods():
-    # the table derives its cross-layer lists from the neighbour lists;
+    # the table derives its cross-layer slots from the edge arrays;
     # _cross_neighbourhood scans the adjacency rows, and must agree
     spec = MultiplexSpec(node_count=15, layer_count=3,
                          topologies=(LayerTopology.er(0.1),) * 3,
@@ -313,13 +314,17 @@ def test_table_matches_the_oracle_neighbourhoods():
     assert table.communicability["method"] == "eigh"
     for flat in range(45):
         layer, node = divmod(flat, 15)
+        cross = slice(table.cross_ptr[flat], table.cross_ptr[flat + 1])
         idx = _cross_neighbourhood(net, node, layer)
-        assert table.cross_index[flat] == idx
-        assert table.cross_value[flat] == [comm.matrix[flat, k] for k in idx]
+        assert table.cross_slot[cross].tolist() == idx
+        assert table.cross_value[cross].tolist() == [comm.matrix[flat, k]
+                                                     for k in idx]
+        edges = slice(table.neighbour_ptr[flat], table.neighbour_ptr[flat + 1])
         nbrs = np.flatnonzero(net.adjacency[layer][node]).tolist()
-        assert table.neighbours[flat] == nbrs
-        assert table.distance[flat] == [max(net.delta[node, j], DISTANCE_FLOOR)
-                                        for j in nbrs]
+        assert table.neighbour_slot[edges].tolist() == [layer * 15 + j
+                                                        for j in nbrs]
+        assert table.distance[edges].tolist() == [
+            max(net.delta[node, j], DISTANCE_FLOOR) for j in nbrs]
     assert table.has_isolated and not table.edgeless
     assert np.array_equal(table.degrees, net.layer_degrees())
 

@@ -1,6 +1,8 @@
 import ast
 import copy
+import ctypes
 import dataclasses
+import itertools
 import math
 import shutil
 import subprocess
@@ -22,8 +24,8 @@ from megt.evolve import (DISTANCE_FLOOR, RoundEngine, ScalingTable,
 from megt.evolve import _worker_count
 from megt.games import (COOPERATE, PayoffMatrix, from_ts, pd_from_bc,
                         representative)
-from megt.netgen import (LayerTopology, MultiplexNetwork, MultiplexSpec,
-                         build_multiplex, multiplex_from_arrays)
+from megt.netgen import (LayerTopology, MultiplexSpec, build_multiplex,
+                         multiplex_from_arrays)
 
 from conftest import force_python_round, megt_env, random_multiplex
 
@@ -245,12 +247,54 @@ def table_communicability(table, net):
     """A Communicability holding the table's entries, and zeros elsewhere:
     the oracles then read the very values the engine reads."""
     nm = net.node_count * net.layer_count
-    arrays = table.kernel_arrays
     matrix = np.zeros((nm, nm))
-    owner = np.repeat(np.arange(nm), np.diff(arrays["cross_ptr"]))
-    matrix[owner, arrays["cross_slot"]] = arrays["cross_value"]
+    owner = np.repeat(np.arange(nm), np.diff(table.cross_ptr))
+    matrix[owner, table.cross_slot] = table.cross_value
     return Communicability(matrix=matrix, node_count=net.node_count,
                            layer_count=net.layer_count)
+
+
+def kernel_table_fields():
+    """The pointer fields of the table section of ``kernel.Engine``, the
+    mirror of ``round.c``'s ``struct megt_engine``: those before the
+    run's parameters."""
+    head = itertools.takewhile(lambda field: field[0] != "reward",
+                               megt.kernel.Engine._fields_)
+    return [name for name, kind in head if kind is ctypes.c_void_p]
+
+
+@pytest.mark.parametrize("net", [
+    line_graph(6, layers=1),
+    random_multiplex(5, 12, 3, 0.2, 1.0, edgeless_layer=True),
+    build_multiplex(MultiplexSpec(node_count=25, layer_count=3,
+                                  topologies=(LayerTopology.er(0.04),) * 3,
+                                  homophily_sigma=1.0, rng_seed=2)),
+], ids=["one-layer", "edgeless-layer", "isolated-slots"])
+def test_table_arrays_fit_the_kernel_struct(net):
+    # round.c reads these arrays through raw pointers, unchecked
+    table = ScalingTable(net, 0.5)
+    nm = net.node_count * net.layer_count
+    fields = kernel_table_fields()
+    assert "denominator" in fields
+    # row_sum is the engine's: weight_sums or degrees by payoff mode
+    for name in fields:
+        if name == "row_sum":
+            continue
+        array = getattr(table, name)
+        assert isinstance(array, np.ndarray), name
+        assert array.flags.c_contiguous, name
+        integer = name.endswith(("_ptr", "_slot"))
+        assert array.dtype == (np.int64 if integer else np.float64), name
+    for ptr, aligned in (("neighbour_ptr", ("neighbour_slot", "distance",
+                                            "edge_weight")),
+                         ("cross_ptr", ("cross_slot", "cross_value"))):
+        offsets = getattr(table, ptr)
+        assert offsets.shape == (nm + 1,)
+        for name in aligned:
+            assert offsets[-1] == getattr(table, name).size, name
+    assert table.denominator.shape == (nm,)
+    assert table.has_isolated == bool(
+        np.any(np.diff(table.neighbour_ptr) == 0))
 
 
 def test_uniform_strategy_state_is_absorbing():
@@ -295,6 +339,12 @@ def test_isolated_node_never_changes_strategy():
     assert np.array_equal(state.strategies[:, 4], before)
 
 
+def neighbour_lists(net):
+    """Each layer's adjacency lists, scanned from its adjacency rows."""
+    return [[np.flatnonzero(row).tolist() for row in a]
+            for a in net.adjacency]
+
+
 def reference_round(state, net, comm, config):
     """One Monte Carlo round written plainly from the oracles
     ``scaling_factor`` and ``fermi_probability``, drawing from the RNG in
@@ -303,7 +353,7 @@ def reference_round(state, net, comm, config):
     nm = n * net.layer_count
     payoffs = accumulate_payoffs(state, net, config.game,
                                  config.payoff_weights)
-    neighbours = net.neighbour_lists()
+    neighbours = neighbour_lists(net)
     rng = state.rng
     picks = rng.integers(0, nm, nm)
     u_neighbour = rng.random(nm)
@@ -364,7 +414,7 @@ def test_round_engine_matches_reference_round(seed, p, game, bounds, kappa,
                          homophily_sigma=1.0, rng_seed=seed)
     net = build_multiplex(spec)
     if p < 0.05:
-        assert any(not nbrs for layer in net.neighbour_lists()
+        assert any(not nbrs for layer in neighbour_lists(net)
                    for nbrs in layer)
     config = SimulationConfig(game=representative(game), network=net,
                               scaling_bounds=bounds,
@@ -773,27 +823,27 @@ def test_grid_cells_are_position_seeded():
 def test_sweep_on_a_prebuilt_network_computes_communicability_once(
         monkeypatch):
     calls = []
-    list_calls = []
+    tables = []
     engines = []
 
     def counting_entries(network, *args):
         calls.append(network)
         return original_entries(network, *args)
 
-    def counting_lists(network):
-        list_calls.append(network)
-        return original_lists(network)
+    def recording_table(table, *args):
+        original_table(table, *args)
+        tables.append(table)
 
     def recording_init(engine, *args):
         original_init(engine, *args)
         engines.append(engine)
 
     original_entries = megt.evolve.communicability_entries
-    original_lists = MultiplexNetwork.neighbour_lists
+    original_table = ScalingTable.__init__
     original_init = RoundEngine.__init__
     monkeypatch.setattr(megt.evolve, "communicability_entries",
                         counting_entries)
-    monkeypatch.setattr(MultiplexNetwork, "neighbour_lists", counting_lists)
+    monkeypatch.setattr(ScalingTable, "__init__", recording_table)
     monkeypatch.setattr(RoundEngine, "__init__", recording_init)
     net = build_multiplex(small_spec(seed=9, n=20))
     config = dataclasses.replace(grid_config(), spec=None, network=net)
@@ -801,15 +851,19 @@ def test_sweep_on_a_prebuilt_network_computes_communicability_once(
     s_values = [-1.0, -0.5, 0.0, 0.5, 1.0]
     grid = sweep_ts(config, t_values, s_values)
     assert len(calls) == 1
-    assert len(list_calls) == 1
-    # the per-network tables live in the shared ScalingTable: no engine
-    # holds an N-long list of N-long lists
+    assert len(tables) == 1
+    # the per-network tables live in the shared ScalingTable, as arrays:
+    # no engine holds an N-long list of N-long lists, and the table no
+    # Python list at all
     assert len(engines) == 25 * config.replicas
     for engine in engines:
+        assert engine.table is tables[0]
         for value in vars(engine).values():
             assert not (isinstance(value, list) and len(value) == 20
                         and all(isinstance(row, list) and len(row) == 20
                                 for row in value))
+    for value in vars(tables[0]).values():
+        assert not isinstance(value, list)
 
     # the same grid with every cell on its own copy, which the memo
     # cannot recognise
@@ -824,7 +878,7 @@ def test_sweep_on_a_prebuilt_network_computes_communicability_once(
             mean[it, js] = np.mean(steadies)
             std[it, js] = np.std(steadies)
     assert len(calls) == 1 + 25
-    assert len(list_calls) == 1 + 25
+    assert len(tables) == 1 + 25
     assert np.array_equal(grid.rho_mean, mean)
     assert np.array_equal(grid.rho_std, std)
 
