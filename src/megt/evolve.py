@@ -290,9 +290,9 @@ class ScalingTable:
     and ``denominator[s]`` is their left-to-right sum.
     ``communicability`` records how the entries were computed.
     ``degrees`` is the (M, N) degree table and ``weight_sums`` the (M, N)
-    row sums of the link weights; ``has_isolated`` and ``edgeless`` say
-    whether some or all slots lack a neighbour.  None of it depends on
-    strategies, the game or the selection intensity.
+    row sums of the link weights; ``edgeless`` says whether every slot
+    lacks a neighbour.  None of it depends on strategies, the game or the
+    selection intensity.
     """
 
     def __init__(self, network: MultiplexNetwork,
@@ -304,7 +304,6 @@ class ScalingTable:
         self.degrees = network.layer_degrees()
         self.weight_sums = np.stack([w.sum(axis=1) for w in network.weights])
         degree = self.degrees.reshape(-1)
-        self.has_isolated = bool((degree == 0).any())
         self.edgeless = not degree.any()
         self.neighbour_ptr = _row_offsets(degree)
         self.distance = np.maximum(

@@ -574,6 +574,22 @@ def test_score_bad_header_is_a_data_error(tmp_path, capsys):
     assert "row 1" in capsys.readouterr().err
 
 
+def test_score_unreadable_csv_is_a_data_error(tmp_path, capsys):
+    # a quoted field over the csv module's size limit stops the reader
+    reports = tmp_path / "reports.csv"
+    reports.write_text(
+        "object_id,generation_date,day_time,street,incident_type,uuid,"
+        "report_rating\n"
+        "r1,2019-10-07,09:00,Main,jam,u1,4.0\n"
+        f'r2,2019-10-07,09:00,"{"x" * 131_073}",jam,u2,4.0\n')
+    cfg = write_config(tmp_path)
+    assert run_cli("score", "--reports", str(reports), "--config", cfg,
+                   "--outdir", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert "reports.csv: line 3: field larger than field limit" in err
+
+
 def test_score_nothing_usable(tmp_path, capsys):
     reports = tmp_path / "reports.csv"
     reports.write_text(

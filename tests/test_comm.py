@@ -325,7 +325,7 @@ def test_table_matches_the_oracle_neighbourhoods():
                                                         for j in nbrs]
         assert table.distance[edges].tolist() == [
             max(net.delta[node, j], DISTANCE_FLOOR) for j in nbrs]
-    assert table.has_isolated and not table.edgeless
+    assert (np.diff(table.neighbour_ptr) == 0).any() and not table.edgeless
     assert np.array_equal(table.degrees, net.layer_degrees())
 
 

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from megt import crowdsense
-from megt.crowdsense import (INCIDENT_TYPES, MECHANISMS, CorpusStats,
-                             IncentiveConfig, ReportRecord, ReportTable,
-                             SynthSpec,
+from megt.crowdsense import (INCIDENT_TYPES, MECHANISMS, REPORT_COLUMNS,
+                             CorpusStats, IncentiveConfig, Rejection,
+                             ReportRecord, ReportTable, SynthSpec,
                              UserProfile, WindowIndex, build_profiles,
                              compute_corpus_stats, decision_rows,
                              incentives, logistic, parse_reports, qoc,
@@ -64,6 +64,138 @@ def test_windows_group_and_sort():
 # ---------------------------------------------------------------------------
 # ingestion filters
 # ---------------------------------------------------------------------------
+
+def reference_row(fields, dates: dict, times: dict) -> tuple:
+    """One raw row as a tuple in ReportRecord field order, checked field
+    by field; ``dates`` and ``times`` memoise the parses of one ingest."""
+    if len(fields) != len(REPORT_COLUMNS):
+        raise ValueError(
+            f"expected {len(REPORT_COLUMNS)} fields, got {len(fields)}")
+    object_id, date_txt, time_txt, street, kind, uuid, rating_txt = [
+        f.strip() for f in fields]
+    if not object_id or not street or not uuid:
+        raise ValueError("empty identifier field")
+    if kind not in INCIDENT_TYPES:
+        raise ValueError(f"unknown incident_type {kind!r}")
+    date = dates.get(date_txt)
+    if date is None:
+        date = dates[date_txt] = dt.date.fromisoformat(date_txt)
+    time = times.get(time_txt)
+    if time is None:
+        time = times[time_txt] = dt.time.fromisoformat(time_txt)
+    rating = float(rating_txt)
+    if not 0.0 <= rating <= 5.0:
+        raise ValueError(f"report_rating {rating} outside [0, 5]")
+    return object_id, date, time, street, kind, uuid, rating
+
+
+def reference_parse(rows, first_row_number=1):
+    """The row-at-a-time ingest: the oracle of the columnar one."""
+    kept = []
+    rejections = []
+    seen = set()
+    dates = {}
+    times = {}
+    for offset, fields in enumerate(rows):
+        row_number = first_row_number + offset
+        try:
+            row = reference_row(fields, dates, times)
+        except (ValueError, TypeError) as exc:
+            rejections.append(Rejection(row_number, "malformed", str(exc)))
+            continue
+        object_id, date, time, _, kind, uuid, rating = row
+        if rating == 0.0:
+            rejections.append(Rejection(row_number, "zero_rating", object_id))
+            continue
+        # (user, window, incident_type), the window as its date and segment
+        key = (uuid, date, time.hour // 3, kind)
+        if key in seen:
+            rejections.append(Rejection(row_number, "duplicate", object_id))
+            continue
+        seen.add(key)
+        kept.append(row)
+    return ReportTable(kept), rejections
+
+
+def table_columns(table):
+    """Every public column of a table, arrays with their dtypes."""
+    return {name: ((value.dtype.str, value.tolist())
+                   if isinstance(value, np.ndarray) else value)
+            for name, value in vars(table).items()
+            if not name.startswith("_")}
+
+
+def assert_parses_like_reference(rows, first_row_number=1):
+    table, rejections = parse_reports(rows, first_row_number)
+    ref_table, ref_rejections = reference_parse(rows, first_row_number)
+    assert rejections == ref_rejections
+    assert list(table) == list(ref_table)
+    assert table_columns(table) == table_columns(ref_table)
+    return rejections
+
+
+# per column, values that pass and odd ones: padding, empty ids, unknown
+# kinds, loose ISO stamps, out-of-range and non-finite ratings
+CLEAN_FIELDS = (["r1", "r2", " r3 ", "r4"],
+                ["2019-10-07", " 2019-10-07 ", "20191007", "2019-10-08"],
+                ["09:00", "09:00:00", " 10:30", "13:00"],
+                ["Alder Way", " Alder Way", "Birch Street"],
+                ["jam", " jam ", "accident"],
+                ["a", " a", "b"],
+                ["4.0", "4", " 4 ", "5", "1.5", "0", "-0.0"])
+ODD_FIELDS = (["", "  "],
+              ["2019-10-7", "2019-13-40", "", "7/10/2019"],
+              ["9:00", "25:00", "", "noon"],
+              ["", " "],
+              ["JAM", "earthquake", ""],
+              ["", "\t"],
+              ["nan", "inf", "-1", "5.0000001", "abc", ""])
+
+
+@st.composite
+def raw_rows(draw):
+    """A row of seven clean fields, some swapped for odd ones, or a row
+    with the wrong field count."""
+    shape = draw(st.integers(0, 9))
+    if shape == 0:
+        return draw(st.lists(st.sampled_from(["r9", "2019-10-07", "4.0"]),
+                             max_size=9).filter(lambda row: len(row) != 7))
+    odd = draw(st.sets(st.integers(0, 6), min_size=1, max_size=2)
+               if shape > 6 else st.just(set()))
+    return [draw(st.sampled_from((ODD_FIELDS if k in odd
+                                  else CLEAN_FIELDS)[k]))
+            for k in range(7)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(raw_rows(), max_size=40),
+       first_row_number=st.sampled_from([1, 2]))
+def test_ingest_matches_the_row_parser(rows, first_row_number):
+    assert_parses_like_reference(rows, first_row_number)
+
+
+def test_ingest_matches_the_row_parser_across_chunks():
+    # duplicates and malformed rows on both sides of every chunk boundary
+    chunk = crowdsense._CHUNK_ROWS
+    rows = synth_corpus(SynthSpec(user_count=400, day_count=7, rng_seed=3))
+    assert len(rows) > 3 * chunk + 3
+    expected = {}
+    for boundary in (chunk, 2 * chunk, 3 * chunk):
+        first = rows[boundary - 1]
+        first[5], first[6] = f"solo{boundary}", "5.0"
+        rows[boundary] = [f"dup{boundary}", *first[1:]]
+        rows[boundary + 2] = [f"pad{boundary}", *first[1:5],
+                              f" solo{boundary} ", "3"]
+        rows[boundary - 2] = rows[boundary - 2][:6]
+        rows[boundary + 1][6] = "5.5"
+        rows[boundary + 3][1] = "2019-10-7"
+        expected.update({boundary - 1: "malformed", boundary + 1: "duplicate",
+                         boundary + 2: "malformed", boundary + 3: "duplicate",
+                         boundary + 4: "malformed"})
+    rejections = assert_parses_like_reference(rows)
+    reasons = {r.row_number: r.reason for r in rejections}
+    assert {row: reasons.get(row) for row in expected} == expected
+
 
 def test_zero_rating_rows_are_spam():
     kept, rejections = parse_reports([raw_row(rating="0.0")])

@@ -293,8 +293,9 @@ def test_table_arrays_fit_the_kernel_struct(net):
         for name in aligned:
             assert offsets[-1] == getattr(table, name).size, name
     assert table.denominator.shape == (nm,)
-    assert table.has_isolated == bool(
-        np.any(np.diff(table.neighbour_ptr) == 0))
+    # an isolated slot is an empty neighbour row
+    assert np.array_equal(np.diff(table.neighbour_ptr) == 0,
+                          table.degrees.reshape(-1) == 0)
 
 
 def test_uniform_strategy_state_is_absorbing():
