@@ -112,16 +112,23 @@ def _game(cfg: dict):
         raise ConfigError(f"config key 'game': {exc}") from None
 
 
-def _simulation_config(cfg: dict, seed: int) -> SimulationConfig:
+def _simulation_config(cfg: dict,
+                       seed: int) -> tuple[SimulationConfig, float | None]:
+    """The run's configuration, and the seconds spent reading and
+    checking ``network_file`` (None when the network comes from a spec)."""
+    import time  # the load clock, off the import path
     spec = None
     network = None
+    load_s = None
     if cfg["network_file"]:
+        start = time.perf_counter()
         try:
             network = load_multiplex(cfg["network_file"])
         except OSError as exc:
             raise DataError(f"cannot read network file: {exc}") from None
         except ValueError as exc:
             raise DataError(str(exc)) from None
+        load_s = time.perf_counter() - start
     else:
         spec = _network_spec(cfg, seed)
     try:
@@ -137,7 +144,7 @@ def _simulation_config(cfg: dict, seed: int) -> SimulationConfig:
             steady_window=cfg["steady_window"],
             steady_tolerance=cfg["steady_tolerance"],
             replicas=cfg["replicas"],
-            rng_seed=seed)
+            rng_seed=seed), load_s
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -174,10 +181,12 @@ def _outdir(args) -> Path:
     return out
 
 
-def _record_network_input(manifest: RunManifest, cfg: dict) -> None:
+def _record_network_input(manifest: RunManifest, cfg: dict,
+                          load_s: float | None) -> None:
     if cfg["network_file"]:
         manifest.inputs[str(cfg["network_file"])] = sha256_file(
             cfg["network_file"])
+        manifest.extra["network_file_s"] = load_s
 
 
 def _finish(manifest: RunManifest, outdir: Path, produced: list[Path]) -> int:
@@ -230,7 +239,7 @@ def cmd_generate(args) -> int:
 def cmd_evolve(args) -> int:
     cfg = load_config(args.config)
     seed = _resolve_seed(cfg, args)
-    sim = _simulation_config(cfg, seed)
+    sim, load_s = _simulation_config(cfg, seed)
     with _dynamics_errors(cfg):
         results = run_replicas(sim, jobs=args.jobs)
     outdir = _outdir(args)
@@ -256,7 +265,7 @@ def cmd_evolve(args) -> int:
         produced.append(aggregate)
     manifest = RunManifest(command="evolve", version=__version__,
                            seed=seed, config=cfg)
-    _record_network_input(manifest, cfg)
+    _record_network_input(manifest, cfg, load_s)
     manifest.extra["converged"] = all(r.trajectory.converged
                                       for r in results)
     manifest.extra["steady_rho"] = [r.trajectory.steady_rho
@@ -273,7 +282,7 @@ def cmd_evolve(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     seed = _resolve_seed(cfg, args)
-    sim = _simulation_config(cfg, seed)
+    sim, load_s = _simulation_config(cfg, seed)
     for name in ("t_steps", "s_steps"):
         if cfg[name] < 1:
             raise ConfigError(f"config key {name!r} must be >= 1")
@@ -286,7 +295,7 @@ def cmd_sweep(args) -> int:
     write_grid_csv(grid, target)
     manifest = RunManifest(command="sweep", version=__version__,
                            seed=seed, config=cfg)
-    _record_network_input(manifest, cfg)
+    _record_network_input(manifest, cfg, load_s)
     manifest.extra["adoptions"] = grid.adoptions
     manifest.extra["phase_s"] = grid.phase_s
     manifest.extra["communicability"] = grid.communicability
@@ -297,7 +306,7 @@ def cmd_sweep(args) -> int:
 def cmd_nash(args) -> int:
     cfg = load_config(args.config)
     seed = _resolve_seed(cfg, args)
-    sim = _simulation_config(cfg, seed)
+    sim, load_s = _simulation_config(cfg, seed)
     if cfg["projection"] not in PROJECTION_RULES:
         raise ConfigError(
             f"config key 'projection': unknown rule {cfg['projection']!r}")
@@ -316,7 +325,7 @@ def cmd_nash(args) -> int:
     write_trajectory_csv(result.trajectory, rho_path)
     manifest = RunManifest(command="nash", version=__version__,
                            seed=seed, config=cfg)
-    _record_network_input(manifest, cfg)
+    _record_network_input(manifest, cfg, load_s)
     manifest.extra["converged"] = result.trajectory.converged
     manifest.extra["stop_reason"] = result.trajectory.stop_reason
     manifest.extra["adoptions"] = result.adoptions

@@ -15,6 +15,7 @@ computed where they are used.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -432,84 +433,259 @@ def save_multiplex(network: MultiplexNetwork, path) -> None:
         fh.write("\n")
 
 
+# One body line as the bulk reader parses it.  The kind stays text, so
+# that a layer index is read by int() exactly like the header; a kind as
+# wide as the field may have been cut short and is read again from its line.
+_ROW = np.dtype([("kind", "S8"), ("i", np.int64), ("j", np.int64),
+                 ("value", np.float64)])
+_CHUNK_LINES = 4096  # lines per reader call when looking for a bad line
+# per-row layer codes for a kind that names no layer
+_DELTA, _OUT_OF_RANGE, _NOT_AN_INDEX = -1, -2, -3
+_INT64 = 2 ** 63
+
+
 def load_multiplex(path) -> MultiplexNetwork:
     """Read the edge-list format back into a MultiplexNetwork.
 
-    Adjacency, distances and link weights are taken verbatim from the
-    file; nothing is recomputed.  Raises ValueError naming the first
-    offending line on malformed input, such as a repeated edge or
-    distance, or a NaN, infinite or negative value.
+    The file is ASCII.  Line 1 is the header ``multiplex v1 N M``; every
+    further line is blank, an edge ``alpha i j weight`` or a distance
+    ``delta i j value``, with fields separated by spaces or tabs and
+    lines ended by LF, CRLF or CR.  Indices are decimal integers with
+    an optional sign and values decimal floats; node indices and values
+    take no digit-group underscores.  Layer indices lie in [0, M), node
+    indices in [0, N) with i != j, and values are finite and
+    nonnegative.  No edge of a layer and no distance may appear
+    twice, in either node order, and every unordered node pair needs
+    its distance.  Adjacency, distances and link weights are taken
+    verbatim from the file; nothing is recomputed.
+
+    The body is parsed in bulk and checked column by column before any
+    N x N array is allocated.  Raises ValueError naming the first
+    offending line, or the first pair without a distance.
+    """
+    n, m, layer, i, j, value = _read_checked(path)
+    is_delta = layer == _DELTA
+    adjacency = np.zeros((m, n, n), dtype=np.int8)
+    weights = np.zeros((m, n, n))
+    delta = np.zeros((n, n))
+    edge = ~is_delta
+    alpha, ei, ej = layer[edge], i[edge], j[edge]
+    adjacency[alpha, ei, ej] = adjacency[alpha, ej, ei] = 1
+    weights[alpha, ei, ej] = weights[alpha, ej, ei] = value[edge]
+    di, dj = i[is_delta], j[is_delta]
+    delta[di, dj] = delta[dj, di] = value[is_delta]
+    return MultiplexNetwork(list(adjacency), delta, list(weights))
+
+
+def _read_checked(path):
+    """Parse and check a v1 file: N, M and the row columns (layer code,
+    i, j, value) of a file that passes every check.
+
+    numpy's reader parses the file itself, so no Python string is made
+    per line.  The lines are those of ``str.splitlines()``; a file that
+    holds a character the reader would take differently, or a line the
+    reader rejects, is split into lines and parsed as a list of them.
     """
     with open(path, encoding="ascii") as fh:
-        raw = fh.read().splitlines()
-    if not raw:
+        text = fh.read()  # universal newlines: each line end is now "\n"
+    if not text:
         raise ValueError(f"{path}: empty file")
-    header = raw[0].split()
+    # str.splitlines() also ends a line at \v, \f and \x1c-\x1e, where
+    # the reader sees whitespace; and a NUL at the end of the kind would
+    # drop off the reader's fixed-width text field
+    plain = not any(c in text for c in "\0\v\f\x1c\x1d\x1e")
+    first = text.split("\n", 1)[0]
+    del text
+    header_line = first.splitlines()[0] if first else ""
+    header = header_line.split()
     if len(header) != 4 or header[0] != "multiplex" or header[1] != "v1":
-        raise ValueError(f"{path}: line 1: bad header {raw[0]!r}")
+        raise ValueError(f"{path}: line 1: bad header {header_line!r}")
     try:
         n, m = int(header[2]), int(header[3])
     except ValueError:
-        raise ValueError(f"{path}: line 1: bad header {raw[0]!r}") from None
-    if n < 1 or m < 1:
+        raise ValueError(
+            f"{path}: line 1: bad header {header_line!r}") from None
+    # the pair keys below are int64; no file this large fits in memory
+    if n < 1 or m < 1 or (m + 1) * n * n >= _INT64:
         raise ValueError(f"{path}: line 1: bad dimensions N={n} M={m}")
-    adjacency = [np.zeros((n, n), dtype=np.int8) for _ in range(m)]
-    weights = [np.zeros((n, n)) for _ in range(m)]
-    delta = np.zeros((n, n))
-    seen_delta = np.zeros((n, n), dtype=bool)
-    for lineno, line in enumerate(raw[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(
-                f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
-        if parts[0] == "delta":
-            try:
-                i, j, value = int(parts[1]), int(parts[2]), float(parts[3])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: malformed delta line") from None
-            if not (0 <= i < n and 0 <= j < n and i != j):
-                raise ValueError(
-                    f"{path}: line {lineno}: node index out of range")
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"{path}: line {lineno}: non-finite distance")
-            if value < 0:
-                raise ValueError(
-                    f"{path}: line {lineno}: negative distance")
-            if seen_delta[i, j]:
-                raise ValueError(f"{path}: line {lineno}: duplicate delta")
-            delta[i, j] = delta[j, i] = value
-            seen_delta[i, j] = seen_delta[j, i] = True
-        else:
-            try:
-                alpha, i, j = int(parts[0]), int(parts[1]), int(parts[2])
-                value = float(parts[3])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: malformed edge line") from None
-            if not 0 <= alpha < m:
-                raise ValueError(
-                    f"{path}: line {lineno}: layer index out of range")
-            if not (0 <= i < n and 0 <= j < n and i != j):
-                raise ValueError(
-                    f"{path}: line {lineno}: node index out of range")
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"{path}: line {lineno}: non-finite edge weight")
-            if value < 0:
-                raise ValueError(
-                    f"{path}: line {lineno}: negative edge weight")
-            if adjacency[alpha][i, j]:
-                raise ValueError(
-                    f"{path}: line {lineno}: duplicate edge")
-            adjacency[alpha][i, j] = adjacency[alpha][j, i] = 1
-            weights[alpha][i, j] = weights[alpha][j, i] = value
-    iu, ju = np.triu_indices(n, k=1)
-    if not seen_delta[iu, ju].all():
-        missing = np.argwhere(np.triu(~seen_delta, k=1))
-        i, j = missing[0]
-        raise ValueError(f"{path}: missing delta entry for pair ({i}, {j})")
-    return MultiplexNetwork(adjacency, delta, weights)
+    rows = _parse(path, skip=1) if plain else None
+    rejected = None
+    if rows is None:
+        body = _lines(path)[1:]
+        rows, rejected = _read_rows(body)
+    layer = _layer_codes(rows["kind"], m, path)
+    i, j, value = rows["i"], rows["j"], rows["value"]
+    if rejected is not None:
+        problem, row = _reread(body[rejected], m)
+        if row is not None:
+            layer, i, j, value = (np.append(column, x) for column, x
+                                  in zip((layer, i, j, value), row))
+    error = _first_error(layer, i, j, value, n)
+    if error is None and rejected is not None:
+        error = (rows.size, problem)
+    if error is not None:
+        row, problem = error
+        lineno = _numbered_rows(path)[row][0]
+        raise ValueError(f"{path}: line {lineno}: {problem}")
+    is_delta = layer == _DELTA
+    if np.count_nonzero(is_delta) != n * (n - 1) // 2:
+        di, dj = i[is_delta], j[is_delta]
+        keys = np.minimum(di, dj) * n + np.maximum(di, dj)
+        pair = _first_missing(np.sort(keys), n)
+        raise ValueError(f"{path}: missing delta entry for pair {pair}")
+    return n, m, layer, i, j, value
+
+
+def _lines(path) -> list[str]:
+    with open(path, encoding="ascii") as fh:
+        return fh.read().splitlines()
+
+
+def _numbered_rows(path) -> list[tuple[int, str]]:
+    """(line number, text) of each non-blank line after the header:
+    entry r is the line of parsed row r."""
+    return [(k, line) for k, line in enumerate(_lines(path)[1:], start=2)
+            if line.strip()]
+
+
+def _parse(source, skip: int = 0) -> np.ndarray | None:
+    """The rows numpy's reader parses from ``source``, a path or a list
+    of lines, or None when it rejects a line."""
+    with warnings.catch_warnings():
+        # a body of blank lines is the valid file of one node and no edge
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            return np.loadtxt(source, dtype=_ROW, comments=None, ndmin=1,
+                              skiprows=skip, encoding="ascii")
+        except ValueError:
+            return None
+
+
+def _read_rows(body: list[str]) -> tuple[np.ndarray, int | None]:
+    """Parse the body lines with numpy's reader.
+
+    Returns the rows of the non-blank lines before the first line the
+    reader rejects, and that line's index in ``body`` (None when every
+    line is read).  A line holding a NUL counts as rejected.
+    """
+    stop = next((k for k, line in enumerate(body) if "\0" in line),
+                len(body))
+    rows = _parse(body[:stop])
+    if rows is None:
+        stop = _first_rejected(body[:stop])
+        rows = _parse(body[:stop])
+    return rows, (stop if stop < len(body) else None)
+
+
+def _first_rejected(lines: list[str]) -> int:
+    """Index of the first line the reader rejects: the first rejected
+    chunk, then its lines one at a time."""
+    for start in range(0, len(lines), _CHUNK_LINES):
+        chunk = lines[start:start + _CHUNK_LINES]
+        if _parse(chunk) is None:
+            return start + next(k for k, line in enumerate(chunk)
+                                if _parse([line]) is None)
+    return len(lines)
+
+
+def _layer_code(kind, m: int) -> int:
+    try:
+        alpha = int(kind)
+    except ValueError:
+        return _NOT_AN_INDEX
+    return alpha if 0 <= alpha < m else _OUT_OF_RANGE
+
+
+def _layer_codes(kind: np.ndarray, m: int, path) -> np.ndarray:
+    """Per row: the layer index, or ``_DELTA``, ``_OUT_OF_RANGE`` or
+    ``_NOT_AN_INDEX``.  int() runs once per distinct kind."""
+    layer = np.full(kind.size, _DELTA, dtype=np.int64)
+    edge = np.flatnonzero(kind != b"delta")
+    if edge.size == 0:
+        return layer
+    names = np.sort(kind[edge])
+    names = names[np.concatenate(([True], names[1:] != names[:-1]))]
+    codes = np.array([_layer_code(name, m) for name in names.tolist()],
+                     dtype=np.int64)
+    layer[edge] = codes[np.searchsorted(names, kind[edge])]
+    cut = [name for name in names.tolist()
+           if len(name) == _ROW["kind"].itemsize]
+    if cut:
+        lines = _numbered_rows(path)
+        for name in cut:
+            for row in np.flatnonzero(kind == name).tolist():
+                layer[row] = _layer_code(lines[row][1].split(None, 1)[0], m)
+    return layer
+
+
+def _reread(line: str, m: int):
+    """Read a line the bulk reader rejected field by field, with int()
+    and float().  Returns the error to report for it and, when every
+    field converts, its row (an index past int64 becomes the nearest
+    int64, out of range like the index itself), so that a range check
+    still comes first."""
+    parts = line.split()
+    if len(parts) != 4:
+        return f"expected 4 fields, got {len(parts)}", None
+    kind = "delta" if parts[0] == "delta" else "edge"
+    problem = f"malformed {kind} line"
+    layer = _DELTA if kind == "delta" else _layer_code(parts[0], m)
+    try:
+        i, j, value = int(parts[1]), int(parts[2]), float(parts[3])
+    except ValueError:
+        return problem, None
+    if layer == _NOT_AN_INDEX:
+        return problem, None
+    i, j = (max(min(x, _INT64 - 1), -_INT64) for x in (i, j))
+    return problem, (layer, i, j, value)
+
+
+def _first_error(layer, i, j, value, n: int):
+    """The first row failing a check, with the failure, or None.
+
+    Checks in the order of the per-line format: kind, node range,
+    finite, nonnegative, then a repeat of an earlier row's pair in the
+    same layer (or among the distances), in either node order.
+    """
+    nodes_ok = (i >= 0) & (i < n) & (j >= 0) & (j < n) & (i != j)
+    keyed = nodes_ok & (layer >= _DELTA)
+    # distances take slot 0 of the key, layer alpha slot alpha + 1
+    key = ((layer + 1) * n + np.minimum(i, j)) * n + np.maximum(i, j)
+    key = np.where(keyed, key, -1 - np.arange(key.size))
+    bad = (layer < _DELTA) | ~nodes_ok | ~np.isfinite(value) | (value < 0)
+    ordered = np.sort(key)
+    if (ordered[1:] == ordered[:-1]).any():
+        order = np.argsort(key, kind="stable")
+        repeat = np.zeros(key.size, dtype=bool)
+        repeat[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+        bad |= repeat
+    rows = np.flatnonzero(bad)
+    if rows.size == 0:
+        return None
+    row = int(rows[0])
+    what = "distance" if layer[row] == _DELTA else "edge weight"
+    if layer[row] == _NOT_AN_INDEX:
+        return row, "malformed edge line"
+    if layer[row] == _OUT_OF_RANGE:
+        return row, "layer index out of range"
+    if not nodes_ok[row]:
+        return row, "node index out of range"
+    if not math.isfinite(value[row]):
+        return row, f"non-finite {what}"
+    if value[row] < 0:
+        return row, f"negative {what}"
+    return row, "duplicate delta" if layer[row] == _DELTA else "duplicate edge"
+
+
+def _first_missing(keys: np.ndarray, n: int) -> tuple[int, int]:
+    """The first pair (i, j), i < j, in row-major order whose key
+    ``i * n + j`` is not among ``keys`` (sorted, distinct, valid)."""
+    lo, hi = keys // n, keys % n
+    successor = np.where(hi + 1 < n, keys + 1, (lo + 1) * n + lo + 2)
+    expected = np.concatenate(([1], successor[:-1]))
+    gaps = np.flatnonzero(keys != expected)
+    if gaps.size:
+        key = int(expected[gaps[0]])
+    else:
+        key = int(successor[-1]) if keys.size else 1
+    return divmod(key, n)

@@ -295,6 +295,51 @@ def test_evolve_nan_weight_in_network_file_is_a_data_error(tmp_path, capsys):
     assert "line 2: non-finite edge weight" in capsys.readouterr().err
 
 
+def test_inflated_network_header_is_a_data_error(tmp_path):
+    # the header claims 60,000 nodes and the body holds one edge: one
+    # dense int8 layer alone would be 3.35 GiB, more than the child may map
+    bad = tmp_path / "net.mplex"
+    bad.write_text("multiplex v1 60000 2\n0 0 1 0.5\n")
+    cfg = write_config(tmp_path, f"network_file = {bad}\n")
+
+    def limit_address_space():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (4_000_000 * 1024,) * 2)
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "megt.cli", "evolve", "--config", cfg,
+         "--outdir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=megt_env(),
+        preexec_fn=limit_address_space)
+    assert proc.returncode == 3, proc.stderr
+    assert "missing delta entry for pair (0, 1)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_manifests_time_the_network_file(tmp_path, capsys):
+    cfg = write_config(tmp_path, "t_steps = 2\ns_steps = 1\n")
+    assert run_cli("generate", "--config", cfg,
+                   "--outdir", str(tmp_path / "net")) == 0
+    fixed = write_config(
+        tmp_path, f"network_file = {tmp_path / 'net' / 'net.mplex'}\n"
+                  "t_steps = 2\ns_steps = 1\n", name="fixed.cfg")
+    for command in ("evolve", "sweep", "nash"):
+        spec_dir, file_dir = tmp_path / command, tmp_path / f"{command}-file"
+        assert run_cli(command, "--config", cfg,
+                       "--outdir", str(spec_dir)) == 0
+        assert "network_file_s" not in load_manifest(
+            spec_dir / "manifest.json").extra
+        assert run_cli(command, "--config", fixed,
+                       "--outdir", str(file_dir)) == 0
+        seconds = load_manifest(file_dir / "manifest.json").extra[
+            "network_file_s"]
+        assert type(seconds) is float and seconds >= 0.0
+        # the manifest is not among the checksummed outputs
+        assert run_cli("replay", str(file_dir / "manifest.json"),
+                       "--outdir", str(tmp_path / f"{command}-replay")) == 0
+        assert "replay ok" in capsys.readouterr().out
+
+
 def test_overflowing_communicability_is_a_config_error(tmp_path, capsys):
     # a coupling of 1000 puts the largest supra-matrix eigenvalue past
     # float64's exp range

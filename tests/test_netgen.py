@@ -1,8 +1,14 @@
 import dataclasses
+import importlib.util
 import math
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from megt.netgen import (LayerTopology, MultiplexNetwork, MultiplexSpec,
                          build_multiplex, eigenvector_centrality, generate_er,
@@ -391,3 +397,313 @@ def test_load_rejects_bad_numbers(tmp_path, edge, delta, message):
     path.write_text(f"multiplex v1 2 1\n0 0 1 {edge}\ndelta 0 1 {delta}\n")
     with pytest.raises(ValueError, match=message):
         load_multiplex(path)
+
+
+# ---------------------------------------------------------------------------
+# the per-line loader, kept as the oracle of the bulk load_multiplex
+# ---------------------------------------------------------------------------
+
+def _load_reference(path) -> MultiplexNetwork:
+    """The v1 loader as it was before the body was parsed in bulk: one
+    split, int() and float() per line, checked line by line."""
+    with open(path, encoding="ascii") as fh:
+        raw = fh.read().splitlines()
+    if not raw:
+        raise ValueError(f"{path}: empty file")
+    header = raw[0].split()
+    if len(header) != 4 or header[0] != "multiplex" or header[1] != "v1":
+        raise ValueError(f"{path}: line 1: bad header {raw[0]!r}")
+    try:
+        n, m = int(header[2]), int(header[3])
+    except ValueError:
+        raise ValueError(f"{path}: line 1: bad header {raw[0]!r}") from None
+    if n < 1 or m < 1:
+        raise ValueError(f"{path}: line 1: bad dimensions N={n} M={m}")
+    adjacency = [np.zeros((n, n), dtype=np.int8) for _ in range(m)]
+    weights = [np.zeros((n, n)) for _ in range(m)]
+    delta = np.zeros((n, n))
+    seen_delta = np.zeros((n, n), dtype=bool)
+    for lineno, line in enumerate(raw[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise ValueError(
+                f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
+        if parts[0] == "delta":
+            try:
+                i, j, value = int(parts[1]), int(parts[2]), float(parts[3])
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: malformed delta line") from None
+            if not (0 <= i < n and 0 <= j < n and i != j):
+                raise ValueError(
+                    f"{path}: line {lineno}: node index out of range")
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{path}: line {lineno}: non-finite distance")
+            if value < 0:
+                raise ValueError(
+                    f"{path}: line {lineno}: negative distance")
+            if seen_delta[i, j]:
+                raise ValueError(f"{path}: line {lineno}: duplicate delta")
+            delta[i, j] = delta[j, i] = value
+            seen_delta[i, j] = seen_delta[j, i] = True
+        else:
+            try:
+                alpha, i, j = int(parts[0]), int(parts[1]), int(parts[2])
+                value = float(parts[3])
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: malformed edge line") from None
+            if not 0 <= alpha < m:
+                raise ValueError(
+                    f"{path}: line {lineno}: layer index out of range")
+            if not (0 <= i < n and 0 <= j < n and i != j):
+                raise ValueError(
+                    f"{path}: line {lineno}: node index out of range")
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{path}: line {lineno}: non-finite edge weight")
+            if value < 0:
+                raise ValueError(
+                    f"{path}: line {lineno}: negative edge weight")
+            if adjacency[alpha][i, j]:
+                raise ValueError(
+                    f"{path}: line {lineno}: duplicate edge")
+            adjacency[alpha][i, j] = adjacency[alpha][j, i] = 1
+            weights[alpha][i, j] = weights[alpha][j, i] = value
+    iu, ju = np.triu_indices(n, k=1)
+    if not seen_delta[iu, ju].all():
+        missing = np.argwhere(np.triu(~seen_delta, k=1))
+        i, j = missing[0]
+        raise ValueError(f"{path}: missing delta entry for pair ({i}, {j})")
+    return MultiplexNetwork(adjacency, delta, weights)
+
+
+def assert_loads_like_reference(path):
+    """load_multiplex returns the reference's arrays, bit for bit and in
+    the same dtypes, or raises its ValueError with the same text."""
+    try:
+        expected = _load_reference(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            load_multiplex(path)
+        assert str(raised.value) == str(exc)
+        return
+    loaded = load_multiplex(path)
+    assert loaded.layer_count == expected.layer_count
+    pairs = list(zip(loaded.adjacency + loaded.weights + [loaded.delta],
+                     expected.adjacency + expected.weights + [expected.delta]))
+    for got, want in pairs:
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # -0.0 stays -0.0
+
+
+_INTEGER_TEXT = st.sampled_from(["{}", "+{}", "0{}"])
+_FLOAT_TEXT = st.sampled_from(["{!r}", "{:.15g}", "{:e}", "+{}", "{:.3f}"])
+_BAD_KINDS = ["x", "Delta", "deltaXXXX", "-1", "7", "000000001",
+              "0000000000", "1_0", "+0", "99999999999999999999", "delta\0"]
+_BAD_INDICES = ["-1", "6", "99999999999999999999", "-99999999999999999999",
+                "1.0", "1e0", "x", ""]
+_BAD_VALUES = ["nan", "NaN", "inf", "-inf", "-1.5", "-0.0", "1e999", "x",
+               "0.5.5", "0.5\0"]
+
+
+@st.composite
+def v1_files(draw):
+    """The text of a v1 file over a random small multiplex, in random
+    line order and layout, with up to four random faults."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def pair_text(i, j):
+        if draw(st.booleans()):
+            i, j = j, i
+        return [draw(_INTEGER_TEXT).format(i), draw(_INTEGER_TEXT).format(j)]
+
+    def value_text():
+        value = draw(st.floats(0, 1e6, allow_nan=False))
+        return draw(_FLOAT_TEXT).format(value)
+
+    rows = [[str(alpha), *pair_text(i, j), value_text()]
+            for alpha in range(m) for i, j in pairs if draw(st.booleans())]
+    rows += [["delta", *pair_text(i, j), value_text()] for i, j in pairs]
+    rows = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(0, 4))):
+        fault = draw(st.sampled_from(["fields", "kind", "index", "repeat",
+                                      "value", "drop", "break"]))
+        if not rows:
+            break
+        at = draw(st.integers(0, len(rows) - 1))
+        row = list(rows[at])
+        if len(row) != 4:  # already lost or gained a field
+            continue
+        if fault == "fields":
+            row = row[:draw(st.integers(0, 3))] if draw(st.booleans()) \
+                else row + ["1"] * draw(st.integers(1, 2))
+        elif fault == "kind":
+            row[0] = draw(st.sampled_from(_BAD_KINDS))
+        elif fault == "index":
+            k = draw(st.sampled_from([1, 2]))
+            row[k] = draw(st.sampled_from(_BAD_INDICES + [row[3 - k]]))
+        elif fault == "value":
+            row[3] = draw(st.sampled_from(_BAD_VALUES))
+        elif fault == "break":  # str.splitlines() ends a line at \f too
+            k = draw(st.integers(0, 2))
+            row[k:k + 2] = [row[k] + "\f" + row[k + 1]]
+        elif fault == "repeat":
+            copy = [row[0], row[2], row[1], value_text()] \
+                if draw(st.booleans()) else list(row)
+            rows.insert(draw(st.integers(0, len(rows))), copy)
+        if fault == "drop":
+            del rows[at]
+        else:
+            rows[at] = row
+    separators = st.sampled_from([" ", "\t", "  ", " \t ", "\x1f"])
+    lines = []
+    for row in rows:
+        for _ in range(draw(st.integers(0, 1))):
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+        lead, trail = draw(st.sampled_from(["", " ", "\t"])), \
+            draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(lead + draw(separators).join(row) + trail)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r", "\v"]))
+    text = end.join([f"multiplex v1 {n} {m}"] + lines)
+    return text + end if draw(st.booleans()) else text
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=v1_files())
+def test_load_matches_per_line_reference(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.mplex"
+        path.write_bytes(text.encode("ascii"))
+        assert_loads_like_reference(path)
+
+
+def _bench_gen():
+    path = Path(__file__).resolve().parents[1] / "megtbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("megtbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed, node_count", [(1, 6), (2, 17), (3, 30)])
+def test_load_matches_reference_on_benchmark_files(tmp_path, seed,
+                                                    node_count):
+    path = tmp_path / "net.mplex"
+    _bench_gen().write_network(path, seed, node_count)
+    assert_loads_like_reference(path)
+
+
+@pytest.mark.parametrize("n, layers", [(1, 1), (2, 4), (12, 3), (30, 2)])
+def test_load_matches_reference_on_saved_files(tmp_path, n, layers):
+    adjacency = [generate_er(n, 0.3, seed=alpha) for alpha in range(layers)]
+    adjacency[-1] = np.zeros((n, n), dtype=np.int8)  # an edgeless layer
+    net = multiplex_from_arrays(adjacency, sample_homophily(n, 1.0, seed=5))
+    path = tmp_path / "net.mplex"
+    save_multiplex(net, path)
+    assert_loads_like_reference(path)
+    loaded = load_multiplex(path)
+    assert not loaded.adjacency[-1].any()
+
+
+def _reference_error(path) -> str:
+    try:
+        _load_reference(path)
+    except ValueError as exc:
+        return str(exc)
+    return ""
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("delta 1_0 1 0.5", "line 3: malformed delta line"),
+    ("delta 0 1 0_5", "line 3: malformed delta line"),
+    ("0 0 1_0 0.5", "line 3: malformed edge line"),
+])
+def test_load_rejects_digit_group_underscores(tmp_path, line, problem):
+    # int() and float() accept "1_0", the bulk reader does not: a
+    # declared narrowing of the number syntax
+    path = tmp_path / "net.mplex"
+    path.write_text(f"multiplex v1 11 1\n0 0 1 1.0\n{line}\n")
+    assert "line 3" not in _reference_error(path)
+    with pytest.raises(ValueError, match=problem):
+        load_multiplex(path)
+
+
+@pytest.mark.parametrize("kind", ["1_0", "+10", "0000000010"])
+def test_load_reads_a_layer_index_like_int(tmp_path, kind):
+    # the kind is read with int(), as the header is, also when it is
+    # wider than the reader's fixed-width field
+    path = tmp_path / "net.mplex"
+    path.write_text(f"multiplex v1 2 11\n{kind} 0 1 2.0\ndelta 0 1 0.5\n")
+    assert load_multiplex(path).weights[10][0, 1] == 2.0
+    assert_loads_like_reference(path)
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("delta 99999999999999999999 1 0.5", "node index out of range"),
+    ("0 -99999999999999999999 1 0.5", "node index out of range"),
+    ("9 99999999999999999999 1 0.5", "layer index out of range"),
+    ("00000000001 0 1 0.5", "duplicate edge"),
+    ("delta 1 0 0.5", "duplicate delta"),
+])
+def test_load_names_the_first_bad_line_like_the_reference(tmp_path, line,
+                                                          problem):
+    path = tmp_path / "net.mplex"
+    path.write_text("multiplex v1 2 2\n\n1 0 1 1.0\ndelta 0 1 0.5\n"
+                    f"{line}\n0 0 1 x\n")
+    with pytest.raises(ValueError, match=f"line 5: {problem}"):
+        load_multiplex(path)
+    assert_loads_like_reference(path)
+
+
+@pytest.mark.parametrize("kind", ["deltaXXXX", "delta\0", "0\0"],
+                         ids=["cut", "nul-delta", "nul-layer"])
+def test_load_reads_no_kind_as_another(tmp_path, kind):
+    # neither a kind cut short by the reader's fixed-width field nor one
+    # whose trailing NUL that field drops may read as "delta" or a layer
+    path = tmp_path / "net.mplex"
+    path.write_text(f"multiplex v1 2 1\n0 0 1 1.0\n{kind} 1 0 0.5\n")
+    with pytest.raises(ValueError, match="line 3: malformed edge line"):
+        load_multiplex(path)
+    assert_loads_like_reference(path)
+
+
+def test_inflated_header_fails_before_allocating(tmp_path):
+    # N(N-1)/2 distances are checked for before any N x N array exists:
+    # at N = 3,000,000 one dense layer would take 72 TB
+    path = tmp_path / "net.mplex"
+    path.write_text("multiplex v1 3000000 2\n0 0 1 0.5\ndelta 0 2 0.5\n")
+    with pytest.raises(ValueError, match=r"missing delta entry for pair "
+                                         r"\(0, 1\)"):
+        load_multiplex(path)
+    path.write_text("multiplex v1 4 1\ndelta 0 1 0.5\ndelta 0 2 0.5\n"
+                    "delta 0 3 0.5\ndelta 2 1 0.5\n")
+    with pytest.raises(ValueError, match=r"pair \(1, 3\)"):
+        load_multiplex(path)
+    assert_loads_like_reference(path)
+
+
+def test_load_rejects_dimensions_past_the_pair_keys(tmp_path):
+    path = tmp_path / "net.mplex"
+    path.write_text("multiplex v1 3037000500 1\n")
+    with pytest.raises(ValueError, match="line 1: bad dimensions"):
+        load_multiplex(path)
+
+
+def test_load_reads_every_line_end_and_blank_line(tmp_path):
+    path = tmp_path / "net.mplex"
+    for end in ("\n", "\r\n", "\r"):
+        path.write_bytes(end.join(["multiplex v1 2 1", "", " \t ",
+                                   "0\t0  1 2.5 ", "delta 1 0 .5"])
+                         .encode("ascii"))
+        loaded = load_multiplex(path)
+        assert loaded.weights[0][1, 0] == 2.5
+        assert loaded.delta[0, 1] == 0.5
+    path.write_text("multiplex v1 1 3\n\n  \n")
+    assert load_multiplex(path).layer_count == 3
