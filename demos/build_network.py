@@ -44,11 +44,15 @@ def main() -> None:
     net = build_multiplex(spec)
 
     print(f"multiplex: N={net.node_count} M={net.layer_count} sigma={args.sigma}")
+    n = net.node_count
     degrees = net.layer_degrees()
-    for alpha in range(net.layer_count):
+    # layer alpha's edges are the CSR rows of the slots alpha * N + i
+    owner = net.edge_owner()
+    layer = owner // n
+    for alpha, dense in enumerate(net.adjacency):  # dense only for the demo
         k = degrees[alpha]
-        edges = int(net.adjacency[alpha].sum()) // 2
-        c = eigenvector_centrality(net.adjacency[alpha])
+        edges = int(k.sum()) // 2
+        c = eigenvector_centrality(dense)
         print(
             f"  layer {alpha}: {edges} edges, <k>={k.mean():.2f}, "
             f"max k={int(k.max())}, centrality spread={c.max() / c.min():.1f}x"
@@ -59,20 +63,17 @@ def main() -> None:
     h = homophily_from_delta(net.delta)[tri]
     print(f"homophily h: min={h.min():.3f} median={np.median(h):.3f} max={h.max():.3f}")
 
-    w = net.weights[0][net.adjacency[0] > 0]
+    w = net.edge_weight[layer == 0]
     print(f"layer-0 link weights: min={w.min():.3f} mean={w.mean():.3f} max={w.max():.3f}")
 
-    union = int(np.any(net.adjacency, axis=0).sum()) // 2
-    print(f"aggregated union graph: {union} edges")
+    pairs = np.unique(owner % n * n + net.neighbour_slot % n)
+    print(f"aggregated union graph: {pairs.size // 2} edges")
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "net.mplex"
         save_multiplex(net, path)
         again = load_multiplex(path)
-        drift = max(
-            abs(net.weights[a] - again.weights[a]).max()
-            for a in range(net.layer_count)
-        )
+        drift = abs(net.edge_weight - again.edge_weight).max()
         print(f"save/load round trip: max |w - w'| = {drift:.2e}, "
               f"max |delta - delta'| = {abs(net.delta - again.delta).max():.2e}")
 

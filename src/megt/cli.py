@@ -128,6 +128,8 @@ def _simulation_config(cfg: dict,
             raise DataError(f"cannot read network file: {exc}") from None
         except ValueError as exc:
             raise DataError(str(exc)) from None
+        except MemoryError:
+            raise _out_of_memory(cfg, cfg["network_file"]) from None
         load_s = time.perf_counter() - start
     else:
         spec = _network_spec(cfg, seed)
@@ -149,17 +151,33 @@ def _simulation_config(cfg: dict,
         raise ConfigError(str(exc)) from None
 
 
+def _out_of_memory(cfg: dict, network_file: str = "",
+                   work: tuple[str, ...] = ()) -> Exception:
+    """The error for a network, or the work on it, too large for memory.
+    It names the network file or the network's size keys, then the keys
+    in ``work``, which size the work."""
+    keys = work if network_file else ("node_count", "layers", *work)
+    sizes = ", ".join(f"{key!r} = {cfg[key]}" for key in keys)
+    if network_file:
+        return DataError(f"{network_file}: not enough memory"
+                         + (f" for config keys {sizes}" if sizes else ""))
+    return ConfigError(f"not enough memory for config keys {sizes}")
+
+
 @contextlib.contextmanager
-def _dynamics_errors(cfg: dict):
+def _dynamics_errors(cfg: dict, work: tuple[str, ...] = ("max_rounds",)):
     """Report a ValueError from the dynamics, such as a communicability
-    that overflows float64, as a data error when the network came from
-    ``network_file`` and as a config error otherwise."""
+    that overflows float64, or a MemoryError, as a data error when the
+    network came from ``network_file`` and as a config error otherwise.
+    ``work`` names the keys besides the network's that size the run."""
     try:
         yield
     except ValueError as exc:
         if cfg["network_file"]:
             raise DataError(f"{cfg['network_file']}: {exc}") from None
         raise ConfigError(str(exc)) from None
+    except MemoryError:
+        raise _out_of_memory(cfg, cfg["network_file"], work) from None
 
 
 def _incentive_config(cfg: dict) -> IncentiveConfig:
@@ -228,6 +246,8 @@ def cmd_generate(args) -> int:
         network = build_multiplex(spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    except MemoryError:
+        raise _out_of_memory(cfg) from None
     outdir = _outdir(args)
     target = outdir / "net.mplex"
     save_multiplex(network, target)
@@ -288,7 +308,7 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"config key {name!r} must be >= 1")
     t_values = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_steps"])
     s_values = np.linspace(cfg["s_min"], cfg["s_max"], cfg["s_steps"])
-    with _dynamics_errors(cfg):
+    with _dynamics_errors(cfg, ("max_rounds", "t_steps", "s_steps")):
         grid = sweep_ts(sim, t_values, s_values, jobs=args.jobs)
     outdir = _outdir(args)
     target = outdir / "grid.csv"

@@ -71,8 +71,8 @@ def build_supra(network: MultiplexNetwork,
                 interlayer_strength: float) -> np.ndarray:
     """Assemble the supra-matrix from a multiplex.
 
-    Diagonal block alpha is the homophily-masked adjacency
-    ``homophily_from_delta(delta) * adjacency[alpha]``; every
+    Diagonal block alpha holds ``homophily_from_delta(delta)`` on layer
+    alpha's edges and zeros elsewhere; every
     off-diagonal block is ``interlayer_strength`` times the identity.
     The result is symmetric and nonnegative: the dense form of
     ``_supra_csr``.
@@ -123,18 +123,15 @@ def matrix_exp(matrix: np.ndarray) -> np.ndarray:
 def _supra_csr(network: MultiplexNetwork, interlayer_strength: float
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The supra-matrix as CSR ``(ptr, col, val)``, built from the
-    layers' edges, with columns ascending within a row.  Zero couplings
-    are left out."""
+    network's edge CSR, with columns ascending within a row.  Zero
+    couplings are left out."""
     if interlayer_strength < 0:
         raise ValueError(
             f"interlayer_strength must be >= 0, got {interlayer_strength}")
     n, m = network.node_count, network.layer_count
-    rows, cols, vals = [], [], []
-    for alpha, layer in enumerate(network.adjacency):
-        i, j = np.nonzero(layer)
-        rows.append(alpha * n + i)
-        cols.append(alpha * n + j)
-        vals.append(homophily_from_delta(network.delta[i, j]) * layer[i, j])
+    owner, slot = network.edge_owner(), network.neighbour_slot
+    rows, cols = [owner], [slot]
+    vals = [homophily_from_delta(network.delta[owner % n, slot % n])]
     if interlayer_strength > 0:
         node = np.arange(n)
         for alpha, beta in itertools.permutations(range(m), 2):
@@ -357,13 +354,14 @@ def _cross_neighbourhood(network: MultiplexNetwork, node: int, layer: int):
     """Flat supra indices of node's counterparts and their neighbours on
     every other layer."""
     n = network.node_count
+    ptr, slot = network.neighbour_ptr, network.neighbour_slot
     out: list[int] = []
     for beta in range(network.layer_count):
         if beta == layer:
             continue
-        out.append(beta * n + node)
-        out.extend(beta * n + j
-                   for j in np.flatnonzero(network.adjacency[beta][node]))
+        counterpart = beta * n + node
+        out.append(counterpart)
+        out.extend(slot[ptr[counterpart]:ptr[counterpart + 1]].tolist())
     return out
 
 

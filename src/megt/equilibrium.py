@@ -71,8 +71,8 @@ class EquilibriumTracker:
     """Vectorised Nash-pair evaluation, reusable across rounds.
 
     The union graph of the layers, its homophily coupling, the degrees
-    and the edge list are built once per tracker; each evaluation is a
-    matrix-vector product.
+    and the edge list are built once per tracker from the network's
+    edges; each evaluation is a matrix-vector product.
     """
 
     def __init__(self, network: MultiplexNetwork, game: PayoffMatrix,
@@ -82,7 +82,9 @@ class EquilibriumTracker:
         self.network = network
         self.game = game
         self.projection = projection
-        union = np.any(network.adjacency, axis=0)
+        n = network.node_count
+        union = np.zeros((n, n), dtype=bool)
+        union[network.edge_owner() % n, network.neighbour_slot % n] = True
         self.coupling = homophily_from_delta(network.delta) * union
         self.degree = union.sum(axis=1).astype(float)
         self.edge_i, self.edge_j = np.nonzero(np.triu(union, k=1))

@@ -228,49 +228,29 @@ def init_state(network: MultiplexNetwork, initial_coop_fraction: float,
 
 
 def accumulate_payoffs(state: SimulationState, network: MultiplexNetwork,
-                       game: PayoffMatrix, payoff_weights: str = "weighted",
-                       table: ScalingTable | None = None) -> np.ndarray:
+                       game: PayoffMatrix,
+                       payoff_weights: str = "weighted") -> np.ndarray:
     """Per-(layer, node) payoff sums against all layer neighbours.
 
     Each edge contributes ``w_ij * payoff(s_i, s_j)``; the ``binary``
     mode replaces the link weights by the bare adjacency.  Isolated
-    slots get 0.  A slot's cooperating mass ``sum_j w_ij s_j`` is added
-    left to right over its edges in ascending j, the order of
-    ``round.c``; passing the network's ``table`` reuses its edge arrays
-    and row sums instead of rebuilding them, with the same bits.
+    slots get 0.  A slot's cooperating mass ``sum_j w_ij s_j`` and its
+    weight sum are each added left to right over its edges in the
+    network's CSR order, the order of ``round.c``, which reads the same
+    sums from ``ScalingTable``.
     """
     weighted = payoff_weights == "weighted"
-    if table is None:
-        owner, other, weight = _payoff_edges(network)
-        row_sums = (np.stack([w.sum(axis=1) for w in network.weights])
-                    if weighted else network.layer_degrees())
-    else:
-        owner, other, weight = (table.edge_owner, table.neighbour_slot,
-                                table.edge_weight)
-        row_sums = table.weight_sums if weighted else table.degrees
     is_coop = state.strategies == COOPERATE
-    coop = is_coop.astype(float).reshape(-1)[other]
+    coop = is_coop.astype(float).reshape(-1)[network.neighbour_slot]
+    if weighted:
+        coop *= network.edge_weight
+    row_sums = network.weight_sums() if weighted else network.layer_degrees()
     # bincount adds each bin's terms in input order; binary sums are exact
-    coop_mass = np.bincount(owner, weights=weight * coop if weighted else coop,
+    coop_mass = np.bincount(network.edge_owner(), weights=coop,
                             minlength=is_coop.size).reshape(is_coop.shape)
     vs_coop = np.where(is_coop, game.reward, game.temptation)
     vs_defect = np.where(is_coop, game.sucker, game.punishment)
     return vs_coop * coop_mass + vs_defect * (row_sums - coop_mass)
-
-
-def _payoff_edges(network: MultiplexNetwork):
-    """Every layer's edges in row-major order, as flat slots: the owner
-    ``alpha * N + i``, the neighbour ``alpha * N + j`` and ``w_ij``."""
-    n = network.node_count
-    owners, others, weights = [], [], []
-    for alpha, (a, w) in enumerate(zip(network.adjacency, network.weights)):
-        i, j = np.nonzero(a)
-        owners.append(i + alpha * n)
-        others.append(j + alpha * n)
-        weights.append(w[i, j])
-    return (np.concatenate(owners, dtype=np.int64),
-            np.concatenate(others, dtype=np.int64),
-            np.concatenate(weights, dtype=float))
 
 
 class ScalingTable:
@@ -279,35 +259,37 @@ class ScalingTable:
     Per-slot data are flat arrays over the slots ``alpha * N + i`` (the
     supra-matrix's layer-major order), in CSR form where a slot has many
     entries, and named as the table fields of ``round.c``'s engine
-    struct, which reads them in place.  Slot s's neighbours on its layer
-    are ``neighbour_slot[neighbour_ptr[s]:neighbour_ptr[s + 1]]``, in
-    ascending order; beside each, ``distance`` holds the floored social
-    distance ``max(delta_ij, DISTANCE_FLOOR)``, ``edge_owner`` s and
-    ``edge_weight`` ``w_ij``.  Its cross-layer neighbourhood, in
-    ``comm._cross_neighbourhood``'s order, is ``cross_slot`` over
-    ``cross_ptr``; beside it, ``cross_value`` holds the communicability
-    entries, the only ones computed (see ``comm.communicability_entries``),
-    and ``denominator[s]`` is their left-to-right sum.
-    ``communicability`` records how the entries were computed.
-    ``degrees`` is the (M, N) degree table and ``weight_sums`` the (M, N)
-    row sums of the link weights; ``edgeless`` says whether every slot
-    lacks a neighbour.  None of it depends on strategies, the game or the
-    selection intensity.
+    struct, which reads them in place.  ``neighbour_ptr``,
+    ``neighbour_slot`` and ``edge_weight`` are the network's own edge
+    arrays: slot s's neighbours are
+    ``neighbour_slot[neighbour_ptr[s]:neighbour_ptr[s + 1]]``, in
+    ascending order, and beside each, ``distance`` holds the floored
+    social distance ``max(delta_ij, DISTANCE_FLOOR)``.  Its cross-layer
+    neighbourhood, in ``comm._cross_neighbourhood``'s order, is
+    ``cross_slot`` over ``cross_ptr``; beside it, ``cross_value`` holds
+    the communicability entries, the only ones computed (see
+    ``comm.communicability_entries``), and ``denominator[s]`` is their
+    left-to-right sum.  ``communicability`` records how the entries were
+    computed.  ``degrees`` is the (M, N) degree table and
+    ``weight_sums`` the (M, N) sums of each slot's link weights, added
+    left to right as ``accumulate_payoffs`` adds them; ``edgeless`` says
+    whether every slot lacks a neighbour.  None of it depends on
+    strategies, the game or the selection intensity.
     """
 
     def __init__(self, network: MultiplexNetwork,
                  interlayer_strength: float):
         n, m = network.node_count, network.layer_count
         nm = n * m
-        self.edge_owner, self.neighbour_slot, self.edge_weight = (
-            _payoff_edges(network))
+        self.neighbour_ptr = network.neighbour_ptr
+        self.neighbour_slot = network.neighbour_slot
+        self.edge_weight = network.edge_weight
         self.degrees = network.layer_degrees()
-        self.weight_sums = np.stack([w.sum(axis=1) for w in network.weights])
+        self.weight_sums = network.weight_sums()
         degree = self.degrees.reshape(-1)
         self.edgeless = not degree.any()
-        self.neighbour_ptr = _row_offsets(degree)
-        self.distance = np.maximum(
-            network.delta[self.edge_owner % n, self.neighbour_slot % n],
+        self.distance = np.maximum(network.delta[
+            network.edge_owner() % n, self.neighbour_slot % n],
             DISTANCE_FLOOR)
         # slot s's block is s, then its neighbours; slot (alpha, i)'s
         # cross-layer slots are node i's blocks on the other layers
@@ -320,8 +302,8 @@ class ScalingTable:
         block, layer = block[order], block_slot[order] // n
         self.cross_slot = np.concatenate([block[layer != alpha]
                                           for alpha in range(m)])
-        self.cross_ptr = _row_offsets(
-            (self.degrees.sum(axis=0) + m - 1 - self.degrees).reshape(-1))
+        self.cross_ptr = np.concatenate(([0], np.cumsum(
+            self.degrees.sum(axis=0) + m - 1 - self.degrees)))
         self.cross_value, self.communicability = communicability_entries(
             network, interlayer_strength, self.cross_ptr, self.cross_slot)
         owner = np.repeat(np.arange(nm), np.diff(self.cross_ptr))
@@ -335,13 +317,6 @@ class ScalingTable:
         """Each slot's ``cross_slot`` entries, as views split on read; its
         only reader is the benchmark's table counter (megtbench)."""
         return np.split(self.cross_slot, self.cross_ptr[1:-1])
-
-
-def _row_offsets(lengths) -> np.ndarray:
-    """CSR row pointers: 0 followed by the running sum of ``lengths``."""
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    return offsets
 
 
 class RoundEngine:
@@ -510,7 +485,7 @@ class RoundEngine:
     def _python_round(self, state: SimulationState) -> float:
         nm = self.slot_count
         payoffs = accumulate_payoffs(state, self.network, self.game,
-                                     self.config.payoff_weights, self.table)
+                                     self.config.payoff_weights)
         rng = state.rng
         picks = rng.integers(0, nm, size=nm)
         u_neighbour = rng.random(nm)

@@ -5,11 +5,11 @@ nodes, plus a single pairwise distance structure shared by all layers:
 ``delta[i, j]`` is a nonnegative social distance drawn once per
 unordered pair, with homophily ``h[i, j] = 1 / (1 + delta[i, j])``.
 
-A network stores exactly three array families: each layer's
-``adjacency``, the shared ``delta``, and each layer's link weights
-``weights[i, j] = h[i, j] * (c_i + c_j) / 2`` where ``c`` is the layer's
-eigenvector centrality.  Homophily, centrality and the union graph are
-computed where they are used.
+A network stores the shared ``delta`` and one CSR of every layer's edges
+with their link weights ``w_ij = h_ij * (c_i + c_j) / 2``, where ``c``
+is the layer's eigenvector centrality; nothing N x N per layer.  A
+generator's dense layer lives only while its centrality is taken.
+Homophily, degrees and the union graph are computed where they are used.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "sample_homophily",
     "homophily_from_delta",
     "eigenvector_centrality",
-    "link_weights",
     "build_multiplex",
     "multiplex_from_arrays",
     "save_multiplex",
@@ -189,7 +188,7 @@ def homophily_from_delta(delta: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# centrality and weights
+# centrality
 # ---------------------------------------------------------------------------
 
 def eigenvector_centrality(adjacency: np.ndarray,
@@ -219,13 +218,6 @@ def eigenvector_centrality(adjacency: np.ndarray,
         vec = nxt
     raise RuntimeError(
         f"power iteration did not converge in {max_iterations} iterations")
-
-
-def link_weights(adjacency: np.ndarray, homophily: np.ndarray,
-                 centrality: np.ndarray) -> np.ndarray:
-    """Per-edge interaction weights h_ij * (c_i + c_j) / 2 on one layer."""
-    mean_centrality = 0.5 * (centrality[:, None] + centrality[None, :])
-    return adjacency * homophily * mean_centrality
 
 
 # ---------------------------------------------------------------------------
@@ -300,19 +292,26 @@ class MultiplexSpec:
                              f"got {self.homophily_sigma}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MultiplexNetwork:
-    """A realised multiplex: layer adjacencies, shared social distances
-    and per-layer link weights.
-
-    ``adjacency[alpha]`` is the 0/1 matrix of layer alpha, ``delta`` the
-    shared pairwise distance matrix and ``weights[alpha]`` the link
-    weights of layer alpha.
+    """A realised multiplex: its weighted edges, one CSR over the flat
+    slots ``alpha * N + i`` (slot s's neighbours, ascending, are
+    ``neighbour_slot[neighbour_ptr[s]:neighbour_ptr[s + 1]]``, each beside
+    its link weight in ``edge_weight``; an edge sits in both endpoints'
+    rows), and the shared N x N distances ``delta``.  The arrays are made
+    read-only: runs on one network object share one scaling table, which
+    an edit would leave stale.
     """
 
-    adjacency: list[np.ndarray]
-    delta: np.ndarray
-    weights: list[np.ndarray] = field(repr=False)
+    neighbour_ptr: np.ndarray
+    neighbour_slot: np.ndarray = field(repr=False)
+    edge_weight: np.ndarray = field(repr=False)
+    delta: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for array in (self.neighbour_ptr, self.neighbour_slot,
+                      self.edge_weight, self.delta):
+            array.flags.writeable = False
 
     @property
     def node_count(self) -> int:
@@ -320,18 +319,64 @@ class MultiplexNetwork:
 
     @property
     def layer_count(self) -> int:
-        return len(self.adjacency)
+        return (self.neighbour_ptr.size - 1) // self.node_count
+
+    @property
+    def adjacency(self) -> list[np.ndarray]:
+        """Each layer's 0/1 ``int8`` N x N matrix, built on every access
+        for readers that want dense layers; megt itself never builds it."""
+        n, m = self.node_count, self.layer_count
+        dense = np.zeros((m * n, n), dtype=np.int8)
+        dense[self.edge_owner(), self.neighbour_slot % n] = 1
+        return list(dense.reshape(m, n, n))
+
+    def edge_owner(self) -> np.ndarray:
+        """The slot whose row holds each edge, beside ``neighbour_slot``."""
+        return np.repeat(np.arange(self.neighbour_ptr.size - 1),
+                         np.diff(self.neighbour_ptr))
 
     def layer_degrees(self) -> np.ndarray:
         """(M, N) integer degree table."""
-        return np.stack([a.sum(axis=1) for a in self.adjacency]).astype(int)
+        return np.diff(self.neighbour_ptr).reshape(self.layer_count,
+                                                   self.node_count)
+
+    def weight_sums(self) -> np.ndarray:
+        """(M, N): each slot's link weights added left to right in CSR
+        order (bincount gives int64 when there is no edge at all)."""
+        return np.bincount(self.edge_owner(), weights=self.edge_weight,
+                           minlength=self.neighbour_ptr.size - 1
+                           ).astype(float).reshape(self.layer_count, -1)
 
 
-def _default_weights(adjacency: list[np.ndarray],
-                     delta: np.ndarray) -> list[np.ndarray]:
-    homophily = homophily_from_delta(delta)
-    return [link_weights(a, homophily, eigenvector_centrality(a))
-            for a in adjacency]
+def _from_edges(delta: np.ndarray, m: int, edges: list) -> MultiplexNetwork:
+    """The multiplex of M layers over ``delta`` whose undirected edges
+    are the rows of ``edges``, a list of ``(layer, i, j, weight)``
+    column arrays that give each edge once, in either node order."""
+    n = delta.shape[0]
+    layer, i, j, weight = (np.concatenate(c) for c in zip(*edges))
+    owner = np.concatenate((layer * n + i, layer * n + j))
+    other = np.concatenate((j, i))
+    # keys below (M + 1) * N^2, which the loader keeps inside int64
+    order = np.argsort(owner * n + other)
+    ptr = np.zeros(m * n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=m * n), out=ptr[1:])
+    return MultiplexNetwork(ptr, (owner - owner % n + other)[order],
+                            np.concatenate((weight, weight))[order], delta)
+
+
+def _layer_edges(alpha: int, adjacency: np.ndarray, delta: np.ndarray,
+                 weights: np.ndarray | None = None):
+    """Dense layer alpha's edges ``(alpha, i, j, w_ij)``, i < j, with the
+    given weights or else ``h_ij * (c_i + c_j) / 2`` from the layer's
+    eigenvector centrality c and ``h = 1 / (1 + delta)``."""
+    i, j = np.nonzero(adjacency)
+    i, j = i[i < j], j[i < j]
+    if weights is None:
+        c = eigenvector_centrality(adjacency)
+        weight = homophily_from_delta(delta[i, j]) * (0.5 * (c[i] + c[j]))
+    else:
+        weight = weights[i, j]
+    return np.full(i.size, alpha), i, j, weight
 
 
 def build_multiplex(spec: MultiplexSpec) -> MultiplexNetwork:
@@ -339,19 +384,20 @@ def build_multiplex(spec: MultiplexSpec) -> MultiplexNetwork:
 
     Randomness is split off a single root seed: the homophily draw and
     each layer get independent child streams, so the same spec always
-    produces the identical network, bit for bit.
+    produces the identical network, bit for bit.  Each layer's dense
+    matrix lives only while its centrality and edges are taken from it.
     """
     homophily_rng = np.random.default_rng(
         np.random.SeedSequence(spec.rng_seed, spawn_key=(0,)))
     delta = sample_homophily(spec.node_count, spec.homophily_sigma,
                              homophily_rng)
-    adjacency = []
+    edges = []
     for alpha, topo in enumerate(spec.topologies):
         layer_rng = np.random.default_rng(
             np.random.SeedSequence(spec.rng_seed, spawn_key=(1 + alpha,)))
-        adjacency.append(topo.realise(spec.node_count, layer_rng))
-    return MultiplexNetwork(adjacency, delta,
-                            _default_weights(adjacency, delta))
+        edges.append(_layer_edges(
+            alpha, topo.realise(spec.node_count, layer_rng), delta))
+    return _from_edges(delta, spec.layer_count, edges)
 
 
 def multiplex_from_arrays(adjacency: list[np.ndarray], delta: np.ndarray,
@@ -377,15 +423,17 @@ def multiplex_from_arrays(adjacency: list[np.ndarray], delta: np.ndarray,
     adjacency = [a.astype(np.int8) for a in adjacency]
     delta = _checked_matrix("delta", delta, n)
     if weights is None:
-        return MultiplexNetwork(adjacency, delta,
-                                _default_weights(adjacency, delta))
-    if len(weights) != len(adjacency):
+        weights = [None] * len(adjacency)
+    elif len(weights) != len(adjacency):
         raise ValueError(f"expected {len(adjacency)} weight matrices, "
                          f"got {len(weights)}")
-    weights = [_checked_matrix("weights", w, n) for w in weights]
-    if any(np.any(w[a == 0]) for a, w in zip(adjacency, weights)):
-        raise ValueError("weights must be zero off the layer's edges")
-    return MultiplexNetwork(adjacency, delta, weights)
+    else:
+        weights = [_checked_matrix("weights", w, n) for w in weights]
+        if any(np.any(w[a == 0]) for a, w in zip(adjacency, weights)):
+            raise ValueError("weights must be zero off the layer's edges")
+    return _from_edges(delta, len(adjacency), [
+        _layer_edges(alpha, a, delta, w)
+        for alpha, (a, w) in enumerate(zip(adjacency, weights))])
 
 
 def _checked_matrix(name: str, matrix, n: int) -> np.ndarray:
@@ -418,12 +466,13 @@ def save_multiplex(network: MultiplexNetwork, path) -> None:
     """
     n, m = network.node_count, network.layer_count
     lines = [f"multiplex v1 {n} {m}"]
-    for alpha in range(m):
-        adj, w = network.adjacency[alpha], network.weights[alpha]
-        src, dst = np.nonzero(np.triu(adj, k=1))
-        for i, j in zip(src.tolist(), dst.tolist()):
-            lines.append(
-                f"{alpha} {i} {j} {_FLOAT_FMT.format(w[i, j])}")
+    alpha, i = np.divmod(network.edge_owner(), n)
+    j = network.neighbour_slot % n
+    upper = i < j
+    for a, i, j, w in zip(alpha[upper].tolist(), i[upper].tolist(),
+                          j[upper].tolist(),
+                          network.edge_weight[upper].tolist()):
+        lines.append(f"{a} {i} {j} {_FLOAT_FMT.format(w)}")
     iu, ju = np.triu_indices(n, k=1)
     for i, j in zip(iu.tolist(), ju.tolist()):
         lines.append(
@@ -456,8 +505,8 @@ def load_multiplex(path) -> MultiplexNetwork:
     indices in [0, N) with i != j, and values are finite and
     nonnegative.  No edge of a layer and no distance may appear
     twice, in either node order, and every unordered node pair needs
-    its distance.  Adjacency, distances and link weights are taken
-    verbatim from the file; nothing is recomputed.
+    its distance.  Edges, distances and link weights are taken verbatim
+    from the file; nothing is recomputed.
 
     The body is parsed in bulk and checked column by column before any
     N x N array is allocated.  Raises ValueError naming the first
@@ -465,16 +514,12 @@ def load_multiplex(path) -> MultiplexNetwork:
     """
     n, m, layer, i, j, value = _read_checked(path)
     is_delta = layer == _DELTA
-    adjacency = np.zeros((m, n, n), dtype=np.int8)
-    weights = np.zeros((m, n, n))
     delta = np.zeros((n, n))
-    edge = ~is_delta
-    alpha, ei, ej = layer[edge], i[edge], j[edge]
-    adjacency[alpha, ei, ej] = adjacency[alpha, ej, ei] = 1
-    weights[alpha, ei, ej] = weights[alpha, ej, ei] = value[edge]
     di, dj = i[is_delta], j[is_delta]
     delta[di, dj] = delta[dj, di] = value[is_delta]
-    return MultiplexNetwork(list(adjacency), delta, list(weights))
+    edge = ~is_delta
+    return _from_edges(delta, m, [(layer[edge], i[edge], j[edge],
+                                   value[edge])])
 
 
 def _read_checked(path):

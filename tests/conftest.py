@@ -54,6 +54,40 @@ def random_multiplex(draw_seed, n, layers, edge_probability, sigma,
     return multiplex_from_arrays(adjacency, delta + delta.T)
 
 
+def dense_weights(network) -> list[np.ndarray]:
+    """Each layer's N x N link-weight matrix, zero off its edges,
+    scattered from the network's edge arrays."""
+    n, m = network.node_count, network.layer_count
+    dense = np.zeros((m, n, n))
+    dense.reshape(m * n, n)[network.edge_owner(),
+                            network.neighbour_slot % n] = network.edge_weight
+    return list(dense)
+
+
+def assert_edge_csr(network) -> None:
+    """The network's edges are a CSR over the flat slots alpha * N + i:
+    int64/float64 C-contiguous arrays, each row's neighbours ascending
+    on the row's own layer with no self-loop, and every edge stored in
+    both directions with the same weight."""
+    n, m = network.node_count, network.layer_count
+    ptr, slot, weight = (network.neighbour_ptr, network.neighbour_slot,
+                         network.edge_weight)
+    for array, dtype in ((ptr, np.int64), (slot, np.int64),
+                         (weight, np.float64), (network.delta, np.float64)):
+        assert array.dtype == dtype and array.flags.c_contiguous
+    assert ptr.shape == (n * m + 1,) and ptr[0] == 0
+    assert ptr[-1] == slot.size == weight.size
+    assert np.all(np.diff(ptr) >= 0)
+    owner = network.edge_owner()
+    assert np.all(owner // n == slot // n) and not np.any(owner == slot)
+    key = owner * n + slot % n
+    assert np.all(np.diff(key) > 0)  # ascending within each row
+    mirror = slot * n + owner % n
+    order = np.argsort(mirror)
+    assert np.array_equal(mirror[order], key)
+    assert weight[order].tobytes() == weight.tobytes()
+
+
 def force_python_round(monkeypatch) -> None:
     """Make every RoundEngine built from here on run its Python loop, as
     it does when the compiled kernel cannot be built."""

@@ -10,6 +10,7 @@ import pytest
 import megt
 import megt.comm
 import megt.evolve
+import megt.netgen
 from megt.cli import main
 from megt.evolve import _worker_count
 from megt.manifest import load_manifest, sha256_file
@@ -314,6 +315,74 @@ def test_inflated_network_header_is_a_data_error(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert "missing delta entry for pair (0, 1)" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _under_a_memory_limit(tmp_path, command, config):
+    """Run megt in a child process that may map about 1 GB."""
+    def limit_address_space():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1_000_000 * 1024,) * 2)
+
+    return subprocess.run(
+        [sys.executable, "-m", "megt.cli", command, "--config", config,
+         "--outdir", str(tmp_path / command)],
+        capture_output=True, text=True, env=megt_env(),
+        preexec_fn=limit_address_space)
+
+
+def test_a_network_file_too_large_for_memory_is_a_data_error(tmp_path):
+    # a valid file of two nodes on 10^8 layers: the edge CSR alone has
+    # 2 * 10^8 + 1 row pointers (1.6 GB)
+    big = tmp_path / "net.mplex"
+    big.write_text("multiplex v1 2 100000000\ndelta 0 1 0.5\n")
+    cfg = write_config(tmp_path, f"network_file = {big}\n")
+    proc = _under_a_memory_limit(tmp_path, "evolve", cfg)
+    assert proc.returncode == 3, proc.stderr
+    assert f"{big}: not enough memory\n" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    # delta alone would take 80 GB
+    ("generate", "node_count = 100000\n",
+     "'node_count' = 100000, 'layers' = 2\n"),
+    ("evolve", "node_count = 100000\n",
+     "'node_count' = 100000, 'layers' = 2, 'max_rounds' = 40\n"),
+    # the run's history buffers would take 16 GB
+    ("evolve", "max_rounds = 1000000000\n",
+     "'node_count' = 20, 'layers' = 2, 'max_rounds' = 1000000000\n"),
+    # 10^10 grid cells
+    ("sweep", "t_steps = 100000\ns_steps = 100000\n",
+     "'node_count' = 20, 'layers' = 2, 'max_rounds' = 40, "
+     "'t_steps' = 100000, 's_steps' = 100000\n"),
+], ids=["generate-nodes", "evolve-nodes", "evolve-rounds", "sweep-grid"])
+def test_too_large_for_memory_is_a_config_error(tmp_path, command, extra,
+                                                message):
+    cfg = write_config(tmp_path, extra)
+    proc = _under_a_memory_limit(tmp_path, command, cfg)
+    assert proc.returncode == 2, proc.stderr
+    assert "not enough memory for config keys " + message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_no_command_builds_dense_layers(tmp_path, monkeypatch):
+    def dense(network):
+        raise AssertionError("a command built the dense adjacency view")
+
+    monkeypatch.setattr(megt.netgen.MultiplexNetwork, "adjacency",
+                        property(dense))
+    cfg = write_config(tmp_path, "t_steps = 2\ns_steps = 2\nreplicas = 2\n")
+    assert run_cli("generate", "--config", cfg,
+                   "--outdir", str(tmp_path / "net")) == 0
+    fixed = write_config(
+        tmp_path, f"network_file = {tmp_path / 'net' / 'net.mplex'}\n"
+                  "t_steps = 2\ns_steps = 2\nreplicas = 2\n",
+        name="fixed.cfg")
+    for command in ("evolve", "sweep", "nash"):
+        assert run_cli(command, "--config", fixed,
+                       "--outdir", str(tmp_path / command)) == 0
+    assert run_cli("nash", "--config", cfg,
+                   "--outdir", str(tmp_path / "nash-spec")) == 0
 
 
 def test_manifests_time_the_network_file(tmp_path, capsys):

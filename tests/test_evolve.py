@@ -27,7 +27,8 @@ from megt.games import (COOPERATE, PayoffMatrix, from_ts, pd_from_bc,
 from megt.netgen import (LayerTopology, MultiplexSpec, build_multiplex,
                          multiplex_from_arrays)
 
-from conftest import force_python_round, megt_env, random_multiplex
+from conftest import (assert_edge_csr, dense_weights, force_python_round,
+                      megt_env, random_multiplex)
 
 
 def line_graph(n, layers=1, weights=None):
@@ -167,8 +168,11 @@ def test_weighted_mode_scales_with_link_weight():
                               payoff_weights="binary")[0, 0] == 1.0
 
 
-# a game whose payoff is the cooperating mass sum_j w_ij s_j itself
+# games whose payoff is the cooperating mass sum_j w_ij s_j itself, and
+# the defecting mass sum_j w_ij (1 - s_j)
 MASS = PayoffMatrix(reward=1.0, sucker=0.0, temptation=1.0, punishment=0.0)
+DEFECTOR_MASS = PayoffMatrix(reward=0.0, sucker=1.0, temptation=0.0,
+                             punishment=1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -183,17 +187,24 @@ def test_payoffs_sum_edges_in_one_order(draw_seed, n, layers,
     net = random_multiplex(draw_seed, n, layers, edge_probability, sigma,
                            edgeless_layer)
     table = ScalingTable(net, 0.5)
-    state = init_state(net, initial, np.random.default_rng(dynamics_seed))
-    game = from_ts(1.5, -0.5)
+    # the row sums are the kernel's: the table's, added in the same order
+    defecting = init_state(net, 0.0, np.random.default_rng(dynamics_seed))
+    assert np.array_equal(accumulate_payoffs(defecting, net, DEFECTOR_MASS),
+                          table.weight_sums)
+    assert np.array_equal(
+        accumulate_payoffs(defecting, net, DEFECTOR_MASS, "binary"),
+        table.degrees)
+    # so a slot whose neighbours all cooperate has exactly no defector mass
+    cooperating = init_state(net, 1.0, np.random.default_rng(dynamics_seed))
     for mode in ("weighted", "binary"):
-        assert np.array_equal(accumulate_payoffs(state, net, game, mode),
-                              accumulate_payoffs(state, net, game, mode,
-                                                 table))
+        assert not accumulate_payoffs(cooperating, net, DEFECTOR_MASS,
+                                      mode).any()
+    state = init_state(net, initial, np.random.default_rng(dynamics_seed))
     coop = (state.strategies == COOPERATE).astype(float)
     binary = np.stack([a @ x for a, x in zip(net.adjacency, coop)])
     assert np.array_equal(accumulate_payoffs(state, net, MASS, "binary"),
                           binary)
-    weighted = np.stack([w @ x for w, x in zip(net.weights, coop)])
+    weighted = np.stack([w @ x for w, x in zip(dense_weights(net), coop)])
     np.testing.assert_allclose(accumulate_payoffs(state, net, MASS),
                                weighted, rtol=1e-12, atol=0.0)
 
@@ -296,6 +307,10 @@ def test_table_arrays_fit_the_kernel_struct(net):
     # an isolated slot is an empty neighbour row
     assert np.array_equal(np.diff(table.neighbour_ptr) == 0,
                           table.degrees.reshape(-1) == 0)
+    # the edge arrays are the network's own, which are a CSR
+    for name in ("neighbour_ptr", "neighbour_slot", "edge_weight"):
+        assert getattr(table, name) is getattr(net, name), name
+    assert_edge_csr(net)
 
 
 def test_uniform_strategy_state_is_absorbing():
@@ -723,6 +738,21 @@ def test_fixed_network_mode_reuses_the_same_graph():
     results = run_replicas(config)
     assert results[0].network is net and results[1].network is net
     assert results[0].trajectory.rho != results[1].trajectory.rho
+
+
+def test_a_shared_network_cannot_be_edited_under_its_table():
+    # runs on one network object share one table, matched by identity,
+    # so an in-place edit must fail rather than run on stale entries
+    net = build_multiplex(small_spec(seed=6))
+    config = SimulationConfig(game=representative("sd"), network=net,
+                              max_rounds=60, steady_window=20, rng_seed=4)
+    first = run(config)
+    for name in ("neighbour_ptr", "neighbour_slot", "edge_weight", "delta"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(net, name)[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(net, name, getattr(net, name).copy())
+    assert run(config).trajectory.rho == first.trajectory.rho
 
 
 def test_config_validation():

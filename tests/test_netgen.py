@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from megt.netgen import (LayerTopology, MultiplexNetwork, MultiplexSpec,
                          build_multiplex, eigenvector_centrality, generate_er,
                          generate_sf, generate_ws, homophily_from_delta,
-                         link_weights, load_multiplex, multiplex_from_arrays,
+                         load_multiplex, multiplex_from_arrays,
                          sample_homophily, save_multiplex)
+
+from conftest import assert_edge_csr, dense_weights
 
 
 def edge_count(adj):
@@ -205,15 +207,6 @@ def test_centrality_empty_graph_is_degenerate_zero():
                           np.zeros(4))
 
 
-def test_link_weights_combine_homophily_and_centrality():
-    adj = np.array([[0, 1], [1, 0]], dtype=np.int8)
-    hom = np.array([[1.0, 0.5], [0.5, 1.0]])
-    centrality = np.array([1.0, 0.6])
-    w = link_weights(adj, hom, centrality)
-    assert w[0, 1] == pytest.approx(0.5 * 0.8)
-    assert w[0, 0] == 0.0
-
-
 # ---------------------------------------------------------------------------
 # multiplex assembly
 # ---------------------------------------------------------------------------
@@ -227,28 +220,29 @@ def two_layer_spec(seed=0, sigma=1.0):
 
 def test_build_multiplex_fields_are_consistent():
     net = build_multiplex(two_layer_spec())
-    # a network is its defining arrays; everything else is derived
+    # a network is its edge arrays and the distances; the rest is derived
     assert [f.name for f in dataclasses.fields(MultiplexNetwork)] == \
-        ["adjacency", "delta", "weights"]
+        ["neighbour_ptr", "neighbour_slot", "edge_weight", "delta"]
     assert net.node_count == 40
     assert net.layer_count == 2
-    for alpha in range(2):
-        assert_simple_graph(net.adjacency[alpha])
-        assert np.array_equal(net.weights[alpha], net.weights[alpha].T)
-        assert net.weights[alpha][net.adjacency[alpha] == 0].sum() == 0.0
+    assert_edge_csr(net)
+    for adjacency, degrees in zip(net.adjacency, net.layer_degrees()):
+        assert_simple_graph(adjacency)
+        assert np.array_equal(adjacency.sum(axis=1), degrees)
 
 
 def test_build_multiplex_weight_formula():
     net = build_multiplex(two_layer_spec(seed=5))
     homophily = homophily_from_delta(net.delta)
-    for alpha in range(2):
-        c = eigenvector_centrality(net.adjacency[alpha])
-        assert np.array_equal(
-            net.weights[alpha],
-            link_weights(net.adjacency[alpha], homophily, c))
-        i, j = map(int, np.argwhere(np.triu(net.adjacency[alpha], 1))[0])
+    for adjacency, weights in zip(net.adjacency, dense_weights(net)):
+        c = eigenvector_centrality(adjacency)
+        # the dense product the per-edge weights replace, bit for bit
+        mean_centrality = 0.5 * (c[:, None] + c[None, :])
+        assert np.array_equal(weights,
+                              adjacency * homophily * mean_centrality)
+        i, j = map(int, np.argwhere(np.triu(adjacency, 1))[0])
         expected = homophily[i, j] * (c[i] + c[j]) / 2
-        assert net.weights[alpha][i, j] == pytest.approx(expected, rel=1e-12)
+        assert weights[i, j] == pytest.approx(expected, rel=1e-12)
 
 
 def test_build_multiplex_full_graph_sigma_zero_unit_weights():
@@ -256,16 +250,14 @@ def test_build_multiplex_full_graph_sigma_zero_unit_weights():
                          topologies=(LayerTopology.er(1.0),),
                          homophily_sigma=0.0, rng_seed=0)
     net = build_multiplex(spec)
-    assert net.weights[0][0, 1] == pytest.approx(1.0)
+    assert net.edge_weight.tolist() == [1.0, 1.0]
 
 
 def test_build_multiplex_is_deterministic():
     a = build_multiplex(two_layer_spec(seed=9))
     b = build_multiplex(two_layer_spec(seed=9))
-    for alpha in range(2):
-        assert np.array_equal(a.adjacency[alpha], b.adjacency[alpha])
-        assert np.array_equal(a.weights[alpha], b.weights[alpha])
-    assert np.array_equal(a.delta, b.delta)
+    for name in ("neighbour_ptr", "neighbour_slot", "edge_weight", "delta"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_spec_validation():
@@ -294,7 +286,7 @@ def test_multiplex_from_arrays_accepts_explicit_weights():
     delta = np.zeros((2, 2))
     net = multiplex_from_arrays([adj], delta,
                                 weights=[np.array([[0.0, 2.0], [2.0, 0.0]])])
-    assert net.weights[0][0, 1] == 2.0
+    assert dense_weights(net)[0][0, 1] == 2.0
     with pytest.raises(ValueError):
         multiplex_from_arrays([np.array([[0, 1], [0, 0]], dtype=np.int8)],
                               delta)
@@ -337,6 +329,11 @@ def test_multiplex_from_arrays_rejects_bad_numbers(delta, weights, message):
 # persistence
 # ---------------------------------------------------------------------------
 
+def _arrays(net):
+    return (net.neighbour_ptr, net.neighbour_slot, net.edge_weight,
+            net.delta)
+
+
 def test_save_load_round_trip(tmp_path):
     net = build_multiplex(two_layer_spec(seed=11))
     path = tmp_path / "net.mplex"
@@ -344,11 +341,29 @@ def test_save_load_round_trip(tmp_path):
     loaded = load_multiplex(path)
     assert loaded.node_count == net.node_count
     assert loaded.layer_count == net.layer_count
-    for alpha in range(2):
-        assert np.array_equal(loaded.adjacency[alpha], net.adjacency[alpha])
-        np.testing.assert_allclose(loaded.weights[alpha],
-                                   net.weights[alpha], rtol=1e-14, atol=0)
+    assert_edge_csr(loaded)
+    assert np.array_equal(loaded.neighbour_ptr, net.neighbour_ptr)
+    assert np.array_equal(loaded.neighbour_slot, net.neighbour_slot)
+    # the format keeps 15 significant digits
+    np.testing.assert_allclose(loaded.edge_weight, net.edge_weight,
+                               rtol=1e-14, atol=0)
     np.testing.assert_allclose(loaded.delta, net.delta, rtol=1e-14, atol=0)
+    # values the format holds exactly come back equal: an edgeless
+    # last layer, and a single node
+    path_graph = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.int8)
+    exact = [multiplex_from_arrays(
+                 [path_graph, np.zeros((3, 3), dtype=np.int8)],
+                 np.array([[0, 0.5, 2], [0.5, 0, 0.25], [2, 0.25, 0]]),
+                 weights=[path_graph * 1.5, np.zeros((3, 3))]),
+             multiplex_from_arrays([np.zeros((1, 1), dtype=np.int8)] * 2,
+                                   np.zeros((1, 1))),
+             loaded]
+    for original in exact:
+        save_multiplex(original, path)
+        again = load_multiplex(path)
+        assert_edge_csr(again)
+        for got, want in zip(_arrays(again), _arrays(original)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_save_is_deterministic(tmp_path):
@@ -403,9 +418,10 @@ def test_load_rejects_bad_numbers(tmp_path, edge, delta, message):
 # the per-line loader, kept as the oracle of the bulk load_multiplex
 # ---------------------------------------------------------------------------
 
-def _load_reference(path) -> MultiplexNetwork:
+def _load_reference(path):
     """The v1 loader as it was before the body was parsed in bulk: one
-    split, int() and float() per line, checked line by line."""
+    split, int() and float() per line, checked line by line.  Returns
+    the dense adjacency and weight matrices of every layer, and delta."""
     with open(path, encoding="ascii") as fh:
         raw = fh.read().splitlines()
     if not raw:
@@ -478,12 +494,13 @@ def _load_reference(path) -> MultiplexNetwork:
         missing = np.argwhere(np.triu(~seen_delta, k=1))
         i, j = missing[0]
         raise ValueError(f"{path}: missing delta entry for pair ({i}, {j})")
-    return MultiplexNetwork(adjacency, delta, weights)
+    return adjacency, delta, weights
 
 
 def assert_loads_like_reference(path):
-    """load_multiplex returns the reference's arrays, bit for bit and in
-    the same dtypes, or raises its ValueError with the same text."""
+    """load_multiplex returns the reference's dense arrays, bit for bit
+    and in the same dtypes, as edge arrays, or raises its ValueError
+    with the same text."""
     try:
         expected = _load_reference(path)
     except ValueError as exc:
@@ -492,9 +509,11 @@ def assert_loads_like_reference(path):
         assert str(raised.value) == str(exc)
         return
     loaded = load_multiplex(path)
-    assert loaded.layer_count == expected.layer_count
-    pairs = list(zip(loaded.adjacency + loaded.weights + [loaded.delta],
-                     expected.adjacency + expected.weights + [expected.delta]))
+    assert_edge_csr(loaded)
+    adjacency, delta, weights = expected
+    assert loaded.layer_count == len(adjacency)
+    pairs = list(zip(loaded.adjacency + dense_weights(loaded) + [loaded.delta],
+                     adjacency + weights + [delta]))
     for got, want in pairs:
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -609,7 +628,7 @@ def test_load_matches_reference_on_saved_files(tmp_path, n, layers):
     save_multiplex(net, path)
     assert_loads_like_reference(path)
     loaded = load_multiplex(path)
-    assert not loaded.adjacency[-1].any()
+    assert not loaded.layer_degrees()[-1].any()
 
 
 def _reference_error(path) -> str:
@@ -641,7 +660,7 @@ def test_load_reads_a_layer_index_like_int(tmp_path, kind):
     # wider than the reader's fixed-width field
     path = tmp_path / "net.mplex"
     path.write_text(f"multiplex v1 2 11\n{kind} 0 1 2.0\ndelta 0 1 0.5\n")
-    assert load_multiplex(path).weights[10][0, 1] == 2.0
+    assert dense_weights(load_multiplex(path))[10][0, 1] == 2.0
     assert_loads_like_reference(path)
 
 
@@ -703,7 +722,7 @@ def test_load_reads_every_line_end_and_blank_line(tmp_path):
                                    "0\t0  1 2.5 ", "delta 1 0 .5"])
                          .encode("ascii"))
         loaded = load_multiplex(path)
-        assert loaded.weights[0][1, 0] == 2.5
+        assert loaded.edge_weight.tolist() == [2.5, 2.5]
         assert loaded.delta[0, 1] == 0.5
     path.write_text("multiplex v1 1 3\n\n  \n")
     assert load_multiplex(path).layer_count == 3
