@@ -4,18 +4,17 @@ behavioural reputation metrics, and crowdsensing incentive pipelines."""
 __version__ = "0.1.0"
 
 from .games import (COOPERATE, DEFECT, DilemmaKind, PayoffMatrix, classify,
-                    from_ts, pairwise_payoff, pd_from_bc, representative)
+                    from_ts, pd_from_bc, representative)
 from .netgen import (LayerTopology, MultiplexNetwork, MultiplexSpec,
                      build_multiplex, eigenvector_centrality, generate_er,
                      generate_sf, generate_ws, load_multiplex,
-                     multiplex_from_arrays, sample_homophily, save_multiplex)
-from .comm import (Communicability, ScalingBounds, build_supra,
-                   communicability, communicability_entries, matrix_exp,
-                   scaling_factor)
+                     sample_homophily, save_multiplex)
+from .comm import (ScalingBounds, build_supra, communicability_entries,
+                   matrix_exp)
 from .evolve import (RunResult, ScalingTable, SimulationConfig,
                      SimulationState, Trajectory, accumulate_payoffs, density,
-                     fermi_probability, init_state, replica_network,
-                     RoundEngine, run, run_replicas, sweep_ts)
+                     init_state, replica_network, RoundEngine, run,
+                     run_replicas, sweep_ts)
 from .equilibrium import (EquilibriumTracker, NashReport, nash_report,
                           project_strategies)
 from .metrics import (BehaviourStats, behaviour_stats, behavioural_reputation,

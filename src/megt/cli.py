@@ -466,6 +466,11 @@ def cmd_replay(args) -> int:
         jobs=args.jobs, mechanism="all")
     if manifest.command == "score":
         mechanisms = manifest.extra.get("mechanisms", list(MECHANISMS))
+        if not (manifest.inputs and isinstance(mechanisms, list)
+                and mechanisms):
+            raise DataError(f"{manifest_path}: score manifest names no "
+                            f"reports file in 'inputs' or no mechanism "
+                            f"in 'extra.mechanisms'")
         replay_args.mechanism = ("all" if len(mechanisms) > 1
                                  else mechanisms[0])
         replay_args.reports = next(iter(manifest.inputs))

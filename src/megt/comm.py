@@ -21,18 +21,17 @@ A run reads only a few entries of the exponential per slot, and
   the entries are gathered from ``matrix_exp``, the exponential from one
   symmetric eigendecomposition of the dense ``build_supra``.
 
-``matrix_exp`` and ``communicability`` are also the oracle that the
-series is tested against.
+``matrix_exp`` of ``build_supra`` is also the oracle that the series is
+tested against.
 
 Row/column order is layer-major: flat index = alpha * N + i.
 
-Communicability depends only on the network and the coupling strength,
+The communicability depends only on the network and the coupling strength,
 never on strategies: it is per-network data, which ``evolve.ScalingTable``
 holds once per network while each run owns only its strategies.  The
 table keeps each slot's cross-layer slots, their entries and the
 entries' sum as flat CSR arrays (``cross_ptr``, ``cross_slot``,
 ``cross_value``, ``denominator``) that the compiled round reads in place.
-``scaling_factor`` is the reference the table and the round must match.
 """
 
 from __future__ import annotations
@@ -49,10 +48,7 @@ __all__ = [
     "build_supra",
     "matrix_exp",
     "communicability_entries",
-    "Communicability",
-    "communicability",
     "ScalingBounds",
-    "scaling_factor",
 ]
 
 # the series runs while the bound on A's spectrum stays below the
@@ -308,33 +304,12 @@ def communicability_entries(network: MultiplexNetwork,
 
 
 @dataclass(frozen=True)
-class Communicability:
-    """exp of the supra-matrix, dense, from ``matrix_exp``.
-
-    ``matrix`` is (N*M) x (N*M) in layer-major order.  Runs never build
-    it: they read their entries from ``communicability_entries``.  It is
-    the input of the reference ``scaling_factor`` and the tests' oracle.
-    """
-
-    matrix: np.ndarray
-    node_count: int
-    layer_count: int
-
-
-def communicability(network: MultiplexNetwork,
-                    interlayer_strength: float) -> Communicability:
-    """Communicability of a multiplex at the given coupling strength."""
-    supra = build_supra(network, interlayer_strength)
-    return Communicability(matrix=matrix_exp(supra),
-                           node_count=network.node_count,
-                           layer_count=network.layer_count)
-
-
-@dataclass(frozen=True)
 class ScalingBounds:
     """Bounds whose difference ``span`` sets how far cross-layer
-    agreement can damp imitation: the scaling factor lies in
-    [1 - span, 1].  Defaults (0.5, 1.0)."""
+    agreement can damp imitation: a slot's scaling factor is
+    ``1 - span * share``, with ``share`` the part of its cross-layer
+    entries on slots that play its strategy, so it lies in [1 - span, 1]
+    (1 where it has no entries).  Defaults (0.5, 1.0)."""
 
     minimum: float = 0.5
     maximum: float = 1.0
@@ -349,48 +324,3 @@ class ScalingBounds:
     def span(self) -> float:
         return self.maximum - self.minimum
 
-
-def _cross_neighbourhood(network: MultiplexNetwork, node: int, layer: int):
-    """Flat supra indices of node's counterparts and their neighbours on
-    every other layer."""
-    n = network.node_count
-    ptr, slot = network.neighbour_ptr, network.neighbour_slot
-    out: list[int] = []
-    for beta in range(network.layer_count):
-        if beta == layer:
-            continue
-        counterpart = beta * n + node
-        out.append(counterpart)
-        out.extend(slot[ptr[counterpart]:ptr[counterpart + 1]].tolist())
-    return out
-
-
-def scaling_factor(node: int, layer: int, comm: Communicability,
-                   strategies: np.ndarray, network: MultiplexNetwork,
-                   bounds: ScalingBounds = ScalingBounds()) -> float:
-    """Imitation scaling factor of (node, layer) given current strategies.
-
-    Over every other layer beta, the communicability entries from
-    (node, layer) to the node's counterpart on beta and that
-    counterpart's neighbours are summed twice: once restricted to
-    entries whose strategy on beta equals the node's strategy on
-    ``layer`` (numerator), once unrestricted (denominator).  The factor
-    is ``1 - bounds.span * numerator / denominator``: full cross-layer
-    agreement pins it at ``1 - bounds.span``, no agreement leaves
-    imitation unscaled at 1.  A zero denominator (single layer, or zero
-    coupling) is neutral and returns 1.
-    """
-    strategies = np.asarray(strategies)
-    own = strategies[layer, node]
-    flat = strategies.reshape(-1)
-    row = comm.matrix[layer * comm.node_count + node]
-    numerator = 0.0
-    denominator = 0.0
-    for idx in _cross_neighbourhood(network, node, layer):
-        g = row[idx]
-        denominator += g
-        if flat[idx] == own:
-            numerator += g
-    if denominator <= 0.0:
-        return 1.0
-    return 1.0 - bounds.span * (numerator / denominator)

@@ -333,10 +333,10 @@ def parse_reports(rows, first_row_number: int = 1
                           map(reasons.__getitem__, order),
                           map(details.__getitem__, order)))
 
-    table = ReportTable.__new__(ReportTable)
-    table._build(ids_of(kept), (dates, date[kept]), (times, time[kept]),
-                 (streets, street[kept]), (kinds, kind[kept]),
-                 (uuids, uuid[kept]), rating_value[kept])
+    table = ReportTable(ids_of(kept), (dates, date[kept]),
+                        (times, time[kept]), (streets, street[kept]),
+                        (kinds, kind[kept]), (uuids, uuid[kept]),
+                        rating_value[kept])
     return table, rejections
 
 
@@ -449,27 +449,19 @@ class ReportTable:
     """A corpus of kept reports as columns, factorised once: the input of
     every scoring stage.
 
-    ``ReportTable(rows)`` takes rows in ReportRecord field order; it
-    factorises each column and hands the codes to ``_build``, the one
-    place that codes a table, which ingest calls straight from its
-    parsed codes.  Iterating rebuilds the ReportRecords in input order
-    from the codes, the distinct dates and times and the object_ids: no
-    per-row tuple is stored.  Users, streets and kinds are coded in
-    sorted order and windows chronologically (by date ordinal * 8 +
-    segment), so code order is output order and
-    ``np.bincount`` over codes adds floats in the same order as a loop
-    over sorted keys.  The parts every mechanism shares (per-user window
-    tuples, per-report quality) are memoised per instance.
+    Ingest builds a table straight from its parsed codes.  Iterating
+    rebuilds the ReportRecords in input order from the codes, the
+    distinct dates and times and the object_ids: no per-row tuple is
+    stored.  Users, streets and kinds are coded in sorted order and
+    windows chronologically (by date ordinal * 8 + segment), so code
+    order is output order and ``np.bincount`` over codes adds floats in
+    the same order as a loop over sorted keys.  The parts every
+    mechanism shares (per-user window tuples, per-report quality) are
+    memoised per instance.
     """
 
-    def __init__(self, rows=()):
-        object_ids, *columns, ratings = (
-            tuple(zip(*rows)) or ((),) * len(ReportRecord._fields))
-        self._build(list(object_ids), *map(_first_codes, columns),
-                    np.array(ratings, dtype=float))
-
-    def _build(self, object_ids: list[str], dates, times, streets, kinds,
-               uuids, ratings: np.ndarray) -> None:
+    def __init__(self, object_ids: list[str], dates, times, streets, kinds,
+                 uuids, ratings: np.ndarray) -> None:
         """Set every column from factorised ones, in ReportRecord field
         order: ``dates`` to ``uuids`` are ``(values, codes)`` pairs, with
         ``codes`` indexing ``values`` once per report, and ``ratings``

@@ -47,7 +47,6 @@ __all__ = [
     "GridResult",
     "init_state",
     "accumulate_payoffs",
-    "fermi_probability",
     "ScalingTable",
     "RoundEngine",
     "replica_network",
@@ -72,28 +71,6 @@ _EXP_CLAMP = 700.0
 # the ScalingTable arrays that are table fields of round.c's engine struct
 _TABLE_ARRAYS = ("neighbour_ptr", "neighbour_slot", "distance", "cross_ptr",
                  "cross_slot", "cross_value", "denominator")
-
-
-def fermi_probability(payoff_self: float, payoff_other: float,
-                      distance: float, selection_intensity: float,
-                      scaling: float = 1.0) -> float:
-    """Probability that a player adopts a neighbour's strategy.
-
-    ``scaling / (1 + exp((payoff_self - payoff_other) / (d * kappa)))``
-    with ``d = max(distance, DISTANCE_FLOOR)``.  Equal payoffs give
-    exactly ``scaling / 2``; a socially closer pair (smaller distance)
-    sharpens the comparison in both directions.
-    """
-    if not 0.0 < selection_intensity < math.inf:  # NaN fails too
-        raise ValueError(f"selection_intensity must be finite and > 0, "
-                         f"got {selection_intensity}")
-    x = (payoff_self - payoff_other) / (
-        max(distance, DISTANCE_FLOOR) * selection_intensity)
-    if x > _EXP_CLAMP:
-        return 0.0
-    if x < -_EXP_CLAMP:
-        return scaling
-    return scaling / (1.0 + math.exp(x))
 
 
 @dataclass
@@ -265,9 +242,10 @@ class ScalingTable:
     ``neighbour_slot[neighbour_ptr[s]:neighbour_ptr[s + 1]]``, in
     ascending order, and beside each, ``distance`` holds the floored
     social distance ``max(delta_ij, DISTANCE_FLOOR)``.  Its cross-layer
-    neighbourhood, in ``comm._cross_neighbourhood``'s order, is
-    ``cross_slot`` over ``cross_ptr``; beside it, ``cross_value`` holds
-    the communicability entries, the only ones computed (see
+    neighbourhood (on each other layer in turn, the node's counterpart,
+    then the counterpart's neighbours) is ``cross_slot`` over
+    ``cross_ptr``; beside it, ``cross_value`` holds the communicability
+    entries, the only ones computed (see
     ``comm.communicability_entries``), and ``denominator[s]`` is their
     left-to-right sum.  ``communicability`` records how the entries were
     computed.  ``degrees`` is the (M, N) degree table and
@@ -307,8 +285,8 @@ class ScalingTable:
         self.cross_value, self.communicability = communicability_entries(
             network, interlayer_strength, self.cross_ptr, self.cross_slot)
         owner = np.repeat(np.arange(nm), np.diff(self.cross_ptr))
-        # bincount adds each bin left to right from 0.0, like
-        # scaling_factor; with no entries at all (M = 1) it returns int64
+        # bincount adds each bin left to right from 0.0, like the
+        # round's numerator; with no entries at all (M = 1) it returns int64
         self.denominator = np.bincount(owner, weights=self.cross_value,
                                        minlength=nm).astype(float)
 
@@ -509,10 +487,10 @@ class RoundEngine:
         returns the change in the cooperator count.  A pick on an
         isolated slot is redrawn from ``rng`` until it has a neighbour.
 
-        The loop inlines ``comm.scaling_factor``, read from the table,
-        and ``fermi_probability``, with their float operations; a round
-        built from those two is the oracle this one must match bit for
-        bit.
+        The loop inlines the cross-layer scaling factor and the Fermi
+        rule ``scaling / (1 + exp((P_i - P_j) / (d_ij * kappa)))`` with
+        their float operations; a round built from the tests' plain
+        oracles of the two must match it bit for bit.
         """
         nm = self.slot_count
         pay: list[float] = payoffs.reshape(nm).tolist()

@@ -45,24 +45,6 @@ class PayoffMatrix:
     temptation: float
     punishment: float
 
-    def shifted(self, offset: float) -> "PayoffMatrix":
-        """Return a copy with ``offset`` added to every entry."""
-        return PayoffMatrix(
-            self.reward + offset,
-            self.sucker + offset,
-            self.temptation + offset,
-            self.punishment + offset,
-        )
-
-    def scaled(self, factor: float) -> "PayoffMatrix":
-        """Return a copy with every entry multiplied by ``factor``."""
-        return PayoffMatrix(
-            self.reward * factor,
-            self.sucker * factor,
-            self.temptation * factor,
-            self.punishment * factor,
-        )
-
 
 def from_ts(temptation: float, sucker: float) -> PayoffMatrix:
     """Game at a point of the T-S plane (reward = 1, punishment = 0)."""
@@ -113,14 +95,6 @@ def classify(game: PayoffMatrix) -> DilemmaKind:
     if r > s > p and r > t > p:
         return DilemmaKind.HARMONY
     return DilemmaKind.OTHER
-
-
-def pairwise_payoff(strategy_self: int, strategy_other: int,
-                    game: PayoffMatrix) -> float:
-    """Row-player payoff of one interaction."""
-    if strategy_self == COOPERATE:
-        return game.reward if strategy_other == COOPERATE else game.sucker
-    return game.temptation if strategy_other == COOPERATE else game.punishment
 
 
 # interior T-S points standing in for each dilemma class when a config

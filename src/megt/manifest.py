@@ -62,15 +62,29 @@ def write_manifest(manifest: RunManifest, path) -> None:
 
 
 def load_manifest(path) -> RunManifest:
+    """Read a manifest, checking each field's JSON type: ``command`` a
+    string, ``seed`` an integer, and ``config``, ``outputs``, ``inputs``
+    and ``extra`` objects.  Raises ValueError naming the first bad or
+    missing field."""
     with open(path, encoding="ascii") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: manifest must be a JSON object")
     for key in ("command", "version", "seed", "config", "outputs"):
         if key not in payload:
             raise ValueError(f"{path}: manifest missing field {key!r}")
-    return RunManifest(command=payload["command"],
-                       version=payload["version"],
-                       seed=payload["seed"],
-                       config=payload["config"],
-                       outputs=payload["outputs"],
-                       inputs=payload.get("inputs", {}),
-                       extra=payload.get("extra", {}))
+    payload.setdefault("inputs", {})
+    payload.setdefault("extra", {})
+    for key, kind, what in (("command", str, "a string"),
+                            ("seed", int, "an integer"),
+                            ("config", dict, "an object"),
+                            ("outputs", dict, "an object"),
+                            ("inputs", dict, "an object"),
+                            ("extra", dict, "an object")):
+        value = payload[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"{path}: manifest field {key!r} must be "
+                             f"{what}, got {type(value).__name__}")
+    return RunManifest(**{key: payload[key] for key in (
+        "command", "version", "seed", "config", "outputs", "inputs",
+        "extra")})

@@ -31,7 +31,6 @@ __all__ = [
     "homophily_from_delta",
     "eigenvector_centrality",
     "build_multiplex",
-    "multiplex_from_arrays",
     "save_multiplex",
     "load_multiplex",
 ]
@@ -191,16 +190,21 @@ def homophily_from_delta(delta: np.ndarray) -> np.ndarray:
 # centrality
 # ---------------------------------------------------------------------------
 
-def eigenvector_centrality(adjacency: np.ndarray,
-                           rel_tolerance: float = 1e-10,
-                           max_iterations: int = 10000) -> np.ndarray:
+# power iteration stops at this relative max-norm change, or fails
+# after this many steps
+_CENTRALITY_TOLERANCE = 1e-10
+_CENTRALITY_ITERATIONS = 10000
+
+
+def eigenvector_centrality(adjacency: np.ndarray) -> np.ndarray:
     """Leading-eigenvector centrality by power iteration, max-normalised.
 
     Iterates on ``A + I`` rather than ``A``: the shift leaves the
     eigenvectors untouched but makes the dominant eigenvalue strictly
     largest in magnitude, so the iteration also converges on bipartite
     layers (e.g. stars) where plain iteration oscillates with period 2.
-    Convergence is relative max-norm change below ``rel_tolerance``.
+    It stops at a relative max-norm change below
+    ``_CENTRALITY_TOLERANCE``.
 
     An edgeless layer has no meaningful centrality; the all-zeros vector
     is returned to signal that degenerate case.
@@ -210,14 +214,15 @@ def eigenvector_centrality(adjacency: np.ndarray,
         return np.zeros(n)
     a = adjacency.astype(float)
     vec = np.full(n, 1.0 / n)
-    for _ in range(max_iterations):
+    for _ in range(_CENTRALITY_ITERATIONS):
         nxt = a @ vec + vec
         nxt /= nxt.max()
-        if np.max(np.abs(nxt - vec)) <= rel_tolerance * np.max(np.abs(nxt)):
+        if (np.max(np.abs(nxt - vec))
+                <= _CENTRALITY_TOLERANCE * np.max(np.abs(nxt))):
             return nxt
         vec = nxt
-    raise RuntimeError(
-        f"power iteration did not converge in {max_iterations} iterations")
+    raise RuntimeError(f"power iteration did not converge in "
+                       f"{_CENTRALITY_ITERATIONS} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -364,18 +369,14 @@ def _from_edges(delta: np.ndarray, m: int, edges: list) -> MultiplexNetwork:
                             np.concatenate((weight, weight))[order], delta)
 
 
-def _layer_edges(alpha: int, adjacency: np.ndarray, delta: np.ndarray,
-                 weights: np.ndarray | None = None):
-    """Dense layer alpha's edges ``(alpha, i, j, w_ij)``, i < j, with the
-    given weights or else ``h_ij * (c_i + c_j) / 2`` from the layer's
-    eigenvector centrality c and ``h = 1 / (1 + delta)``."""
+def _layer_edges(alpha: int, adjacency: np.ndarray, delta: np.ndarray):
+    """Dense layer alpha's edges ``(alpha, i, j, w_ij)``, i < j, weighted
+    ``h_ij * (c_i + c_j) / 2`` from the layer's eigenvector centrality c
+    and ``h = 1 / (1 + delta)``."""
     i, j = np.nonzero(adjacency)
     i, j = i[i < j], j[i < j]
-    if weights is None:
-        c = eigenvector_centrality(adjacency)
-        weight = homophily_from_delta(delta[i, j]) * (0.5 * (c[i] + c[j]))
-    else:
-        weight = weights[i, j]
+    c = eigenvector_centrality(adjacency)
+    weight = homophily_from_delta(delta[i, j]) * (0.5 * (c[i] + c[j]))
     return np.full(i.size, alpha), i, j, weight
 
 
@@ -398,55 +399,6 @@ def build_multiplex(spec: MultiplexSpec) -> MultiplexNetwork:
         edges.append(_layer_edges(
             alpha, topo.realise(spec.node_count, layer_rng), delta))
     return _from_edges(delta, spec.layer_count, edges)
-
-
-def multiplex_from_arrays(adjacency: list[np.ndarray], delta: np.ndarray,
-                          weights: list[np.ndarray] | None = None
-                          ) -> MultiplexNetwork:
-    """Assemble a multiplex from explicit adjacency and distance matrices.
-
-    Handy for tests and small worked examples; ``weights`` may be given
-    explicitly to override the centrality-based defaults.  The rules are
-    those of ``load_multiplex``: symmetric 0/1 layers with a zero
-    diagonal, and N x N distance and weight matrices that are symmetric,
-    finite and nonnegative, one weight matrix per layer that is zero off
-    the layer's edges.  A violation raises ValueError naming it.
-    """
-    n = delta.shape[0]
-    for a in adjacency:
-        if a.shape != (n, n):
-            raise ValueError("adjacency shape does not match delta")
-        if not np.array_equal(a, a.T):
-            raise ValueError("adjacency must be symmetric")
-        if np.any(np.diag(a) != 0):
-            raise ValueError("adjacency must have a zero diagonal")
-    adjacency = [a.astype(np.int8) for a in adjacency]
-    delta = _checked_matrix("delta", delta, n)
-    if weights is None:
-        weights = [None] * len(adjacency)
-    elif len(weights) != len(adjacency):
-        raise ValueError(f"expected {len(adjacency)} weight matrices, "
-                         f"got {len(weights)}")
-    else:
-        weights = [_checked_matrix("weights", w, n) for w in weights]
-        if any(np.any(w[a == 0]) for a, w in zip(adjacency, weights)):
-            raise ValueError("weights must be zero off the layer's edges")
-    return _from_edges(delta, len(adjacency), [
-        _layer_edges(alpha, a, delta, w)
-        for alpha, (a, w) in enumerate(zip(adjacency, weights))])
-
-
-def _checked_matrix(name: str, matrix, n: int) -> np.ndarray:
-    matrix = np.array(matrix, dtype=float)
-    if matrix.shape != (n, n):
-        raise ValueError(f"{name} must be {n}x{n}, got shape {matrix.shape}")
-    if not np.isfinite(matrix).all():
-        raise ValueError(f"{name} has non-finite entries")
-    if np.any(matrix < 0):
-        raise ValueError(f"{name} has negative entries")
-    if not np.array_equal(matrix, matrix.T):
-        raise ValueError(f"{name} must be symmetric")
-    return matrix
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ import pytest
 
 import megt
 import megt.kernel
-from megt.netgen import multiplex_from_arrays
+
+from oracles import multiplex_from_arrays
 
 #: Directory that holds the ``megt`` package imported by the suite
 #: (``src`` in a checkout, or wherever an installed megt lives).

@@ -1,0 +1,174 @@
+"""Slow, plainly written references that the tests hold megt's fast paths
+to, and the small-network builder the tests draw their fixtures from.
+
+None of these is part of megt: a run reads its communicability entries
+from ``communicability_entries`` through a ``ScalingTable``, its Fermi
+probabilities inline in the round, its networks from ``build_multiplex``
+or ``load_multiplex``, and its report tables from ``parse_reports``.
+
+- ``communicability`` is the dense (N*M)^2 exponential of the
+  supra-matrix, and ``scaling_factor`` the per-slot imitation scaling
+  read from it over ``cross_neighbourhood``;
+- ``fermi_probability`` is the imitation probability;
+- ``multiplex_from_arrays`` builds a network from dense layers;
+- ``table_of`` builds a ``ReportTable`` from ``ReportRecord`` rows.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from megt.comm import ScalingBounds, build_supra, matrix_exp
+from megt.crowdsense import ReportRecord, ReportTable, _first_codes
+from megt.evolve import _EXP_CLAMP, DISTANCE_FLOOR
+from megt.netgen import MultiplexNetwork, _from_edges, _layer_edges
+
+
+@dataclass(frozen=True)
+class Communicability:
+    """exp of the supra-matrix, dense, from ``matrix_exp``: (N*M) x (N*M)
+    in layer-major order."""
+
+    matrix: np.ndarray
+    node_count: int
+    layer_count: int
+
+
+def communicability(network: MultiplexNetwork,
+                    interlayer_strength: float) -> Communicability:
+    """Communicability of a multiplex at the given coupling strength."""
+    supra = build_supra(network, interlayer_strength)
+    return Communicability(matrix=matrix_exp(supra),
+                           node_count=network.node_count,
+                           layer_count=network.layer_count)
+
+
+def cross_neighbourhood(network: MultiplexNetwork, node: int, layer: int):
+    """Flat supra indices of node's counterparts and their neighbours on
+    every other layer."""
+    n = network.node_count
+    ptr, slot = network.neighbour_ptr, network.neighbour_slot
+    out: list[int] = []
+    for beta in range(network.layer_count):
+        if beta == layer:
+            continue
+        counterpart = beta * n + node
+        out.append(counterpart)
+        out.extend(slot[ptr[counterpart]:ptr[counterpart + 1]].tolist())
+    return out
+
+
+def scaling_factor(node: int, layer: int, comm: Communicability,
+                   strategies: np.ndarray, network: MultiplexNetwork,
+                   bounds: ScalingBounds = ScalingBounds()) -> float:
+    """Imitation scaling factor of (node, layer) given current strategies.
+
+    Over every other layer beta, the communicability entries from
+    (node, layer) to the node's counterpart on beta and that
+    counterpart's neighbours are summed twice: once restricted to
+    entries whose strategy on beta equals the node's strategy on
+    ``layer`` (numerator), once unrestricted (denominator).  The factor
+    is ``1 - bounds.span * numerator / denominator``: full cross-layer
+    agreement pins it at ``1 - bounds.span``, no agreement leaves
+    imitation unscaled at 1.  A zero denominator (single layer, or zero
+    coupling) is neutral and returns 1.
+    """
+    strategies = np.asarray(strategies)
+    own = strategies[layer, node]
+    flat = strategies.reshape(-1)
+    row = comm.matrix[layer * comm.node_count + node]
+    numerator = 0.0
+    denominator = 0.0
+    for idx in cross_neighbourhood(network, node, layer):
+        g = row[idx]
+        denominator += g
+        if flat[idx] == own:
+            numerator += g
+    if denominator <= 0.0:
+        return 1.0
+    return 1.0 - bounds.span * (numerator / denominator)
+
+
+def fermi_probability(payoff_self: float, payoff_other: float,
+                      distance: float, selection_intensity: float,
+                      scaling: float = 1.0) -> float:
+    """Probability that a player adopts a neighbour's strategy.
+
+    ``scaling / (1 + exp((payoff_self - payoff_other) / (d * kappa)))``
+    with ``d = max(distance, DISTANCE_FLOOR)``.  Equal payoffs give
+    exactly ``scaling / 2``; a socially closer pair (smaller distance)
+    sharpens the comparison in both directions.
+    """
+    if not 0.0 < selection_intensity < math.inf:  # NaN fails too
+        raise ValueError(f"selection_intensity must be finite and > 0, "
+                         f"got {selection_intensity}")
+    x = (payoff_self - payoff_other) / (
+        max(distance, DISTANCE_FLOOR) * selection_intensity)
+    if x > _EXP_CLAMP:
+        return 0.0
+    if x < -_EXP_CLAMP:
+        return scaling
+    return scaling / (1.0 + math.exp(x))
+
+
+def multiplex_from_arrays(adjacency: list[np.ndarray], delta: np.ndarray,
+                          weights: list[np.ndarray] | None = None
+                          ) -> MultiplexNetwork:
+    """A multiplex from explicit adjacency and distance matrices.
+
+    Without ``weights``, each layer's link weights come from its
+    eigenvector centrality as in ``build_multiplex``.  The rules are
+    those of ``load_multiplex``: symmetric 0/1 layers with a zero
+    diagonal, and N x N distance and weight matrices that are symmetric,
+    finite and nonnegative, one weight matrix per layer that is zero off
+    the layer's edges.  A violation raises ValueError naming it.
+    """
+    n = delta.shape[0]
+    for a in adjacency:
+        if a.shape != (n, n):
+            raise ValueError("adjacency shape does not match delta")
+        if not np.array_equal(a, a.T):
+            raise ValueError("adjacency must be symmetric")
+        if np.any(np.diag(a) != 0):
+            raise ValueError("adjacency must have a zero diagonal")
+    adjacency = [a.astype(np.int8) for a in adjacency]
+    delta = _checked_matrix("delta", delta, n)
+    if weights is None:
+        return _from_edges(delta, len(adjacency), [
+            _layer_edges(alpha, a, delta)
+            for alpha, a in enumerate(adjacency)])
+    if len(weights) != len(adjacency):
+        raise ValueError(f"expected {len(adjacency)} weight matrices, "
+                         f"got {len(weights)}")
+    weights = [_checked_matrix("weights", w, n) for w in weights]
+    if any(np.any(w[a == 0]) for a, w in zip(adjacency, weights)):
+        raise ValueError("weights must be zero off the layer's edges")
+    edges = []
+    for alpha, (a, w) in enumerate(zip(adjacency, weights)):
+        i, j = np.nonzero(np.triu(a))
+        edges.append((np.full(i.size, alpha), i, j, w[i, j]))
+    return _from_edges(delta, len(adjacency), edges)
+
+
+def _checked_matrix(name: str, matrix, n: int) -> np.ndarray:
+    matrix = np.array(matrix, dtype=float)
+    if matrix.shape != (n, n):
+        raise ValueError(f"{name} must be {n}x{n}, got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"{name} has non-finite entries")
+    if np.any(matrix < 0):
+        raise ValueError(f"{name} has negative entries")
+    if not np.array_equal(matrix, matrix.T):
+        raise ValueError(f"{name} must be symmetric")
+    return matrix
+
+
+def table_of(records=()) -> ReportTable:
+    """The ReportTable of rows in ReportRecord field order, each column
+    factorised in order of first appearance."""
+    object_ids, *columns, ratings = (
+        tuple(zip(*records)) or ((),) * len(ReportRecord._fields))
+    return ReportTable(list(object_ids), *map(_first_codes, columns),
+                       np.array(ratings, dtype=float))

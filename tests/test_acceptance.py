@@ -33,7 +33,6 @@ from megt.equilibrium import EquilibriumTracker, nash_report
 from megt.evolve import (
     SimulationConfig,
     replica_network,
-    fermi_probability,
     run,
     run_replicas,
 )
@@ -42,6 +41,7 @@ from megt.metrics import behaviour_stats
 from megt.netgen import LayerTopology, MultiplexSpec, build_multiplex
 
 from conftest import megt_env
+from oracles import fermi_probability
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 

@@ -763,3 +763,35 @@ def test_replay_missing_manifest(tmp_path, capsys):
     assert run_cli("replay", str(tmp_path / "missing.json"),
                    "--outdir", str(tmp_path / "out")) == 3
     assert "missing.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("score", lambda p: {**p, "inputs": {}}, "names no reports file"),
+    ("score", lambda p: {**p, "extra": {**p["extra"], "mechanisms": []}},
+     "no mechanism"),
+    ("generate", lambda p: {**p, "config": [1]}, "'config' must be an object"),
+    ("generate", lambda p: {**p, "outputs": []},
+     "'outputs' must be an object"),
+    ("generate", lambda p: sorted(p), "must be a JSON object"),
+    ("generate", lambda p: {**p, "seed": "x"}, "'seed' must be an integer"),
+], ids=["score-without-inputs", "score-without-mechanisms", "config-list",
+        "outputs-list", "top-level-list", "seed-string"])
+def test_replay_malformed_manifest_is_a_named_data_error(
+        tmp_path, capsys, command, edit, message):
+    cfg = write_config(tmp_path)
+    outdir = tmp_path / "out"
+    argv = ["--config", cfg, "--outdir", str(outdir)]
+    if command == "score":
+        argv += ["--reports", str(synth_corpus_file(tmp_path)),
+                 "--mechanism", "A"]
+    assert run_cli(command, *argv) == 0
+    payload = json.loads((outdir / "manifest.json").read_text())
+    assert set(payload) >= {"command", "version", "seed", "config",
+                            "outputs"}
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(edit(payload)))
+    capsys.readouterr()
+    assert run_cli("replay", str(broken),
+                   "--outdir", str(tmp_path / "replayed")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and message in err

@@ -8,17 +8,17 @@ from hypothesis import strategies as st
 
 import megt.comm
 import megt.kernel
-from megt.comm import (Communicability, ScalingBounds, _cross_neighbourhood,
-                       _series_c, _series_choice, _series_numpy,
-                       _series_terms,
-                       _spectral_bound, _supra_csr, build_supra,
-                       communicability, communicability_entries, matrix_exp,
-                       scaling_factor)
+from megt.comm import (ScalingBounds, _series_c, _series_choice,
+                       _series_numpy, _series_terms, _spectral_bound,
+                       _supra_csr, build_supra, communicability_entries,
+                       matrix_exp)
 from megt.evolve import DISTANCE_FLOOR, ScalingTable
 from megt.netgen import (LayerTopology, MultiplexSpec, build_multiplex,
-                         homophily_from_delta, multiplex_from_arrays)
+                         homophily_from_delta)
 
 import conftest
+from oracles import (Communicability, communicability, cross_neighbourhood,
+                     multiplex_from_arrays, scaling_factor)
 
 COSH_1 = 1.5430806348152437
 SINH_1 = 1.1752011936438014
@@ -302,8 +302,8 @@ def test_table_denominators_add_left_to_right():
 
 
 def test_table_matches_the_oracle_neighbourhoods():
-    # the table derives its cross-layer slots from the edge arrays;
-    # _cross_neighbourhood scans the adjacency rows, and must agree
+    # the table derives its cross-layer slots in bulk from the edge
+    # arrays; cross_neighbourhood walks them slot by slot, and must agree
     spec = MultiplexSpec(node_count=15, layer_count=3,
                          topologies=(LayerTopology.er(0.1),) * 3,
                          homophily_sigma=1.0, rng_seed=4)
@@ -315,7 +315,7 @@ def test_table_matches_the_oracle_neighbourhoods():
     for flat in range(45):
         layer, node = divmod(flat, 15)
         cross = slice(table.cross_ptr[flat], table.cross_ptr[flat + 1])
-        idx = _cross_neighbourhood(net, node, layer)
+        idx = cross_neighbourhood(net, node, layer)
         assert table.cross_slot[cross].tolist() == idx
         assert table.cross_value[cross].tolist() == [comm.matrix[flat, k]
                                                      for k in idx]
@@ -329,15 +329,42 @@ def test_table_matches_the_oracle_neighbourhoods():
     assert np.array_equal(table.degrees, net.layer_degrees())
 
 
+def test_table_gives_the_oracle_scaling_factor():
+    # the round's factor from the table's arrays, numerator added left
+    # to right, is scaling_factor's on the dense exponential, bit for bit
+    spec = MultiplexSpec(node_count=15, layer_count=3,
+                         topologies=(LayerTopology.er(0.2),) * 3,
+                         homophily_sigma=1.0, rng_seed=6)
+    net = build_multiplex(spec)
+    comm = communicability(net, 0.4)
+    table = ScalingTable(net, 0.4)
+    assert table.communicability["method"] == "eigh"
+    bounds = ScalingBounds(0.3, 0.9)
+    strategies = (np.random.default_rng(6).random((3, 15)) < 0.5
+                  ).astype(np.int8)
+    flat = strategies.reshape(-1)
+    for slot in range(45):
+        numerator = 0.0
+        for q in range(table.cross_ptr[slot], table.cross_ptr[slot + 1]):
+            if flat[table.cross_slot[q]] == flat[slot]:
+                numerator += table.cross_value[q]
+        denominator = table.denominator[slot]
+        factor = (1.0 - bounds.span * (numerator / denominator)
+                  if denominator > 0.0 else 1.0)
+        layer, node = divmod(slot, 15)
+        assert factor == scaling_factor(node, layer, comm, strategies, net,
+                                        bounds)
+
+
 # ---------------------------------------------------------------------------
 # communicability entries: the sparse series and its eigh oracle
 # ---------------------------------------------------------------------------
 
 def cross_csr(net):
     """The table's cross-layer neighbourhoods as CSR, from the oracle
-    ``_cross_neighbourhood``."""
+    ``cross_neighbourhood``."""
     n, m = net.node_count, net.layer_count
-    rows = [_cross_neighbourhood(net, flat % n, flat // n)
+    rows = [cross_neighbourhood(net, flat % n, flat // n)
             for flat in range(n * m)]
     ptr = np.zeros(n * m + 1, dtype=np.int64)
     np.cumsum([len(row) for row in rows], out=ptr[1:])
@@ -440,6 +467,21 @@ def test_dense_layers_take_eigh():
     _, info = communicability_entries(net, 0.5, np.zeros(401, np.int64),
                                       np.zeros(0, np.int64))
     assert info["method"] == "eigh"
+
+
+@pytest.mark.parametrize("edge_probability, method",
+                         [(0.5, "eigh"), (4 / 199, "series")])
+def test_entries_are_the_dense_communicability(edge_probability, method):
+    net = nash_layers_network(edge_probability, layers=2)
+    cross_ptr, cross_slot = cross_csr(net)
+    values, info = communicability_entries(net, 0.5, cross_ptr, cross_slot)
+    assert info["method"] == method
+    owner = np.repeat(np.arange(400), np.diff(cross_ptr))
+    dense = communicability(net, 0.5).matrix[owner, cross_slot]
+    if method == "eigh":  # gathered from the very same exponential
+        assert np.array_equal(values, dense)
+    else:
+        assert np.all(np.abs(values - dense) <= 1e-12 * dense)
 
 
 def test_sparse_layers_take_the_series_without_dense_matrices(monkeypatch):

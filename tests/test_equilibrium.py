@@ -1,3 +1,4 @@
+import dataclasses
 from typing import NamedTuple
 
 import numpy as np
@@ -9,8 +10,9 @@ from megt.equilibrium import (EquilibriumTracker, nash_report,
                               project_strategies, write_alpha_csv)
 from megt.evolve import SimulationConfig, run
 from megt.games import COOPERATE, DEFECT, PayoffMatrix, from_ts, representative
-from megt.netgen import (LayerTopology, MultiplexSpec, build_multiplex,
-                         multiplex_from_arrays)
+from megt.netgen import LayerTopology, MultiplexSpec, build_multiplex
+
+from oracles import multiplex_from_arrays
 
 PD = PayoffMatrix(reward=1.0, sucker=-0.5, temptation=1.5, punishment=0.0)
 HG = PayoffMatrix(reward=1.0, sucker=0.5, temptation=0.5, punishment=0.0)
@@ -274,7 +276,8 @@ def test_alpha_invariant_under_positive_payoff_scaling():
     for _ in range(5):
         strategies = rng.integers(0, 2, size=(2, 30)).astype(np.int8)
         base = nash_report(strategies, net, PD)
-        scaled = nash_report(strategies, net, PD.scaled(3.7))
+        scaled = nash_report(strategies, net, PayoffMatrix(
+            *(3.7 * value for value in dataclasses.astuple(PD))))
         assert scaled.alpha == base.alpha
         assert scaled.weak_fraction == base.weak_fraction
 

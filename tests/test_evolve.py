@@ -15,20 +15,21 @@ from hypothesis import strategies as st
 
 import megt.evolve
 import megt.kernel
-from megt.comm import Communicability, ScalingBounds, scaling_factor
+from megt.comm import ScalingBounds
 from megt.evolve import (DISTANCE_FLOOR, RoundEngine, ScalingTable,
                          SimulationConfig, accumulate_payoffs, density,
-                         fermi_probability, init_state, run,
-                         run_replicas, sweep_ts, write_grid_csv,
-                         write_state_text, write_trajectory_csv)
+                         init_state, run, run_replicas, sweep_ts,
+                         write_grid_csv, write_state_text,
+                         write_trajectory_csv)
 from megt.evolve import _worker_count
 from megt.games import (COOPERATE, PayoffMatrix, from_ts, pd_from_bc,
                         representative)
-from megt.netgen import (LayerTopology, MultiplexSpec, build_multiplex,
-                         multiplex_from_arrays)
+from megt.netgen import LayerTopology, MultiplexSpec, build_multiplex
 
 from conftest import (assert_edge_csr, dense_weights, force_python_round,
                       megt_env, random_multiplex)
+from oracles import (Communicability, fermi_probability,
+                     multiplex_from_arrays, scaling_factor)
 
 
 def line_graph(n, layers=1, weights=None):

@@ -1,9 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from megt.games import (COOPERATE, DEFECT, DilemmaKind, PayoffMatrix,
-                        classify, from_ts, pairwise_payoff, pd_from_bc,
-                        representative)
+from megt.games import (DilemmaKind, PayoffMatrix, classify, from_ts,
+                        pd_from_bc, representative)
+
+
+def shifted(game, offset):
+    """The game with ``offset`` added to every entry."""
+    return PayoffMatrix(*(value + offset
+                          for value in dataclasses.astuple(game)))
 
 
 def test_classify_canonical_orderings():
@@ -25,7 +32,7 @@ def test_classify_invariant_under_constant_shift():
     for _ in range(200):
         game = PayoffMatrix(*rng.uniform(-2, 2, size=4))
         offset = float(rng.uniform(-10, 10))
-        assert classify(game.shifted(offset)) is classify(game)
+        assert classify(shifted(game, offset)) is classify(game)
 
 
 def test_from_ts_fixes_reward_and_punishment():
@@ -67,15 +74,6 @@ def test_pd_from_bc_rejects_bad_parameters():
         pd_from_bc(0.2, 1.2)
     with pytest.raises(ValueError):
         pd_from_bc(1.0, 0.0)
-
-
-def test_pairwise_payoff_table():
-    game = PayoffMatrix(reward=3.0, sucker=-1.0, temptation=5.0,
-                        punishment=0.5)
-    assert pairwise_payoff(COOPERATE, COOPERATE, game) == 3.0
-    assert pairwise_payoff(COOPERATE, DEFECT, game) == -1.0
-    assert pairwise_payoff(DEFECT, COOPERATE, game) == 5.0
-    assert pairwise_payoff(DEFECT, DEFECT, game) == 0.5
 
 
 def test_representative_points_classify_to_their_class():

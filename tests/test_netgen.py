@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from megt.netgen import (LayerTopology, MultiplexNetwork, MultiplexSpec,
                          build_multiplex, eigenvector_centrality, generate_er,
                          generate_sf, generate_ws, homophily_from_delta,
-                         load_multiplex, multiplex_from_arrays,
-                         sample_homophily, save_multiplex)
+                         load_multiplex, sample_homophily, save_multiplex)
 
 from conftest import assert_edge_csr, dense_weights
+from oracles import multiplex_from_arrays
 
 
 def edge_count(adj):
