@@ -15,7 +15,10 @@ A run reads only a few entries of the exponential per slot, and
 - ``"series"``, on sparse layers: the truncated Taylor series of the
   sparse supra-matrix, summed over panels of identity columns by
   ``round.c`` (or by the same operations in numpy without a compiler).
-  No (N*M)^2 array is built.
+  No (N*M)^2 array is built.  ``round.c`` shares the panels among
+  threads, one per 32 panels up to the CPUs the process may use; each
+  panel's arithmetic is the same on any thread, so the thread count
+  changes no bit.
 - ``"eigh"``, on dense layers, where the series would cost more than a
   dense eigendecomposition, and wherever the exponential may overflow:
   the entries are gathered from ``matrix_exp``, the exponential from one
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +63,32 @@ _SERIES_MAX_BOUND = 700.0
 _BOUND_STEPS = 12
 
 # columns per panel of the numpy series; the fastest of 16 to 256 at
-# N*M = 1400 and 2000 (round.c uses 8)
+# N*M = 1400 and 2000
 _NUMPY_PANEL = 32
+
+# round.c's COMM_PANEL, and the panels that make another of its threads
+# worth starting
+_C_PANEL = 8
+_PANELS_PER_THREAD = 32
+
+# True in a process pool's worker (set by evolve's pool initializer):
+# the pool already runs one worker per CPU, so the series takes one
+# thread there
+_in_pool_worker = False
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the size of its affinity mask
+    where the OS reports one, else ``os.cpu_count()``; at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _series_threads(cpus: int, panels: int) -> int:
+    """Threads for the compiled series over ``panels`` panels: one per
+    ``_PANELS_PER_THREAD`` panels, at most ``cpus``, at least 1."""
+    return max(1, min(cpus, panels // _PANELS_PER_THREAD))
 
 
 def build_supra(network: MultiplexNetwork,
@@ -244,15 +272,16 @@ def _series_numpy(ptr, col, val, terms, cross_ptr, cross_slot
     return out
 
 
-def _series_c(library, ptr, col, val, terms, cross_ptr, cross_slot,
-              vector: bool = True) -> np.ndarray:
-    """The entries from ``round.c``'s ``megt_comm_entries``; ``vector``
-    lets it use AVX2 where the CPU has it, which changes no bit."""
+def _series_c(library, ptr, col, val, terms, cross_ptr, cross_slot, *,
+              threads: int, vector: bool = True) -> np.ndarray:
+    """The entries from ``round.c``'s ``megt_comm_entries`` over
+    ``threads`` threads; ``vector`` lets it use AVX2 where the CPU has
+    it.  Neither changes a bit."""
     out = np.empty(cross_slot.size)
     status = library.megt_comm_entries(
         ptr.size - 1, ptr.ctypes.data, col.ctypes.data, val.ctypes.data,
         terms, cross_ptr.ctypes.data, cross_slot.ctypes.data,
-        out.ctypes.data, int(vector))
+        out.ctypes.data, int(vector), threads)
     if status != 0:
         raise MemoryError("cannot allocate the communicability panels")
     return out
@@ -264,8 +293,9 @@ def communicability_entries(network: MultiplexNetwork,
                             ) -> tuple[np.ndarray, dict]:
     """The communicability entries ``exp(A)[r, cross_slot[q]]`` for every
     flat row r and ``q`` in ``cross_ptr[r] .. cross_ptr[r+1] - 1``, and
-    how they were computed: ``{"method": "series", "terms": K}`` or
-    ``{"method": "eigh", "terms": None}``.
+    how they were computed: ``{"method": "series", "terms": K,
+    "threads": T}`` or ``{"method": "eigh", "terms": None,
+    "threads": None}``.
 
     The series needs a Collatz-Wielandt bound on A's largest eigenvalue
     of at most 700; K is then the number of Taylor terms after which the
@@ -277,6 +307,10 @@ def communicability_entries(network: MultiplexNetwork,
     ``matrix_exp`` of ``build_supra``, which raises ValueError when the
     exponential overflows.  The choice depends only on the network, so
     outputs do not depend on whether a compiler is present.
+
+    T is the number of threads that summed the series: 1 for the numpy
+    loop and in a process pool's workers, else ``_series_threads`` of
+    the usable CPUs and the panel count.  It changes no bit.
     """
     ptr, col, val = _supra_csr(network, interlayer_strength)
     nm = ptr.size - 1
@@ -292,15 +326,19 @@ def communicability_entries(network: MultiplexNetwork,
     if terms is None:
         matrix = matrix_exp(_dense(ptr, col, val))
         owner = np.repeat(np.arange(nm), np.diff(cross_ptr))
-        return matrix[owner, cross_slot], {"method": "eigh", "terms": None}
+        return matrix[owner, cross_slot], {"method": "eigh", "terms": None,
+                                           "threads": None}
     from . import kernel  # ctypes stays off the import path
     library = kernel.compiled()[0]
     if library is None:
+        threads = 1
         values = _series_numpy(ptr, col, val, terms, cross_ptr, cross_slot)
     else:
+        cpus = 1 if _in_pool_worker else _usable_cpus()
+        threads = _series_threads(cpus, -(-nm // _C_PANEL))
         values = _series_c(library, ptr, col, val, terms, cross_ptr,
-                           cross_slot)
-    return values, {"method": "series", "terms": terms}
+                           cross_slot, threads=threads)
+    return values, {"method": "series", "terms": terms, "threads": threads}
 
 
 @dataclass(frozen=True)

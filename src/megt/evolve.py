@@ -28,13 +28,13 @@ import collections
 import dataclasses
 import functools
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comm import ScalingBounds, communicability_entries
+from . import comm
+from .comm import ScalingBounds, _usable_cpus, communicability_entries
 from .games import COOPERATE, PayoffMatrix, from_ts
 from .netgen import MultiplexNetwork, MultiplexSpec, build_multiplex
 
@@ -180,8 +180,8 @@ class RunResult:
     (realising or reusing it), ``communicability`` (with the scaling
     table), ``setup`` (engine and initial state) and ``rounds`` (with
     any ``on_round`` hook).  ``communicability`` says how the table's
-    entries were computed: ``{"method": "series", "terms": K}`` or
-    ``{"method": "eigh", "terms": None}``.
+    entries were computed, as ``comm.communicability_entries`` reports
+    it: the method, the term count K and the series' thread count T.
     """
 
     trajectory: Trajectory
@@ -630,8 +630,9 @@ def run(config: SimulationConfig, *, cell_index: int = 0,
 
 def _worker_count(jobs: int, tasks: int) -> int:
     """Pool size for ``jobs`` requested over ``tasks`` independent tasks:
-    never more than the tasks or the machine's CPUs, and at least 1."""
-    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+    never more than the tasks or the CPUs this process may use, and at
+    least 1."""
+    return max(1, min(jobs, tasks, _usable_cpus()))
 
 
 # the function a pool worker maps, installed once per worker process
@@ -641,6 +642,8 @@ _worker_function = None
 def _install_worker_function(function) -> None:
     global _worker_function
     _worker_function = function
+    # the pool already runs one worker per CPU: one series thread each
+    comm._in_pool_worker = True
 
 
 def _call_worker_function(item):
@@ -697,8 +700,8 @@ class GridResult:
 
     Over all the grid's runs, ``adoptions`` is the total adoption count
     and ``phase_s`` the total time of each ``RunResult.phase_s`` phase;
-    ``communicability`` lists each distinct method and term count with
-    the number of runs that used it.
+    ``communicability`` lists each distinct method, term count and
+    thread count with the number of runs that used it.
     """
 
     t_values: list[float]
@@ -757,16 +760,18 @@ def sweep_ts(config: SimulationConfig, t_values, s_values, *,
     means, stds, adoptions, phases, infos = zip(
         *_map(functools.partial(_cell, config), cells, jobs))
     shape = (len(t_values), len(s_values))
-    methods = collections.Counter((info["method"], info["terms"])
-                                  for cell in infos for info in cell)
+    methods = collections.Counter(
+        (info["method"], info["terms"], info["threads"])
+        for cell in infos for info in cell)
     return GridResult(t_values=t_values, s_values=s_values,
                       rho_mean=np.array(means).reshape(shape),
                       rho_std=np.array(stds).reshape(shape),
                       replicas=config.replicas, adoptions=sum(adoptions),
                       phase_s=_total_phases(phases),
                       communicability=[
-                          {"method": method, "terms": terms, "runs": runs}
-                          for (method, terms), runs
+                          {"method": method, "terms": terms,
+                           "threads": threads, "runs": runs}
+                          for (method, terms, threads), runs
                           in sorted(methods.items())])
 
 

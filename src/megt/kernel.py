@@ -4,9 +4,13 @@ checked on first use.
 ``round.c`` ships beside this module.  ``compiled`` compiles it once per
 user with the system C compiler into ``$XDG_CACHE_HOME/megt`` (or
 ``~/.cache/megt``), under a name keyed by a hash of the source and the
-flags, and loads it with ctypes.  The compiler writes to a temporary
-name that is then renamed into place, so processes racing on a cold
-cache each see either no library or a whole one.  Importing this module
+flags, and loads it with ctypes.  The flags (``CC_FLAGS``) turn off
+fused multiply-adds, so the C rounds round like the Python ones, and
+include ``-pthread``: ``megt_comm_entries`` sums the series' panels in
+threads, all of them joined before it returns, so no thread outlives a
+call and a process pool may fork afterwards.  The compiler writes to a
+temporary name that is then renamed into place, so processes racing on
+a cold cache each see either no library or a whole one.  Importing this module
 compiles nothing; ``megt.evolve`` and ``megt.comm`` import it only when
 an engine is built or a series is summed.
 
@@ -40,8 +44,9 @@ __all__ = ["compiled", "load", "Engine", "STOP_REASONS"]
 
 SOURCE = Path(__file__).with_name("round.c")
 
-# no fused multiply-add: the loop must round like the Python one
-CC_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# no fused multiply-add: the loop must round like the Python one;
+# -pthread for the series' panel threads
+CC_FLAGS = ("-O2", "-ffp-contract=off", "-pthread", "-fPIC", "-shared")
 
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 
@@ -162,7 +167,7 @@ def compiled():
             function.argtypes = (ctypes.POINTER(Engine), _PTR)
             function.restype = restype
         library.megt_comm_entries.argtypes = (_I64, _PTR, _PTR, _PTR, _I64,
-                                              _PTR, _PTR, _PTR, _I64)
+                                              _PTR, _PTR, _PTR, _I64, _I64)
         library.megt_comm_entries.restype = _I64
     except FileNotFoundError as exc:
         if exc.filename == "cc":

@@ -14,6 +14,7 @@ Homophily, degrees and the union graph are computed where they are used.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -207,7 +208,10 @@ def eigenvector_centrality(adjacency: np.ndarray) -> np.ndarray:
     ``_CENTRALITY_TOLERANCE``.
 
     An edgeless layer has no meaningful centrality; the all-zeros vector
-    is returned to signal that degenerate case.
+    is returned to signal that degenerate case.  Raises ValueError when
+    the iteration does not settle within ``_CENTRALITY_ITERATIONS``
+    steps, as on a layer whose components have nearly equal leading
+    eigenvalues.
     """
     n = adjacency.shape[0]
     if not adjacency.any():
@@ -221,8 +225,8 @@ def eigenvector_centrality(adjacency: np.ndarray) -> np.ndarray:
                 <= _CENTRALITY_TOLERANCE * np.max(np.abs(nxt))):
             return nxt
         vec = nxt
-    raise RuntimeError(f"power iteration did not converge in "
-                       f"{_CENTRALITY_ITERATIONS} iterations")
+    raise ValueError(f"eigenvector centrality: power iteration did not "
+                     f"converge in {_CENTRALITY_ITERATIONS} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +379,10 @@ def _layer_edges(alpha: int, adjacency: np.ndarray, delta: np.ndarray):
     and ``h = 1 / (1 + delta)``."""
     i, j = np.nonzero(adjacency)
     i, j = i[i < j], j[i < j]
-    c = eigenvector_centrality(adjacency)
+    try:
+        c = eigenvector_centrality(adjacency)
+    except ValueError as exc:
+        raise ValueError(f"layer {alpha}: {exc}") from None
     weight = homophily_from_delta(delta[i, j]) * (0.5 * (c[i] + c[j]))
     return np.full(i.size, alpha), i, j, weight
 
@@ -405,7 +412,8 @@ def build_multiplex(spec: MultiplexSpec) -> MultiplexNetwork:
 # persistence
 # ---------------------------------------------------------------------------
 
-_FLOAT_FMT = "{:.15g}"
+# body lines per formatting pass of save_multiplex
+_SAVE_CHUNK_LINES = 1 << 16
 
 
 def save_multiplex(network: MultiplexNetwork, path) -> None:
@@ -413,25 +421,31 @@ def save_multiplex(network: MultiplexNetwork, path) -> None:
 
     Layout: a header ``multiplex v1 N M``; one ``alpha src dst weight``
     line per undirected edge (src < dst, weight is the layer's link
-    weight at 15 significant digits); then one ``delta i j value`` line
-    per unordered node pair (i < j).
+    weight at 15 significant digits, ``%.15g``); then one
+    ``delta i j value`` line per unordered node pair (i < j).
     """
     n, m = network.node_count, network.layer_count
-    lines = [f"multiplex v1 {n} {m}"]
     alpha, i = np.divmod(network.edge_owner(), n)
     j = network.neighbour_slot % n
     upper = i < j
-    for a, i, j, w in zip(alpha[upper].tolist(), i[upper].tolist(),
-                          j[upper].tolist(),
-                          network.edge_weight[upper].tolist()):
-        lines.append(f"{a} {i} {j} {_FLOAT_FMT.format(w)}")
     iu, ju = np.triu_indices(n, k=1)
-    for i, j in zip(iu.tolist(), ju.tolist()):
-        lines.append(
-            f"delta {i} {j} {_FLOAT_FMT.format(network.delta[i, j])}")
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write(f"multiplex v1 {n} {m}\n")
+        _write_lines(fh, "%d %d %d %.15g\n", (alpha[upper], i[upper],
+                                               j[upper],
+                                               network.edge_weight[upper]))
+        _write_lines(fh, "delta %d %d %.15g\n",
+                     (iu, ju, network.delta[iu, ju]))
+
+
+def _write_lines(fh, line: str, columns: tuple[np.ndarray, ...]) -> None:
+    """Write one ``line % row`` per row of the equal-length ``columns``:
+    each chunk of rows is formatted by one ``%`` on the repeated line,
+    with the columns' Python values interleaved row by row."""
+    for start in range(0, columns[0].size, _SAVE_CHUNK_LINES):
+        part = [c[start:start + _SAVE_CHUNK_LINES].tolist() for c in columns]
+        fh.write(line * len(part[0])
+                 % tuple(itertools.chain.from_iterable(zip(*part))))
 
 
 # One body line as the bulk reader parses it.  The kind stays text, so

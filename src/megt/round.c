@@ -25,13 +25,17 @@
  * The caller holds the bit generator's lock.  Slot counts stay below
  * 2^32, where numpy draws bounded integers from next_uint32.
  *
- * Build with -ffp-contract=off (no fused multiply-add) and link libm,
- * whose exp is the one math.exp calls.  Every index is a flat slot
+ * Build with -ffp-contract=off (no fused multiply-add) and -pthread
+ * (megt_comm_entries sums its panels in threads), and link libm, whose
+ * exp is the one math.exp calls.  Every index is a flat slot
  * alpha * N + i.  The struct below is mirrored field for field by
  * megt.kernel.Engine; its pointers are the engine's buffers, written
  * once per engine.
  */
+#define _GNU_SOURCE /* CPU sets, sched_getcpu */
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -298,48 +302,118 @@ static void panel_term_avx2(const struct csr *a, double k,
 }
 #endif
 
-/* With vector nonzero, panels are summed with AVX2 where the CPU has
- * it.  Returns 0, or -1 when the three slot_count x COMM_PANEL work
- * arrays cannot be allocated. */
-int64_t megt_comm_entries(int64_t slot_count, const int64_t *a_ptr,
-                          const int64_t *a_col, const double *a_val,
-                          int64_t terms, const int64_t *cross_ptr,
-                          const int64_t *cross_slot, double *out,
-                          int64_t vector)
+typedef void (*panel_step)(const struct csr *, double, const double *,
+                           double *, double *);
+
+/* What the threads of one megt_comm_entries call share.  Panels are
+ * handed out by the atomic counter next_panel; each panel writes only
+ * its own rows' entries of out. */
+struct comm_job {
+    struct csr a;
+    panel_step step;
+    int64_t terms, panels;
+    const int64_t *cross_ptr, *cross_slot;
+    double *out;
+    int64_t next_panel;
+};
+
+/* Sums panels until none is left, in its own three slot_count x
+ * COMM_PANEL work arrays; takes none when they cannot be allocated. */
+static void *comm_worker(void *arg)
 {
-    const struct csr a = {slot_count, a_ptr, a_col, a_val};
-    void (*step)(const struct csr *, double, const double *, double *,
-                 double *) = panel_term;
-#if defined(__x86_64__) && defined(__GNUC__)
-    if (vector && __builtin_cpu_supports("avx2"))
-        step = panel_term_avx2;
-#else
-    (void)vector;
-#endif
-    const int64_t size = slot_count * COMM_PANEL;
+    struct comm_job *job = arg;
+    const int64_t slot_count = job->a.rows, size = slot_count * COMM_PANEL;
     double *scratch = malloc(3 * (size_t)size * sizeof(double));
     if (scratch == NULL)
-        return -1;
+        return NULL;
     double *sum = scratch, *term = scratch + size, *next = scratch + 2 * size;
-    for (int64_t first = 0; first < slot_count; first += COMM_PANEL) {
+    for (;;) {
+        const int64_t first = COMM_PANEL * __atomic_fetch_add(
+            &job->next_panel, 1, __ATOMIC_RELAXED);
+        if (first >= slot_count)
+            break;
         for (int64_t x = 0; x < size; x++)
             sum[x] = 0.0;
         for (int c = 0; c < COMM_PANEL && first + c < slot_count; c++)
             sum[(first + c) * COMM_PANEL + c] = 1.0;
         for (int64_t x = 0; x < size; x++)
             term[x] = sum[x];
-        for (int64_t k = 1; k <= terms; k++) {
-            step(&a, (double)k, term, next, sum);
+        for (int64_t k = 1; k <= job->terms; k++) {
+            job->step(&job->a, (double)k, term, next, sum);
             double *swap = term;
             term = next;
             next = swap;
         }
         for (int c = 0; c < COMM_PANEL && first + c < slot_count; c++) {
             int64_t r = first + c;
-            for (int64_t q = cross_ptr[r]; q < cross_ptr[r + 1]; q++)
-                out[q] = sum[cross_slot[q] * COMM_PANEL + c];
+            for (int64_t q = job->cross_ptr[r]; q < job->cross_ptr[r + 1]; q++)
+                job->out[q] = sum[job->cross_slot[q] * COMM_PANEL + c];
         }
     }
     free(scratch);
-    return 0;
+    return NULL;
+}
+
+/* Sets attr to start helper threads on the CPUs the caller may use other
+ * than its own.  Left to the kernel, a new helper was seen to share the
+ * caller's CPU for a whole call while another CPU stayed idle. */
+static void place_helpers(pthread_attr_t *attr)
+{
+#ifdef __linux__
+    cpu_set_t others;
+    const int here = sched_getcpu();
+    if (here >= 0 && pthread_getaffinity_np(pthread_self(), sizeof others,
+                                            &others) == 0) {
+        CPU_CLR(here, &others);
+        if (CPU_COUNT(&others) > 0)
+            pthread_attr_setaffinity_np(attr, sizeof others, &others);
+    }
+#else
+    (void)attr;
+#endif
+}
+
+/* With vector nonzero, panels are summed with AVX2 where the CPU has
+ * it.  The panels are shared among up to `threads` threads, the calling
+ * thread among them; a thread's panels give the same bits on any
+ * thread, so the thread count changes no bit.  Every thread started is
+ * joined before the call returns.  When a thread cannot be started, the
+ * threads running take its panels.  Returns 0, or -1 when no thread
+ * could allocate its work arrays, so some panels were not summed. */
+int64_t megt_comm_entries(int64_t slot_count, const int64_t *a_ptr,
+                          const int64_t *a_col, const double *a_val,
+                          int64_t terms, const int64_t *cross_ptr,
+                          const int64_t *cross_slot, double *out,
+                          int64_t vector, int64_t threads)
+{
+    struct comm_job job = {{slot_count, a_ptr, a_col, a_val}, panel_term,
+                           terms, (slot_count + COMM_PANEL - 1) / COMM_PANEL,
+                           cross_ptr, cross_slot, out, 0};
+#if defined(__x86_64__) && defined(__GNUC__)
+    if (vector && __builtin_cpu_supports("avx2"))
+        job.step = panel_term_avx2;
+#else
+    (void)vector;
+#endif
+    if (threads > job.panels)
+        threads = job.panels;
+    pthread_t *helpers = NULL;
+    int64_t started = 0;
+    if (threads > 1)
+        helpers = malloc((size_t)(threads - 1) * sizeof *helpers);
+    if (helpers != NULL) {
+        pthread_attr_t attr;
+        pthread_attr_init(&attr);
+        place_helpers(&attr);
+        while (started < threads - 1
+               && pthread_create(&helpers[started], &attr, comm_worker,
+                                 &job) == 0)
+            started++;
+        pthread_attr_destroy(&attr);
+    }
+    comm_worker(&job);
+    for (int64_t t = 0; t < started; t++)
+        pthread_join(helpers[t], NULL);
+    free(helpers);
+    return job.next_panel < job.panels ? -1 : 0;
 }

@@ -11,6 +11,8 @@ or ``load_multiplex``, and its report tables from ``parse_reports``.
   read from it over ``cross_neighbourhood``;
 - ``fermi_probability`` is the imitation probability;
 - ``multiplex_from_arrays`` builds a network from dense layers;
+- ``save_multiplex_lines`` writes the v1 file one formatted line at a
+  time, as ``save_multiplex`` did before it formatted in bulk;
 - ``table_of`` builds a ``ReportTable`` from ``ReportRecord`` rows.
 """
 from __future__ import annotations
@@ -163,6 +165,25 @@ def _checked_matrix(name: str, matrix, n: int) -> np.ndarray:
     if not np.array_equal(matrix, matrix.T):
         raise ValueError(f"{name} must be symmetric")
     return matrix
+
+
+def save_multiplex_lines(network: MultiplexNetwork, path) -> None:
+    """``save_multiplex``'s v1 file, one f-string per line."""
+    n, m = network.node_count, network.layer_count
+    lines = [f"multiplex v1 {n} {m}"]
+    alpha, i = np.divmod(network.edge_owner(), n)
+    j = network.neighbour_slot % n
+    upper = i < j
+    for a, i, j, w in zip(alpha[upper].tolist(), i[upper].tolist(),
+                          j[upper].tolist(),
+                          network.edge_weight[upper].tolist()):
+        lines.append(f"{a} {i} {j} {w:.15g}")
+    iu, ju = np.triu_indices(n, k=1)
+    for i, j in zip(iu.tolist(), ju.tolist()):
+        lines.append(f"delta {i} {j} {network.delta[i, j]:.15g}")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines))
+        fh.write("\n")
 
 
 def table_of(records=()) -> ReportTable:

@@ -421,6 +421,26 @@ def test_overflowing_communicability_is_a_config_error(tmp_path, capsys):
         assert "overflows" in capsys.readouterr().err
 
 
+# seeds at which layer 0 of the first network realised is an ER layer
+# near its percolation threshold, N=300 and p=1/N, that splits into
+# components with nearly equal leading eigenvalues: its centrality's
+# power iteration never settles.  generate realises the config's seed;
+# the simulations realise a seed spawned from it for cell 0, replica 0.
+@pytest.mark.parametrize("command, seed", [
+    ("generate", 65), ("evolve", 109), ("sweep", 109), ("nash", 109)])
+def test_centrality_that_does_not_converge_is_a_config_error(
+        tmp_path, capsys, command, seed):
+    cfg = tmp_path / "percolating.cfg"
+    cfg.write_text("node_count = 300\nlayers = 1\ntopology = er\n"
+                   "edge_probability = 0.0033333333333333335\n"
+                   f"seed = {seed}\nt_steps = 1\ns_steps = 1\n")
+    assert run_cli(command, "--config", str(cfg),
+                   "--outdir", str(tmp_path / command)) == 2
+    err = capsys.readouterr().err
+    assert "layer 0: eigenvector centrality: power iteration did not " \
+        "converge" in err
+
+
 @pytest.mark.parametrize("strength", ["1e12", "1.7e308"])
 def test_huge_coupling_is_an_overflow_without_a_term_count(
         tmp_path, capsys, monkeypatch, strength):

@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import megt.comm
+import megt.evolve
 import megt.kernel
 from megt.comm import (ScalingBounds, _series_c, _series_choice,
-                       _series_numpy, _series_terms, _spectral_bound,
-                       _supra_csr, build_supra, communicability_entries,
-                       matrix_exp)
-from megt.evolve import DISTANCE_FLOOR, ScalingTable
+                       _series_numpy, _series_terms, _series_threads,
+                       _spectral_bound, _supra_csr, build_supra,
+                       communicability_entries, matrix_exp)
+from megt.evolve import DISTANCE_FLOOR, ScalingTable, _map
 from megt.netgen import (LayerTopology, MultiplexSpec, build_multiplex,
                          homophily_from_delta)
 
@@ -430,7 +435,7 @@ def test_series_entries_match_eigh_and_c_matches_numpy(
         for vector in (True, False):
             assert np.array_equal(
                 _series_c(library, ptr, col, val, terms, cross_ptr,
-                          cross_slot, vector), series)
+                          cross_slot, threads=1, vector=vector), series)
 
 
 def test_series_choice_is_the_cost_rule():
@@ -500,3 +505,74 @@ def test_sparse_layers_take_the_series_without_dense_matrices(monkeypatch):
     owner = np.repeat(np.arange(1400), np.diff(cross_ptr))
     oracle = matrix_exp(build_supra(net, 0.5))[owner, cross_slot]
     assert np.all(np.abs(values - oracle) <= 1e-12 * oracle)
+
+
+# ---------------------------------------------------------------------------
+# the compiled series in threads
+# ---------------------------------------------------------------------------
+
+requires_cc = pytest.mark.skipif(shutil.which("cc") is None,
+                                 reason="no C compiler")
+
+
+@requires_cc
+def test_series_entries_do_not_depend_on_the_thread_count():
+    # N*M = 183: 23 panels, the last one partial; 2 and 3 divide neither
+    net = conftest.random_multiplex(5, 61, 3, 0.06, 1.0, False)
+    cross_ptr, cross_slot = cross_csr(net)
+    ptr, col, val = _supra_csr(net, 0.5)
+    terms = _series_terms(_spectral_bound(ptr, col, val))
+    library = megt.kernel.compiled()[0]
+
+    def entries(threads):
+        return _series_c(library, ptr, col, val, terms, cross_ptr,
+                         cross_slot, threads=threads)
+
+    single = entries(1)
+    assert np.array_equal(single, _series_numpy(ptr, col, val, terms,
+                                                cross_ptr, cross_slot))
+    # more threads than panels take the panels there are
+    for threads in (2, 3, 23, 50):
+        assert np.array_equal(entries(threads), single), threads
+
+
+@pytest.mark.parametrize("cpus, panels, threads", [
+    (1, 1000, 1), (2, 0, 1), (2, 63, 1), (2, 64, 2), (2, 175, 2),
+    (4, 50, 1), (8, 175, 5), (10**6, 175, 5), (10**6, 10**9, 10**6),
+    (10**6, 31, 1),
+])
+def test_series_thread_count_is_set_by_cpus_and_panels(cpus, panels,
+                                                       threads):
+    # a pure function: this starts no thread
+    assert _series_threads(cpus, panels) == threads
+    assert 1 <= threads <= cpus
+
+
+def _pool_series_threads(_):
+    net = nash_layers_network(layers=3)
+    ptr = np.arange(601, dtype=np.int64)
+    return communicability_entries(net, 0.5, ptr, ptr[:-1])[1]["threads"]
+
+
+@requires_cc
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the CPU counts")
+def test_series_takes_one_thread_in_a_pool_worker(monkeypatch):
+    # 75 panels would take two threads on four CPUs, outside a pool
+    monkeypatch.setattr(megt.comm, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(megt.evolve, "_usable_cpus", lambda: 4)
+    assert _pool_series_threads(None) == 2
+    assert _map(_pool_series_threads, [0, 1], jobs=2) == [1, 1]
+    assert megt.comm._in_pool_worker is False
+
+
+@requires_cc
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="no per-thread entries in /proc")
+def test_series_threads_end_with_the_table_build(monkeypatch):
+    monkeypatch.setattr(megt.comm, "_usable_cpus", lambda: 4)
+    net = nash_layers_network()
+    before = len(os.listdir("/proc/self/task"))
+    table = ScalingTable(net, 0.5)
+    assert table.communicability["threads"] == 4
+    assert len(os.listdir("/proc/self/task")) == before

@@ -4,6 +4,7 @@ import ctypes
 import dataclasses
 import itertools
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from megt.evolve import (DISTANCE_FLOOR, RoundEngine, ScalingTable,
                          init_state, run, run_replicas, sweep_ts,
                          write_grid_csv, write_state_text,
                          write_trajectory_csv)
-from megt.evolve import _worker_count
+from megt.evolve import _usable_cpus, _worker_count
 from megt.games import (COOPERATE, PayoffMatrix, from_ts, pd_from_bc,
                         representative)
 from megt.netgen import LayerTopology, MultiplexSpec, build_multiplex
@@ -921,11 +922,22 @@ def test_sweep_on_a_prebuilt_network_computes_communicability_once(
     (8, 2, 4, 2),
     (0, 5, 4, 1),
     (-2, 5, 4, 1),
-    (8, 5, None, 1),
+    (8, 5, 1, 1),
 ])
 def test_worker_count_is_clamped(monkeypatch, jobs, tasks, cpus, expected):
-    monkeypatch.setattr(megt.evolve.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(megt.evolve, "_usable_cpus", lambda: cpus)
     assert _worker_count(jobs, tasks) == expected
+
+
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert _usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
+        assert _usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+    for count, usable in ((6, 6), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert _usable_cpus() == usable
 
 
 # ---------------------------------------------------------------------------

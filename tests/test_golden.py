@@ -11,12 +11,16 @@ compiled kernel where a C compiler exists) and once more with no
 compiler on PATH, where the Python loop must give the same digests.
 The small networks of most cases take the eigh path to their
 communicability; ``nash_series`` takes the sparse series, which numpy
-must also reproduce bit for bit without a compiler.
+must also reproduce bit for bit without a compiler, and the compiled
+series in three threads.
 """
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
+import megt.comm
 from megt.cli import main
 from megt.manifest import load_manifest, sha256_file
 
@@ -213,3 +217,14 @@ def test_golden_nash_on_the_series_path(tmp_path, request, compiler):
     assert _digests(outdir) == GOLDEN["nash_series"]
     extra = load_manifest(outdir / "manifest.json").extra
     assert extra["communicability"]["method"] == "series"
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_golden_nash_on_the_series_path_in_three_threads(tmp_path,
+                                                          monkeypatch):
+    # its 25 panels take one thread unless told otherwise
+    monkeypatch.setattr(megt.comm, "_series_threads", lambda cpus, panels: 3)
+    outdir = _run(tmp_path, "nash", NASH_SERIES_CONFIG)
+    assert _digests(outdir) == GOLDEN["nash_series"]
+    extra = load_manifest(outdir / "manifest.json").extra
+    assert extra["communicability"]["threads"] == 3

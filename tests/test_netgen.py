@@ -14,9 +14,10 @@ from megt.netgen import (LayerTopology, MultiplexNetwork, MultiplexSpec,
                          build_multiplex, eigenvector_centrality, generate_er,
                          generate_sf, generate_ws, homophily_from_delta,
                          load_multiplex, sample_homophily, save_multiplex)
+from megt.netgen import _from_edges
 
 from conftest import assert_edge_csr, dense_weights
-from oracles import multiplex_from_arrays
+from oracles import multiplex_from_arrays, save_multiplex_lines
 
 
 def edge_count(adj):
@@ -372,6 +373,52 @@ def test_save_is_deterministic(tmp_path):
     save_multiplex(net, first)
     save_multiplex(net, second)
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("spec", [
+    two_layer_spec(seed=3),
+    MultiplexSpec(node_count=150, layer_count=3,
+                  topologies=(LayerTopology.er(0.05), LayerTopology.ws(4),
+                              LayerTopology.sf(2)),
+                  homophily_sigma=0.3, rng_seed=8),
+], ids=["two-layer", "three-topologies"])
+def test_save_formats_like_the_line_writer(tmp_path, spec):
+    net = build_multiplex(spec)
+    save_multiplex(net, tmp_path / "bulk.mplex")
+    save_multiplex_lines(net, tmp_path / "lines.mplex")
+    assert (tmp_path / "bulk.mplex").read_bytes() == \
+        (tmp_path / "lines.mplex").read_bytes()
+
+
+# doubles the format meets: tiny, subnormal, powers of ten, 15 digits
+_SAVED_VALUES = st.one_of(
+    st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False),
+    st.floats(0.0, 2.2250738585072014e-308),
+    st.sampled_from([1e-05, 1e-04, 1e15, 1e16, 5e-324, 0.1, 1 / 3]),
+    st.integers(10**14, 10**15 - 1).map(lambda k: k * 1e-15),
+    st.integers(10**14, 10**15 - 1).map(lambda k: k / 1e10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 7), data=st.data())
+def test_save_formats_any_double_like_the_line_writer(n, data):
+    # a complete layer and an edgeless one, with drawn weights and
+    # distances; save_multiplex reads them as they are
+    upper = n * (n - 1) // 2
+    weight = np.array(data.draw(st.lists(_SAVED_VALUES, min_size=upper,
+                                         max_size=upper)))
+    delta = np.zeros((n, n))
+    iu, ju = np.triu_indices(n, k=1)
+    delta[iu, ju] = delta[ju, iu] = data.draw(
+        st.lists(_SAVED_VALUES, min_size=upper, max_size=upper))
+    # edges (layer 0, i, j) once each, as _from_edges takes them
+    net = _from_edges(delta, 2, [(np.zeros(upper, np.int64), iu, ju,
+                                  weight)])
+    with tempfile.TemporaryDirectory() as tmp:
+        bulk, lines = Path(tmp) / "bulk.mplex", Path(tmp) / "lines.mplex"
+        save_multiplex(net, bulk)
+        save_multiplex_lines(net, lines)
+        assert bulk.read_bytes() == lines.read_bytes()
 
 
 def test_load_rejects_malformed_files(tmp_path):
