@@ -24,6 +24,7 @@ import datetime as dt
 import itertools
 import math
 import operator
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -155,6 +156,25 @@ class IncentiveConfig:
 # and 32,768 half as long again with 45% more peak memory.
 _CHUNK_ROWS = 512
 
+# a report file is read this many bytes at a time, each block cut after
+# its last newline, so memory holds one block's split arrays, not the
+# whole file's.  On a 100k-row corpus, 256 KiB blocks took longer than
+# 1 MiB ones and, on a second ingest in one process, made a third more
+# page faults.
+_BLOCK_BYTES = 1 << 20
+
+# the bytes that can begin or end a field that str.strip changes: its
+# whitespace below 128 and every byte of a non-ASCII character
+_STRIPPABLE = np.zeros(256, dtype=bool)
+_STRIPPABLE[list(b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ")] = True
+_STRIPPABLE[0x80:] = True
+
+# _HEAD_MASK[k] keeps the first k bytes of a little-endian word;
+# _KEY_MIX is the odd multiplier that folds a field's length and words
+# into its sort key
+_HEAD_MASK = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_KEY_MIX = np.uint64(0x9E3779B97F4A7C15)
+
 
 def _new_index() -> defaultdict:
     """A value -> code map that numbers each unseen value on lookup, in
@@ -166,8 +186,8 @@ def _codes(index: defaultdict, column) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, column), np.intp, len(column))
 
 
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([np.empty(0, np.intp), *parts])
+def _joined(parts: list[np.ndarray], dtype=np.intp) -> np.ndarray:
+    return np.concatenate([np.empty(0, dtype), *parts])
 
 
 def _first_codes(column) -> tuple[list, np.ndarray]:
@@ -178,15 +198,67 @@ def _first_codes(column) -> tuple[list, np.ndarray]:
     return list(index), codes
 
 
-def _code_rows(rows) -> tuple[np.ndarray, list[str], list]:
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """The ``len + 1`` offsets that cut a joined sequence into parts of
+    the given lengths."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def _gather(data: np.ndarray, starts: np.ndarray,
+            lengths: np.ndarray) -> bytes:
+    """The byte ranges ``data[start:start + length]``, joined."""
+    ends = np.cumsum(lengths)
+    index = np.repeat(starts - (ends - lengths), lengths)
+    index += np.arange(len(index))
+    return data[index].tobytes()
+
+
+def _joined_ids(texts: list[str]) -> tuple[bytes, np.ndarray]:
+    """Object ids as one UTF-8 ``bytes`` and the offsets that cut it."""
+    joined = "".join(texts)
+    if not joined.isascii():  # byte lengths differ from str lengths
+        texts = [text.encode("utf-8", "surrogatepass") for text in texts]
+    return (joined.encode("utf-8", "surrogatepass"),
+            _offsets(np.fromiter(map(len, texts), np.intp, len(texts))))
+
+
+def _ids_at(ids: tuple[bytes, np.ndarray], at: np.ndarray
+            ) -> tuple[bytes, np.ndarray]:
+    """The joined object ids at positions ``at``, joined anew."""
+    joined, offsets = ids
+    lengths = offsets[at + 1] - offsets[at]
+    return (_gather(np.frombuffer(joined, np.uint8), offsets[at], lengths),
+            _offsets(lengths))
+
+
+def _id_texts(ids: tuple[bytes, np.ndarray], at=slice(None)) -> list[str]:
+    """The joined object ids at ``at`` (all by default), decoded and
+    stripped."""
+    joined, offsets = ids
+    return [joined[a:b].decode("utf-8", "surrogatepass").strip()
+            for a, b in zip(offsets[:-1][at].tolist(),
+                            offsets[1:][at].tolist())]
+
+
+def _coded_columns(indexes: list[defaultdict], codes: list[list]) -> list:
+    """Each column's ``(texts, codes)``: its distinct raw texts stripped,
+    and its rows' codes into them."""
+    return [(list(map(str.strip, index)), _joined(parts))
+            for index, parts in zip(indexes, codes)]
+
+
+def _code_rows(rows) -> tuple:
     """Code raw rows in chunks of ``_CHUNK_ROWS``, each transposed once
     and then dropped.
 
-    Returns ``(field_counts, object_ids, columns)``: every row's field
-    count; the stripped object_ids of the rows with one field per
-    REPORT_COLUMNS entry; and for each later column a ``(texts, codes)``
-    pair, its distinct raw texts stripped and those rows' codes into
-    them.
+    Returns ``(field_counts, ids, blank_ids, columns)``: every row's
+    field count; the object_ids of the rows with one field per
+    REPORT_COLUMNS entry, as one joined ``bytes`` and its offsets, and
+    whether each strips to nothing; and for each later column a
+    ``(texts, codes)`` pair, its distinct raw texts stripped and those
+    rows' codes into them.
     """
     width = len(REPORT_COLUMNS)
     rows = iter(rows)
@@ -205,9 +277,170 @@ def _code_rows(rows) -> tuple[np.ndarray, list[str], list]:
             object_ids += map(str.strip, ids)
             for index, column, parts in zip(indexes, columns, codes):
                 parts.append(_codes(index, column))
-    return _joined(field_counts), object_ids, [
-        (list(map(str.strip, index)), _joined(parts))
-        for index, parts in zip(indexes, codes)]
+    blank = np.fromiter(map(operator.not_, object_ids), bool,
+                        len(object_ids))
+    return (_joined(field_counts), _joined_ids(object_ids), blank,
+            _coded_columns(indexes, codes))
+
+
+def _plain(data: bytes) -> bool:
+    """Whether ``data`` holds no byte that the csv module or the text
+    decoder could read otherwise than a split at commas and newlines
+    does: a quote, a NUL, a CR outside a CRLF, or bytes that are not
+    UTF-8."""
+    if b'"' in data or b"\0" in data or (
+            b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
+        return False
+    try:
+        data.isascii() or data.decode()
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def _file_blocks(fh):
+    """A binary file's bytes in blocks of whole lines, of about
+    ``_BLOCK_BYTES`` each; a last line without a newline gets one."""
+    pieces = []
+    while chunk := fh.read(_BLOCK_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            pieces.append(chunk[:cut])
+            yield b"".join(pieces)
+            pieces = [chunk[cut:]]
+        else:
+            pieces.append(chunk)
+    if tail := b"".join(pieces):
+        yield tail + b"\n"
+
+
+def _split_block(block: bytes, limit: int):
+    """A block of whole lines split at commas and newlines.
+
+    Returns ``(field_counts, starts, ends)``: each line's field count
+    (0 for a blank line, as the csv module counts), and the offsets of
+    the fields of the lines with one field per REPORT_COLUMNS entry, one
+    row per column.  The block must pass ``_plain``.  Returns None when
+    a field is longer than ``limit`` bytes.
+    """
+    width = len(REPORT_COLUMNS)
+    data = np.frombuffer(block, np.uint8)
+    newline = np.flatnonzero(data == ord("\n"))
+    line_start = np.concatenate([[0], newline[:-1] + 1])
+    if (newline - line_start).max() > limit:
+        separator = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+        if np.diff(separator, prepend=-1).max() - 1 > limit:
+            return None
+    line_end = newline - (data[newline - 1] == ord("\r"))
+    commas = np.flatnonzero(data == ord(","))
+    first = np.searchsorted(commas, line_start)
+    counts = np.where(line_end > line_start,
+                      np.searchsorted(commas, line_end) - first + 1, 0)
+    rows = np.flatnonzero(counts == width)
+    inner = commas[first[rows] + np.arange(width - 1)[:, None]]
+    starts = np.concatenate([line_start[rows][None], inner + 1])
+    ends = np.concatenate([inner, line_end[rows][None]])
+    return counts, starts, ends
+
+
+def _factorise(words: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """``(first, inverse)`` of the fields ``[start, end)`` of a block:
+    one field of each distinct text, and each field's index into them.
+
+    ``words[i]`` is the little-endian word of the block's bytes from
+    ``i``.  A field is read as its length, its first word masked to the
+    field, its last word, and for a field over 16 bytes the words in
+    between; these are folded into a sort key.  Each field is then
+    checked against the first field of its key, word by word.  Returns
+    None if two different texts share a key.
+    """
+    length = ends - starts
+    head = words[starts] & _HEAD_MASK[np.minimum(length, 8)]
+    tail = np.where(length > 8, words[np.maximum(ends - 8, 0)], 0)
+    key = (length.astype(np.uint64) * _KEY_MIX ^ head) * _KEY_MIX ^ tail
+    for at, offset in _inner_words(length):
+        key[at] = key[at] * _KEY_MIX ^ words[starts[at] + offset]
+    order = np.argsort(key)
+    key = key[order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    inverse = np.empty(len(key), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    first = order[new]
+    match = first[inverse]
+    same = ((length == length[match]) & (head == head[match])
+            & (tail == tail[match]))
+    for at, offset in _inner_words(length):
+        same[at] &= (words[starts[at] + offset]
+                     == words[starts[match[at]] + offset])
+    return (first, inverse) if same.all() else None
+
+
+def _inner_words(length: np.ndarray):
+    """``(at, offset)`` pairs: the fields ``at`` that hold a whole word
+    at ``offset`` before their last word, for offsets 8, 16, ...; with
+    the first and last words these cover a field."""
+    at = np.flatnonzero(length > 16)
+    offset = 8
+    while at.size:
+        yield at, offset
+        offset += 8
+        at = at[length[at] > offset + 8]
+
+
+def _blank_fields(block: bytes, starts: np.ndarray,
+                  ends: np.ndarray) -> np.ndarray:
+    """Whether each field ``block[start:end]`` strips to nothing; only
+    fields that begin or end with a byte in ``_STRIPPABLE`` are
+    decoded."""
+    data = np.frombuffer(block, np.uint8)
+    maybe = np.flatnonzero((ends == starts) | _STRIPPABLE[data[starts]]
+                           | _STRIPPABLE[data[ends - 1]])
+    blank = np.zeros(len(starts), dtype=bool)
+    blank[maybe] = [not block[a:b].decode().strip()
+                    for a, b in zip(starts[maybe].tolist(),
+                                    ends[maybe].tolist())]
+    return blank
+
+
+def _code_blocks(blocks, limit: int):
+    """``_code_rows`` for blocks of whole lines, split from their bytes:
+    no Python string is made per field, and only the distinct texts of
+    each block's columns are decoded.  Object ids keep their raw bytes.
+    The blocks must pass ``_plain``.  Returns None as soon as a block
+    fails ``_split_block`` or ``_factorise``."""
+    width = len(REPORT_COLUMNS)
+    field_counts: list[np.ndarray] = []
+    id_bytes: list[bytes] = []
+    id_lengths: list[np.ndarray] = []
+    blank: list[np.ndarray] = []
+    indexes = [_new_index() for _ in range(width - 1)]
+    codes: list[list[np.ndarray]] = [[] for _ in indexes]
+    for block in blocks:
+        split = _split_block(block, limit)
+        if split is None:
+            return None
+        counts, starts, ends = split
+        field_counts.append(counts)
+        lengths = ends[0] - starts[0]
+        id_bytes.append(_gather(np.frombuffer(block, np.uint8), starts[0],
+                                lengths))
+        id_lengths.append(lengths)
+        blank.append(_blank_fields(block, starts[0], ends[0]))
+        padded = block + bytes(7)
+        words = np.ndarray(len(block), "<u8", padded, 0, (1,))
+        for column, index, parts in zip(range(1, width), indexes, codes):
+            factorised = _factorise(words, starts[column], ends[column])
+            if factorised is None:
+                return None
+            first, inverse = factorised
+            texts = [block[a:b].decode()
+                     for a, b in zip(starts[column][first].tolist(),
+                                     ends[column][first].tolist())]
+            parts.append(_codes(index, texts)[inverse])
+    return (_joined(field_counts),
+            (b"".join(id_bytes), _offsets(_joined(id_lengths))),
+            _joined(blank, bool), _coded_columns(indexes, codes))
 
 
 def _parse_each(texts, parse, fallback, messages: list):
@@ -260,12 +493,19 @@ def parse_reports(rows, first_row_number: int = 1
 
     Ingest is columnar.  Rows are read in fixed-size chunks, and each
     chunk is transposed once into per-column codes against the distinct
-    raw texts seen so far; object_ids are kept, stripped.  After the
-    last chunk each distinct text is stripped and checked once, and its
-    failures reach the rows through the codes.  No Python code runs once
-    per row, and the table is built straight from the codes.
+    raw texts seen so far; object_ids are kept as one joined ``bytes``.
+    After the last chunk each distinct text is stripped and checked
+    once, and its failures reach the rows through the codes.  No Python
+    code runs once per row, and the table is built straight from the
+    codes.
     """
-    field_counts, object_ids, columns = _code_rows(rows)
+    return _parse_coded(*_code_rows(rows), first_row_number)
+
+
+def _parse_coded(field_counts: np.ndarray, ids: tuple[bytes, np.ndarray],
+                 blank_ids: np.ndarray, columns: list,
+                 first_row_number: int) -> tuple[ReportTable, list[Rejection]]:
+    """``parse_reports`` from coded rows (see ``_code_rows``)."""
     ((date_texts, date), (time_texts, time), (streets, street),
      (kinds, kind), (uuids, uuid), (rating_texts, rating)) = columns
 
@@ -274,9 +514,8 @@ def parse_reports(rows, first_row_number: int = 1
     empty_street, empty_uuid = (
         np.fromiter(map(operator.not_, texts), bool, len(texts))
         for texts in (streets, uuids))
-    empty = np.fromiter(map(operator.not_, object_ids), bool,
-                        len(object_ids))
-    error = np.where(empty | empty_street[street] | empty_uuid[uuid], 0, -1)
+    error = np.where(blank_ids | empty_street[street] | empty_uuid[uuid],
+                     0, -1)
     kind_codes, kind_errors = _parse_each(kinds, _kind_code, 0, messages)
     dates, date_errors = _parse_each(date_texts, dt.date.fromisoformat,
                                      dt.date.min, messages)
@@ -307,9 +546,6 @@ def parse_reports(rows, first_row_number: int = 1
     survives[order[first]] = True
     kept, duplicate = rest[survives], rest[~survives]
 
-    def ids_of(at: np.ndarray) -> list[str]:
-        return list(map(object_ids.__getitem__, at.tolist()))
-
     # offsets index the rows with the right field count
     width = len(REPORT_COLUMNS)
     offsets = np.flatnonzero(field_counts == width)
@@ -320,8 +556,8 @@ def parse_reports(rows, first_row_number: int = 1
           for n in field_counts[miscounted].tolist()]),
         (offsets[malformed], "malformed",
          list(map(messages.__getitem__, error[malformed].tolist()))),
-        (offsets[zero], "zero_rating", ids_of(zero)),
-        (offsets[duplicate], "duplicate", ids_of(duplicate)),
+        (offsets[zero], "zero_rating", _id_texts(ids, zero)),
+        (offsets[duplicate], "duplicate", _id_texts(ids, duplicate)),
     ]
     at = np.concatenate([group[0] for group in groups])
     reasons, details = [], []
@@ -333,31 +569,54 @@ def parse_reports(rows, first_row_number: int = 1
                           map(reasons.__getitem__, order),
                           map(details.__getitem__, order)))
 
-    table = ReportTable(ids_of(kept), (dates, date[kept]),
+    table = ReportTable(_ids_at(ids, kept), (dates, date[kept]),
                         (times, time[kept]), (streets, street[kept]),
                         (kinds, kind[kept]), (uuids, uuid[kept]),
                         rating_value[kept])
     return table, rejections
 
 
+def _check_header(path, header: list[str] | None) -> None:
+    if header is None:
+        raise ValueError(f"{path}: row 1: empty file")
+    if tuple(h.strip() for h in header) != REPORT_COLUMNS:
+        raise ValueError(f"{path}: row 1: expected header "
+                         f"{','.join(REPORT_COLUMNS)!r}")
+
+
 def read_reports_csv(path) -> tuple[ReportTable, list[Rejection]]:
     """Read a Waze-schema CSV (header required, exact column order).
 
-    The rows stream from the csv reader into ``parse_reports`` chunk by
-    chunk, so the file is never held as rows.  A file the csv module
-    cannot read (say, a field over its size limit) is a ValueError that
-    names the line.
+    The file is read as bytes, in blocks of whole lines, and each block
+    is split at its commas and newlines and coded column by column in
+    numpy (``_code_blocks``).  A file that the csv module might read
+    otherwise is read by the csv reader and streamed into
+    ``parse_reports`` instead: both ways give the same table and
+    rejections.  A quote, a CR outside a CRLF, a NUL or bytes that are
+    not UTF-8 are found by a scan of the file's bytes before any block
+    is coded; a field longer than ``csv.field_size_limit()``, or two
+    different texts of a block that share a sort key, while coding.  A
+    file the csv module cannot read (say, a field over its size limit)
+    is a ValueError that names the line.
     """
+    limit = csv.field_size_limit()
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if _plain(header) and max(map(len, header.split(b","))) <= limit:
+            text = header.decode().removesuffix("\n").removesuffix("\r")
+            _check_header(path, text.split(",") if header else None)
+            body = fh.tell()
+            # the whole file is checked first, so that a file that fails
+            # costs a scan of its bytes, not the coding of its blocks
+            if all(map(_plain, _file_blocks(fh))):
+                fh.seek(body)
+                coded = _code_blocks(_file_blocks(fh), limit)
+                if coded is not None:
+                    return _parse_coded(*coded, first_row_number=2)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: row 1: empty file")
-            if tuple(h.strip() for h in header) != REPORT_COLUMNS:
-                raise ValueError(
-                    f"{path}: row 1: expected header "
-                    f"{','.join(REPORT_COLUMNS)!r}")
+            _check_header(path, next(reader, None))
             return parse_reports(reader, first_row_number=2)
         except csv.Error as exc:
             raise ValueError(
@@ -451,7 +710,8 @@ class ReportTable:
 
     Ingest builds a table straight from its parsed codes.  Iterating
     rebuilds the ReportRecords in input order from the codes, the
-    distinct dates and times and the object_ids: no per-row tuple is
+    distinct dates and times and the object_ids, which are held as one
+    joined ``bytes`` and decoded only there: no per-row object is
     stored.  Users, streets and kinds are coded in sorted order and
     windows chronologically (by date ordinal * 8 + segment), so code
     order is output order and ``np.bincount`` over codes adds floats in
@@ -460,11 +720,13 @@ class ReportTable:
     memoised per instance.
     """
 
-    def __init__(self, object_ids: list[str], dates, times, streets, kinds,
-                 uuids, ratings: np.ndarray) -> None:
+    def __init__(self, object_ids: tuple[bytes, np.ndarray], dates, times,
+                 streets, kinds, uuids, ratings: np.ndarray) -> None:
         """Set every column from factorised ones, in ReportRecord field
-        order: ``dates`` to ``uuids`` are ``(values, codes)`` pairs, with
-        ``codes`` indexing ``values`` once per report, and ``ratings``
+        order: ``object_ids`` is the reports' UTF-8 ids joined and the
+        ``len + 1`` offsets that cut them, each id stripped when read;
+        ``dates`` to ``uuids`` are ``(values, codes)`` pairs, with
+        ``codes`` indexing ``values`` once per report; and ``ratings``
         the per-report floats."""
         self._object_ids = object_ids
         self._dates, self._times = dates, times
@@ -488,7 +750,7 @@ class ReportTable:
 
     def __iter__(self):
         (dates, date), (times, time) = self._dates, self._times
-        return map(ReportRecord, self._object_ids,
+        return map(ReportRecord, _id_texts(self._object_ids),
                    map(dates.__getitem__, date.tolist()),
                    map(times.__getitem__, time.tolist()),
                    map(self.streets.__getitem__, self.street.tolist()),
@@ -803,23 +1065,36 @@ def score_corpus(table: ReportTable, config: IncentiveConfig,
                        decisions=decisions, phase_s=phase_s)
 
 
+# what makes a written CSV field need quotes
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _csv_text(text: str) -> str:
+    """``text`` as a CSV field: as it is, or, if it holds a comma, a quote
+    or a line break, quoted with its quotes doubled.  The csv module
+    quotes alike, but under a LF line end it leaves a CR unquoted."""
+    if _CSV_SPECIAL.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
 def write_ledger_csv(result: ScoreResult, path,
                      selected_mechanism: str = "C") -> None:
     """``user_id,rs_raw,rs_norm,gamma_emp,incentive_A,incentive_B,
-    incentive_C`` rows, users sorted.
+    incentive_C`` rows, users sorted, in UTF-8.
 
     The rs/gamma columns report the selected mechanism; each incentive
     column comes from its own mechanism's ledger (mechanisms not scored
     in this pass stay empty).
     """
     selected = result.profiles[selected_mechanism]
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("user_id,rs_raw,rs_norm,gamma_emp,"
                  "incentive_A,incentive_B,incentive_C\n")
         for user in result.users:
             profile = selected[user]
-            cells = [user, repr(profile.rs_raw), repr(profile.rs_norm),
-                     repr(profile.gamma_emp)]
+            cells = [_csv_text(user), repr(profile.rs_raw),
+                     repr(profile.rs_norm), repr(profile.gamma_emp)]
             for mech in MECHANISMS:
                 if mech in result.payouts:
                     cells.append(repr(result.payouts[mech][user]))
@@ -829,12 +1104,13 @@ def write_ledger_csv(result: ScoreResult, path,
 
 
 def write_decisions_csv(result: ScoreResult, path) -> None:
-    """``date,segment,street,event_type,confidence,decision`` rows."""
-    with open(path, "w", encoding="ascii") as fh:
+    """``date,segment,street,event_type,confidence,decision`` rows, in
+    UTF-8."""
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("date,segment,street,event_type,confidence,decision\n")
         for date, segment, street, kind, value, decision in result.decisions:
-            fh.write(f"{date},{segment},{street},{kind},{value!r},"
-                     f"{decision}\n")
+            fh.write(f"{date},{segment},{_csv_text(street)},{kind},"
+                     f"{value!r},{decision}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ import collections
 import dataclasses
 import functools
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -742,6 +743,27 @@ def _cell(config: SimulationConfig, cell: tuple[int, float, float]):
             [r.communicability for r in results])
 
 
+# a grid cell's least share of a sweep's memory, in bytes: its entry in
+# the cell list (a list slot, a 3-tuple and an int) and in the two
+# float64 result arrays
+_CELL_BYTES = 8 + 64 + 32 + 2 * 8
+
+
+def _memory_bytes() -> float:
+    """The bytes this process may map: its RLIMIT_AS, or without one the
+    machine's physical memory; infinite where neither can be read (on
+    Windows, say), which leaves a huge grid to the MemoryError of its
+    cell list."""
+    try:
+        import resource  # Unix only, and only a sweep asks
+        limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if limit != resource.RLIM_INFINITY:
+            return limit
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (ImportError, AttributeError, ValueError, OSError):
+        return math.inf
+
+
 def sweep_ts(config: SimulationConfig, t_values, s_values, *,
              jobs: int = 1) -> GridResult:
     """Replica-averaged steady density across a grid of T-S games.
@@ -750,10 +772,16 @@ def sweep_ts(config: SimulationConfig, t_values, s_values, *,
     the cell count and the CPUs.  The cell at (t_index, s_index) uses
     cell seeds spawned from its row-major index, so any execution order,
     job count or resumed sweep yields identical numbers.  Standard
-    deviation is the population std over replicas.
+    deviation is the population std over replicas.  A grid whose cell
+    list and results alone would not fit in memory is a MemoryError
+    before any cell is built.
     """
     t_values = [float(t) for t in t_values]
     s_values = [float(s) for s in s_values]
+    cell_count = len(t_values) * len(s_values)
+    if cell_count * _CELL_BYTES > _memory_bytes():
+        raise MemoryError(f"a grid of {cell_count} cells does not fit in "
+                          f"memory")
     cells = [(it * len(s_values) + js, t, s)
              for it, t in enumerate(t_values)
              for js, s in enumerate(s_values)]

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from megt.comm import ScalingBounds, build_supra, matrix_exp
-from megt.crowdsense import ReportRecord, ReportTable, _first_codes
+from megt.crowdsense import (ReportRecord, ReportTable, _first_codes,
+                             _joined_ids)
 from megt.evolve import _EXP_CLAMP, DISTANCE_FLOOR
 from megt.netgen import MultiplexNetwork, _from_edges, _layer_edges
 
@@ -191,5 +192,5 @@ def table_of(records=()) -> ReportTable:
     factorised in order of first appearance."""
     object_ids, *columns, ratings = (
         tuple(zip(*records)) or ((),) * len(ReportRecord._fields))
-    return ReportTable(list(object_ids), *map(_first_codes, columns),
+    return ReportTable(_joined_ids(object_ids), *map(_first_codes, columns),
                        np.array(ratings, dtype=float))

@@ -1,3 +1,4 @@
+import csv
 import json
 import multiprocessing
 import os
@@ -722,6 +723,44 @@ def test_score_unreadable_csv_is_a_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error: ")
     assert "reports.csv: line 3: field larger than field limit" in err
+
+
+def score_rows(tmp_path, *rows):
+    """Score a corpus of the given data rows; return the outputs read
+    back as csv rows."""
+    reports = tmp_path / "reports.csv"
+    reports.write_text(
+        "object_id,generation_date,day_time,street,incident_type,uuid,"
+        "report_rating\n" + "".join(row + "\n" for row in rows),
+        encoding="utf-8")
+    cfg = write_config(tmp_path)
+    outdir = tmp_path / "out"
+    assert run_cli("score", "--reports", str(reports), "--config", cfg,
+                   "--outdir", str(outdir)) == 0
+    outputs = {}
+    for name in ("ledger.csv", "decisions.csv"):
+        with open(outdir / name, newline="", encoding="utf-8") as fh:
+            outputs[name] = list(csv.reader(fh))
+    return outputs
+
+
+@pytest.mark.parametrize("row, column, value", [
+    ("r2,2019-10-07,12:00,Main,jam,dévice,4.0", "ledger.csv", "dévice"),
+    ("r2,2019-10-07,12:00,Straße,jam,u2,4.0", "decisions.csv", "Straße"),
+], ids=["uuid", "street"])
+def test_score_writes_non_ascii_users_and_streets(tmp_path, row, column,
+                                                  value):
+    outputs = score_rows(tmp_path, "r1,2019-10-07,09:00,Main,jam,u1,4.0",
+                         row)
+    assert value in {cell for line in outputs[column] for cell in line}
+
+
+def test_score_quotes_a_street_holding_a_comma(tmp_path):
+    outputs = score_rows(tmp_path, "r1,2019-10-07,09:00,Main,jam,u1,4.0",
+                         'r2,2019-10-07,12:00,"Main St, North",jam,u2,4.0')
+    decisions = outputs["decisions.csv"]
+    assert [len(line) for line in decisions] == [6, 6, 6]
+    assert {line[2] for line in decisions[1:]} == {"Main", "Main St, North"}
 
 
 def test_score_nothing_usable(tmp_path, capsys):

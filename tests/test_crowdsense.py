@@ -1,5 +1,11 @@
+import contextlib
+import csv
 import datetime as dt
 import math
+import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -285,6 +291,269 @@ def test_csv_header_is_mandatory(tmp_path):
         read_reports_csv(path)
     path.write_text("")
     with pytest.raises(ValueError, match="empty"):
+        read_reports_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# report files: the byte split and its csv-module fallback
+# ---------------------------------------------------------------------------
+
+HEADER = ",".join(REPORT_COLUMNS)
+
+
+def reference_read(path):
+    """The csv reader with the row-at-a-time parser: the oracle of
+    ``read_reports_csv``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: row 1: empty file")
+            if tuple(h.strip() for h in header) != REPORT_COLUMNS:
+                raise ValueError(f"{path}: row 1: expected header "
+                                 f"{','.join(REPORT_COLUMNS)!r}")
+            return reference_parse(list(reader), first_row_number=2)
+        except csv.Error as exc:
+            raise ValueError(
+                f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def outcome(read, path):
+    """What ``read`` makes of a file: its rejections, rows and columns,
+    or its ValueError's text."""
+    try:
+        table, rejections = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return rejections, list(table), table_columns(table)
+
+
+def read_both(path) -> bool:
+    """Check that ``read_reports_csv`` reads the file as the oracle does,
+    and return whether it fell back on the csv reader."""
+    with mock.patch.object(csv, "reader", wraps=csv.reader) as fallback:
+        result = outcome(read_reports_csv, path)
+    assert result == outcome(reference_read, path)
+    return fallback.called
+
+
+@contextlib.contextmanager
+def field_size_limit(limit):
+    old = csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
+# texts that only a file can hold, or that the byte split must strip or
+# decode as str does, and fields at the size limit, which these tests set
+# to 32 characters
+LIMIT = 32
+FILE_FIELDS = (
+    ["\t", "\x1c", "\x1f", "\x85", "　", " r5　", "été",
+     "x" * LIMIT],
+    ["2019-10-07　"],
+    [" 09:00"],
+    ["Straße", "Rue Émile", "\x85", "Southwest 112th Avenue Exit",
+     "Southwest 113th Avenue Exit", "s" * LIMIT],
+    ["jam\x85"],
+    ["dévice", "　", "\x1e"],
+    ["4.0\x1c"])
+# quoted fields, one with a comma, one with a doubled quote
+QUOTED = ('"Main St, North"', '"r""7"', '"jam"')
+# a blank line, a CRLF, a lone CR, a NUL, invalid UTF-8 and text that
+# takes a field over the limit
+BREAKS = ("\n", "\r\n", "\r\n", "\r", "\x00", b"\xff", "y" * (LIMIT + 1))
+
+
+@st.composite
+def report_files(draw):
+    """A report file's bytes: rows of clean, odd and file-only fields,
+    with LF or CRLF line ends, some quoted fields and, rarely, a byte
+    the csv module reads otherwise than the byte split."""
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        shape = draw(st.integers(0, 15))
+        if shape == 0:
+            line = ""
+        elif shape == 1:
+            line = ",".join(draw(st.lists(
+                st.sampled_from(["r9", "2019-10-07", "4.0", ""]),
+                max_size=9)))
+        else:
+            odd = draw(st.sets(st.integers(0, 6), max_size=2)
+                       if shape > 8 else st.just(set()))
+            line = ",".join(
+                draw(st.sampled_from(
+                    (ODD_FIELDS if k in odd else CLEAN_FIELDS)[k]
+                    + FILE_FIELDS[k] * (shape > 12)))
+                for k in range(7))
+            if shape == 15:
+                line = line.replace("Alder Way", draw(st.sampled_from(
+                    QUOTED)), 1)
+        lines.append(line + draw(st.sampled_from(["\n", "\n", "\r\n"])))
+    data = (HEADER + "\n" + "".join(lines)).encode()
+    if draw(st.booleans()):
+        data = data.rstrip(b"\r\n")
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        spot = draw(st.sampled_from(BREAKS))
+        spot = spot if isinstance(spot, bytes) else spot.encode()
+        data = data[:at] + spot + data[at:]
+    return data
+
+
+def is_plain(data: bytes) -> bool:
+    """No quote, NUL, lone CR or invalid UTF-8, and every field shorter
+    than the limit."""
+    try:
+        data.decode()
+    except UnicodeDecodeError:
+        return False
+    lf = data.replace(b"\r\n", b"\n")
+    return (b'"' not in data and b"\0" not in data and b"\r" not in lf
+            and max(map(len, re.split(rb"[,\n]", lf))) < LIMIT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=report_files(), block_bytes=st.sampled_from([8, 64, 1 << 20]))
+def test_file_ingest_matches_the_csv_reader(data, block_bytes):
+    with tempfile.TemporaryDirectory() as scratch, \
+            field_size_limit(LIMIT), \
+            mock.patch.object(crowdsense, "_BLOCK_BYTES", block_bytes):
+        path = Path(scratch) / "reports.csv"
+        path.write_bytes(data)
+        fell_back = read_both(path)
+    # a file the byte split reads as the csv module does is split
+    if is_plain(data):
+        assert not fell_back
+
+
+def test_file_ingest_matches_the_csv_reader_across_blocks(tmp_path,
+                                                          monkeypatch):
+    # the chunk test's corpus, with CRLF lines, blank lines, non-ASCII
+    # streets and blank ids, read in blocks of about 1,000 bytes
+    rows = synth_corpus(SynthSpec(user_count=400, day_count=7, rng_seed=3))
+    for k in range(0, len(rows) - 10, 37):
+        rows[k][3] = "Straße"
+        rows[k + 5][0] = "　"
+        rows[k + 9] = rows[k + 9][:5]
+    lines = [",".join(row) + ("\r\n" if k % 3 else "\n")
+             + "\n" * (k % 29 == 0) for k, row in enumerate(rows)]
+    path = tmp_path / "reports.csv"
+    path.write_text(HEADER + "\n" + "".join(lines), encoding="utf-8")
+    monkeypatch.setattr(crowdsense, "_BLOCK_BYTES", 1000)
+    assert not read_both(path)
+    monkeypatch.setattr(crowdsense, "_BLOCK_BYTES", 1 << 20)
+    assert not read_both(path)
+
+
+def report_file(tmp_path, *lines, text=None) -> Path:
+    path = tmp_path / "reports.csv"
+    path.write_bytes(text if text is not None else
+                     "\n".join([HEADER, *lines, ""]).encode())
+    return path
+
+
+ROW = "r1,2019-10-07,09:00,Alder Way,jam,u1,4.0"
+ROW2 = "r2,2019-10-07,12:00,Alder Way,jam,u2,4.5"
+
+
+@pytest.mark.parametrize("street, streets, details", [
+    # a quoted comma is part of its field
+    ('"Main St, North"', {"Alder Way", "Main St, North"}, []),
+    # a lone CR ends a row
+    ("Alder\rWay", {"Alder Way"}, ["expected 7 fields, got 4"] * 2),
+    ("Al\x00der Way", {"Alder Way", "Al\x00der Way"}, []),
+], ids=["quote", "lone-cr", "nul"])
+def test_a_file_failing_the_gate_is_read_by_the_csv_reader(
+        tmp_path, street, streets, details):
+    path = report_file(tmp_path, ROW,
+                       f"r3,2019-10-07,12:00,{street},jam,u3,4.5", ROW2)
+    assert read_both(path)
+    table, rejections = read_reports_csv(path)
+    assert {row.street for row in table} == streets
+    assert [r.detail for r in rejections] == details
+
+
+def test_a_file_failing_the_gate_late_codes_no_block(tmp_path, monkeypatch):
+    # the quote sits in the last of many blocks: the scan finds it before
+    # any block is coded
+    def code_blocks(*args):
+        raise AssertionError("a block was coded")
+
+    path = report_file(tmp_path, *[ROW] * 50,
+                       'r3,2019-10-07,12:00,"Main St, North",jam,u3,4.5')
+    monkeypatch.setattr(crowdsense, "_BLOCK_BYTES", 100)
+    monkeypatch.setattr(crowdsense, "_code_blocks", code_blocks)
+    table, rejections = read_reports_csv(path)
+    assert [row.street for row in table] == ["Alder Way", "Main St, North"]
+    assert len(rejections) == 49
+
+
+def test_a_file_that_is_not_utf8_fails_as_the_text_reader_does(tmp_path):
+    path = report_file(tmp_path, text=(HEADER + "\n" + ROW + "\n").encode()
+                       + b"r2,2019-10-07,12:00,Stra\xdfe,jam,u2,4.5\n")
+    assert read_both(path)
+    with pytest.raises(UnicodeDecodeError):
+        read_reports_csv(path)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_fields_at_and_over_the_size_limit(tmp_path, end):
+    limit = csv.field_size_limit()
+    at = report_file(tmp_path, text=end.join([
+        HEADER, ROW, f"r2,2019-10-07,12:00,{'s' * limit},jam,u2,4.5",
+        f"r3,2019-10-07,15:00,Birch Street,jam,u3,{' ' * (limit - 3)}4.0",
+        ""]).encode())
+    assert read_both(at) == (end == "\r\n")
+    assert len(read_reports_csv(at)[0]) == 3
+    over = report_file(tmp_path, ROW, ROW2,
+                       f"r3,2019-10-07,15:00,{'s' * (limit + 1)},jam,u3,4.0")
+    assert read_both(over)
+    with pytest.raises(ValueError, match=r"reports.csv: line 4: field "
+                       r"larger than field limit \(131072\)"):
+        read_reports_csv(over)
+
+
+def test_long_fields_that_differ_inside_are_told_apart(tmp_path):
+    # same length, first and last words: only the middle word differs
+    path = report_file(tmp_path, *(
+        f"r{k},2019-10-07,09:00,Southwest 11{k}th Avenue Exit,jam,u{k},4.0"
+        for k in range(4)))
+    assert not read_both(path)
+    assert len(read_reports_csv(path)[0].streets) == 4
+
+
+def test_a_block_decodes_each_distinct_text_once():
+    # equal texts followed by different bytes share one key
+    block = b"jam,a\njam,bb\nweather_hazard,c\nweather_hazard,dd\n"
+    starts, ends = np.array([0, 6, 13, 30]), np.array([3, 9, 27, 44])
+    words = np.ndarray(len(block), "<u8", block + bytes(7), 0, (1,))
+    first, inverse = crowdsense._factorise(words, starts, ends)
+    assert sorted(block[starts[k]:ends[k]] for k in first) == [
+        b"jam", b"weather_hazard"]
+    assert inverse[0] == inverse[1] != inverse[2] == inverse[3]
+
+
+def test_a_shared_key_falls_back_on_the_csv_reader(tmp_path, monkeypatch):
+    # with no mixing, every field of up to 8 bytes has key 0
+    path = report_file(tmp_path, ROW, ROW2)
+    assert not read_both(path)
+    monkeypatch.setattr(crowdsense, "_KEY_MIX", np.uint64(0))
+    assert read_both(path)
+
+
+def test_header_only_and_blank_files(tmp_path):
+    for text in (HEADER.encode(), (HEADER + "\r\n").encode(), b"\n",
+                 b"\r\n" + HEADER.encode(), b" " + HEADER.encode()):
+        path = report_file(tmp_path, text=text)
+        assert not read_both(path)
+    path = report_file(tmp_path, text=b"")
+    assert not read_both(path)
+    with pytest.raises(ValueError, match="row 1: empty file"):
         read_reports_csv(path)
 
 
@@ -1108,3 +1377,29 @@ def test_synth_spec_validation():
         SynthSpec(user_count=0)
     with pytest.raises(ValueError):
         SynthSpec(honest_fraction=0.8, selfish_fraction=0.4)
+
+
+def test_decisions_csv_quotes_only_what_it_must(tmp_path):
+    records = [report(user=f"u{k}", street=street, hour=k)
+               for k, street in enumerate(["Main St, North", 'Say "hi"',
+                                           "Alder Way"])]
+    result = score_corpus(table_of(records), IncentiveConfig())
+    path = tmp_path / "decisions.csv"
+    write_decisions_csv(result, path)
+    text = path.read_text(encoding="utf-8")
+    assert '"Main St, North"' in text and '"Say ""hi"""' in text
+    assert ",Alder Way," in text
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert {len(row) for row in rows} == {6}
+    assert sorted(row[2] for row in rows[1:]) == sorted(
+        r.street for r in records)
+    # a CR is quoted too, though the csv module quotes it only when it
+    # is part of the line end
+    records.append(report(user="u9", street="Line\rBreak", hour=20))
+    write_decisions_csv(score_corpus(table_of(records), IncentiveConfig()),
+                        path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert sorted(row[2] for row in rows[1:]) == sorted(
+        r.street for r in records)

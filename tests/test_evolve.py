@@ -846,6 +846,35 @@ def test_parallel_sweep_matches_sequential():
     assert np.array_equal(sequential.rho_std, parallel.rho_std)
 
 
+def test_a_grid_too_large_for_memory_is_refused_before_its_cells(
+        monkeypatch):
+    def cell(*args):
+        raise AssertionError("a cell ran")
+
+    # 10^4 cells need over 1 MB for their list and results alone
+    monkeypatch.setattr(megt.evolve, "_memory_bytes", lambda: 10**6)
+    monkeypatch.setattr(megt.evolve, "_cell", cell)
+    with pytest.raises(MemoryError, match="10000 cells"):
+        sweep_ts(grid_config(), np.zeros(100), np.zeros(100))
+    with pytest.raises(AssertionError, match="a cell ran"):
+        sweep_ts(grid_config(), np.zeros(10), np.zeros(10))
+
+
+@pytest.mark.parametrize("missing", ["resource", "sysconf"])
+def test_memory_unknown_where_it_cannot_be_read(monkeypatch, missing):
+    # Windows has no resource module and no os.sysconf
+    if missing == "resource":
+        monkeypatch.setitem(sys.modules, "resource", None)
+    else:
+        resource = pytest.importorskip("resource")
+        monkeypatch.setattr(resource, "getrlimit",
+                            lambda which: (resource.RLIM_INFINITY,) * 2)
+        monkeypatch.delattr(os, "sysconf")
+    assert megt.evolve._memory_bytes() == math.inf
+    result = sweep_ts(grid_config(), [1.0], [0.0])
+    assert result.rho_mean.shape == (1, 1)
+
+
 def test_grid_cells_are_position_seeded():
     # a cell's result must not depend on what other cells are in the grid
     full = sweep_ts(grid_config(), [0.6, 1.4], [-0.4, 0.4])
