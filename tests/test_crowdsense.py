@@ -4,6 +4,7 @@ import datetime as dt
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -536,6 +537,23 @@ def test_a_block_decodes_each_distinct_text_once():
     assert sorted(block[starts[k]:ends[k]] for k in first) == [
         b"jam", b"weather_hazard"]
     assert inverse[0] == inverse[1] != inverse[2] == inverse[3]
+
+
+def test_gather_joins_ranges_with_a_byte_mask():
+    data = np.frombuffer(b"abcdefghij", np.uint8)
+    starts, ends = np.array([0, 2, 4, 4, 9]), np.array([1, 4, 4, 7, 10])
+    assert crowdsense._gather(data, starts, ends) == b"acdefgj"
+    assert crowdsense._gather(data, starts[:0], ends[:0]) == b""
+    # an index of the gathered bytes alone would take eight bytes each
+    data = np.zeros(1 << 20, np.uint8)
+    starts = np.arange(0, len(data) - 8, 10)
+    tracemalloc.start()
+    try:
+        gathered = len(crowdsense._gather(data, starts, starts + 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * gathered
 
 
 def test_a_shared_key_falls_back_on_the_csv_reader(tmp_path, monkeypatch):
