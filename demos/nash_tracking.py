@@ -42,7 +42,7 @@ def main() -> None:
     config = dataclasses.replace(config, spec=None, network=network)
     tracker = EquilibriumTracker(network, game, args.projection)
 
-    result = run(config, on_round=tracker.observer())
+    result = run(config, tracker=tracker)
 
     print(f"T={args.t} S={args.s} projection={args.projection}")
     for round_index, alpha, _weak in tracker.history[:: max(1, len(tracker.history) // 15)]:

@@ -28,8 +28,8 @@ from .comm import ScalingBounds
 from .config import ConfigError, format_defaults, load_config, resolve
 from .crowdsense import (IncentiveConfig, MECHANISMS, SynthSpec,
                          read_reports_csv, score_corpus, synth_corpus,
-                         write_decisions_csv, write_ledger_csv,
-                         write_reports_csv)
+                         undecodable_line, write_decisions_csv,
+                         write_ledger_csv, write_reports_csv)
 from .equilibrium import (PROJECTION_RULES, EquilibriumTracker,
                           write_alpha_csv)
 from .evolve import (SimulationConfig, Trajectory, replica_network, run,
@@ -337,7 +337,7 @@ def cmd_nash(args) -> int:
         sim = dataclasses.replace(sim, spec=None, network=network)
         tracker = EquilibriumTracker(network, sim.game,
                                      projection=cfg["projection"])
-        result = run(sim, on_round=tracker.observer())
+        result = run(sim, tracker=tracker)
     outdir = _outdir(args)
     target = outdir / "alpha.csv"
     write_alpha_csv(tracker.history, target)
@@ -369,6 +369,10 @@ def cmd_score(args) -> int:
     start = time.perf_counter()
     try:
         kept, rejections = read_reports_csv(reports_path)
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{reports_path}: line {undecodable_line(reports_path)}: not "
+            f"UTF-8 ({exc.reason})") from None
     except ValueError as exc:
         raise DataError(str(exc)) from None
     ingest_s = time.perf_counter() - start

@@ -15,10 +15,15 @@ A run reads only a few entries of the exponential per slot, and
 - ``"series"``, on sparse layers: the truncated Taylor series of the
   sparse supra-matrix, summed over panels of identity columns by
   ``round.c`` (or by the same operations in numpy without a compiler).
-  No (N*M)^2 array is built.  ``round.c`` shares the panels among
-  threads, one per 32 panels up to the CPUs the process may use; each
-  panel's arithmetic is the same on any thread, so the thread count
-  changes no bit.
+  No (N*M)^2 array is built.  ``round.c`` reads the supra-matrix from
+  the network's edge CSR and the coupling strength, and sums each
+  node's M rows together, sharing the prefix of coupling products that
+  row (alpha, i) has in common with row (alpha + 1, i); every row still
+  gets the operations of the numpy loop over ``_supra_csr``, in the
+  same order, so the same bits.  It shares the panels among threads,
+  one per 256 columns up to the CPUs the process may use; each panel's
+  arithmetic is the same on any thread, so the thread count changes no
+  bit.
 - ``"eigh"``, on dense layers, where the series would cost more than a
   dense eigendecomposition, and wherever the exponential may overflow:
   the entries are gathered from ``matrix_exp``, the exponential from one
@@ -66,10 +71,11 @@ _BOUND_STEPS = 12
 # N*M = 1400 and 2000
 _NUMPY_PANEL = 32
 
-# round.c's COMM_PANEL, and the panels that make another of its threads
-# worth starting
-_C_PANEL = 8
-_PANELS_PER_THREAD = 32
+# another thread of the compiled series is worth starting per
+# _BLOCKS_PER_THREAD blocks of _THREAD_BLOCK columns, 256 columns; the
+# rule counts columns, not round.c's panels of 16 (COMM_PANEL)
+_THREAD_BLOCK = 8
+_BLOCKS_PER_THREAD = 32
 
 # True in a process pool's worker (set by evolve's pool initializer):
 # the pool already runs one worker per CPU, so the series takes one
@@ -85,10 +91,11 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _series_threads(cpus: int, panels: int) -> int:
-    """Threads for the compiled series over ``panels`` panels: one per
-    ``_PANELS_PER_THREAD`` panels, at most ``cpus``, at least 1."""
-    return max(1, min(cpus, panels // _PANELS_PER_THREAD))
+def _series_threads(cpus: int, blocks: int) -> int:
+    """Threads for the compiled series over ``blocks`` blocks of
+    ``_THREAD_BLOCK`` columns: one per ``_BLOCKS_PER_THREAD`` blocks, at
+    most ``cpus``, at least 1."""
+    return max(1, min(cpus, blocks // _BLOCKS_PER_THREAD))
 
 
 def build_supra(network: MultiplexNetwork,
@@ -144,6 +151,14 @@ def matrix_exp(matrix: np.ndarray) -> np.ndarray:
     return result
 
 
+def _layer_weights(network: MultiplexNetwork) -> np.ndarray:
+    """The supra-matrix's entry on each edge of the network's CSR: the
+    homophily ``homophily_from_delta(delta_ij)``, in CSR order."""
+    n = network.node_count
+    return homophily_from_delta(
+        network.delta[network.edge_owner() % n, network.neighbour_slot % n])
+
+
 def _supra_csr(network: MultiplexNetwork, interlayer_strength: float
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The supra-matrix as CSR ``(ptr, col, val)``, built from the
@@ -153,9 +168,8 @@ def _supra_csr(network: MultiplexNetwork, interlayer_strength: float
         raise ValueError(
             f"interlayer_strength must be >= 0, got {interlayer_strength}")
     n, m = network.node_count, network.layer_count
-    owner, slot = network.edge_owner(), network.neighbour_slot
-    rows, cols = [owner], [slot]
-    vals = [homophily_from_delta(network.delta[owner % n, slot % n])]
+    rows, cols = [network.edge_owner()], [network.neighbour_slot]
+    vals = [_layer_weights(network)]
     if interlayer_strength > 0:
         node = np.arange(n)
         for alpha, beta in itertools.permutations(range(m), 2):
@@ -272,14 +286,22 @@ def _series_numpy(ptr, col, val, terms, cross_ptr, cross_slot
     return out
 
 
-def _series_c(library, ptr, col, val, terms, cross_ptr, cross_slot, *,
+def _series_c(library, network: MultiplexNetwork,
+              interlayer_strength: float, terms, cross_ptr, cross_slot, *,
               threads: int, vector: bool = True) -> np.ndarray:
     """The entries from ``round.c``'s ``megt_comm_entries`` over
     ``threads`` threads; ``vector`` lets it use AVX2 where the CPU has
-    it.  Neither changes a bit."""
+    it.  Neither changes a bit.  The kernel reads the supra-matrix from
+    the network's edge CSR, the edges' homophily and the coupling
+    strength, never from ``_supra_csr``, and gives the bits of
+    ``_series_numpy`` over ``_supra_csr``."""
+    ptr, slot = (np.ascontiguousarray(array, dtype=np.int64) for array in
+                 (network.neighbour_ptr, network.neighbour_slot))
+    weight = _layer_weights(network)
     out = np.empty(cross_slot.size)
     status = library.megt_comm_entries(
-        ptr.size - 1, ptr.ctypes.data, col.ctypes.data, val.ctypes.data,
+        network.node_count, network.layer_count, ptr.ctypes.data,
+        slot.ctypes.data, weight.ctypes.data, float(interlayer_strength),
         terms, cross_ptr.ctypes.data, cross_slot.ctypes.data,
         out.ctypes.data, int(vector), threads)
     if status != 0:
@@ -335,9 +357,9 @@ def communicability_entries(network: MultiplexNetwork,
         values = _series_numpy(ptr, col, val, terms, cross_ptr, cross_slot)
     else:
         cpus = 1 if _in_pool_worker else _usable_cpus()
-        threads = _series_threads(cpus, -(-nm // _C_PANEL))
-        values = _series_c(library, ptr, col, val, terms, cross_ptr,
-                           cross_slot, threads=threads)
+        threads = _series_threads(cpus, -(-nm // _THREAD_BLOCK))
+        values = _series_c(library, network, interlayer_strength, terms,
+                           cross_ptr, cross_slot, threads=threads)
     return values, {"method": "series", "terms": terms, "threads": threads}
 
 

@@ -43,6 +43,7 @@ __all__ = [
     "IncentiveConfig",
     "parse_reports",
     "read_reports_csv",
+    "undecodable_line",
     "write_reports_csv",
     "truthfulness",
     "qoc",
@@ -625,6 +626,19 @@ def read_reports_csv(path) -> tuple[ReportTable, list[Rejection]]:
         except csv.Error as exc:
             raise ValueError(
                 f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def undecodable_line(path) -> int | None:
+    """The 1-based number of the file's first line that is not UTF-8, or
+    None.  A UTF-8 character never holds a newline byte, so a file is
+    UTF-8 exactly when each of its lines is."""
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            try:
+                line.decode()
+            except UnicodeDecodeError:
+                return number
+    return None
 
 
 def write_reports_csv(rows, path) -> None:

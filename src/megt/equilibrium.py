@@ -49,15 +49,6 @@ def project_strategies(strategies: np.ndarray,
     return np.where(2 * coop_votes > m, COOPERATE, DEFECT).astype(np.int8)
 
 
-def _advantage(game: PayoffMatrix, frequency) -> float:
-    """Expected payoff gain of cooperating against a neighbourhood with
-    the given weighted cooperator frequency; linear in the frequency."""
-    base = game.sucker - game.punishment
-    slope = (game.reward - game.temptation
-             + game.punishment - game.sucker)
-    return base + slope * frequency
-
-
 @dataclass(frozen=True)
 class NashReport:
     alpha: float
@@ -68,11 +59,22 @@ class NashReport:
 
 
 class EquilibriumTracker:
-    """Vectorised Nash-pair evaluation, reusable across rounds.
+    """Nash-pair evaluation on the union graph, reusable across rounds.
 
-    The union graph of the layers, its homophily coupling, the degrees
-    and the edge list are built once per tracker from the network's
-    edges; each evaluation is a matrix-vector product.
+    The union graph of the layers is built once per tracker from the
+    network's edge CSR, with no N x N array: a CSR over nodes,
+    ``union_ptr``, each node's neighbours ascending in ``union_node``
+    and, beside each, the homophily h_ij in ``union_weight``.
+    ``edge_i`` and ``edge_j`` hold each unordered pair once, ``i < j``,
+    in row-major order.  A node's weighted cooperator frequency is its
+    weights on cooperating neighbours, added left to right from 0.0 by
+    ``np.bincount``, over its union degree; its advantage of cooperating
+    is ``base + slope * frequency``.  ``round.c`` makes the same sums,
+    so a run given this tracker (``evolve.run``) counts its Nash pairs
+    inside the compiled kernel with the bits of ``evaluate``.
+
+    ``history`` holds ``(round, alpha, weak_fraction)`` rows appended by
+    ``observe`` and ``record``.
     """
 
     def __init__(self, network: MultiplexNetwork, game: PayoffMatrix,
@@ -83,64 +85,81 @@ class EquilibriumTracker:
         self.game = game
         self.projection = projection
         n = network.node_count
-        union = np.zeros((n, n), dtype=bool)
-        union[network.edge_owner() % n, network.neighbour_slot % n] = True
-        self.coupling = homophily_from_delta(network.delta) * union
-        self.degree = union.sum(axis=1).astype(float)
-        self.edge_i, self.edge_j = np.nonzero(np.triu(union, k=1))
+        # every layer's edges as node pairs i * N + j, sorted, each once
+        # (np.unique would import numpy.ma, about 10 ms)
+        pair = np.sort(network.edge_owner() % n * n
+                       + network.neighbour_slot % n)
+        pair = pair[np.diff(pair, prepend=-1) != 0]
+        self._owner, self.union_node = np.divmod(pair, n)
+        self.union_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self._owner, minlength=n),
+                  out=self.union_ptr[1:])
+        self.union_weight = homophily_from_delta(
+            network.delta[self._owner, self.union_node])
+        self.degree = np.diff(self.union_ptr).astype(float)
+        upper = self.union_node > self._owner
+        self.edge_i, self.edge_j = self._owner[upper], self.union_node[upper]
         if self.edge_i.size == 0:
             raise ValueError("aggregated network has no edges")
+        # the expected payoff gain of cooperating is linear in the
+        # neighbourhood's weighted cooperator frequency
+        self.base = game.sucker - game.punishment
+        self.slope = (game.reward - game.temptation
+                      + game.punishment - game.sucker)
         self.history: list[tuple[int, float, float]] = []
 
-    def _evaluate_projected(self, strategies_1d: np.ndarray) -> NashReport:
-        coop = (strategies_1d == COOPERATE).astype(float)
-        with np.errstate(invalid="ignore"):
-            freq = np.where(self.degree > 0,
-                            (self.coupling @ coop)
-                            / np.where(self.degree > 0, self.degree, 1.0),
-                            0.0)
-        adv = _advantage(self.game, freq)
+    def _counts(self, play: np.ndarray) -> tuple[int, int]:
+        """(Nash pairs, weak Nash pairs) of one strategy per node."""
+        coop = (play == COOPERATE).astype(float)
+        mass = np.bincount(self._owner,
+                           weights=self.union_weight * coop[self.union_node],
+                           minlength=play.size)
+        freq = np.where(self.degree > 0,
+                        mass / np.where(self.degree > 0, self.degree, 1.0),
+                        0.0)
+        adv = self.base + self.slope * freq
         indifferent = adv == 0.0
-        node_ok = np.where(strategies_1d == COOPERATE,
-                           adv >= 0.0, adv <= 0.0)
+        node_ok = np.where(play == COOPERATE, adv >= 0.0, adv <= 0.0)
         pair_ok = node_ok[self.edge_i] & node_ok[self.edge_j]
         weak = pair_ok & (indifferent[self.edge_i]
                           | indifferent[self.edge_j])
-        edges = self.edge_i.size
-        pairs = int(pair_ok.sum())
-        weak_count = int(weak.sum())
+        return int(pair_ok.sum()), int(weak.sum())
+
+    def evaluate(self, strategies: np.ndarray) -> NashReport:
+        """The Nash pairs of an (M, N) strategy table under the
+        projection rule.  ``per_layer`` scores every layer's profile on
+        the aggregated graph, over M copies of its edges."""
+        strategies = np.atleast_2d(np.asarray(strategies))
+        if self.projection == "per_layer":
+            profiles = list(strategies)
+        else:
+            profiles = [project_strategies(strategies, self.projection)]
+        counts = [self._counts(play) for play in profiles]
+        pairs = sum(pair for pair, _ in counts)
+        weak_count = sum(weak for _, weak in counts)
+        edges = self.edge_i.size * len(profiles)
         return NashReport(alpha=pairs / edges,
                           weak_fraction=weak_count / edges,
                           pair_count=pairs, weak_count=weak_count,
                           edge_count=edges)
 
-    def evaluate(self, strategies: np.ndarray) -> NashReport:
-        strategies = np.atleast_2d(np.asarray(strategies))
-        if self.projection == "per_layer":
-            # every layer's profile is scored on the aggregated graph and
-            # the edge population is the union over layers
-            reports = [self._evaluate_projected(layer_row)
-                       for layer_row in strategies]
-            edges = reports[0].edge_count * len(reports)
-            pairs = sum(r.pair_count for r in reports)
-            weak_count = sum(r.weak_count for r in reports)
-            return NashReport(alpha=pairs / edges,
-                              weak_fraction=weak_count / edges,
-                              pair_count=pairs, weak_count=weak_count,
-                              edge_count=edges)
-        projected = project_strategies(strategies, self.projection)
-        return self._evaluate_projected(projected)
+    def observe(self, round_index: int, state) -> None:
+        """An ``on_round`` hook: appends the round's row to ``history``."""
+        report = self.evaluate(state.strategies)
+        self.history.append((round_index, report.alpha,
+                             report.weak_fraction))
 
-    def observer(self):
-        """An ``on_round(round_index, state)`` callback recording
-        (round, alpha, weak_fraction) into ``self.history``."""
-
-        def on_round(round_index: int, state) -> None:
-            report = self.evaluate(state.strategies)
-            self.history.append(
-                (round_index, report.alpha, report.weak_fraction))
-
-        return on_round
+    def record(self, first_round: int, pair_counts: np.ndarray,
+               weak_counts: np.ndarray) -> None:
+        """Appends the rows of consecutive rounds from ``first_round``
+        whose Nash counts were made elsewhere (by ``round.c``); the
+        divisions are those of ``evaluate``."""
+        edges = self.edge_i.size * (self.network.layer_count
+                                    if self.projection == "per_layer" else 1)
+        self.history.extend(zip(
+            range(first_round, first_round + len(pair_counts)),
+            (np.asarray(pair_counts) / edges).tolist(),
+            (np.asarray(weak_counts) / edges).tolist()))
 
 
 def nash_report(strategies: np.ndarray, network: MultiplexNetwork,

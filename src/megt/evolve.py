@@ -17,7 +17,8 @@ says which.
 Where a C compiler is available, ``round.c`` (built on first use by
 ``megt.kernel``) runs a whole run in one call: payoffs, the draws, which
 it takes from numpy's bit generator in numpy's order, the steps and the
-stop rule.  A run with an ``on_round`` hook makes one call per round.
+stop rule, and the Nash-pair counts of an equilibrium tracker.  A run
+with an ``on_round`` hook makes one call per round.
 Without the kernel, numpy draws, ``np.bincount`` payoffs and a Python
 loop give the same bits; both read one ``ScalingTable`` of CSR arrays.
 """
@@ -36,6 +37,7 @@ import numpy as np
 
 from . import comm
 from .comm import ScalingBounds, _usable_cpus, communicability_entries
+from .equilibrium import PROJECTION_RULES
 from .games import COOPERATE, PayoffMatrix, from_ts
 from .netgen import MultiplexNetwork, MultiplexSpec, build_multiplex
 
@@ -387,7 +389,7 @@ class RoundEngine:
         state.round_index += 1
         return value
 
-    def run(self, state: SimulationState, on_round=None
+    def run(self, state: SimulationState, on_round=None, tracker=None
             ) -> tuple[list[float], list[float], str]:
         """Rounds from ``state`` until ``evolve.run``'s stop rule fires,
         at most ``max_rounds`` of them.
@@ -395,35 +397,74 @@ class RoundEngine:
         Returns the densities (``rho[0]`` is the given state's), their
         running sums ``[0, rho[0], rho[0] + rho[1], ...]`` and the stop
         reason.  ``on_round(round_index, state)``, if given, is called on
-        the given state and after every round.
+        the given state and after every round.  ``tracker``, an
+        ``EquilibriumTracker``, if given, gets the Nash-pair row of the
+        given state and of every round in its history: the given state's
+        from ``tracker.evaluate``, as without the kernel, and each round's
+        from inside the compiled kernel's one call when there is no hook.
         """
+        # the kernel reads the tracker's arrays over the run's nodes
+        if tracker is not None and tracker.degree.size != self.node_count:
+            raise ValueError("the tracker's network has another node count")
         nm = self.slot_count
         rho = [float((state.strategies == COOPERATE).sum() / nm)]
         cumulative = [0.0, rho[0]]
-        if on_round is not None:
-            on_round(state.round_index, state)
+        hooks = [hook for hook in (on_round, tracker and tracker.observe)
+                 if hook is not None]
+        for hook in hooks:
+            hook(state.round_index, state)
         if self.table.edgeless:
             return rho, cumulative, "edgeless"
         if rho[0] in (0.0, 1.0):
             return rho, cumulative, "absorbing"
         if on_round is None and self._kernel is not None:
-            return self._compiled_run(state, rho[0])
+            return self._compiled_run(state, rho[0], tracker)
         return rho, cumulative, self._python_run(state, rho, cumulative,
-                                                 on_round)
+                                                 hooks)
 
-    def _compiled_run(self, state: SimulationState, rho0: float
+    def _compiled_run(self, state: SimulationState, rho0: float, tracker
                       ) -> tuple[list[float], list[float], str]:
-        buffers = self._buffers
+        buffers, engine = self._buffers, self._engine
         buffers["rho"][0] = rho0
         buffers["cumulative"][:2] = (0.0, rho0)
+        self._track(tracker)
         rounds = self._call(self._kernel.megt_run, state)
+        if tracker is not None:
+            tracker.record(state.round_index + 1,
+                           buffers["pair_count"][1:rounds + 1],
+                           buffers["weak_count"][1:rounds + 1])
         state.round_index += rounds
         return (buffers["rho"][:rounds + 1].tolist(),
                 buffers["cumulative"][:rounds + 2].tolist(),
-                self._stop_reasons[self._engine.stop])
+                self._stop_reasons[engine.stop])
+
+    def _track(self, tracker) -> None:
+        """Point the kernel's Nash-pair fields at the tracker's union
+        graph and at count buffers of the engine's, or turn the counting
+        off when ``tracker`` is None."""
+        engine = self._engine
+        self._tracker = tracker  # its arrays stay alive through the run
+        if tracker is None:
+            engine.union_ptr = None
+            return
+        history = self.config.max_rounds + 2
+        self._buffers.update(
+            nash_play=np.zeros(self.node_count, dtype=np.int8),
+            nash_flag=np.zeros(self.node_count, dtype=np.int8),
+            pair_count=np.zeros(history, dtype=np.int64),
+            weak_count=np.zeros(history, dtype=np.int64))
+        for name in ("union_ptr", "union_node", "union_weight"):
+            setattr(engine, name, getattr(tracker, name).ctypes.data)
+        engine.pair_total = tracker.edge_i.size
+        engine.pair_i = tracker.edge_i.ctypes.data
+        engine.pair_j = tracker.edge_j.ctypes.data
+        for name in ("nash_play", "nash_flag", "pair_count", "weak_count"):
+            setattr(engine, name, self._buffers[name].ctypes.data)
+        engine.nash_base, engine.nash_slope = tracker.base, tracker.slope
+        engine.projection = PROJECTION_RULES.index(tracker.projection)
 
     def _python_run(self, state: SimulationState, rho: list[float],
-                    cumulative: list[float], on_round) -> str:
+                    cumulative: list[float], hooks) -> str:
         """The stop rule in Python, round by round, extending ``rho`` and
         ``cumulative`` in place; returns the stop reason."""
         config = self.config
@@ -432,8 +473,8 @@ class RoundEngine:
             value = self.round(state)
             rho.append(value)
             cumulative.append(cumulative[-1] + value)
-            if on_round is not None:
-                on_round(state.round_index, state)
+            for hook in hooks:
+                hook(state.round_index, state)
             if value == 0.0 or value == 1.0:
                 return "absorbing"
             rounds = len(rho) - 1
@@ -585,7 +626,7 @@ def _scaling_table(config: SimulationConfig,
 
 
 def run(config: SimulationConfig, *, cell_index: int = 0,
-        replica_index: int = 0, on_round=None) -> RunResult:
+        replica_index: int = 0, on_round=None, tracker=None) -> RunResult:
     """Execute one simulation to steady state.
 
     Stops when the mean density over the last ``steady_window`` rounds
@@ -598,8 +639,11 @@ def run(config: SimulationConfig, *, cell_index: int = 0,
     absorbing from the start: the run returns ``rho[0]`` after no rounds.
 
     ``on_round(round_index, state)``, if given, is called on the initial
-    state and after every round; the equilibrium tracker hooks in here.
-    Without it, the compiled kernel makes the whole run in one call.
+    state and after every round.  ``tracker``, an ``EquilibriumTracker``
+    of the run's network, gets the Nash-pair row of the initial state
+    and of every round appended to its ``history``.  Without a hook, the
+    compiled kernel makes the whole run in one call, counting the Nash
+    pairs too.
     The same (config, cell_index, replica_index) triple reproduces the
     trajectory bit for bit.
     """
@@ -613,7 +657,7 @@ def run(config: SimulationConfig, *, cell_index: int = 0,
     rng = _dynamics_rng(config, cell_index, replica_index)
     state = init_state(network, config.initial_coop_fraction, rng)
     ready = clock()
-    rho, cumulative, stop_reason = engine.run(state, on_round)
+    rho, cumulative, stop_reason = engine.run(state, on_round, tracker)
     if rho[-1] in (0.0, 1.0):
         steady = rho[-1]
     else:

@@ -34,7 +34,6 @@ import ctypes
 import functools
 import hashlib
 import os
-import subprocess
 import tempfile
 from pathlib import Path
 
@@ -63,7 +62,12 @@ class Engine(ctypes.Structure):
         ("max_rounds window", _I64),
         ("tolerance", _F64),
         ("strategies coop_count payoff picks u_neighbour u_adopt rho "
-         "cumulative", _PTR),
+         "cumulative union_ptr union_node union_weight", _PTR),
+        ("pair_total", _I64),
+        ("pair_i pair_j", _PTR),
+        ("nash_base nash_slope", _F64),
+        ("projection", _I64),
+        ("nash_play nash_flag pair_count weak_count", _PTR),
         ("coop_total adoptions stop", _I64),
     ) for name in names.split()]
 
@@ -98,6 +102,7 @@ def _build() -> Path:
     fd, partial = tempfile.mkstemp(prefix=".round-", suffix=".so",
                                    dir=target.parent)
     os.close(fd)
+    import subprocess  # only a cold cache compiles; a warm one skips it
     try:
         proc = subprocess.run(["cc", *CC_FLAGS, "-o", partial, str(SOURCE),
                                "-lm"], capture_output=True, text=True)
@@ -166,8 +171,9 @@ def compiled():
             function = getattr(library, name)
             function.argtypes = (ctypes.POINTER(Engine), _PTR)
             function.restype = restype
-        library.megt_comm_entries.argtypes = (_I64, _PTR, _PTR, _PTR, _I64,
-                                              _PTR, _PTR, _PTR, _I64, _I64)
+        library.megt_comm_entries.argtypes = (_I64, _I64, _PTR, _PTR, _PTR,
+                                              _F64, _I64, _PTR, _PTR, _PTR,
+                                              _I64, _I64)
         library.megt_comm_entries.restype = _I64
     except FileNotFoundError as exc:
         if exc.filename == "cc":

@@ -218,13 +218,18 @@ def eigenvector_centrality(adjacency: np.ndarray) -> np.ndarray:
         return np.zeros(n)
     a = adjacency.astype(float)
     vec = np.full(n, 1.0 / n)
+    nxt, change = np.empty(n), np.empty(n)
     for _ in range(_CENTRALITY_ITERATIONS):
-        nxt = a @ vec + vec
+        np.matmul(a, vec, out=nxt)
+        nxt += vec
         nxt /= nxt.max()
-        if (np.max(np.abs(nxt - vec))
-                <= _CENTRALITY_TOLERANCE * np.max(np.abs(nxt))):
+        np.subtract(nxt, vec, out=change)
+        np.abs(change, out=change)
+        # nxt is nonnegative and its largest entry is exactly 1.0, so
+        # this is the change relative to max|nxt|
+        if change.max() <= _CENTRALITY_TOLERANCE:
             return nxt
-        vec = nxt
+        vec, nxt = nxt, vec
     raise ValueError(f"eigenvector centrality: power iteration did not "
                      f"converge in {_CENTRALITY_ITERATIONS} iterations")
 

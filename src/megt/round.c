@@ -20,6 +20,10 @@
  *     neighbour;
  *  4. each cooperating slot adds its degree to its node's coop_count.
  *
+ * With the Nash tracker's arrays set, megt_run also counts the run's
+ * Nash pairs on the union graph of the layers after every round, with
+ * the sums of megt.equilibrium's numpy path (see nash_count).
+ *
  * That the draws equal numpy's is numpy's implementation, not its
  * contract; megt.kernel checks it against numpy before using this code.
  * The caller holds the bit generator's lock.  Slot counts stay below
@@ -49,6 +53,9 @@ typedef struct bitgen {
 
 enum { STOP_BUDGET, STOP_STEADY, STOP_ABSORBING };
 
+/* equilibrium.PROJECTION_RULES, in its order */
+enum { PROJECT_TIE_C, PROJECT_TIE_D, PROJECT_PER_LAYER };
+
 struct megt_engine {
     /* the network's static tables, CSR arrays over the flat slots: each
        pointer is evolve.ScalingTable's array of the same name, except
@@ -73,6 +80,21 @@ struct megt_engine {
     /* the run's densities and their running sums, max_rounds + 2 each;
        rho[0], cumulative[0] and cumulative[1] are set by the caller */
     double *rho, *cumulative;
+    /* Nash-pair tracking in megt_run, off while union_ptr is NULL: the
+       union graph of the layers as a CSR over nodes (union_node ascending
+       within a row, the homophily h_ij beside it in union_weight) and as
+       pair_total pairs (pair_i[p], pair_j[p]), each unordered pair once;
+       the advantage of cooperating, nash_base + nash_slope * frequency;
+       the projection rule; node_count scratch bytes each in nash_play
+       and nash_flag; and the counts per round, max_rounds + 2 each */
+    const int64_t *union_ptr, *union_node;
+    const double *union_weight;
+    int64_t pair_total;
+    const int64_t *pair_i, *pair_j;
+    double nash_base, nash_slope;
+    int64_t projection;
+    int8_t *nash_play, *nash_flag;
+    int64_t *pair_count, *weak_count;
     /* results of the last call */
     int64_t coop_total, adoptions, stop;
 };
@@ -191,11 +213,73 @@ void megt_round(struct megt_engine *e, bitgen_t *bitgen)
     one_round(e, bitgen);
 }
 
+/* Adds to *pairs the union edges both of whose ends play a best response
+ * to the node profile play (1 cooperates), and to *weak those of them
+ * with an indifferent end.  A node's cooperator frequency is its
+ * weights on cooperating neighbours, added left to right from 0.0, over
+ * its union degree (0 for an isolated node); cooperating is a best
+ * response when its advantage is >= 0, defecting when it is <= 0. */
+static void nash_count(struct megt_engine *e, const int8_t *play,
+                       int64_t *pairs, int64_t *weak)
+{
+    const int64_t *ptr = e->union_ptr, *node = e->union_node;
+    int8_t *flag = e->nash_flag;
+    /* with a zero slope (any donation game) the advantage is nash_base
+       plus a signed zero, which compares as nash_base does, so the
+       sums are skipped */
+    const int summed = e->nash_slope != 0.0;
+    for (int64_t i = 0; i < e->node_count; i++) {
+        double mass = 0.0;
+        for (int64_t k = ptr[i]; summed && k < ptr[i + 1]; k++)
+            mass += e->union_weight[k] * (double)play[node[k]];
+        int64_t degree = ptr[i + 1] - ptr[i];
+        double frequency = degree > 0 ? mass / (double)degree : 0.0;
+        double advantage = e->nash_base + e->nash_slope * frequency;
+        /* bit 0: a best response; bit 1: indifferent */
+        flag[i] = (int8_t)((play[i] ? advantage >= 0.0 : advantage <= 0.0)
+                           | (advantage == 0.0) << 1);
+    }
+    int64_t ok = 0, weak_ok = 0;
+    for (int64_t p = 0; p < e->pair_total; p++) {
+        const int both = flag[e->pair_i[p]] & flag[e->pair_j[p]] & 1;
+        ok += both;
+        weak_ok += both & (flag[e->pair_i[p]] | flag[e->pair_j[p]]) >> 1;
+    }
+    *pairs += ok;
+    *weak += weak_ok;
+}
+
+/* The Nash counts of the current strategies under the projection rule,
+ * into pair_count[round] and weak_count[round]: per_layer adds up every
+ * layer's profile; the majority rules count one profile, whose node
+ * cooperates on at least (tie_c) or more than (tie_d) half its layers. */
+static void nash_record(struct megt_engine *e, int64_t round)
+{
+    const int64_t n = e->node_count, m = e->slot_count / n;
+    int64_t pairs = 0, weak = 0;
+    if (e->projection == PROJECT_PER_LAYER) {
+        for (int64_t alpha = 0; alpha < m; alpha++)
+            nash_count(e, e->strategies + alpha * n, &pairs, &weak);
+    } else {
+        for (int64_t i = 0; i < n; i++) {
+            int64_t votes = 0;
+            for (int64_t alpha = 0; alpha < m; alpha++)
+                votes += e->strategies[alpha * n + i];
+            e->nash_play[i] = (int8_t)(e->projection == PROJECT_TIE_C
+                                       ? 2 * votes >= m : 2 * votes > m);
+        }
+        nash_count(e, e->nash_play, &pairs, &weak);
+    }
+    e->pair_count[round] = pairs;
+    e->weak_count[round] = weak;
+}
+
 /* Rounds until the density is absorbing (0 or 1), the mean over the
  * last window differs from the mean over the window before by less than
  * the tolerance, or max_rounds have run: the stop rule of evolve.run,
  * with its double adds and divisions.  Fills rho[1..] and
- * cumulative[2..]; returns the rounds made, and leaves the stop code
+ * cumulative[2..], and with the tracker's arrays set, pair_count[1..]
+ * and weak_count[1..]; returns the rounds made, and leaves the stop code
  * and the run's adoptions in the struct. */
 int64_t megt_run(struct megt_engine *e, bitgen_t *bitgen)
 {
@@ -207,6 +291,8 @@ int64_t megt_run(struct megt_engine *e, bitgen_t *bitgen)
     while (rounds < e->max_rounds) {
         one_round(e, bitgen);
         rounds++;
+        if (e->union_ptr != NULL)
+            nash_record(e, rounds);
         double value = (double)e->coop_total / (double)e->slot_count;
         e->rho[rounds] = value;
         cum[rounds + 1] = cum[rounds] + value;
@@ -229,89 +315,136 @@ int64_t megt_run(struct megt_engine *e, bitgen_t *bitgen)
 
 /* Communicability entries: out[q] = exp(A)[r, cross_slot[q]] for every
  * row r and q in cross_ptr[r] .. cross_ptr[r + 1] - 1, where A is the
- * nonnegative symmetric supra-matrix in CSR (a_ptr, a_col, a_val).
+ * nonnegative symmetric supra-matrix of the layers: layer alpha's edges,
+ * the CSR (ptr, slot) over the flat slots with the homophily h_ij of
+ * each edge in weight, on its diagonal block, and omega times the
+ * identity on every off-diagonal block (none when omega is 0).
  *
  * exp(A) e_r is the truncated Taylor series sum_{k=0..terms} A^k e_r / k!,
  * summed for COMM_PANEL columns r at a time: term_k = (A term_{k-1}) / k,
- * with each row's products added left to right in CSR order, and then
- * sum += term_k.  Every column's arithmetic is independent of the
+ * with each row's products added left to right in ascending column order,
+ * and then sum += term_k.  In that order row (alpha, i) holds
+ * omega * x(beta, i) for beta < alpha, then layer alpha's edges, then
+ * omega * x(beta, i) for beta > alpha; so node i's rows are summed
+ * together, each starting from the sum 0 + omega * x(0, i) + ... of its
+ * prefix, which the row before it extends by one term.  Every row gets
+ * the operations that megt.comm's numpy loop makes over the supra CSR,
+ * in the same order.  Every column's arithmetic is independent of the
  * others, so neither the panel width nor the vector width changes a
- * bit; megt.comm's numpy loop makes the same operations in the same
- * order.  Entry (r, c) is read from column r, which equals row r
- * because A is symmetric.  A panel is stored row-major, COMM_PANEL
- * doubles per row. */
-#define COMM_PANEL 8
+ * bit.  Entry (r, c) is read from column r, which equals row r because
+ * A is symmetric.  A panel is stored row-major, COMM_PANEL doubles per
+ * row. */
+#define COMM_PANEL 16
 
-struct csr {
-    int64_t rows;
-    const int64_t *ptr, *col;
-    const double *val;
+struct supra {
+    int64_t nodes, layers;
+    const int64_t *ptr, *slot;
+    const double *weight;
+    double omega;
 };
 
 /* next = (A term) / k and sum += next, for one panel. */
-static void panel_term(const struct csr *a, double k, const double *term,
+static void panel_term(const struct supra *a, double k, const double *term,
                        double *next, double *sum)
 {
-    for (int64_t i = 0; i < a->rows; i++) {
-        double acc[COMM_PANEL] = {0.0};
-        for (int64_t p = a->ptr[i]; p < a->ptr[i + 1]; p++) {
-            const double v = a->val[p];
-            const double *src = term + a->col[p] * COMM_PANEL;
+    const int64_t n = a->nodes, m = a->layers;
+    const double omega = a->omega;
+    for (int64_t i = 0; i < n; i++) {
+        double prefix[COMM_PANEL] = {0.0};
+        for (int64_t alpha = 0; alpha < m; alpha++) {
+            const int64_t row = alpha * n + i;
+            double acc[COMM_PANEL];
             for (int c = 0; c < COMM_PANEL; c++)
-                acc[c] += v * src[c];
-        }
-        double *dst = next + i * COMM_PANEL, *total = sum + i * COMM_PANEL;
-        for (int c = 0; c < COMM_PANEL; c++) {
-            dst[c] = acc[c] / k;
-            total[c] += dst[c];
+                acc[c] = prefix[c];
+            for (int64_t p = a->ptr[row]; p < a->ptr[row + 1]; p++) {
+                const double v = a->weight[p];
+                const double *src = term + a->slot[p] * COMM_PANEL;
+                for (int c = 0; c < COMM_PANEL; c++)
+                    acc[c] += v * src[c];
+            }
+            if (omega > 0.0) {
+                for (int64_t beta = alpha + 1; beta < m; beta++) {
+                    const double *src = term + (beta * n + i) * COMM_PANEL;
+                    for (int c = 0; c < COMM_PANEL; c++)
+                        acc[c] += omega * src[c];
+                }
+                const double *own = term + row * COMM_PANEL;
+                for (int c = 0; c < COMM_PANEL; c++)
+                    prefix[c] += omega * own[c];
+            }
+            double *dst = next + row * COMM_PANEL;
+            double *total = sum + row * COMM_PANEL;
+            for (int c = 0; c < COMM_PANEL; c++) {
+                dst[c] = acc[c] / k;
+                total[c] += dst[c];
+            }
         }
     }
 }
 
 #if defined(__x86_64__) && defined(__GNUC__)
-/* panel_term in two 4-wide AVX2 vectors, about twice as fast; the
- * same elementwise operations, so the same bits. */
+/* panel_term in 4-wide AVX2 vectors, about twice as fast; the same
+ * elementwise operations, so the same bits. */
 typedef double quad __attribute__((vector_size(32)));
+#define QUADS (COMM_PANEL / 4)
 
 __attribute__((target("avx2")))
-static void panel_term_avx2(const struct csr *a, double k,
+static inline void add_scaled(quad *acc, double v, const double *src)
+{
+#pragma GCC unroll 8
+    for (int q = 0; q < QUADS; q++) {
+        quad x;
+        __builtin_memcpy(&x, src + 4 * q, sizeof x);
+        acc[q] += v * x;
+    }
+}
+
+__attribute__((target("avx2")))
+static void panel_term_avx2(const struct supra *a, double k,
                             const double *term, double *next, double *sum)
 {
-    for (int64_t i = 0; i < a->rows; i++) {
-        quad lo = {0.0}, hi = {0.0}, x, y;
-        for (int64_t p = a->ptr[i]; p < a->ptr[i + 1]; p++) {
-            const double v = a->val[p];
-            const double *src = term + a->col[p] * COMM_PANEL;
-            __builtin_memcpy(&x, src, sizeof x);
-            __builtin_memcpy(&y, src + 4, sizeof y);
-            lo += v * x;
-            hi += v * y;
+    const int64_t n = a->nodes, m = a->layers;
+    const double omega = a->omega;
+    for (int64_t i = 0; i < n; i++) {
+        quad prefix[QUADS] = {{0.0}};
+        for (int64_t alpha = 0; alpha < m; alpha++) {
+            const int64_t row = alpha * n + i;
+            quad acc[QUADS];
+#pragma GCC unroll 8
+            for (int q = 0; q < QUADS; q++)
+                acc[q] = prefix[q];
+            for (int64_t p = a->ptr[row]; p < a->ptr[row + 1]; p++)
+                add_scaled(acc, a->weight[p], term + a->slot[p] * COMM_PANEL);
+            if (omega > 0.0) {
+                for (int64_t beta = alpha + 1; beta < m; beta++)
+                    add_scaled(acc, omega, term + (beta * n + i) * COMM_PANEL);
+                add_scaled(prefix, omega, term + row * COMM_PANEL);
+            }
+            double *dst = next + row * COMM_PANEL;
+            double *total = sum + row * COMM_PANEL;
+#pragma GCC unroll 8
+            for (int q = 0; q < QUADS; q++) {
+                quad x, y = acc[q] / k;
+                __builtin_memcpy(dst + 4 * q, &y, sizeof y);
+                __builtin_memcpy(&x, total + 4 * q, sizeof x);
+                x += y;
+                __builtin_memcpy(total + 4 * q, &x, sizeof x);
+            }
         }
-        double *dst = next + i * COMM_PANEL, *total = sum + i * COMM_PANEL;
-        lo /= k;
-        hi /= k;
-        __builtin_memcpy(dst, &lo, sizeof lo);
-        __builtin_memcpy(dst + 4, &hi, sizeof hi);
-        __builtin_memcpy(&x, total, sizeof x);
-        __builtin_memcpy(&y, total + 4, sizeof y);
-        x += lo;
-        y += hi;
-        __builtin_memcpy(total, &x, sizeof x);
-        __builtin_memcpy(total + 4, &y, sizeof y);
     }
 }
 #endif
 
-typedef void (*panel_step)(const struct csr *, double, const double *,
+typedef void (*panel_step)(const struct supra *, double, const double *,
                            double *, double *);
 
 /* What the threads of one megt_comm_entries call share.  Panels are
  * handed out by the atomic counter next_panel; each panel writes only
  * its own rows' entries of out. */
 struct comm_job {
-    struct csr a;
+    struct supra a;
     panel_step step;
-    int64_t terms, panels;
+    int64_t slot_count, terms, panels;
     const int64_t *cross_ptr, *cross_slot;
     double *out;
     int64_t next_panel;
@@ -322,7 +455,7 @@ struct comm_job {
 static void *comm_worker(void *arg)
 {
     struct comm_job *job = arg;
-    const int64_t slot_count = job->a.rows, size = slot_count * COMM_PANEL;
+    const int64_t slot_count = job->slot_count, size = slot_count * COMM_PANEL;
     double *scratch = malloc(3 * (size_t)size * sizeof(double));
     if (scratch == NULL)
         return NULL;
@@ -380,14 +513,16 @@ static void place_helpers(pthread_attr_t *attr)
  * joined before the call returns.  When a thread cannot be started, the
  * threads running take its panels.  Returns 0, or -1 when no thread
  * could allocate its work arrays, so some panels were not summed. */
-int64_t megt_comm_entries(int64_t slot_count, const int64_t *a_ptr,
-                          const int64_t *a_col, const double *a_val,
-                          int64_t terms, const int64_t *cross_ptr,
-                          const int64_t *cross_slot, double *out,
-                          int64_t vector, int64_t threads)
+int64_t megt_comm_entries(int64_t node_count, int64_t layer_count,
+                          const int64_t *ptr, const int64_t *slot,
+                          const double *weight, double omega, int64_t terms,
+                          const int64_t *cross_ptr, const int64_t *cross_slot,
+                          double *out, int64_t vector, int64_t threads)
 {
-    struct comm_job job = {{slot_count, a_ptr, a_col, a_val}, panel_term,
-                           terms, (slot_count + COMM_PANEL - 1) / COMM_PANEL,
+    const int64_t slot_count = node_count * layer_count;
+    struct comm_job job = {{node_count, layer_count, ptr, slot, weight, omega},
+                           panel_term, slot_count, terms,
+                           (slot_count + COMM_PANEL - 1) / COMM_PANEL,
                            cross_ptr, cross_slot, out, 0};
 #if defined(__x86_64__) && defined(__GNUC__)
     if (vector && __builtin_cpu_supports("avx2"))

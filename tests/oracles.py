@@ -10,7 +10,11 @@ or ``load_multiplex``, and its report tables from ``parse_reports``.
   supra-matrix, and ``scaling_factor`` the per-slot imitation scaling
   read from it over ``cross_neighbourhood``;
 - ``fermi_probability`` is the imitation probability;
-- ``multiplex_from_arrays`` builds a network from dense layers;
+- ``dense_nash_counts`` counts Nash pairs from the dense N x N coupling
+  of the union graph, as ``EquilibriumTracker`` did with a BLAS
+  matrix-vector product before it summed over edges;
+- ``multiplex_from_arrays`` builds a network from dense layers, and
+  ``dense_adjacency`` gives a network's dense layers;
 - ``save_multiplex_lines`` writes the v1 file one formatted line at a
   time, as ``save_multiplex`` did before it formatted in bulk;
 - ``table_of`` builds a ``ReportTable`` from ``ReportRecord`` rows.
@@ -26,7 +30,9 @@ from megt.comm import ScalingBounds, build_supra, matrix_exp
 from megt.crowdsense import (ReportRecord, ReportTable, _first_codes,
                              _joined_ids)
 from megt.evolve import _EXP_CLAMP, DISTANCE_FLOOR
-from megt.netgen import MultiplexNetwork, _from_edges, _layer_edges
+from megt.games import COOPERATE, PayoffMatrix
+from megt.netgen import (MultiplexNetwork, _from_edges, _layer_edges,
+                         homophily_from_delta)
 
 
 @dataclass(frozen=True)
@@ -116,6 +122,31 @@ def fermi_probability(payoff_self: float, payoff_other: float,
     return scaling / (1.0 + math.exp(x))
 
 
+def dense_nash_counts(network: MultiplexNetwork, game: PayoffMatrix,
+                      play: np.ndarray) -> tuple[int, int]:
+    """(Nash pairs, weak Nash pairs) of one strategy per node on the
+    union graph of the layers.  Each node's weighted cooperator
+    frequency is a row of the dense homophily coupling times the
+    cooperators, over its union degree; its advantage of cooperating is
+    ``(S - P) + (R - T + P - S) * frequency``."""
+    n = network.node_count
+    union = np.zeros((n, n), dtype=bool)
+    union[network.edge_owner() % n, network.neighbour_slot % n] = True
+    coupling = homophily_from_delta(network.delta) * union
+    degree = union.sum(axis=1)
+    coop = (play == COOPERATE).astype(float)
+    freq = np.where(degree > 0, (coupling @ coop) / np.maximum(degree, 1),
+                    0.0)
+    advantage = (game.sucker - game.punishment) + (
+        game.reward - game.temptation + game.punishment - game.sucker) * freq
+    node_ok = np.where(play == COOPERATE, advantage >= 0.0,
+                       advantage <= 0.0)
+    i, j = np.nonzero(np.triu(union, 1))
+    pair_ok = node_ok[i] & node_ok[j]
+    weak = pair_ok & ((advantage[i] == 0.0) | (advantage[j] == 0.0))
+    return int(pair_ok.sum()), int(weak.sum())
+
+
 def multiplex_from_arrays(adjacency: list[np.ndarray], delta: np.ndarray,
                           weights: list[np.ndarray] | None = None
                           ) -> MultiplexNetwork:
@@ -153,6 +184,13 @@ def multiplex_from_arrays(adjacency: list[np.ndarray], delta: np.ndarray,
         i, j = np.nonzero(np.triu(a))
         edges.append((np.full(i.size, alpha), i, j, w[i, j]))
     return _from_edges(delta, len(adjacency), edges)
+
+
+def dense_adjacency(network: MultiplexNetwork) -> list[np.ndarray]:
+    """Each layer's 0/1 ``int8`` N x N matrix.  ``network.adjacency``
+    rebuilds every layer on each read, so an oracle that looks at the
+    layers once per node pair takes these, built once per network."""
+    return network.adjacency
 
 
 def _checked_matrix(name: str, matrix, n: int) -> np.ndarray:

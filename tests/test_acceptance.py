@@ -270,7 +270,7 @@ def test_criterion_07_nash_suite():
     network = replica_network(config)
     config = dataclasses.replace(config, spec=None, network=network)
     tracker = EquilibriumTracker(network, config.game)
-    result = run(config, on_round=tracker.observer())
+    result = run(config, tracker=tracker)
     alphas = np.array([alpha for (_, alpha, _) in tracker.history])
     hits = plateau_windows(alphas)
 

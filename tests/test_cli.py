@@ -687,6 +687,21 @@ def test_score_missing_reports_file(tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+def test_score_file_that_is_not_utf8_names_the_line(tmp_path, capsys):
+    reports = tmp_path / "reports.csv"
+    reports.write_bytes(
+        b"object_id,generation_date,day_time,street,incident_type,uuid,"
+        b"report_rating\n"
+        b"r1,2019-10-07,09:00,Main,jam,u1,4.0\n"
+        b"r2,2019-10-07,12:00,Stra\xdfe,jam,u2,4.5\n"
+        b"r3,2019-10-07,15:00,Main,jam,u3,4.0\n")
+    cfg = write_config(tmp_path)
+    assert run_cli("score", "--reports", str(reports), "--config", cfg,
+                   "--outdir", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert f"{reports}: line 3: not UTF-8" in err
+
+
 def test_score_malformed_row_names_it(tmp_path, capsys):
     reports = tmp_path / "reports.csv"
     reports.write_text(

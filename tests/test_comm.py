@@ -434,8 +434,8 @@ def test_series_entries_match_eigh_and_c_matches_numpy(
     if library is not None:
         for vector in (True, False):
             assert np.array_equal(
-                _series_c(library, ptr, col, val, terms, cross_ptr,
-                          cross_slot, threads=1, vector=vector), series)
+                _series_c(library, net, omega, terms, cross_ptr, cross_slot,
+                          threads=1, vector=vector), series)
 
 
 def test_series_choice_is_the_cost_rule():
@@ -517,7 +517,7 @@ requires_cc = pytest.mark.skipif(shutil.which("cc") is None,
 
 @requires_cc
 def test_series_entries_do_not_depend_on_the_thread_count():
-    # N*M = 183: 23 panels, the last one partial; 2 and 3 divide neither
+    # N*M = 183: 12 panels of 16 columns, the last one partial
     net = conftest.random_multiplex(5, 61, 3, 0.06, 1.0, False)
     cross_ptr, cross_slot = cross_csr(net)
     ptr, col, val = _supra_csr(net, 0.5)
@@ -525,8 +525,8 @@ def test_series_entries_do_not_depend_on_the_thread_count():
     library = megt.kernel.compiled()[0]
 
     def entries(threads):
-        return _series_c(library, ptr, col, val, terms, cross_ptr,
-                         cross_slot, threads=threads)
+        return _series_c(library, net, 0.5, terms, cross_ptr, cross_slot,
+                         threads=threads)
 
     single = entries(1)
     assert np.array_equal(single, _series_numpy(ptr, col, val, terms,
@@ -534,6 +534,33 @@ def test_series_entries_do_not_depend_on_the_thread_count():
     # more threads than panels take the panels there are
     for threads in (2, 3, 23, 50):
         assert np.array_equal(entries(threads), single), threads
+
+
+@requires_cc
+@pytest.mark.parametrize("layers", [1, 2, 3, 7])
+@pytest.mark.parametrize("omega", [0.0, 0.5, 2.0])
+def test_node_by_node_series_equals_the_supra_csr_series(layers, omega):
+    # round.c sums each node's rows together from the network's edges;
+    # the numpy loop sums the supra-matrix's CSR row by row.  Layer 0 is
+    # edgeless and the layers sparse, so many slots are isolated.  Every
+    # entry of exp(A) is read.
+    net = conftest.random_multiplex(layers, 40, layers, 0.08, 1.0, True)
+    nm = net.node_count * layers
+    cross_ptr = np.arange(0, nm * nm + 1, nm)
+    cross_slot = np.tile(np.arange(nm), nm)
+    ptr, col, val = _supra_csr(net, omega)
+    terms = _series_terms(_spectral_bound(ptr, col, val))
+    series = _series_numpy(ptr, col, val, terms, cross_ptr, cross_slot)
+    oracle = matrix_exp(build_supra(net, omega)).reshape(-1)
+    # eigh's error is relative to the largest entry, not to each one
+    assert np.all(np.abs(series - oracle) <= 1e-12 * oracle.max())
+    library = megt.kernel.compiled()[0]
+    for vector in (False, True):
+        for threads in (1, 3):
+            assert np.array_equal(
+                _series_c(library, net, omega, terms, cross_ptr, cross_slot,
+                          threads=threads, vector=vector),
+                series), (vector, threads)
 
 
 @pytest.mark.parametrize("cpus, panels, threads", [
@@ -572,7 +599,9 @@ def test_series_takes_one_thread_in_a_pool_worker(monkeypatch):
 def test_series_threads_end_with_the_table_build(monkeypatch):
     monkeypatch.setattr(megt.comm, "_usable_cpus", lambda: 4)
     net = nash_layers_network()
-    before = len(os.listdir("/proc/self/task"))
+    # threads of other tests may end meanwhile: only a thread that the
+    # build started and left running fails here
+    before = set(os.listdir("/proc/self/task"))
     table = ScalingTable(net, 0.5)
     assert table.communicability["threads"] == 4
-    assert len(os.listdir("/proc/self/task")) == before
+    assert set(os.listdir("/proc/self/task")) <= before

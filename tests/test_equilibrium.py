@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -6,13 +7,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from megt.equilibrium import (EquilibriumTracker, nash_report,
-                              project_strategies, write_alpha_csv)
+import megt.kernel
+from megt.equilibrium import (PROJECTION_RULES, EquilibriumTracker,
+                              nash_report, project_strategies,
+                              write_alpha_csv)
 from megt.evolve import SimulationConfig, run
 from megt.games import COOPERATE, DEFECT, PayoffMatrix, from_ts, representative
 from megt.netgen import LayerTopology, MultiplexSpec, build_multiplex
 
-from oracles import multiplex_from_arrays
+from conftest import force_python_round
+from oracles import dense_adjacency, dense_nash_counts, multiplex_from_arrays
 
 PD = PayoffMatrix(reward=1.0, sucker=-0.5, temptation=1.5, punishment=0.0)
 HG = PayoffMatrix(reward=1.0, sucker=0.5, temptation=0.5, punishment=0.0)
@@ -24,27 +28,37 @@ GAMES += [from_ts(1.0, 0.0), from_ts(1.5, 0.0)]
 
 # ---------------------------------------------------------------------------
 # per-edge oracle, written from the definitions; EquilibriumTracker is
-# the vectorised form of nash_counts
+# the vectorised form of nash_counts.  The oracle reads a network's
+# distances and its dense layers, built once per network by ``dense``.
 # ---------------------------------------------------------------------------
 
-def union_neighbours(node, network):
-    return [j for j in range(network.node_count)
-            if any(a[node, j] for a in network.adjacency)]
+class Dense(NamedTuple):
+    delta: np.ndarray
+    layers: list
 
 
-def union_edges(network):
-    return [(i, j) for i in range(network.node_count)
-            for j in union_neighbours(i, network) if i < j]
+def dense(network):
+    return Dense(network.delta, dense_adjacency(network))
 
 
-def local_frequency(node, strategies_1d, network):
+def union_neighbours(node, net):
+    return [j for j in range(net.delta.shape[0])
+            if any(a[node, j] for a in net.layers)]
+
+
+def union_edges(net):
+    return [(i, j) for i in range(net.delta.shape[0])
+            for j in union_neighbours(i, net) if i < j]
+
+
+def local_frequency(node, strategies_1d, net):
     """``sum_j h_ij [s_j cooperates] / k_i`` over the node's neighbours
     on the union of the layers, with ``h_ij = 1 / (1 + delta_ij)``; 0 for
     an isolated node."""
-    neighbours = union_neighbours(node, network)
+    neighbours = union_neighbours(node, net)
     if not neighbours:
         return 0.0
-    mass = sum(1.0 / (1.0 + network.delta[node, j]) for j in neighbours
+    mass = sum(1.0 / (1.0 + net.delta[node, j]) for j in neighbours
                if strategies_1d[j] == COOPERATE)
     return mass / len(neighbours)
 
@@ -59,10 +73,10 @@ class Response(NamedTuple):
         return len(self.best) == 2
 
 
-def best_response(node, strategies_1d, network, game):
+def best_response(node, strategies_1d, net, game):
     """Payoff gain of cooperating over defecting against the node's
     cooperator frequency f, and the strategies that do best."""
-    f = local_frequency(node, strategies_1d, network)
+    f = local_frequency(node, strategies_1d, net)
     advantage = (f * (game.reward - game.temptation)
                  + (1 - f) * (game.sucker - game.punishment))
     if advantage > 0:
@@ -74,20 +88,20 @@ def best_response(node, strategies_1d, network, game):
     return Response(f, advantage, best)
 
 
-def is_nash_pair(i, j, strategies_1d, network, game):
+def is_nash_pair(i, j, strategies_1d, net, game):
     """(both endpoints play a best response, and one is indifferent)."""
-    if j not in union_neighbours(i, network):
+    if j not in union_neighbours(i, net):
         raise ValueError(f"({i}, {j}) is not a union edge")
-    lhs = best_response(i, strategies_1d, network, game)
-    rhs = best_response(j, strategies_1d, network, game)
+    lhs = best_response(i, strategies_1d, net, game)
+    rhs = best_response(j, strategies_1d, net, game)
     ok = strategies_1d[i] in lhs.best and strategies_1d[j] in rhs.best
     return ok, ok and (lhs.indifferent or rhs.indifferent)
 
 
-def nash_counts(projected, network, game):
+def nash_counts(projected, net, game):
     """(Nash pairs, weak Nash pairs, union edges) of a projected profile."""
-    edges = union_edges(network)
-    flags = [is_nash_pair(i, j, projected, network, game) for i, j in edges]
+    edges = union_edges(net)
+    flags = [is_nash_pair(i, j, projected, net, game) for i, j in edges]
     return (sum(ok for ok, _ in flags), sum(weak for _, weak in flags),
             len(edges))
 
@@ -134,19 +148,19 @@ def test_projection_rejects_unknown_rule():
 
 def test_all_cooperating_neighbours_full_homophily():
     net = graph(3, [(0, 1), (0, 2)])
-    assert local_frequency(0, np.array([0, 1, 1]), net) == 1.0
+    assert local_frequency(0, np.array([0, 1, 1]), dense(net)) == 1.0
 
 
 def test_no_cooperating_neighbours():
     net = graph(3, [(0, 1), (0, 2)])
-    assert local_frequency(0, np.array([1, 0, 0]), net) == 0.0
+    assert local_frequency(0, np.array([1, 0, 0]), dense(net)) == 0.0
 
 
 def test_weighted_frequency_quarter():
     # one cooperating neighbour at homophily 0.5 out of two neighbours
     delta = np.zeros((3, 3))
     delta[0, 1] = delta[1, 0] = 1.0  # h = 1/(1+1) = 0.5
-    net = graph(3, [(0, 1), (0, 2)], delta)
+    net = dense(graph(3, [(0, 1), (0, 2)], delta))
     assert local_frequency(0, np.array([0, 1, 0]), net) == pytest.approx(0.25)
 
 
@@ -156,7 +170,7 @@ def test_frequency_stays_in_unit_interval():
                          topologies=(LayerTopology.er(0.2),
                                      LayerTopology.er(0.2)),
                          homophily_sigma=2.0, rng_seed=1)
-    net = build_multiplex(spec)
+    net = dense(build_multiplex(spec))
     strategies = rng.integers(0, 2, size=25)
     for node in range(25):
         assert 0.0 <= local_frequency(node, strategies, net) <= 1.0
@@ -164,7 +178,7 @@ def test_frequency_stays_in_unit_interval():
 
 def test_isolated_node_frequency_is_zero():
     net = graph(3, [(0, 1)])
-    assert local_frequency(2, np.array([1, 1, 1]), net) == 0.0
+    assert local_frequency(2, np.array([1, 1, 1]), dense(net)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +187,7 @@ def test_isolated_node_frequency_is_zero():
 
 def test_harmony_prefers_cooperation_in_cooperative_surroundings():
     net = graph(2, [(0, 1)])
-    response = best_response(0, np.array([1, 1]), net, HG)
+    response = best_response(0, np.array([1, 1]), dense(net), HG)
     assert response.coop_frequency == 1.0
     assert response.advantage == pytest.approx(0.5)  # reward - temptation
     assert response.best == frozenset({1})
@@ -181,7 +195,7 @@ def test_harmony_prefers_cooperation_in_cooperative_surroundings():
 
 def test_dilemma_prefers_defection_against_defectors():
     net = graph(2, [(0, 1)])
-    response = best_response(0, np.array([0, 0]), net, PD)
+    response = best_response(0, np.array([0, 0]), dense(net), PD)
     assert response.coop_frequency == 0.0
     assert response.advantage == pytest.approx(-0.5)  # sucker - punishment
     assert response.best == frozenset({0})
@@ -193,7 +207,7 @@ def test_zero_advantage_accepts_both():
     game = PayoffMatrix(reward=1.0, sucker=0.0, temptation=1.5,
                         punishment=0.0)
     net = graph(2, [(0, 1)])
-    response = best_response(0, np.array([0, 0]), net, game)
+    response = best_response(0, np.array([0, 0]), dense(net), game)
     assert response.advantage == 0.0
     assert response.best == frozenset({0, 1})
     assert response.indifferent
@@ -205,12 +219,12 @@ def test_zero_advantage_accepts_both():
 
 def test_mutual_defection_is_nash_in_dilemma():
     net = graph(2, [(0, 1)])
-    ok, weak = is_nash_pair(0, 1, np.array([0, 0]), net, PD)
+    ok, weak = is_nash_pair(0, 1, np.array([0, 0]), dense(net), PD)
     assert ok and not weak
 
 
 def test_harmony_clique_of_cooperators_is_all_nash():
-    net = clique(4)
+    net = dense(clique(4))
     strategies = np.ones(4, dtype=np.int8)
     for i in range(4):
         for j in range(i + 1, 4):
@@ -220,7 +234,7 @@ def test_harmony_clique_of_cooperators_is_all_nash():
 
 def test_cooperating_pair_in_dilemma_is_not_nash():
     net = graph(2, [(0, 1)])
-    ok, _ = is_nash_pair(0, 1, np.array([1, 1]), net, PD)
+    ok, _ = is_nash_pair(0, 1, np.array([1, 1]), dense(net), PD)
     assert not ok
 
 
@@ -228,14 +242,14 @@ def test_weak_pair_flagged_on_indifference():
     game = PayoffMatrix(reward=1.0, sucker=0.0, temptation=1.5,
                         punishment=0.0)
     net = graph(2, [(0, 1)])
-    ok, weak = is_nash_pair(0, 1, np.array([0, 0]), net, game)
+    ok, weak = is_nash_pair(0, 1, np.array([0, 0]), dense(net), game)
     assert ok and weak
 
 
 def test_non_edges_are_rejected():
     net = graph(3, [(0, 1)])
     with pytest.raises(ValueError):
-        is_nash_pair(0, 2, np.array([0, 0, 0]), net, PD)
+        is_nash_pair(0, 2, np.array([0, 0, 0]), dense(net), PD)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +305,8 @@ def test_tracker_counts_match_per_node_nash_pairs(layer_count):
                              * layer_count,
                              homophily_sigma=1.0, rng_seed=seed)
         net = build_multiplex(spec)
-        edges = union_edges(net)
+        layers = dense(net)
+        edges = union_edges(layers)
         for _ in range(2):
             strategies = rng.integers(
                 0, 2, size=(layer_count, 30)).astype(np.int8)
@@ -300,7 +315,7 @@ def test_tracker_counts_match_per_node_nash_pairs(layer_count):
                 for game in GAMES:
                     pairs = weak = 0
                     for i, j in edges:
-                        ok, is_weak = is_nash_pair(i, j, projected, net,
+                        ok, is_weak = is_nash_pair(i, j, projected, layers,
                                                    game)
                         pairs += ok
                         weak += is_weak
@@ -342,13 +357,18 @@ def small_multiplexes(draw):
 @given(small_multiplexes())
 def test_tracker_matches_oracle_on_small_multiplexes(case):
     net, strategies = case
+    oracle = dense(net)
     for projection in ("majority_tie_c", "majority_tie_d"):
         projected = project_strategies(strategies, projection)
         for game in GAMES:
             report = EquilibriumTracker(net, game,
                                         projection).evaluate(strategies)
             assert (report.pair_count, report.weak_count,
-                    report.edge_count) == nash_counts(projected, net, game)
+                    report.edge_count) == nash_counts(projected, oracle,
+                                                      game)
+            # the dyadic homophilies sum exactly in any order
+            assert (report.pair_count, report.weak_count) == \
+                dense_nash_counts(net, game, projected)
 
 
 def test_edgeless_network_is_an_error():
@@ -394,11 +414,74 @@ def test_observer_records_every_round():
     tracker = EquilibriumTracker(net, representative("sd"))
     config = SimulationConfig(game=representative("sd"), network=net,
                               max_rounds=40, steady_window=10, rng_seed=3)
-    result = run(config, on_round=tracker.observer())
+    result = run(config, tracker=tracker)
     rounds = [entry[0] for entry in tracker.history]
     assert rounds == list(range(result.trajectory.rounds + 1))
     assert all(0.0 <= alpha <= 1.0 for _, alpha, _ in tracker.history)
     assert all(weak <= alpha for _, alpha, weak in tracker.history)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["cc", "without-cc"])
+def test_tracked_run_counts_match_the_per_edge_oracle(compiled, monkeypatch):
+    # each round's strategies come from a hooked run in Python, which
+    # gives the same trajectory as a run in the compiled kernel; an even
+    # layer count lets the majority rules tie
+    if compiled and megt.kernel.load()[0] is None:
+        pytest.skip("no compiled kernel")
+    net = build_multiplex(MultiplexSpec(
+        node_count=16, layer_count=4, topologies=(LayerTopology.er(0.2),) * 4,
+        homophily_sigma=1.0, rng_seed=4))
+    oracle = dense(net)
+    for game in GAMES:
+        config = SimulationConfig(game=game, network=net, max_rounds=6,
+                                  steady_window=3, rng_seed=1)
+        seen = []
+        with monkeypatch.context() as patch:
+            force_python_round(patch)
+            run(config, on_round=lambda k, state: seen.append(
+                state.strategies.copy()))
+        for projection in PROJECTION_RULES:
+            expected = []
+            for k, strategies in enumerate(seen):
+                profiles = (strategies if projection == "per_layer"
+                            else [project_strategies(strategies, projection)])
+                counts = [nash_counts(play, oracle, game)
+                          for play in profiles]
+                edges = sum(c[2] for c in counts)
+                expected.append((k, sum(c[0] for c in counts) / edges,
+                                 sum(c[1] for c in counts) / edges))
+            tracker = EquilibriumTracker(net, game, projection)
+            with monkeypatch.context() as patch:
+                if not compiled:
+                    force_python_round(patch)
+                run(config, tracker=tracker)
+            assert tracker.history == expected, (game, projection)
+
+
+def test_tracker_of_another_network_size_is_refused():
+    net = build_multiplex(MultiplexSpec(
+        node_count=20, layer_count=2, topologies=(LayerTopology.er(0.2),) * 2,
+        homophily_sigma=1.0, rng_seed=2))
+    tracker = EquilibriumTracker(clique(5), PD)
+    config = SimulationConfig(game=PD, network=net, max_rounds=5,
+                              steady_window=2, rng_seed=3)
+    with pytest.raises(ValueError, match="node count"):
+        run(config, tracker=tracker)
+
+
+def test_tracker_holds_no_dense_square():
+    n = 2000
+    net = build_multiplex(MultiplexSpec(
+        node_count=n, layer_count=2, topologies=(LayerTopology.sf(2),) * 2,
+        homophily_sigma=1.0, rng_seed=1))
+    tracemalloc.start()
+    try:
+        tracker = EquilibriumTracker(net, PD)
+        tracker.evaluate(np.ones((2, n), dtype=np.int8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n
 
 
 def test_alpha_csv_format(tmp_path):

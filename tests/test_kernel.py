@@ -6,6 +6,7 @@ and the loader's draw check.
 """
 from __future__ import annotations
 
+import collections
 import shutil
 import subprocess
 import sys
@@ -33,6 +34,12 @@ IMPORT_CLI = """
 import sys
 import megt.cli
 print("megt.kernel" in sys.modules)
+"""
+
+WARM_LOAD = """
+import sys
+from megt import kernel
+print(kernel.load()[1], "subprocess" in sys.modules)
 """
 
 
@@ -66,6 +73,13 @@ def test_importing_the_cli_builds_nothing(tmp_path):
     env = dict(megt_env(), XDG_CACHE_HOME=str(tmp_path / "cache"))
     assert run_child(IMPORT_CLI, env) == "False"
     assert not (tmp_path / "cache").exists()
+
+
+@requires_cc
+def test_a_warm_cache_loads_without_importing_subprocess():
+    # only a build runs the compiler; the cache the child reads is warm
+    assert megt.kernel._build().is_file()
+    assert run_child(WARM_LOAD, megt_env()) == "c False"
 
 
 def test_missing_compiler_is_named(without_cc):
@@ -146,6 +160,34 @@ def test_rng_mismatch_falls_back_to_python(monkeypatch):
         reset_kernel()
     assert fallback.trajectory == compiled.trajectory
     assert np.array_equal(fallback.state.strategies, compiled.state.strategies)
+
+
+@requires_cc
+def test_nash_run_is_one_kernel_call(tmp_path, monkeypatch):
+    library, path = megt.kernel.load()
+    assert path == "c"
+    calls = collections.Counter()
+
+    class Counting:
+        def __getattr__(self, name):
+            function = getattr(library, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return counted
+
+    monkeypatch.setattr(megt.kernel, "load", lambda: (Counting(), "c"))
+    config = tmp_path / "nash.cfg"
+    config.write_text("node_count = 30\nlayers = 3\ngame = sd\n"
+                      "max_rounds = 60\nsteady_window = 10\nseed = 3\n")
+    assert main(["nash", "--config", str(config),
+                 "--outdir", str(tmp_path / "out")]) == 0
+    assert calls == {"megt_run": 1}
+    alpha = (tmp_path / "out" / "alpha.csv").read_text().splitlines()
+    rho = (tmp_path / "out" / "rho.csv").read_text().splitlines()
+    assert len(alpha) == len(rho) > 3
 
 
 @requires_cc
