@@ -34,9 +34,9 @@ print(f"corpus mean rating: {result.stats.mean_rating:.3f}")
 
 for mech in ("A", "B", "C"):
     payouts = result.payouts[mech]
-    distinct = len({round(v, 9) for v in payouts.values()})
-    paid = sum(1 for v in payouts.values() if v > 0)
-    top = max(payouts.values())
+    distinct = len({round(v, 9) for v in payouts.tolist()})
+    paid = int((payouts > 0).sum())
+    top = payouts.max()
     print(f"mechanism {mech}: {distinct:3d} distinct payout levels, "
           f"{paid:3d} users paid, max payout {top:.3f}")
 

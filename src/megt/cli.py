@@ -402,8 +402,8 @@ def cmd_score(args) -> int:
         reason: sum(1 for r in rejections if r.reason == reason)
         for reason in ("zero_rating", "duplicate", "malformed")}
     manifest.extra["positive_users"] = {
-        mech: sum(1 for profile in result.profiles[mech].values()
-                  if profile.rs_norm >= incentive_cfg.positive_rs_threshold)
+        mech: int(np.count_nonzero(result.profiles[mech].rs_norm
+                                   >= incentive_cfg.positive_rs_threshold))
         for mech in mechanisms}
     manifest.extra["phase_s"] = {"ingest": ingest_s, **result.phase_s}
     return _finish(manifest, outdir, [ledger_path, decisions_path])

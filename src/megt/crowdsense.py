@@ -39,7 +39,7 @@ __all__ = [
     "ReportTable",
     "WindowIndex",
     "Rejection",
-    "UserProfile",
+    "Profiles",
     "IncentiveConfig",
     "parse_reports",
     "read_reports_csv",
@@ -98,17 +98,13 @@ class Rejection:
     detail: str
 
 
-@dataclass(frozen=True)
-class UserProfile:
-    """Per-device scoring summary under one mechanism."""
+class Profiles(NamedTuple):
+    """Every user's scores under one mechanism: one float64 column per
+    field, in user-code order (``ReportTable.users``)."""
 
-    user_id: str
-    report_count: int
-    active_windows: tuple[WindowIndex, ...]
-    coop_windows: tuple[WindowIndex, ...]
-    gamma_emp: float
-    rs_raw: float
-    rs_norm: float
+    gamma_emp: np.ndarray
+    rs_raw: np.ndarray
+    rs_norm: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -734,7 +730,7 @@ class ReportTable:
     windows chronologically (by date ordinal * 8 + segment), so code
     order is output order and ``np.bincount`` over codes adds floats in
     the same order as a loop over sorted keys.  The parts every
-    mechanism shares (per-user window tuples, per-report quality) are
+    mechanism shares (user-window pairs, per-report quality) are
     memoised per instance.
     """
 
@@ -790,22 +786,15 @@ class ReportTable:
         """Distinct (user, window) pairs of all reports, or of those rated
         strictly above ``above``, sorted by user then window.
 
-        Returns ``(pair_user, pair_window, per_user)`` with ``per_user``
-        one tuple of WindowIndex per user, in user-code order.
+        Returns ``(pair_user, pair_window)``: each pair's user and window
+        code.
         """
         key = ("windows", above)
         if key not in self._memo:
             codes = self.user * len(self.windows) + self.window
             if above is not None:
                 codes = codes[self.ratings > above]
-            pair_user, pair_window = np.divmod(_distinct(codes),
-                                               len(self.windows))
-            objects = [self.windows[w] for w in pair_window.tolist()]
-            bounds = np.searchsorted(
-                pair_user, np.arange(len(self.users) + 1)).tolist()
-            per_user = [tuple(objects[a:b])
-                        for a, b in zip(bounds, bounds[1:])]
-            self._memo[key] = (pair_user, pair_window, per_user)
+            self._memo[key] = np.divmod(_distinct(codes), len(self.windows))
         return self._memo[key]
 
 
@@ -864,7 +853,7 @@ def _empirical_gammas(table: ReportTable, mechanism: str,
     if mechanism not in ("B", "C"):
         raise ValueError(f"mechanism must be one of {MECHANISMS}, "
                          f"got {mechanism!r}")
-    pair_user, pair_window, _ = table.user_windows(stats.mean_rating)
+    pair_user, pair_window = table.user_windows(stats.mean_rating)
     if mechanism == "B":
         counts = np.bincount(pair_user, minlength=len(table.users))
         return counts / stats.total_window_count
@@ -878,8 +867,9 @@ def _empirical_gammas(table: ReportTable, mechanism: str,
 def build_profiles(table: ReportTable, config: IncentiveConfig, mechanism: str,
                    stats: CorpusStats | None = None,
                    gamma_override: dict[str, float] | None = None
-                   ) -> dict[str, UserProfile]:
-    """Score every contributing user under one mechanism.
+                   ) -> Profiles:
+    """Score every contributing user under one mechanism, as columns in
+    user-code order.
 
     A user's ``rs_raw`` is the sum of ``gamma * qoc(truthfulness)`` over
     their kept reports, in input order, and ``rs_norm`` its logistic
@@ -894,37 +884,30 @@ def build_profiles(table: ReportTable, config: IncentiveConfig, mechanism: str,
         stats = compute_corpus_stats(table, config.epsilon)
     users = table.users
     override = gamma_override or {}
+    known = np.fromiter(map(override.__contains__, users), bool, len(users))
     # _empirical_gammas raises (unknown mechanism, no windows) only for a
     # user who falls back on it
-    if all(user in override for user in users):
-        gammas = [override[user] for user in users]
-    else:
-        gammas = [override[user] if user in override else value
-                  for user, value in zip(
-                      users,
-                      _empirical_gammas(table, mechanism, stats).tolist())]
-    weighted = (np.array(gammas, dtype=float)[table.user]
-                * table.quality(config.epsilon))
+    gamma_emp = (np.empty(len(users)) if known.all()
+                 else _empirical_gammas(table, mechanism, stats))
+    if known.any():
+        gamma_emp[known] = list(map(
+            override.__getitem__, itertools.compress(users, known.tolist())))
+    weighted = gamma_emp[table.user] * table.quality(config.epsilon)
     # reports are in input order within each user
-    raws = np.bincount(table.user, weights=weighted,
-                       minlength=len(users)).tolist()
-    counts = np.bincount(table.user, minlength=len(users)).tolist()
-    active = table.user_windows()[2]
-    coop = table.user_windows(stats.mean_rating)[2]
-    return {user: UserProfile(user_id=user, report_count=count,
-                              active_windows=act, coop_windows=cop,
-                              gamma_emp=gamma, rs_raw=raw,
-                              rs_norm=logistic(raw))
-            for user, count, act, cop, gamma, raw in zip(
-                users, counts, active, coop, gammas, raws)}
+    rs_raw = np.bincount(table.user, weights=weighted, minlength=len(users))
+    # the scalar logistic: numpy's exp may round otherwise than math.exp
+    rs_norm = np.fromiter(map(logistic, rs_raw.tolist()), float, len(users))
+    return Profiles(gamma_emp, rs_raw, rs_norm)
 
 
 # ---------------------------------------------------------------------------
 # decision support
 # ---------------------------------------------------------------------------
 
-def decision_rows(table: ReportTable, profiles, config: IncentiveConfig):
-    """DSS log: one decision per (window, street) report group.
+def decision_rows(table: ReportTable, rs_norm: np.ndarray,
+                  config: IncentiveConfig):
+    """DSS log: one decision per (window, street) report group, given
+    each user's ``rs_norm`` in user-code order.
 
     Trust (the positive-reputation user set) is assessed over the whole
     window; support and competition among event types are within the
@@ -940,10 +923,8 @@ def decision_rows(table: ReportTable, profiles, config: IncentiveConfig):
     if not table:
         return []
     user_count = len(table.users)
-    rs_norm = np.array([profiles[user].rs_norm for user in table.users],
-                       dtype=float)
     # distinct positive users per window
-    pair_user, pair_window, _ = table.user_windows()
+    pair_user, pair_window = table.user_windows()
     positive = np.bincount(
         pair_window[rs_norm[pair_user] >= config.positive_rs_threshold],
         minlength=len(table.windows))
@@ -992,29 +973,31 @@ def decision_rows(table: ReportTable, profiles, config: IncentiveConfig):
 # incentives
 # ---------------------------------------------------------------------------
 
-def incentives(profiles: dict[str, UserProfile], budget: float,
-               total_users: int,
-               positive_rs_threshold: float = 0.5) -> dict[str, float]:
-    """Split the budget pot among positive-reputation users.
+def incentives(rs_norm: np.ndarray, budget: float, total_users: int,
+               positive_rs_threshold: float = 0.5) -> np.ndarray:
+    """Split the budget pot among positive-reputation users; returns the
+    payouts aligned with ``rs_norm``.
 
     The pot is the budget discounted by the positive-user share,
     ``budget * |U+| / total_users``; within the pot each positive user
     receives their reputation share.  Everyone else gets 0; with no
-    positive user the budget is untouched.
+    positive user the budget is untouched.  ``total_users`` counts every
+    device, so it is at least the number of users scored: were it less,
+    the pot would exceed the budget.
     """
     if total_users < 1:
         raise ValueError(f"total_users must be >= 1, got {total_users}")
+    if total_users < len(rs_norm):
+        raise ValueError(f"total_users {total_users} is less than the "
+                         f"{len(rs_norm)} users scored")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    positive = [u for u in sorted(profiles)
-                if profiles[u].rs_norm >= positive_rs_threshold]
-    out = {u: 0.0 for u in sorted(profiles)}
-    if not positive:
-        return out
-    pot = budget * len(positive) / total_users
-    rs_sum = _running_sum(profiles[u].rs_norm for u in positive)
-    for u in positive:
-        out[u] = profiles[u].rs_norm / rs_sum * pot
+    out = np.zeros(len(rs_norm))
+    positive = rs_norm >= positive_rs_threshold
+    rs = rs_norm[positive]
+    if len(rs):
+        pot = budget * len(rs) / total_users
+        out[positive] = rs / _running_sum(rs.tolist()) * pot
     return out
 
 
@@ -1026,16 +1009,17 @@ def incentives(profiles: dict[str, UserProfile], budget: float,
 class ScoreResult:
     """Everything cmd-level consumers need from one scoring pass.
 
-    ``phase_s`` holds the wall seconds of the ``stats``, ``profiles``,
-    ``incentives`` and ``decisions`` stages (observability only: it
-    never reaches an output file).
+    ``profiles`` and ``payouts`` hold, per mechanism scored, columns
+    aligned with ``users``.  ``phase_s`` holds the wall seconds of the
+    ``stats``, ``profiles``, ``incentives`` and ``decisions`` stages
+    (observability only: it never reaches an output file).
     """
 
     users: list[str]
     total_users: int
     stats: CorpusStats
-    profiles: dict[str, dict[str, UserProfile]]
-    payouts: dict[str, dict[str, float]]
+    profiles: dict[str, Profiles]
+    payouts: dict[str, np.ndarray]
     decisions: list[tuple]
     phase_s: dict[str, float] = field(default_factory=dict, compare=False)
 
@@ -1070,13 +1054,13 @@ def score_corpus(table: ReportTable, config: IncentiveConfig,
                                      gamma_override)
                 for mech in mechanisms}
     lap("profiles")
-    payouts = {mech: incentives(profiles[mech], config.budget, total_users,
-                                config.positive_rs_threshold)
+    payouts = {mech: incentives(profiles[mech].rs_norm, config.budget,
+                                total_users, config.positive_rs_threshold)
                for mech in mechanisms}
     lap("incentives")
     decision_mech = (config.mechanism if config.mechanism in profiles
                      else next(iter(mechanisms)))
-    decisions = decision_rows(table, profiles[decision_mech], config)
+    decisions = decision_rows(table, profiles[decision_mech].rs_norm, config)
     lap("decisions")
     return ScoreResult(users=table.users, total_users=total_users,
                        stats=stats, profiles=profiles, payouts=payouts,
@@ -1106,18 +1090,15 @@ def write_ledger_csv(result: ScoreResult, path,
     in this pass stay empty).
     """
     selected = result.profiles[selected_mechanism]
+    columns = [map(repr, column.tolist()) for column in
+               (selected.rs_raw, selected.rs_norm, selected.gamma_emp)]
+    columns += [map(repr, result.payouts[mech].tolist())
+                if mech in result.payouts else itertools.repeat("")
+                for mech in MECHANISMS]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("user_id,rs_raw,rs_norm,gamma_emp,"
                  "incentive_A,incentive_B,incentive_C\n")
-        for user in result.users:
-            profile = selected[user]
-            cells = [_csv_text(user), repr(profile.rs_raw),
-                     repr(profile.rs_norm), repr(profile.gamma_emp)]
-            for mech in MECHANISMS:
-                if mech in result.payouts:
-                    cells.append(repr(result.payouts[mech][user]))
-                else:
-                    cells.append("")
+        for cells in zip(map(_csv_text, result.users), *columns):
             fh.write(",".join(cells) + "\n")
 
 

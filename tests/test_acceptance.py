@@ -21,7 +21,6 @@ from megt.comm import build_supra, matrix_exp
 from megt.crowdsense import (
     IncentiveConfig,
     SynthSpec,
-    UserProfile,
     incentives,
     qoc,
     read_reports_csv,
@@ -337,22 +336,11 @@ def test_criterion_09_crowdsense_oracle():
         user_count = int(rng.integers(5, 60))
         total = user_count + int(rng.integers(0, 40))
         budget = float(rng.uniform(10.0, 500.0))
-        profiles = {}
-        for u in range(user_count):
-            uid = f"u{ledger_index:02d}_{u:03d}"
-            profiles[uid] = UserProfile(
-                user_id=uid,
-                report_count=int(rng.integers(1, 30)),
-                active_windows=int(rng.integers(1, 20)),
-                coop_windows=int(rng.integers(0, 20)),
-                gamma_emp=float(rng.uniform(0.0, 2.0)),
-                rs_raw=float(rng.normal()),
-                rs_norm=float(rng.uniform(0.0, 1.0)),
-            )
-        payouts = incentives(profiles, budget, total)
-        positive = sum(1 for p in profiles.values() if p.rs_norm >= 0.5)
+        rs_norm = rng.uniform(0.0, 1.0, size=user_count)
+        payouts = incentives(rs_norm, budget, total)
+        positive = int(np.count_nonzero(rs_norm >= 0.5))
         expected = budget * positive / total
-        worst_gap = max(worst_gap, abs(sum(payouts.values()) - expected))
+        worst_gap = max(worst_gap, abs(sum(payouts.tolist()) - expected))
 
     ok = zero == 0.0 and anti <= 1e-12 and worst_gap <= 1e-9
     announce(9, "crowdsense oracle", ok,
@@ -383,7 +371,7 @@ def test_criterion_10_mechanism_differentiation():
                           mechanisms=("A", "B", "C"), total_users=300)
 
     counts = {
-        mech: len({round(value, 9) for value in result.payouts[mech].values()})
+        mech: len({round(value, 9) for value in result.payouts[mech].tolist()})
         for mech in ("A", "B", "C")
     }
     densities = {round(d, 12) for d in result.stats.coop_density.values()}

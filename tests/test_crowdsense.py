@@ -6,6 +6,7 @@ import re
 import tempfile
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 
 from megt import crowdsense
 from megt.crowdsense import (INCIDENT_TYPES, MECHANISMS, REPORT_COLUMNS,
-                             CorpusStats, IncentiveConfig, Rejection,
-                             ReportRecord, SynthSpec, UserProfile,
+                             CorpusStats, IncentiveConfig, Profiles,
+                             Rejection, ReportRecord, SynthSpec,
                              WindowIndex, build_profiles,
                              compute_corpus_stats, decision_rows,
                              incentives, logistic, parse_reports, qoc,
@@ -27,6 +28,23 @@ from megt.crowdsense import (INCIDENT_TYPES, MECHANISMS, REPORT_COLUMNS,
 from oracles import table_of
 
 DAY = dt.date(2019, 10, 7)
+
+
+def profiles_of(records, mechanism, stats=None, gamma_override=None):
+    """build_profiles over the records' table as one row per user:
+    ``{user: Profiles(gamma_emp, rs_raw, rs_norm)}`` of floats."""
+    table = table_of(records)
+    columns = build_profiles(table, IncentiveConfig(), mechanism, stats,
+                             gamma_override)
+    return {user: Profiles(*row) for user, row in zip(
+        table.users, zip(*(column.tolist() for column in columns)))}
+
+
+def windows_of(table, above=None):
+    """``table.user_windows(above)`` as (user, WindowIndex) pairs."""
+    pair_user, pair_window = table.user_windows(above)
+    return [(table.users[u], table.windows[w])
+            for u, w in zip(pair_user.tolist(), pair_window.tolist())]
 
 
 def report(user="u1", rating=4.0, hour=9, minute=0, day=DAY,
@@ -65,9 +83,9 @@ def test_windows_group_and_sort():
     table = table_of(records)
     keys = list(compute_corpus_stats(table).coop_density)
     assert keys == [WindowIndex(DAY, 0), WindowIndex(DAY, 7)]
-    profiles = build_profiles(table, IncentiveConfig(), "A")
-    assert [u for u, p in profiles.items()
-            if p.active_windows == (keys[0],)] == ["b", "c"]
+    # a's one window is the late one; b and c share the early one
+    assert windows_of(table) == [("a", keys[1]), ("b", keys[0]),
+                                 ("c", keys[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +630,8 @@ def test_extended_qoc_scales_linearly():
     records = [report(user="a", rating=4.0)]
     quality = qoc(truthfulness(4.0))
     for gamma in (1.0, 0.0, 0.5, 2.0, -1.5):
-        profile = build_profiles(table_of(records), IncentiveConfig(), "A",
-                                 gamma_override={"a": gamma})["a"]
+        profile = profiles_of(records, "A",
+                              gamma_override={"a": gamma})["a"]
         assert profile.rs_raw == gamma * quality
 
 
@@ -625,10 +643,9 @@ def test_coop_flag_is_strict():
     stats = compute_corpus_stats(table_of(records))
     assert stats.mean_rating == 3.0
     assert list(stats.coop_density.values()) == [1.0, 0.0, 0.0]
-    profiles = build_profiles(table_of(records), IncentiveConfig(), "B",
-                              stats)
-    assert profiles["hi"].coop_windows == (WindowIndex(DAY, 0),)
-    assert profiles["eq"].coop_windows == ()
+    # only "hi" has a cooperative window; "eq" has none
+    assert windows_of(table_of(records), stats.mean_rating) == [
+        ("hi", WindowIndex(DAY, 0))]
     records = [report(user=f"u{k}", rating=4.0, hour=k) for k in range(5)]
     stats = compute_corpus_stats(table_of(records))
     assert set(stats.coop_density.values()) == {0.0}
@@ -654,8 +671,7 @@ def stub_stats(total_windows, weights=None):
 def test_mechanism_a_is_neutral():
     records = [report(user="a", rating=5.0), report(user="b", rating=1.0)]
     for stats in (None, stub_stats(0)):
-        profiles = build_profiles(table_of(records), IncentiveConfig(),
-                                  "A", stats)
+        profiles = profiles_of(records, "A", stats)
         assert [p.gamma_emp for p in profiles.values()] == [1.0, 1.0]
 
 
@@ -664,8 +680,7 @@ def test_mechanism_b_counts_window_persistence():
     # window 0 does not count it twice
     records = [report(rating=5.0, hour=3 * k) for k in range(3)]
     records.append(report(rating=5.0, hour=1, kind="accident"))
-    profiles = build_profiles(table_of(records), IncentiveConfig(), "B",
-                              stub_stats(10))
+    profiles = profiles_of(records, "B", stub_stats(10))
     assert profiles["u1"].gamma_emp == pytest.approx(0.3)
 
 
@@ -673,8 +688,7 @@ def test_mechanism_c_uses_window_weights():
     windows = [WindowIndex(DAY, 0), WindowIndex(DAY, 1)]
     weights = {windows[0]: 0.5, windows[1]: 1.5}
     records = [report(rating=5.0, hour=0), report(rating=5.0, hour=3)]
-    profiles = build_profiles(table_of(records), IncentiveConfig(), "C",
-                              stub_stats(8, weights))
+    profiles = profiles_of(records, "C", stub_stats(8, weights))
     assert profiles["u1"].gamma_emp == pytest.approx(2.0 / 8)
 
 
@@ -686,8 +700,7 @@ def test_unknown_mechanism_rejected():
         build_profiles(table_of(records), IncentiveConfig(), "B",
                        stub_stats(0))
     # only a user who falls back on the empirical value raises
-    profiles = build_profiles(table_of(records), IncentiveConfig(), "D",
-                              gamma_override={"a": 1.0, "b": 0.5})
+    profiles = profiles_of(records, "D", gamma_override={"a": 1.0, "b": 0.5})
     assert profiles["b"].gamma_emp == 0.5
 
 
@@ -697,9 +710,8 @@ def test_uniform_density_makes_b_and_c_agree():
     for segment in (0, 1):
         records.append(report(user="good", rating=5.0, hour=3 * segment))
         records.append(report(user="poor", rating=1.0, hour=3 * segment))
-    config = IncentiveConfig()
-    b = build_profiles(table_of(records), config, "B")
-    c = build_profiles(table_of(records), config, "C")
+    b = profiles_of(records, "B")
+    c = profiles_of(records, "C")
     for user in ("good", "poor"):
         assert c[user].gamma_emp == pytest.approx(b[user].gamma_emp)
     assert b["good"].gamma_emp == pytest.approx(2.0 / 8)
@@ -712,9 +724,8 @@ def test_scarce_cooperation_is_upweighted_by_c():
     records = [report(user=u, rating=5.0, hour=0) for u in "abcd"]
     records.append(report(user="x", rating=5.0, hour=3))
     records += [report(user=f"n{k}", rating=1.0, hour=3) for k in range(4)]
-    config = IncentiveConfig()
-    b = build_profiles(table_of(records), config, "B")
-    c = build_profiles(table_of(records), config, "C")
+    b = profiles_of(records, "B")
+    c = profiles_of(records, "C")
     # densities 1.0 vs 0.2 -> weights 1/3 vs 5/3 after mean rescale
     assert c["x"].gamma_emp == pytest.approx(b["x"].gamma_emp * 5 / 3)
     assert c["a"].gamma_emp == pytest.approx(b["a"].gamma_emp / 3)
@@ -752,8 +763,7 @@ def reputation(ratings, gamma=None):
     records = [report(user="a", rating=r, hour=k)
                for k, r in enumerate(ratings)]
     override = None if gamma is None else {"a": gamma}
-    profile = build_profiles(table_of(records), IncentiveConfig(), "A",
-                             gamma_override=override)["a"]
+    profile = profiles_of(records, "A", gamma_override=override)["a"]
     return profile.rs_raw, profile.rs_norm
 
 
@@ -772,10 +782,8 @@ def test_rs_norm_tracks_rs_raw_sign():
 
 
 def test_rs_norm_is_monotone_in_raw():
-    profiles = build_profiles(
-        table_of([report(user=f"u{r}", rating=float(r), hour=r)
-                  for r in range(1, 6)]),
-        IncentiveConfig(), "A")
+    profiles = profiles_of([report(user=f"u{r}", rating=float(r), hour=r)
+                            for r in range(1, 6)], "A")
     raws = [p.rs_raw for p in profiles.values()]
     norms = [p.rs_norm for p in profiles.values()]
     assert raws == sorted(raws)
@@ -788,19 +796,22 @@ def test_profiles_report_windows_and_counts():
                report(user="a", rating=5.0, hour=4),
                report(user="a", rating=1.0, hour=9),
                report(user="b", rating=1.0, hour=0)]
-    profiles = build_profiles(table_of(records), IncentiveConfig(), "B")
-    a = profiles["a"]
-    assert a.report_count == 3
-    assert len(a.active_windows) == 3
-    assert len(a.coop_windows) == 2
-    assert profiles["b"].coop_windows == ()
+    table = table_of(records)
+    assert np.bincount(table.user).tolist() == [3, 1]
+    assert [user for user, _ in windows_of(table)] == ["a"] * 3 + ["b"]
+    # mean rating 3.0: a cooperates in two windows, b in none
+    stats = compute_corpus_stats(table)
+    assert [user for user, _ in windows_of(table, stats.mean_rating)] == [
+        "a", "a"]
+    profiles = profiles_of(records, "B")
+    assert profiles["a"].gamma_emp == 2 / 8
+    assert profiles["b"].gamma_emp == 0.0
 
 
 def test_gamma_override_hook():
     records = [report(user="a", rating=5.0), report(user="b", rating=5.0,
                                                     hour=13)]
-    profiles = build_profiles(table_of(records), IncentiveConfig(), "A",
-                              gamma_override={"a": 0.0})
+    profiles = profiles_of(records, "A", gamma_override={"a": 0.0})
     assert profiles["a"].gamma_emp == 0.0
     assert profiles["a"].rs_raw == 0.0
     assert profiles["b"].gamma_emp == 1.0
@@ -811,17 +822,10 @@ def test_gamma_override_hook():
 # confidence and publishing
 # ---------------------------------------------------------------------------
 
-def stub_profile(user, rs_norm):
-    from megt.crowdsense import UserProfile
-    return UserProfile(user_id=user, report_count=1, active_windows=(),
-                       coop_windows=(), gamma_emp=1.0, rs_raw=0.0,
-                       rs_norm=rs_norm)
-
-
 def decide(records, rs_norm, **config):
-    """decision_rows over stub profiles with the given reputations."""
-    profiles = {u: stub_profile(u, value) for u, value in rs_norm.items()}
-    return decision_rows(table_of(records), profiles,
+    """decision_rows with the given reputations, keyed by user."""
+    table = table_of(records)
+    return decision_rows(table, np.array([rs_norm[u] for u in table.users]),
                          IncentiveConfig(**config))
 
 
@@ -909,8 +913,8 @@ def test_decision_rows_are_per_window_and_street():
                report(user="b", street="Alder Way", hour=10, rating=5.0),
                report(user="c", street="Birch Street", hour=9, rating=5.0),
                report(user="d", street="Alder Way", hour=14, rating=5.0)]
-    profiles = {u: stub_profile(u, 0.9) for u in "abcd"}
-    rows = decision_rows(table_of(records), profiles, IncentiveConfig())
+    rows = decision_rows(table_of(records), np.full(4, 0.9),
+                         IncentiveConfig())
     assert [(row[1], row[2]) for row in rows] == [
         (3, "Alder Way"), (3, "Birch Street"), (4, "Alder Way")]
     assert all(row[5] in ("publish", "drop") for row in rows)
@@ -921,45 +925,51 @@ def test_decision_rows_are_per_window_and_street():
 # ---------------------------------------------------------------------------
 
 def test_single_positive_user_payout():
-    profiles = {"a": stub_profile("a", 0.9)}
-    payout = incentives(profiles, budget=100.0, total_users=10)
-    assert payout["a"] == pytest.approx(10.0)
+    payout = incentives(np.array([0.9]), budget=100.0, total_users=10)
+    assert payout.tolist() == [pytest.approx(10.0)]
 
 
 def test_two_positive_users_split_by_reputation():
-    profiles = {"a": stub_profile("a", 0.6), "b": stub_profile("b", 0.9)}
-    payout = incentives(profiles, budget=100.0, total_users=2)
-    assert payout["a"] == pytest.approx(40.0)
-    assert payout["b"] == pytest.approx(60.0)
+    payout = incentives(np.array([0.6, 0.9]), budget=100.0, total_users=2)
+    assert payout.tolist() == [pytest.approx(40.0), pytest.approx(60.0)]
 
 
 def test_no_positive_users_no_payout():
-    profiles = {"a": stub_profile("a", 0.4), "b": stub_profile("b", 0.1)}
-    payout = incentives(profiles, budget=100.0, total_users=2)
-    assert payout == {"a": 0.0, "b": 0.0}
+    payout = incentives(np.array([0.4, 0.1]), budget=100.0, total_users=2)
+    assert payout.tolist() == [0.0, 0.0]
 
 
 def test_budget_conservation_on_random_ledgers():
     rng = np.random.default_rng(17)
     for _ in range(20):
         users = int(rng.integers(2, 40))
-        profiles = {f"u{k}": stub_profile(f"u{k}", float(rng.random()))
-                    for k in range(users)}
+        rs_norm = np.array([float(rng.random()) for _ in range(users)])
         total = users + int(rng.integers(0, 10))
         budget = float(rng.uniform(10.0, 500.0))
-        payout = incentives(profiles, budget, total)
-        positive = sum(1 for p in profiles.values() if p.rs_norm >= 0.5)
+        payout = incentives(rs_norm, budget, total).tolist()
+        positive = int(np.count_nonzero(rs_norm >= 0.5))
         expected = budget * positive / total
-        assert sum(payout.values()) == pytest.approx(expected, abs=1e-9)
-        assert sum(payout.values()) <= budget + 1e-9
-        assert all(v >= 0.0 for v in payout.values())
+        assert sum(payout) == pytest.approx(expected, abs=1e-9)
+        assert sum(payout) <= budget + 1e-9
+        assert all(v >= 0.0 for v in payout)
 
 
 def test_incentives_validation():
     with pytest.raises(ValueError):
-        incentives({}, budget=10.0, total_users=0)
+        incentives(np.empty(0), budget=10.0, total_users=0)
     with pytest.raises(ValueError):
-        incentives({}, budget=-1.0, total_users=5)
+        incentives(np.empty(0), budget=-1.0, total_users=5)
+
+
+def test_incentives_refuse_fewer_total_users_than_scored():
+    # three positive users among one device would be paid 300 of 100
+    with pytest.raises(ValueError, match="total_users 1 is less than the "
+                                         "3 users scored"):
+        incentives(np.full(3, 0.9), budget=100.0, total_users=1)
+    with pytest.raises(ValueError, match="total_users 4 .* 5 users scored"):
+        score_corpus(small_corpus(), IncentiveConfig(), total_users=4)
+    payout = incentives(np.full(3, 0.9), budget=100.0, total_users=3)
+    assert sum(payout.tolist()) == pytest.approx(100.0)
 
 
 def test_incentive_config_validation():
@@ -1010,9 +1020,8 @@ def test_score_corpus_covers_all_mechanisms():
     assert result.total_users == 5
     assert result.users == sorted(result.users)
     for mech in MECHANISMS:
-        total = sum(result.payouts[mech].values())
-        positive = sum(1 for p in result.profiles[mech].values()
-                       if p.rs_norm >= 0.5)
+        total = sum(result.payouts[mech].tolist())
+        positive = int(np.count_nonzero(result.profiles[mech].rs_norm >= 0.5))
         assert total == pytest.approx(100.0 * positive / 5, abs=1e-9)
 
 
@@ -1031,8 +1040,8 @@ def test_ledger_csv_layout(tmp_path):
                         "incentive_A,incentive_B,incentive_C")
     assert len(lines) == 1 + 5
     first = lines[1].split(",")
-    assert first[0] == "bad"
-    assert float(first[2]) == result.profiles["C"]["bad"].rs_norm
+    assert first[0] == result.users[0] == "bad"
+    assert float(first[2]) == result.profiles["C"].rs_norm[0]
 
 
 def test_ledger_csv_leaves_unscored_mechanisms_empty(tmp_path):
@@ -1096,6 +1105,18 @@ def reference_stats(kept, epsilon):
         window_weight={w: v / weight_mean for w, v in raw_weight.items()})
 
 
+class ReferenceProfile(NamedTuple):
+    """One user's scores under one mechanism, with the report count and
+    windows they come from."""
+
+    report_count: int
+    active_windows: tuple
+    coop_windows: tuple
+    gamma_emp: float
+    rs_raw: float
+    rs_norm: float
+
+
 def reference_profiles(kept, config, mechanism, stats, gamma_override):
     by_user = {}
     for record in kept:
@@ -1121,10 +1142,10 @@ def reference_profiles(kept, config, mechanism, stats, gamma_override):
         for record in reports:
             raw += gamma * qoc(truthfulness(record.report_rating,
                                             config.epsilon))
-        profiles[user] = UserProfile(
-            user_id=user, report_count=len(reports),
-            active_windows=tuple(active), coop_windows=tuple(coop),
-            gamma_emp=gamma, rs_raw=raw, rs_norm=logistic(raw))
+        profiles[user] = ReferenceProfile(
+            report_count=len(reports), active_windows=tuple(active),
+            coop_windows=tuple(coop), gamma_emp=gamma, rs_raw=raw,
+            rs_norm=logistic(raw))
     return profiles
 
 
@@ -1196,20 +1217,51 @@ def assert_matches_reference(kept, config, total_users=None,
     for mech in MECHANISMS:
         profiles = reference_profiles(kept, config, mech, stats,
                                       gamma_override)
-        assert result.profiles[mech] == profiles, mech
-        assert result.payouts[mech] == reference_payouts(
-            profiles, config.budget, total, config.positive_rs_threshold)
+        # the reference read in user-code order, column by column
+        rows = [profiles[user] for user in users]
+        for name in Profiles._fields:
+            assert getattr(result.profiles[mech], name).tolist() == [
+                getattr(row, name) for row in rows], (mech, name)
+        payouts = reference_payouts(profiles, config.budget, total,
+                                    config.positive_rs_threshold)
+        assert result.payouts[mech].tolist() == [
+            payouts[user] for user in users], mech
         if mech == config.mechanism:
             assert result.decisions == reference_decisions(kept, profiles,
                                                            config)
+    # the report counts and windows the profiles come from
+    assert np.bincount(kept.user, minlength=len(users)).tolist() == [
+        profiles[user].report_count for user in users]
+    assert windows_of(kept) == [(user, window) for user in users
+                                for window in profiles[user].active_windows]
+    assert windows_of(kept, stats.mean_rating) == [
+        (user, window) for user in users
+        for window in profiles[user].coop_windows]
     return result
+
+
+def assert_same_scores(result, expected):
+    """Two ScoreResults hold the same values, their columns bit for bit
+    (``==`` on a ScoreResult would compare arrays)."""
+    assert result.users == expected.users
+    assert result.total_users == expected.total_users
+    assert result.stats == expected.stats
+    assert result.decisions == expected.decisions
+    assert set(result.profiles) == set(expected.profiles)
+    assert set(result.payouts) == set(expected.payouts)
+    for mech in expected.profiles:
+        for name in Profiles._fields:
+            assert (getattr(result.profiles[mech], name).tolist()
+                    == getattr(expected.profiles[mech], name).tolist())
+        assert (result.payouts[mech].tolist()
+                == expected.payouts[mech].tolist())
 
 
 def test_empty_corpus_matches_reference():
     result = assert_matches_reference(table_of(), IncentiveConfig(),
                                       total_users=1)
-    assert result.decisions == [] and result.profiles["C"] == {}
-    assert decision_rows(table_of(), {}, IncentiveConfig()) == []
+    assert result.decisions == [] and len(result.profiles["C"].rs_norm) == 0
+    assert decision_rows(table_of(), np.empty(0), IncentiveConfig()) == []
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -1226,7 +1278,8 @@ def test_table_rebuilt_from_its_rows_scores_alike():
                                                     day_count=3, rng_seed=8)))
     rebuilt = table_of(list(table))
     config = IncentiveConfig()
-    assert score_corpus(rebuilt, config) == score_corpus(table, config)
+    assert_same_scores(score_corpus(rebuilt, config),
+                       score_corpus(table, config))
 
 
 def test_table_iterates_in_input_order():
@@ -1262,7 +1315,7 @@ def test_corpus_without_cooperation_matches_reference():
     result = assert_matches_reference(table_of(kept),
                                       IncentiveConfig(mechanism="B"))
     assert set(result.stats.coop_density.values()) == {0.0}
-    assert all(p.gamma_emp == 0.0 for p in result.profiles["C"].values())
+    assert result.profiles["C"].gamma_emp.tolist() == [0.0] * 3
 
 
 def test_partial_gamma_override_matches_reference():
@@ -1271,7 +1324,7 @@ def test_partial_gamma_override_matches_reference():
     override = {"u0000": 0.25, "u0003": 2, "nobody": 7.0}
     result = assert_matches_reference(kept, IncentiveConfig(),
                                       gamma_override=override)
-    assert result.profiles["B"]["u0003"].gamma_emp == 2
+    assert result.profiles["B"].gamma_emp[result.users.index("u0003")] == 2
 
 
 @pytest.mark.parametrize("threshold", [0.0, 1.0])
@@ -1339,7 +1392,7 @@ def test_score_corpus_runs_each_stage_through_module_globals(monkeypatch):
     result = score_corpus(small_corpus(), IncentiveConfig())
     assert calls == {"compute_corpus_stats": 1, "build_profiles": 3,
                      "decision_rows": 1, "incentives": 3}
-    assert result == expected
+    assert_same_scores(result, expected)
 
 
 # ---------------------------------------------------------------------------
