@@ -28,8 +28,8 @@ from .comm import ScalingBounds
 from .config import ConfigError, format_defaults, load_config, resolve
 from .crowdsense import (IncentiveConfig, MECHANISMS, SynthSpec,
                          read_reports_csv, score_corpus, synth_corpus,
-                         undecodable_line, write_decisions_csv,
-                         write_ledger_csv, write_reports_csv)
+                         write_decisions_csv, write_ledger_csv,
+                         write_reports_csv)
 from .equilibrium import (PROJECTION_RULES, EquilibriumTracker,
                           write_alpha_csv)
 from .evolve import (SimulationConfig, Trajectory, replica_network, run,
@@ -369,10 +369,6 @@ def cmd_score(args) -> int:
     start = time.perf_counter()
     try:
         kept, rejections = read_reports_csv(reports_path)
-    except UnicodeDecodeError as exc:
-        raise DataError(
-            f"{reports_path}: line {undecodable_line(reports_path)}: not "
-            f"UTF-8 ({exc.reason})") from None
     except ValueError as exc:
         raise DataError(str(exc)) from None
     ingest_s = time.perf_counter() - start

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import itertools
 import math
 import operator
 import re
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -43,7 +45,6 @@ __all__ = [
     "IncentiveConfig",
     "parse_reports",
     "read_reports_csv",
-    "undecodable_line",
     "write_reports_csv",
     "truthfulness",
     "qoc",
@@ -147,18 +148,14 @@ class IncentiveConfig:
 # ingestion
 # ---------------------------------------------------------------------------
 
-# rows are read this many at a time: each chunk is transposed into
-# columns and dropped, so memory holds codes, not rows.  On a 100k-row
-# corpus 256-512 rows ingested fastest; 1,024 took about 15% longer,
-# and 32,768 half as long again with 45% more peak memory.
-_CHUNK_ROWS = 512
-
 # a report file is read this many bytes at a time, each block cut after
-# its last newline, so memory holds one block's split arrays, not the
-# whole file's.  On a 100k-row corpus, 256 KiB blocks took longer than
-# 1 MiB ones and, on a second ingest in one process, made a third more
-# page faults.
+# a newline outside quotes, so memory holds one block's split arrays,
+# not the whole file's.  On a 100k-row corpus, 256 KiB blocks took
+# longer than 1 MiB ones and, on a second ingest in one process, made a
+# third more page faults.
 _BLOCK_BYTES = 1 << 20
+
+_QUOTE, _LF, _CR, _COMMA = b'"\n\r,'
 
 # the bytes that can begin or end a field that str.strip changes: its
 # whitespace below 128 and every byte of a non-ASCII character
@@ -221,15 +218,6 @@ def _gather(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> bytes:
     return data[np.repeat(inside, np.diff(cuts))].tobytes()
 
 
-def _joined_ids(texts: list[str]) -> tuple[bytes, np.ndarray]:
-    """Object ids as one UTF-8 ``bytes`` and the offsets that cut it."""
-    joined = "".join(texts)
-    if not joined.isascii():  # byte lengths differ from str lengths
-        texts = [text.encode("utf-8", "surrogatepass") for text in texts]
-    return (joined.encode("utf-8", "surrogatepass"),
-            _offsets(np.fromiter(map(len, texts), np.intp, len(texts))))
-
-
 def _ids_at(ids: tuple[bytes, np.ndarray], at: np.ndarray
             ) -> tuple[bytes, np.ndarray]:
     """The joined object ids at positions ``at``, joined anew."""
@@ -248,92 +236,115 @@ def _id_texts(ids: tuple[bytes, np.ndarray], at=slice(None)) -> list[str]:
                             offsets[1:][at].tolist())]
 
 
-def _coded_columns(indexes: list[defaultdict], codes: list[list]) -> list:
-    """Each column's ``(texts, codes)``: its distinct raw texts stripped,
-    and its rows' codes into them."""
-    return [(list(map(str.strip, index)), _joined(parts))
-            for index, parts in zip(indexes, codes)]
-
-
-def _code_rows(rows) -> tuple:
-    """Code raw rows in chunks of ``_CHUNK_ROWS``, each transposed once
-    and then dropped.
-
-    Returns ``(field_counts, ids, blank_ids, columns)``: every row's
-    field count; the object_ids of the rows with one field per
-    REPORT_COLUMNS entry, as one joined ``bytes`` and its offsets, and
-    whether each strips to nothing; and for each later column a
-    ``(texts, codes)`` pair, its distinct raw texts stripped and those
-    rows' codes into them.
-    """
-    width = len(REPORT_COLUMNS)
-    rows = iter(rows)
-    field_counts: list[np.ndarray] = []
-    object_ids: list[str] = []
-    indexes = [_new_index() for _ in range(width - 1)]
-    codes: list[list[np.ndarray]] = [[] for _ in indexes]
-    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
-        counts = np.fromiter(map(len, chunk), np.intp, len(chunk))
-        field_counts.append(counts)
-        if (counts != width).any():
-            chunk = list(itertools.compress(chunk,
-                                            (counts == width).tolist()))
-        if chunk:
-            ids, *columns = zip(*chunk)
-            object_ids += map(str.strip, ids)
-            for index, column, parts in zip(indexes, columns, codes):
-                parts.append(_codes(index, column))
-    blank = np.fromiter(map(operator.not_, object_ids), bool,
-                        len(object_ids))
-    return (_joined(field_counts), _joined_ids(object_ids), blank,
-            _coded_columns(indexes, codes))
-
-
-def _plain(data: bytes) -> bool:
-    """Whether ``data`` holds no byte that the csv module or the text
-    decoder could read otherwise than a split at commas and newlines
-    does: a quote, a NUL, a CR outside a CRLF, or bytes that are not
-    UTF-8."""
-    if b'"' in data or b"\0" in data or (
-            b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
-        return False
-    try:
-        data.isascii() or data.decode()
-    except UnicodeDecodeError:
-        return False
-    return True
+def _texts(block: bytes, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+    """The fields ``block[start:end]``, decoded."""
+    return [block[a:b].decode()
+            for a, b in zip(starts.tolist(), ends.tolist())]
 
 
 def _file_blocks(fh):
-    """A binary file's bytes in blocks of whole lines, of about
-    ``_BLOCK_BYTES`` each; a last line without a newline gets one."""
-    while block := fh.read(_BLOCK_BYTES):
+    """A binary file's bytes in blocks of whole records: its first line,
+    then blocks of about ``_BLOCK_BYTES``, each cut at the first newline
+    past that size that an even number of quotes precedes; a last line
+    without a newline gets one."""
+    block = fh.readline()
+    while block:
         if not block.endswith(b"\n"):
             block += fh.readline()
-            if not block.endswith(b"\n"):
-                block += b"\n"
+        lines = [block]
+        quotes = block.count(b'"') if b'"' in block else 0
+        while quotes % 2 and (line := fh.readline()):
+            lines.append(line)
+            quotes += line.count(b'"')
+        block = b"".join(lines)
+        if not block.endswith(b"\n"):
+            block += b"\n"
         yield block
+        block = fh.read(_BLOCK_BYTES)
 
 
-def _split_block(block: bytes, limit: int):
-    """A block of whole lines split at commas and newlines.
+def _split_block(block: bytes, limit: int, line: tuple[int, int]):
+    """A block of whole records split at the commas and record ends
+    (LF, CRLF or lone CR) outside quotes, as ``read_reports_csv`` reads
+    them.  A byte lies inside quotes when an odd number of quotes
+    precedes it.  A block with no quote and no lone CR is split without
+    looking for either.
 
-    Returns ``(field_counts, starts, ends)``: each line's field count
-    (0 for a blank line, as the csv module counts), and the offsets of
-    the fields of the lines with one field per REPORT_COLUMNS entry, one
-    row per column.  The block must pass ``_plain``.  Returns None when
-    a field is longer than ``limit`` bytes.
+    ``line`` counts the lines before the block: physical ones (ended by
+    a LF or a lone CR, as the csv module counts them) and LF-ended ones.
+    Returns ``(block, field_counts, starts, ends, line)``: the block with
+    the enclosing quotes of its fields and the first of each doubled
+    quote cut out; each record's field count (0 for a blank record, as
+    the csv module counts); the offsets into that block of the fields of
+    the records with one field per REPORT_COLUMNS entry, one row per
+    column; and ``line`` counted past the block.  The block's first
+    fault is a ValueError naming its line (LF-ended for bytes that are
+    not UTF-8, physical otherwise).
     """
     width = len(REPORT_COLUMNS)
     data = np.frombuffer(block, np.uint8)
-    newline = np.flatnonzero(data == ord("\n"))
-    line_start = np.concatenate([[0], newline[:-1] + 1])
-    if (newline - line_start).max() > limit:
-        separator = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
-        if np.diff(separator, prepend=-1).max() - 1 > limit:
-            return None
-    line_end = newline - (data[newline - 1] == ord("\r"))
-    commas = np.flatnonzero(data == ord(","))
+    newline = np.flatnonzero(data == _LF)
+    breaks = newline  # the physical line ends
+    if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
+        cr = np.flatnonzero(data == _CR)
+        breaks = np.union1d(newline, cr[data[cr + 1] != _LF])
+    commas = np.flatnonzero(data == _COMMA)
+    faults = []  # (offset, line, message), in order of precedence
+
+    def fault(offset, message, ends=breaks, before=line[0]) -> None:
+        faults.append((offset, before + np.searchsorted(ends, offset) + 1,
+                       message))
+
+    try:
+        block.isascii() or block.decode()
+    except UnicodeDecodeError as exc:
+        fault(exc.start, f"not UTF-8 ({exc.reason})", newline, line[1])
+    record_end, cut, unquoted = breaks, np.empty(0, np.intp), block
+    if b'"' in block:
+        quotes = np.flatnonzero(data == _QUOTE)
+        record_end = breaks[np.searchsorted(quotes, breaks) % 2 == 0]
+        commas = commas[np.searchsorted(quotes, commas) % 2 == 0]
+        opening, closing = quotes[::2], quotes[1::2]
+        # a quote opens a field after a separator, or goes on a doubled
+        # quote after its first; a quote that closes is followed alike
+        bounds = [_COMMA, _LF, _CR, _QUOTE]
+        for offsets, message in (
+                (opening[~np.isin(data[opening - 1], bounds)],
+                 "quote inside an unquoted field"),
+                (closing[~np.isin(data[closing + 1], bounds)],
+                 "text after a closing quote")):
+            if len(offsets):
+                fault(offsets[0], message)
+        if len(quotes) % 2:
+            fault(opening[data[opening - 1] != _QUOTE][-1],
+                  "quote open at the end of the file")
+        doubled = data[closing + 1] == _QUOTE
+        cut = np.delete(quotes, 2 * np.flatnonzero(doubled) + 1)
+        unquoted = np.delete(data, cut).tobytes()
+    line_start = np.concatenate([[0], record_end + 1])[:-1]
+    line_end = record_end - (data[record_end - 1] == _CR)
+    if np.max(record_end - line_start, initial=0) > limit:
+        # a field over the limit names the line of its first character
+        # past it, where the csv module stops
+        separator = np.sort(np.concatenate([commas, record_end]))
+        ends = separator - ((data[separator] == _LF)
+                            & (data[separator - 1] == _CR))
+        starts = np.concatenate([[0], separator + 1])[:-1]
+        long = ends - starts > limit
+        starts, ends = (bound[long] - np.searchsorted(cut, bound[long])
+                        for bound in (starts, ends))
+        for start, end in zip(starts.tolist(), ends.tolist()):
+            field = unquoted[start:end].decode("utf-8", "surrogateescape")
+            if len(field) > limit:
+                at = start + len(field[:limit].encode("utf-8",
+                                                      "surrogateescape"))
+                # back from the unquoted block to the block
+                at += np.searchsorted(cut - np.arange(len(cut)), at, "right")
+                fault(at, f"field larger than field limit ({limit})")
+                break
+    if faults:
+        _, number, message = min(faults, key=operator.itemgetter(0))
+        raise ValueError(f"line {number}: {message}")
     first = np.searchsorted(commas, line_start)
     counts = np.where(line_end > line_start,
                       np.searchsorted(commas, line_end) - first + 1, 0)
@@ -341,7 +352,11 @@ def _split_block(block: bytes, limit: int):
     inner = commas[first[rows] + np.arange(width - 1)[:, None]]
     starts = np.concatenate([line_start[rows][None], inner + 1])
     ends = np.concatenate([inner, line_end[rows][None]])
-    return counts, starts, ends
+    if len(cut):
+        starts -= np.searchsorted(cut, starts)
+        ends -= np.searchsorted(cut, ends)
+    return (unquoted, counts, starts, ends,
+            (line[0] + len(breaks), line[1] + len(newline)))
 
 
 def _factorise(words: np.ndarray, starts: np.ndarray, ends: np.ndarray):
@@ -352,8 +367,9 @@ def _factorise(words: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     ``i``.  A field is read as its length, its first word masked to the
     field, its last word, and for a field over 16 bytes the words in
     between; these are folded into a sort key.  Each field is then
-    checked against the first field of its key, word by word.  Returns
-    None if two different texts share a key.
+    checked against the first field of its key, word by word.  If two
+    different texts share a key, every field is its own text: the
+    column is then decoded field by field.
     """
     length = ends - starts
     head = words[starts] & _HEAD_MASK[np.minimum(length, 8)]
@@ -374,7 +390,10 @@ def _factorise(words: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     for at, offset in _inner_words(length):
         same[at] &= (words[starts[at] + offset]
                      == words[starts[match[at]] + offset])
-    return (first, inverse) if same.all() else None
+    if same.all():
+        return first, inverse
+    every = np.arange(len(key))
+    return every, every
 
 
 def _inner_words(length: np.ndarray):
@@ -398,18 +417,23 @@ def _blank_fields(block: bytes, starts: np.ndarray,
     maybe = np.flatnonzero((ends == starts) | _STRIPPABLE[data[starts]]
                            | _STRIPPABLE[data[ends - 1]])
     blank = np.zeros(len(starts), dtype=bool)
-    blank[maybe] = [not block[a:b].decode().strip()
-                    for a, b in zip(starts[maybe].tolist(),
-                                    ends[maybe].tolist())]
+    blank[maybe] = [not text.strip()
+                    for text in _texts(block, starts[maybe], ends[maybe])]
     return blank
 
 
-def _code_blocks(blocks, limit: int):
-    """``_code_rows`` for blocks of whole lines, split from their bytes:
-    no Python string is made per field, and only the distinct texts of
-    each block's columns are decoded.  Object ids keep their raw bytes.
-    The blocks must pass ``_plain``.  Returns None as soon as a block
-    fails ``_split_block`` or ``_factorise``."""
+def _code_blocks(blocks, limit: int) -> tuple:
+    """Code a header record and the records after it from blocks split
+    by ``_split_block``: no Python string is made per field, and only
+    the distinct texts of each block's columns are decoded.
+
+    Returns ``(field_counts, ids, blank_ids, columns)`` of the records
+    after the header: each record's field count; the object_ids of the
+    records with one field per REPORT_COLUMNS entry, as one joined
+    ``bytes`` and its offsets, and whether each strips to nothing; and
+    for each later column a ``(texts, codes)`` pair, its distinct raw
+    texts stripped and those records' codes into them.
+    """
     width = len(REPORT_COLUMNS)
     field_counts: list[np.ndarray] = []
     id_bytes: list[bytes] = []
@@ -417,11 +441,16 @@ def _code_blocks(blocks, limit: int):
     blank: list[np.ndarray] = []
     indexes = [_new_index() for _ in range(width - 1)]
     codes: list[list[np.ndarray]] = [[] for _ in indexes]
+    line = (0, 0)
     for block in blocks:
-        split = _split_block(block, limit)
-        if split is None:
-            return None
-        counts, starts, ends = split
+        block, counts, starts, ends, line = _split_block(block, limit, line)
+        if not field_counts:  # the first block holds the header
+            header = (_texts(block, starts[:, 0], ends[:, 0])
+                      if counts[0] == width else [])
+            if tuple(map(str.strip, header)) != REPORT_COLUMNS:
+                raise ValueError(f"row 1: expected header "
+                                 f"{','.join(REPORT_COLUMNS)!r}")
+            counts, starts, ends = counts[1:], starts[:, 1:], ends[:, 1:]
         field_counts.append(counts)
         lengths = ends[0] - starts[0]
         id_bytes.append(_gather(np.frombuffer(block, np.uint8), starts[0],
@@ -431,17 +460,16 @@ def _code_blocks(blocks, limit: int):
         padded = block + bytes(7)
         words = np.ndarray(len(block), "<u8", padded, 0, (1,))
         for column, index, parts in zip(range(1, width), indexes, codes):
-            factorised = _factorise(words, starts[column], ends[column])
-            if factorised is None:
-                return None
-            first, inverse = factorised
-            texts = [block[a:b].decode()
-                     for a, b in zip(starts[column][first].tolist(),
-                                     ends[column][first].tolist())]
+            first, inverse = _factorise(words, starts[column], ends[column])
+            texts = _texts(block, starts[column][first], ends[column][first])
             parts.append(_codes(index, texts)[inverse])
+    if not field_counts:
+        raise ValueError("row 1: empty file")
     return (_joined(field_counts),
             (b"".join(id_bytes), _offsets(_joined(id_lengths))),
-            _joined(blank, bool), _coded_columns(indexes, codes))
+            _joined(blank, bool),
+            [(list(map(str.strip, index)), _joined(parts))
+             for index, parts in zip(indexes, codes)])
 
 
 def _parse_each(texts, parse, fallback, messages: list):
@@ -492,21 +520,26 @@ def parse_reports(rows, first_row_number: int = 1
     rating is a float in [0, 5].  The first check it fails, in that
     order, gives the rejection's detail.
 
-    Ingest is columnar.  Rows are read in fixed-size chunks, and each
-    chunk is transposed once into per-column codes against the distinct
-    raw texts seen so far; object_ids are kept as one joined ``bytes``.
-    After the last chunk each distinct text is stripped and checked
-    once, and its failures reach the rows through the codes.  No Python
-    code runs once per row, and the table is built straight from the
-    codes.
+    Ingest is columnar, and rows share the file reader's coder: they are
+    written by ``csv.writer`` under a header into an in-memory buffer,
+    whose blocks are split and coded as ``read_reports_csv`` codes a
+    file's, with no field size limit.  Each distinct text is stripped
+    and checked once, and its failures reach the rows through the codes.
+    No Python code runs once per row, and the table is built straight
+    from the codes.
     """
-    return _parse_coded(*_code_rows(rows), first_row_number)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(REPORT_COLUMNS)
+    writer.writerows(rows)
+    blocks = _file_blocks(io.BytesIO(text.getvalue().encode()))
+    return _parse_coded(*_code_blocks(blocks, sys.maxsize), first_row_number)
 
 
 def _parse_coded(field_counts: np.ndarray, ids: tuple[bytes, np.ndarray],
                  blank_ids: np.ndarray, columns: list,
                  first_row_number: int) -> tuple[ReportTable, list[Rejection]]:
-    """``parse_reports`` from coded rows (see ``_code_rows``)."""
+    """``parse_reports`` from coded rows (see ``_code_blocks``)."""
     ((date_texts, date), (time_texts, time), (streets, street),
      (kinds, kind), (uuids, uuid), (rating_texts, rating)) = columns
 
@@ -577,64 +610,28 @@ def _parse_coded(field_counts: np.ndarray, ids: tuple[bytes, np.ndarray],
     return table, rejections
 
 
-def _check_header(path, header: list[str] | None) -> None:
-    if header is None:
-        raise ValueError(f"{path}: row 1: empty file")
-    if tuple(h.strip() for h in header) != REPORT_COLUMNS:
-        raise ValueError(f"{path}: row 1: expected header "
-                         f"{','.join(REPORT_COLUMNS)!r}")
-
-
 def read_reports_csv(path) -> tuple[ReportTable, list[Rejection]]:
     """Read a Waze-schema CSV (header required, exact column order).
 
-    The file is read as bytes, in blocks of whole lines, and each block
-    is split at its commas and newlines and coded column by column in
-    numpy (``_code_blocks``).  A file that the csv module might read
-    otherwise is read by the csv reader and streamed into
-    ``parse_reports`` instead: both ways give the same table and
-    rejections.  A quote, a CR outside a CRLF, a NUL or bytes that are
-    not UTF-8 are found by a scan of the file's bytes before any block
-    is coded; a field longer than ``csv.field_size_limit()``, or two
-    different texts of a block that share a sort key, while coding.  A
-    file the csv module cannot read (say, a field over its size limit)
-    is a ValueError that names the line.
+    The file is read as bytes, in blocks of whole records, each split
+    and coded column by column in numpy (``_code_blocks``).  A record
+    ends at a LF, a CRLF or a lone CR outside quotes.  Fields may be
+    quoted as RFC 4180 has it: a quote opens a field only at its start,
+    a doubled quote inside is one quote, and a comma or a record end
+    follows the closing quote.  The csv module reads such a file alike.
+
+    A ValueError names the file and the 1-based line of its first fault:
+    bytes that are not UTF-8, a field longer than
+    ``csv.field_size_limit()`` characters, a quote inside an unquoted
+    field, text after a closing quote or a quote open at the file's end.
+    A missing or wrong header names row 1.
     """
-    limit = csv.field_size_limit()
     with open(path, "rb") as fh:
-        header = fh.readline()
-        if _plain(header) and max(map(len, header.split(b","))) <= limit:
-            text = header.decode().removesuffix("\n").removesuffix("\r")
-            _check_header(path, text.split(",") if header else None)
-            body = fh.tell()
-            # the whole file is checked first, so that a file that fails
-            # costs a scan of its bytes, not the coding of its blocks
-            if all(map(_plain, _file_blocks(fh))):
-                fh.seek(body)
-                coded = _code_blocks(_file_blocks(fh), limit)
-                if coded is not None:
-                    return _parse_coded(*coded, first_row_number=2)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            _check_header(path, next(reader, None))
-            return parse_reports(reader, first_row_number=2)
-        except csv.Error as exc:
-            raise ValueError(
-                f"{path}: line {reader.line_num}: {exc}") from None
-
-
-def undecodable_line(path) -> int | None:
-    """The 1-based number of the file's first line that is not UTF-8, or
-    None.  A UTF-8 character never holds a newline byte, so a file is
-    UTF-8 exactly when each of its lines is."""
-    with open(path, "rb") as fh:
-        for number, line in enumerate(fh, 1):
-            try:
-                line.decode()
-            except UnicodeDecodeError:
-                return number
-    return None
+            coded = _code_blocks(_file_blocks(fh), csv.field_size_limit())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return _parse_coded(*coded, first_row_number=2)
 
 
 def write_reports_csv(rows, path) -> None:

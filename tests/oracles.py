@@ -17,7 +17,8 @@ or ``load_multiplex``, and its report tables from ``parse_reports``.
   ``dense_adjacency`` gives a network's dense layers;
 - ``save_multiplex_lines`` writes the v1 file one formatted line at a
   time, as ``save_multiplex`` did before it formatted in bulk;
-- ``table_of`` builds a ``ReportTable`` from ``ReportRecord`` rows.
+- ``table_of`` builds a ``ReportTable`` from ``ReportRecord`` rows, its
+  object ids joined by ``_joined_ids``.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from megt.comm import ScalingBounds, build_supra, matrix_exp
 from megt.crowdsense import (ReportRecord, ReportTable, _first_codes,
-                             _joined_ids)
+                             _offsets)
 from megt.evolve import _EXP_CLAMP, DISTANCE_FLOOR
 from megt.games import COOPERATE, PayoffMatrix
 from megt.netgen import (MultiplexNetwork, _from_edges, _layer_edges,
@@ -223,6 +224,15 @@ def save_multiplex_lines(network: MultiplexNetwork, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
+
+
+def _joined_ids(texts: list[str]) -> tuple[bytes, np.ndarray]:
+    """Object ids as one UTF-8 ``bytes`` and the offsets that cut it."""
+    joined = "".join(texts)
+    if not joined.isascii():  # byte lengths differ from str lengths
+        texts = [text.encode("utf-8", "surrogatepass") for text in texts]
+    return (joined.encode("utf-8", "surrogatepass"),
+            _offsets(np.fromiter(map(len, texts), np.intp, len(texts))))
 
 
 def table_of(records=()) -> ReportTable:

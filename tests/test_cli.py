@@ -740,6 +740,41 @@ def test_score_unreadable_csv_is_a_data_error(tmp_path, capsys):
     assert "reports.csv: line 3: field larger than field limit" in err
 
 
+def test_score_refused_quote_names_the_line(tmp_path, capsys):
+    reports = tmp_path / "reports.csv"
+    reports.write_text(
+        "object_id,generation_date,day_time,street,incident_type,uuid,"
+        "report_rating\n"
+        "r1,2019-10-07,09:00,Main,jam,u1,4.0\n"
+        'r2,2019-10-07,12:00,Main "St",jam,u2,4.5\n'
+        "r3,2019-10-07,15:00,Main,jam,u3,4.0\n")
+    cfg = write_config(tmp_path)
+    assert run_cli("score", "--reports", str(reports), "--config", cfg,
+                   "--outdir", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert "reports.csv: line 3: quote inside an unquoted field" in err
+
+
+def test_score_reads_quoted_streets_and_users_as_bare_ones(tmp_path):
+    plain = synth_corpus_file(tmp_path)
+    with open(plain, newline="") as fh:
+        lines = fh.readlines()
+    quoted = tmp_path / "quoted.csv"
+    with open(quoted, "w", newline="") as fh:
+        fh.write(lines[0])
+        for line in lines[1:]:
+            fields = line.rstrip("\r\n").split(",")
+            fields[3], fields[5] = (f'"{fields[3]}"', f'"{fields[5]}"')
+            fh.write(",".join(fields) + line[len(line.rstrip("\r\n")):])
+    cfg = write_config(tmp_path)
+    for name, reports in (("plain", plain), ("quoted", quoted)):
+        assert run_cli("score", "--reports", str(reports), "--config", cfg,
+                       "--outdir", str(tmp_path / name)) == 0
+    for output in ("ledger.csv", "decisions.csv"):
+        assert ((tmp_path / "quoted" / output).read_bytes()
+                == (tmp_path / "plain" / output).read_bytes())
+
+
 def score_rows(tmp_path, *rows):
     """Score a corpus of the given data rows; return the outputs read
     back as csv rows."""
