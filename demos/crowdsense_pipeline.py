@@ -7,8 +7,10 @@ the mechanisms differ in how finely they separate contributors.
 from __future__ import annotations
 
 import collections
+import datetime
 
 from megt.crowdsense import (
+    SEGMENTS_PER_DAY,
     IncentiveConfig,
     SynthSpec,
     parse_reports,
@@ -41,6 +43,11 @@ for mech in ("A", "B", "C"):
           f"{paid:3d} users paid, max payout {top:.3f}")
 
 print("\nsample of publication decisions (first 5 windows):")
-for row in result.decisions[:5]:
-    print("  " + ", ".join(f"{part:.3f}" if isinstance(part, float)
-                           else str(part) for part in row))
+decisions = result.decisions
+for k in range(min(5, len(decisions.window))):
+    day, segment = divmod(int(decisions.window[k]), SEGMENTS_PER_DAY)
+    print(f"  {datetime.date.fromordinal(day)}, {segment}, "
+          f"{decisions.streets[decisions.street[k]]}, "
+          f"{decisions.kinds[decisions.kind[k]]}, "
+          f"{decisions.confidence[k]:.3f}, "
+          f"{'publish' if decisions.publish[k] else 'drop'}")

@@ -20,6 +20,6 @@ from .equilibrium import (EquilibriumTracker, NashReport, nash_report,
 from .metrics import (BehaviourStats, behaviour_stats, behavioural_reputation,
                       qoi, social_honesty)
 from .crowdsense import (IncentiveConfig, ReportRecord, ReportTable,
-                         SynthSpec, WindowIndex, incentives, parse_reports,
-                         qoc, read_reports_csv, score_corpus, synth_corpus,
+                         SynthSpec, incentives, parse_reports, qoc,
+                         read_reports_csv, score_corpus, synth_corpus,
                          truthfulness)

@@ -51,15 +51,20 @@ class DataError(Exception):
 # ---------------------------------------------------------------------------
 
 def _resolve_seed(cfg: dict, args) -> int:
-    seed = cfg["seed"]
+    """The run's seed: ``--seed``, else ``MEGT_SEED``, else config key
+    ``seed``; a negative one is a config error naming its source."""
+    seed, source = cfg["seed"], "config key 'seed'"
     env = os.environ.get("MEGT_SEED")
     if env is not None:
         try:
             seed = int(env)
         except ValueError:
             raise ConfigError(f"MEGT_SEED must be an integer, got {env!r}")
+        source = "MEGT_SEED"
     if getattr(args, "seed", None) is not None:
-        seed = args.seed
+        seed, source = args.seed, "--seed"
+    if seed < 0:
+        raise ConfigError(f"{source} must be non-negative, got {seed}")
     return seed
 
 
@@ -385,10 +390,7 @@ def cmd_score(args) -> int:
     outdir = _outdir(args)
     ledger_path = outdir / "ledger.csv"
     decisions_path = outdir / "decisions.csv"
-    write_ledger_csv(result, ledger_path,
-                     selected_mechanism=incentive_cfg.mechanism
-                     if incentive_cfg.mechanism in result.profiles
-                     else mechanisms[0])
+    write_ledger_csv(result, ledger_path)
     write_decisions_csv(result, decisions_path)
     manifest = RunManifest(command="score", version=__version__,
                            seed=seed, config=cfg)
@@ -531,6 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("manifest", help="manifest.json of a previous run")
     replay.add_argument("--outdir", default=".", help="output directory")
     replay.add_argument("--jobs", type=int, default=1)
+    parser.set_defaults(jobs=1, mechanism="all")
     return parser
 
 
@@ -545,10 +548,6 @@ def main(argv=None) -> int:
         return 2
     handler = (cmd_replay if args.subcommand == "replay"
                else _COMMANDS[args.subcommand])
-    if not hasattr(args, "jobs"):
-        args.jobs = 1
-    if not hasattr(args, "mechanism"):
-        args.mechanism = "all"
     try:
         return handler(args)
     except ConfigError as exc:

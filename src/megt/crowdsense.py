@@ -28,10 +28,12 @@ import operator
 import re
 import sys
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .manifest import write_lines
 
 __all__ = [
     "INCIDENT_TYPES",
@@ -39,9 +41,9 @@ __all__ = [
     "MECHANISMS",
     "ReportRecord",
     "ReportTable",
-    "WindowIndex",
     "Rejection",
     "Profiles",
+    "Decisions",
     "IncentiveConfig",
     "parse_reports",
     "read_reports_csv",
@@ -81,14 +83,6 @@ class ReportRecord(NamedTuple):
     report_rating: float
 
 
-@dataclass(frozen=True, order=True)
-class WindowIndex:
-    """A spatio-temporal bucket: calendar date x 3-hour segment (0-7)."""
-
-    date: dt.date
-    segment: int
-
-
 @dataclass(frozen=True)
 class Rejection:
     """Why an input row was dropped; reasons are ``malformed``,
@@ -106,6 +100,20 @@ class Profiles(NamedTuple):
     gamma_emp: np.ndarray
     rs_raw: np.ndarray
     rs_norm: np.ndarray
+
+
+class Decisions(NamedTuple):
+    """The DSS log, a column per ``decisions.csv`` field: window ids, codes
+    into the table's sorted ``streets`` and ``kinds`` (carried along, so a
+    writer needs no table), confidences and publish flags."""
+
+    window: np.ndarray
+    street: np.ndarray
+    kind: np.ndarray
+    confidence: np.ndarray
+    publish: np.ndarray
+    streets: list[str]
+    kinds: list[str]
 
 
 @dataclass(frozen=True)
@@ -719,16 +727,14 @@ class ReportTable:
     """A corpus of kept reports as columns, factorised once: the input of
     every scoring stage.
 
-    Ingest builds a table straight from its parsed codes.  Iterating
-    rebuilds the ReportRecords in input order from the codes, the
-    distinct dates and times and the object_ids, which are held as one
-    joined ``bytes`` and decoded only there: no per-row object is
-    stored.  Users, streets and kinds are coded in sorted order and
-    windows chronologically (by date ordinal * 8 + segment), so code
-    order is output order and ``np.bincount`` over codes adds floats in
-    the same order as a loop over sorted keys.  The parts every
-    mechanism shares (user-window pairs, per-report quality) are
-    memoised per instance.
+    Users, streets and kinds are coded in sorted order, and windows by
+    their id, date ordinal * 8 + segment (``window_ids`` holds the
+    distinct ids, ascending, so chronologically): code order is output
+    order, and ``np.bincount`` over codes adds floats in the order of a
+    loop over sorted keys.  The object ids are held as one joined
+    ``bytes``, decoded only when iterating rebuilds the ReportRecords in
+    input order: no per-row object is stored.  The user-window pairs
+    that the mechanisms and decisions share are memoised.
     """
 
     def __init__(self, object_ids: tuple[bytes, np.ndarray], dates, times,
@@ -747,14 +753,11 @@ class ReportTable:
         self.ratings = ratings
         values, self.rating = np.unique(ratings, return_inverse=True)
         self.rating_values = values.tolist()
-        ids, self.window = np.unique(_window_ids(dates, times),
-                                     return_inverse=True)
-        days, segments = np.divmod(ids, SEGMENTS_PER_DAY)
+        self.window_ids, self.window = np.unique(_window_ids(dates, times),
+                                                 return_inverse=True)
+        days = self.window_ids // SEGMENTS_PER_DAY
         self.day_span = int(days[-1] - days[0]) + 1 if len(days) else 0
-        self.windows = [WindowIndex(dt.date.fromordinal(day), segment)
-                        for day, segment in zip(days.tolist(),
-                                                segments.tolist())]
-        self._memo: dict = {}
+        self._pairs: dict = {}  # user_windows by ``above``
 
     def __len__(self) -> int:
         return len(self.ratings)
@@ -772,53 +775,45 @@ class ReportTable:
     def quality(self, epsilon: float) -> np.ndarray:
         """Per-report ``qoc(truthfulness(rating))``, evaluated once per
         distinct rating."""
-        key = ("quality", epsilon)
-        if key not in self._memo:
-            per_value = [qoc(truthfulness(v, epsilon))
-                         for v in self.rating_values]
-            self._memo[key] = np.array(per_value, dtype=float)[self.rating]
-        return self._memo[key]
+        per_value = [qoc(truthfulness(v, epsilon)) for v in self.rating_values]
+        return np.array(per_value, dtype=float)[self.rating]
 
     def user_windows(self, above: float | None = None):
-        """Distinct (user, window) pairs of all reports, or of those rated
-        strictly above ``above``, sorted by user then window.
-
-        Returns ``(pair_user, pair_window)``: each pair's user and window
-        code.
-        """
-        key = ("windows", above)
-        if key not in self._memo:
-            codes = self.user * len(self.windows) + self.window
+        """``(pair_user, pair_window)``: the user and window codes of the
+        distinct (user, window) pairs of all reports, or of those rated
+        strictly above ``above``, sorted by user then window."""
+        if above not in self._pairs:
+            window_count = len(self.window_ids)
+            codes = self.user * window_count + self.window
             if above is not None:
                 codes = codes[self.ratings > above]
-            self._memo[key] = np.divmod(_distinct(codes), len(self.windows))
-        return self._memo[key]
+            self._pairs[above] = np.divmod(_distinct(codes), window_count)
+        return self._pairs[above]
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     """Window-level aggregates of a filtered corpus.
 
     ``total_window_count`` covers the full observed date span (days with
     no reports still count: it normalises per-user persistence over the
     whole campaign horizon).  ``coop_density`` and ``window_weight`` are
-    defined on windows holding at least one kept report; the weights are
-    inverse densities rescaled to mean 1 over those windows.
+    float64 columns in window-code order (``ReportTable.window_ids``):
+    they cover the windows holding at least one kept report, and the
+    weights are inverse densities rescaled to mean 1 over those windows.
     """
 
     mean_rating: float
     total_window_count: int
-    coop_density: dict[WindowIndex, float]
-    window_weight: dict[WindowIndex, float]
+    coop_density: np.ndarray
+    window_weight: np.ndarray
 
 
 def compute_corpus_stats(table: ReportTable,
                          epsilon: float = 0.01) -> CorpusStats:
     if not table:
-        return CorpusStats(mean_rating=0.0, total_window_count=0,
-                           coop_density={}, window_weight={})
+        return CorpusStats(0.0, 0, np.empty(0), np.empty(0))
     mean_rating = _running_sum(table.ratings.tolist()) / len(table)
-    window_count = len(table.windows)
+    window_count = len(table.window_ids)
     reports = np.bincount(table.window, minlength=window_count)
     coop = np.bincount(table.window[table.ratings > mean_rating],
                        minlength=window_count)
@@ -828,9 +823,7 @@ def compute_corpus_stats(table: ReportTable,
     return CorpusStats(
         mean_rating=mean_rating,
         total_window_count=table.day_span * SEGMENTS_PER_DAY,
-        coop_density=dict(zip(table.windows, density.tolist())),
-        window_weight=dict(zip(table.windows,
-                               (raw_weight / weight_mean).tolist())))
+        coop_density=density, window_weight=raw_weight / weight_mean)
 
 
 def _empirical_gammas(table: ReportTable, mechanism: str,
@@ -854,9 +847,8 @@ def _empirical_gammas(table: ReportTable, mechanism: str,
     if mechanism == "B":
         counts = np.bincount(pair_user, minlength=len(table.users))
         return counts / stats.total_window_count
-    weight = np.array([stats.window_weight[w] for w in table.windows])
     # pairs are sorted by window within a user: the canonical order
-    sums = np.bincount(pair_user, weights=weight[pair_window],
+    sums = np.bincount(pair_user, weights=stats.window_weight[pair_window],
                        minlength=len(table.users))
     return sums / stats.total_window_count
 
@@ -875,12 +867,16 @@ def build_profiles(table: ReportTable, config: IncentiveConfig, mechanism: str,
     ``gamma_override`` substitutes externally derived cooperativeness
     values (e.g. simulation-based honesty) for the report-derived ones,
     keyed by user id; users absent from the map fall back to the
-    mechanism's empirical value.
+    mechanism's empirical value.  A value that is NaN or infinite is a
+    ValueError naming its user.
     """
+    override = gamma_override or {}
+    for user, gamma in override.items():
+        if not math.isfinite(gamma):
+            raise ValueError(f"non-finite gamma_override[{user!r}]: {gamma}")
     if stats is None:
         stats = compute_corpus_stats(table, config.epsilon)
     users = table.users
-    override = gamma_override or {}
     known = np.fromiter(map(override.__contains__, users), bool, len(users))
     # _empirical_gammas raises (unknown mechanism, no windows) only for a
     # user who falls back on it
@@ -902,7 +898,7 @@ def build_profiles(table: ReportTable, config: IncentiveConfig, mechanism: str,
 # ---------------------------------------------------------------------------
 
 def decision_rows(table: ReportTable, rs_norm: np.ndarray,
-                  config: IncentiveConfig):
+                  config: IncentiveConfig) -> Decisions:
     """DSS log: one decision per (window, street) report group, given
     each user's ``rs_norm`` in user-code order.
 
@@ -915,16 +911,17 @@ def decision_rows(table: ReportTable, rs_norm: np.ndarray,
     positive-reputation user in the window it is 0.  Each row holds the
     most confident type, ties to the lexicographically first, published
     iff its confidence reaches ``publish_threshold``.  Rows come out
-    sorted by date, segment, street.
+    sorted by date, segment, street.  An ``rs_norm`` whose length is not
+    the table's user count is a ValueError.
     """
-    if not table:
-        return []
     user_count = len(table.users)
+    if len(rs_norm) != user_count:
+        raise ValueError(f"rs_norm: {len(rs_norm)} values, {user_count} users")
     # distinct positive users per window
     pair_user, pair_window = table.user_windows()
     positive = np.bincount(
         pair_window[rs_norm[pair_user] >= config.positive_rs_threshold],
-        minlength=len(table.windows))
+        minlength=len(table.window_ids))
     # (window, street) groups, their (group, kind) cells, and each
     # cell's distinct contributors in sorted-uuid order
     groups, group = np.unique(
@@ -949,21 +946,14 @@ def decision_rows(table: ReportTable, rs_norm: np.ndarray,
                         where=rs_total > 0)
     nu = config.preference_factor
     conf = np.where(trusted > 0, nu * quantity + (1.0 - nu) * quality, 0.0)
-    # the most confident kind of each group, ties to the first kind
+    # each group's most confident kind, ties to the first (a stable sort)
     starts = np.searchsorted(cell_group, np.arange(len(groups)))
-    best_value = np.maximum.reduceat(conf, starts)
-    best = np.minimum.reduceat(
-        np.where(conf == best_value[cell_group], np.arange(len(cells)),
-                 len(cells)), starts)
-    threshold = config.publish_threshold
-    windows = table.windows
-    return [(windows[w].date.isoformat(), windows[w].segment,
-             table.streets[s], table.kinds[k], value,
-             "publish" if value >= threshold else "drop")
-            for w, s, k, value in zip(group_window.tolist(),
-                                      group_street.tolist(),
-                                      cell_kind[best].tolist(),
-                                      conf[best].tolist())]
+    best = np.lexsort((-conf, cell_group))[starts]
+    confidence = conf[best]
+    return Decisions(table.window_ids[group_window], group_street,
+                     cell_kind[best], confidence,
+                     confidence >= config.publish_threshold,
+                     table.streets, table.kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -1007,9 +997,11 @@ class ScoreResult:
     """Everything cmd-level consumers need from one scoring pass.
 
     ``profiles`` and ``payouts`` hold, per mechanism scored, columns
-    aligned with ``users``.  ``phase_s`` holds the wall seconds of the
-    ``stats``, ``profiles``, ``incentives`` and ``decisions`` stages
-    (observability only: it never reaches an output file).
+    aligned with ``users``; the profiles of the selected ``mechanism``
+    give the decisions and the ledger's scores.  ``phase_s`` holds the
+    wall seconds of the ``stats``, ``profiles``, ``incentives`` and
+    ``decisions`` stages (observability only: it never reaches an
+    output file).
     """
 
     users: list[str]
@@ -1017,8 +1009,9 @@ class ScoreResult:
     stats: CorpusStats
     profiles: dict[str, Profiles]
     payouts: dict[str, np.ndarray]
-    decisions: list[tuple]
-    phase_s: dict[str, float] = field(default_factory=dict, compare=False)
+    mechanism: str
+    decisions: Decisions
+    phase_s: dict[str, float]
 
 
 def score_corpus(table: ReportTable, config: IncentiveConfig,
@@ -1029,39 +1022,35 @@ def score_corpus(table: ReportTable, config: IncentiveConfig,
     """Run scoring, decisions and payouts for the given mechanisms.
 
     ``total_users`` defaults to the number of distinct contributing
-    devices.  Decisions use the profiles of ``config.mechanism`` (when
-    scored) so the published log matches the selected ledger.
+    devices.  The selected mechanism is ``config.mechanism`` if it is
+    scored, else the first scored one; the decisions use its profiles,
+    so the published log matches the ledger.
     """
     import time  # the phase clock, off the import path
 
     if total_users is None:
         total_users = len(table.users)
-    phase_s: dict[str, float] = {}
-    mark = time.perf_counter()
-
-    def lap(phase: str) -> None:
-        nonlocal mark
-        now = time.perf_counter()
-        phase_s[phase] = now - mark
-        mark = now
-
+    marks = [time.perf_counter()]
     stats = compute_corpus_stats(table, config.epsilon)
-    lap("stats")
+    marks.append(time.perf_counter())
     profiles = {mech: build_profiles(table, config, mech, stats,
                                      gamma_override)
                 for mech in mechanisms}
-    lap("profiles")
+    marks.append(time.perf_counter())
     payouts = {mech: incentives(profiles[mech].rs_norm, config.budget,
                                 total_users, config.positive_rs_threshold)
                for mech in mechanisms}
-    lap("incentives")
-    decision_mech = (config.mechanism if config.mechanism in profiles
-                     else next(iter(mechanisms)))
-    decisions = decision_rows(table, profiles[decision_mech].rs_norm, config)
-    lap("decisions")
+    marks.append(time.perf_counter())
+    selected = (config.mechanism if config.mechanism in profiles
+                else next(iter(mechanisms)))
+    decisions = decision_rows(table, profiles[selected].rs_norm, config)
+    marks.append(time.perf_counter())
+    phase_s = dict(zip(("stats", "profiles", "incentives", "decisions"),
+                       np.diff(marks).tolist()))
     return ScoreResult(users=table.users, total_users=total_users,
                        stats=stats, profiles=profiles, payouts=payouts,
-                       decisions=decisions, phase_s=phase_s)
+                       mechanism=selected, decisions=decisions,
+                       phase_s=phase_s)
 
 
 # what makes a written CSV field need quotes
@@ -1077,36 +1066,44 @@ def _csv_text(text: str) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
-def write_ledger_csv(result: ScoreResult, path,
-                     selected_mechanism: str = "C") -> None:
+def write_ledger_csv(result: ScoreResult, path) -> None:
     """``user_id,rs_raw,rs_norm,gamma_emp,incentive_A,incentive_B,
     incentive_C`` rows, users sorted, in UTF-8.
 
-    The rs/gamma columns report the selected mechanism; each incentive
-    column comes from its own mechanism's ledger (mechanisms not scored
-    in this pass stay empty).
+    The rs/gamma columns report the selected mechanism
+    (``result.mechanism``); each incentive column comes from its own
+    mechanism's ledger (mechanisms not scored in this pass stay empty).
     """
-    selected = result.profiles[selected_mechanism]
-    columns = [map(repr, column.tolist()) for column in
-               (selected.rs_raw, selected.rs_norm, selected.gamma_emp)]
-    columns += [map(repr, result.payouts[mech].tolist())
-                if mech in result.payouts else itertools.repeat("")
-                for mech in MECHANISMS]
+    selected = result.profiles[result.mechanism]
+    users = np.array(list(map(_csv_text, result.users)), dtype=object)
+    scored = [mech for mech in MECHANISMS if mech in result.payouts]
+    line = "%s,%r,%r,%r," + ",".join("%r" if mech in scored else ""
+                                     for mech in MECHANISMS)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("user_id,rs_raw,rs_norm,gamma_emp,"
                  "incentive_A,incentive_B,incentive_C\n")
-        for cells in zip(map(_csv_text, result.users), *columns):
-            fh.write(",".join(cells) + "\n")
+        write_lines(fh, line + "\n", (
+            users, selected.rs_raw, selected.rs_norm, selected.gamma_emp,
+            *(result.payouts[mech] for mech in scored)))
 
 
 def write_decisions_csv(result: ScoreResult, path) -> None:
     """``date,segment,street,event_type,confidence,decision`` rows, in
-    UTF-8."""
+    UTF-8; each distinct date, street and kind is rendered once."""
+    decisions = result.decisions
+    day, segment = np.divmod(decisions.window, SEGMENTS_PER_DAY)
+    days, day = np.unique(day, return_inverse=True)
+    # object arrays: a numpy str array would drop a trailing NUL
+    texts = ([dt.date.fromordinal(d).isoformat() for d in days.tolist()],
+             list(map(_csv_text, decisions.streets)), decisions.kinds)
+    dates, streets, kinds = (
+        np.array(values, dtype=object)[codes] for values, codes
+        in zip(texts, (day, decisions.street, decisions.kind)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("date,segment,street,event_type,confidence,decision\n")
-        for date, segment, street, kind, value, decision in result.decisions:
-            fh.write(f"{date},{segment},{_csv_text(street)},{kind},"
-                     f"{value!r},{decision}\n")
+        write_lines(fh, "%s,%d,%s,%s,%r,%s\n", (
+            dates, segment, streets, kinds, decisions.confidence,
+            np.where(decisions.publish, "publish", "drop")))
 
 
 # ---------------------------------------------------------------------------

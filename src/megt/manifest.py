@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import datetime as dt
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-__all__ = ["RunManifest", "sha256_file", "write_manifest", "load_manifest"]
+__all__ = ["RunManifest", "sha256_file", "write_manifest", "load_manifest",
+           "write_lines"]
+
+# rows per formatting pass of write_lines
+_LINES_PER_WRITE = 1 << 16
 
 
 def sha256_file(path) -> str:
@@ -38,6 +43,16 @@ class RunManifest:
     def record_output(self, path, base_dir) -> None:
         name = str(Path(path).relative_to(base_dir))
         self.outputs[name] = sha256_file(path)
+
+
+def write_lines(fh, line: str, columns: tuple) -> None:
+    """Write one ``line % row`` per row of the equal-length ``columns``:
+    each chunk of rows is formatted by one ``%`` on the repeated line,
+    with the columns' Python values interleaved row by row."""
+    for start in range(0, columns[0].size, _LINES_PER_WRITE):
+        part = [c[start:start + _LINES_PER_WRITE].tolist() for c in columns]
+        fh.write(line * len(part[0])
+                 % tuple(itertools.chain.from_iterable(zip(*part))))
 
 
 def _jsonable(value):

@@ -14,12 +14,13 @@ Homophily, degrees and the union graph are computed where they are used.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .manifest import write_lines
 
 __all__ = [
     "LayerTopology",
@@ -417,10 +418,6 @@ def build_multiplex(spec: MultiplexSpec) -> MultiplexNetwork:
 # persistence
 # ---------------------------------------------------------------------------
 
-# body lines per formatting pass of save_multiplex
-_SAVE_CHUNK_LINES = 1 << 16
-
-
 def save_multiplex(network: MultiplexNetwork, path) -> None:
     """Write the edge-list text format.
 
@@ -436,21 +433,11 @@ def save_multiplex(network: MultiplexNetwork, path) -> None:
     iu, ju = np.triu_indices(n, k=1)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"multiplex v1 {n} {m}\n")
-        _write_lines(fh, "%d %d %d %.15g\n", (alpha[upper], i[upper],
-                                               j[upper],
-                                               network.edge_weight[upper]))
-        _write_lines(fh, "delta %d %d %.15g\n",
-                     (iu, ju, network.delta[iu, ju]))
-
-
-def _write_lines(fh, line: str, columns: tuple[np.ndarray, ...]) -> None:
-    """Write one ``line % row`` per row of the equal-length ``columns``:
-    each chunk of rows is formatted by one ``%`` on the repeated line,
-    with the columns' Python values interleaved row by row."""
-    for start in range(0, columns[0].size, _SAVE_CHUNK_LINES):
-        part = [c[start:start + _SAVE_CHUNK_LINES].tolist() for c in columns]
-        fh.write(line * len(part[0])
-                 % tuple(itertools.chain.from_iterable(zip(*part))))
+        write_lines(fh, "%d %d %d %.15g\n", (alpha[upper], i[upper],
+                                              j[upper],
+                                              network.edge_weight[upper]))
+        write_lines(fh, "delta %d %d %.15g\n",
+                    (iu, ju, network.delta[iu, ju]))
 
 
 # One body line as the bulk reader parses it.  The kind stays text, so

@@ -374,7 +374,7 @@ def test_criterion_10_mechanism_differentiation():
         mech: len({round(value, 9) for value in result.payouts[mech].tolist()})
         for mech in ("A", "B", "C")
     }
-    densities = {round(d, 12) for d in result.stats.coop_density.values()}
+    densities = {round(d, 12) for d in result.stats.coop_density.tolist()}
     elapsed = time.perf_counter() - started
 
     ok = (len(contributing) == 300

@@ -12,7 +12,7 @@ import megt
 import megt.comm
 import megt.evolve
 import megt.netgen
-from megt.cli import main
+from megt.cli import build_parser, main
 from megt.evolve import _worker_count
 from megt.manifest import load_manifest, sha256_file
 
@@ -153,6 +153,34 @@ def test_invalid_env_seed(tmp_path, capsys, monkeypatch):
     assert run_cli("generate", "--config", cfg,
                    "--outdir", str(tmp_path / "out")) == 2
     assert "MEGT_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "evolve"])
+@pytest.mark.parametrize("source, name", [("config", "config key 'seed'"),
+                                          ("env", "MEGT_SEED"),
+                                          ("flag", "--seed")])
+def test_negative_seed_is_a_config_error_naming_its_source(
+        tmp_path, capsys, monkeypatch, command, source, name):
+    cfg = write_config(tmp_path, "seed = -3\n" if source == "config" else "")
+    flags = ("--seed", "-3") if source == "flag" else ()
+    if source == "env":
+        monkeypatch.setenv("MEGT_SEED", "-3")
+    assert run_cli(command, "--config", cfg, "--outdir",
+                   str(tmp_path / "out"), *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and name in err and "-3" in err
+
+
+@pytest.mark.parametrize("argv, jobs, mechanism", [
+    (["generate"], 1, "all"), (["evolve"], 1, "all"),
+    (["evolve", "--jobs", "3"], 3, "all"),
+    (["score", "--reports", "r.csv", "--mechanism", "B"], 1, "B"),
+    (["score", "--reports", "r.csv"], 1, "all")])
+def test_every_command_parses_jobs_and_mechanism(argv, jobs, mechanism):
+    args = build_parser().parse_args([*argv, "--config", "c.cfg"])
+    assert (args.jobs, args.mechanism) == (jobs, mechanism)
+    replay = build_parser().parse_args(["replay", "manifest.json"])
+    assert (replay.jobs, replay.mechanism) == (1, "all")
 
 
 # ---------------------------------------------------------------------------

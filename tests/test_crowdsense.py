@@ -19,7 +19,7 @@ from megt import crowdsense
 from megt.crowdsense import (INCIDENT_TYPES, MECHANISMS, REPORT_COLUMNS,
                              CorpusStats, IncentiveConfig, Profiles,
                              Rejection, ReportRecord, SynthSpec,
-                             WindowIndex, build_profiles,
+                             build_profiles,
                              compute_corpus_stats, decision_rows,
                              incentives, logistic, parse_reports, qoc,
                              read_reports_csv, score_corpus, synth_corpus,
@@ -41,10 +41,15 @@ def profiles_of(records, mechanism, stats=None, gamma_override=None):
         table.users, zip(*(column.tolist() for column in columns)))}
 
 
+def window_id(day, segment):
+    """A window's id: its date's ordinal * 8 + its 3-hour segment."""
+    return day.toordinal() * 8 + segment
+
+
 def windows_of(table, above=None):
-    """``table.user_windows(above)`` as (user, WindowIndex) pairs."""
+    """``table.user_windows(above)`` as (user, window id) pairs."""
     pair_user, pair_window = table.user_windows(above)
-    return [(table.users[u], table.windows[w])
+    return [(table.users[u], table.window_ids[w])
             for u, w in zip(pair_user.tolist(), pair_window.tolist())]
 
 
@@ -69,8 +74,7 @@ def raw_row(user="u1", rating="4.0", date="2019-10-07", time="09:00",
 def window_segments(*times):
     records = [report(user=f"u{k}", hour=hour, minute=minute)
                for k, (hour, minute) in enumerate(times)]
-    stats = compute_corpus_stats(table_of(records))
-    return [window.segment for window in stats.coop_density]
+    return (table_of(records).window_ids % 8).tolist()
 
 
 def test_window_segments_partition_the_day():
@@ -82,8 +86,9 @@ def test_windows_group_and_sort():
     records = [report(user="a", hour=22), report(user="b", hour=1),
                report(user="c", hour=2)]
     table = table_of(records)
-    keys = list(compute_corpus_stats(table).coop_density)
-    assert keys == [WindowIndex(DAY, 0), WindowIndex(DAY, 7)]
+    keys = table.window_ids.tolist()
+    assert keys == [window_id(DAY, 0), window_id(DAY, 7)]
+    assert len(compute_corpus_stats(table).coop_density) == 2
     # a's one window is the late one; b and c share the early one
     assert windows_of(table) == [("a", keys[1]), ("b", keys[0]),
                                  ("c", keys[0])]
@@ -762,13 +767,13 @@ def test_coop_flag_is_strict():
                report(user="eq", rating=3.0, hour=6)]
     stats = compute_corpus_stats(table_of(records))
     assert stats.mean_rating == 3.0
-    assert list(stats.coop_density.values()) == [1.0, 0.0, 0.0]
+    assert stats.coop_density.tolist() == [1.0, 0.0, 0.0]
     # only "hi" has a cooperative window; "eq" has none
     assert windows_of(table_of(records), stats.mean_rating) == [
-        ("hi", WindowIndex(DAY, 0))]
+        ("hi", window_id(DAY, 0))]
     records = [report(user=f"u{k}", rating=4.0, hour=k) for k in range(5)]
     stats = compute_corpus_stats(table_of(records))
-    assert set(stats.coop_density.values()) == {0.0}
+    assert set(stats.coop_density.tolist()) == {0.0}
 
 
 def test_logistic_behaviour():
@@ -783,9 +788,12 @@ def test_logistic_behaviour():
 # cooperativeness mechanisms
 # ---------------------------------------------------------------------------
 
-def stub_stats(total_windows, weights=None):
+def stub_stats(total_windows, weights=()):
+    """Stats with mean rating 3 and the given window weights, in
+    window-code order."""
     return CorpusStats(mean_rating=3.0, total_window_count=total_windows,
-                       coop_density={}, window_weight=weights or {})
+                       coop_density=np.empty(0),
+                       window_weight=np.array(weights, dtype=float))
 
 
 def test_mechanism_a_is_neutral():
@@ -805,10 +813,8 @@ def test_mechanism_b_counts_window_persistence():
 
 
 def test_mechanism_c_uses_window_weights():
-    windows = [WindowIndex(DAY, 0), WindowIndex(DAY, 1)]
-    weights = {windows[0]: 0.5, windows[1]: 1.5}
     records = [report(rating=5.0, hour=0), report(rating=5.0, hour=3)]
-    profiles = profiles_of(records, "C", stub_stats(8, weights))
+    profiles = profiles_of(records, "C", stub_stats(8, [0.5, 1.5]))
     assert profiles["u1"].gamma_emp == pytest.approx(2.0 / 8)
 
 
@@ -868,8 +874,7 @@ def test_window_weights_average_to_one():
                       day=DAY + dt.timedelta(days=int(rng.integers(3))))
                for k in range(60)]
     stats = compute_corpus_stats(table_of(records))
-    weights = list(stats.window_weight.values())
-    assert np.mean(weights) == pytest.approx(1.0, abs=1e-12)
+    assert np.mean(stats.window_weight) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -943,10 +948,16 @@ def test_gamma_override_hook():
 # ---------------------------------------------------------------------------
 
 def decide(records, rs_norm, **config):
-    """decision_rows with the given reputations, keyed by user."""
+    """decision_rows with the given reputations, keyed by user, as rows
+    ``(date, segment, street, kind, confidence, decision)``."""
     table = table_of(records)
-    return decision_rows(table, np.array([rs_norm[u] for u in table.users]),
-                         IncentiveConfig(**config))
+    decisions = decision_rows(
+        table, np.array([rs_norm[u] for u in table.users]),
+        IncentiveConfig(**config))
+    return [(dt.date.fromordinal(window // 8).isoformat(), window % 8,
+             street, kind, value, "publish" if publish else "drop")
+            for window, street, kind, value, publish
+            in zip(*decision_fields(decisions))]
 
 
 def test_unanimous_single_type_confidence_is_one():
@@ -1033,11 +1044,11 @@ def test_decision_rows_are_per_window_and_street():
                report(user="b", street="Alder Way", hour=10, rating=5.0),
                report(user="c", street="Birch Street", hour=9, rating=5.0),
                report(user="d", street="Alder Way", hour=14, rating=5.0)]
-    rows = decision_rows(table_of(records), np.full(4, 0.9),
-                         IncentiveConfig())
-    assert [(row[1], row[2]) for row in rows] == [
-        (3, "Alder Way"), (3, "Birch Street"), (4, "Alder Way")]
-    assert all(row[5] in ("publish", "drop") for row in rows)
+    window, street = decision_fields(decision_rows(
+        table_of(records), np.full(4, 0.9), IncentiveConfig()))[:2]
+    assert list(zip(window, street)) == [
+        (window_id(DAY, 3), "Alder Way"), (window_id(DAY, 3), "Birch Street"),
+        (window_id(DAY, 4), "Alder Way")]
 
 
 # ---------------------------------------------------------------------------
@@ -1149,12 +1160,25 @@ def test_score_corpus_single_mechanism():
     result = score_corpus(small_corpus(), IncentiveConfig(),
                           mechanisms=("B",))
     assert set(result.profiles) == {"B"}
+    assert result.mechanism == "B"
+
+
+def test_selected_mechanism_is_the_configured_one_if_scored():
+    table = small_corpus()
+    for config_mech, mechanisms, selected in (("B", ("A", "B"), "B"),
+                                              ("C", ("A", "B"), "A"),
+                                              ("C", ("B", "A"), "B")):
+        config = IncentiveConfig(mechanism=config_mech)
+        result = score_corpus(table, config, mechanisms=mechanisms)
+        assert result.mechanism == selected
+        assert_same_decisions(result.decisions, decision_rows(
+            table, result.profiles[selected].rs_norm, config))
 
 
 def test_ledger_csv_layout(tmp_path):
     result = score_corpus(small_corpus(), IncentiveConfig())
     path = tmp_path / "ledger.csv"
-    write_ledger_csv(result, path, selected_mechanism="C")
+    write_ledger_csv(result, path)
     lines = path.read_text().splitlines()
     assert lines[0] == ("user_id,rs_raw,rs_norm,gamma_emp,"
                         "incentive_A,incentive_B,incentive_C")
@@ -1168,10 +1192,21 @@ def test_ledger_csv_leaves_unscored_mechanisms_empty(tmp_path):
     result = score_corpus(small_corpus(), IncentiveConfig(),
                           mechanisms=("B",))
     path = tmp_path / "ledger.csv"
-    write_ledger_csv(result, path, selected_mechanism="B")
+    write_ledger_csv(result, path)
     row = path.read_text().splitlines()[1].split(",")
     assert row[4] == "" and row[6] == ""
     assert row[5] != ""
+
+
+def test_ledger_scores_come_from_the_selected_mechanism(tmp_path):
+    result = score_corpus(small_corpus(), IncentiveConfig(mechanism="C"),
+                          mechanisms=("A", "B"))
+    path = tmp_path / "ledger.csv"
+    write_ledger_csv(result, path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [float(row[2]) for row in rows] == (
+        result.profiles["A"].rs_norm.tolist())
+    assert [row[6] for row in rows] == [""] * len(rows)
 
 
 def test_decisions_csv_layout(tmp_path):
@@ -1184,6 +1219,34 @@ def test_decisions_csv_layout(tmp_path):
     cells = lines[1].split(",")
     assert cells[0] == "2019-10-07"
     assert cells[3] in INCIDENT_TYPES
+    # one line per decision, read back from the columns
+    decisions = result.decisions
+    assert [line.split(",") for line in lines[1:]] == [
+        [str(dt.date.fromordinal(w // 8)), str(w % 8),
+         decisions.streets[s], decisions.kinds[k], repr(c),
+         "publish" if p else "drop"]
+        for w, s, k, c, p in zip(*(column.tolist()
+                                   for column in decisions[:5]))]
+
+
+def test_decision_rows_refuses_rs_norm_of_another_length():
+    table = small_corpus()
+    rs_norm = build_profiles(table, IncentiveConfig(), "A").rs_norm
+    assert len(rs_norm) == 5
+    for wrong in (np.append(rs_norm, 0.9), rs_norm[:-1]):
+        with pytest.raises(ValueError,
+                           match=f"^rs_norm: {len(wrong)} values, 5 users$"):
+            decision_rows(table, wrong, IncentiveConfig())
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_gamma_override_refuses_non_finite_values(gamma):
+    table = small_corpus()
+    for user in ("good1", "nobody"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"non-finite gamma_override[{user!r}]: {gamma}")):
+            build_profiles(table, IncentiveConfig(), "B",
+                           gamma_override={"bad": 0.5, user: gamma})
 
 
 # ---------------------------------------------------------------------------
@@ -1191,14 +1254,24 @@ def test_decisions_csv_layout(tmp_path):
 # ---------------------------------------------------------------------------
 
 def ref_window(record):
-    return WindowIndex(record.generation_date, record.day_time.hour // 3)
+    return window_id(record.generation_date, record.day_time.hour // 3)
+
+
+class ReferenceStats(NamedTuple):
+    """Corpus statistics with per-window values keyed by window id, in
+    chronological order."""
+
+    mean_rating: float
+    total_window_count: int
+    coop_density: dict
+    window_weight: dict
 
 
 def reference_stats(kept, epsilon):
-    """CorpusStats from per-record loops and left-to-right sums."""
+    """ReferenceStats from per-record loops and left-to-right sums."""
     if not kept:
-        return CorpusStats(mean_rating=0.0, total_window_count=0,
-                           coop_density={}, window_weight={})
+        return ReferenceStats(mean_rating=0.0, total_window_count=0,
+                              coop_density={}, window_weight={})
     acc = 0.0
     for record in kept:
         acc += record.report_rating
@@ -1219,7 +1292,7 @@ def reference_stats(kept, epsilon):
     for value in raw_weight.values():
         acc += value
     weight_mean = acc / len(raw_weight)
-    return CorpusStats(
+    return ReferenceStats(
         mean_rating=mean_rating, total_window_count=span_days * 8,
         coop_density=coop_density,
         window_weight={w: v / weight_mean for w, v in raw_weight.items()})
@@ -1318,11 +1391,36 @@ def reference_decisions(kept, profiles, config):
                     conf[kind] = nu * quantity + (1.0 - nu) * quality
             kind = min(conf, key=lambda k: (-conf[k], k))
             value = conf[kind]
-            decision = ("publish" if value >= config.publish_threshold
-                        else "drop")
-            rows.append((window.date.isoformat(), window.segment, street,
-                         kind, value, decision))
+            rows.append((window, street, kind, value,
+                         value >= config.publish_threshold))
     return rows
+
+
+def decision_fields(decisions):
+    """The decision columns as lists in ``Decisions`` field order, with
+    streets and kinds as their texts."""
+    window, street, kind, confidence, publish, streets, kinds = decisions
+    assert window.dtype == street.dtype == kind.dtype == np.int64
+    assert confidence.dtype == np.float64 and publish.dtype == bool
+    return [window.tolist(), [streets[code] for code in street.tolist()],
+            [kinds[code] for code in kind.tolist()], confidence.tolist(),
+            publish.tolist()]
+
+
+def assert_same_decisions(decisions, expected):
+    """``decisions`` holds ``expected``'s columns bit for bit, whether
+    ``expected`` is a Decisions or the reference scorer's rows."""
+    if isinstance(expected, crowdsense.Decisions):
+        expected = decision_fields(expected)
+    else:
+        expected = [list(column) for column in zip(*expected)] or [[]] * 5
+    assert decision_fields(decisions) == expected
+
+
+def stats_fields(stats):
+    """A CorpusStats as plain values and lists."""
+    return (stats.mean_rating, stats.total_window_count,
+            stats.coop_density.tolist(), stats.window_weight.tolist())
 
 
 def assert_matches_reference(kept, config, total_users=None,
@@ -1330,7 +1428,10 @@ def assert_matches_reference(kept, config, total_users=None,
     result = score_corpus(kept, config, total_users=total_users,
                           gamma_override=gamma_override)
     stats = reference_stats(kept, config.epsilon)
-    assert result.stats == stats
+    assert stats_fields(result.stats) == (
+        stats.mean_rating, stats.total_window_count,
+        list(stats.coop_density.values()), list(stats.window_weight.values()))
+    assert kept.window_ids.tolist() == list(stats.coop_density)
     users = sorted({r.uuid for r in kept})
     assert result.users == users
     total = len(users) if total_users is None else total_users
@@ -1347,8 +1448,9 @@ def assert_matches_reference(kept, config, total_users=None,
         assert result.payouts[mech].tolist() == [
             payouts[user] for user in users], mech
         if mech == config.mechanism:
-            assert result.decisions == reference_decisions(kept, profiles,
-                                                           config)
+            assert result.mechanism == mech
+            assert_same_decisions(result.decisions,
+                                  reference_decisions(kept, profiles, config))
     # the report counts and windows the profiles come from
     assert np.bincount(kept.user, minlength=len(users)).tolist() == [
         profiles[user].report_count for user in users]
@@ -1365,8 +1467,9 @@ def assert_same_scores(result, expected):
     (``==`` on a ScoreResult would compare arrays)."""
     assert result.users == expected.users
     assert result.total_users == expected.total_users
-    assert result.stats == expected.stats
-    assert result.decisions == expected.decisions
+    assert stats_fields(result.stats) == stats_fields(expected.stats)
+    assert result.mechanism == expected.mechanism
+    assert_same_decisions(result.decisions, expected.decisions)
     assert set(result.profiles) == set(expected.profiles)
     assert set(result.payouts) == set(expected.payouts)
     for mech in expected.profiles:
@@ -1380,8 +1483,11 @@ def assert_same_scores(result, expected):
 def test_empty_corpus_matches_reference():
     result = assert_matches_reference(table_of(), IncentiveConfig(),
                                       total_users=1)
-    assert result.decisions == [] and len(result.profiles["C"].rs_norm) == 0
-    assert decision_rows(table_of(), np.empty(0), IncentiveConfig()) == []
+    assert len(result.profiles["C"].rs_norm) == 0
+    for decisions in (result.decisions,
+                      decision_rows(table_of(), np.empty(0),
+                                    IncentiveConfig())):
+        assert decision_fields(decisions) == [[]] * 5
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -1434,7 +1540,7 @@ def test_corpus_without_cooperation_matches_reference():
             for k in range(10)]
     result = assert_matches_reference(table_of(kept),
                                       IncentiveConfig(mechanism="B"))
-    assert set(result.stats.coop_density.values()) == {0.0}
+    assert set(result.stats.coop_density.tolist()) == {0.0}
     assert result.profiles["C"].gamma_emp.tolist() == [0.0] * 3
 
 
@@ -1453,10 +1559,10 @@ def test_extreme_publish_thresholds_match_reference(threshold):
                                                    day_count=2, rng_seed=6)))
     result = assert_matches_reference(
         kept, IncentiveConfig(publish_threshold=threshold))
-    for row in result.decisions:
-        assert (row[5] == "publish") == (row[4] >= threshold)
+    decisions = result.decisions
+    assert (decisions.publish == (decisions.confidence >= threshold)).all()
     if threshold == 0.0:
-        assert {row[5] for row in result.decisions} == {"publish"}
+        assert decisions.publish.all()
 
 
 def test_equal_confidence_kinds_break_to_the_first_kind():
@@ -1464,7 +1570,7 @@ def test_equal_confidence_kinds_break_to_the_first_kind():
     kept = [report(user="a", rating=5.0, kind="weather_hazard"),
             report(user="b", rating=5.0, kind="jam")]
     result = assert_matches_reference(table_of(kept), IncentiveConfig())
-    assert [row[3] for row in result.decisions] == ["jam"]
+    assert decision_fields(result.decisions)[2] == ["jam"]
 
 
 small_records = st.builds(
