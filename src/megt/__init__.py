@@ -12,9 +12,9 @@ from .netgen import (LayerTopology, MultiplexNetwork, MultiplexSpec,
 from .comm import (ScalingBounds, build_supra, communicability_entries,
                    matrix_exp)
 from .evolve import (RunResult, ScalingTable, SimulationConfig,
-                     SimulationState, Trajectory, accumulate_payoffs, density,
-                     init_state, replica_network, RoundEngine, run,
-                     run_replicas, sweep_ts)
+                     SimulationState, Trajectory, density, init_state,
+                     replica_network, RoundEngine, run, run_replicas,
+                     sweep_ts)
 from .equilibrium import (EquilibriumTracker, NashReport, nash_report,
                           project_strategies)
 from .metrics import (BehaviourStats, behaviour_stats, behavioural_reputation,

@@ -8,8 +8,10 @@ and incentives), ``synth`` (synthetic report corpus), and ``replay``
 
 Every command is deterministic given (config, seed) and writes a
 ``manifest.json`` describing its inputs and outputs.  Exit codes:
-0 success, 2 configuration error (the message names the key or file),
-3 data error (the message names the first offending row/line/file).
+0 success, 2 configuration error (the message names the key or file,
+or, for the simulating commands ``evolve``, ``sweep`` and ``nash``, why
+the compiled kernel cannot be had), 3 data error (the message names the
+first offending row/line/file).
 """
 
 from __future__ import annotations
@@ -219,12 +221,16 @@ def _finish(manifest: RunManifest, outdir: Path, produced: list[Path]) -> int:
     return 0
 
 
-def _record_round_kernel(manifest: RunManifest) -> None:
-    """Record which imitation loop this process's engines use: ``"c"``,
-    or ``"python: <reason>"`` when the compiled kernel is unavailable.
-    Pool workers load the same cached kernel on their own."""
-    from .kernel import load  # ctypes stays off the import path
-    manifest.extra["round_kernel"] = load()[1]
+def _require_kernel(command: str) -> None:
+    """Build, load and check the compiled kernel that ``command``
+    simulates with, before any network is built; its absence is a
+    config error naming the cause."""
+    from . import kernel  # ctypes stays off the import path
+    try:
+        kernel.load()
+    except kernel.KernelError as exc:
+        raise ConfigError(f"{command} needs the compiled kernel: "
+                          f"{exc}") from None
 
 
 def _mean_trajectory(trajectories: list[Trajectory]) -> Trajectory:
@@ -262,6 +268,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    _require_kernel("evolve")
     cfg = load_config(args.config)
     seed = _resolve_seed(cfg, args)
     sim, load_s = _simulation_config(cfg, seed)
@@ -300,11 +307,11 @@ def cmd_evolve(args) -> int:
     manifest.extra["adoptions"] = [r.adoptions for r in results]
     manifest.extra["phase_s"] = [r.phase_s for r in results]
     manifest.extra["communicability"] = [r.communicability for r in results]
-    _record_round_kernel(manifest)
     return _finish(manifest, outdir, produced)
 
 
 def cmd_sweep(args) -> int:
+    _require_kernel("sweep")
     cfg = load_config(args.config)
     seed = _resolve_seed(cfg, args)
     sim, load_s = _simulation_config(cfg, seed)
@@ -324,11 +331,11 @@ def cmd_sweep(args) -> int:
     manifest.extra["adoptions"] = grid.adoptions
     manifest.extra["phase_s"] = grid.phase_s
     manifest.extra["communicability"] = grid.communicability
-    _record_round_kernel(manifest)
     return _finish(manifest, outdir, [target])
 
 
 def cmd_nash(args) -> int:
+    _require_kernel("nash")
     cfg = load_config(args.config)
     seed = _resolve_seed(cfg, args)
     sim, load_s = _simulation_config(cfg, seed)
@@ -356,7 +363,6 @@ def cmd_nash(args) -> int:
     manifest.extra["adoptions"] = result.adoptions
     manifest.extra["phase_s"] = result.phase_s
     manifest.extra["communicability"] = result.communicability
-    _record_round_kernel(manifest)
     return _finish(manifest, outdir, [target, rho_path])
 
 

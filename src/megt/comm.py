@@ -14,16 +14,16 @@ A run reads only a few entries of the exponential per slot, and
 
 - ``"series"``, on sparse layers: the truncated Taylor series of the
   sparse supra-matrix, summed over panels of identity columns by
-  ``round.c`` (or by the same operations in numpy without a compiler).
-  No (N*M)^2 array is built.  ``round.c`` reads the supra-matrix from
-  the network's edge CSR and the coupling strength, and sums each
-  node's M rows together, sharing the prefix of coupling products that
-  row (alpha, i) has in common with row (alpha + 1, i); every row still
-  gets the operations of the numpy loop over ``_supra_csr``, in the
-  same order, so the same bits.  It shares the panels among threads,
-  one per 256 columns up to the CPUs the process may use; each panel's
-  arithmetic is the same on any thread, so the thread count changes no
-  bit.
+  ``round.c``.  No (N*M)^2 array is built.  ``round.c`` reads the
+  supra-matrix from the network's edge CSR and the coupling strength,
+  and sums each node's M rows together, sharing the prefix of coupling
+  products that row (alpha, i) has in common with row (alpha + 1, i);
+  every row still gets the operations of a plain row-by-row product
+  over ``_supra_csr``, in the same order, so the same bits (the tests
+  hold it to such a product in numpy).  It shares the panels among
+  threads, one per 256 columns up to the CPUs the process may use; each
+  panel's arithmetic is the same on any thread, so the thread count
+  changes no bit.
 - ``"eigh"``, on dense layers, where the series would cost more than a
   dense eigendecomposition, and wherever the exponential may overflow:
   the entries are gathered from ``matrix_exp``, the exponential from one
@@ -66,10 +66,6 @@ _SERIES_MAX_BOUND = 700.0
 
 # power steps behind the Collatz-Wielandt bound
 _BOUND_STEPS = 12
-
-# columns per panel of the numpy series; the fastest of 16 to 256 at
-# N*M = 1400 and 2000
-_NUMPY_PANEL = 32
 
 # another thread of the compiled series is worth starting per
 # _BLOCKS_PER_THREAD blocks of _THREAD_BLOCK columns, 256 columns; the
@@ -242,50 +238,6 @@ def _series_choice(ptr: np.ndarray, col: np.ndarray,
     return terms if terms * col.size <= nm * nm else None
 
 
-def _series_numpy(ptr, col, val, terms, cross_ptr, cross_slot
-                  ) -> np.ndarray:
-    """``round.c``'s ``megt_comm_entries`` in numpy, with the same
-    operations in the same order, so the same bits.
-
-    Each row's products are added left to right by taking the q-th
-    stored entry of every row that has one, for q = 0, 1, ...  Panels
-    store their rows by descending degree, so the rows with a q-th entry
-    are a leading slice; the storage order and the panel width change
-    no bit."""
-    nm = ptr.size - 1
-    degree = np.diff(ptr)
-    order = np.argsort(-degree, kind="stable")
-    rank = np.empty(nm, dtype=np.int64)
-    rank[order] = np.arange(nm)
-    steps = []
-    for q in range(int(degree.max(initial=0))):
-        rows = order[:np.count_nonzero(degree > q)]
-        steps.append((rows.size, rank[col[ptr[rows] + q]],
-                      val[ptr[rows] + q, None]))
-    owner = np.repeat(np.arange(nm), np.diff(cross_ptr))
-    out = np.empty(cross_slot.size)
-    total, term, acc, products = (np.empty((nm, _NUMPY_PANEL))
-                                  for _ in range(4))
-    for first in range(0, nm, _NUMPY_PANEL):
-        width = min(_NUMPY_PANEL, nm - first)
-        t, a, b = total[:, :width], term[:, :width], acc[:, :width]
-        t.fill(0.0)
-        t[rank[first:first + width], np.arange(width)] = 1.0
-        a[...] = t
-        for k in range(1, terms + 1):
-            b.fill(0.0)
-            for count, cols, vals in steps:
-                p = products[:count, :width]
-                np.take(a, cols, axis=0, out=p, mode="clip")
-                p *= vals
-                b[:count] += p
-            np.divide(b, k, out=a)
-            t += a
-        part = slice(cross_ptr[first], cross_ptr[first + width])
-        out[part] = t[rank[cross_slot[part]], owner[part] - first]
-    return out
-
-
 def _series_c(library, network: MultiplexNetwork,
               interlayer_strength: float, terms, cross_ptr, cross_slot, *,
               threads: int, vector: bool = True) -> np.ndarray:
@@ -293,8 +245,8 @@ def _series_c(library, network: MultiplexNetwork,
     ``threads`` threads; ``vector`` lets it use AVX2 where the CPU has
     it.  Neither changes a bit.  The kernel reads the supra-matrix from
     the network's edge CSR, the edges' homophily and the coupling
-    strength, never from ``_supra_csr``, and gives the bits of
-    ``_series_numpy`` over ``_supra_csr``."""
+    strength, never from ``_supra_csr``, and gives the bits of a plain
+    row-by-row series over ``_supra_csr``."""
     ptr, slot = (np.ascontiguousarray(array, dtype=np.int64) for array in
                  (network.neighbour_ptr, network.neighbour_slot))
     weight = _layer_weights(network)
@@ -323,16 +275,16 @@ def communicability_entries(network: MultiplexNetwork,
     of at most 700; K is then the number of Taylor terms after which the
     tail is at most 2^-53.  The method is ``"series"``, the truncated
     Taylor series of the sparse supra-matrix over panels of identity
-    columns (``round.c``, or the same operations in numpy without a
-    compiler), while it costs less than a dense eigendecomposition,
-    ``K * nnz(A) <= (N*M)^2``.  Otherwise it is ``"eigh"``: the dense
-    ``matrix_exp`` of ``build_supra``, which raises ValueError when the
-    exponential overflows.  The choice depends only on the network, so
-    outputs do not depend on whether a compiler is present.
+    columns in ``round.c``, while it costs less than a dense
+    eigendecomposition, ``K * nnz(A) <= (N*M)^2``.  Otherwise it is
+    ``"eigh"``: the dense ``matrix_exp`` of ``build_supra``, which raises
+    ValueError when the exponential overflows.  The choice depends only
+    on the network.  The series needs the compiled kernel, and
+    ``kernel.load`` raises a ``KernelError`` when it cannot be had.
 
-    T is the number of threads that summed the series: 1 for the numpy
-    loop and in a process pool's workers, else ``_series_threads`` of
-    the usable CPUs and the panel count.  It changes no bit.
+    T is the number of threads that summed the series: 1 in a process
+    pool's workers, else ``_series_threads`` of the usable CPUs and the
+    panel count.  It changes no bit.
     """
     ptr, col, val = _supra_csr(network, interlayer_strength)
     nm = ptr.size - 1
@@ -351,15 +303,10 @@ def communicability_entries(network: MultiplexNetwork,
         return matrix[owner, cross_slot], {"method": "eigh", "terms": None,
                                            "threads": None}
     from . import kernel  # ctypes stays off the import path
-    library = kernel.compiled()[0]
-    if library is None:
-        threads = 1
-        values = _series_numpy(ptr, col, val, terms, cross_ptr, cross_slot)
-    else:
-        cpus = 1 if _in_pool_worker else _usable_cpus()
-        threads = _series_threads(cpus, -(-nm // _THREAD_BLOCK))
-        values = _series_c(library, network, interlayer_strength, terms,
-                           cross_ptr, cross_slot, threads=threads)
+    cpus = 1 if _in_pool_worker else _usable_cpus()
+    threads = _series_threads(cpus, -(-nm // _THREAD_BLOCK))
+    values = _series_c(kernel.load(), network, interlayer_strength, terms,
+                       cross_ptr, cross_slot, threads=threads)
     return values, {"method": "series", "terms": terms, "threads": threads}
 
 

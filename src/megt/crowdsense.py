@@ -1024,10 +1024,13 @@ def score_corpus(table: ReportTable, config: IncentiveConfig,
     ``total_users`` defaults to the number of distinct contributing
     devices.  The selected mechanism is ``config.mechanism`` if it is
     scored, else the first scored one; the decisions use its profiles,
-    so the published log matches the ledger.
+    so the published log matches the ledger.  An empty ``mechanisms`` is
+    a ValueError.
     """
     import time  # the phase clock, off the import path
 
+    if not mechanisms:
+        raise ValueError("no mechanism was given to score the corpus with")
     if total_users is None:
         total_users = len(table.users)
     marks = [time.perf_counter()]

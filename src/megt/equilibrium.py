@@ -73,8 +73,9 @@ class EquilibriumTracker:
     so a run given this tracker (``evolve.run``) counts its Nash pairs
     inside the compiled kernel with the bits of ``evaluate``.
 
-    ``history`` holds ``(round, alpha, weak_fraction)`` rows appended by
-    ``observe`` and ``record``.
+    ``history`` holds ``(round, alpha, weak_fraction)`` rows, appended by
+    ``evolve.run``: the initial state's from ``evaluate``, the rounds'
+    through ``record``.
     """
 
     def __init__(self, network: MultiplexNetwork, game: PayoffMatrix,
@@ -142,12 +143,6 @@ class EquilibriumTracker:
                           weak_fraction=weak_count / edges,
                           pair_count=pairs, weak_count=weak_count,
                           edge_count=edges)
-
-    def observe(self, round_index: int, state) -> None:
-        """An ``on_round`` hook: appends the round's row to ``history``."""
-        report = self.evaluate(state.strategies)
-        self.history.append((round_index, report.alpha,
-                             report.weak_fraction))
 
     def record(self, first_round: int, pair_counts: np.ndarray,
                weak_counts: np.ndarray) -> None:

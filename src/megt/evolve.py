@@ -14,13 +14,12 @@ density stops moving, an absorbing state (density exactly 0 or 1) is
 reached, or a round budget is exhausted; ``Trajectory.stop_reason``
 says which.
 
-Where a C compiler is available, ``round.c`` (built on first use by
-``megt.kernel``) runs a whole run in one call: payoffs, the draws, which
-it takes from numpy's bit generator in numpy's order, the steps and the
-stop rule, and the Nash-pair counts of an equilibrium tracker.  A run
-with an ``on_round`` hook makes one call per round.
-Without the kernel, numpy draws, ``np.bincount`` payoffs and a Python
-loop give the same bits; both read one ``ScalingTable`` of CSR arrays.
+``round.c``, built on first use by ``megt.kernel``, runs a whole run in
+one call: payoffs, the draws, which it takes from numpy's bit generator
+in numpy's order, the steps and the stop rule, and the Nash-pair counts
+of an equilibrium tracker.  It reads one ``ScalingTable`` of CSR arrays.
+A host that cannot build the kernel cannot simulate: ``kernel.load``
+raises a ``KernelError`` naming the cause.
 """
 
 from __future__ import annotations
@@ -181,8 +180,8 @@ class RunResult:
     ``adoptions`` counts the imitation steps that changed a strategy.
     ``phase_s`` splits the run's wall time, in seconds: ``network``
     (realising or reusing it), ``communicability`` (with the scaling
-    table), ``setup`` (engine and initial state) and ``rounds`` (with
-    any ``on_round`` hook).  ``communicability`` says how the table's
+    table), ``setup`` (engine and initial state) and ``rounds``.
+    ``communicability`` says how the table's
     entries were computed, as ``comm.communicability_entries`` reports
     it: the method, the term count K and the series' thread count T.
     """
@@ -217,7 +216,8 @@ def accumulate_payoffs(state: SimulationState, network: MultiplexNetwork,
     slots get 0.  A slot's cooperating mass ``sum_j w_ij s_j`` and its
     weight sum are each added left to right over its edges in the
     network's CSR order, the order of ``round.c``, which reads the same
-    sums from ``ScalingTable``.
+    sums from ``ScalingTable``; the tests' round oracle sums its payoffs
+    here.
     """
     weighted = payoff_weights == "weighted"
     is_coop = state.strategies == COOPERATE
@@ -305,19 +305,12 @@ class RoundEngine:
 
     The engine adds the per-run inputs (game, selection intensity,
     scaling bounds, payoff mode and stop rule) to the table.  ``run``
-    makes a whole run and ``round`` one round.  ``round_kernel`` records
-    how:
-
-    - ``"c"``: the compiled kernel from ``megt.kernel`` makes a run
-      without a hook in one call, and a round in one call.  It reads its
-      inputs and writes its results through one ``kernel.Engine`` struct,
-      built here, that points at the table's arrays and at buffers this
-      engine owns, and takes its draws from the state's bit generator.
-    - ``"python: <reason>"``: a round draws with numpy, sums payoffs with
-      ``accumulate_payoffs`` and steps in ``_python_steps`` over the
-      table arrays' lists, taken once per engine; the stop rule is a
-      Python loop.  This is the fallback and the kernel's oracle; both
-      give the same bits.
+    makes a whole run in one call of the compiled kernel from
+    ``megt.kernel``, and ``round`` one round in one call.  The kernel
+    reads its inputs and writes its results through one
+    ``kernel.Engine`` struct, built here, that points at the table's
+    arrays and at buffers this engine owns, and takes its draws from the
+    state's bit generator.
 
     ``adoptions`` counts the steps, over all calls, that changed a
     strategy.  The kernel's buffers are the engine's, so one engine must
@@ -327,26 +320,15 @@ class RoundEngine:
     def __init__(self, network: MultiplexNetwork, game: PayoffMatrix,
                  table: ScalingTable, config: SimulationConfig):
         from . import kernel  # ctypes stays off the import path
-        self.network = network
-        self.game = game
         self.config = config
         self.table = table
-        self.node_count = network.node_count
+        self.node_count = n = network.node_count
         self.layer_count = network.layer_count
-        self.slot_count = self.node_count * self.layer_count
+        self.slot_count = nm = n * self.layer_count
         self.adoptions = 0
-        self._kernel, self.round_kernel = kernel.load()
-        if self._kernel is not None:
-            self._bind(kernel)
-        else:
-            self._table_lists = [getattr(table, name).tolist()
-                                 for name in _TABLE_ARRAYS]
-
-    def _bind(self, kernel) -> None:
-        """Allocate the compiled kernel's buffers and point its struct at
-        them; the buffers live as long as the engine."""
-        n, nm = self.node_count, self.slot_count
-        table, config, game = self.table, self.config, self.game
+        self._kernel = kernel.load()
+        self._stop_reasons = kernel.STOP_REASONS
+        # the buffers live as long as the engine
         weighted = config.payoff_weights == "weighted"
         row_sum = table.weight_sums if weighted else table.degrees
         # a run fills at most max_rounds + 1 densities and one more sum
@@ -372,7 +354,6 @@ class RoundEngine:
                for name in _TABLE_ARRAYS},
             **{name: array.ctypes.data
                for name, array in self._buffers.items()})
-        self._stop_reasons = kernel.STOP_REASONS
 
     def round(self, state: SimulationState) -> float:
         """Advance one full Monte Carlo round; returns the cooperator
@@ -381,50 +362,35 @@ class RoundEngine:
         """
         if self.table.edgeless:
             raise ValueError("no slot has a neighbour, so no round can run")
-        if self._kernel is None:
-            value = self._python_round(state)
-        else:
-            self._call(self._kernel.megt_round, state)
-            value = self._engine.coop_total / self.slot_count
+        self._call(self._kernel.megt_round, state)
         state.round_index += 1
-        return value
+        return self._engine.coop_total / self.slot_count
 
-    def run(self, state: SimulationState, on_round=None, tracker=None
+    def run(self, state: SimulationState, tracker=None
             ) -> tuple[list[float], list[float], str]:
         """Rounds from ``state`` until ``evolve.run``'s stop rule fires,
-        at most ``max_rounds`` of them.
+        at most ``max_rounds`` of them, in one call of the kernel.
 
         Returns the densities (``rho[0]`` is the given state's), their
         running sums ``[0, rho[0], rho[0] + rho[1], ...]`` and the stop
-        reason.  ``on_round(round_index, state)``, if given, is called on
-        the given state and after every round.  ``tracker``, an
-        ``EquilibriumTracker``, if given, gets the Nash-pair row of the
-        given state and of every round in its history: the given state's
-        from ``tracker.evaluate``, as without the kernel, and each round's
-        from inside the compiled kernel's one call when there is no hook.
+        reason.  ``tracker``, an ``EquilibriumTracker``, if given, gets
+        the Nash-pair row of the given state and of every round in its
+        history: the given state's from one ``tracker.evaluate`` call,
+        each round's from inside the kernel's call.
         """
         # the kernel reads the tracker's arrays over the run's nodes
         if tracker is not None and tracker.degree.size != self.node_count:
             raise ValueError("the tracker's network has another node count")
-        nm = self.slot_count
-        rho = [float((state.strategies == COOPERATE).sum() / nm)]
-        cumulative = [0.0, rho[0]]
-        hooks = [hook for hook in (on_round, tracker and tracker.observe)
-                 if hook is not None]
-        for hook in hooks:
-            hook(state.round_index, state)
+        rho0 = float((state.strategies == COOPERATE).sum() / self.slot_count)
+        if tracker is not None:
+            report = tracker.evaluate(state.strategies)
+            tracker.history.append((state.round_index, report.alpha,
+                                    report.weak_fraction))
         if self.table.edgeless:
-            return rho, cumulative, "edgeless"
-        if rho[0] in (0.0, 1.0):
-            return rho, cumulative, "absorbing"
-        if on_round is None and self._kernel is not None:
-            return self._compiled_run(state, rho[0], tracker)
-        return rho, cumulative, self._python_run(state, rho, cumulative,
-                                                 hooks)
-
-    def _compiled_run(self, state: SimulationState, rho0: float, tracker
-                      ) -> tuple[list[float], list[float], str]:
-        buffers, engine = self._buffers, self._engine
+            return [rho0], [0.0, rho0], "edgeless"
+        if rho0 in (0.0, 1.0):
+            return [rho0], [0.0, rho0], "absorbing"
+        buffers = self._buffers
         buffers["rho"][0] = rho0
         buffers["cumulative"][:2] = (0.0, rho0)
         self._track(tracker)
@@ -436,7 +402,7 @@ class RoundEngine:
         state.round_index += rounds
         return (buffers["rho"][:rounds + 1].tolist(),
                 buffers["cumulative"][:rounds + 2].tolist(),
-                self._stop_reasons[engine.stop])
+                self._stop_reasons[self._engine.stop])
 
     def _track(self, tracker) -> None:
         """Point the kernel's Nash-pair fields at the tracker's union
@@ -463,29 +429,6 @@ class RoundEngine:
         engine.nash_base, engine.nash_slope = tracker.base, tracker.slope
         engine.projection = PROJECTION_RULES.index(tracker.projection)
 
-    def _python_run(self, state: SimulationState, rho: list[float],
-                    cumulative: list[float], hooks) -> str:
-        """The stop rule in Python, round by round, extending ``rho`` and
-        ``cumulative`` in place; returns the stop reason."""
-        config = self.config
-        window = config.steady_window
-        while len(rho) - 1 < config.max_rounds:
-            value = self.round(state)
-            rho.append(value)
-            cumulative.append(cumulative[-1] + value)
-            for hook in hooks:
-                hook(state.round_index, state)
-            if value == 0.0 or value == 1.0:
-                return "absorbing"
-            rounds = len(rho) - 1
-            if rounds >= 2 * window:
-                recent = (cumulative[-1] - cumulative[-1 - window]) / window
-                previous = (cumulative[-1 - window]
-                            - cumulative[-1 - 2 * window]) / window
-                if abs(recent - previous) < config.steady_tolerance:
-                    return "steady"
-        return "budget"
-
     def _call(self, function, state: SimulationState):
         """``function`` of the kernel on ``state``: the strategies and
         counters go into the engine's buffers and come back out, and
@@ -501,79 +444,6 @@ class RoundEngine:
         state.coop_count[...] = buffers["coop_count"]
         self.adoptions += self._engine.adoptions
         return result
-
-    def _python_round(self, state: SimulationState) -> float:
-        nm = self.slot_count
-        payoffs = accumulate_payoffs(state, self.network, self.game,
-                                     self.config.payoff_weights)
-        rng = state.rng
-        picks = rng.integers(0, nm, size=nm)
-        u_neighbour = rng.random(nm)
-        u_adopt = rng.random(nm)
-        strategies = np.array(state.strategies, dtype=np.int8).reshape(nm)
-        coop_total = int(strategies.sum()) + self._python_steps(
-            payoffs, picks, u_neighbour, u_adopt, strategies, rng)
-        state.strategies = strategies.reshape(self.layer_count,
-                                              self.node_count)
-        state.coop_count += (
-            (state.strategies == COOPERATE) * self.table.degrees).sum(axis=0)
-        return coop_total / nm
-
-    def _python_steps(self, payoffs: np.ndarray, picks: np.ndarray,
-                      u_neighbour: np.ndarray, u_adopt: np.ndarray,
-                      strategies: np.ndarray,
-                      rng: np.random.Generator) -> int:
-        """The round's imitation steps in Python: the fallback for the
-        compiled kernel and the oracle it is tested against.  Updates
-        the flat ``strategies`` in place, adds to ``adoptions`` and
-        returns the change in the cooperator count.  A pick on an
-        isolated slot is redrawn from ``rng`` until it has a neighbour.
-
-        The loop inlines the cross-layer scaling factor and the Fermi
-        rule ``scaling / (1 + exp((P_i - P_j) / (d_ij * kappa)))`` with
-        their float operations; a round built from the tests' plain
-        oracles of the two must match it bit for bit.
-        """
-        nm = self.slot_count
-        pay: list[float] = payoffs.reshape(nm).tolist()
-        u_neighbour, u_adopt = u_neighbour.tolist(), u_adopt.tolist()
-        current: list[int] = strategies.tolist()
-        (neighbour_ptr, neighbour_slot, distance, cross_ptr, cross_slot,
-         cross_value, denominator) = self._table_lists
-        kappa = self.config.selection_intensity
-        span = self.config.scaling_bounds.span
-        exp = math.exp
-        change = adoptions = 0
-        for t, flat in enumerate(picks.tolist()):
-            while neighbour_ptr[flat] == neighbour_ptr[flat + 1]:
-                flat = int(rng.integers(nm))
-            first = neighbour_ptr[flat]
-            edge = first + int(u_neighbour[t] * (neighbour_ptr[flat + 1]
-                                                 - first))
-            neighbour = neighbour_slot[edge]
-            own = current[flat]
-            other = current[neighbour]
-            if own == other:
-                continue  # adoption would be a no-op
-            x = (pay[flat] - pay[neighbour]) / (distance[edge] * kappa)
-            if x > _EXP_CLAMP:
-                continue  # saturated at probability 0
-            den = denominator[flat]
-            scaling = 1.0
-            if den > 0.0:
-                num = 0.0
-                for q in range(cross_ptr[flat], cross_ptr[flat + 1]):
-                    if current[cross_slot[q]] == own:
-                        num += cross_value[q]
-                scaling = 1.0 - span * (num / den)
-            prob = scaling if x < -_EXP_CLAMP else scaling / (1.0 + exp(x))
-            if u_adopt[t] < prob:
-                current[flat] = other
-                change += other - own
-                adoptions += 1
-        strategies[:] = current
-        self.adoptions += adoptions
-        return change
 
 
 def _dynamics_rng(config: SimulationConfig, cell_index: int,
@@ -626,7 +496,7 @@ def _scaling_table(config: SimulationConfig,
 
 
 def run(config: SimulationConfig, *, cell_index: int = 0,
-        replica_index: int = 0, on_round=None, tracker=None) -> RunResult:
+        replica_index: int = 0, tracker=None) -> RunResult:
     """Execute one simulation to steady state.
 
     Stops when the mean density over the last ``steady_window`` rounds
@@ -638,12 +508,10 @@ def run(config: SimulationConfig, *, cell_index: int = 0,
     exact density, for absorbing exits).  A multiplex without edges is
     absorbing from the start: the run returns ``rho[0]`` after no rounds.
 
-    ``on_round(round_index, state)``, if given, is called on the initial
-    state and after every round.  ``tracker``, an ``EquilibriumTracker``
-    of the run's network, gets the Nash-pair row of the initial state
-    and of every round appended to its ``history``.  Without a hook, the
-    compiled kernel makes the whole run in one call, counting the Nash
-    pairs too.
+    ``tracker``, an ``EquilibriumTracker`` of the run's network, gets the
+    Nash-pair row of the initial state and of every round appended to
+    its ``history``.  The compiled kernel makes the whole run in one
+    call, counting the Nash pairs too.
     The same (config, cell_index, replica_index) triple reproduces the
     trajectory bit for bit.
     """
@@ -657,7 +525,7 @@ def run(config: SimulationConfig, *, cell_index: int = 0,
     rng = _dynamics_rng(config, cell_index, replica_index)
     state = init_state(network, config.initial_coop_fraction, rng)
     ready = clock()
-    rho, cumulative, stop_reason = engine.run(state, on_round, tracker)
+    rho, cumulative, stop_reason = engine.run(state, tracker)
     if rho[-1] in (0.0, 1.0):
         steady = rho[-1]
     else:

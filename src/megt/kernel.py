@@ -1,18 +1,21 @@
 """The compiled Monte Carlo rounds and communicability series, built and
 checked on first use.
 
-``round.c`` ships beside this module.  ``compiled`` compiles it once per
+``round.c`` ships beside this module.  ``load`` compiles it once per
 user with the system C compiler into ``$XDG_CACHE_HOME/megt`` (or
 ``~/.cache/megt``), under a name keyed by a hash of the source and the
 flags, and loads it with ctypes.  The flags (``CC_FLAGS``) turn off
-fused multiply-adds, so the C rounds round like the Python ones, and
-include ``-pthread``: ``megt_comm_entries`` sums the series' panels in
-threads, all of them joined before it returns, so no thread outlives a
-call and a process pool may fork afterwards.  The compiler writes to a
-temporary name that is then renamed into place, so processes racing on
-a cold cache each see either no library or a whole one.  Importing this module
-compiles nothing; ``megt.evolve`` and ``megt.comm`` import it only when
-an engine is built or a series is summed.
+fused multiply-adds, so the C rounds round like the tests' Python
+oracle, and include ``-pthread``: ``megt_comm_entries`` sums the series'
+panels in threads, all of them joined before it returns, so no thread
+outlives a call and a process pool may fork afterwards.  The compiler
+writes to a temporary name that is then renamed into place, so
+processes racing on a cold cache each see either no library or a whole
+one.  Where the cache cannot be written, the library is compiled into a
+private temporary directory, loaded from there, and the directory is
+removed.  Importing this module compiles nothing; ``megt.evolve`` and
+``megt.comm`` import it only when an engine is built or a series is
+summed, and the CLI only for the commands that simulate.
 
 The kernel takes its random numbers from numpy's bit generator through
 numpy's ``bitgen_t`` interface and reproduces how ``Generator.integers``
@@ -20,12 +23,9 @@ and ``Generator.random`` turn them into draws.  That is numpy's
 implementation, not its contract, so ``load`` first checks a few hundred
 draws, and the bit generator's state after them, against numpy.
 
-When the compiler is missing, the build fails or the cache cannot be
-written, ``compiled`` and ``load`` say why; ``RoundEngine`` then runs
-its Python fallback and ``comm.communicability_entries`` its numpy
-series, which give the same bits.  When only the draws differ from
-numpy's, ``load`` refuses the library for the rounds, and the series,
-which draws nothing, still runs in C.
+Simulation has no other path: when the compiler is missing, the build
+fails or the draws differ from numpy's, ``load`` raises a
+``KernelError`` that names the cause.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["compiled", "load", "Engine", "STOP_REASONS"]
+__all__ = ["KernelError", "load", "Engine", "STOP_REASONS"]
 
 SOURCE = Path(__file__).with_name("round.c")
 
-# no fused multiply-add: the loop must round like the Python one;
+# no fused multiply-add: the loop must round like the tests' oracle;
 # -pthread for the series' panel threads
 CC_FLAGS = ("-O2", "-ffp-contract=off", "-pthread", "-fPIC", "-shared")
 
@@ -90,35 +90,74 @@ def _cache_dir() -> Path:
     return Path(base) / "megt"
 
 
-def _build() -> Path:
-    """The cached library for the current source and flags, compiled
-    first if it is not there; raises OSError on any failure."""
+class KernelError(Exception):
+    """The compiled kernel cannot be built or loaded; ``str(exc)`` names
+    the cause."""
+
+
+def _compile(target: Path) -> Path:
+    """``round.c`` compiled to ``target``; raises KernelError when there
+    is no ``cc`` or the build fails."""
+    import subprocess  # only a cold cache compiles; a warm one skips it
+    try:
+        proc = subprocess.run(["cc", *CC_FLAGS, "-o", str(target),
+                               str(SOURCE), "-lm"],
+                              capture_output=True, text=True)
+    except FileNotFoundError:
+        raise KernelError("no C compiler (cc) on PATH") from None
+    if proc.returncode != 0:
+        first = (proc.stderr.strip().splitlines() or ["no message"])[0]
+        raise KernelError(f"cc failed to build round.c (status "
+                          f"{proc.returncode}): {first}")
+    return target
+
+
+def _library() -> ctypes.CDLL:
+    """The library for the current source and flags: the cached one,
+    compiled into the cache first if it is not there, or, where the
+    cache cannot be written, compiled into a private directory that is
+    removed once the library is loaded."""
     source = SOURCE.read_bytes()
     key = hashlib.sha256(source + " ".join(CC_FLAGS).encode()).hexdigest()
     target = _cache_dir() / f"round-{key[:16]}.so"
     if target.is_file():
-        return target
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, partial = tempfile.mkstemp(prefix=".round-", suffix=".so",
-                                   dir=target.parent)
-    os.close(fd)
-    import subprocess  # only a cold cache compiles; a warm one skips it
+        return _open(target)
     try:
-        proc = subprocess.run(["cc", *CC_FLAGS, "-o", partial, str(SOURCE),
-                               "-lm"], capture_output=True, text=True)
-        if proc.returncode != 0:
-            first = (proc.stderr.strip().splitlines() or ["no message"])[0]
-            raise OSError(f"cc exited with status {proc.returncode}: {first}")
-        os.replace(partial, target)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd, partial = tempfile.mkstemp(prefix=".round-", suffix=".so",
+                                       dir=target.parent)
+    except OSError:
+        with tempfile.TemporaryDirectory(prefix="megt-") as private:
+            return _open(_compile(Path(private) / target.name))
+    os.close(fd)
+    try:
+        os.replace(_compile(Path(partial)), target)
     finally:
         if os.path.exists(partial):
             os.unlink(partial)
-    return target
+    return _open(target)
+
+
+def _open(path: Path) -> ctypes.CDLL:
+    """The library at ``path``, loaded, with its functions' signatures."""
+    library = ctypes.CDLL(str(path))
+    library.megt_draws.argtypes = (_PTR, _I64, _I64, _PTR, _PTR, _PTR,
+                                   _I64, _PTR)
+    library.megt_draws.restype = None
+    for name, restype in (("megt_round", None), ("megt_run", _I64)):
+        function = getattr(library, name)
+        function.argtypes = (ctypes.POINTER(Engine), _PTR)
+        function.restype = restype
+    library.megt_comm_entries.argtypes = (_I64, _I64, _PTR, _PTR, _PTR,
+                                          _F64, _I64, _PTR, _PTR, _PTR,
+                                          _I64, _I64)
+    library.megt_comm_entries.restype = _I64
+    return library
 
 
 def _numpy_draws(rng: np.random.Generator, bound: int) -> list[np.ndarray]:
-    """A round's draws as ``RoundEngine`` makes them in Python: bulk
-    picks, neighbour and adoption uniforms, then scalar redraws."""
+    """A round's draws as numpy makes them: bulk picks, neighbour and
+    adoption uniforms, then scalar redraws."""
     return [rng.integers(0, bound, size=_CHECK_COUNT),
             rng.random(_CHECK_COUNT), rng.random(_CHECK_COUNT),
             np.array([rng.integers(bound) for _ in range(_CHECK_REDRAWS)])]
@@ -153,48 +192,20 @@ def _draws_match(library) -> bool:
 
 
 @functools.cache
-def compiled():
-    """``(library, "c")`` for the built and loaded ``round.c``, or
-    ``(None, "python: <reason>")`` when it cannot be built or loaded.
+def load() -> ctypes.CDLL:
+    """The built, loaded and checked ``round.c``; raises KernelError
+    naming the cause when there is no ``cc``, the build fails or the
+    library cannot be loaded, or the draws differ from numpy's.
 
-    The outcome is decided once per process.  The library's draws are
-    not checked here: ``comm._series_c`` calls its
-    ``megt_comm_entries``, which draws no random numbers, and ``load``
-    checks the draws before the rounds use it.
-    """
-    try:
-        library = ctypes.CDLL(str(_build()))
-        library.megt_draws.argtypes = (_PTR, _I64, _I64, _PTR, _PTR, _PTR,
-                                       _I64, _PTR)
-        library.megt_draws.restype = None
-        for name, restype in (("megt_round", None), ("megt_run", _I64)):
-            function = getattr(library, name)
-            function.argtypes = (ctypes.POINTER(Engine), _PTR)
-            function.restype = restype
-        library.megt_comm_entries.argtypes = (_I64, _I64, _PTR, _PTR, _PTR,
-                                              _F64, _I64, _PTR, _PTR, _PTR,
-                                              _I64, _I64)
-        library.megt_comm_entries.restype = _I64
-    except FileNotFoundError as exc:
-        if exc.filename == "cc":
-            return None, "python: no C compiler (cc) on PATH"
-        return None, f"python: {exc}"
-    except (OSError, AttributeError, RuntimeError) as exc:
-        return None, f"python: {exc}"
-    return library, "c"
-
-
-@functools.cache
-def load():
-    """``(library, "c")`` for the compiled rounds, or
-    ``(None, "python: <reason>")`` when ``compiled`` fails or the
-    library's draws differ from numpy's.
-
-    The outcome is decided once per process.  ``library.megt_round`` and
+    A success is kept for the process.  ``library.megt_round`` and
     ``library.megt_run`` take a pointer to an ``Engine`` and the address
     of numpy's ``bitgen_t`` (``bit_generator.ctypes.bit_generator``).
     """
-    library, path = compiled()
-    if library is not None and not _draws_match(library):
-        return None, "python: rng mismatch"
-    return library, path
+    try:
+        library = _library()
+    except (OSError, AttributeError, RuntimeError) as exc:
+        raise KernelError(f"cannot build or load round.c: {exc}") from None
+    if not _draws_match(library):
+        raise KernelError(f"the draw check failed: round.c's random draws "
+                          f"differ from those of numpy {np.__version__}")
+    return library

@@ -4,8 +4,8 @@
  *
  * megt_run loops rounds until the stop rule fires; megt_round makes one
  * round.  A round does, with the same numbers in the same order and the
- * same float operations as RoundEngine's Python fallback, so both give
- * the same bits:
+ * same float operations as the tests' oracle (reference_round in
+ * tests/oracles.py), so both give the same bits:
  *
  *  1. payoffs: per slot, mass += w_e * s_j over its neighbour edges in
  *     CSR order (ascending j), then
@@ -328,7 +328,7 @@ int64_t megt_run(struct megt_engine *e, bitgen_t *bitgen)
  * omega * x(beta, i) for beta > alpha; so node i's rows are summed
  * together, each starting from the sum 0 + omega * x(0, i) + ... of its
  * prefix, which the row before it extends by one term.  Every row gets
- * the operations that megt.comm's numpy loop makes over the supra CSR,
+ * the operations that the tests' numpy series makes over the supra CSR,
  * in the same order.  Every column's arithmetic is independent of the
  * others, so neither the panel width nor the vector width changes a
  * bit.  Entry (r, c) is read from column r, which equals row r because

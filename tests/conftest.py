@@ -1,6 +1,6 @@
 """Shared helpers for the tests that run megt in a child process, for
-the tests that run both imitation loops, and for the property tests that
-draw small random multiplexes.
+the tests that take the compiled kernel away, and for the property tests
+that draw small random multiplexes.
 
 A child ``python -m megt.cli`` must run the same ``megt`` that this pytest
 process imported, whatever its working directory and whether ``PYTHONPATH``
@@ -9,6 +9,7 @@ was given as a relative path (``PYTHONPATH=src``) or megt is installed.
 from __future__ import annotations
 
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -89,18 +90,10 @@ def assert_edge_csr(network) -> None:
     assert weight[order].tobytes() == weight.tobytes()
 
 
-def force_python_round(monkeypatch) -> None:
-    """Make every RoundEngine built from here on run its Python loop, as
-    it does when the compiled kernel cannot be built."""
-    monkeypatch.setattr(megt.kernel, "load",
-                        lambda: (None, "python: forced by the test"))
-
-
 def reset_kernel() -> None:
     """Forget the kernel loader's per-process outcome, so that the next
-    ``megt.kernel.compiled`` and ``load`` build and check afresh."""
+    ``megt.kernel.load`` builds and checks afresh."""
     megt.kernel.load.cache_clear()
-    megt.kernel.compiled.cache_clear()
 
 
 @pytest.fixture
@@ -114,4 +107,20 @@ def without_cc(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     reset_kernel()
     yield
+    reset_kernel()
+
+
+@pytest.fixture
+def unwritable_cache(tmp_path, monkeypatch):
+    """A kernel cache path that is a file, so that the loader must build
+    in a private temporary directory under the returned one; its
+    per-process outcome is reset around the test."""
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    private = tmp_path / "tmp"
+    private.mkdir()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    monkeypatch.setattr(tempfile, "tempdir", str(private))
+    reset_kernel()
+    yield private
     reset_kernel()

@@ -3,13 +3,23 @@ to, and the small-network builder the tests draw their fixtures from.
 
 None of these is part of megt: a run reads its communicability entries
 from ``communicability_entries`` through a ``ScalingTable``, its Fermi
-probabilities inline in the round, its networks from ``build_multiplex``
-or ``load_multiplex``, and its report tables from ``parse_reports``.
+probabilities inline in the round, its rounds and stop rule from the
+compiled kernel, its networks from ``build_multiplex`` or
+``load_multiplex``, and its report tables from ``parse_reports``.
 
 - ``communicability`` is the dense (N*M)^2 exponential of the
   supra-matrix, and ``scaling_factor`` the per-slot imitation scaling
   read from it over ``cross_neighbourhood``;
+- ``series_numpy`` sums the truncated Taylor series of the sparse
+  supra-matrix in numpy, with the operations of ``round.c``'s
+  ``megt_comm_entries`` in the same order, so the same bits;
 - ``fermi_probability`` is the imitation probability;
+- ``reference_round`` is one Monte Carlo round written plainly from
+  ``scaling_factor`` and ``fermi_probability``, over the entries of a
+  ``ScalingTable`` (``table_communicability``); ``reference_rounds``
+  repeats it under the stop rule of ``evolve.run``, and
+  ``reference_run`` makes a whole run from a config that way.  The
+  compiled kernel must match them bit for bit;
 - ``dense_nash_counts`` counts Nash pairs from the dense N x N coupling
   of the union graph, as ``EquilibriumTracker`` did with a BLAS
   matrix-vector product before it summed over edges;
@@ -30,7 +40,10 @@ import numpy as np
 from megt.comm import ScalingBounds, build_supra, matrix_exp
 from megt.crowdsense import (ReportRecord, ReportTable, _first_codes,
                              _offsets)
-from megt.evolve import _EXP_CLAMP, DISTANCE_FLOOR
+from megt.evolve import (_EXP_CLAMP, DISTANCE_FLOOR, RunResult, ScalingTable,
+                         SimulationConfig, SimulationState, Trajectory,
+                         _dynamics_rng, accumulate_payoffs, density,
+                         init_state, replica_network)
 from megt.games import COOPERATE, PayoffMatrix
 from megt.netgen import (MultiplexNetwork, _from_edges, _layer_edges,
                          homophily_from_delta)
@@ -121,6 +134,175 @@ def fermi_probability(payoff_self: float, payoff_other: float,
     if x < -_EXP_CLAMP:
         return scaling
     return scaling / (1.0 + math.exp(x))
+
+
+def table_communicability(table: ScalingTable,
+                          network: MultiplexNetwork) -> Communicability:
+    """A Communicability holding the table's entries, and zeros elsewhere:
+    the oracles then read the very values the engine reads."""
+    nm = network.node_count * network.layer_count
+    matrix = np.zeros((nm, nm))
+    owner = np.repeat(np.arange(nm), np.diff(table.cross_ptr))
+    matrix[owner, table.cross_slot] = table.cross_value
+    return Communicability(matrix=matrix, node_count=network.node_count,
+                           layer_count=network.layer_count)
+
+
+def neighbour_lists(network: MultiplexNetwork) -> list[list[list[int]]]:
+    """Each layer's adjacency lists, scanned from its adjacency rows."""
+    return [[np.flatnonzero(row).tolist() for row in a]
+            for a in network.adjacency]
+
+
+def reference_round(state: SimulationState, network: MultiplexNetwork,
+                    comm: Communicability, config: SimulationConfig
+                    ) -> tuple[float, int]:
+    """One Monte Carlo round written plainly from the oracles
+    ``scaling_factor`` and ``fermi_probability``, drawing from the RNG in
+    the same order as ``RoundEngine.round``; returns the density after
+    the round and the number of steps that changed a strategy."""
+    n = network.node_count
+    nm = n * network.layer_count
+    payoffs = accumulate_payoffs(state, network, config.game,
+                                 config.payoff_weights)
+    neighbours = neighbour_lists(network)
+    rng = state.rng
+    picks = rng.integers(0, nm, nm)
+    u_neighbour = rng.random(nm)
+    u_adopt = rng.random(nm)
+    strategies = state.strategies
+    adoptions = 0
+    for t in range(nm):
+        alpha, i = divmod(int(picks[t]), n)
+        while not neighbours[alpha][i]:
+            alpha, i = divmod(int(rng.integers(nm)), n)
+        options = neighbours[alpha][i]
+        j = options[int(u_neighbour[t] * len(options))]
+        if strategies[alpha, i] == strategies[alpha, j]:
+            continue
+        scaling = scaling_factor(i, alpha, comm, strategies, network,
+                                 config.scaling_bounds)
+        prob = fermi_probability(payoffs[alpha, i], payoffs[alpha, j],
+                                 network.delta[i, j],
+                                 config.selection_intensity, scaling)
+        if u_adopt[t] < prob:
+            strategies[alpha, i] = strategies[alpha, j]
+            adoptions += 1
+    state.coop_count += (
+        (strategies == COOPERATE) * network.layer_degrees()).sum(axis=0)
+    state.round_index += 1
+    return density(state), adoptions
+
+
+def reference_rounds(state: SimulationState, network: MultiplexNetwork,
+                     comm: Communicability, config: SimulationConfig,
+                     tables: list | None = None
+                     ) -> tuple[list[float], list[float], str, int]:
+    """``RoundEngine.run`` written plainly: ``reference_round`` from
+    ``state`` until the stop rule of ``evolve.run`` fires, at most
+    ``max_rounds`` rounds.  Returns the densities, their running sums
+    ``[0, rho[0], rho[0] + rho[1], ...]``, the stop reason and the
+    adoptions; a copy of the strategy table of the given state and of
+    every round is appended to ``tables``, if given."""
+    window = config.steady_window
+    rho = [density(state)]
+    cumulative = [0.0, rho[0]]
+    adoptions = 0
+    if tables is not None:
+        tables.append(state.strategies.copy())
+    if not network.layer_degrees().any():
+        return rho, cumulative, "edgeless", adoptions
+    if rho[0] in (0.0, 1.0):
+        return rho, cumulative, "absorbing", adoptions
+    while len(rho) - 1 < config.max_rounds:
+        value, adopted = reference_round(state, network, comm, config)
+        rho.append(value)
+        cumulative.append(cumulative[-1] + value)
+        adoptions += adopted
+        if tables is not None:
+            tables.append(state.strategies.copy())
+        if value in (0.0, 1.0):
+            return rho, cumulative, "absorbing", adoptions
+        if len(rho) - 1 >= 2 * window:
+            recent = (cumulative[-1] - cumulative[-1 - window]) / window
+            previous = (cumulative[-1 - window]
+                        - cumulative[-1 - 2 * window]) / window
+            if abs(recent - previous) < config.steady_tolerance:
+                return rho, cumulative, "steady", adoptions
+    return rho, cumulative, "budget", adoptions
+
+
+def reference_run(config: SimulationConfig, replica_index: int = 0,
+                  tables: list | None = None) -> RunResult:
+    """``evolve.run(config, replica_index=...)`` with its rounds and stop
+    rule from ``reference_rounds``: the same network, scaling table and
+    initial state, and the same steady density."""
+    network = replica_network(config, 0, replica_index)
+    table = ScalingTable(network, config.interlayer_strength)
+    state = init_state(network, config.initial_coop_fraction,
+                       _dynamics_rng(config, 0, replica_index))
+    rho, cumulative, stop_reason, adoptions = reference_rounds(
+        state, network, table_communicability(table, network), config,
+        tables)
+    if rho[-1] in (0.0, 1.0):
+        steady = rho[-1]
+    else:
+        tail = min(config.steady_window, len(rho))
+        steady = (cumulative[-1] - cumulative[-1 - tail]) / tail
+    trajectory = Trajectory(rho=rho, steady_rho=steady,
+                            converged=stop_reason != "budget",
+                            stop_reason=stop_reason)
+    return RunResult(trajectory=trajectory, state=state, network=network,
+                     adoptions=adoptions)
+
+
+# columns per panel of series_numpy; the fastest of 16 to 256 at
+# N*M = 1400 and 2000
+_NUMPY_PANEL = 32
+
+
+def series_numpy(ptr, col, val, terms, cross_ptr, cross_slot
+                 ) -> np.ndarray:
+    """``round.c``'s ``megt_comm_entries`` in numpy, with the same
+    operations in the same order, so the same bits.
+
+    Each row's products are added left to right by taking the q-th
+    stored entry of every row that has one, for q = 0, 1, ...  Panels
+    store their rows by descending degree, so the rows with a q-th entry
+    are a leading slice; the storage order and the panel width change
+    no bit."""
+    nm = ptr.size - 1
+    degree = np.diff(ptr)
+    order = np.argsort(-degree, kind="stable")
+    rank = np.empty(nm, dtype=np.int64)
+    rank[order] = np.arange(nm)
+    steps = []
+    for q in range(int(degree.max(initial=0))):
+        rows = order[:np.count_nonzero(degree > q)]
+        steps.append((rows.size, rank[col[ptr[rows] + q]],
+                      val[ptr[rows] + q, None]))
+    owner = np.repeat(np.arange(nm), np.diff(cross_ptr))
+    out = np.empty(cross_slot.size)
+    total, term, acc, products = (np.empty((nm, _NUMPY_PANEL))
+                                  for _ in range(4))
+    for first in range(0, nm, _NUMPY_PANEL):
+        width = min(_NUMPY_PANEL, nm - first)
+        t, a, b = total[:, :width], term[:, :width], acc[:, :width]
+        t.fill(0.0)
+        t[rank[first:first + width], np.arange(width)] = 1.0
+        a[...] = t
+        for k in range(1, terms + 1):
+            b.fill(0.0)
+            for count, cols, vals in steps:
+                p = products[:count, :width]
+                np.take(a, cols, axis=0, out=p, mode="clip")
+                p *= vals
+                b[:count] += p
+            np.divide(b, k, out=a)
+            t += a
+        part = slice(cross_ptr[first], cross_ptr[first + width])
+        out[part] = t[rank[cross_slot[part]], owner[part] - first]
+    return out
 
 
 def dense_nash_counts(network: MultiplexNetwork, game: PayoffMatrix,

@@ -243,7 +243,6 @@ def test_evolve_single_replica_outputs(tmp_path):
     manifest = load_manifest(outdir / "manifest.json")
     assert len(manifest.extra["steady_rho"]) == 1
     assert len(manifest.extra["stop_reason"]) == 1
-    assert "round_kernel" in manifest.extra
     assert set(manifest.outputs) == {"rho.csv", "state.txt", "metrics.csv"}
 
 
@@ -589,7 +588,6 @@ def test_nash_outputs(tmp_path):
     assert len(alpha_lines) == len(rho_lines)
     extra = load_manifest(outdir / "manifest.json").extra
     assert extra["stop_reason"] in ("steady", "absorbing", "budget")
-    assert "round_kernel" in extra
     # a density that moved took adoptions
     densities = {line.split(",")[1] for line in rho_lines[1:]}
     assert type(extra["adoptions"]) is int

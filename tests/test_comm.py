@@ -14,16 +14,16 @@ import megt.comm
 import megt.evolve
 import megt.kernel
 from megt.comm import (ScalingBounds, _series_c, _series_choice,
-                       _series_numpy, _series_terms, _series_threads,
-                       _spectral_bound, _supra_csr, build_supra,
-                       communicability_entries, matrix_exp)
+                       _series_terms, _series_threads, _spectral_bound,
+                       _supra_csr, build_supra, communicability_entries,
+                       matrix_exp)
 from megt.evolve import DISTANCE_FLOOR, ScalingTable, _map
 from megt.netgen import (LayerTopology, MultiplexSpec, build_multiplex,
                          homophily_from_delta)
 
 import conftest
 from oracles import (Communicability, communicability, cross_neighbourhood,
-                     multiplex_from_arrays, scaling_factor)
+                     multiplex_from_arrays, scaling_factor, series_numpy)
 
 COSH_1 = 1.5430806348152437
 SINH_1 = 1.1752011936438014
@@ -425,17 +425,16 @@ def test_series_entries_match_eigh_and_c_matches_numpy(
     cross_ptr, cross_slot = cross_csr(net)
     ptr, col, val = _supra_csr(net, omega)
     terms = _series_terms(_spectral_bound(ptr, col, val))
-    series = _series_numpy(ptr, col, val, terms, cross_ptr, cross_slot)
+    series = series_numpy(ptr, col, val, terms, cross_ptr, cross_slot)
     owner = np.repeat(np.arange(n * layers), np.diff(cross_ptr))
     oracle = matrix_exp(build_supra(net, omega))[owner, cross_slot]
     # at omega = 0 both give exact zeros across layers
     assert np.all(np.abs(series - oracle) <= 1e-12 * np.abs(oracle))
-    library = megt.kernel.load()[0]
-    if library is not None:
-        for vector in (True, False):
-            assert np.array_equal(
-                _series_c(library, net, omega, terms, cross_ptr, cross_slot,
-                          threads=1, vector=vector), series)
+    library = megt.kernel.load()
+    for vector in (True, False):
+        assert np.array_equal(
+            _series_c(library, net, omega, terms, cross_ptr, cross_slot,
+                      threads=1, vector=vector), series)
 
 
 def test_series_choice_is_the_cost_rule():
@@ -522,14 +521,14 @@ def test_series_entries_do_not_depend_on_the_thread_count():
     cross_ptr, cross_slot = cross_csr(net)
     ptr, col, val = _supra_csr(net, 0.5)
     terms = _series_terms(_spectral_bound(ptr, col, val))
-    library = megt.kernel.compiled()[0]
+    library = megt.kernel.load()
 
     def entries(threads):
         return _series_c(library, net, 0.5, terms, cross_ptr, cross_slot,
                          threads=threads)
 
     single = entries(1)
-    assert np.array_equal(single, _series_numpy(ptr, col, val, terms,
+    assert np.array_equal(single, series_numpy(ptr, col, val, terms,
                                                 cross_ptr, cross_slot))
     # more threads than panels take the panels there are
     for threads in (2, 3, 23, 50):
@@ -550,11 +549,11 @@ def test_node_by_node_series_equals_the_supra_csr_series(layers, omega):
     cross_slot = np.tile(np.arange(nm), nm)
     ptr, col, val = _supra_csr(net, omega)
     terms = _series_terms(_spectral_bound(ptr, col, val))
-    series = _series_numpy(ptr, col, val, terms, cross_ptr, cross_slot)
+    series = series_numpy(ptr, col, val, terms, cross_ptr, cross_slot)
     oracle = matrix_exp(build_supra(net, omega)).reshape(-1)
     # eigh's error is relative to the largest entry, not to each one
     assert np.all(np.abs(series - oracle) <= 1e-12 * oracle.max())
-    library = megt.kernel.compiled()[0]
+    library = megt.kernel.load()
     for vector in (False, True):
         for threads in (1, 3):
             assert np.array_equal(

@@ -1163,6 +1163,13 @@ def test_score_corpus_single_mechanism():
     assert result.mechanism == "B"
 
 
+def test_score_corpus_refuses_no_mechanism():
+    table, _ = parse_reports(synth_corpus(SynthSpec(user_count=20,
+                                                    day_count=2, rng_seed=5)))
+    with pytest.raises(ValueError, match="no mechanism was given"):
+        score_corpus(table, IncentiveConfig(), mechanisms=())
+
+
 def test_selected_mechanism_is_the_configured_one_if_scored():
     table = small_corpus()
     for config_mech, mechanisms, selected in (("B", ("A", "B"), "B"),

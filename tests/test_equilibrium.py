@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import megt.kernel
 from megt.equilibrium import (PROJECTION_RULES, EquilibriumTracker,
                               nash_report, project_strategies,
                               write_alpha_csv)
@@ -15,8 +14,8 @@ from megt.evolve import SimulationConfig, run
 from megt.games import COOPERATE, DEFECT, PayoffMatrix, from_ts, representative
 from megt.netgen import LayerTopology, MultiplexSpec, build_multiplex
 
-from conftest import force_python_round
-from oracles import dense_adjacency, dense_nash_counts, multiplex_from_arrays
+from oracles import (dense_adjacency, dense_nash_counts,
+                     multiplex_from_arrays, reference_run)
 
 PD = PayoffMatrix(reward=1.0, sucker=-0.5, temptation=1.5, punishment=0.0)
 HG = PayoffMatrix(reward=1.0, sucker=0.5, temptation=0.5, punishment=0.0)
@@ -421,13 +420,29 @@ def test_observer_records_every_round():
     assert all(weak <= alpha for _, alpha, weak in tracker.history)
 
 
-@pytest.mark.parametrize("compiled", [True, False], ids=["cc", "without-cc"])
-def test_tracked_run_counts_match_the_per_edge_oracle(compiled, monkeypatch):
-    # each round's strategies come from a hooked run in Python, which
+def test_a_tracked_run_evaluates_only_its_initial_state(monkeypatch):
+    # every later round's Nash pairs are counted inside the kernel's call
+    net = build_multiplex(MultiplexSpec(
+        node_count=20, layer_count=2, topologies=(LayerTopology.er(0.2),) * 2,
+        homophily_sigma=1.0, rng_seed=2))
+    tracker = EquilibriumTracker(net, representative("sd"))
+    evaluated = []
+    evaluate = EquilibriumTracker.evaluate
+    monkeypatch.setattr(EquilibriumTracker, "evaluate",
+                        lambda self, strategies: evaluated.append(1)
+                        or evaluate(self, strategies))
+    config = SimulationConfig(game=representative("sd"), network=net,
+                              max_rounds=40, steady_window=10, rng_seed=3)
+    result = run(config, tracker=tracker)
+    assert result.trajectory.rounds > 0
+    assert len(evaluated) == 1
+    assert len(tracker.history) == result.trajectory.rounds + 1
+
+
+def test_tracked_run_counts_match_the_per_edge_oracle():
+    # each round's strategies come from the Python run oracle, which
     # gives the same trajectory as a run in the compiled kernel; an even
     # layer count lets the majority rules tie
-    if compiled and megt.kernel.load()[0] is None:
-        pytest.skip("no compiled kernel")
     net = build_multiplex(MultiplexSpec(
         node_count=16, layer_count=4, topologies=(LayerTopology.er(0.2),) * 4,
         homophily_sigma=1.0, rng_seed=4))
@@ -436,10 +451,7 @@ def test_tracked_run_counts_match_the_per_edge_oracle(compiled, monkeypatch):
         config = SimulationConfig(game=game, network=net, max_rounds=6,
                                   steady_window=3, rng_seed=1)
         seen = []
-        with monkeypatch.context() as patch:
-            force_python_round(patch)
-            run(config, on_round=lambda k, state: seen.append(
-                state.strategies.copy()))
+        reference_run(config, tables=seen)
         for projection in PROJECTION_RULES:
             expected = []
             for k, strategies in enumerate(seen):
@@ -451,10 +463,7 @@ def test_tracked_run_counts_match_the_per_edge_oracle(compiled, monkeypatch):
                 expected.append((k, sum(c[0] for c in counts) / edges,
                                  sum(c[1] for c in counts) / edges))
             tracker = EquilibriumTracker(net, game, projection)
-            with monkeypatch.context() as patch:
-                if not compiled:
-                    force_python_round(patch)
-                run(config, tracker=tracker)
+            run(config, tracker=tracker)
             assert tracker.history == expected, (game, projection)
 
 

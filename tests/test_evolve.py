@@ -5,7 +5,6 @@ import dataclasses
 import itertools
 import math
 import os
-import shutil
 import subprocess
 import sys
 
@@ -27,10 +26,11 @@ from megt.games import (COOPERATE, PayoffMatrix, from_ts, pd_from_bc,
                         representative)
 from megt.netgen import LayerTopology, MultiplexSpec, build_multiplex
 
-from conftest import (assert_edge_csr, dense_weights, force_python_round,
-                      megt_env, random_multiplex)
-from oracles import (Communicability, fermi_probability,
-                     multiplex_from_arrays, scaling_factor)
+from conftest import (assert_edge_csr, dense_weights, megt_env,
+                      random_multiplex)
+from oracles import (fermi_probability, multiplex_from_arrays,
+                     neighbour_lists, reference_round, reference_rounds,
+                     reference_run, table_communicability)
 
 
 def line_graph(n, layers=1, weights=None):
@@ -256,17 +256,6 @@ def engine_for(net, game, config):
                        ScalingTable(net, config.interlayer_strength), config)
 
 
-def table_communicability(table, net):
-    """A Communicability holding the table's entries, and zeros elsewhere:
-    the oracles then read the very values the engine reads."""
-    nm = net.node_count * net.layer_count
-    matrix = np.zeros((nm, nm))
-    owner = np.repeat(np.arange(nm), np.diff(table.cross_ptr))
-    matrix[owner, table.cross_slot] = table.cross_value
-    return Communicability(matrix=matrix, node_count=net.node_count,
-                           layer_count=net.layer_count)
-
-
 def kernel_table_fields():
     """The pointer fields of the table section of ``kernel.Engine``, the
     mirror of ``round.c``'s ``struct megt_engine``: those before the
@@ -357,47 +346,6 @@ def test_isolated_node_never_changes_strategy():
     assert np.array_equal(state.strategies[:, 4], before)
 
 
-def neighbour_lists(net):
-    """Each layer's adjacency lists, scanned from its adjacency rows."""
-    return [[np.flatnonzero(row).tolist() for row in a]
-            for a in net.adjacency]
-
-
-def reference_round(state, net, comm, config):
-    """One Monte Carlo round written plainly from the oracles
-    ``scaling_factor`` and ``fermi_probability``, drawing from the RNG in
-    the same order as ``RoundEngine.round``."""
-    n = net.node_count
-    nm = n * net.layer_count
-    payoffs = accumulate_payoffs(state, net, config.game,
-                                 config.payoff_weights)
-    neighbours = neighbour_lists(net)
-    rng = state.rng
-    picks = rng.integers(0, nm, nm)
-    u_neighbour = rng.random(nm)
-    u_adopt = rng.random(nm)
-    strategies = state.strategies
-    for t in range(nm):
-        alpha, i = divmod(int(picks[t]), n)
-        while not neighbours[alpha][i]:
-            alpha, i = divmod(int(rng.integers(nm)), n)
-        options = neighbours[alpha][i]
-        j = options[int(u_neighbour[t] * len(options))]
-        if strategies[alpha, i] == strategies[alpha, j]:
-            continue
-        scaling = scaling_factor(i, alpha, comm, strategies, net,
-                                 config.scaling_bounds)
-        prob = fermi_probability(payoffs[alpha, i], payoffs[alpha, j],
-                                 net.delta[i, j],
-                                 config.selection_intensity, scaling)
-        if u_adopt[t] < prob:
-            strategies[alpha, i] = strategies[alpha, j]
-    state.coop_count += (
-        (strategies == COOPERATE) * net.layer_degrees()).sum(axis=0)
-    state.round_index += 1
-    return density(state)
-
-
 # (seed, edge probability, game, scaling bounds, selection intensity,
 # payoff weights); p = 0.04 leaves isolated slots
 REFERENCE_CASES = [
@@ -410,23 +358,11 @@ REFERENCE_CASES = [
 ]
 
 
-def compiled_kernel_expected() -> bool:
-    """Whether the default engine must run the compiled kernel here."""
-    return shutil.which("cc") is not None
-
-
-# each case on the default loop (the compiled kernel where cc exists),
-# then on the Python loop
 @pytest.mark.parametrize(
-    "seed, p, game, bounds, kappa, weights, python",
-    [case + (False,) for case in REFERENCE_CASES]
-    + [case + (True,) for case in REFERENCE_CASES],
-    ids=[f"seed{case[0]}" for case in REFERENCE_CASES]
-    + [f"seed{case[0]}-python" for case in REFERENCE_CASES])
+    "seed, p, game, bounds, kappa, weights", REFERENCE_CASES,
+    ids=[f"seed{case[0]}" for case in REFERENCE_CASES])
 def test_round_engine_matches_reference_round(seed, p, game, bounds, kappa,
-                                              weights, python, monkeypatch):
-    if python:
-        force_python_round(monkeypatch)
+                                              weights):
     spec = MultiplexSpec(node_count=25, layer_count=3,
                          topologies=(LayerTopology.er(p),) * 3,
                          homophily_sigma=1.0, rng_seed=seed)
@@ -441,16 +377,16 @@ def test_round_engine_matches_reference_round(seed, p, game, bounds, kappa,
     table = ScalingTable(net, config.interlayer_strength)
     comm = table_communicability(table, net)
     engine = RoundEngine(net, config.game, table, config)
-    if python:
-        assert engine.round_kernel.startswith("python: ")
-    elif compiled_kernel_expected():
-        assert engine.round_kernel == "c"
     fast = init_state(net, 0.5, np.random.default_rng(seed))
     slow = init_state(net, 0.5, np.random.default_rng(seed))
+    adoptions = 0
     for _ in range(30):
-        assert engine.round(fast) == reference_round(slow, net, comm, config)
+        value, adopted = reference_round(slow, net, comm, config)
+        adoptions += adopted
+        assert engine.round(fast) == value
         assert np.array_equal(fast.strategies, slow.strategies)
     assert np.array_equal(fast.coop_count, slow.coop_count)
+    assert engine.adoptions == adoptions
 
 
 @settings(max_examples=60, deadline=None)
@@ -466,8 +402,6 @@ def test_compiled_round_matches_python_round(
         draw_seed, n, layers, edge_probability, sigma, edgeless_layer,
         temptation, sucker, kappa, minimum, width, omega, weights,
         dynamics_seed):
-    if megt.kernel.load()[0] is None:
-        pytest.skip(megt.kernel.load()[1])
     net = random_multiplex(draw_seed, n, layers, edge_probability, sigma,
                            edgeless_layer)
     bounds = ScalingBounds(minimum, minimum + (1.0 - minimum) * width)
@@ -478,29 +412,24 @@ def test_compiled_round_matches_python_round(
                               payoff_weights=weights)
     table = ScalingTable(net, omega)
     compiled = RoundEngine(net, config.game, table, config)
-    with pytest.MonkeyPatch.context() as patch:
-        force_python_round(patch)
-        python = RoundEngine(net, config.game, table, config)
-    assert compiled.round_kernel == "c"
+    comm = table_communicability(table, net)
     fast = init_state(net, 0.5, np.random.default_rng(dynamics_seed))
     slow = init_state(net, 0.5, np.random.default_rng(dynamics_seed))
+    adoptions = 0
     for _ in range(5):
-        assert compiled.round(fast) == python.round(slow)
+        value, adopted = reference_round(slow, net, comm, config)
+        adoptions += adopted
+        assert compiled.round(fast) == value
     assert np.array_equal(fast.strategies, slow.strategies)
     assert np.array_equal(fast.coop_count, slow.coop_count)
     assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
+    assert compiled.adoptions == adoptions
 
 
 def run_both_ways(config):
-    """``run(config)`` on the compiled kernel, then on the Python
-    fallback; skips where the kernel cannot load."""
-    if megt.kernel.load()[0] is None:
-        pytest.skip(megt.kernel.load()[1])
-    compiled = run(config)
-    with pytest.MonkeyPatch.context() as patch:
-        force_python_round(patch)
-        python = run(config)
-    return compiled, python
+    """``run(config)`` on the compiled kernel, then the same run from the
+    plain Python oracle ``reference_run``."""
+    return run(config), reference_run(config)
 
 
 def assert_same_run(a, b):
@@ -537,8 +466,8 @@ def test_compiled_run_matches_python_run(
                               steady_window=window,
                               steady_tolerance=tolerance,
                               rng_seed=dynamics_seed)
-    compiled, python = run_both_ways(config)
-    assert_same_run(compiled, python)
+    compiled, oracle = run_both_ways(config)
+    assert_same_run(compiled, oracle)
     event(compiled.trajectory.stop_reason)
 
 
@@ -555,34 +484,35 @@ def test_every_stop_of_the_compiled_run_matches_python(
                               initial_coop_fraction=initial,
                               max_rounds=rounds, steady_window=window,
                               rng_seed=seed)
-    compiled, python = run_both_ways(config)
+    compiled, oracle = run_both_ways(config)
     assert compiled.trajectory.stop_reason == reason
     assert 0 < compiled.trajectory.rounds <= rounds
-    assert_same_run(compiled, python)
+    assert_same_run(compiled, oracle)
 
 
 def test_round_runs_past_max_rounds():
     # round() has no budget: it must never write past the run's buffers
-    if megt.kernel.load()[0] is None:
-        pytest.skip(megt.kernel.load()[1])
     net = build_multiplex(small_spec(seed=2))
     config = SimulationConfig(game=representative("sd"), network=net,
                               max_rounds=2, steady_window=1)
     compiled = engine_for(net, config.game, config)
-    with pytest.MonkeyPatch.context() as patch:
-        force_python_round(patch)
-        python = engine_for(net, config.game, config)
-    assert compiled.round_kernel == "c"
+    comm = table_communicability(compiled.table, net)
     fast = init_state(net, 0.5, np.random.default_rng(4))
     slow = init_state(net, 0.5, np.random.default_rng(4))
+    adoptions = 0
     for _ in range(5 * config.max_rounds + 3):
-        assert compiled.round(fast) == python.round(slow)
+        value, adopted = reference_round(slow, net, comm, config)
+        adoptions += adopted
+        assert compiled.round(fast) == value
     assert fast.round_index == slow.round_index == 13
     assert np.array_equal(fast.strategies, slow.strategies)
     assert np.array_equal(fast.coop_count, slow.coop_count)
-    assert compiled.adoptions == python.adoptions
-    # and a whole run after them, on the same engines
-    assert compiled.run(fast) == python.run(slow)
+    assert compiled.adoptions == adoptions
+    # and a whole run after them, on the same engine
+    rho, cumulative, reason, adopted = reference_rounds(slow, net, comm,
+                                                        config)
+    assert compiled.run(fast) == (rho, cumulative, reason)
+    assert compiled.adoptions == adoptions + adopted
     assert np.array_equal(fast.strategies, slow.strategies)
     assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
 
@@ -597,7 +527,7 @@ def test_round_refuses_an_edgeless_multiplex():
 
 
 def test_round_replaces_the_strategy_array():
-    # on_round callers may keep the previous array
+    # callers may keep the previous array
     net = build_multiplex(small_spec(seed=2))
     config = SimulationConfig(game=representative("sd"), network=net)
     engine = engine_for(net, config.game, config)
@@ -699,16 +629,6 @@ def test_edgeless_multiplex_is_absorbing():
     assert steady == rho[0]
     assert converged is True
     assert reason == "edgeless"
-
-
-def test_on_round_hook_sees_every_round():
-    seen = []
-    config = SimulationConfig(game=representative("hg"),
-                              spec=small_spec(seed=3, n=20),
-                              max_rounds=50, steady_window=10, rng_seed=1)
-    run(config, on_round=lambda k, state: seen.append(k))
-    assert seen[0] == 0
-    assert seen == list(range(len(seen)))
 
 
 def test_replicas_are_order_independent():

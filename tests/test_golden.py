@@ -6,13 +6,13 @@ change that alters any trajectory, grid or network file fails here; such
 a change must be declared in CHANGES.md together with the new digests.
 ``manifest.json`` is not compared: it records absolute input paths.
 
-The simulation cases run once on the default imitation loop (the
-compiled kernel where a C compiler exists) and once more with no
-compiler on PATH, where the Python loop must give the same digests.
-The small networks of most cases take the eigh path to their
-communicability; ``nash_series`` takes the sparse series, which numpy
-must also reproduce bit for bit without a compiler, and the compiled
-series in three threads.
+The simulation cases run on the compiled kernel.  The small networks
+of most cases take the eigh path to their communicability;
+``nash_series`` takes the sparse series, in one thread and in three,
+and once more with a kernel cache that cannot be written, where the
+kernel is built in a private temporary directory.  With no compiler on
+PATH the simulating commands exit 2 and write nothing, and the others
+still give their digests.
 """
 from __future__ import annotations
 
@@ -195,28 +195,44 @@ def test_golden_score_on_synth_corpus(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["evolve", "nash", "sweep"])
-def test_golden_simulations_without_a_compiler(tmp_path, command,
+def test_golden_simulations_without_a_compiler(tmp_path, command, capsys,
                                                without_cc):
-    if command == "sweep":
-        network = _run(tmp_path, "generate", GENERATE_CONFIG) / "net.mplex"
-        outdir = _run(tmp_path, "sweep", SWEEP_CONFIG.format(network=network))
-    else:
-        config = EVOLVE_CONFIG if command == "evolve" else NASH_CONFIG
-        outdir = _run(tmp_path, command, config)
-    assert _digests(outdir) == GOLDEN[command]
-    extra = load_manifest(outdir / "manifest.json").extra
-    assert extra["round_kernel"].startswith("python: ")
+    # the golden configs of the simulating commands exit 2, name the
+    # missing compiler and write no output
+    config = tmp_path / f"{command}.cfg"
+    config.write_text({"evolve": EVOLVE_CONFIG, "nash": NASH_CONFIG,
+                       "sweep": SWEEP_CONFIG.format(network="absent")
+                       }[command])
+    outdir = tmp_path / command
+    assert main([command, "--config", str(config),
+                 "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert f"{command} needs the compiled kernel" in err
+    assert "no C compiler (cc) on PATH" in err
+    assert not outdir.exists()
 
 
-@pytest.mark.parametrize("compiler", [True, False],
-                         ids=["default", "without-cc"])
-def test_golden_nash_on_the_series_path(tmp_path, request, compiler):
-    if not compiler:
-        request.getfixturevalue("without_cc")
+def test_golden_network_and_corpus_commands_without_a_compiler(tmp_path,
+                                                               without_cc):
+    network = _run(tmp_path, "generate", GENERATE_CONFIG) / "net.mplex"
+    assert sha256_file(network) == GOLDEN["generate"]["net.mplex"]
+    reports = _run(tmp_path, "synth", SYNTH_CONFIG) / "reports.csv"
+    assert sha256_file(reports) == GOLDEN["synth"]["reports.csv"]
+    outdir = _run(tmp_path, "score", SCORE_CONFIG, "--reports", str(reports))
+    assert _digests(outdir) == GOLDEN["score"]
+
+
+@pytest.mark.parametrize("cache", ["default", "unwritable-cache"])
+def test_golden_nash_on_the_series_path(tmp_path, request, cache):
+    if cache == "unwritable-cache":
+        private = request.getfixturevalue("unwritable_cache")
     outdir = _run(tmp_path, "nash", NASH_SERIES_CONFIG)
     assert _digests(outdir) == GOLDEN["nash_series"]
     extra = load_manifest(outdir / "manifest.json").extra
     assert extra["communicability"]["method"] == "series"
+    if cache == "unwritable-cache":
+        # the private build directory is gone, library and all
+        assert list(private.iterdir()) == []
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")

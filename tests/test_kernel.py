@@ -1,8 +1,8 @@
 """Building, caching, checking and loading the compiled round kernel.
 
-The tests that compare the compiled rounds and runs with the Python ones
-live in ``test_evolve.py`` and ``test_golden.py``; these check the build
-and the loader's draw check.
+The tests that compare the compiled rounds and runs with their Python
+oracles live in ``test_evolve.py`` and ``test_golden.py``; these check
+the build, the loader's named errors and its draw check.
 """
 from __future__ import annotations
 
@@ -14,13 +14,8 @@ import sys
 import numpy as np
 import pytest
 
-import megt.comm
 import megt.kernel
 from megt.cli import main
-from megt.comm import communicability_entries
-from megt.evolve import SimulationConfig, run
-from megt.games import representative
-from megt.netgen import LayerTopology, MultiplexSpec, build_multiplex
 from megt.manifest import load_manifest
 
 from conftest import megt_env, reset_kernel
@@ -28,7 +23,7 @@ from conftest import megt_env, reset_kernel
 requires_cc = pytest.mark.skipif(shutil.which("cc") is None,
                                  reason="no C compiler (cc) on PATH")
 
-LOAD = "from megt import kernel; print(kernel.load()[1])"
+LOAD = "from megt import kernel; kernel.load(); print('loaded')"
 
 IMPORT_CLI = """
 import sys
@@ -39,7 +34,8 @@ print("megt.kernel" in sys.modules)
 WARM_LOAD = """
 import sys
 from megt import kernel
-print(kernel.load()[1], "subprocess" in sys.modules)
+kernel.load()
+print("subprocess" in sys.modules)
 """
 
 
@@ -53,7 +49,7 @@ def run_child(code, env):
 @requires_cc
 def test_cold_build_lands_in_the_cache_and_is_reused_without_cc(tmp_path):
     env = dict(megt_env(), XDG_CACHE_HOME=str(tmp_path / "cache"))
-    assert run_child(LOAD, env) == "c"
+    assert run_child(LOAD, env) == "loaded"
     cache = tmp_path / "cache" / "megt"
     built = sorted(cache.iterdir())
     # one library under its keyed name, and no temporary file left over
@@ -64,7 +60,7 @@ def test_cold_build_lands_in_the_cache_and_is_reused_without_cc(tmp_path):
     empty = tmp_path / "no-compiler"
     empty.mkdir()
     env["PATH"] = str(empty)
-    assert run_child(LOAD, env) == "c"
+    assert run_child(LOAD, env) == "loaded"
     assert sorted(cache.iterdir()) == built
     assert built[0].stat().st_mtime_ns == stamp
 
@@ -78,27 +74,41 @@ def test_importing_the_cli_builds_nothing(tmp_path):
 @requires_cc
 def test_a_warm_cache_loads_without_importing_subprocess():
     # only a build runs the compiler; the cache the child reads is warm
-    assert megt.kernel._build().is_file()
-    assert run_child(WARM_LOAD, megt_env()) == "c False"
+    reset_kernel()
+    megt.kernel.load()
+    assert run_child(WARM_LOAD, megt_env()) == "False"
 
 
 def test_missing_compiler_is_named(without_cc):
-    function, path = megt.kernel.load()
-    assert function is None
-    assert path == "python: no C compiler (cc) on PATH"
+    with pytest.raises(megt.kernel.KernelError,
+                       match=r"^no C compiler \(cc\) on PATH$"):
+        megt.kernel.load()
 
 
-def test_unwritable_cache_falls_back(tmp_path, monkeypatch):
-    blocker = tmp_path / "not-a-directory"
-    blocker.write_text("")
-    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+@requires_cc
+def test_unwritable_cache_falls_back(unwritable_cache):
+    # the kernel is built in a private temporary directory, loaded from
+    # there, and the directory removed
+    assert megt.kernel.load().megt_run is not None
+    assert list(unwritable_cache.iterdir()) == []
+
+
+@requires_cc
+def test_a_failed_build_names_the_compiler_error(tmp_path, monkeypatch):
+    broken = tmp_path / "round.c"
+    broken.write_text("this is not C\n")
+    monkeypatch.setattr(megt.kernel, "SOURCE", broken)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     reset_kernel()
     try:
-        function, path = megt.kernel.load()
+        with pytest.raises(megt.kernel.KernelError,
+                           match=r"^cc failed to build round\.c \(status "
+                                 r"\d+\): .*round\.c"):
+            megt.kernel.load()
     finally:
         reset_kernel()
-    assert function is None
-    assert path.startswith("python: ")
+    # the failed build leaves no partial library in the cache
+    assert list((tmp_path / "cache" / "megt").iterdir()) == []
 
 
 @requires_cc
@@ -109,7 +119,8 @@ def test_manifest_records_the_compiled_round(tmp_path):
     assert main(["evolve", "--config", str(config),
                  "--outdir", str(tmp_path / "out")]) == 0
     extra = load_manifest(tmp_path / "out" / "manifest.json").extra
-    assert extra["round_kernel"] == "c"
+    # there is one round path, so the manifest does not name it
+    assert "round_kernel" not in extra
     assert extra["stop_reason"][0] in ("steady", "absorbing", "budget")
 
 
@@ -123,9 +134,7 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 
 
 def test_kernel_draws_equal_numpy_draws():
-    library, path = megt.kernel.load()
-    if library is None:
-        pytest.skip(path)
+    library = megt.kernel.load()
     for bound in (2, 400, 2**31 + 1):
         ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
         for a, b in zip(megt.kernel._kernel_draws(library, ours, bound),
@@ -135,37 +144,33 @@ def test_kernel_draws_equal_numpy_draws():
 
 
 @requires_cc
-def test_rng_mismatch_falls_back_to_python(monkeypatch):
+def test_rng_mismatch_is_a_named_error(tmp_path, monkeypatch, capsys):
     # a numpy whose bounded draws consumed one more double than round.c
-    # assumes: the loader must notice and refuse the kernel
+    # assumes: the loader must notice, and megt must refuse to simulate
     numpy_draws = megt.kernel._numpy_draws
 
     def shifted(rng, bound):
         rng.random()
         return numpy_draws(rng, bound)
 
-    config = SimulationConfig(
-        game=representative("sd"), max_rounds=60, steady_window=10,
-        spec=MultiplexSpec(node_count=15, layer_count=2,
-                           topologies=(LayerTopology.er(0.2),) * 2,
-                           homophily_sigma=1.0, rng_seed=4), rng_seed=4)
-    reset_kernel()
-    compiled = run(config)
+    config = tmp_path / "run.cfg"
+    config.write_text("node_count = 15\nmax_rounds = 60\n"
+                      "steady_window = 10\nseed = 4\n")
     monkeypatch.setattr(megt.kernel, "_numpy_draws", shifted)
     reset_kernel()
     try:
-        assert megt.kernel.load() == (None, "python: rng mismatch")
-        fallback = run(config)
+        status = main(["evolve", "--config", str(config),
+                       "--outdir", str(tmp_path / "out")])
     finally:
         reset_kernel()
-    assert fallback.trajectory == compiled.trajectory
-    assert np.array_equal(fallback.state.strategies, compiled.state.strategies)
+    assert status == 2
+    assert "the draw check failed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @requires_cc
 def test_nash_run_is_one_kernel_call(tmp_path, monkeypatch):
-    library, path = megt.kernel.load()
-    assert path == "c"
+    library = megt.kernel.load()
     calls = collections.Counter()
 
     class Counting:
@@ -178,7 +183,7 @@ def test_nash_run_is_one_kernel_call(tmp_path, monkeypatch):
 
             return counted
 
-    monkeypatch.setattr(megt.kernel, "load", lambda: (Counting(), "c"))
+    monkeypatch.setattr(megt.kernel, "load", lambda: Counting())
     config = tmp_path / "nash.cfg"
     config.write_text("node_count = 30\nlayers = 3\ngame = sd\n"
                       "max_rounds = 60\nsteady_window = 10\nseed = 3\n")
@@ -188,32 +193,3 @@ def test_nash_run_is_one_kernel_call(tmp_path, monkeypatch):
     alpha = (tmp_path / "out" / "alpha.csv").read_text().splitlines()
     rho = (tmp_path / "out" / "rho.csv").read_text().splitlines()
     assert len(alpha) == len(rho) > 3
-
-
-@requires_cc
-def test_rng_mismatch_keeps_the_compiled_series(monkeypatch):
-    # the series draws no random numbers, so a failed draw check must not
-    # send it to the numpy loop
-    def refuse(*args):
-        raise AssertionError("the series fell back to numpy")
-
-    numpy_draws = megt.kernel._numpy_draws
-
-    def shifted(rng, bound):
-        rng.random()
-        return numpy_draws(rng, bound)
-
-    net = build_multiplex(MultiplexSpec(
-        node_count=200, layer_count=2,
-        topologies=(LayerTopology.ws(4, 0.1),) * 2, homophily_sigma=1.0,
-        rng_seed=2))
-    ptr = np.arange(401, dtype=np.int64)
-    monkeypatch.setattr(megt.kernel, "_numpy_draws", shifted)
-    monkeypatch.setattr(megt.comm, "_series_numpy", refuse)
-    reset_kernel()
-    try:
-        assert megt.kernel.load()[0] is None
-        _, info = communicability_entries(net, 0.5, ptr, ptr[:-1] % 200)
-    finally:
-        reset_kernel()
-    assert info["method"] == "series"
