@@ -611,10 +611,12 @@ def _parse_coded(field_counts: np.ndarray, ids: tuple[bytes, np.ndarray],
                           map(reasons.__getitem__, order),
                           map(details.__getitem__, order)))
 
+    # a duplicate shares its window with its kept first row, so the kept
+    # rows reach every window id of the rest
     table = ReportTable(_ids_at(ids, kept), (dates, date[kept]),
                         (times, time[kept]), (streets, street[kept]),
                         (kinds, kind[kept]), (uuids, uuid[kept]),
-                        rating_value[kept])
+                        rating_value[kept], (window_ids, window[survives]))
     return table, rejections
 
 
@@ -738,13 +740,15 @@ class ReportTable:
     """
 
     def __init__(self, object_ids: tuple[bytes, np.ndarray], dates, times,
-                 streets, kinds, uuids, ratings: np.ndarray) -> None:
+                 streets, kinds, uuids, ratings: np.ndarray,
+                 windows: tuple[np.ndarray, np.ndarray]) -> None:
         """Set every column from factorised ones, in ReportRecord field
         order: ``object_ids`` is the reports' UTF-8 ids joined and the
         ``len + 1`` offsets that cut them, each id stripped when read;
         ``dates`` to ``uuids`` are ``(values, codes)`` pairs, with
-        ``codes`` indexing ``values`` once per report; and ``ratings``
-        the per-report floats."""
+        ``codes`` indexing ``values`` once per report; ``ratings`` the
+        per-report floats; and ``windows`` the reports' distinct
+        ``_window_ids``, ascending, and each report's index into them."""
         self._object_ids = object_ids
         self._dates, self._times = dates, times
         self.users, self.user = _sorted_codes(*uuids)
@@ -753,8 +757,7 @@ class ReportTable:
         self.ratings = ratings
         values, self.rating = np.unique(ratings, return_inverse=True)
         self.rating_values = values.tolist()
-        self.window_ids, self.window = np.unique(_window_ids(dates, times),
-                                                 return_inverse=True)
+        self.window_ids, self.window = windows
         days = self.window_ids // SEGMENTS_PER_DAY
         self.day_span = int(days[-1] - days[0]) + 1 if len(days) else 0
         self._pairs: dict = {}  # user_windows by ``above``

@@ -8,6 +8,8 @@ response.  An edge is a Nash pair when both endpoints currently
 play a best response; the Nash-pair density alpha is the fraction of
 aggregated edges that are Nash pairs.  Tracking alpha round by round
 exposes metastable plateaus before the terminal regime of a run.
+The pairs are counted in ``round.c`` alone, so scoring a profile needs
+the compiled kernel, as simulating does (else ``kernel.KernelError``).
 """
 
 from __future__ import annotations
@@ -16,37 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import COOPERATE, DEFECT, PayoffMatrix
+from .games import COOPERATE, PayoffMatrix
 from .netgen import MultiplexNetwork, homophily_from_delta
 
 __all__ = [
     "PROJECTION_RULES",
     "NashReport",
-    "project_strategies",
     "nash_report",
     "EquilibriumTracker",
     "write_alpha_csv",
 ]
 
 PROJECTION_RULES = ("majority_tie_c", "majority_tie_d", "per_layer")
-
-
-def project_strategies(strategies: np.ndarray,
-                       rule: str = "majority_tie_c") -> np.ndarray:
-    """Collapse an (M, N) strategy table to one strategy per node.
-
-    Majority vote across layers; ties go to cooperation under
-    ``majority_tie_c`` (default) and to defection under
-    ``majority_tie_d``.  A one-row table is returned unchanged.
-    """
-    strategies = np.atleast_2d(np.asarray(strategies))
-    if rule not in ("majority_tie_c", "majority_tie_d"):
-        raise ValueError(f"unknown projection rule {rule!r}")
-    m = strategies.shape[0]
-    coop_votes = (strategies == COOPERATE).sum(axis=0)
-    if rule == "majority_tie_c":
-        return np.where(2 * coop_votes >= m, COOPERATE, DEFECT).astype(np.int8)
-    return np.where(2 * coop_votes > m, COOPERATE, DEFECT).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -66,12 +49,11 @@ class EquilibriumTracker:
     ``union_ptr``, each node's neighbours ascending in ``union_node``
     and, beside each, the homophily h_ij in ``union_weight``.
     ``edge_i`` and ``edge_j`` hold each unordered pair once, ``i < j``,
-    in row-major order.  A node's weighted cooperator frequency is its
-    weights on cooperating neighbours, added left to right from 0.0 by
-    ``np.bincount``, over its union degree; its advantage of cooperating
-    is ``base + slope * frequency``.  ``round.c`` makes the same sums,
-    so a run given this tracker (``evolve.run``) counts its Nash pairs
-    inside the compiled kernel with the bits of ``evaluate``.
+    in row-major order.  A node's advantage of cooperating is
+    ``base + slope * frequency``.  The counting is ``round.c``'s, the
+    only Nash counter in megt: ``evaluate`` calls its ``megt_nash`` on
+    one table, and a run given this tracker (``evolve.run``) counts every
+    round inside ``megt_run``; ``bind`` points either at the union graph.
 
     ``history`` holds ``(round, alpha, weak_fraction)`` rows, appended by
     ``evolve.run``: the initial state's from ``evaluate``, the rounds'
@@ -83,7 +65,6 @@ class EquilibriumTracker:
         if projection not in PROJECTION_RULES:
             raise ValueError(f"unknown projection rule {projection!r}")
         self.network = network
-        self.game = game
         self.projection = projection
         n = network.node_count
         # every layer's edges as node pairs i * N + j, sorted, each once
@@ -91,15 +72,13 @@ class EquilibriumTracker:
         pair = np.sort(network.edge_owner() % n * n
                        + network.neighbour_slot % n)
         pair = pair[np.diff(pair, prepend=-1) != 0]
-        self._owner, self.union_node = np.divmod(pair, n)
+        owner, self.union_node = np.divmod(pair, n)
         self.union_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self._owner, minlength=n),
-                  out=self.union_ptr[1:])
+        np.cumsum(np.bincount(owner, minlength=n), out=self.union_ptr[1:])
         self.union_weight = homophily_from_delta(
-            network.delta[self._owner, self.union_node])
-        self.degree = np.diff(self.union_ptr).astype(float)
-        upper = self.union_node > self._owner
-        self.edge_i, self.edge_j = self._owner[upper], self.union_node[upper]
+            network.delta[owner, self.union_node])
+        upper = self.union_node > owner
+        self.edge_i, self.edge_j = owner[upper], self.union_node[upper]
         if self.edge_i.size == 0:
             raise ValueError("aggregated network has no edges")
         # the expected payoff gain of cooperating is linear in the
@@ -109,36 +88,39 @@ class EquilibriumTracker:
                       + game.punishment - game.sucker)
         self.history: list[tuple[int, float, float]] = []
 
-    def _counts(self, play: np.ndarray) -> tuple[int, int]:
-        """(Nash pairs, weak Nash pairs) of one strategy per node."""
-        coop = (play == COOPERATE).astype(float)
-        mass = np.bincount(self._owner,
-                           weights=self.union_weight * coop[self.union_node],
-                           minlength=play.size)
-        freq = np.where(self.degree > 0,
-                        mass / np.where(self.degree > 0, self.degree, 1.0),
-                        0.0)
-        adv = self.base + self.slope * freq
-        indifferent = adv == 0.0
-        node_ok = np.where(play == COOPERATE, adv >= 0.0, adv <= 0.0)
-        pair_ok = node_ok[self.edge_i] & node_ok[self.edge_j]
-        weak = pair_ok & (indifferent[self.edge_i]
-                          | indifferent[self.edge_j])
-        return int(pair_ok.sum()), int(weak.sum())
+    def bind(self, engine) -> None:
+        """Point a ``kernel.Engine``'s Nash fields at the union graph and
+        the game; the engine must not outlive this tracker."""
+        (engine.union_ptr, engine.union_node, engine.union_weight,
+         engine.pair_i, engine.pair_j) = (array.ctypes.data for array in (
+             self.union_ptr, self.union_node, self.union_weight,
+             self.edge_i, self.edge_j))
+        engine.pair_total = self.edge_i.size
+        engine.nash_base, engine.nash_slope = self.base, self.slope
+        engine.projection = PROJECTION_RULES.index(self.projection)
 
     def evaluate(self, strategies: np.ndarray) -> NashReport:
         """The Nash pairs of an (M, N) strategy table under the
-        projection rule.  ``per_layer`` scores every layer's profile on
-        the aggregated graph, over M copies of its edges."""
-        strategies = np.atleast_2d(np.asarray(strategies))
-        if self.projection == "per_layer":
-            profiles = list(strategies)
-        else:
-            profiles = [project_strategies(strategies, self.projection)]
-        counts = [self._counts(play) for play in profiles]
-        pairs = sum(pair for pair, _ in counts)
-        weak_count = sum(weak for _, weak in counts)
-        edges = self.edge_i.size * len(profiles)
+        projection rule, counted by ``round.c``'s ``megt_nash``.
+        ``per_layer`` scores every layer's profile on the aggregated
+        graph, over M copies of its edges."""
+        from . import kernel  # ctypes stays off the import path
+        play = np.atleast_2d(np.asarray(strategies) == COOPERATE
+                             ).astype(np.int8, order="C")
+        m, n = play.shape
+        if n != self.network.node_count:
+            raise ValueError(f"the strategy table has node count {n}, the "
+                             f"tracker's network {self.network.node_count}")
+        scratch, counts = np.zeros((2, n), np.int8), np.zeros((2, 1), np.int64)
+        engine = kernel.Engine(
+            node_count=n, slot_count=play.size, strategies=play.ctypes.data,
+            nash_play=scratch[0].ctypes.data, nash_flag=scratch[1].ctypes.data,
+            pair_count=counts[0].ctypes.data, weak_count=counts[1].ctypes.data)
+        self.bind(engine)
+        kernel.load().megt_nash(engine)
+        pairs, weak_count = counts[:, 0].tolist()
+        edges = self.edge_i.size * (m if self.projection == "per_layer"
+                                    else 1)
         return NashReport(alpha=pairs / edges,
                           weak_fraction=weak_count / edges,
                           pair_count=pairs, weak_count=weak_count,

@@ -17,7 +17,8 @@ says which.
 ``round.c``, built on first use by ``megt.kernel``, runs a whole run in
 one call: payoffs, the draws, which it takes from numpy's bit generator
 in numpy's order, the steps and the stop rule, and the Nash-pair counts
-of an equilibrium tracker.  It reads one ``ScalingTable`` of CSR arrays.
+of an equilibrium tracker (its ``evaluate``'s counter).  It reads one
+``ScalingTable`` of CSR arrays.
 A host that cannot build the kernel cannot simulate: ``kernel.load``
 raises a ``KernelError`` naming the cause.
 """
@@ -36,7 +37,6 @@ import numpy as np
 
 from . import comm
 from .comm import ScalingBounds, _usable_cpus, communicability_entries
-from .equilibrium import PROJECTION_RULES
 from .games import COOPERATE, PayoffMatrix, from_ts
 from .netgen import MultiplexNetwork, MultiplexSpec, build_multiplex
 
@@ -55,7 +55,6 @@ __all__ = [
     "run",
     "run_replicas",
     "sweep_ts",
-    "density",
     "write_trajectory_csv",
     "write_grid_csv",
     "write_state_text",
@@ -376,11 +375,9 @@ class RoundEngine:
         reason.  ``tracker``, an ``EquilibriumTracker``, if given, gets
         the Nash-pair row of the given state and of every round in its
         history: the given state's from one ``tracker.evaluate`` call,
-        each round's from inside the kernel's call.
+        which refuses a tracker of another node count before the kernel
+        reads its arrays, and each round's from inside the kernel's call.
         """
-        # the kernel reads the tracker's arrays over the run's nodes
-        if tracker is not None and tracker.degree.size != self.node_count:
-            raise ValueError("the tracker's network has another node count")
         rho0 = float((state.strategies == COOPERATE).sum() / self.slot_count)
         if tracker is not None:
             report = tracker.evaluate(state.strategies)
@@ -419,15 +416,9 @@ class RoundEngine:
             nash_flag=np.zeros(self.node_count, dtype=np.int8),
             pair_count=np.zeros(history, dtype=np.int64),
             weak_count=np.zeros(history, dtype=np.int64))
-        for name in ("union_ptr", "union_node", "union_weight"):
-            setattr(engine, name, getattr(tracker, name).ctypes.data)
-        engine.pair_total = tracker.edge_i.size
-        engine.pair_i = tracker.edge_i.ctypes.data
-        engine.pair_j = tracker.edge_j.ctypes.data
+        tracker.bind(engine)
         for name in ("nash_play", "nash_flag", "pair_count", "weak_count"):
             setattr(engine, name, self._buffers[name].ctypes.data)
-        engine.nash_base, engine.nash_slope = tracker.base, tracker.slope
-        engine.projection = PROJECTION_RULES.index(tracker.projection)
 
     def _call(self, function, state: SimulationState):
         """``function`` of the kernel on ``state``: the strategies and
@@ -468,10 +459,6 @@ def replica_network(config: SimulationConfig, cell_index: int = 0,
     return build_multiplex(spec)
 
 
-# the scaling table of the last prebuilt network: (network, omega, table)
-_table_memo: tuple[MultiplexNetwork, float, ScalingTable] | None = None
-
-
 def _scaling_table(config: SimulationConfig,
                    network: MultiplexNetwork) -> ScalingTable:
     """The run's ScalingTable, reused while the prebuilt network is.
@@ -479,20 +466,19 @@ def _scaling_table(config: SimulationConfig,
     The table is per-network data: it depends only on the network and
     the coupling strength, so replicas and sweep cells that share a
     prebuilt network share one table and add only their per-run state.
-    The one-slot memo holds the network object itself and matches it
-    with ``is``; a prebuilt network must therefore not be mutated
-    between runs.  Spec-built networks are fresh for every replica and
-    are never memoised.
+    The one-slot memo is keyed on the network object itself
+    (``MultiplexNetwork`` hashes by identity); a prebuilt network must
+    therefore not be mutated between runs.  Spec-built networks are
+    fresh for every replica and never enter the memo, so none outlives
+    its run.
     """
-    global _table_memo
-    omega = config.interlayer_strength
-    memo = _table_memo
-    if memo is not None and memo[0] is network and memo[1] == omega:
-        return memo[2]
-    table = ScalingTable(network, omega)
     if config.network is network:
-        _table_memo = (network, omega, table)
-    return table
+        return _prebuilt_table(network, config.interlayer_strength)
+    return ScalingTable(network, config.interlayer_strength)
+
+
+# the scaling table of the last prebuilt network
+_prebuilt_table = functools.lru_cache(maxsize=1)(ScalingTable)
 
 
 def run(config: SimulationConfig, *, cell_index: int = 0,
@@ -599,11 +585,6 @@ def run_replicas(config: SimulationConfig, *, cell_index: int = 0,
     """
     return _map(functools.partial(_replica, config, cell_index),
                 list(range(config.replicas)), jobs)
-
-
-def density(state: SimulationState) -> float:
-    """Fraction of (node, layer) slots currently cooperating."""
-    return float((state.strategies == COOPERATE).mean())
 
 
 @dataclass

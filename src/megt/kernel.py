@@ -1,5 +1,5 @@
-"""The compiled Monte Carlo rounds and communicability series, built and
-checked on first use.
+"""The compiled Monte Carlo rounds, Nash counts and communicability
+series, built and checked on first use.
 
 ``round.c`` ships beside this module.  ``load`` compiles it once per
 user with the system C compiler into ``$XDG_CACHE_HOME/megt`` (or
@@ -148,6 +148,8 @@ def _open(path: Path) -> ctypes.CDLL:
         function = getattr(library, name)
         function.argtypes = (ctypes.POINTER(Engine), _PTR)
         function.restype = restype
+    library.megt_nash.argtypes = (ctypes.POINTER(Engine),)
+    library.megt_nash.restype = None
     library.megt_comm_entries.argtypes = (_I64, _I64, _PTR, _PTR, _PTR,
                                           _F64, _I64, _PTR, _PTR, _PTR,
                                           _I64, _I64)
@@ -199,7 +201,8 @@ def load() -> ctypes.CDLL:
 
     A success is kept for the process.  ``library.megt_round`` and
     ``library.megt_run`` take a pointer to an ``Engine`` and the address
-    of numpy's ``bitgen_t`` (``bit_generator.ctypes.bit_generator``).
+    of numpy's ``bitgen_t`` (``bit_generator.ctypes.bit_generator``);
+    ``library.megt_nash`` takes the ``Engine`` alone.
     """
     try:
         library = _library()

@@ -166,7 +166,8 @@ def sample_homophily(node_count: int, sigma: float, seed=None) -> np.ndarray:
     Each unordered pair receives an independent ``|Normal(0, sigma)|``
     distance; the diagonal is zero.  sigma = 0 gives homophily 1
     everywhere (see ``homophily_from_delta``) and larger sigma pushes
-    it toward 0.
+    it toward 0.  A sigma so large that a distance overflows to inf is a
+    ValueError.
     """
     if not 0.0 <= sigma < math.inf:  # NaN fails too
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
@@ -176,6 +177,9 @@ def sample_homophily(node_count: int, sigma: float, seed=None) -> np.ndarray:
     iu, ju = np.triu_indices(n, k=1)
     draws = np.abs(rng.normal(0.0, sigma, size=iu.size)) if sigma > 0 \
         else np.zeros(iu.size)
+    if not np.isfinite(draws).all():  # a normal draw times sigma overflows
+        raise ValueError(f"homophily sigma {sigma} is too large: some "
+                         f"distances overflow to inf")
     delta[iu, ju] = draws
     delta[ju, iu] = draws
     return delta

@@ -21,8 +21,10 @@
  *  4. each cooperating slot adds its degree to its node's coop_count.
  *
  * With the Nash tracker's arrays set, megt_run also counts the run's
- * Nash pairs on the union graph of the layers after every round, with
- * the sums of megt.equilibrium's numpy path (see nash_count).
+ * Nash pairs on the union graph of the layers after every round (see
+ * nash_count), and megt_nash counts those of the current strategies
+ * alone: megt's only Nash counter, which EquilibriumTracker.evaluate
+ * calls and the tests hold to their per-edge oracle.
  *
  * That the draws equal numpy's is numpy's implementation, not its
  * contract; megt.kernel checks it against numpy before using this code.
@@ -80,13 +82,14 @@ struct megt_engine {
     /* the run's densities and their running sums, max_rounds + 2 each;
        rho[0], cumulative[0] and cumulative[1] are set by the caller */
     double *rho, *cumulative;
-    /* Nash-pair tracking in megt_run, off while union_ptr is NULL: the
-       union graph of the layers as a CSR over nodes (union_node ascending
-       within a row, the homophily h_ij beside it in union_weight) and as
-       pair_total pairs (pair_i[p], pair_j[p]), each unordered pair once;
-       the advantage of cooperating, nash_base + nash_slope * frequency;
-       the projection rule; node_count scratch bytes each in nash_play
-       and nash_flag; and the counts per round, max_rounds + 2 each */
+    /* Nash-pair counting in megt_nash, and in megt_run unless union_ptr
+       is NULL: the union graph of the layers as a CSR over nodes
+       (union_node ascending within a row, the homophily h_ij beside it
+       in union_weight) and as pair_total pairs (pair_i[p], pair_j[p]),
+       each unordered pair once; the advantage of cooperating,
+       nash_base + nash_slope * frequency; the projection rule;
+       node_count scratch bytes each in nash_play and nash_flag; and the
+       counts per round, max_rounds + 2 each (one for megt_nash) */
     const int64_t *union_ptr, *union_node;
     const double *union_weight;
     int64_t pair_total;
@@ -272,6 +275,14 @@ static void nash_record(struct megt_engine *e, int64_t round)
     }
     e->pair_count[round] = pairs;
     e->weak_count[round] = weak;
+}
+
+/* The Nash counts of the strategies into pair_count[0] and
+ * weak_count[0]; reads only the Nash fields, node_count, slot_count and
+ * strategies. */
+void megt_nash(struct megt_engine *e)
+{
+    nash_record(e, 0);
 }
 
 /* Rounds until the density is absorbing (0 or 1), the mean over the

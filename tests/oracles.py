@@ -20,6 +20,9 @@ compiled kernel, its networks from ``build_multiplex`` or
   repeats it under the stop rule of ``evolve.run``, and
   ``reference_run`` makes a whole run from a config that way.  The
   compiled kernel must match them bit for bit;
+- ``density`` is a state's cooperator fraction;
+- ``project_strategies`` collapses a strategy table to one strategy per
+  node by a majority rule, as ``round.c``'s Nash counter does;
 - ``dense_nash_counts`` counts Nash pairs from the dense N x N coupling
   of the union graph, as ``EquilibriumTracker`` did with a BLAS
   matrix-vector product before it summed over edges;
@@ -39,12 +42,12 @@ import numpy as np
 
 from megt.comm import ScalingBounds, build_supra, matrix_exp
 from megt.crowdsense import (ReportRecord, ReportTable, _first_codes,
-                             _offsets)
+                             _offsets, _window_ids)
 from megt.evolve import (_EXP_CLAMP, DISTANCE_FLOOR, RunResult, ScalingTable,
                          SimulationConfig, SimulationState, Trajectory,
-                         _dynamics_rng, accumulate_payoffs, density,
-                         init_state, replica_network)
-from megt.games import COOPERATE, PayoffMatrix
+                         _dynamics_rng, accumulate_payoffs, init_state,
+                         replica_network)
+from megt.games import COOPERATE, DEFECT, PayoffMatrix
 from megt.netgen import (MultiplexNetwork, _from_edges, _layer_edges,
                          homophily_from_delta)
 
@@ -152,6 +155,11 @@ def neighbour_lists(network: MultiplexNetwork) -> list[list[list[int]]]:
     """Each layer's adjacency lists, scanned from its adjacency rows."""
     return [[np.flatnonzero(row).tolist() for row in a]
             for a in network.adjacency]
+
+
+def density(state: SimulationState) -> float:
+    """Fraction of (node, layer) slots currently cooperating."""
+    return float((state.strategies == COOPERATE).mean())
 
 
 def reference_round(state: SimulationState, network: MultiplexNetwork,
@@ -305,6 +313,24 @@ def series_numpy(ptr, col, val, terms, cross_ptr, cross_slot
     return out
 
 
+def project_strategies(strategies: np.ndarray,
+                       rule: str = "majority_tie_c") -> np.ndarray:
+    """Collapse an (M, N) strategy table to one strategy per node.
+
+    Majority vote across layers; ties go to cooperation under
+    ``majority_tie_c`` (default) and to defection under
+    ``majority_tie_d``.  A one-row table is returned unchanged.
+    """
+    strategies = np.atleast_2d(np.asarray(strategies))
+    if rule not in ("majority_tie_c", "majority_tie_d"):
+        raise ValueError(f"unknown projection rule {rule!r}")
+    m = strategies.shape[0]
+    coop_votes = (strategies == COOPERATE).sum(axis=0)
+    if rule == "majority_tie_c":
+        return np.where(2 * coop_votes >= m, COOPERATE, DEFECT).astype(np.int8)
+    return np.where(2 * coop_votes > m, COOPERATE, DEFECT).astype(np.int8)
+
+
 def dense_nash_counts(network: MultiplexNetwork, game: PayoffMatrix,
                       play: np.ndarray) -> tuple[int, int]:
     """(Nash pairs, weak Nash pairs) of one strategy per node on the
@@ -422,5 +448,8 @@ def table_of(records=()) -> ReportTable:
     factorised in order of first appearance."""
     object_ids, *columns, ratings = (
         tuple(zip(*records)) or ((),) * len(ReportRecord._fields))
-    return ReportTable(_joined_ids(object_ids), *map(_first_codes, columns),
-                       np.array(ratings, dtype=float))
+    dates, times, *coded = map(_first_codes, columns)
+    return ReportTable(_joined_ids(object_ids), dates, times, *coded,
+                       np.array(ratings, dtype=float),
+                       np.unique(_window_ids(dates, times),
+                                 return_inverse=True))

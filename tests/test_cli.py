@@ -147,6 +147,17 @@ def test_scale_free_layer_with_too_few_nodes_names_node_count(tmp_path,
         assert "seed_clique_size" not in err
 
 
+def test_homophily_sigma_whose_distances_overflow_names_it(tmp_path,
+                                                          capsys):
+    # 1e308 is finite, but some of its |Normal(0, sigma)| draws overflow
+    cfg = write_config(tmp_path, "homophily_sigma = 1e308\n")
+    for command in ("generate", "evolve"):
+        assert run_cli(command, "--config", cfg,
+                       "--outdir", str(tmp_path / command)) == 2
+        assert "homophily sigma 1e+308" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
+
+
 def test_invalid_env_seed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MEGT_SEED", "not-a-number")
     cfg = write_config(tmp_path)

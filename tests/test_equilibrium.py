@@ -8,14 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from megt.equilibrium import (PROJECTION_RULES, EquilibriumTracker,
-                              nash_report, project_strategies,
-                              write_alpha_csv)
+                              nash_report, write_alpha_csv)
 from megt.evolve import SimulationConfig, run
 from megt.games import COOPERATE, DEFECT, PayoffMatrix, from_ts, representative
+from megt.kernel import KernelError
 from megt.netgen import LayerTopology, MultiplexSpec, build_multiplex
 
 from oracles import (dense_adjacency, dense_nash_counts,
-                     multiplex_from_arrays, reference_run)
+                     multiplex_from_arrays, project_strategies, reference_run)
 
 PD = PayoffMatrix(reward=1.0, sucker=-0.5, temptation=1.5, punishment=0.0)
 HG = PayoffMatrix(reward=1.0, sucker=0.5, temptation=0.5, punishment=0.0)
@@ -26,9 +26,10 @@ GAMES += [from_ts(1.0, 0.0), from_ts(1.5, 0.0)]
 
 
 # ---------------------------------------------------------------------------
-# per-edge oracle, written from the definitions; EquilibriumTracker is
-# the vectorised form of nash_counts.  The oracle reads a network's
-# distances and its dense layers, built once per network by ``dense``.
+# per-edge oracle, written from the definitions; round.c's counter,
+# which EquilibriumTracker.evaluate calls, is the compiled form of
+# nash_counts.  The oracle reads a network's distances and its dense
+# layers, built once per network by ``dense``.
 # ---------------------------------------------------------------------------
 
 class Dense(NamedTuple):
@@ -393,6 +394,24 @@ def test_tie_rule_changes_the_projected_profile():
     defect_view = nash_report(strategies, net, PD, "majority_tie_d")
     assert coop_view.alpha == 0.0
     assert defect_view.alpha == 1.0
+
+
+def test_evaluate_reads_a_table_of_any_memory_layout():
+    # the kernel reads a C-ordered table, whatever the caller passes
+    net = build_multiplex(MultiplexSpec(
+        node_count=30, layer_count=3, topologies=(LayerTopology.er(0.2),) * 3,
+        homophily_sigma=1.0, rng_seed=1))
+    columns = np.random.default_rng(0).integers(0, 2, (30, 3)).astype(np.int8)
+    for projection in PROJECTION_RULES:
+        tracker = EquilibriumTracker(net, representative("sd"), projection)
+        assert tracker.evaluate(columns.T) == tracker.evaluate(
+            np.ascontiguousarray(columns.T))
+
+
+def test_scoring_a_profile_needs_the_kernel(without_cc):
+    # megt's one Nash counter is round.c's
+    with pytest.raises(KernelError, match="no C compiler"):
+        nash_report(np.ones((1, 5), dtype=np.int8), clique(5), HG)
 
 
 def test_tracker_rejects_unknown_projection():

@@ -17,10 +17,9 @@ import megt.evolve
 import megt.kernel
 from megt.comm import ScalingBounds
 from megt.evolve import (DISTANCE_FLOOR, RoundEngine, ScalingTable,
-                         SimulationConfig, accumulate_payoffs, density,
-                         init_state, run, run_replicas, sweep_ts,
-                         write_grid_csv, write_state_text,
-                         write_trajectory_csv)
+                         SimulationConfig, accumulate_payoffs, init_state,
+                         run, run_replicas, sweep_ts, write_grid_csv,
+                         write_state_text, write_trajectory_csv)
 from megt.evolve import _usable_cpus, _worker_count
 from megt.games import (COOPERATE, PayoffMatrix, from_ts, pd_from_bc,
                         representative)
@@ -28,7 +27,7 @@ from megt.netgen import LayerTopology, MultiplexSpec, build_multiplex
 
 from conftest import (assert_edge_csr, dense_weights, megt_env,
                       random_multiplex)
-from oracles import (fermi_probability, multiplex_from_arrays,
+from oracles import (density, fermi_probability, multiplex_from_arrays,
                      neighbour_lists, reference_round, reference_rounds,
                      reference_run, table_communicability)
 

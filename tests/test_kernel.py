@@ -169,7 +169,9 @@ def test_rng_mismatch_is_a_named_error(tmp_path, monkeypatch, capsys):
 
 
 @requires_cc
-def test_nash_run_is_one_kernel_call(tmp_path, monkeypatch):
+def test_nash_run_is_two_kernel_calls(tmp_path, monkeypatch):
+    # the initial state's Nash pairs, then the whole run with its rounds'
+    # Nash pairs
     library = megt.kernel.load()
     calls = collections.Counter()
 
@@ -189,7 +191,7 @@ def test_nash_run_is_one_kernel_call(tmp_path, monkeypatch):
                       "max_rounds = 60\nsteady_window = 10\nseed = 3\n")
     assert main(["nash", "--config", str(config),
                  "--outdir", str(tmp_path / "out")]) == 0
-    assert calls == {"megt_run": 1}
+    assert calls == {"megt_nash": 1, "megt_run": 1}
     alpha = (tmp_path / "out" / "alpha.csv").read_text().splitlines()
     rho = (tmp_path / "out" / "rho.csv").read_text().splitlines()
     assert len(alpha) == len(rho) > 3

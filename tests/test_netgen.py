@@ -146,6 +146,13 @@ def test_sample_homophily_rejects_bad_sigma(sigma):
         sample_homophily(5, sigma, seed=0)
 
 
+def test_sample_homophily_refuses_draws_that_overflow():
+    # about 7% of |Normal(0, 1e308)| draws exceed the largest float
+    with pytest.raises(ValueError, match=r"sigma 1e\+308 is too large"):
+        sample_homophily(200, 1e308, seed=0)
+    assert np.isfinite(sample_homophily(200, 1e307, seed=0)).all()
+
+
 def test_homophily_from_delta_rejects_nan_distances():
     with pytest.raises(ValueError, match="nonnegative"):
         homophily_from_delta(np.array([[0.0, math.nan], [math.nan, 0.0]]))

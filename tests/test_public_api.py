@@ -1,9 +1,8 @@
 """The public surface names only what exists.
 
-A function deleted from a module but left in its ``__all__`` or in the
-package's re-exports fails here rather than in a user's ``import *``.
-So does a re-export that only tests read: test oracles and helpers
-belong in ``tests/oracles.py``.
+A function deleted from a module but left in its ``__all__`` fails here
+rather than in a user's ``import *``.  So does a public name that only
+tests read: test oracles and helpers belong in ``tests/oracles.py``.
 """
 import ast
 import importlib
@@ -26,40 +25,28 @@ def test_every_name_in_all_exists(name):
     assert missing == [], f"{name}.__all__ names missing attributes"
 
 
-def test_package_imports_only_existing_names():
-    tree = ast.parse(Path(megt.__file__).read_text(encoding="utf-8"))
-    imports = [node for node in tree.body
-               if isinstance(node, ast.ImportFrom) and node.level == 1]
-    assert imports
-    missing = []
-    for node in imports:
-        module = importlib.import_module(f"megt.{node.module}")
-        missing += [f"{node.module}.{alias.name}" for alias in node.names
-                    if not hasattr(module, alias.name)]
-    assert missing == []
-
-
 ROOT = Path(__file__).resolve().parents[1]
-#: where a public name's readers live: the package, its demos and the
-#: benchmark harness; tests do not count, so test-only API fails here
-READERS = (sorted(Path(megt.__file__).resolve().parent.glob("*.py"))
+PACKAGE = Path(megt.__file__).resolve().parent
+#: where a public name's readers live: the package's modules, its demos
+#: and the benchmark harness; tests do not count, so test-only API fails
+#: here, and neither does a re-export in ``__init__``, which reads nothing
+READERS = (sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"})
            + sorted((ROOT / "demos").glob("*.py"))
            + sorted((ROOT / "megtbench").glob("*.py")))
 
 
-def _referenced_names(tree) -> set[str]:
-    """Names read as ``Name`` or ``Attribute`` nodes, except inside the
-    ``def`` or ``class`` of the same name."""
+def _own_loads(tree) -> set[str]:
+    """Names a module loads outside the ``def`` or ``class`` of the same
+    name."""
     found: set[str] = set()
 
     def visit(node, inside: frozenset):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             inside = inside | {node.name}
-        name = (node.id if isinstance(node, ast.Name)
-                else node.attr if isinstance(node, ast.Attribute) else None)
-        if name is not None and name not in inside:
-            found.add(name)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                and node.id not in inside):
+            found.add(node.id)
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
@@ -67,14 +54,42 @@ def _referenced_names(tree) -> set[str]:
     return found
 
 
-def test_every_package_export_has_a_reader():
-    tree = ast.parse(Path(megt.__file__).read_text(encoding="utf-8"))
-    exported = [alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) and node.level == 1
-                for alias in node.names]
-    assert exported
-    referenced = set().union(*(
-        _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
-        for path in READERS))
-    unread = sorted(set(exported) - referenced)
-    assert unread == [], "re-exported names that only tests read"
+def _hooked_names(tree) -> set[str]:
+    """The megt attributes that the benchmark's ``HOOKS`` wrap."""
+    hooks = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [target.id for target in node.targets] == ["HOOKS"])
+    return {target.split(".")[0]
+            for _, _, target in ast.literal_eval(hooks)}
+
+
+def test_every_public_name_has_a_reader():
+    # a name is read where it is imported or read as an attribute, where
+    # its own module loads it outside its own def, or where a benchmark
+    # hook wraps it
+    read: set[str] = set()
+    own: dict[str, set[str]] = {}
+    for path in READERS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+        if path.parent == PACKAGE:
+            own[f"megt.{path.stem}"] = _own_loads(tree)
+        if path == ROOT / "megtbench" / "tracing.py":
+            read |= _hooked_names(tree)
+    unread = [f"{name}.{attr}" for name in MODULES
+              for attr in getattr(importlib.import_module(name), "__all__",
+                                  ())
+              if attr not in read and attr not in own[name]]
+    assert unread == [], "public names that only tests read"
+
+
+def test_the_package_imports_nothing():
+    # its namespace is its docstring and __version__; a re-export would
+    # be a second public name for one object
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert not any(isinstance(node, (ast.Import, ast.ImportFrom))
+                   for node in ast.walk(tree))
