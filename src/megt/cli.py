@@ -35,7 +35,7 @@ from .crowdsense import (IncentiveConfig, MECHANISMS, SynthSpec,
 from .equilibrium import (PROJECTION_RULES, EquilibriumTracker,
                           write_alpha_csv)
 from .evolve import (SimulationConfig, Trajectory, replica_network, run,
-                     run_replicas, sweep_ts, write_grid_csv,
+                     run_replicas, run_threads, sweep_ts, write_grid_csv,
                      write_state_text, write_trajectory_csv)
 from .games import from_ts, pd_from_bc, representative
 from .manifest import RunManifest, load_manifest, sha256_file, write_manifest
@@ -307,6 +307,7 @@ def cmd_evolve(args) -> int:
     manifest.extra["adoptions"] = [r.adoptions for r in results]
     manifest.extra["phase_s"] = [r.phase_s for r in results]
     manifest.extra["communicability"] = [r.communicability for r in results]
+    manifest.extra["run_threads"] = run_threads(args.jobs, sim.replicas)
     return _finish(manifest, outdir, produced)
 
 
@@ -331,6 +332,19 @@ def cmd_sweep(args) -> int:
     manifest.extra["adoptions"] = grid.adoptions
     manifest.extra["phase_s"] = grid.phase_s
     manifest.extra["communicability"] = grid.communicability
+    manifest.extra["run_threads"] = run_threads(args.jobs, len(grid.rounds))
+    manifest.extra["stop_reasons"] = grid.stop_reasons
+    manifest.extra["budget_cells"] = grid.budget_cells
+    manifest.extra["rounds_quartiles"] = np.percentile(
+        grid.rounds, (25, 50, 75)).tolist()
+    budget = grid.stop_reasons.get("budget", 0)
+    if budget:
+        cells = ", ".join(f"({t!r}, {s!r})" for t, s in grid.budget_cells[:3])
+        more = len(grid.budget_cells) - 3
+        print(f"sweep: {budget} of {len(grid.rounds)} runs used all "
+              f"{sim.max_rounds} rounds without reaching a steady state, "
+              f"in cells (T, S) {cells}"
+              + (f" and {more} more" if more > 0 else ""), file=sys.stderr)
     return _finish(manifest, outdir, [target])
 
 

@@ -47,6 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,10 +74,10 @@ _BOUND_STEPS = 12
 _THREAD_BLOCK = 8
 _BLOCKS_PER_THREAD = 32
 
-# True in a process pool's worker (set by evolve's pool initializer):
-# the pool already runs one worker per CPU, so the series takes one
-# thread there
-_in_pool_worker = False
+# per thread, ``one_cpu`` is True where the process already runs one
+# worker per CPU: in a process pool's worker and in evolve's run
+# threads, both set by evolve.  The series takes one thread there.
+_worker = threading.local()
 
 
 def _usable_cpus() -> int:
@@ -283,8 +284,9 @@ def communicability_entries(network: MultiplexNetwork,
     ``kernel.load`` raises a ``KernelError`` when it cannot be had.
 
     T is the number of threads that summed the series: 1 in a process
-    pool's workers, else ``_series_threads`` of the usable CPUs and the
-    panel count.  It changes no bit.
+    pool's workers and in ``evolve``'s run threads, else
+    ``_series_threads`` of the usable CPUs and the panel count.  It
+    changes no bit.
     """
     ptr, col, val = _supra_csr(network, interlayer_strength)
     nm = ptr.size - 1
@@ -303,7 +305,7 @@ def communicability_entries(network: MultiplexNetwork,
         return matrix[owner, cross_slot], {"method": "eigh", "terms": None,
                                            "threads": None}
     from . import kernel  # ctypes stays off the import path
-    cpus = 1 if _in_pool_worker else _usable_cpus()
+    cpus = 1 if getattr(_worker, "one_cpu", False) else _usable_cpus()
     threads = _series_threads(cpus, -(-nm // _THREAD_BLOCK))
     values = _series_c(kernel.load(), network, interlayer_strength, terms,
                        cross_ptr, cross_slot, threads=threads)

@@ -54,6 +54,7 @@ __all__ = [
     "replica_network",
     "run",
     "run_replicas",
+    "run_threads",
     "sweep_ts",
     "write_trajectory_csv",
     "write_grid_csv",
@@ -541,8 +542,8 @@ _worker_function = None
 def _install_worker_function(function) -> None:
     global _worker_function
     _worker_function = function
-    # the pool already runs one worker per CPU: one series thread each
-    comm._in_pool_worker = True
+    # the pool already runs one worker per CPU: one thread each
+    comm._worker.one_cpu = True
 
 
 def _call_worker_function(item):
@@ -551,22 +552,100 @@ def _call_worker_function(item):
 
 def _map(function, items: list, jobs: int) -> list:
     """``[function(item) for item in items]``, computed in a process pool
-    when ``_worker_count`` allows more than one worker.  Results keep
-    the order of ``items``, so the job count never changes them.
+    when ``_worker_count`` allows more than one worker, else on threads
+    of this process (``_on_threads``).  Results keep the order of
+    ``items``, so neither the job count nor the thread count changes
+    them.
 
     ``function`` (a partial carrying the config, and with it any
     prebuilt network) is sent to each worker once, not with every item,
     so a worker's tasks share one network object and ``_scaling_table``
-    computes its communicability once per worker.
+    computes its communicability at most once per worker.
     """
     workers = _worker_count(jobs, len(items))
     if workers == 1:
-        return [function(item) for item in items]
+        return _on_threads(function, items)
     import concurrent.futures  # only a parallel run pays for the import
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_install_worker_function,
             initargs=(function,)) as pool:
         return list(pool.map(_call_worker_function, items))
+
+
+def run_threads(jobs: int, tasks: int) -> int:
+    """The threads that ``_map`` runs ``tasks`` tasks on at ``jobs``: a
+    process pool's workers, one thread each, when ``_worker_count``
+    allows more than one; else threads of this process, up to the
+    usable CPUs, and one in a pool worker or a run thread already."""
+    workers = _worker_count(jobs, tasks)
+    if workers > 1 or getattr(comm._worker, "one_cpu", False):
+        return workers
+    return max(1, min(_usable_cpus(), tasks))
+
+
+def _on_threads(function, items: list) -> list:
+    """``[function(item) for item in items]`` on ``run_threads`` threads,
+    the calling thread one of them.
+
+    ``function`` gains from a second thread only where it releases the
+    GIL, as the kernel's ``megt_run`` does.  With more than one thread,
+    each is a worker of ``comm._worker``, so a series summed inside
+    takes one thread.  The threads take the items in index order, and
+    all of them are joined before this returns.  After an item raises,
+    no thread takes a new one, and the lowest-index exception among the
+    items taken is raised: the one a sequential loop would raise.
+    """
+    import threading  # loaded already, by numpy
+    one_cpu = getattr(comm._worker, "one_cpu", False)
+    threads = run_threads(1, len(items))
+    results, failures = [None] * len(items), {}
+    pending = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def work():
+        nonlocal pending
+        comm._worker.one_cpu = one_cpu or threads > 1
+        while True:
+            with lock:
+                index = next(pending, None)
+            if index is None:
+                return
+            try:
+                results[index] = function(items[index])
+            except BaseException as exc:  # raised by the calling thread
+                with lock:
+                    failures[index] = exc
+                    pending = iter(())
+
+    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        comm._worker.one_cpu = one_cpu
+        with lock:  # an interrupt outside an item stops the helpers too
+            pending = iter(())
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
+def _warm(config: SimulationConfig) -> float:
+    """Load the kernel, and build a prebuilt network's table, in the
+    calling thread before ``_map`` starts threads or processes, which
+    would otherwise each miss the caches at once; returns the seconds
+    the table took, 0.0 without a prebuilt network or when it was built
+    already."""
+    from . import kernel  # ctypes stays off the import path
+    kernel.load()
+    if config.network is None:
+        return 0.0
+    start = time.perf_counter()
+    _prebuilt_table(config.network, config.interlayer_strength)
+    return time.perf_counter() - start
 
 
 def _replica(config: SimulationConfig, cell_index: int,
@@ -579,12 +658,18 @@ def run_replicas(config: SimulationConfig, *, cell_index: int = 0,
     """All replicas of a config, in replica order.
 
     ``jobs`` asks for that many worker processes, capped at the replica
-    count and the CPUs.  Each replica's seeds derive from (cell_index,
-    replica_index) alone, so results are independent of execution order
-    and of the job count.
+    count and the CPUs; without a pool the replicas run on threads, up
+    to the usable CPUs (``_map``).  Each replica's seeds derive from
+    (cell_index, replica_index) alone, so results are independent of
+    execution order, of the job count and of the thread count.  A
+    prebuilt network's table is built once, before the replicas start,
+    and its time is the first replica's ``communicability`` phase.
     """
-    return _map(functools.partial(_replica, config, cell_index),
-                list(range(config.replicas)), jobs)
+    table_s = _warm(config)
+    results = _map(functools.partial(_replica, config, cell_index),
+                   list(range(config.replicas)), jobs)
+    results[0].phase_s["communicability"] += table_s
+    return results
 
 
 @dataclass
@@ -593,9 +678,15 @@ class GridResult:
     temptation outer, sucker inner).
 
     Over all the grid's runs, ``adoptions`` is the total adoption count
-    and ``phase_s`` the total time of each ``RunResult.phase_s`` phase;
+    and ``phase_s`` the total time of each ``RunResult.phase_s`` phase,
+    a prebuilt network's one table included; runs on threads overlap,
+    so the phases can sum to more than the sweep's wall time.
     ``communicability`` lists each distinct method, term count and
-    thread count with the number of runs that used it.
+    thread count with the number of runs that used it.  ``stop_reasons``
+    counts the runs by ``Trajectory.stop_reason``, ``budget_cells``
+    lists, row-major, the (T, S) cells in which any replica ran out of
+    rounds, and ``rounds`` holds each run's round count, cell by cell
+    and replica by replica.
     """
 
     t_values: list[float]
@@ -606,6 +697,9 @@ class GridResult:
     adoptions: int = 0
     phase_s: dict[str, float] = field(default_factory=dict)
     communicability: list[dict] = field(default_factory=list)
+    stop_reasons: dict[str, int] = field(default_factory=dict)
+    budget_cells: list[tuple[float, float]] = field(default_factory=list)
+    rounds: list[int] = field(default_factory=list)
 
     def rows(self):
         for it, t in enumerate(self.t_values):
@@ -622,31 +716,33 @@ def _total_phases(phases) -> dict[str, float]:
     return total
 
 
-def _cell(config: SimulationConfig, cell: tuple[int, float, float]):
-    """Mean and population std of the steady densities of one grid cell's
-    replicas, their total adoptions and phase times, and how each
-    replica's communicability was computed."""
-    cell_index, temptation, sucker = cell
-    cell_config = dataclasses.replace(config, game=from_ts(temptation, sucker))
-    results = run_replicas(cell_config, cell_index=cell_index)
-    steadies = [r.trajectory.steady_rho for r in results]
-    return (float(np.mean(steadies)), float(np.std(steadies)),
-            sum(r.adoptions for r in results),
-            _total_phases(r.phase_s for r in results),
-            [r.communicability for r in results])
+def _sweep_run(config: SimulationConfig,
+               task: tuple[int, float, float, int]) -> tuple:
+    """One run of a sweep's cell (cell_index, temptation, sucker) at
+    replica_index: its steady density, adoptions, phase times,
+    communicability record, stop reason and round count, and not its
+    network or state, which a sweep does not keep."""
+    cell_index, temptation, sucker, replica_index = task
+    result = run(dataclasses.replace(config, game=from_ts(temptation, sucker)),
+                 cell_index=cell_index, replica_index=replica_index)
+    trajectory = result.trajectory
+    return (trajectory.steady_rho, result.adoptions, result.phase_s,
+            result.communicability, trajectory.stop_reason,
+            trajectory.rounds)
 
 
-# a grid cell's least share of a sweep's memory, in bytes: its entry in
-# the cell list (a list slot, a 3-tuple and an int) and in the two
-# float64 result arrays
-_CELL_BYTES = 8 + 64 + 32 + 2 * 8
+# a run's least share of a sweep's memory, in bytes: its task in the run
+# list (a list slot, a 4-tuple and two ints) and its result (a list slot
+# and a 6-tuple); a cell adds its two float64 results
+_RUN_BYTES = 8 + 72 + 2 * 32 + 8 + 88
+_CELL_BYTES = 2 * 8
 
 
 def _memory_bytes() -> float:
     """The bytes this process may map: its RLIMIT_AS, or without one the
     machine's physical memory; infinite where neither can be read (on
     Windows, say), which leaves a huge grid to the MemoryError of its
-    cell list."""
+    run list."""
     try:
         import resource  # Unix only, and only a sweep asks
         limit = resource.getrlimit(resource.RLIMIT_AS)[0]
@@ -661,39 +757,52 @@ def sweep_ts(config: SimulationConfig, t_values, s_values, *,
              jobs: int = 1) -> GridResult:
     """Replica-averaged steady density across a grid of T-S games.
 
-    ``jobs`` asks for that many worker processes over cells, capped at
-    the cell count and the CPUs.  The cell at (t_index, s_index) uses
+    Every (cell, replica) pair is one run, and ``_map`` runs them in
+    index order: ``jobs`` asks for that many worker processes, capped at
+    the run count and the CPUs, and without a pool the runs share
+    threads up to the usable CPUs.  The cell at (t_index, s_index) uses
     cell seeds spawned from its row-major index, so any execution order,
-    job count or resumed sweep yields identical numbers.  Standard
-    deviation is the population std over replicas.  A grid whose cell
-    list and results alone would not fit in memory is a MemoryError
-    before any cell is built.
+    job count, thread count or resumed sweep yields identical numbers.
+    Standard deviation is the population std over replicas.  A grid
+    whose run list and results alone would not fit in memory is a
+    MemoryError before any run is built.
     """
     t_values = [float(t) for t in t_values]
     s_values = [float(s) for s in s_values]
     cell_count = len(t_values) * len(s_values)
-    if cell_count * _CELL_BYTES > _memory_bytes():
-        raise MemoryError(f"a grid of {cell_count} cells does not fit in "
+    replicas = config.replicas
+    if cell_count * (_CELL_BYTES + replicas * _RUN_BYTES) > _memory_bytes():
+        raise MemoryError(f"a grid of {cell_count} cells and "
+                          f"{cell_count * replicas} runs does not fit in "
                           f"memory")
-    cells = [(it * len(s_values) + js, t, s)
-             for it, t in enumerate(t_values)
-             for js, s in enumerate(s_values)]
-    means, stds, adoptions, phases, infos = zip(
-        *_map(functools.partial(_cell, config), cells, jobs))
+    cells = [(t, s) for t in t_values for s in s_values]
+    tasks = [(cell_index, t, s, replica_index)
+             for cell_index, (t, s) in enumerate(cells)
+             for replica_index in range(replicas)]
+    table_s = _warm(config)
+    steadies, adoptions, phases, infos, reasons, rounds = zip(
+        *_map(functools.partial(_sweep_run, config), tasks, jobs))
     shape = (len(t_values), len(s_values))
+    by_cell = range(0, len(tasks), replicas)
+    phase_s = _total_phases(phases)
+    phase_s["communicability"] += table_s
     methods = collections.Counter(
-        (info["method"], info["terms"], info["threads"])
-        for cell in infos for info in cell)
-    return GridResult(t_values=t_values, s_values=s_values,
-                      rho_mean=np.array(means).reshape(shape),
-                      rho_std=np.array(stds).reshape(shape),
-                      replicas=config.replicas, adoptions=sum(adoptions),
-                      phase_s=_total_phases(phases),
-                      communicability=[
-                          {"method": method, "terms": terms,
-                           "threads": threads, "runs": runs}
-                          for (method, terms, threads), runs
-                          in sorted(methods.items())])
+        (info["method"], info["terms"], info["threads"]) for info in infos)
+    return GridResult(
+        t_values=t_values, s_values=s_values,
+        rho_mean=np.array([float(np.mean(steadies[k:k + replicas]))
+                           for k in by_cell]).reshape(shape),
+        rho_std=np.array([float(np.std(steadies[k:k + replicas]))
+                          for k in by_cell]).reshape(shape),
+        replicas=replicas, adoptions=sum(adoptions), phase_s=phase_s,
+        communicability=[{"method": method, "terms": terms,
+                          "threads": threads, "runs": runs}
+                         for (method, terms, threads), runs
+                         in sorted(methods.items())],
+        stop_reasons=dict(sorted(collections.Counter(reasons).items())),
+        budget_cells=[cells[k // replicas] for k in by_cell
+                      if "budget" in reasons[k:k + replicas]],
+        rounds=list(rounds))
 
 
 def write_state_text(state: SimulationState, path) -> None:

@@ -287,6 +287,9 @@ def test_evolve_jobs_flag_does_not_change_results(tmp_path):
     for filename in ("rho.csv", "rho_rep00.csv", "rho_rep01.csv"):
         assert (tmp_path / "seq" / filename).read_bytes() == \
             (tmp_path / "par" / filename).read_bytes()
+    for name, jobs in (("seq", 1), ("par", 2)):
+        extra = load_manifest(tmp_path / name / "manifest.json").extra
+        assert extra["run_threads"] == megt.evolve.run_threads(jobs, 2)
 
 
 @pytest.mark.parametrize("extra", [
@@ -555,6 +558,71 @@ def test_sweep_manifest_totals_do_not_depend_on_jobs(tmp_path):
         assert all(seconds >= 0.0 for seconds in extra["phase_s"].values())
 
 
+def test_sweep_names_the_cells_whose_runs_ran_out_of_rounds(tmp_path,
+                                                           capsys):
+    # the 3x3 case: a tolerance this tight leaves some runs to the budget
+    cfg = write_config(tmp_path, "t_steps = 3\ns_steps = 3\n"
+                                 "max_rounds = 220\nsteady_window = 100\n"
+                                 "steady_tolerance = 1e-9\n")
+    outdir = tmp_path / "out"
+    assert run_cli("sweep", "--config", cfg, "--outdir", str(outdir)) == 0
+    extra = load_manifest(outdir / "manifest.json").extra
+    reasons = extra["stop_reasons"]
+    assert sum(reasons.values()) == 9
+    assert reasons.get("budget", 0) > 0
+    cells = extra["budget_cells"]
+    assert 0 < len(cells) <= reasons["budget"]
+    grid = {(float(row["T"]), float(row["S"])) for row in
+            csv.DictReader((outdir / "grid.csv").open())}
+    assert {tuple(cell) for cell in cells} <= grid
+    q1, median, q3 = extra["rounds_quartiles"]
+    assert 0 <= q1 <= median <= q3 == 220
+    assert extra["run_threads"] == megt.evolve.run_threads(1, 9)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"sweep: {reasons['budget']} of 9 runs used "
+                             f"all 220 rounds")
+    first = ", ".join(f"({t!r}, {s!r})" for t, s in cells[:3])
+    assert first in err[0]
+    # none of it goes into the checksummed output
+    assert (outdir / "grid.csv").read_text().splitlines()[0] == \
+        "T,S,rho_mean,rho_std,replicas"
+
+
+def test_a_converged_sweep_prints_nothing(tmp_path, capsys):
+    cfg = write_config(tmp_path, "t_steps = 2\ns_steps = 2\n"
+                                 "max_rounds = 1000\n")
+    assert run_cli("sweep", "--config", cfg,
+                   "--outdir", str(tmp_path / "out")) == 0
+    extra = load_manifest(tmp_path / "out" / "manifest.json").extra
+    assert "budget" not in extra["stop_reasons"]
+    assert extra["budget_cells"] == []
+    assert capsys.readouterr().err == ""
+
+
+def test_a_failing_sweep_on_threads_reports_the_sequential_error(
+        tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, "t_steps = 2\ns_steps = 2\nreplicas = 2\n")
+    original = megt.evolve.run
+
+    def failing(config, *, cell_index, replica_index):
+        task = 2 * cell_index + replica_index
+        if task in (3, 6):
+            raise ValueError(f"task {task} failed")
+        return original(config, cell_index=cell_index,
+                        replica_index=replica_index)
+
+    monkeypatch.setattr(megt.evolve, "run", failing)
+    outcomes = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(megt.evolve, "_usable_cpus", lambda: cpus)
+        code = run_cli("sweep", "--config", cfg,
+                       "--outdir", str(tmp_path / f"out{cpus}"))
+        outcomes.append((code, capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1] == (2,
+                                          "config error: task 3 failed\n")
+
+
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="workers must inherit the counting wrapper")
 def test_sweep_jobs_on_a_network_file_exponentiates_once_per_worker(
@@ -582,7 +650,11 @@ def test_sweep_jobs_on_a_network_file_exponentiates_once_per_worker(
         assert run_cli("sweep", "--config", fixed,
                        "--outdir", str(tmp_path / name), "--jobs", jobs) == 0
         calls = log.read_text().split()
-        assert 1 <= len(calls) <= _worker_count(int(jobs), 9), (name, calls)
+        if jobs == "1":
+            assert len(calls) == 1, (name, calls)
+        else:
+            assert 1 <= len(calls) <= _worker_count(int(jobs), 9), (name,
+                                                                    calls)
     assert (tmp_path / "seq" / "grid.csv").read_bytes() == \
         (tmp_path / "par" / "grid.csv").read_bytes()
 

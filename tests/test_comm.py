@@ -589,7 +589,18 @@ def test_series_takes_one_thread_in_a_pool_worker(monkeypatch):
     monkeypatch.setattr(megt.evolve, "_usable_cpus", lambda: 4)
     assert _pool_series_threads(None) == 2
     assert _map(_pool_series_threads, [0, 1], jobs=2) == [1, 1]
-    assert megt.comm._in_pool_worker is False
+    assert not getattr(megt.comm._worker, "one_cpu", False)
+
+
+@requires_cc
+def test_series_takes_one_thread_in_a_run_thread(monkeypatch):
+    monkeypatch.setattr(megt.comm, "_usable_cpus", lambda: 4)
+    # one run thread: the calling thread sums on two
+    monkeypatch.setattr(megt.evolve, "_usable_cpus", lambda: 1)
+    assert _map(_pool_series_threads, [0, 1], jobs=1) == [2, 2]
+    monkeypatch.setattr(megt.evolve, "_usable_cpus", lambda: 2)
+    assert _map(_pool_series_threads, [0, 1], jobs=1) == [1, 1]
+    assert not getattr(megt.comm._worker, "one_cpu", False)
 
 
 @requires_cc

@@ -7,6 +7,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from megt.evolve import (DISTANCE_FLOOR, RoundEngine, ScalingTable,
                          SimulationConfig, accumulate_payoffs, init_state,
                          run, run_replicas, sweep_ts, write_grid_csv,
                          write_state_text, write_trajectory_csv)
-from megt.evolve import _usable_cpus, _worker_count
+from megt.evolve import _map, _usable_cpus, _worker_count, run_threads
 from megt.games import (COOPERATE, PayoffMatrix, from_ts, pd_from_bc,
                         representative)
 from megt.netgen import LayerTopology, MultiplexSpec, build_multiplex
@@ -767,12 +769,12 @@ def test_parallel_sweep_matches_sequential():
 
 def test_a_grid_too_large_for_memory_is_refused_before_its_cells(
         monkeypatch):
-    def cell(*args):
+    def cell(*args, **kwargs):
         raise AssertionError("a cell ran")
 
-    # 10^4 cells need over 1 MB for their list and results alone
+    # 10^4 cells need over 1 MB for their run list and results alone
     monkeypatch.setattr(megt.evolve, "_memory_bytes", lambda: 10**6)
-    monkeypatch.setattr(megt.evolve, "_cell", cell)
+    monkeypatch.setattr(megt.evolve, "run", cell)
     with pytest.raises(MemoryError, match="10000 cells"):
         sweep_ts(grid_config(), np.zeros(100), np.zeros(100))
     with pytest.raises(AssertionError, match="a cell ran"):
@@ -862,6 +864,118 @@ def test_sweep_on_a_prebuilt_network_computes_communicability_once(
     assert len(tables) == 1 + 25
     assert np.array_equal(grid.rho_mean, mean)
     assert np.array_equal(grid.rho_std, std)
+
+
+def _runs_and_sweep(config, jobs=1):
+    """Every bit of a sweep and of a replica set that a thread or job
+    count could move; no thread may outlive either call."""
+    before = threading.active_count()
+    grid = sweep_ts(config, [0.6, 1.4], [-0.4, 0.4], jobs=jobs)
+    assert threading.active_count() == before
+    results = run_replicas(config, cell_index=3, jobs=jobs)
+    assert threading.active_count() == before
+    return (grid.rho_mean.tolist(), grid.rho_std.tolist(), grid.adoptions,
+            grid.communicability, grid.stop_reasons, grid.budget_cells,
+            grid.rounds,
+            [(r.trajectory.rho, r.trajectory.steady_rho,
+              r.trajectory.stop_reason, r.adoptions, r.communicability,
+              r.state.strategies.tolist(), r.state.coop_count.tolist())
+             for r in results])
+
+
+@pytest.mark.parametrize("prebuilt", [False, True])
+def test_thread_and_job_counts_change_no_bit(monkeypatch, prebuilt):
+    config = grid_config(replicas=3)
+    if prebuilt:
+        config = dataclasses.replace(
+            config, spec=None, network=build_multiplex(small_spec(seed=9,
+                                                                  n=20)))
+    outputs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(megt.evolve, "_usable_cpus", lambda: cpus)
+        assert run_threads(1, 12) == cpus
+        outputs.append(_runs_and_sweep(config))
+    assert outputs[0] == outputs[1] == outputs[2]
+    # the pool's two workers, one run thread each
+    assert run_threads(2, 12) == 2
+    assert _runs_and_sweep(config, jobs=2) == outputs[0]
+
+
+def test_run_threads_never_outnumber_the_cpus(monkeypatch):
+    busy, most, threads = [0], [0], set()
+    lock = threading.Lock()
+    original = megt.evolve.run
+
+    def counting(*args, **kwargs):
+        # a series summed here takes one thread
+        assert megt.comm._worker.one_cpu is True
+        with lock:
+            busy[0] += 1
+            most[0] = max(most[0], busy[0])
+            threads.add(threading.get_ident())
+        try:
+            time.sleep(0.002)
+            return original(*args, **kwargs)
+        finally:
+            with lock:
+                busy[0] -= 1
+
+    monkeypatch.setattr(megt.evolve, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(megt.evolve, "run", counting)
+    sweep_ts(grid_config(replicas=3), [0.6, 1.4], [-0.4, 0.4])
+    assert most[0] == len(threads) == 2
+    # the calling thread is a worker no longer
+    assert not megt.comm._worker.one_cpu
+
+
+def test_threads_take_every_item_once(monkeypatch):
+    # more threads than CPUs, switching as often as the interpreter can
+    seen = []
+
+    def square(item):
+        seen.append(item)
+        return item * item
+
+    monkeypatch.setattr(megt.evolve, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        squares = _map(square, list(range(2000)), jobs=1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert squares == [item * item for item in range(2000)]
+    assert sorted(seen) == list(range(2000))
+
+
+def test_the_first_failure_is_the_one_a_sequential_sweep_raises(
+        monkeypatch):
+    # task 2 * cell + replica; task 2 raises first, while tasks 0 and 1
+    # still run, and task 1, the lowest that fails, raises after it
+    raised = threading.Event()
+    started = []
+    original = megt.evolve.run
+
+    def failing(config, *, cell_index, replica_index):
+        task = 2 * cell_index + replica_index
+        started.append(task)
+        if task == 2:
+            raised.set()
+            raise ValueError("task 2")
+        assert raised.wait(timeout=30)
+        time.sleep(0.05)  # task 2's failure is recorded meanwhile
+        if task == 1:
+            raise RuntimeError("task 1")
+        return original(config, cell_index=cell_index,
+                        replica_index=replica_index)
+
+    monkeypatch.setattr(megt.evolve, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(megt.evolve, "run", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="task 1"):
+        sweep_ts(grid_config(), [0.6, 1.4], [-0.4, 0.4])
+    # no thread took a task after task 2 raised, and none is left
+    assert sorted(started) == [0, 1, 2]
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("jobs, tasks, cpus, expected", [
