@@ -48,12 +48,15 @@ class EquilibriumTracker:
     network's edge CSR, with no N x N array: a CSR over nodes,
     ``union_ptr``, each node's neighbours ascending in ``union_node``
     and, beside each, the homophily h_ij in ``union_weight``.
-    ``edge_i`` and ``edge_j`` hold each unordered pair once, ``i < j``,
-    in row-major order.  A node's advantage of cooperating is
-    ``base + slope * frequency``.  The counting is ``round.c``'s, the
-    only Nash counter in megt: ``evaluate`` calls its ``megt_nash`` on
-    one table, and a run given this tracker (``evolve.run``) counts every
-    round inside ``megt_run``; ``bind`` points either at the union graph.
+    ``edge_count`` is the number of unordered union pairs.  A node's
+    advantage of cooperating is ``base + slope * frequency``.  The
+    counting is ``round.c``'s, the only Nash counter in megt:
+    ``evaluate`` calls its ``megt_nash`` on one table, which counts
+    afresh, and a run given this tracker (``evolve.run``) counts every
+    round inside ``megt_run``, which keeps each profile's best-response
+    flags and its counts from round to round and moves the counts only
+    at the nodes whose flag changed; ``bind`` points either at the union
+    graph.
 
     ``history`` holds ``(round, alpha, weak_fraction)`` rows, appended by
     ``evolve.run``: the initial state's from ``evaluate``, the rounds'
@@ -77,9 +80,8 @@ class EquilibriumTracker:
         np.cumsum(np.bincount(owner, minlength=n), out=self.union_ptr[1:])
         self.union_weight = homophily_from_delta(
             network.delta[owner, self.union_node])
-        upper = self.union_node > owner
-        self.edge_i, self.edge_j = owner[upper], self.union_node[upper]
-        if self.edge_i.size == 0:
+        self.edge_count = int(np.count_nonzero(self.union_node > owner))
+        if self.edge_count == 0:
             raise ValueError("aggregated network has no edges")
         # the expected payoff gain of cooperating is linear in the
         # neighbourhood's weighted cooperator frequency
@@ -91,11 +93,9 @@ class EquilibriumTracker:
     def bind(self, engine) -> None:
         """Point a ``kernel.Engine``'s Nash fields at the union graph and
         the game; the engine must not outlive this tracker."""
-        (engine.union_ptr, engine.union_node, engine.union_weight,
-         engine.pair_i, engine.pair_j) = (array.ctypes.data for array in (
-             self.union_ptr, self.union_node, self.union_weight,
-             self.edge_i, self.edge_j))
-        engine.pair_total = self.edge_i.size
+        engine.union_ptr, engine.union_node, engine.union_weight = (
+            array.ctypes.data for array in (
+                self.union_ptr, self.union_node, self.union_weight))
         engine.nash_base, engine.nash_slope = self.base, self.slope
         engine.projection = PROJECTION_RULES.index(self.projection)
 
@@ -111,16 +111,19 @@ class EquilibriumTracker:
         if n != self.network.node_count:
             raise ValueError(f"the strategy table has node count {n}, the "
                              f"tracker's network {self.network.node_count}")
-        scratch, counts = np.zeros((2, n), np.int8), np.zeros((2, 1), np.int64)
+        # the majority profile, and the flags of every profile
+        scratch = np.zeros(n + play.size, np.int8)
+        counts = np.zeros((2, 1), np.int64)
         engine = kernel.Engine(
             node_count=n, slot_count=play.size, strategies=play.ctypes.data,
-            nash_play=scratch[0].ctypes.data, nash_flag=scratch[1].ctypes.data,
+            nash_play=scratch.ctypes.data,
+            nash_flag=scratch[n:].ctypes.data,
             pair_count=counts[0].ctypes.data, weak_count=counts[1].ctypes.data)
         self.bind(engine)
         kernel.load().megt_nash(engine)
         pairs, weak_count = counts[:, 0].tolist()
-        edges = self.edge_i.size * (m if self.projection == "per_layer"
-                                    else 1)
+        edges = self.edge_count * (m if self.projection == "per_layer"
+                                   else 1)
         return NashReport(alpha=pairs / edges,
                           weak_fraction=weak_count / edges,
                           pair_count=pairs, weak_count=weak_count,
@@ -131,8 +134,8 @@ class EquilibriumTracker:
         """Appends the rows of consecutive rounds from ``first_round``
         whose Nash counts were made elsewhere (by ``round.c``); the
         divisions are those of ``evaluate``."""
-        edges = self.edge_i.size * (self.network.layer_count
-                                    if self.projection == "per_layer" else 1)
+        edges = self.edge_count * (self.network.layer_count
+                                   if self.projection == "per_layer" else 1)
         self.history.extend(zip(
             range(first_round, first_round + len(pair_counts)),
             (np.asarray(pair_counts) / edges).tolist(),

@@ -70,7 +70,8 @@ DISTANCE_FLOOR = 1e-6
 # saturated to 0 or to the scaling factor anyway
 _EXP_CLAMP = 700.0
 
-# the ScalingTable arrays that are table fields of round.c's engine struct
+# the ScalingTable arrays that are table fields of round.c's engine struct,
+# beside edge_weight and row_sum, which depend on the payoff mode
 _TABLE_ARRAYS = ("neighbour_ptr", "neighbour_slot", "distance", "cross_ptr",
                  "cross_slot", "cross_value", "denominator")
 
@@ -255,7 +256,10 @@ class ScalingTable:
     ``weight_sums`` the (M, N) sums of each slot's link weights, added
     left to right as ``accumulate_payoffs`` adds them; ``edgeless`` says
     whether every slot lacks a neighbour.  None of it depends on
-    strategies, the game or the selection intensity.
+    strategies, the game or the selection intensity.  ``engine_fields``
+    gives the addresses that a ``RoundEngine`` points its kernel struct
+    at, taken once per table for each payoff mode, so a run on a shared
+    table adds only its own buffers.
     """
 
     def __init__(self, network: MultiplexNetwork,
@@ -292,6 +296,26 @@ class ScalingTable:
         # round's numerator; with no entries at all (M = 1) it returns int64
         self.denominator = np.bincount(owner, weights=self.cross_value,
                                        minlength=nm).astype(float)
+        # the arrays behind the engine struct's table fields, and their
+        # addresses, per payoff mode
+        self._engine_arrays, self._engine_fields = {}, {}
+        for mode, weights, sums in (
+                ("weighted", self.edge_weight, self.weight_sums),
+                ("binary", np.ones(self.edge_weight.size), self.degrees)):
+            arrays = {name: getattr(self, name) for name in _TABLE_ARRAYS}
+            arrays.update(edge_weight=weights,
+                          row_sum=np.array(sums, dtype=float).reshape(nm))
+            self._engine_arrays[mode] = arrays
+            self._engine_fields[mode] = {name: array.ctypes.data
+                                         for name, array in arrays.items()}
+
+    def engine_fields(self, payoff_weights: str) -> dict[str, int]:
+        """The addresses of the table fields of ``round.c``'s engine
+        struct, by field name, for a payoff mode: ``edge_weight`` and
+        ``row_sum`` are the link weights and ``weight_sums`` when
+        ``weighted``, and ones and ``degrees`` when ``binary``.  The
+        arrays behind them live as long as the table."""
+        return self._engine_fields[payoff_weights]
 
     @property
     def cross_index(self) -> list[np.ndarray]:
@@ -309,8 +333,13 @@ class RoundEngine:
     ``megt.kernel``, and ``round`` one round in one call.  The kernel
     reads its inputs and writes its results through one
     ``kernel.Engine`` struct, built here, that points at the table's
-    arrays and at buffers this engine owns, and takes its draws from the
-    state's bit generator.
+    arrays (``ScalingTable.engine_fields``) and at buffers this engine
+    owns, and takes its draws from the state's bit generator.  Within a
+    ``run`` the kernel keeps the payoffs from round to round and re-sums
+    only the slots whose own or neighbours' strategies changed, and
+    keeps a tracker's best-response flags and Nash counts, moving the
+    counts only where a flag changed.  ``round`` sums every payoff, as
+    the caller may have replaced the strategies between calls.
 
     ``adoptions`` counts the steps, over all calls, that changed a
     strategy.  The kernel's buffers are the engine's, so one engine must
@@ -329,18 +358,15 @@ class RoundEngine:
         self._kernel = kernel.load()
         self._stop_reasons = kernel.STOP_REASONS
         # the buffers live as long as the engine
-        weighted = config.payoff_weights == "weighted"
-        row_sum = table.weight_sums if weighted else table.degrees
         # a run fills at most max_rounds + 1 densities and one more sum
         history = config.max_rounds + 2
         self._buffers = dict(
-            edge_weight=(table.edge_weight if weighted
-                         else np.ones(table.edge_weight.size)),
-            row_sum=np.array(row_sum, dtype=float).reshape(nm),
             strategies=np.zeros(nm, dtype=np.int8),
             coop_count=np.zeros(n, dtype=np.int64),
             payoff=np.zeros(nm), picks=np.zeros(nm, dtype=np.int64),
             u_neighbour=np.zeros(nm), u_adopt=np.zeros(nm),
+            stale=np.zeros(nm, dtype=np.int8),
+            stale_slot=np.zeros(nm, dtype=np.int64),
             rho=np.zeros(history), cumulative=np.zeros(history))
         self._engine = kernel.Engine(
             node_count=n, slot_count=nm, reward=game.reward,
@@ -350,8 +376,7 @@ class RoundEngine:
             span=config.scaling_bounds.span, clamp=_EXP_CLAMP,
             max_rounds=config.max_rounds, window=config.steady_window,
             tolerance=config.steady_tolerance,
-            **{name: getattr(table, name).ctypes.data
-               for name in _TABLE_ARRAYS},
+            **table.engine_fields(config.payoff_weights),
             **{name: array.ctypes.data
                for name, array in self._buffers.items()})
 
@@ -414,7 +439,7 @@ class RoundEngine:
         history = self.config.max_rounds + 2
         self._buffers.update(
             nash_play=np.zeros(self.node_count, dtype=np.int8),
-            nash_flag=np.zeros(self.node_count, dtype=np.int8),
+            nash_flag=np.zeros(self.slot_count, dtype=np.int8),
             pair_count=np.zeros(history, dtype=np.int64),
             weak_count=np.zeros(history, dtype=np.int64))
         tracker.bind(engine)

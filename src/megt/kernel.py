@@ -61,13 +61,15 @@ class Engine(ctypes.Structure):
         ("reward sucker temptation punishment kappa span clamp", _F64),
         ("max_rounds window", _I64),
         ("tolerance", _F64),
-        ("strategies coop_count payoff picks u_neighbour u_adopt rho "
-         "cumulative union_ptr union_node union_weight", _PTR),
-        ("pair_total", _I64),
-        ("pair_i pair_j", _PTR),
+        ("strategies coop_count payoff picks u_neighbour u_adopt stale "
+         "stale_slot", _PTR),
+        ("stale_total", _I64),
+        ("rho cumulative union_ptr union_node union_weight", _PTR),
         ("nash_base nash_slope", _F64),
         ("projection", _I64),
-        ("nash_play nash_flag pair_count weak_count", _PTR),
+        ("nash_play nash_flag", _PTR),
+        ("nash_pairs nash_weak", _I64),
+        ("pair_count weak_count", _PTR),
         ("coop_total adoptions stop", _I64),
     ) for name in names.split()]
 

@@ -9,7 +9,14 @@
  *
  *  1. payoffs: per slot, mass += w_e * s_j over its neighbour edges in
  *     CSR order (ascending j), then
- *     vs_coop * mass + vs_defect * (row_sum - mass);
+ *     vs_coop * mass + vs_defect * (row_sum - mass), in slot_payoff.
+ *     megt_round sums every slot, as Python may have replaced the
+ *     strategies since the last call.  megt_run sums every slot before
+ *     its first round, and after that only the stale ones: the slots
+ *     that adopted in the round before, and their layer neighbours.
+ *     Neighbour lists are symmetric, so these are exactly the slots
+ *     whose own or neighbours' strategies changed; every other payoff
+ *     would be summed to the same bits again;
  *  2. draws, from numpy's bit generator through its bitgen_t interface
  *     (numpy/random/bitgen.h): N*M picks by numpy's bounded Lemire
  *     method over next_uint32, as Generator.integers(0, nm, size=nm)
@@ -17,14 +24,21 @@
  *     from next_double, as Generator.random(nm) draws them;
  *  3. the N*M imitation steps; in step order, a pick on an isolated slot
  *     is redrawn, as Generator.integers(nm) would, until it has a
- *     neighbour;
- *  4. each cooperating slot adds its degree to its node's coop_count.
+ *     neighbour.  A slot that adopts marks itself and its neighbours
+ *     stale;
+ *  4. each node's coop_count gains, layer by layer, its degree on every
+ *     layer where it cooperates.
  *
  * With the Nash tracker's arrays set, megt_run also counts the run's
- * Nash pairs on the union graph of the layers after every round (see
- * nash_count), and megt_nash counts those of the current strategies
- * alone: megt's only Nash counter, which EquilibriumTracker.evaluate
- * calls and the tests hold to their per-edge oracle.
+ * Nash pairs on the union graph of the layers after every round, and
+ * megt_nash counts those of the current strategies alone: megt's only
+ * Nash counter, which EquilibriumTracker.evaluate calls and the tests
+ * hold to their per-edge oracle.  The engine holds each profile's
+ * best-response flags and the running pair and weak counts.  After a
+ * round, nash_move recomputes every flag and moves the counts only over
+ * the union edges of the nodes whose flag changed.  A fresh count (in
+ * megt_nash, and before a run's first round) is the same move, made from
+ * all-zero flags and zero counts.
  *
  * That the draws equal numpy's is numpy's implementation, not its
  * contract; megt.kernel checks it against numpy before using this code.
@@ -36,7 +50,7 @@
  * exp is the one math.exp calls.  Every index is a flat slot
  * alpha * N + i.  The struct below is mirrored field for field by
  * megt.kernel.Engine; its pointers are the engine's buffers, written
- * once per engine.
+ * once per engine.  Nothing here allocates during a round or a run.
  */
 #define _GNU_SOURCE /* CPU sets, sched_getcpu */
 #include <math.h>
@@ -44,6 +58,7 @@
 #include <sched.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 typedef struct bitgen {
     void *state;
@@ -61,7 +76,7 @@ enum { PROJECT_TIE_C, PROJECT_TIE_D, PROJECT_PER_LAYER };
 struct megt_engine {
     /* the network's static tables, CSR arrays over the flat slots: each
        pointer is evolve.ScalingTable's array of the same name, except
-       edge_weight and row_sum, which the engine picks by payoff mode */
+       edge_weight and row_sum, which the table keeps per payoff mode */
     int64_t node_count, slot_count;
     const int64_t *neighbour_ptr, *neighbour_slot;
     const double *distance, *edge_weight, *row_sum;
@@ -75,28 +90,34 @@ struct megt_engine {
     /* state, read and written in place */
     int8_t *strategies;   /* slot_count */
     int64_t *coop_count;  /* node_count */
-    /* scratch, slot_count each */
+    /* scratch, slot_count each: payoff holds every slot's payoff from
+       one round to the next; the stale slots are stale_slot[0 ..
+       stale_total - 1], each listed once and flagged in stale */
     double *payoff;
     int64_t *picks;
     double *u_neighbour, *u_adopt;
+    int8_t *stale;
+    int64_t *stale_slot;
+    int64_t stale_total;
     /* the run's densities and their running sums, max_rounds + 2 each;
        rho[0], cumulative[0] and cumulative[1] are set by the caller */
     double *rho, *cumulative;
     /* Nash-pair counting in megt_nash, and in megt_run unless union_ptr
        is NULL: the union graph of the layers as a CSR over nodes
        (union_node ascending within a row, the homophily h_ij beside it
-       in union_weight) and as pair_total pairs (pair_i[p], pair_j[p]),
-       each unordered pair once; the advantage of cooperating,
-       nash_base + nash_slope * frequency; the projection rule;
-       node_count scratch bytes each in nash_play and nash_flag; and the
+       in union_weight); the advantage of cooperating, nash_base +
+       nash_slope * frequency; the projection rule; node_count scratch
+       bytes in nash_play, the majority profile; slot_count bytes in
+       nash_flag, the held flags, node_count per profile (profile alpha
+       at alpha * node_count under per_layer, else one at 0); the
+       running counts of all profiles, nash_pairs and nash_weak; and the
        counts per round, max_rounds + 2 each (one for megt_nash) */
     const int64_t *union_ptr, *union_node;
     const double *union_weight;
-    int64_t pair_total;
-    const int64_t *pair_i, *pair_j;
     double nash_base, nash_slope;
     int64_t projection;
     int8_t *nash_play, *nash_flag;
+    int64_t nash_pairs, nash_weak;
     int64_t *pair_count, *weak_count;
     /* results of the last call */
     int64_t coop_total, adoptions, stop;
@@ -147,26 +168,53 @@ static void count_coop(struct megt_engine *e)
     e->coop_total = total;
 }
 
-static void accumulate_payoffs(struct megt_engine *e)
+/* The payoff of one slot: megt's one payoff sum. */
+static void slot_payoff(struct megt_engine *e, int64_t flat)
 {
     const int8_t *s = e->strategies;
-    for (int64_t flat = 0; flat < e->slot_count; flat++) {
-        double mass = 0.0;
-        for (int64_t k = e->neighbour_ptr[flat]; k < e->neighbour_ptr[flat + 1];
-             k++)
-            mass += e->edge_weight[k] * (double)s[e->neighbour_slot[k]];
-        double vs_coop = s[flat] ? e->reward : e->temptation;
-        double vs_defect = s[flat] ? e->sucker : e->punishment;
-        e->payoff[flat] = vs_coop * mass + vs_defect * (e->row_sum[flat] - mass);
+    double mass = 0.0;
+    for (int64_t k = e->neighbour_ptr[flat]; k < e->neighbour_ptr[flat + 1];
+         k++)
+        mass += e->edge_weight[k] * (double)s[e->neighbour_slot[k]];
+    double vs_coop = s[flat] ? e->reward : e->temptation;
+    double vs_defect = s[flat] ? e->sucker : e->punishment;
+    e->payoff[flat] = vs_coop * mass + vs_defect * (e->row_sum[flat] - mass);
+}
+
+/* Every slot's payoff; no slot is stale after it. */
+static void all_payoffs(struct megt_engine *e)
+{
+    for (int64_t flat = 0; flat < e->slot_count; flat++)
+        slot_payoff(e, flat);
+    memset(e->stale, 0, (size_t)e->slot_count);
+    e->stale_total = 0;
+}
+
+/* The stale slots' payoffs; no slot is stale after it. */
+static void stale_payoffs(struct megt_engine *e)
+{
+    for (int64_t k = 0; k < e->stale_total; k++) {
+        const int64_t flat = e->stale_slot[k];
+        e->stale[flat] = 0;
+        slot_payoff(e, flat);
+    }
+    e->stale_total = 0;
+}
+
+static void mark_stale(struct megt_engine *e, int64_t flat)
+{
+    if (!e->stale[flat]) {
+        e->stale[flat] = 1;
+        e->stale_slot[e->stale_total++] = flat;
     }
 }
 
+/* Steps 2-4 of a round, on the payoffs in place. */
 static void one_round(struct megt_engine *e, bitgen_t *bitgen)
 {
     const int64_t *ptr = e->neighbour_ptr;
     int64_t nm = e->slot_count;
     int8_t *s = e->strategies;
-    accumulate_payoffs(e);
     bulk_draws(bitgen, nm, (uint32_t)nm, e->picks, e->u_neighbour,
                e->u_adopt);
     for (int64_t t = 0; t < nm; t++) {
@@ -200,12 +248,18 @@ static void one_round(struct megt_engine *e, bitgen_t *bitgen)
             s[flat] = (int8_t)other;
             e->coop_total += other - own;
             e->adoptions++;
+            mark_stale(e, flat);
+            for (int64_t k = first; k < first + degree; k++)
+                mark_stale(e, e->neighbour_slot[k]);
         }
     }
-    int64_t n = e->node_count;
-    for (int64_t flat = 0; flat < nm; flat++)
-        if (s[flat])
-            e->coop_count[flat % n] += ptr[flat + 1] - ptr[flat];
+    const int64_t n = e->node_count;
+    for (int64_t base = 0; base < nm; base += n) {
+        const int8_t *layer = s + base;
+        const int64_t *row = ptr + base;
+        for (int64_t i = 0; i < n; i++)
+            e->coop_count[i] += layer[i] * (row[i + 1] - row[i]);
+    }
 }
 
 /* One round; coop_total and adoptions are the round's. */
@@ -213,24 +267,39 @@ void megt_round(struct megt_engine *e, bitgen_t *bitgen)
 {
     count_coop(e);
     e->adoptions = 0;
+    all_payoffs(e);
     one_round(e, bitgen);
 }
 
-/* Adds to *pairs the union edges both of whose ends play a best response
- * to the node profile play (1 cooperates), and to *weak those of them
- * with an indifferent end.  A node's cooperator frequency is its
- * weights on cooperating neighbours, added left to right from 0.0, over
- * its union degree (0 for an isolated node); cooperating is a best
- * response when its advantage is >= 0, defecting when it is <= 0. */
-static void nash_count(struct megt_engine *e, const int8_t *play,
-                       int64_t *pairs, int64_t *weak)
+/* The Nash pair and weak pair of a union edge whose ends hold the flags
+ * a and b: bit 0 of a flag is a best response, bit 1 indifference. */
+static inline int nash_pair(int a, int b)
+{
+    return a & b & 1;
+}
+
+static inline int weak_pair(int a, int b)
+{
+    return a & b & 1 & (a | b) >> 1;
+}
+
+/* Recomputes the flags of the node profile play (1 cooperates) into
+ * flag, and at each node whose flag changed moves nash_pairs and
+ * nash_weak over its union edges: a union edge is a Nash pair when both
+ * of its ends play a best response, and a weak one when an end is also
+ * indifferent.  A node's cooperator frequency is its weights on
+ * cooperating neighbours, added left to right from 0.0, over its union
+ * degree (0 for an isolated node); cooperating is a best response when
+ * its advantage is >= 0, defecting when it is <= 0. */
+static void nash_move(struct megt_engine *e, const int8_t *play,
+                      int8_t *flag)
 {
     const int64_t *ptr = e->union_ptr, *node = e->union_node;
-    int8_t *flag = e->nash_flag;
     /* with a zero slope (any donation game) the advantage is nash_base
        plus a signed zero, which compares as nash_base does, so the
        sums are skipped */
     const int summed = e->nash_slope != 0.0;
+    int64_t pairs = e->nash_pairs, weak = e->nash_weak;
     for (int64_t i = 0; i < e->node_count; i++) {
         double mass = 0.0;
         for (int64_t k = ptr[i]; summed && k < ptr[i + 1]; k++)
@@ -238,18 +307,28 @@ static void nash_count(struct megt_engine *e, const int8_t *play,
         int64_t degree = ptr[i + 1] - ptr[i];
         double frequency = degree > 0 ? mass / (double)degree : 0.0;
         double advantage = e->nash_base + e->nash_slope * frequency;
-        /* bit 0: a best response; bit 1: indifferent */
-        flag[i] = (int8_t)((play[i] ? advantage >= 0.0 : advantage <= 0.0)
-                           | (advantage == 0.0) << 1);
+        const int now = (play[i] ? advantage >= 0.0 : advantage <= 0.0)
+                        | (advantage == 0.0) << 1;
+        const int was = flag[i];
+        if (now == was)
+            continue;
+        for (int64_t k = ptr[i]; k < ptr[i + 1]; k++) {
+            const int other = flag[node[k]];
+            pairs += nash_pair(now, other) - nash_pair(was, other);
+            weak += weak_pair(now, other) - weak_pair(was, other);
+        }
+        flag[i] = (int8_t)now;
     }
-    int64_t ok = 0, weak_ok = 0;
-    for (int64_t p = 0; p < e->pair_total; p++) {
-        const int both = flag[e->pair_i[p]] & flag[e->pair_j[p]] & 1;
-        ok += both;
-        weak_ok += both & (flag[e->pair_i[p]] | flag[e->pair_j[p]]) >> 1;
-    }
-    *pairs += ok;
-    *weak += weak_ok;
+    e->nash_pairs = pairs;
+    e->nash_weak = weak;
+}
+
+/* Zero flags and zero counts, from which nash_record counts afresh. */
+static void nash_clear(struct megt_engine *e)
+{
+    memset(e->nash_flag, 0, (size_t)(e->projection == PROJECT_PER_LAYER
+                                     ? e->slot_count : e->node_count));
+    e->nash_pairs = e->nash_weak = 0;
 }
 
 /* The Nash counts of the current strategies under the projection rule,
@@ -259,10 +338,9 @@ static void nash_count(struct megt_engine *e, const int8_t *play,
 static void nash_record(struct megt_engine *e, int64_t round)
 {
     const int64_t n = e->node_count, m = e->slot_count / n;
-    int64_t pairs = 0, weak = 0;
     if (e->projection == PROJECT_PER_LAYER) {
         for (int64_t alpha = 0; alpha < m; alpha++)
-            nash_count(e, e->strategies + alpha * n, &pairs, &weak);
+            nash_move(e, e->strategies + alpha * n, e->nash_flag + alpha * n);
     } else {
         for (int64_t i = 0; i < n; i++) {
             int64_t votes = 0;
@@ -271,17 +349,18 @@ static void nash_record(struct megt_engine *e, int64_t round)
             e->nash_play[i] = (int8_t)(e->projection == PROJECT_TIE_C
                                        ? 2 * votes >= m : 2 * votes > m);
         }
-        nash_count(e, e->nash_play, &pairs, &weak);
+        nash_move(e, e->nash_play, e->nash_flag);
     }
-    e->pair_count[round] = pairs;
-    e->weak_count[round] = weak;
+    e->pair_count[round] = e->nash_pairs;
+    e->weak_count[round] = e->nash_weak;
 }
 
-/* The Nash counts of the strategies into pair_count[0] and
- * weak_count[0]; reads only the Nash fields, node_count, slot_count and
- * strategies. */
+/* The Nash counts of the strategies, counted afresh, into pair_count[0]
+ * and weak_count[0]; reads only the Nash fields, node_count, slot_count
+ * and strategies. */
 void megt_nash(struct megt_engine *e)
 {
+    nash_clear(e);
     nash_record(e, 0);
 }
 
@@ -299,7 +378,11 @@ int64_t megt_run(struct megt_engine *e, bitgen_t *bitgen)
     count_coop(e);
     e->adoptions = 0;
     e->stop = STOP_BUDGET;
+    all_payoffs(e);
+    if (e->union_ptr != NULL)
+        nash_clear(e);
     while (rounds < e->max_rounds) {
+        stale_payoffs(e); /* none before the first round */
         one_round(e, bitgen);
         rounds++;
         if (e->union_ptr != NULL)

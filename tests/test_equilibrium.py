@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from megt.equilibrium import (PROJECTION_RULES, EquilibriumTracker,
                               nash_report, write_alpha_csv)
-from megt.evolve import SimulationConfig, run
+from megt.evolve import (RoundEngine, ScalingTable, SimulationConfig,
+                         _dynamics_rng, init_state, run)
 from megt.games import COOPERATE, DEFECT, PayoffMatrix, from_ts, representative
 from megt.kernel import KernelError
 from megt.netgen import LayerTopology, MultiplexSpec, build_multiplex
@@ -484,6 +485,77 @@ def test_tracked_run_counts_match_the_per_edge_oracle():
             tracker = EquilibriumTracker(net, game, projection)
             run(config, tracker=tracker)
             assert tracker.history == expected, (game, projection)
+
+
+def dyadic_multiplex(n, m, seed):
+    """ER layers of edge probability 0.08, whose isolated slots never
+    change strategy, over distances whose homophilies 1, 1/2, 1/4 and
+    1/8 make every frequency exact in any summation order, so that ties
+    compare exactly."""
+    rng = np.random.default_rng(seed)
+    adjacency = []
+    for _ in range(m):
+        upper = np.triu(rng.random((n, n)) < 0.08, 1)
+        adjacency.append((upper | upper.T).astype(np.int8))
+    delta = np.triu(rng.choice([0.0, 1.0, 3.0, 7.0], (n, n)), 1)
+    return multiplex_from_arrays(adjacency, delta + delta.T)
+
+
+@pytest.mark.parametrize("layer_count, seed", [(3, 4), (4, 7)])
+def test_long_tracked_runs_count_as_the_per_edge_oracle(layer_count, seed):
+    # a run keeps its flags and counts and moves them where a flag
+    # changed, for rounds on end; each round's table comes from
+    # RoundEngine.round, which makes the run's rounds one by one.
+    # Isolated slots of both strategies keep every run from absorbing;
+    # at these seeds the snowdrift run's counts still move after round 140
+    net = dyadic_multiplex(30, layer_count, seed)
+    edge_count = EquilibriumTracker(net, PD).edge_count
+    rounds = 150
+    late_moves = 0
+    for game in GAMES:
+        config = SimulationConfig(game=game, network=net, max_rounds=rounds,
+                                  steady_window=rounds, rng_seed=2)
+        engine = RoundEngine(net, game, ScalingTable(net, 0.5), config)
+        state = init_state(net, config.initial_coop_fraction,
+                           _dynamics_rng(config, 0, 0))
+        tables = [state.strategies]
+        for _ in range(rounds):
+            engine.round(state)
+            tables.append(state.strategies)
+        for projection in PROJECTION_RULES:
+            expected = []
+            for k, strategies in enumerate(tables):
+                profiles = (strategies if projection == "per_layer"
+                            else [project_strategies(strategies, projection)])
+                pairs, weak = np.sum([dense_nash_counts(net, game, play)
+                                      for play in profiles], axis=0)
+                edges = edge_count * len(profiles)
+                expected.append((k, pairs / edges, weak / edges))
+            tracker = EquilibriumTracker(net, game, projection)
+            result = run(config, tracker=tracker)
+            assert result.trajectory.stop_reason == "budget"
+            assert tracker.history == expected, (game, projection)
+            late_moves += len({row[1:] for row in tracker.history[-11:]}) > 1
+    assert late_moves > 0
+
+
+def test_a_second_tracked_run_on_an_engine_counts_afresh():
+    # the engine's held flags and counts are the first run's until the
+    # second run clears them
+    net = dyadic_multiplex(30, 3, 3)
+    game = representative("sd")
+    config = SimulationConfig(game=game, network=net, max_rounds=40,
+                              steady_window=40, rng_seed=2)
+    engine = RoundEngine(net, game, ScalingTable(net, 0.5), config)
+    for projection in PROJECTION_RULES:
+        engine.run(init_state(net, 0.5, np.random.default_rng(1)),
+                   EquilibriumTracker(net, game, projection))
+        again, fresh = (EquilibriumTracker(net, game, projection)
+                        for _ in range(2))
+        engine.run(init_state(net, 0.5, np.random.default_rng(2)), again)
+        RoundEngine(net, game, engine.table, config).run(
+            init_state(net, 0.5, np.random.default_rng(2)), fresh)
+        assert again.history == fresh.history
 
 
 def test_tracker_of_another_network_size_is_refused():

@@ -279,15 +279,25 @@ def test_table_arrays_fit_the_kernel_struct(net):
     nm = net.node_count * net.layer_count
     fields = kernel_table_fields()
     assert "denominator" in fields
-    # row_sum is the engine's: weight_sums or degrees by payoff mode
-    for name in fields:
-        if name == "row_sum":
-            continue
-        array = getattr(table, name)
-        assert isinstance(array, np.ndarray), name
-        assert array.flags.c_contiguous, name
-        integer = name.endswith(("_ptr", "_slot"))
-        assert array.dtype == (np.int64 if integer else np.float64), name
+    # edge_weight and row_sum depend on the payoff mode; the addresses
+    # are taken once per table and mode
+    for mode, weights, sums in (
+            ("weighted", table.edge_weight, table.weight_sums),
+            ("binary", np.ones(table.edge_weight.size), table.degrees)):
+        addresses = table.engine_fields(mode)
+        assert sorted(addresses) == sorted(fields)
+        arrays = table._engine_arrays[mode]
+        for name in fields:
+            array = arrays[name]
+            if name not in ("edge_weight", "row_sum"):
+                assert array is getattr(table, name), name
+            assert addresses[name] == array.ctypes.data, name
+            assert isinstance(array, np.ndarray), name
+            assert array.flags.c_contiguous, name
+            integer = name.endswith(("_ptr", "_slot"))
+            assert array.dtype == (np.int64 if integer else np.float64), name
+        assert np.array_equal(arrays["edge_weight"], weights)
+        assert np.array_equal(arrays["row_sum"], sums.reshape(nm))
     for ptr, aligned in (("neighbour_ptr", ("neighbour_slot", "distance",
                                             "edge_weight")),
                          ("cross_ptr", ("cross_slot", "cross_value"))):
@@ -516,6 +526,42 @@ def test_round_runs_past_max_rounds():
     assert compiled.adoptions == adoptions + adopted
     assert np.array_equal(fast.strategies, slow.strategies)
     assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("payoff_weights", ["weighted", "binary"])
+@pytest.mark.parametrize("spec", [
+    MultiplexSpec(node_count=200, layer_count=2,
+                  topologies=(LayerTopology.ws(4),) * 2,
+                  homophily_sigma=1.0, rng_seed=5),
+    MultiplexSpec(node_count=200, layer_count=7,
+                  topologies=(LayerTopology.er(4 / 199),) * 7,
+                  homophily_sigma=1.0, rng_seed=3),
+], ids=["small-world", "er-seven-layers"])
+def test_a_run_equals_its_rounds_one_by_one_at_scale(spec, payoff_weights):
+    # a run re-sums only the payoffs its last round made stale, a round
+    # every payoff; a window as long as the budget keeps the stop rule
+    # from firing, and the snowdrift game does not absorb
+    net = build_multiplex(spec)
+    if spec.layer_count == 7:
+        assert (net.layer_degrees() == 0).any()
+    rounds = 300
+    config = SimulationConfig(game=representative("sd"), network=net,
+                              payoff_weights=payoff_weights,
+                              max_rounds=rounds, steady_window=rounds)
+    table = ScalingTable(net, config.interlayer_strength)
+    whole = RoundEngine(net, config.game, table, config)
+    one_by_one = RoundEngine(net, config.game, table, config)
+    a = init_state(net, 0.5, np.random.default_rng(7))
+    b = init_state(net, 0.5, np.random.default_rng(7))
+    rho, _, reason = whole.run(a)
+    assert reason == "budget" and len(rho) == rounds + 1
+    assert rho == [density(b)] + [one_by_one.round(b)
+                                  for _ in range(rounds)]
+    assert a.round_index == b.round_index == rounds
+    assert np.array_equal(a.strategies, b.strategies)
+    assert np.array_equal(a.coop_count, b.coop_count)
+    assert whole.adoptions == one_by_one.adoptions > rounds
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
 def test_round_refuses_an_edgeless_multiplex():
