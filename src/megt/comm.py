@@ -148,25 +148,17 @@ def matrix_exp(matrix: np.ndarray) -> np.ndarray:
     return result
 
 
-def _layer_weights(network: MultiplexNetwork) -> np.ndarray:
-    """The supra-matrix's entry on each edge of the network's CSR: the
-    homophily ``homophily_from_delta(delta_ij)``, in CSR order."""
-    n = network.node_count
-    return homophily_from_delta(
-        network.delta[network.edge_owner() % n, network.neighbour_slot % n])
-
-
 def _supra_csr(network: MultiplexNetwork, interlayer_strength: float
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The supra-matrix as CSR ``(ptr, col, val)``, built from the
-    network's edge CSR, with columns ascending within a row.  Zero
-    couplings are left out."""
+    network's edge CSR and each edge's homophily, with columns ascending
+    within a row.  Zero couplings are left out."""
     if interlayer_strength < 0:
         raise ValueError(
             f"interlayer_strength must be >= 0, got {interlayer_strength}")
     n, m = network.node_count, network.layer_count
     rows, cols = [network.edge_owner()], [network.neighbour_slot]
-    vals = [_layer_weights(network)]
+    vals = [homophily_from_delta(network.edge_delta)]
     if interlayer_strength > 0:
         node = np.arange(n)
         for alpha, beta in itertools.permutations(range(m), 2):
@@ -250,7 +242,7 @@ def _series_c(library, network: MultiplexNetwork,
     row-by-row series over ``_supra_csr``."""
     ptr, slot = (np.ascontiguousarray(array, dtype=np.int64) for array in
                  (network.neighbour_ptr, network.neighbour_slot))
-    weight = _layer_weights(network)
+    weight = homophily_from_delta(network.edge_delta)
     out = np.empty(cross_slot.size)
     status = library.megt_comm_entries(
         network.node_count, network.layer_count, ptr.ctypes.data,

@@ -273,9 +273,7 @@ class ScalingTable:
         self.weight_sums = network.weight_sums()
         degree = self.degrees.reshape(-1)
         self.edgeless = not degree.any()
-        self.distance = np.maximum(network.delta[
-            network.edge_owner() % n, self.neighbour_slot % n],
-            DISTANCE_FLOOR)
+        self.distance = np.maximum(network.edge_delta, DISTANCE_FLOOR)
         # slot s's block is s, then its neighbours; slot (alpha, i)'s
         # cross-layer slots are node i's blocks on the other layers
         block = np.insert(self.neighbour_slot, self.neighbour_ptr[:-1],
@@ -329,17 +327,16 @@ class RoundEngine:
 
     The engine adds the per-run inputs (game, selection intensity,
     scaling bounds, payoff mode and stop rule) to the table.  ``run``
-    makes a whole run in one call of the compiled kernel from
-    ``megt.kernel``, and ``round`` one round in one call.  The kernel
-    reads its inputs and writes its results through one
-    ``kernel.Engine`` struct, built here, that points at the table's
-    arrays (``ScalingTable.engine_fields``) and at buffers this engine
-    owns, and takes its draws from the state's bit generator.  Within a
-    ``run`` the kernel keeps the payoffs from round to round and re-sums
-    only the slots whose own or neighbours' strategies changed, and
-    keeps a tracker's best-response flags and Nash counts, moving the
-    counts only where a flag changed.  ``round`` sums every payoff, as
-    the caller may have replaced the strategies between calls.
+    makes a whole run in one call of the compiled kernel's ``megt_run``
+    (``megt.kernel``) with a budget of ``max_rounds``, and ``round`` one
+    round in one call with a budget of 1.  The kernel reads its inputs
+    and writes its results through one ``kernel.Engine`` struct, built
+    here, that points at the table's arrays (``ScalingTable.engine_fields``)
+    and at buffers this engine owns, and takes its draws from the state's
+    bit generator.  Each call sums every payoff, as the caller may have
+    replaced the strategies; after that it re-sums only the slots whose
+    own or neighbours' strategies changed, and keeps a tracker's
+    best-response flags and Nash counts, moving them where a flag changed.
 
     ``adoptions`` counts the steps, over all calls, that changed a
     strategy.  The kernel's buffers are the engine's, so one engine must
@@ -374,20 +371,22 @@ class RoundEngine:
             punishment=game.punishment,
             kappa=config.selection_intensity,
             span=config.scaling_bounds.span, clamp=_EXP_CLAMP,
-            max_rounds=config.max_rounds, window=config.steady_window,
+            window=config.steady_window,
             tolerance=config.steady_tolerance,
             **table.engine_fields(config.payoff_weights),
             **{name: array.ctypes.data
                for name, array in self._buffers.items()})
 
     def round(self, state: SimulationState) -> float:
-        """Advance one full Monte Carlo round; returns the cooperator
-        density after the round.  ``state.strategies`` is replaced by a
-        new array, so a caller may keep the old one.
+        """Advance one full Monte Carlo round, an untracked one-round
+        run; returns the cooperator density after the round.
+        ``state.strategies`` is replaced by a new array, so a caller may
+        keep the old one.
         """
         if self.table.edgeless:
             raise ValueError("no slot has a neighbour, so no round can run")
-        self._call(self._kernel.megt_round, state)
+        self._track(None)
+        self._call(state, 1)
         state.round_index += 1
         return self._engine.coop_total / self.slot_count
 
@@ -417,7 +416,7 @@ class RoundEngine:
         buffers["rho"][0] = rho0
         buffers["cumulative"][:2] = (0.0, rho0)
         self._track(tracker)
-        rounds = self._call(self._kernel.megt_run, state)
+        rounds = self._call(state, self.config.max_rounds)
         if tracker is not None:
             tracker.record(state.round_index + 1,
                            buffers["pair_count"][1:rounds + 1],
@@ -446,21 +445,22 @@ class RoundEngine:
         for name in ("nash_play", "nash_flag", "pair_count", "weak_count"):
             setattr(engine, name, self._buffers[name].ctypes.data)
 
-    def _call(self, function, state: SimulationState):
-        """``function`` of the kernel on ``state``: the strategies and
-        counters go into the engine's buffers and come back out, and
-        the state's bit generator is locked while C draws from it."""
+    def _call(self, state: SimulationState, budget: int) -> int:
+        """``megt_run`` on ``state`` for at most ``budget`` rounds, which
+        it returns: the strategies and counters go into the engine's
+        buffers and come back out, and the state's bit generator is
+        locked while C draws from it."""
         buffers, rng = self._buffers, state.rng
         np.copyto(buffers["strategies"], state.strategies.reshape(-1))
         np.copyto(buffers["coop_count"], state.coop_count)
         with rng.bit_generator.lock:
-            result = function(self._engine,
-                              rng.bit_generator.ctypes.bit_generator)
+            rounds = self._kernel.megt_run(
+                self._engine, rng.bit_generator.ctypes.bit_generator, budget)
         state.strategies = buffers["strategies"].reshape(
             self.layer_count, self.node_count).copy()
         state.coop_count[...] = buffers["coop_count"]
         self.adoptions += self._engine.adoptions
-        return result
+        return rounds
 
 
 def _dynamics_rng(config: SimulationConfig, cell_index: int,

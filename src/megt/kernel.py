@@ -59,7 +59,7 @@ class Engine(ctypes.Structure):
         ("neighbour_ptr neighbour_slot distance edge_weight row_sum "
          "cross_ptr cross_slot cross_value denominator", _PTR),
         ("reward sucker temptation punishment kappa span clamp", _F64),
-        ("max_rounds window", _I64),
+        ("window", _I64),
         ("tolerance", _F64),
         ("strategies coop_count payoff picks u_neighbour u_adopt stale "
          "stale_slot", _PTR),
@@ -146,10 +146,8 @@ def _open(path: Path) -> ctypes.CDLL:
     library.megt_draws.argtypes = (_PTR, _I64, _I64, _PTR, _PTR, _PTR,
                                    _I64, _PTR)
     library.megt_draws.restype = None
-    for name, restype in (("megt_round", None), ("megt_run", _I64)):
-        function = getattr(library, name)
-        function.argtypes = (ctypes.POINTER(Engine), _PTR)
-        function.restype = restype
+    library.megt_run.argtypes = (ctypes.POINTER(Engine), _PTR, _I64)
+    library.megt_run.restype = _I64
     library.megt_nash.argtypes = (ctypes.POINTER(Engine),)
     library.megt_nash.restype = None
     library.megt_comm_entries.argtypes = (_I64, _I64, _PTR, _PTR, _PTR,
@@ -201,10 +199,11 @@ def load() -> ctypes.CDLL:
     naming the cause when there is no ``cc``, the build fails or the
     library cannot be loaded, or the draws differ from numpy's.
 
-    A success is kept for the process.  ``library.megt_round`` and
-    ``library.megt_run`` take a pointer to an ``Engine`` and the address
-    of numpy's ``bitgen_t`` (``bit_generator.ctypes.bit_generator``);
-    ``library.megt_nash`` takes the ``Engine`` alone.
+    A success is kept for the process.  ``library.megt_run`` takes a
+    pointer to an ``Engine``, the address of numpy's ``bitgen_t``
+    (``bit_generator.ctypes.bit_generator``) and a budget of rounds, and
+    returns the rounds it made; ``library.megt_nash`` takes the
+    ``Engine`` alone.
     """
     try:
         library = _library()

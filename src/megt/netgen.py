@@ -6,9 +6,9 @@ nodes, plus a single pairwise distance structure shared by all layers:
 unordered pair, with homophily ``h[i, j] = 1 / (1 + delta[i, j])``.
 
 A network stores the shared ``delta`` and one CSR of every layer's edges
-with their link weights ``w_ij = h_ij * (c_i + c_j) / 2``, where ``c``
-is the layer's eigenvector centrality; nothing N x N per layer.  A
-generator's dense layer lives only while its centrality is taken.
+with their distances and link weights ``w_ij = h_ij * (c_i + c_j) / 2``,
+where ``c`` is the layer's eigenvector centrality; nothing N x N per
+layer.  A generator's dense layer lives only while its centrality is taken.
 Homophily, degrees and the union graph are computed where they are used.
 """
 
@@ -316,20 +316,22 @@ class MultiplexNetwork:
     """A realised multiplex: its weighted edges, one CSR over the flat
     slots ``alpha * N + i`` (slot s's neighbours, ascending, are
     ``neighbour_slot[neighbour_ptr[s]:neighbour_ptr[s + 1]]``, each beside
-    its link weight in ``edge_weight``; an edge sits in both endpoints'
-    rows), and the shared N x N distances ``delta``.  The arrays are made
-    read-only: runs on one network object share one scaling table, which
-    an edit would leave stale.
+    its link weight in ``edge_weight`` and its ``delta_ij`` in
+    ``edge_delta``; an edge sits in both endpoints' rows), and the shared
+    N x N distances ``delta``, read only to build, save and load.  The
+    arrays are read-only: runs on one network object share one scaling
+    table, which an edit would leave stale.
     """
 
     neighbour_ptr: np.ndarray
     neighbour_slot: np.ndarray = field(repr=False)
     edge_weight: np.ndarray = field(repr=False)
+    edge_delta: np.ndarray = field(repr=False)
     delta: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         for array in (self.neighbour_ptr, self.neighbour_slot,
-                      self.edge_weight, self.delta):
+                      self.edge_weight, self.edge_delta, self.delta):
             array.flags.writeable = False
 
     @property
@@ -379,8 +381,10 @@ def _from_edges(delta: np.ndarray, m: int, edges: list) -> MultiplexNetwork:
     order = np.argsort(owner * n + other)
     ptr = np.zeros(m * n + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner, minlength=m * n), out=ptr[1:])
-    return MultiplexNetwork(ptr, (owner - owner % n + other)[order],
-                            np.concatenate((weight, weight))[order], delta)
+    owner, other = owner[order], other[order]
+    return MultiplexNetwork(ptr, owner - owner % n + other,
+                            np.concatenate((weight, weight))[order],
+                            delta[owner % n, other], delta)
 
 
 def _layer_edges(alpha: int, adjacency: np.ndarray, delta: np.ndarray):

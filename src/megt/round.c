@@ -2,18 +2,19 @@
  * communicability entries their scaling tables read (megt_comm_entries,
  * at the end of this file).
  *
- * megt_run loops rounds until the stop rule fires; megt_round makes one
- * round.  A round does, with the same numbers in the same order and the
- * same float operations as the tests' oracle (reference_round in
- * tests/oracles.py), so both give the same bits:
+ * megt_run loops rounds until the stop rule fires or its budget of
+ * rounds runs out; one round is a run with a budget of one.  A round
+ * does, with the same numbers in the same order and the same float
+ * operations as the tests' oracle (reference_round in tests/oracles.py),
+ * so both give the same bits:
  *
  *  1. payoffs: per slot, mass += w_e * s_j over its neighbour edges in
  *     CSR order (ascending j), then
  *     vs_coop * mass + vs_defect * (row_sum - mass), in slot_payoff.
- *     megt_round sums every slot, as Python may have replaced the
- *     strategies since the last call.  megt_run sums every slot before
- *     its first round, and after that only the stale ones: the slots
- *     that adopted in the round before, and their layer neighbours.
+ *     megt_run sums every slot before its first round, as Python may
+ *     have replaced the strategies since the last call, and after that
+ *     only the stale ones: the slots that adopted in the round before,
+ *     and their layer neighbours.
  *     Neighbour lists are symmetric, so these are exactly the slots
  *     whose own or neighbours' strategies changed; every other payoff
  *     would be summed to the same bits again;
@@ -85,7 +86,7 @@ struct megt_engine {
     /* the run's parameters */
     double reward, sucker, temptation, punishment;
     double kappa, span, clamp;
-    int64_t max_rounds, window;
+    int64_t window;
     double tolerance;
     /* state, read and written in place */
     int8_t *strategies;   /* slot_count */
@@ -99,8 +100,9 @@ struct megt_engine {
     int8_t *stale;
     int64_t *stale_slot;
     int64_t stale_total;
-    /* the run's densities and their running sums, max_rounds + 2 each;
-       rho[0], cumulative[0] and cumulative[1] are set by the caller */
+    /* the run's densities and their running sums, budget + 2 each for
+       the largest budget given to megt_run; rho[0], cumulative[0] and
+       cumulative[1] are set by the caller */
     double *rho, *cumulative;
     /* Nash-pair counting in megt_nash, and in megt_run unless union_ptr
        is NULL: the union graph of the layers as a CSR over nodes
@@ -111,7 +113,7 @@ struct megt_engine {
        nash_flag, the held flags, node_count per profile (profile alpha
        at alpha * node_count under per_layer, else one at 0); the
        running counts of all profiles, nash_pairs and nash_weak; and the
-       counts per round, max_rounds + 2 each (one for megt_nash) */
+       counts per round, budget + 2 each (one for megt_nash) */
     const int64_t *union_ptr, *union_node;
     const double *union_weight;
     double nash_base, nash_slope;
@@ -149,8 +151,8 @@ static void bulk_draws(bitgen_t *bitgen, int64_t count, uint32_t excl,
         u_adopt[t] = bitgen->next_double(bitgen->state);
 }
 
-/* The draws of megt_round for count steps, then redraws scalar picks:
- * what megt.kernel checks against numpy. */
+/* The draws of a round of count steps, then redraws scalar picks: what
+ * megt.kernel checks against numpy. */
 void megt_draws(bitgen_t *bitgen, int64_t excl, int64_t count,
                 int64_t *picks, double *u_neighbour, double *u_adopt,
                 int64_t redraws, int64_t *redrawn)
@@ -262,15 +264,6 @@ static void one_round(struct megt_engine *e, bitgen_t *bitgen)
     }
 }
 
-/* One round; coop_total and adoptions are the round's. */
-void megt_round(struct megt_engine *e, bitgen_t *bitgen)
-{
-    count_coop(e);
-    e->adoptions = 0;
-    all_payoffs(e);
-    one_round(e, bitgen);
-}
-
 /* The Nash pair and weak pair of a union edge whose ends hold the flags
  * a and b: bit 0 of a flag is a best response, bit 1 indifference. */
 static inline int nash_pair(int a, int b)
@@ -366,12 +359,12 @@ void megt_nash(struct megt_engine *e)
 
 /* Rounds until the density is absorbing (0 or 1), the mean over the
  * last window differs from the mean over the window before by less than
- * the tolerance, or max_rounds have run: the stop rule of evolve.run,
+ * the tolerance, or budget rounds have run: the stop rule of evolve.run,
  * with its double adds and divisions.  Fills rho[1..] and
  * cumulative[2..], and with the tracker's arrays set, pair_count[1..]
  * and weak_count[1..]; returns the rounds made, and leaves the stop code
- * and the run's adoptions in the struct. */
-int64_t megt_run(struct megt_engine *e, bitgen_t *bitgen)
+ * and the run's coop_total and adoptions in the struct. */
+int64_t megt_run(struct megt_engine *e, bitgen_t *bitgen, int64_t budget)
 {
     int64_t w = e->window, rounds = 0;
     double *cum = e->cumulative;
@@ -381,7 +374,7 @@ int64_t megt_run(struct megt_engine *e, bitgen_t *bitgen)
     all_payoffs(e);
     if (e->union_ptr != NULL)
         nash_clear(e);
-    while (rounds < e->max_rounds) {
+    while (rounds < budget) {
         stale_payoffs(e); /* none before the first round */
         one_round(e, bitgen);
         rounds++;

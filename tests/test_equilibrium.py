@@ -16,7 +16,8 @@ from megt.kernel import KernelError
 from megt.netgen import LayerTopology, MultiplexSpec, build_multiplex
 
 from oracles import (dense_adjacency, dense_nash_counts,
-                     multiplex_from_arrays, project_strategies, reference_run)
+                     multiplex_from_arrays, project_strategies,
+                     reference_round, reference_run, table_communicability)
 
 PD = PayoffMatrix(reward=1.0, sucker=-0.5, temptation=1.5, punishment=0.0)
 HG = PayoffMatrix(reward=1.0, sucker=0.5, temptation=0.5, punishment=0.0)
@@ -556,6 +557,42 @@ def test_a_second_tracked_run_on_an_engine_counts_afresh():
         RoundEngine(net, game, engine.table, config).run(
             init_state(net, 0.5, np.random.default_rng(2)), fresh)
         assert again.history == fresh.history
+
+
+@pytest.mark.parametrize("projection", PROJECTION_RULES)
+def test_rounds_after_a_tracked_run_count_nothing(projection):
+    # a round is a one-round megt_run on the engine that the run bound
+    # to the tracker; it must neither count into the run's Nash rows nor
+    # move its draws or steps off the plain round's
+    net = dyadic_multiplex(30, 3, 3)
+    game = representative("sd")
+    config = SimulationConfig(game=game, network=net, max_rounds=40,
+                              steady_window=40, rng_seed=2)
+    engine = RoundEngine(net, game, ScalingTable(net, 0.5), config)
+    tracker = EquilibriumTracker(net, game, projection)
+    state = init_state(net, 0.5, np.random.default_rng(1))
+    assert engine.run(state, tracker)[2] == "budget"
+    history = list(tracker.history)
+    counts = [engine._buffers[name].copy()
+              for name in ("pair_count", "weak_count")]
+    slow = dataclasses.replace(state, strategies=state.strategies.copy(),
+                               coop_count=state.coop_count.copy(),
+                               rng=np.random.default_rng(0))
+    slow.rng.bit_generator.state = state.rng.bit_generator.state
+    comm = table_communicability(engine.table, net)
+    adoptions = engine.adoptions
+    for _ in range(5):
+        value, adopted = reference_round(slow, net, comm, config)
+        adoptions += adopted
+        assert engine.round(state) == value
+    assert tracker.history == history
+    assert all(np.array_equal(engine._buffers[name], held) for name, held
+               in zip(("pair_count", "weak_count"), counts))
+    assert np.array_equal(state.strategies, slow.strategies)
+    assert np.array_equal(state.coop_count, slow.coop_count)
+    assert state.round_index == slow.round_index == 45
+    assert engine.adoptions == adoptions
+    assert state.rng.bit_generator.state == slow.rng.bit_generator.state
 
 
 def test_tracker_of_another_network_size_is_refused():

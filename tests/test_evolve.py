@@ -502,7 +502,8 @@ def test_every_stop_of_the_compiled_run_matches_python(
 
 
 def test_round_runs_past_max_rounds():
-    # round() has no budget: it must never write past the run's buffers
+    # each round is a one-round run, however many are made: it must
+    # never write past the run's buffers
     net = build_multiplex(small_spec(seed=2))
     config = SimulationConfig(game=representative("sd"), network=net,
                               max_rounds=2, steady_window=1)

@@ -230,7 +230,13 @@ def test_build_multiplex_fields_are_consistent():
     net = build_multiplex(two_layer_spec())
     # a network is its edge arrays and the distances; the rest is derived
     assert [f.name for f in dataclasses.fields(MultiplexNetwork)] == \
-        ["neighbour_ptr", "neighbour_slot", "edge_weight", "delta"]
+        ["neighbour_ptr", "neighbour_slot", "edge_weight", "edge_delta",
+         "delta"]
+    # each edge's distance, beside it, is the dense one of its endpoints
+    n = net.node_count
+    gathered = net.delta[net.edge_owner() % n, net.neighbour_slot % n]
+    assert net.edge_delta.tobytes() == gathered.tobytes()
+    assert not net.edge_delta.flags.writeable
     assert net.node_count == 40
     assert net.layer_count == 2
     assert_edge_csr(net)

@@ -93,3 +93,15 @@ def test_the_package_imports_nothing():
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     assert not any(isinstance(node, (ast.Import, ast.ImportFrom))
                    for node in ast.walk(tree))
+
+
+def test_only_netgen_reads_the_dense_distances():
+    # the N x N distances are built, saved and loaded by netgen; every
+    # other module reads each edge's distance from ``edge_delta``
+    readers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "netgen.py"
+               and any(isinstance(node, ast.Attribute)
+                       and node.attr == "delta"
+                       for node in ast.walk(ast.parse(
+                           path.read_text(encoding="utf-8"))))]
+    assert readers == []
