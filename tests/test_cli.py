@@ -6,13 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import megt
+import megt.cli
 import megt.comm
 import megt.evolve
 import megt.netgen
-from megt.cli import build_parser, main
+from megt.cli import _quartiles, build_parser, main
 from megt.evolve import _worker_count
 from megt.manifest import load_manifest, sha256_file
 
@@ -69,7 +71,7 @@ def test_version_subprocess():
     proc = subprocess.run([sys.executable, "-m", "megt.cli", "--version"],
                           capture_output=True, text=True, env=megt_env())
     assert proc.returncode == 0
-    assert "megt" in proc.stdout
+    assert proc.stdout == f"megt {megt.__version__}\n"
 
 
 def test_subprocess_imports_the_suites_megt(tmp_path):
@@ -83,6 +85,105 @@ def test_subprocess_imports_the_suites_megt(tmp_path):
     parent = Path(megt.__file__).resolve()
     assert child == parent, (
         f"child process imported {child}, the suite imported {parent}")
+
+
+COMMANDS = ("generate", "evolve", "sweep", "nash", "score", "synth",
+            "replay")
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as stop:
+        run_cli("--help")
+    assert stop.value.code == 0
+    out = capsys.readouterr().out
+    assert "{" + ",".join(COMMANDS) + "}" in out
+    listed = [line.split()[0] for line in out.splitlines()
+              if line.startswith("    ") and line.split()[0] in COMMANDS]
+    assert listed == list(COMMANDS)
+
+
+def test_an_unknown_command_names_every_command(capsys):
+    with pytest.raises(SystemExit) as stop:
+        run_cli("nosuch")
+    assert stop.value.code == 2
+    choices = ", ".join(repr(name) for name in COMMANDS)
+    assert (f"megt: error: argument subcommand: invalid choice: 'nosuch' "
+            f"(choose from {choices})") in capsys.readouterr().err
+
+
+def test_command_help_prints_its_usage(capsys, monkeypatch):
+    built = []
+    full = megt.cli.build_parser
+    monkeypatch.setattr(megt.cli, "build_parser",
+                        lambda command=None: built.append(command)
+                        or full(command))
+    with pytest.raises(SystemExit) as stop:
+        run_cli("sweep", "--help")
+    assert stop.value.code == 0
+    assert built == ["sweep"]
+    out = capsys.readouterr().out
+    assert out.startswith("usage: megt sweep [-h] --config CONFIG")
+    assert "pool of JOBS worker processes" in out and "threads" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--config", "c.cfg"],
+    ["evolve", "--config", "c.cfg", "--jobs", "3", "--seed", "4"],
+    ["sweep", "--config", "c.cfg", "--outdir", "out"],
+    ["nash", "--config", "c.cfg"],
+    ["score", "--reports", "r.csv", "--config", "c.cfg", "--mechanism", "B"],
+    ["synth", "--config", "c.cfg"],
+    ["replay", "manifest.json", "--jobs", "2"]], ids=COMMANDS)
+def test_one_command_parser_parses_as_the_full_one(argv):
+    # main builds only the named command's subparser
+    one, full = build_parser(argv[0]), build_parser()
+    assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
+    assert one.format_usage() == full.format_usage()
+
+
+def test_an_error_after_the_command_prints_the_full_usage(capsys):
+    with pytest.raises(SystemExit) as stop:
+        run_cli("sweep", "--config", "c.cfg", "extra")
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert err == (build_parser().format_usage()
+                   + "megt: error: unrecognized arguments: extra\n")
+
+
+def test_rounds_quartiles_equal_numpy_percentile():
+    rng = np.random.default_rng(31)
+    for length in range(1, 61):
+        for high in (2, 7, 100, 5000):
+            values = rng.integers(0, high, length).tolist()
+            assert (_quartiles(values)
+                    == np.percentile(values, (25, 50, 75)).tolist())
+
+
+CHILD_MAIN = """
+import sys
+from megt.cli import main
+status = main(sys.argv[1:])
+print(status, "numpy.ma" in sys.modules)
+"""
+
+
+def test_sweep_nash_and_score_do_not_import_numpy_ma(tmp_path):
+    # np.percentile and a flagless np.unique import numpy.ma, 13-15 ms of
+    # a small sweep
+    cfg = write_config(tmp_path, "t_steps = 2\ns_steps = 2\n")
+    assert run_cli("generate", "--config", cfg,
+                   "--outdir", str(tmp_path / "net")) == 0
+    fixed = write_config(
+        tmp_path, f"network_file = {tmp_path / 'net' / 'net.mplex'}\n"
+                  "t_steps = 2\ns_steps = 2\n", name="fixed.cfg")
+    reports = synth_corpus_file(tmp_path)
+    for argv in (["sweep", "--config", fixed], ["nash", "--config", cfg],
+                 ["score", "--reports", str(reports), "--config", cfg]):
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD_MAIN, *argv,
+             "--outdir", str(tmp_path / argv[0])],
+            capture_output=True, text=True, env=megt_env(), timeout=120)
+        assert proc.stdout.split() == ["0", "False"], (argv[0], proc.stderr)
 
 
 # ---------------------------------------------------------------------------
