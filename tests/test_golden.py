@@ -61,6 +61,25 @@ steady_window = 30
 seed = 13
 """
 
+# the sweep's networks come from the spec, one per replica
+SPEC_SWEEP_CONFIG = """
+node_count = 30
+layers = 2
+topology = er
+edge_probability = 0.15
+homophily_sigma = 1.0
+t_min = 0.5
+t_max = 1.5
+t_steps = 2
+s_min = -0.5
+s_max = 0.5
+s_steps = 2
+replicas = 2
+max_rounds = 150
+steady_window = 30
+seed = 23
+"""
+
 NASH_CONFIG = """
 node_count = 30
 layers = 2
@@ -125,6 +144,10 @@ GOLDEN = {
         "grid.csv":
             "21e34aa429d4df2257b5e1cbc38006bef1747dc1f3857ab411b94d0be923a20e",
     },
+    "spec_sweep": {
+        "grid.csv":
+            "a1f81af0e2386fcd399997495f8bd2ad610ceb9375b091b8e123706021d3f720",
+    },
     "nash": {
         "alpha.csv":
             "661035fa724700cf551ae325544bd7f323d171d127d2813283ca8862fddb4923",
@@ -185,6 +208,11 @@ def test_golden_sweep_on_network_file(tmp_path):
     assert sha256_file(network) == GOLDEN["generate"]["net.mplex"]
     outdir = _run(tmp_path, "sweep", SWEEP_CONFIG.format(network=network))
     assert _digests(outdir) == GOLDEN["sweep"]
+
+
+def test_golden_sweep_on_a_spec(tmp_path):
+    outdir = _run(tmp_path, "sweep", SPEC_SWEEP_CONFIG)
+    assert _digests(outdir) == GOLDEN["spec_sweep"]
 
 
 def test_golden_score_on_synth_corpus(tmp_path):
