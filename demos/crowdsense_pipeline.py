@@ -8,19 +8,26 @@ from __future__ import annotations
 
 import collections
 import datetime
+import tempfile
+from pathlib import Path
 
 from megt.crowdsense import (
     SEGMENTS_PER_DAY,
     IncentiveConfig,
     SynthSpec,
-    parse_reports,
+    read_reports_csv,
     score_corpus,
     synth_corpus,
+    write_reports_csv,
 )
 
 spec = SynthSpec(user_count=120, day_count=7, rng_seed=4)
 rows = synth_corpus(spec)
-kept, rejected = parse_reports(rows, first_row_number=2)
+# the corpus goes through a file, as `megt synth` and `megt score` pass it
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "reports.csv"
+    write_reports_csv(rows, path)
+    kept, rejected = read_reports_csv(path)
 print(f"corpus: {len(rows)} rows -> {len(kept)} kept, {len(rejected)} rejected")
 
 reasons = collections.Counter(r.reason for r in rejected)

@@ -530,8 +530,20 @@ def cmd_replay(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-_JOBS_HELP = ("run the runs in a pool of JOBS worker processes; without it "
-              "they share the CPUs on threads")
+_JOBS_HELP = ("run at most JOBS runs at once, on as many threads; without it "
+              "the runs share every usable CPU")
+
+
+def _jobs(text: str) -> int:
+    """``--jobs``: a cap of at least one run thread."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
 
 
 def _common(p):
@@ -543,7 +555,7 @@ def _common(p):
 
 def _run_options(p):
     _common(p)
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
+    p.add_argument("--jobs", type=_jobs, help=_JOBS_HELP)
 
 
 def _score_options(p):
@@ -558,7 +570,7 @@ def _score_options(p):
 def _replay_options(p):
     p.add_argument("manifest", help="manifest.json of a previous run")
     p.add_argument("--outdir", default=".", help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
+    p.add_argument("--jobs", type=_jobs, help=_JOBS_HELP)
 
 
 #: Each subcommand's one-line help and the function that adds its

@@ -75,8 +75,8 @@ _THREAD_BLOCK = 8
 _BLOCKS_PER_THREAD = 32
 
 # per thread, ``one_cpu`` is True where the process already runs one
-# worker per CPU: in a process pool's worker and in evolve's run
-# threads, both set by evolve.  The series takes one thread there.
+# worker per CPU: in evolve's run threads, which evolve sets.  The
+# series takes one thread there.
 _worker = threading.local()
 
 
@@ -275,10 +275,9 @@ def communicability_entries(network: MultiplexNetwork,
     on the network.  The series needs the compiled kernel, and
     ``kernel.load`` raises a ``KernelError`` when it cannot be had.
 
-    T is the number of threads that summed the series: 1 in a process
-    pool's workers and in ``evolve``'s run threads, else
-    ``_series_threads`` of the usable CPUs and the panel count.  It
-    changes no bit.
+    T is the number of threads that summed the series: 1 in
+    ``evolve``'s run threads, else ``_series_threads`` of the usable
+    CPUs and the panel count.  It changes no bit.
     """
     ptr, col, val = _supra_csr(network, interlayer_strength)
     nm = ptr.size - 1

@@ -75,7 +75,9 @@ _KEYS = [
               "sliding-window length for steady-state detection"),
     ConfigKey("steady_tolerance", "float", 1e-3,
               "window-mean change declaring steady state"),
-    ConfigKey("replicas", "int", 1, "independent runs per setting"),
+    ConfigKey("replicas", "int", 1,
+              "runs per setting, each on its own network unless "
+              "network_file is set; sweep cells share replica r's"),
     # T-S sweep grid
     ConfigKey("t_min", "float", 0.0, "sweep: smallest T"),
     ConfigKey("t_max", "float", 2.0, "sweep: largest T"),

@@ -21,12 +21,10 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
 import itertools
 import math
 import operator
 import re
-import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -45,7 +43,6 @@ __all__ = [
     "Profiles",
     "Decisions",
     "IncentiveConfig",
-    "parse_reports",
     "read_reports_csv",
     "write_reports_csv",
     "truthfulness",
@@ -512,10 +509,12 @@ def _rating(text: str) -> float:
     return rating
 
 
-def parse_reports(rows, first_row_number: int = 1
-                  ) -> tuple[ReportTable, list[Rejection]]:
-    """Validate and filter raw rows into a table of the kept reports plus
-    a rejection log, in row order.
+def _parse_coded(field_counts: np.ndarray, ids: tuple[bytes, np.ndarray],
+                 blank_ids: np.ndarray, columns: list,
+                 first_row_number: int) -> tuple[ReportTable, list[Rejection]]:
+    """Validate and filter coded rows (see ``_code_blocks``) into a
+    table of the kept reports plus a rejection log, in row order; the
+    first row is row ``first_row_number``.
 
     Three filters apply in order: rows that do not parse are rejected as
     ``malformed`` (logged, never fatal); rows with rating exactly 0 are
@@ -526,28 +525,11 @@ def parse_reports(rows, first_row_number: int = 1
     every field stripped, its object_id, street and uuid are non-empty,
     its incident_type is known, its date and time are ISO format and its
     rating is a float in [0, 5].  The first check it fails, in that
-    order, gives the rejection's detail.
-
-    Ingest is columnar, and rows share the file reader's coder: they are
-    written by ``csv.writer`` under a header into an in-memory buffer,
-    whose blocks are split and coded as ``read_reports_csv`` codes a
-    file's, with no field size limit.  Each distinct text is stripped
+    order, gives the rejection's detail.  Each distinct text is stripped
     and checked once, and its failures reach the rows through the codes.
     No Python code runs once per row, and the table is built straight
     from the codes.
     """
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(REPORT_COLUMNS)
-    writer.writerows(rows)
-    blocks = _file_blocks(io.BytesIO(text.getvalue().encode()))
-    return _parse_coded(*_code_blocks(blocks, sys.maxsize), first_row_number)
-
-
-def _parse_coded(field_counts: np.ndarray, ids: tuple[bytes, np.ndarray],
-                 blank_ids: np.ndarray, columns: list,
-                 first_row_number: int) -> tuple[ReportTable, list[Rejection]]:
-    """``parse_reports`` from coded rows (see ``_code_blocks``)."""
     ((date_texts, date), (time_texts, time), (streets, street),
      (kinds, kind), (uuids, uuid), (rating_texts, rating)) = columns
 
@@ -634,7 +616,8 @@ def read_reports_csv(path) -> tuple[ReportTable, list[Rejection]]:
     bytes that are not UTF-8, a field longer than
     ``csv.field_size_limit()`` characters, a quote inside an unquoted
     field, text after a closing quote or a quote open at the file's end.
-    A missing or wrong header names row 1.
+    A missing or wrong header names row 1.  The rows are then filtered
+    by ``_parse_coded``, the header being row 1.
     """
     with open(path, "rb") as fh:
         try:

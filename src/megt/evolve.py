@@ -31,6 +31,7 @@ import functools
 import math
 import os
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,10 +83,11 @@ class SimulationConfig:
 
     Exactly one of ``spec`` / ``network`` must be given.  With a spec,
     every replica realises its own network from a spawned seed, so
-    replica averages also average over topology and homophily draws;
-    with a prebuilt network all replicas share it and only the dynamics
-    seed varies.  A prebuilt network is treated as immutable: runs that
-    share the object reuse one communicability table.
+    replica averages also average over topology and homophily draws; a
+    sweep's cells share replica r's network.  With a prebuilt network
+    all replicas share it and only the dynamics seed varies.  A prebuilt
+    network is treated as immutable: runs that share the object reuse
+    one communicability table.
     """
 
     game: PayoffMatrix
@@ -266,6 +268,7 @@ class ScalingTable:
                  interlayer_strength: float):
         n, m = network.node_count, network.layer_count
         nm = n * m
+        self.interlayer_strength = interlayer_strength
         self.neighbour_ptr = network.neighbour_ptr
         self.neighbour_slot = network.neighbour_slot
         self.edge_weight = network.edge_weight
@@ -469,17 +472,18 @@ def _dynamics_rng(config: SimulationConfig, cell_index: int,
         config.rng_seed, spawn_key=(cell_index, replica_index, 1)))
 
 
-def replica_network(config: SimulationConfig, cell_index: int = 0,
+def replica_network(config: SimulationConfig,
                     replica_index: int = 0) -> MultiplexNetwork:
-    """The network that ``run`` uses for (cell_index, replica_index).
+    """The network that ``run`` uses for replica_index, in every cell.
 
     A prebuilt network is shared by every run; a spec is realised from a
-    seed spawned from the pair, so each replica gets its own network.
+    seed spawned from (0, replica_index, 0), so each replica gets its own
+    network, and the cells of a sweep share it: common random numbers.
     """
     if config.network is not None:
         return config.network
     seed_seq = np.random.SeedSequence(
-        config.rng_seed, spawn_key=(cell_index, replica_index, 0))
+        config.rng_seed, spawn_key=(0, replica_index, 0))
     child_seed = int(seed_seq.generate_state(1, np.uint64)[0])
     spec = dataclasses.replace(config.spec, rng_seed=child_seed)
     return build_multiplex(spec)
@@ -492,19 +496,27 @@ def _scaling_table(config: SimulationConfig,
     The table is per-network data: it depends only on the network and
     the coupling strength, so replicas and sweep cells that share a
     prebuilt network share one table and add only their per-run state.
-    The one-slot memo is keyed on the network object itself
-    (``MultiplexNetwork`` hashes by identity); a prebuilt network must
-    therefore not be mutated between runs.  Spec-built networks are
-    fresh for every replica and never enter the memo, so none outlives
-    its run.
+    The memo is keyed weakly on the network object itself
+    (``MultiplexNetwork`` hashes by identity), so a table lives as long
+    as its network and no longer; a prebuilt network must therefore not
+    be mutated between runs.  A network that ``run`` realises from a
+    spec never enters the memo, so none outlives its run.
     """
     if config.network is network:
         return _prebuilt_table(network, config.interlayer_strength)
     return ScalingTable(network, config.interlayer_strength)
 
 
-# the scaling table of the last prebuilt network
-_prebuilt_table = functools.lru_cache(maxsize=1)(ScalingTable)
+# each prebuilt network's table at the coupling strength it last ran at
+_tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _prebuilt_table(network: MultiplexNetwork,
+                    interlayer_strength: float) -> ScalingTable:
+    table = _tables.get(network)
+    if table is None or table.interlayer_strength != interlayer_strength:
+        table = _tables[network] = ScalingTable(network, interlayer_strength)
+    return table
 
 
 def run(config: SimulationConfig, *, cell_index: int = 0,
@@ -524,12 +536,14 @@ def run(config: SimulationConfig, *, cell_index: int = 0,
     Nash-pair row of the initial state and of every round appended to
     its ``history``.  The compiled kernel makes the whole run in one
     call, counting the Nash pairs too.
-    The same (config, cell_index, replica_index) triple reproduces the
+    The network is ``replica_network(config, replica_index)`` and the
+    dynamics draw from seeds spawned from (cell_index, replica_index), so
+    the same (config, cell_index, replica_index) triple reproduces the
     trajectory bit for bit.
     """
     clock = time.perf_counter
     start = clock()
-    network = replica_network(config, cell_index, replica_index)
+    network = replica_network(config, replica_index)
     built = clock()
     table = _scaling_table(config, network)
     tabled = clock()
@@ -553,64 +567,20 @@ def run(config: SimulationConfig, *, cell_index: int = 0,
                      communicability=table.communicability)
 
 
-def _worker_count(jobs: int, tasks: int) -> int:
-    """Pool size for ``jobs`` requested over ``tasks`` independent tasks:
-    never more than the tasks or the CPUs this process may use, and at
-    least 1."""
-    return max(1, min(jobs, tasks, _usable_cpus()))
+def run_threads(jobs: int | None, tasks: int) -> int:
+    """The threads that ``_map`` runs ``tasks`` tasks on: up to the
+    usable CPUs and the tasks, and at most ``jobs`` unless it is None;
+    at least 1, and 1 in a run thread already."""
+    if getattr(comm._worker, "one_cpu", False):
+        return 1
+    return max(1, min(_usable_cpus(), tasks,
+                      tasks if jobs is None else jobs))
 
 
-# the function a pool worker maps, installed once per worker process
-_worker_function = None
-
-
-def _install_worker_function(function) -> None:
-    global _worker_function
-    _worker_function = function
-    # the pool already runs one worker per CPU: one thread each
-    comm._worker.one_cpu = True
-
-
-def _call_worker_function(item):
-    return _worker_function(item)
-
-
-def _map(function, items: list, jobs: int) -> list:
-    """``[function(item) for item in items]``, computed in a process pool
-    when ``_worker_count`` allows more than one worker, else on threads
-    of this process (``_on_threads``).  Results keep the order of
-    ``items``, so neither the job count nor the thread count changes
-    them.
-
-    ``function`` (a partial carrying the config, and with it any
-    prebuilt network) is sent to each worker once, not with every item,
-    so a worker's tasks share one network object and ``_scaling_table``
-    computes its communicability at most once per worker.
-    """
-    workers = _worker_count(jobs, len(items))
-    if workers == 1:
-        return _on_threads(function, items)
-    import concurrent.futures  # only a parallel run pays for the import
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_install_worker_function,
-            initargs=(function,)) as pool:
-        return list(pool.map(_call_worker_function, items))
-
-
-def run_threads(jobs: int, tasks: int) -> int:
-    """The threads that ``_map`` runs ``tasks`` tasks on at ``jobs``: a
-    process pool's workers, one thread each, when ``_worker_count``
-    allows more than one; else threads of this process, up to the
-    usable CPUs, and one in a pool worker or a run thread already."""
-    workers = _worker_count(jobs, tasks)
-    if workers > 1 or getattr(comm._worker, "one_cpu", False):
-        return workers
-    return max(1, min(_usable_cpus(), tasks))
-
-
-def _on_threads(function, items: list) -> list:
-    """``[function(item) for item in items]`` on ``run_threads`` threads,
-    the calling thread one of them.
+def _map(function, items: list, jobs: int | None) -> list:
+    """``[function(item) for item in items]`` on ``run_threads(jobs,
+    len(items))`` threads, the calling thread one of them.  Results keep
+    the order of ``items``, so the thread count changes none of them.
 
     ``function`` gains from a second thread only where it releases the
     GIL, as the kernel's ``megt_run`` does.  With more than one thread,
@@ -622,7 +592,7 @@ def _on_threads(function, items: list) -> list:
     """
     import threading  # loaded already, by numpy
     one_cpu = getattr(comm._worker, "one_cpu", False)
-    threads = run_threads(1, len(items))
+    threads = run_threads(jobs, len(items))
     results, failures = [None] * len(items), {}
     pending = iter(range(len(items)))
     lock = threading.Lock()
@@ -658,19 +628,20 @@ def _on_threads(function, items: list) -> list:
     return results
 
 
-def _warm(config: SimulationConfig) -> float:
-    """Load the kernel, and build a prebuilt network's table, in the
-    calling thread before ``_map`` starts threads or processes, which
-    would otherwise each miss the caches at once; returns the seconds
-    the table took, 0.0 without a prebuilt network or when it was built
-    already."""
+def _warm(configs: list[SimulationConfig]) -> float:
+    """Load the kernel, and build each prebuilt network's table, in the
+    calling thread before ``_map`` starts threads, which would otherwise
+    each miss the memo at once; returns the seconds that took, 0.0
+    without a prebuilt network."""
     from . import kernel  # ctypes stays off the import path
     kernel.load()
-    if config.network is None:
-        return 0.0
-    start = time.perf_counter()
-    _prebuilt_table(config.network, config.interlayer_strength)
-    return time.perf_counter() - start
+    seconds = 0.0
+    for config in configs:
+        if config.network is not None:
+            start = time.perf_counter()
+            _prebuilt_table(config.network, config.interlayer_strength)
+            seconds += time.perf_counter() - start
+    return seconds
 
 
 def _replica(config: SimulationConfig, cell_index: int,
@@ -679,18 +650,18 @@ def _replica(config: SimulationConfig, cell_index: int,
 
 
 def run_replicas(config: SimulationConfig, *, cell_index: int = 0,
-                 jobs: int = 1) -> list[RunResult]:
+                 jobs: int | None = None) -> list[RunResult]:
     """All replicas of a config, in replica order.
 
-    ``jobs`` asks for that many worker processes, capped at the replica
-    count and the CPUs; without a pool the replicas run on threads, up
-    to the usable CPUs (``_map``).  Each replica's seeds derive from
-    (cell_index, replica_index) alone, so results are independent of
-    execution order, of the job count and of the thread count.  A
-    prebuilt network's table is built once, before the replicas start,
-    and its time is the first replica's ``communicability`` phase.
+    The replicas run on threads, up to the usable CPUs and at most
+    ``jobs`` of them (``_map``); with a spec, each thread builds its
+    replicas' networks.  Each replica's seeds derive from (cell_index,
+    replica_index) alone, so results are independent of execution order
+    and of the thread count.  A prebuilt network's table is built once,
+    before the replicas start, and its time is the first replica's
+    ``communicability`` phase.
     """
-    table_s = _warm(config)
+    table_s = _warm([config])
     results = _map(functools.partial(_replica, config, cell_index),
                    list(range(config.replicas)), jobs)
     results[0].phase_s["communicability"] += table_s
@@ -704,8 +675,9 @@ class GridResult:
 
     Over all the grid's runs, ``adoptions`` is the total adoption count
     and ``phase_s`` the total time of each ``RunResult.phase_s`` phase,
-    a prebuilt network's one table included; runs on threads overlap,
-    so the phases can sum to more than the sweep's wall time.
+    the replicas' networks and tables, built once each, included; runs
+    on threads overlap, so the phases can sum to more than the sweep's
+    wall time.
     ``communicability`` lists each distinct method, term count and
     thread count with the number of runs that used it.  ``stop_reasons``
     counts the runs by ``Trajectory.stop_reason``, ``budget_cells``
@@ -741,14 +713,16 @@ def _total_phases(phases) -> dict[str, float]:
     return total
 
 
-def _sweep_run(config: SimulationConfig,
+def _sweep_run(configs: list[SimulationConfig],
                task: tuple[int, float, float, int]) -> tuple:
     """One run of a sweep's cell (cell_index, temptation, sucker) at
-    replica_index: its steady density, adoptions, phase times,
-    communicability record, stop reason and round count, and not its
-    network or state, which a sweep does not keep."""
+    replica_index, on that replica's config: its steady density,
+    adoptions, phase times, communicability record, stop reason and
+    round count, and not its network or state, which a sweep does not
+    keep."""
     cell_index, temptation, sucker, replica_index = task
-    result = run(dataclasses.replace(config, game=from_ts(temptation, sucker)),
+    result = run(dataclasses.replace(configs[replica_index],
+                                     game=from_ts(temptation, sucker)),
                  cell_index=cell_index, replica_index=replica_index)
     trajectory = result.trajectory
     return (trajectory.steady_rho, result.adoptions, result.phase_s,
@@ -779,18 +753,24 @@ def _memory_bytes() -> float:
 
 
 def sweep_ts(config: SimulationConfig, t_values, s_values, *,
-             jobs: int = 1) -> GridResult:
+             jobs: int | None = None) -> GridResult:
     """Replica-averaged steady density across a grid of T-S games.
 
-    Every (cell, replica) pair is one run, and ``_map`` runs them in
-    index order: ``jobs`` asks for that many worker processes, capped at
-    the run count and the CPUs, and without a pool the runs share
-    threads up to the usable CPUs.  The cell at (t_index, s_index) uses
-    cell seeds spawned from its row-major index, so any execution order,
-    job count, thread count or resumed sweep yields identical numbers.
-    Standard deviation is the population std over replicas.  A grid
-    whose run list and results alone would not fit in memory is a
-    MemoryError before any run is built.
+    Replica r's network is built once, from a spec by ``replica_network``
+    or as the prebuilt one, and every cell's replica r runs on it, so
+    the cells share their network draws (common random numbers).  Each
+    network's table is built next, before any run, in the calling
+    thread; their seconds go to the grid's ``network`` and
+    ``communicability`` phases.  Every (cell, replica) pair is then one
+    run, and ``_map`` runs them in index order on threads, up to the
+    usable CPUs and at most ``jobs`` of them.  The cell at (t_index,
+    s_index) draws its dynamics from seeds spawned from its row-major
+    index, so any execution order, thread count or resumed sweep yields
+    identical numbers, and a cell's replica r is ``run`` of the config
+    with the cell's game at that cell and replica.  Standard deviation
+    is the population std over replicas.  A grid whose run list and
+    results alone would not fit in memory is a MemoryError before any
+    network is built.
     """
     t_values = [float(t) for t in t_values]
     s_values = [float(s) for s in s_values]
@@ -804,12 +784,19 @@ def sweep_ts(config: SimulationConfig, t_values, s_values, *,
     tasks = [(cell_index, t, s, replica_index)
              for cell_index, (t, s) in enumerate(cells)
              for replica_index in range(replicas)]
-    table_s = _warm(config)
+    start = time.perf_counter()
+    configs = [config if config.network is not None else
+               dataclasses.replace(config, spec=None,
+                                   network=replica_network(config, r))
+               for r in range(replicas)]
+    network_s = time.perf_counter() - start
+    table_s = _warm(configs)
     steadies, adoptions, phases, infos, reasons, rounds = zip(
-        *_map(functools.partial(_sweep_run, config), tasks, jobs))
+        *_map(functools.partial(_sweep_run, configs), tasks, jobs))
     shape = (len(t_values), len(s_values))
     by_cell = range(0, len(tasks), replicas)
     phase_s = _total_phases(phases)
+    phase_s["network"] += network_s
     phase_s["communicability"] += table_s
     methods = collections.Counter(
         (info["method"], info["terms"], info["threads"]) for info in infos)

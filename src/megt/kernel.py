@@ -8,10 +8,9 @@ flags, and loads it with ctypes.  The flags (``CC_FLAGS``) turn off
 fused multiply-adds, so the C rounds round like the tests' Python
 oracle, and include ``-pthread``: ``megt_comm_entries`` sums the series'
 panels in threads, all of them joined before it returns, so no thread
-outlives a call and a process pool may fork afterwards.  The compiler
-writes to a temporary name that is then renamed into place, so
-processes racing on a cold cache each see either no library or a whole
-one.  Where the cache cannot be written, the library is compiled into a
+outlives a call.  The compiler writes to a temporary name that is then
+renamed into place, so processes racing on a cold cache each see either
+no library or a whole one.  Where the cache cannot be written, the library is compiled into a
 private temporary directory, loaded from there, and the directory is
 removed.  Importing this module compiles nothing; ``megt.evolve`` and
 ``megt.comm`` import it only when an engine is built or a series is

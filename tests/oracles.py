@@ -5,7 +5,7 @@ None of these is part of megt: a run reads its communicability entries
 from ``communicability_entries`` through a ``ScalingTable``, its Fermi
 probabilities inline in the round, its rounds and stop rule from the
 compiled kernel, its networks from ``build_multiplex`` or
-``load_multiplex``, and its report tables from ``parse_reports``.
+``load_multiplex``, and its report tables from ``read_reports_csv``.
 
 - ``communicability`` is the dense (N*M)^2 exponential of the
   supra-matrix, and ``scaling_factor`` the per-slot imitation scaling
@@ -31,17 +31,25 @@ compiled kernel, its networks from ``build_multiplex`` or
 - ``save_multiplex_lines`` writes the v1 file one formatted line at a
   time, as ``save_multiplex`` did before it formatted in bulk;
 - ``table_of`` builds a ``ReportTable`` from ``ReportRecord`` rows, its
-  object ids joined by ``_joined_ids``.
+  object ids joined by ``_joined_ids``;
+- ``parse_reports`` ingests raw rows as ``read_reports_csv`` ingests a
+  file: it writes them under a header with ``csv.writer`` into memory
+  and codes that buffer with the file reader's coder.
 """
 from __future__ import annotations
 
+import csv
+import io
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from megt.comm import ScalingBounds, build_supra, matrix_exp
-from megt.crowdsense import (ReportRecord, ReportTable, _first_codes,
+from megt.crowdsense import (REPORT_COLUMNS, Rejection, ReportRecord,
+                             ReportTable, _code_blocks, _file_blocks,
+                             _first_codes, _parse_coded,
                              _offsets, _window_ids)
 from megt.evolve import (_EXP_CLAMP, DISTANCE_FLOOR, RunResult, ScalingTable,
                          SimulationConfig, SimulationState, Trajectory,
@@ -245,7 +253,7 @@ def reference_run(config: SimulationConfig, replica_index: int = 0,
     """``evolve.run(config, replica_index=...)`` with its rounds and stop
     rule from ``reference_rounds``: the same network, scaling table and
     initial state, and the same steady density."""
-    network = replica_network(config, 0, replica_index)
+    network = replica_network(config, replica_index)
     table = ScalingTable(network, config.interlayer_strength)
     state = init_state(network, config.initial_coop_fraction,
                        _dynamics_rng(config, 0, replica_index))
@@ -453,3 +461,18 @@ def table_of(records=()) -> ReportTable:
                        np.array(ratings, dtype=float),
                        np.unique(_window_ids(dates, times),
                                  return_inverse=True))
+
+
+def parse_reports(rows, first_row_number: int = 1
+                  ) -> tuple[ReportTable, list[Rejection]]:
+    """The kept reports' table and the rejection log of raw rows, in row
+    order, the first row being row ``first_row_number``: the rows are
+    written by ``csv.writer`` under a header into an in-memory buffer,
+    whose blocks are split and coded as ``read_reports_csv`` codes a
+    file's, with no field size limit."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(REPORT_COLUMNS)
+    writer.writerows(rows)
+    blocks = _file_blocks(io.BytesIO(text.getvalue().encode()))
+    return _parse_coded(*_code_blocks(blocks, sys.maxsize), first_row_number)

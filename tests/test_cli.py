@@ -1,7 +1,5 @@
 import csv
 import json
-import multiprocessing
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +13,6 @@ import megt.comm
 import megt.evolve
 import megt.netgen
 from megt.cli import _quartiles, build_parser, main
-from megt.evolve import _worker_count
 from megt.manifest import load_manifest, sha256_file
 
 from conftest import megt_env
@@ -123,7 +120,7 @@ def test_command_help_prints_its_usage(capsys, monkeypatch):
     assert built == ["sweep"]
     out = capsys.readouterr().out
     assert out.startswith("usage: megt sweep [-h] --config CONFIG")
-    assert "pool of JOBS worker processes" in out and "threads" in out
+    assert "at most JOBS runs at once" in out and "threads" in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -284,7 +281,7 @@ def test_negative_seed_is_a_config_error_naming_its_source(
 
 
 @pytest.mark.parametrize("argv, jobs, mechanism", [
-    (["generate"], 1, "all"), (["evolve"], 1, "all"),
+    (["generate"], 1, "all"), (["evolve"], None, "all"),
     (["evolve", "--jobs", "3"], 3, "all"),
     (["score", "--reports", "r.csv", "--mechanism", "B"], 1, "B"),
     (["score", "--reports", "r.csv"], 1, "all")])
@@ -292,7 +289,20 @@ def test_every_command_parses_jobs_and_mechanism(argv, jobs, mechanism):
     args = build_parser().parse_args([*argv, "--config", "c.cfg"])
     assert (args.jobs, args.mechanism) == (jobs, mechanism)
     replay = build_parser().parse_args(["replay", "manifest.json"])
-    assert (replay.jobs, replay.mechanism) == (1, "all")
+    assert (replay.jobs, replay.mechanism) == (None, "all")
+
+
+@pytest.mark.parametrize("command", ["evolve", "sweep", "replay"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_a_usage_error(command, jobs, capsys):
+    # a cap of no threads would otherwise run on every CPU
+    first = "manifest.json" if command == "replay" else "--config=c.cfg"
+    with pytest.raises(SystemExit) as stop:
+        run_cli(command, first, "--jobs", jobs)
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert f"megt {command}: error: argument --jobs: must be >= 1, " \
+           f"got {jobs}" in err
 
 
 # ---------------------------------------------------------------------------
@@ -631,14 +641,18 @@ def test_sweep_grid_rows(tmp_path):
     assert (float(first[0]), float(first[1])) == (0.0, -1.0)
 
 
-def test_sweep_jobs_flag_does_not_change_results(tmp_path):
+def test_sweep_jobs_flag_does_not_change_results(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, "t_steps = 2\ns_steps = 2\nreplicas = 2\n"
                                  "max_rounds = 30\nsteady_window = 15\n")
-    for name, jobs in (("seq", "1"), ("par", "2")):
+    monkeypatch.setattr(megt.evolve, "_usable_cpus", lambda: 3)
+    for name, jobs in (("seq", ["--jobs", "1"]), ("par", ["--jobs", "2"]),
+                       ("three", ["--jobs", "3"]), ("uncapped", [])):
         assert run_cli("sweep", "--config", cfg,
-                       "--outdir", str(tmp_path / name), "--jobs", jobs) == 0
-    assert (tmp_path / "seq" / "grid.csv").read_bytes() == \
-        (tmp_path / "par" / "grid.csv").read_bytes()
+                       "--outdir", str(tmp_path / name), *jobs) == 0
+        extra = load_manifest(tmp_path / name / "manifest.json").extra
+        assert extra["run_threads"] == (int(jobs[1]) if jobs else 3)
+        assert (tmp_path / "seq" / "grid.csv").read_bytes() == \
+            (tmp_path / name / "grid.csv").read_bytes()
 
 
 def test_sweep_manifest_totals_do_not_depend_on_jobs(tmp_path):
@@ -661,10 +675,14 @@ def test_sweep_manifest_totals_do_not_depend_on_jobs(tmp_path):
 
 def test_sweep_names_the_cells_whose_runs_ran_out_of_rounds(tmp_path,
                                                            capsys):
-    # the 3x3 case: a tolerance this tight leaves some runs to the budget
+    # a 3x3 grid inside the snowdrift region, where runs on 100 nodes
+    # coexist, so a tolerance this tight leaves most runs to the budget
     cfg = write_config(tmp_path, "t_steps = 3\ns_steps = 3\n"
                                  "max_rounds = 220\nsteady_window = 100\n"
-                                 "steady_tolerance = 1e-9\n")
+                                 "steady_tolerance = 1e-9\n"
+                                 "node_count = 100\nedge_probability = 0.05\n"
+                                 "t_min = 1.5\nt_max = 1.9\n"
+                                 "s_min = 0.5\ns_max = 0.9\n")
     outdir = tmp_path / "out"
     assert run_cli("sweep", "--config", cfg, "--outdir", str(outdir)) == 0
     extra = load_manifest(outdir / "manifest.json").extra
@@ -678,7 +696,7 @@ def test_sweep_names_the_cells_whose_runs_ran_out_of_rounds(tmp_path,
     assert {tuple(cell) for cell in cells} <= grid
     q1, median, q3 = extra["rounds_quartiles"]
     assert 0 <= q1 <= median <= q3 == 220
-    assert extra["run_threads"] == megt.evolve.run_threads(1, 9)
+    assert extra["run_threads"] == megt.evolve.run_threads(None, 9)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"sweep: {reasons['budget']} of 9 runs used "
@@ -724,9 +742,7 @@ def test_a_failing_sweep_on_threads_reports_the_sequential_error(
                                           "config error: task 3 failed\n")
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="workers must inherit the counting wrapper")
-def test_sweep_jobs_on_a_network_file_exponentiates_once_per_worker(
+def test_sweep_on_a_network_file_exponentiates_once_at_any_thread_count(
         tmp_path, monkeypatch):
     cfg = write_config(tmp_path)
     assert run_cli("generate", "--config", cfg,
@@ -735,29 +751,26 @@ def test_sweep_jobs_on_a_network_file_exponentiates_once_per_worker(
         tmp_path, f"network_file = {tmp_path / 'net' / 'net.mplex'}\n"
                   "t_steps = 3\ns_steps = 3\nmax_rounds = 30\n"
                   "steady_window = 15\n", name="fixed.cfg")
-    log = tmp_path / "calls.log"
+    calls = []
     original_entries = megt.evolve.communicability_entries
 
-    def logging_entries(*args):
-        # appended, so forked pool workers record their calls too
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
+    def counting_entries(*args):
+        calls.append(args[0])
         return original_entries(*args)
 
     monkeypatch.setattr(megt.evolve, "communicability_entries",
-                        logging_entries)
-    for name, jobs in (("seq", "1"), ("par", "2")):
-        log.write_text("")
+                        counting_entries)
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(megt.evolve, "_usable_cpus", lambda: threads)
+        calls.clear()
+        outdir = tmp_path / f"threads{threads}"
         assert run_cli("sweep", "--config", fixed,
-                       "--outdir", str(tmp_path / name), "--jobs", jobs) == 0
-        calls = log.read_text().split()
-        if jobs == "1":
-            assert len(calls) == 1, (name, calls)
-        else:
-            assert 1 <= len(calls) <= _worker_count(int(jobs), 9), (name,
-                                                                    calls)
-    assert (tmp_path / "seq" / "grid.csv").read_bytes() == \
-        (tmp_path / "par" / "grid.csv").read_bytes()
+                       "--outdir", str(outdir)) == 0
+        assert len(calls) == 1, threads
+        assert load_manifest(outdir / "manifest.json").extra[
+            "run_threads"] == threads
+        assert (outdir / "grid.csv").read_bytes() == \
+            (tmp_path / "threads1" / "grid.csv").read_bytes()
 
 
 def test_nash_outputs(tmp_path):

@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 import os
 import shutil
 from pathlib import Path
@@ -574,22 +573,10 @@ def test_series_thread_count_is_set_by_cpus_and_panels(cpus, panels,
     assert 1 <= threads <= cpus
 
 
-def _pool_series_threads(_):
+def _series_threads_of(_):
     net = nash_layers_network(layers=3)
     ptr = np.arange(601, dtype=np.int64)
     return communicability_entries(net, 0.5, ptr, ptr[:-1])[1]["threads"]
-
-
-@requires_cc
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="workers must inherit the CPU counts")
-def test_series_takes_one_thread_in_a_pool_worker(monkeypatch):
-    # 75 panels would take two threads on four CPUs, outside a pool
-    monkeypatch.setattr(megt.comm, "_usable_cpus", lambda: 4)
-    monkeypatch.setattr(megt.evolve, "_usable_cpus", lambda: 4)
-    assert _pool_series_threads(None) == 2
-    assert _map(_pool_series_threads, [0, 1], jobs=2) == [1, 1]
-    assert not getattr(megt.comm._worker, "one_cpu", False)
 
 
 @requires_cc
@@ -597,9 +584,11 @@ def test_series_takes_one_thread_in_a_run_thread(monkeypatch):
     monkeypatch.setattr(megt.comm, "_usable_cpus", lambda: 4)
     # one run thread: the calling thread sums on two
     monkeypatch.setattr(megt.evolve, "_usable_cpus", lambda: 1)
-    assert _map(_pool_series_threads, [0, 1], jobs=1) == [2, 2]
+    assert _map(_series_threads_of, [0, 1], jobs=None) == [2, 2]
     monkeypatch.setattr(megt.evolve, "_usable_cpus", lambda: 2)
-    assert _map(_pool_series_threads, [0, 1], jobs=1) == [1, 1]
+    assert _map(_series_threads_of, [0, 1], jobs=None) == [1, 1]
+    # a cap of one run thread leaves the series its two
+    assert _map(_series_threads_of, [0, 1], jobs=1) == [2, 2]
     assert not getattr(megt.comm._worker, "one_cpu", False)
 
 

@@ -21,12 +21,12 @@ from megt.crowdsense import (INCIDENT_TYPES, MECHANISMS, REPORT_COLUMNS,
                              Rejection, ReportRecord, SynthSpec,
                              build_profiles,
                              compute_corpus_stats, decision_rows,
-                             incentives, logistic, parse_reports, qoc,
+                             incentives, logistic, qoc,
                              read_reports_csv, score_corpus, synth_corpus,
                              truthfulness, write_decisions_csv,
                              write_ledger_csv, write_reports_csv)
 
-from oracles import table_of
+from oracles import parse_reports, table_of
 
 DAY = dt.date(2019, 10, 7)
 

@@ -2,6 +2,7 @@ import ast
 import copy
 import ctypes
 import dataclasses
+import gc
 import itertools
 import math
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from megt.evolve import (DISTANCE_FLOOR, RoundEngine, ScalingTable,
                          SimulationConfig, accumulate_payoffs, init_state,
                          run, run_replicas, sweep_ts, write_grid_csv,
                          write_state_text, write_trajectory_csv)
-from megt.evolve import _map, _usable_cpus, _worker_count, run_threads
+from megt.evolve import _map, _usable_cpus, run_threads
 from megt.games import (COOPERATE, PayoffMatrix, from_ts, pd_from_bc,
                         representative)
 from megt.netgen import LayerTopology, MultiplexSpec, build_multiplex
@@ -694,7 +696,7 @@ def test_parallel_replicas_match_sequential():
                               spec=small_spec(seed=7, n=30),
                               max_rounds=80, steady_window=20,
                               replicas=4, rng_seed=9)
-    sequential = run_replicas(config)
+    sequential = run_replicas(config, jobs=1)
     parallel = run_replicas(config, jobs=2)
     for a, b in zip(sequential, parallel):
         assert a.trajectory.rho == b.trajectory.rho
@@ -808,7 +810,7 @@ def test_sweep_is_deterministic():
 
 
 def test_parallel_sweep_matches_sequential():
-    sequential = sweep_ts(grid_config(), [0.6, 1.4], [-0.4, 0.4])
+    sequential = sweep_ts(grid_config(), [0.6, 1.4], [-0.4, 0.4], jobs=1)
     parallel = sweep_ts(grid_config(), [0.6, 1.4], [-0.4, 0.4], jobs=2)
     assert np.array_equal(sequential.rho_mean, parallel.rho_mean)
     assert np.array_equal(sequential.rho_std, parallel.rho_std)
@@ -913,7 +915,69 @@ def test_sweep_on_a_prebuilt_network_computes_communicability_once(
     assert np.array_equal(grid.rho_std, std)
 
 
-def _runs_and_sweep(config, jobs=1):
+def test_a_spec_built_sweep_builds_one_network_and_table_per_replica(
+        monkeypatch):
+    seeds, tables = [], []
+    original_build = megt.evolve.build_multiplex
+    original_table = ScalingTable.__init__
+
+    def counting_build(spec):
+        seeds.append(spec.rng_seed)
+        return original_build(spec)
+
+    def counting_table(table, *args):
+        tables.append(table)
+        original_table(table, *args)
+
+    monkeypatch.setattr(megt.evolve, "build_multiplex", counting_build)
+    monkeypatch.setattr(ScalingTable, "__init__", counting_table)
+    grid = sweep_ts(grid_config(replicas=3), [0.6, 1.0, 1.4], [-0.4, 0.4])
+    # six cells, three replicas: a network per replica, not per run
+    assert len(seeds) == len(set(seeds)) == 3
+    assert len(tables) == 3
+    assert len(grid.rounds) == 18
+    assert grid.phase_s["network"] > 0.0
+    assert grid.phase_s["communicability"] > 0.0
+
+
+def test_a_spec_built_cell_is_its_runs_at_its_cell_and_replica():
+    config = grid_config(replicas=3)
+    t_values, s_values = [0.6, 1.4], [-0.4, 0.4]
+    grid = sweep_ts(config, t_values, s_values)
+    for it, t in enumerate(t_values):
+        for js, s in enumerate(s_values):
+            steadies = [run(dataclasses.replace(config, game=from_ts(t, s)),
+                            cell_index=it * 2 + js,
+                            replica_index=r).trajectory.steady_rho
+                        for r in range(3)]
+            assert grid.rho_mean[it, js] == float(np.mean(steadies))
+            assert grid.rho_std[it, js] == float(np.std(steadies))
+
+
+def test_a_prebuilt_table_lives_as_long_as_its_network():
+    gc.collect()
+    held = len(megt.evolve._tables)
+    # a spec-built sweep's networks and tables go with the sweep
+    sweep_ts(grid_config(replicas=2), [0.6], [-0.4, 0.4])
+    gc.collect()
+    assert len(megt.evolve._tables) == held
+    net = build_multiplex(small_spec(seed=9, n=20))
+    config = dataclasses.replace(grid_config(), spec=None, network=net)
+    run(config)
+    table = megt.evolve._tables[net]
+    run(config)
+    assert megt.evolve._tables[net] is table
+    # a new coupling strength replaces the network's table
+    run(dataclasses.replace(config, interlayer_strength=0.25))
+    assert megt.evolve._tables[net] is not table
+    network = weakref.ref(net)
+    del net, config, table
+    gc.collect()
+    assert network() is None
+    assert len(megt.evolve._tables) == held
+
+
+def _runs_and_sweep(config, jobs=None):
     """Every bit of a sweep and of a replica set that a thread or job
     count could move; no thread may outlive either call."""
     before = threading.active_count()
@@ -940,12 +1004,13 @@ def test_thread_and_job_counts_change_no_bit(monkeypatch, prebuilt):
     outputs = []
     for cpus in (1, 2, 3):
         monkeypatch.setattr(megt.evolve, "_usable_cpus", lambda: cpus)
-        assert run_threads(1, 12) == cpus
+        assert run_threads(None, 12) == cpus
         outputs.append(_runs_and_sweep(config))
     assert outputs[0] == outputs[1] == outputs[2]
-    # the pool's two workers, one run thread each
-    assert run_threads(2, 12) == 2
-    assert _runs_and_sweep(config, jobs=2) == outputs[0]
+    # a cap below the CPUs, and at them
+    for jobs in (1, 3):
+        assert run_threads(jobs, 12) == jobs
+        assert _runs_and_sweep(config, jobs=jobs) == outputs[0]
 
 
 def test_run_threads_never_outnumber_the_cpus(monkeypatch):
@@ -987,7 +1052,7 @@ def test_threads_take_every_item_once(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        squares = _map(square, list(range(2000)), jobs=1)
+        squares = _map(square, list(range(2000)), jobs=None)
     finally:
         sys.setswitchinterval(interval)
     assert squares == [item * item for item in range(2000)]
@@ -1032,10 +1097,14 @@ def test_the_first_failure_is_the_one_a_sequential_sweep_raises(
     (0, 5, 4, 1),
     (-2, 5, 4, 1),
     (8, 5, 1, 1),
+    (None, 25, 4, 4),
+    (None, 2, 4, 2),
 ])
 def test_worker_count_is_clamped(monkeypatch, jobs, tasks, cpus, expected):
+    # the run threads: no more than the CPUs, the tasks or the cap, and
+    # at least one
     monkeypatch.setattr(megt.evolve, "_usable_cpus", lambda: cpus)
-    assert _worker_count(jobs, tasks) == expected
+    assert run_threads(jobs, tasks) == expected
 
 
 def test_usable_cpus_follow_the_affinity_mask(monkeypatch):

@@ -146,7 +146,7 @@ GOLDEN = {
     },
     "spec_sweep": {
         "grid.csv":
-            "a1f81af0e2386fcd399997495f8bd2ad610ceb9375b091b8e123706021d3f720",
+            "88855e5fc237c8ef2bb5fe14ed9196c2077fb2483ba6d5671973c14869e71ef2",
     },
     "nash": {
         "alpha.csv":

@@ -105,3 +105,21 @@ def test_only_netgen_reads_the_dense_distances():
                        for node in ast.walk(ast.parse(
                            path.read_text(encoding="utf-8"))))]
     assert readers == []
+
+
+def test_no_module_starts_a_process_pool():
+    # runs share the CPUs on threads; a pool would be a second parallel
+    # path for the same runs
+    def imported(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                yield node.module
+
+    importers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if any(name.split(".")[0] in ("concurrent",
+                                               "multiprocessing")
+                        for name in imported(ast.parse(
+                            path.read_text(encoding="utf-8"))))]
+    assert importers == []
