@@ -10,24 +10,30 @@ node j on layer beta, with 1/k! weighting for length-k walks (Estrada &
 Hatano 2008; Estrada & Gomez-Gardenes 2014 for multiplexes).
 
 A run reads only a few entries of the exponential per slot, and
-``communicability_entries`` computes just those, by one of two paths:
+``communicability_entries`` computes just those, by one of three paths:
 
-- ``"series"``, on sparse layers: the truncated Taylor series of the
-  sparse supra-matrix, summed over panels of identity columns by
-  ``round.c``.  No (N*M)^2 array is built.  ``round.c`` reads the
-  supra-matrix from the network's edge CSR and the coupling strength,
-  and sums each node's M rows together, sharing the prefix of coupling
-  products that row (alpha, i) has in common with row (alpha + 1, i);
-  every row still gets the operations of a plain row-by-row product
-  over ``_supra_csr``, in the same order, so the same bits (the tests
-  hold it to such a product in numpy).  It shares the panels among
-  threads, one per 256 columns up to the CPUs the process may use; each
+- ``"series"``, on sparse layers: the truncated Chebyshev series
+  ``exp(A) = I_0(b) I + 2 sum_k I_k(b) T_k(A / b)`` of the sparse
+  supra-matrix, where b bounds A's spectrum, summed over panels of
+  identity columns by ``round.c``.  No (N*M)^2 array is built.  Only the
+  N*(M-1) columns of layers 0 .. M-2 are summed: a row on layer M-1 has
+  all its cross-layer slots on the other layers, and exp(A) is
+  symmetric, so its entry (r, c) is read as entry r of column c, which
+  is summed already.  ``round.c`` reads the supra-matrix from the
+  network's edge CSR and the coupling strength, and sums each node's M
+  rows together, sharing the prefix of coupling products that row
+  (alpha, i) has in common with row (alpha + 1, i); every row still
+  gets the operations of a plain row-by-row product over
+  ``_supra_csr``, in the same order, so the same bits (the tests hold
+  it to such a product in numpy).  It shares the panels among threads,
+  one per 256 summed columns up to the CPUs the process may use; each
   panel's arithmetic is the same on any thread, so the thread count
   changes no bit.
 - ``"eigh"``, on dense layers, where the series would cost more than a
   dense eigendecomposition, and wherever the exponential may overflow:
   the entries are gathered from ``matrix_exp``, the exponential from one
   symmetric eigendecomposition of the dense ``build_supra``.
+- ``"none"``, on one layer, which has no cross-layer entries to compute.
 
 ``matrix_exp`` of ``build_supra`` is also the oracle that the series is
 tested against.
@@ -69,8 +75,9 @@ _SERIES_MAX_BOUND = 700.0
 _BOUND_STEPS = 12
 
 # another thread of the compiled series is worth starting per
-# _BLOCKS_PER_THREAD blocks of _THREAD_BLOCK columns, 256 columns; the
-# rule counts columns, not round.c's panels of 16 (COMM_PANEL)
+# _BLOCKS_PER_THREAD blocks of _THREAD_BLOCK summed columns, 256
+# columns; the rule counts columns, not round.c's panels of 16
+# (COMM_PANEL)
 _THREAD_BLOCK = 8
 _BLOCKS_PER_THREAD = 32
 
@@ -90,8 +97,8 @@ def _usable_cpus() -> int:
 
 def _series_threads(cpus: int, blocks: int) -> int:
     """Threads for the compiled series over ``blocks`` blocks of
-    ``_THREAD_BLOCK`` columns: one per ``_BLOCKS_PER_THREAD`` blocks, at
-    most ``cpus``, at least 1."""
+    ``_THREAD_BLOCK`` of the columns it sums: one per
+    ``_BLOCKS_PER_THREAD`` blocks, at most ``cpus``, at least 1."""
     return max(1, min(cpus, blocks // _BLOCKS_PER_THREAD))
 
 
@@ -193,29 +200,50 @@ def _spectral_bound(ptr: np.ndarray, col: np.ndarray,
     return bound
 
 
-def _series_terms(bound: float) -> int:
-    """The least K for which the Taylor tail ``sum_{k>K} bound^k / k!``
-    is at most 2^-53; it bounds the tail of every entry of exp(A) when
-    ``bound`` bounds A's spectrum.  The loop takes about e * bound
-    steps, so callers keep ``bound`` at most ``_SERIES_MAX_BOUND``."""
+def _series_coefficients(bound: float) -> np.ndarray:
+    """The coefficients ``c_0 = I_0(b)`` and ``c_k = 2 I_k(b)`` of the
+    Chebyshev series ``exp(b x) = sum_k c_k T_k(x)`` on [-1, 1], for
+    ``k = 0 .. K``, with ``b = bound`` and K the least for which the tail
+    ``sum_{k>K} 2 I_k(b)`` is at most 2^-53.  As ``|T_k| <= 1`` there, it
+    bounds the tail of every entry of exp(A) when ``bound`` bounds A's
+    spectrum on both sides.  K > bound - 2.
+
+    The modified Bessel values come from Miller's backward recurrence of
+    the ratios ``I_k / I_(k-1) = 1 / (2k / b + I_(k+1) / I_k)``, started
+    at ``2b + 50`` terms, past K; ``I_0`` from the normalisation
+    ``I_0 + 2 sum_k I_k = e^b``, and each further coefficient from the
+    one before, so none leaves float64's normal range for
+    ``bound <= _SERIES_MAX_BOUND``.  The loops take about 2 * bound
+    steps."""
     if bound <= 0.0:
-        return 0
-    log_bound, limit = math.log(bound), -53 * math.log(2.0)
-    terms = 0
-    while True:
-        # the tail after K terms is at most t_{K+1} / (1 - bound / (K+2))
-        if terms + 2 > bound and (
-                (terms + 1) * log_bound - math.lgamma(terms + 2)
-                - math.log1p(-bound / (terms + 2)) <= limit):
-            return terms
-        terms += 1
+        return np.ones(1)
+    top = int(2.0 * bound) + 50
+    ratio = [0.0] * (top + 2)
+    for k in range(top, 0, -1):
+        ratio[k] = 1.0 / (2.0 * k / bound + ratio[k + 1])
+    # e^-b I_k / (e^-b I_0), which may underflow at the top, and their sum
+    relative, parts = 1.0, [1.0]
+    for k in range(1, top + 1):
+        relative *= ratio[k]
+        parts.append(2.0 * relative)
+    coefficients = [math.exp(bound) / math.fsum(parts)]
+    coefficients.append(2.0 * coefficients[0] * ratio[1])
+    for k in range(2, top + 1):
+        coefficients.append(coefficients[-1] * ratio[k])
+    terms, tail = top, 0.0
+    while terms > 0 and tail + coefficients[terms] <= 2.0 ** -53:
+        tail += coefficients[terms]
+        terms -= 1
+    return np.array(coefficients[:terms + 1])
 
 
-def _series_choice(ptr: np.ndarray, col: np.ndarray,
-                   val: np.ndarray) -> int | None:
-    """K when the series of the CSR supra-matrix costs less than a dense
-    eigendecomposition, ``K * nnz(A) <= (N*M)^2``, and its spectral
-    bound is at most ``_SERIES_MAX_BOUND``; None when eigh should run."""
+def _series_choice(ptr: np.ndarray, col: np.ndarray, val: np.ndarray
+                   ) -> tuple[np.ndarray, float] | None:
+    """The Chebyshev coefficients and ``2 / b`` of the series of the CSR
+    supra-matrix, b its spectral bound, when the series costs less than
+    a dense eigendecomposition, ``K * nnz(A) <= (N*M)^2``, and b is at
+    most ``_SERIES_MAX_BOUND``; None when eigh should run.  The rule
+    depends only on the network."""
     nm = ptr.size - 1
     # K > bound - 2 and bound >= sum(A) / (N*M), the Rayleigh quotient of
     # the ones vector, so dense layers go to eigh without the power steps
@@ -224,31 +252,40 @@ def _series_choice(ptr: np.ndarray, col: np.ndarray,
     if (quotient - 3) * col.size > nm * nm:
         return None
     bound = _spectral_bound(ptr, col, val)
-    # checked first: K takes about e * bound steps to find
+    # checked first: the coefficients take about 2 * bound steps
     if not bound <= _SERIES_MAX_BOUND:
         return None
-    terms = _series_terms(bound)
-    return terms if terms * col.size <= nm * nm else None
+    coefficients = _series_coefficients(bound)
+    if (coefficients.size - 1) * col.size > nm * nm:
+        return None
+    # 2 / b is used only past the first term, where b > 2^-53
+    return coefficients, (2.0 / bound if bound > 0.0 else 0.0)
 
 
 def _series_c(library, network: MultiplexNetwork,
-              interlayer_strength: float, terms, cross_ptr, cross_slot, *,
-              threads: int, vector: bool = True) -> np.ndarray:
+              interlayer_strength: float, coefficients, scale, cross_ptr,
+              cross_slot, *, threads: int, vector: bool = True
+              ) -> np.ndarray:
     """The entries from ``round.c``'s ``megt_comm_entries`` over
     ``threads`` threads; ``vector`` lets it use AVX2 where the CPU has
-    it.  Neither changes a bit.  The kernel reads the supra-matrix from
-    the network's edge CSR, the edges' homophily and the coupling
-    strength, never from ``_supra_csr``, and gives the bits of a plain
-    row-by-row series over ``_supra_csr``."""
+    it.  Neither changes a bit.  The kernel sums the Chebyshev series
+    with ``coefficients`` and ``scale = 2 / b`` over the columns of
+    layers 0 .. M-2, and reads the last layer's rows, whose cross slots
+    must lie below N*(M-1), from those columns.  It reads the
+    supra-matrix from the network's edge CSR, the edges' homophily and
+    the coupling strength, never from ``_supra_csr``, and gives the bits
+    of a plain row-by-row series over ``_supra_csr``."""
     ptr, slot = (np.ascontiguousarray(array, dtype=np.int64) for array in
                  (network.neighbour_ptr, network.neighbour_slot))
     weight = homophily_from_delta(network.edge_delta)
+    coefficients = np.ascontiguousarray(coefficients, dtype=float)
     out = np.empty(cross_slot.size)
     status = library.megt_comm_entries(
         network.node_count, network.layer_count, ptr.ctypes.data,
         slot.ctypes.data, weight.ctypes.data, float(interlayer_strength),
-        terms, cross_ptr.ctypes.data, cross_slot.ctypes.data,
-        out.ctypes.data, int(vector), threads)
+        coefficients.size - 1, coefficients.ctypes.data, float(scale),
+        cross_ptr.ctypes.data, cross_slot.ctypes.data, out.ctypes.data,
+        int(vector), threads)
     if status != 0:
         raise MemoryError("cannot allocate the communicability panels")
     return out
@@ -261,15 +298,21 @@ def communicability_entries(network: MultiplexNetwork,
     """The communicability entries ``exp(A)[r, cross_slot[q]]`` for every
     flat row r and ``q`` in ``cross_ptr[r] .. cross_ptr[r+1] - 1``, and
     how they were computed: ``{"method": "series", "terms": K,
-    "threads": T}`` or ``{"method": "eigh", "terms": None,
-    "threads": None}``.
+    "threads": T}``, or ``"eigh"`` or ``"none"`` with ``"terms"`` and
+    ``"threads"`` None.  The rows of the last layer, M-1, may read only
+    slots of the other layers, below N*(M-1), as cross-layer
+    neighbourhoods do; ValueError otherwise.
 
-    The series needs a Collatz-Wielandt bound on A's largest eigenvalue
-    of at most 700; K is then the number of Taylor terms after which the
-    tail is at most 2^-53.  The method is ``"series"``, the truncated
-    Taylor series of the sparse supra-matrix over panels of identity
-    columns in ``round.c``, while it costs less than a dense
-    eigendecomposition, ``K * nnz(A) <= (N*M)^2``.  Otherwise it is
+    One layer has no such slots, so the method is ``"none"``: nothing
+    is summed.  Otherwise the series needs a Collatz-Wielandt bound b on
+    A's largest eigenvalue of at most 700; as A is nonnegative, its
+    spectrum lies in [-b, b], and K is the number of Chebyshev terms
+    after which the tail ``sum_{k>K} 2 I_k(b)`` is at most 2^-53.  The
+    method is ``"series"``, the truncated Chebyshev series of the sparse
+    supra-matrix over panels of the identity columns of layers 0 .. M-2
+    in ``round.c``, while it costs less than a dense eigendecomposition,
+    ``K * nnz(A) <= (N*M)^2``; the last layer's rows read their entries
+    from those columns, by symmetry.  Otherwise the method is
     ``"eigh"``: the dense ``matrix_exp`` of ``build_supra``, which raises
     ValueError when the exponential overflows.  The choice depends only
     on the network.  The series needs the compiled kernel, and
@@ -277,30 +320,39 @@ def communicability_entries(network: MultiplexNetwork,
 
     T is the number of threads that summed the series: 1 in
     ``evolve``'s run threads, else ``_series_threads`` of the usable
-    CPUs and the panel count.  It changes no bit.
+    CPUs and the N*(M-1) columns summed.  It changes no bit.
     """
-    ptr, col, val = _supra_csr(network, interlayer_strength)
-    nm = ptr.size - 1
+    nm = network.node_count * network.layer_count
+    columns = nm - network.node_count
     cross_ptr = np.ascontiguousarray(cross_ptr, dtype=np.int64)
     cross_slot = np.ascontiguousarray(cross_slot, dtype=np.int64)
     # the compiled series reads through these indices unchecked
     if (cross_ptr.shape != (nm + 1,) or cross_ptr[0] != 0
             or cross_ptr[-1] != cross_slot.size
             or np.any(np.diff(cross_ptr) < 0)
-            or np.any((cross_slot < 0) | (cross_slot >= nm))):
-        raise ValueError(f"expected a CSR of flat slots below {nm}")
-    terms = _series_choice(ptr, col, val)
-    if terms is None:
+            or np.any((cross_slot < 0) | (cross_slot >= nm))
+            or np.any(cross_slot[cross_ptr[columns]:] >= columns)):
+        raise ValueError(f"expected a CSR of flat slots below {nm}, those "
+                         f"of the last layer's rows below {columns}")
+    if network.layer_count == 1:
+        return np.zeros(0), {"method": "none", "terms": None,
+                             "threads": None}
+    ptr, col, val = _supra_csr(network, interlayer_strength)
+    choice = _series_choice(ptr, col, val)
+    if choice is None:
         matrix = matrix_exp(_dense(ptr, col, val))
         owner = np.repeat(np.arange(nm), np.diff(cross_ptr))
         return matrix[owner, cross_slot], {"method": "eigh", "terms": None,
                                            "threads": None}
     from . import kernel  # ctypes stays off the import path
+    coefficients, scale = choice
     cpus = 1 if getattr(_worker, "one_cpu", False) else _usable_cpus()
-    threads = _series_threads(cpus, -(-nm // _THREAD_BLOCK))
-    values = _series_c(kernel.load(), network, interlayer_strength, terms,
-                       cross_ptr, cross_slot, threads=threads)
-    return values, {"method": "series", "terms": terms, "threads": threads}
+    threads = _series_threads(cpus, -(-columns // _THREAD_BLOCK))
+    values = _series_c(kernel.load(), network, interlayer_strength,
+                       coefficients, scale, cross_ptr, cross_slot,
+                       threads=threads)
+    return values, {"method": "series", "terms": coefficients.size - 1,
+                    "threads": threads}
 
 
 @dataclass(frozen=True)

@@ -150,8 +150,8 @@ def _open(path: Path) -> ctypes.CDLL:
     library.megt_nash.argtypes = (ctypes.POINTER(Engine),)
     library.megt_nash.restype = None
     library.megt_comm_entries.argtypes = (_I64, _I64, _PTR, _PTR, _PTR,
-                                          _F64, _I64, _PTR, _PTR, _PTR,
-                                          _I64, _I64)
+                                          _F64, _I64, _PTR, _F64, _PTR,
+                                          _PTR, _PTR, _I64, _I64)
     library.megt_comm_entries.restype = _I64
     return library
 

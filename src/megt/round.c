@@ -407,20 +407,32 @@ int64_t megt_run(struct megt_engine *e, bitgen_t *bitgen, int64_t budget)
  * each edge in weight, on its diagonal block, and omega times the
  * identity on every off-diagonal block (none when omega is 0).
  *
- * exp(A) e_r is the truncated Taylor series sum_{k=0..terms} A^k e_r / k!,
- * summed for COMM_PANEL columns r at a time: term_k = (A term_{k-1}) / k,
- * with each row's products added left to right in ascending column order,
- * and then sum += term_k.  In that order row (alpha, i) holds
- * omega * x(beta, i) for beta < alpha, then layer alpha's edges, then
- * omega * x(beta, i) for beta > alpha; so node i's rows are summed
- * together, each starting from the sum 0 + omega * x(0, i) + ... of its
- * prefix, which the row before it extends by one term.  Every row gets
- * the operations that the tests' numpy series makes over the supra CSR,
- * in the same order.  Every column's arithmetic is independent of the
- * others, so neither the panel width nor the vector width changes a
- * bit.  Entry (r, c) is read from column r, which equals row r because
- * A is symmetric.  A panel is stored row-major, COMM_PANEL doubles per
- * row. */
+ * A's spectrum lies in [-b, b], b the bound the caller computed, so
+ * exp(A) e_c is the truncated Chebyshev series
+ * sum_{k=0..terms} coefficient[k] T_k(A / b) e_c, with coefficient[0] =
+ * I_0(b) and coefficient[k] = 2 I_k(b), summed for COMM_PANEL columns c
+ * at a time.  With scale = 2 / b, T_0 = e_c, T_1 = (scale / 2) A T_0 and
+ * T_k = scale A T_{k-1} - T_{k-2}; with T_{-1} = 0, every step is
+ * next = (A term) * factor - prev, in which x - 0 is x, and then
+ * sum += coefficient[k] * next.  next overwrites prev row by row, so a
+ * panel needs three work arrays.  In (A term) each row's products are
+ * added left to right in ascending column order.  In that order row
+ * (alpha, i) holds omega * x(beta, i) for beta < alpha, then layer
+ * alpha's edges, then omega * x(beta, i) for beta > alpha; so node i's
+ * rows are summed together, each starting from the sum
+ * 0 + omega * x(0, i) + ... of its prefix, which the row before it
+ * extends by one term.  Every row gets the operations that the tests'
+ * numpy series makes over the supra CSR, in the same order.  Every
+ * column's arithmetic is independent of the others, so neither the
+ * panel width nor the vector width changes a bit.
+ *
+ * Only the N * (M - 1) columns of layers 0 .. M - 2 are summed.  A row
+ * r below N * (M - 1) reads entry (r, c) from its own column r, which
+ * equals row r because A is symmetric.  A row r on the last layer reads
+ * its slots c, all on other layers, as entry r of column c: each panel
+ * scans the last layer's entries for the slots among its columns, a
+ * pass over about nnz(A) entries against the panel's terms * nnz(A)
+ * products.  A panel is stored row-major, COMM_PANEL doubles per row. */
 #define COMM_PANEL 16
 
 struct supra {
@@ -430,9 +442,11 @@ struct supra {
     double omega;
 };
 
-/* next = (A term) / k and sum += next, for one panel. */
-static void panel_term(const struct supra *a, double k, const double *term,
-                       double *next, double *sum)
+/* next = (A term) * factor - next, then sum += coefficient * next, for
+ * one panel: next holds T_{k-2} before and T_k after. */
+static void panel_term(const struct supra *a, double factor,
+                       double coefficient, const double *term, double *next,
+                       double *sum)
 {
     const int64_t n = a->nodes, m = a->layers;
     const double omega = a->omega;
@@ -462,8 +476,8 @@ static void panel_term(const struct supra *a, double k, const double *term,
             double *dst = next + row * COMM_PANEL;
             double *total = sum + row * COMM_PANEL;
             for (int c = 0; c < COMM_PANEL; c++) {
-                dst[c] = acc[c] / k;
-                total[c] += dst[c];
+                dst[c] = acc[c] * factor - dst[c];
+                total[c] += coefficient * dst[c];
             }
         }
     }
@@ -487,8 +501,9 @@ static inline void add_scaled(quad *acc, double v, const double *src)
 }
 
 __attribute__((target("avx2")))
-static void panel_term_avx2(const struct supra *a, double k,
-                            const double *term, double *next, double *sum)
+static void panel_term_avx2(const struct supra *a, double factor,
+                            double coefficient, const double *term,
+                            double *next, double *sum)
 {
     const int64_t n = a->nodes, m = a->layers;
     const double omega = a->omega;
@@ -511,10 +526,12 @@ static void panel_term_avx2(const struct supra *a, double k,
             double *total = sum + row * COMM_PANEL;
 #pragma GCC unroll 8
             for (int q = 0; q < QUADS; q++) {
-                quad x, y = acc[q] / k;
+                quad x, y;
+                __builtin_memcpy(&y, dst + 4 * q, sizeof y);
+                y = acc[q] * factor - y;
                 __builtin_memcpy(dst + 4 * q, &y, sizeof y);
                 __builtin_memcpy(&x, total + 4 * q, sizeof x);
-                x += y;
+                x += coefficient * y;
                 __builtin_memcpy(total + 4 * q, &x, sizeof x);
             }
         }
@@ -522,16 +539,18 @@ static void panel_term_avx2(const struct supra *a, double k,
 }
 #endif
 
-typedef void (*panel_step)(const struct supra *, double, const double *,
-                           double *, double *);
+typedef void (*panel_step)(const struct supra *, double, double,
+                           const double *, double *, double *);
 
 /* What the threads of one megt_comm_entries call share.  Panels are
  * handed out by the atomic counter next_panel; each panel writes only
- * its own rows' entries of out. */
+ * the entries of out that read its columns. */
 struct comm_job {
     struct supra a;
     panel_step step;
-    int64_t slot_count, terms, panels;
+    int64_t slot_count, columns, terms, panels;
+    const double *coefficient;
+    double scale;
     const int64_t *cross_ptr, *cross_slot;
     double *out;
     int64_t next_panel;
@@ -542,7 +561,7 @@ struct comm_job {
 static void *comm_worker(void *arg)
 {
     struct comm_job *job = arg;
-    const int64_t slot_count = job->slot_count, size = slot_count * COMM_PANEL;
+    const int64_t size = job->slot_count * COMM_PANEL;
     double *scratch = malloc(3 * (size_t)size * sizeof(double));
     if (scratch == NULL)
         return NULL;
@@ -550,25 +569,34 @@ static void *comm_worker(void *arg)
     for (;;) {
         const int64_t first = COMM_PANEL * __atomic_fetch_add(
             &job->next_panel, 1, __ATOMIC_RELAXED);
-        if (first >= slot_count)
+        if (first >= job->columns)
             break;
-        for (int64_t x = 0; x < size; x++)
-            sum[x] = 0.0;
-        for (int c = 0; c < COMM_PANEL && first + c < slot_count; c++)
-            sum[(first + c) * COMM_PANEL + c] = 1.0;
-        for (int64_t x = 0; x < size; x++)
-            term[x] = sum[x];
+        const int width = job->columns - first < COMM_PANEL
+                          ? (int)(job->columns - first) : COMM_PANEL;
+        memset(scratch, 0, 3 * (size_t)size * sizeof(double));
+        for (int c = 0; c < width; c++) {
+            sum[(first + c) * COMM_PANEL + c] = job->coefficient[0];
+            term[(first + c) * COMM_PANEL + c] = 1.0;
+        }
         for (int64_t k = 1; k <= job->terms; k++) {
-            job->step(&job->a, (double)k, term, next, sum);
+            job->step(&job->a, k == 1 ? job->scale / 2.0 : job->scale,
+                      job->coefficient[k], term, next, sum);
             double *swap = term;
             term = next;
             next = swap;
         }
-        for (int c = 0; c < COMM_PANEL && first + c < slot_count; c++) {
-            int64_t r = first + c;
+        for (int c = 0; c < width; c++) {
+            const int64_t r = first + c;
             for (int64_t q = job->cross_ptr[r]; q < job->cross_ptr[r + 1]; q++)
                 job->out[q] = sum[job->cross_slot[q] * COMM_PANEL + c];
         }
+        for (int64_t r = job->columns; r < job->slot_count; r++)
+            for (int64_t q = job->cross_ptr[r]; q < job->cross_ptr[r + 1];
+                 q++) {
+                const int64_t c = job->cross_slot[q] - first;
+                if (c >= 0 && c < width)
+                    job->out[q] = sum[r * COMM_PANEL + c];
+            }
     }
     free(scratch);
     return NULL;
@@ -603,14 +631,16 @@ static void place_helpers(pthread_attr_t *attr)
 int64_t megt_comm_entries(int64_t node_count, int64_t layer_count,
                           const int64_t *ptr, const int64_t *slot,
                           const double *weight, double omega, int64_t terms,
+                          const double *coefficient, double scale,
                           const int64_t *cross_ptr, const int64_t *cross_slot,
                           double *out, int64_t vector, int64_t threads)
 {
-    const int64_t slot_count = node_count * layer_count;
+    const int64_t columns = node_count * (layer_count - 1);
     struct comm_job job = {{node_count, layer_count, ptr, slot, weight, omega},
-                           panel_term, slot_count, terms,
-                           (slot_count + COMM_PANEL - 1) / COMM_PANEL,
-                           cross_ptr, cross_slot, out, 0};
+                           panel_term, node_count * layer_count, columns,
+                           terms, (columns + COMM_PANEL - 1) / COMM_PANEL,
+                           coefficient, scale, cross_ptr, cross_slot, out,
+                           0};
 #if defined(__x86_64__) && defined(__GNUC__)
     if (vector && __builtin_cpu_supports("avx2"))
         job.step = panel_term_avx2;

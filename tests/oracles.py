@@ -10,7 +10,7 @@ compiled kernel, its networks from ``build_multiplex`` or
 - ``communicability`` is the dense (N*M)^2 exponential of the
   supra-matrix, and ``scaling_factor`` the per-slot imitation scaling
   read from it over ``cross_neighbourhood``;
-- ``series_numpy`` sums the truncated Taylor series of the sparse
+- ``series_numpy`` sums the truncated Chebyshev series of the sparse
   supra-matrix in numpy, with the operations of ``round.c``'s
   ``megt_comm_entries`` in the same order, so the same bits;
 - ``fermi_probability`` is the imitation probability;
@@ -277,10 +277,13 @@ def reference_run(config: SimulationConfig, replica_index: int = 0,
 _NUMPY_PANEL = 32
 
 
-def series_numpy(ptr, col, val, terms, cross_ptr, cross_slot
-                 ) -> np.ndarray:
+def series_numpy(ptr, col, val, coefficients, scale, layer_count,
+                 cross_ptr, cross_slot) -> np.ndarray:
     """``round.c``'s ``megt_comm_entries`` in numpy, with the same
-    operations in the same order, so the same bits.
+    operations in the same order, so the same bits: the Chebyshev series
+    ``sum_k coefficients[k] T_k(A / b)``, ``scale = 2 / b``, over the
+    identity columns of layers 0 .. M-2, from which the last layer's rows
+    read their entries transposed.
 
     Each row's products are added left to right by taking the q-th
     stored entry of every row that has one, for q = 0, 1, ...  Panels
@@ -288,6 +291,7 @@ def series_numpy(ptr, col, val, terms, cross_ptr, cross_slot
     are a leading slice; the storage order and the panel width change
     no bit."""
     nm = ptr.size - 1
+    columns = nm // layer_count * (layer_count - 1)
     degree = np.diff(ptr)
     order = np.argsort(-degree, kind="stable")
     rank = np.empty(nm, dtype=np.int64)
@@ -298,26 +302,36 @@ def series_numpy(ptr, col, val, terms, cross_ptr, cross_slot
         steps.append((rows.size, rank[col[ptr[rows] + q]],
                       val[ptr[rows] + q, None]))
     owner = np.repeat(np.arange(nm), np.diff(cross_ptr))
+    # the last layer's entries, each read from the column of its slot
+    last = np.arange(cross_ptr[columns], cross_ptr[-1])
     out = np.empty(cross_slot.size)
-    total, term, acc, products = (np.empty((nm, _NUMPY_PANEL))
-                                  for _ in range(4))
-    for first in range(0, nm, _NUMPY_PANEL):
-        width = min(_NUMPY_PANEL, nm - first)
-        t, a, b = total[:, :width], term[:, :width], acc[:, :width]
+    total, term, prev, acc, products = (np.empty((nm, _NUMPY_PANEL))
+                                        for _ in range(5))
+    for first in range(0, columns, _NUMPY_PANEL):
+        width = min(_NUMPY_PANEL, columns - first)
+        t, a, z, b = (array[:, :width] for array in (total, term, prev, acc))
         t.fill(0.0)
-        t[rank[first:first + width], np.arange(width)] = 1.0
-        a[...] = t
-        for k in range(1, terms + 1):
+        t[rank[first:first + width], np.arange(width)] = coefficients[0]
+        a.fill(0.0)
+        a[rank[first:first + width], np.arange(width)] = 1.0
+        # T_{-1} = 0, so the first step is (A T_0) * (scale / 2) - 0
+        z.fill(0.0)
+        for k in range(1, coefficients.size):
             b.fill(0.0)
             for count, cols, vals in steps:
                 p = products[:count, :width]
                 np.take(a, cols, axis=0, out=p, mode="clip")
                 p *= vals
                 b[:count] += p
-            np.divide(b, k, out=a)
-            t += a
+            b *= scale / 2 if k == 1 else scale
+            np.subtract(b, z, out=z)
+            t += coefficients[k] * z
+            a, z = z, a
         part = slice(cross_ptr[first], cross_ptr[first + width])
         out[part] = t[rank[cross_slot[part]], owner[part] - first]
+        read = last[(cross_slot[last] >= first)
+                    & (cross_slot[last] < first + width)]
+        out[read] = t[rank[owner[read]], cross_slot[read] - first]
     return out
 
 

@@ -597,12 +597,13 @@ def test_centrality_that_does_not_converge_is_a_config_error(
 @pytest.mark.parametrize("strength", ["1e12", "1.7e308"])
 def test_huge_coupling_is_an_overflow_without_a_term_count(
         tmp_path, capsys, monkeypatch, strength):
-    # the term count takes about e * bound steps: a coupling this strong
+    # the coefficients take about 2 * bound steps: a coupling this strong
     # must go straight to eigh and its overflow error
     def refuse(bound):
-        raise AssertionError(f"counted Taylor terms for a bound of {bound}")
+        raise AssertionError(f"counted Chebyshev terms for a bound of "
+                             f"{bound}")
 
-    monkeypatch.setattr(megt.comm, "_series_terms", refuse)
+    monkeypatch.setattr(megt.comm, "_series_coefficients", refuse)
     cfg = write_config(tmp_path, f"interlayer_strength = {strength}\n")
     for command in ("evolve", "sweep", "nash"):
         assert run_cli(command, "--config", cfg,

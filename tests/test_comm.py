@@ -1,11 +1,14 @@
 import math
 import os
 import shutil
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,9 +16,9 @@ import megt.comm
 import megt.evolve
 import megt.kernel
 from megt.comm import (ScalingBounds, _series_c, _series_choice,
-                       _series_terms, _series_threads, _spectral_bound,
-                       _supra_csr, build_supra, communicability_entries,
-                       matrix_exp)
+                       _series_coefficients, _series_threads,
+                       _spectral_bound, _supra_csr, build_supra,
+                       communicability_entries, matrix_exp)
 from megt.evolve import DISTANCE_FLOOR, ScalingTable, _map
 from megt.netgen import (LayerTopology, MultiplexSpec, build_multiplex,
                          homophily_from_delta)
@@ -399,15 +402,28 @@ def test_spectral_bound_and_term_count():
     largest = np.linalg.eigvalsh(build_supra(net, 0.5))[-1]
     bound = _spectral_bound(ptr, col, val)
     assert largest <= bound <= 1.05 * largest
-    terms = _series_terms(bound)
+    terms = _series_coefficients(bound).size - 1
 
     def tail(after):
-        return math.fsum(math.exp(k * math.log(bound) - math.lgamma(k + 1))
+        return math.fsum(2.0 * scipy.special.iv(k, bound)
                          for k in range(after + 1, after + 100))
 
-    # K is enough; the bound on the tail costs at most one extra term
-    assert tail(terms) <= 2.0 ** -53 < tail(terms - 2)
-    assert _series_terms(0.0) == 0
+    # K is the least count whose Chebyshev tail is below 2^-53
+    assert tail(terms) <= 2.0 ** -53 < tail(terms - 1)
+    assert _series_coefficients(0.0).tolist() == [1.0]
+
+
+def chebyshev(ptr, col, val):
+    """The series' coefficients and scale 2 / b for the CSR supra-matrix,
+    whatever the cost rule says."""
+    bound = _spectral_bound(ptr, col, val)
+    return _series_coefficients(bound), (2.0 / bound if bound > 0 else 0.0)
+
+
+def gathered(matrix, cross_ptr, cross_slot):
+    """The entries ``matrix[r, cross_slot[q]]`` in the CSR's order."""
+    owner = np.repeat(np.arange(cross_ptr.size - 1), np.diff(cross_ptr))
+    return matrix[owner, cross_slot]
 
 
 @settings(max_examples=40, deadline=None)
@@ -423,17 +439,18 @@ def test_series_entries_match_eigh_and_c_matches_numpy(
                                     sigma, edgeless_layer)
     cross_ptr, cross_slot = cross_csr(net)
     ptr, col, val = _supra_csr(net, omega)
-    terms = _series_terms(_spectral_bound(ptr, col, val))
-    series = series_numpy(ptr, col, val, terms, cross_ptr, cross_slot)
-    owner = np.repeat(np.arange(n * layers), np.diff(cross_ptr))
-    oracle = matrix_exp(build_supra(net, omega))[owner, cross_slot]
+    coefficients, scale = chebyshev(ptr, col, val)
+    series = series_numpy(ptr, col, val, coefficients, scale, layers,
+                          cross_ptr, cross_slot)
+    oracle = gathered(matrix_exp(build_supra(net, omega)), cross_ptr,
+                      cross_slot)
     # at omega = 0 both give exact zeros across layers
     assert np.all(np.abs(series - oracle) <= 1e-12 * np.abs(oracle))
     library = megt.kernel.load()
     for vector in (True, False):
         assert np.array_equal(
-            _series_c(library, net, omega, terms, cross_ptr, cross_slot,
-                      threads=1, vector=vector), series)
+            _series_c(library, net, omega, coefficients, scale, cross_ptr,
+                      cross_slot, threads=1, vector=vector), series)
 
 
 def test_series_choice_is_the_cost_rule():
@@ -446,12 +463,17 @@ def test_series_choice_is_the_cost_rule():
                 net = conftest.random_multiplex(int(1000 * p) + n, n, layers,
                                                 p, 1.0, False)
                 ptr, col, val = _supra_csr(net, omega)
-                bound = _spectral_bound(ptr, col, val)
-                terms = _series_terms(bound) if bound <= 700 else None
-                if terms is not None and terms * col.size > (n * layers) ** 2:
-                    terms = None
-                assert _series_choice(ptr, col, val) == terms
-                chosen.add(terms is None)
+                series = _spectral_bound(ptr, col, val) <= 700
+                if series:
+                    coefficients, scale = chebyshev(ptr, col, val)
+                    series = ((coefficients.size - 1) * col.size
+                              <= (n * layers) ** 2)
+                choice = _series_choice(ptr, col, val)
+                assert (choice is not None) == series
+                if series:
+                    assert np.array_equal(choice[0], coefficients)
+                    assert choice[1] == scale
+                chosen.add(series)
     assert chosen == {True, False}
 
 
@@ -498,11 +520,73 @@ def test_sparse_layers_take_the_series_without_dense_matrices(monkeypatch):
     values, info = communicability_entries(net, 0.5, cross_ptr, cross_slot)
     monkeypatch.undo()
     assert info["method"] == "series"
-    assert info["terms"] == _series_terms(
-        _spectral_bound(*_supra_csr(net, 0.5)))
-    owner = np.repeat(np.arange(1400), np.diff(cross_ptr))
-    oracle = matrix_exp(build_supra(net, 0.5))[owner, cross_slot]
+    assert info["terms"] == chebyshev(*_supra_csr(net, 0.5))[0].size - 1
+    oracle = gathered(matrix_exp(build_supra(net, 0.5)), cross_ptr,
+                      cross_slot)
     assert np.all(np.abs(values - oracle) <= 1e-12 * oracle)
+
+
+BOUND_GRID = (1e-9, 2.0 ** -53, 1e-3, 0.5, 1.0, 5.852, 9.1, 31.0, 32.67,
+              123.4, 300.0, 555.5, 699.9, 700.0)
+
+
+def test_series_coefficients_are_the_bessel_values():
+    # scipy's ive is off by up to about 1e-13 at high orders and
+    # underflows at b = 700, so the reference is mpmath at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    for bound in BOUND_GRID:
+        coefficients = _series_coefficients(bound)
+        terms = coefficients.size - 1
+        # the dense shortcut of _series_choice needs K > b - 2
+        assert terms > bound - 2
+        assert np.isfinite(coefficients).all() and coefficients.min() > 0
+        with mpmath.workdps(30):
+            for k, value in enumerate(coefficients):
+                exact = (1 if k == 0 else 2) * mpmath.besseli(k, bound)
+                assert abs(value - exact) <= 1e-14 * exact, (bound, k)
+            tail = math.fsum(float(2 * mpmath.besseli(k, bound))
+                             for k in range(terms + 1, terms + 60))
+        assert tail <= 2.0 ** -53 < tail + coefficients[-1]
+
+
+def test_strong_coupling_series_matches_eigh():
+    # b is about 31: K = 76 Chebyshev terms, where Taylor took 121, and
+    # coefficients up to about e^31 whose terms partly cancel
+    net = build_multiplex(MultiplexSpec(
+        node_count=1000, layer_count=2,
+        topologies=(LayerTopology.er(4 / 999),) * 2, homophily_sigma=1.0,
+        rng_seed=1))
+    table = ScalingTable(net, 30.0)
+    assert table.communicability["method"] == "series"
+    assert table.communicability["terms"] == 76
+    oracle = gathered(matrix_exp(build_supra(net, 30.0)), table.cross_ptr,
+                      table.cross_slot)
+    assert np.all(np.abs(table.cross_value - oracle) <= 1e-12 * oracle)
+
+
+def test_one_layer_tables_sum_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a one-layer table computed communicability")
+
+    net = nash_layers_network(layers=1)
+    monkeypatch.setattr(megt.kernel, "load", refuse)
+    monkeypatch.setattr(megt.comm, "matrix_exp", refuse)
+    monkeypatch.setattr(megt.comm, "_spectral_bound", refuse)
+    table = ScalingTable(net, 0.5)
+    assert table.communicability == {"method": "none", "terms": None,
+                                     "threads": None}
+    assert table.cross_value.size == 0
+    assert np.array_equal(table.denominator, np.zeros(200))
+
+
+def test_last_layer_rows_read_only_other_layers():
+    # the last layer's entries are read from the columns of the other
+    # layers, so a slot on the last layer cannot be read there
+    net = pair_layers(3, [[(0, 1)], [(1, 2)]])
+    ptr = np.array([0, 0, 0, 0, 1, 1, 1], dtype=np.int64)
+    assert communicability_entries(net, 0.5, ptr, [2])[0].shape == (1,)
+    with pytest.raises(ValueError, match="last layer"):
+        communicability_entries(net, 0.5, ptr, [3])
 
 
 # ---------------------------------------------------------------------------
@@ -515,20 +599,21 @@ requires_cc = pytest.mark.skipif(shutil.which("cc") is None,
 
 @requires_cc
 def test_series_entries_do_not_depend_on_the_thread_count():
-    # N*M = 183: 12 panels of 16 columns, the last one partial
+    # N*(M-1) = 122 columns summed: 8 panels of 16, the last one partial
     net = conftest.random_multiplex(5, 61, 3, 0.06, 1.0, False)
     cross_ptr, cross_slot = cross_csr(net)
     ptr, col, val = _supra_csr(net, 0.5)
-    terms = _series_terms(_spectral_bound(ptr, col, val))
+    coefficients, scale = chebyshev(ptr, col, val)
     library = megt.kernel.load()
 
     def entries(threads):
-        return _series_c(library, net, 0.5, terms, cross_ptr, cross_slot,
-                         threads=threads)
+        return _series_c(library, net, 0.5, coefficients, scale, cross_ptr,
+                         cross_slot, threads=threads)
 
     single = entries(1)
-    assert np.array_equal(single, series_numpy(ptr, col, val, terms,
-                                                cross_ptr, cross_slot))
+    assert np.array_equal(single, series_numpy(ptr, col, val, coefficients,
+                                                scale, 3, cross_ptr,
+                                                cross_slot))
     # more threads than panels take the panels there are
     for threads in (2, 3, 23, 50):
         assert np.array_equal(entries(threads), single), threads
@@ -541,24 +626,84 @@ def test_node_by_node_series_equals_the_supra_csr_series(layers, omega):
     # round.c sums each node's rows together from the network's edges;
     # the numpy loop sums the supra-matrix's CSR row by row.  Layer 0 is
     # edgeless and the layers sparse, so many slots are isolated.  Every
-    # entry of exp(A) is read.
+    # entry of the summed columns is read, and every entry of the last
+    # layer's rows that lies in them: with one layer, none.
     net = conftest.random_multiplex(layers, 40, layers, 0.08, 1.0, True)
     nm = net.node_count * layers
-    cross_ptr = np.arange(0, nm * nm + 1, nm)
-    cross_slot = np.tile(np.arange(nm), nm)
+    columns = nm - net.node_count
+    reads = [nm] * columns + [columns] * net.node_count
+    cross_ptr = np.concatenate(([0], np.cumsum(reads)))
+    cross_slot = np.concatenate([np.arange(count) for count in reads])
     ptr, col, val = _supra_csr(net, omega)
-    terms = _series_terms(_spectral_bound(ptr, col, val))
-    series = series_numpy(ptr, col, val, terms, cross_ptr, cross_slot)
-    oracle = matrix_exp(build_supra(net, omega)).reshape(-1)
+    coefficients, scale = chebyshev(ptr, col, val)
+    series = series_numpy(ptr, col, val, coefficients, scale, layers,
+                          cross_ptr, cross_slot)
+    assert series.size == columns * (nm + net.node_count)
+    oracle = gathered(matrix_exp(build_supra(net, omega)), cross_ptr,
+                      cross_slot)
     # eigh's error is relative to the largest entry, not to each one
-    assert np.all(np.abs(series - oracle) <= 1e-12 * oracle.max())
+    assert np.all(np.abs(series - oracle) <= 1e-12 * oracle.max(initial=0))
     library = megt.kernel.load()
     for vector in (False, True):
         for threads in (1, 3):
             assert np.array_equal(
-                _series_c(library, net, omega, terms, cross_ptr, cross_slot,
-                          threads=threads, vector=vector),
+                _series_c(library, net, omega, coefficients, scale,
+                          cross_ptr, cross_slot, threads=threads,
+                          vector=vector),
                 series), (vector, threads)
+
+
+@requires_cc
+def test_tables_built_at_once_equal_tables_built_alone(monkeypatch):
+    # three networks of one shape with three bounds, so three coefficient
+    # lists; small, so that most of a build is Python and threads switch
+    # inside it
+    nets = [build_multiplex(MultiplexSpec(
+        node_count=40, layer_count=3, topologies=(LayerTopology.er(p),) * 3,
+        homophily_sigma=1.0, rng_seed=seed))
+        for seed, p in enumerate((1 / 39, 2 / 39, 3 / 39))]
+    alone = [ScalingTable(net, 0.5) for net in nets]
+    assert {table.communicability["method"] for table in alone} == {"series"}
+    assert len({table.communicability["terms"] for table in alone}) == 3
+
+    def equal_alone(index, table):
+        return (np.array_equal(alone[index].cross_value, table.cross_value)
+                and np.array_equal(alone[index].denominator,
+                                   table.denominator))
+
+    # each build is cut, just before the kernel, by the next network's
+    # whole build, as a thread switch may cut it
+    series_c, cut = megt.comm._series_c, []
+
+    def switched(library, network, *args, **kwargs):
+        if not cut:
+            cut.append(network)
+            ScalingTable(nets[(nets.index(network) + 1) % 3], 0.5)
+            cut.pop()
+        return series_c(library, network, *args, **kwargs)
+
+    monkeypatch.setattr(megt.comm, "_series_c", switched)
+    for index, net in enumerate(nets):
+        assert equal_alone(index, ScalingTable(net, 0.5)), index
+    monkeypatch.setattr(megt.comm, "_series_c", series_c)
+
+    # three run threads start their tables together and build each fifty
+    # times, switching often
+    monkeypatch.setattr(megt.evolve, "_usable_cpus", lambda: 3)
+    barrier = threading.Barrier(3)
+
+    def build(index):
+        barrier.wait(timeout=60)
+        return [ScalingTable(nets[index], 0.5) for _ in range(50)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        together = _map(build, [0, 1, 2], jobs=3)
+    finally:
+        sys.setswitchinterval(interval)
+    for index, tables in enumerate(together):
+        assert all(equal_alone(index, table) for table in tables), index
 
 
 @pytest.mark.parametrize("cpus, panels, threads", [
@@ -574,9 +719,13 @@ def test_series_thread_count_is_set_by_cpus_and_panels(cpus, panels,
 
 
 def _series_threads_of(_):
-    net = nash_layers_network(layers=3)
-    ptr = np.arange(601, dtype=np.int64)
-    return communicability_entries(net, 0.5, ptr, ptr[:-1])[1]["threads"]
+    # 600 columns summed; each slot reads itself, and each slot of the
+    # last layer its counterpart on the layer before
+    net = nash_layers_network(layers=4)
+    slots = np.arange(800, dtype=np.int64)
+    slots[600:] -= 200
+    return communicability_entries(net, 0.5, np.arange(801),
+                                   slots)[1]["threads"]
 
 
 @requires_cc
